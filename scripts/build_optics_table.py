@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Build the correlated-pixel-width table over the default spectral sweep.
 
-Writes out/wcp_table.csv, which transition-spectral runs can consume via
-the spectral.table_path config key instead of recomputing the optics.
+Writes out/wcp_table.csv (w_cp, fit order, w_p and w_tilde per spectral
+width), the committed reference that tests/test_golden.py re-runs against.
+Run from the repository root with src on the import path, e.g.
+``PYTHONPATH=src python scripts/build_optics_table.py``.
 """
 import sys
 from pathlib import Path

@@ -38,9 +38,9 @@ DEFAULT_CONFIG = {
     "rtn": {"gamma": 0.0, "p_plus": 0.5},
     "kernel": {"w_cp": 3.0, "w_p": 20.0, "n": 2},
     "geometry": {"pixels_per_half": 320, "j0": 160.0, "k0": 480.0},
-    "field": {"n_rep": 3, "balanced": True, "shared": True},
+    "field": {"n_rep": 3, "balanced": True},
     "deltas": [3, 2, 1, 0],
-    "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0], "table_path": None},
+    "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0]},
     "mc": {"order": 4, "n_real": 100000, "antithetic": True},
     "measurement": {
         "p": 0.927,
@@ -61,66 +61,31 @@ DEFAULT_CONFIG = {
     "preset": None,
 }
 
-# Schema: leaf -> (type tuple, predicate or None).  Structure mirrors the
-# default config; unknown keys anywhere are rejected.
-_SCHEMA = {
-    "command": ((str,), lambda v: v in COMMANDS),
-    "master_seed": ((int,), lambda v: 0 <= v < 2**64),
-    "grid": {
-        "t_min": ((int, float), lambda v: v >= 0),
-        "t_max": ((int, float), lambda v: v > 0),
-        "points": ((int,), lambda v: v >= 1),
-    },
-    "rtn": {
-        "gamma": ((int, float), lambda v: v >= 0),
-        "p_plus": ((int, float), lambda v: 0 <= v <= 1),
-    },
-    "kernel": {
-        "w_cp": ((int, float), lambda v: v > 0),
-        "w_p": ((int, float), lambda v: v > 0),
-        # evenness is diagnosed semantically, with the sign-ambiguity rule
-        "n": ((int,), lambda v: v >= 2),
-    },
-    "geometry": {
-        "pixels_per_half": ((int,), lambda v: v >= 2),
-        "j0": ((int, float), None),
-        "k0": ((int, float), None),
-    },
-    "field": {
-        "n_rep": ((int,), lambda v: v >= 1),
-        "balanced": ((bool,), None),
-        "shared": ((bool,), None),
-    },
-    "deltas": ((list,), None),
-    "spectral": {
-        "widths_nm": ((list,), None),
-        "table_path": ((str, type(None)), None),
-    },
-    "mc": {
-        "order": ((int,), lambda v: v >= 1),
-        "n_real": ((int,), lambda v: v >= 2),
-        "antithetic": ((bool,), None),
-    },
-    "measurement": {
-        "p": ((int, float), lambda v: 0 <= v <= 1),
-        "n0": ((int, float), lambda v: v > 0),
-        "acquisition_s": ((int, float), lambda v: v > 0),
-        "repeats": ((int,), lambda v: v >= 1),
-        "shot_noise": ((bool,), None),
-        "n_r": ((int,), lambda v: v >= 1),
-        "h_min": ((int,), None),
-        "h_max": ((int,), None),
-    },
-    "optics": {
-        "widths_nm": ((list,), None),
-        "theta_0": ((int, float), lambda v: v > 0),
-        "spacing_px": ((int, float), lambda v: 0 < v <= 0.25),
-    },
-    "output": {
-        "dir": ((str,), None),
-        "basename": ((str, type(None)), None),
-    },
-    "preset": ((str, type(None)), None),
+# Range checks by dotted leaf path.  A leaf's accepted types come from its
+# default (see _accepted_types); leaves not listed take any such value.
+_RANGES = {
+    "command": lambda v: v in COMMANDS,
+    "master_seed": lambda v: 0 <= v < 2**64,
+    "grid.t_min": lambda v: v >= 0,
+    "grid.t_max": lambda v: v > 0,
+    "grid.points": lambda v: v >= 1,
+    "rtn.gamma": lambda v: v >= 0,
+    "rtn.p_plus": lambda v: 0 <= v <= 1,
+    "kernel.w_cp": lambda v: v > 0,
+    "kernel.w_p": lambda v: v > 0,
+    # evenness is diagnosed semantically, with the sign-ambiguity rule
+    "kernel.n": lambda v: v >= 2,
+    "geometry.pixels_per_half": lambda v: v >= 2,
+    "field.n_rep": lambda v: v >= 1,
+    "mc.order": lambda v: v >= 1,
+    "mc.n_real": lambda v: v >= 2,
+    "measurement.p": lambda v: 0 <= v <= 1,
+    "measurement.n0": lambda v: v > 0,
+    "measurement.acquisition_s": lambda v: v > 0,
+    "measurement.repeats": lambda v: v >= 1,
+    "measurement.n_r": lambda v: v >= 1,
+    "optics.theta_0": lambda v: v > 0,
+    "optics.spacing_px": lambda v: 0 < v <= 0.25,
 }
 
 PRESETS = {
@@ -136,7 +101,7 @@ PRESETS = {
     "fig4-right": {
         "command": "transition-spectral",
         "rtn": {"gamma": 0.12},
-        "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0], "table_path": None},
+        "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0]},
     },
     # Correlated-pixel calibration at the measured conditions.
     "figS-calibration": {
@@ -167,21 +132,24 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _check_schema(config: dict, schema: dict = _SCHEMA, path: str = "") -> list[str]:
+def _accepted_types(default) -> tuple:
+    """Types a leaf takes: a float default also takes ints, None takes a string."""
+    if default is None:
+        return (str, type(None))
+    if isinstance(default, float):
+        return (int, float)
+    return (type(default),)
+
+
+def _check_schema(config: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> list[str]:
+    """Type and range problems of a config already merged over the defaults."""
     problems = []
     for key, val in config.items():
         where = f"{path}.{key}" if path else key
-        if key not in schema:
-            problems.append(f"unknown config key: {where}")
+        if isinstance(defaults[key], dict):
+            problems.extend(_check_schema(val, defaults[key], where))
             continue
-        spec = schema[key]
-        if isinstance(spec, dict):
-            if not isinstance(val, dict):
-                problems.append(f"{where}: expected a table")
-            else:
-                problems.extend(_check_schema(val, spec, where))
-            continue
-        types, pred = spec
+        types, pred = _accepted_types(defaults[key]), _RANGES.get(where)
         if isinstance(val, bool) and bool not in types:
             problems.append(f"{where}: unexpected boolean")
         elif not isinstance(val, types):
@@ -212,11 +180,7 @@ def resolve_config(user_config: dict) -> dict:
 
 
 def validate_config(config: dict) -> list[str]:
-    """All range and consistency diagnostics, without running anything."""
-    try:
-        config = resolve_config(config)
-    except ConfigError as exc:
-        return [str(exc)]
+    """All range and consistency diagnostics of a resolved config."""
     diags = []
     geo = config["geometry"]
     npix = geo["pixels_per_half"]
@@ -235,35 +199,26 @@ def validate_config(config: dict) -> list[str]:
             diags.append(f"deltas: shift {d} leaves the {npix}-pixel mask")
     if config["mc"]["antithetic"] and config["mc"]["n_real"] % 2:
         diags.append("mc: antithetic pairing requires an even n_real")
-    lo, hi = _spectral_bounds(config)
+    calibrated = []
+    for width in config["optics"]["widths_nm"]:
+        if isinstance(width, (int, float)) and 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
+            calibrated.append(float(width))
+        else:
+            diags.append(
+                f"optics: width {width} nm outside model range "
+                f"[0, {optics.MAX_SPECTRAL_WIDTH_NM}] nm"
+            )
+    lo = min(calibrated, default=0.0)
+    hi = max(calibrated, default=optics.MAX_SPECTRAL_WIDTH_NM)
     for width in config["spectral"]["widths_nm"]:
         if not isinstance(width, (int, float)) or not lo <= width <= hi:
             diags.append(
                 f"spectral: width {width} nm outside optics calibration "
                 f"bounds [{lo}, {hi}] nm"
             )
-    for width in config["optics"]["widths_nm"]:
-        if not isinstance(width, (int, float)) or not 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
-            diags.append(
-                f"optics: width {width} nm outside model range "
-                f"[0, {optics.MAX_SPECTRAL_WIDTH_NM}] nm"
-            )
     if config["measurement"]["h_max"] < config["measurement"]["h_min"]:
         diags.append("measurement: empty h grid")
     return diags
-
-
-def _spectral_bounds(config) -> tuple[float, float]:
-    path = config["spectral"]["table_path"]
-    if path:
-        try:
-            table = optics.WcpTable.from_csv(Path(path).read_text())
-            return float(table.widths_nm.min()), float(table.widths_nm.max())
-        except OSError:
-            return (0.0, optics.MAX_SPECTRAL_WIDTH_NM)
-    lo = min(config["optics"]["widths_nm"], default=0.0)
-    hi = max(config["optics"]["widths_nm"], default=optics.MAX_SPECTRAL_WIDTH_NM)
-    return (float(lo), float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +341,11 @@ def _run_transition_delta(config):
     return out
 
 
-def _optics_model(config):
-    path = config["spectral"]["table_path"]
-    if path:
-        return optics.WcpTable.from_csv(Path(path).read_text())
-    setup = optics.PdcSetup(theta_0=config["optics"]["theta_0"])
-    needed = sorted(set(float(w) for w in config["spectral"]["widths_nm"]))
-    return optics.wcp_curve(setup, needed)
-
-
 def _run_transition_spectral(config):
     times = _grid(config)
-    model = _optics_model(config)
+    setup = optics.PdcSetup(theta_0=config["optics"]["theta_0"])
+    widths = sorted(set(float(w) for w in config["spectral"]["widths_nm"]))
+    model = optics.wcp_curve(setup, widths)
     sweep = slm.transition_sweep_spectral(
         config["rtn"]["gamma"],
         [float(w) for w in config["spectral"]["widths_nm"]],
@@ -480,16 +428,16 @@ _RUNNERS = {
 }
 
 
-def run_config(user_config: dict) -> dict[str, str]:
-    """Resolve, validate and execute a config; returns {filename: text}."""
-    config = resolve_config(user_config)
+def _run_resolved(config: dict) -> dict[str, str]:
     diags = validate_config(config)
     if diags:
         raise ConfigError("; ".join(diags))
-    command = config["command"]
-    if command == "reproduce-figure":
-        raise ConfigError("reproduce-figure requires a preset name")
-    return _RUNNERS[command](config)
+    return _RUNNERS[config["command"]](config)
+
+
+def run_config(user_config: dict) -> dict[str, str]:
+    """Resolve, validate and execute a config; returns {filename: text}."""
+    return _run_resolved(resolve_config(user_config))
 
 
 def main(argv=None) -> int:
@@ -512,11 +460,11 @@ def main(argv=None) -> int:
     if args.config:
         try:
             user = json.loads(Path(args.config).read_text())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 1
-        except json.JSONDecodeError as exc:
-            print(f"config is not valid JSON: {exc}", file=sys.stderr)
+        if not isinstance(user, dict):
+            print("config must be a JSON object", file=sys.stderr)
             return 1
     if args.preset:
         user["preset"] = args.preset
@@ -529,29 +477,30 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
 
-    if args.validate:
-        diags = validate_config(user)
-        for d in diags:
-            print(d)
-        return 1 if diags else 0
-
     try:
-        files = run_config(user)
-        out_dir = Path(resolve_config(user)["output"]["dir"])
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        config = resolve_config(user)
+        if args.validate:
+            diags = validate_config(config)
+            for d in diags:
+                print(d)
+            return 1 if diags else 0
+        files = _run_resolved(config)
+    except ValueError as exc:  # ConfigError included
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except optics.NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in sorted(files.items()):
-        (out_dir / name).write_text(text)
-        print(out_dir / name)
+    out_dir = Path(config["output"]["dir"])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in sorted(files.items()):
+            (out_dir / name).write_text(text)
+            print(out_dir / name)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -245,9 +245,10 @@ def calibrate_wcp(
     averaging ``repeats`` acquisitions of ``acquisition_s`` per point).
     The estimation leg builds a noise-free contrast-versus-width curve
     over ``curve_range`` with the same beam width and order, fits a cubic
-    polynomial, and inverts it at the measured contrast.  Uncertainty
-    combines the sine-fit scatter with the polynomial residual, both
-    divided by the local curve slope.
+    polynomial, and inverts it at the measured contrast; a contrast the
+    curve does not reach raises NumericalError.  Uncertainty combines the
+    sine-fit scatter with the polynomial residual, both divided by the
+    local curve slope.
     """
     if h_values is None:
         h_values = np.arange(-10, 10)
@@ -304,14 +305,22 @@ def calibrate_wcp(
 
 
 def _invert_monotone(poly, target: float, w_range: tuple[float, float]) -> float:
-    """Root of poly(w) = target on the decreasing branch inside w_range."""
+    """Root of poly(w) = target on the decreasing branch inside w_range.
+
+    A target the curve never reaches inside w_range raises NumericalError
+    rather than returning an endpoint as if it were a measurement.
+    """
     lo, hi = w_range
     grid = np.linspace(lo, hi, 400)
-    vals = poly(grid) - target
+    curve = poly(grid)
+    vals = curve - target
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:
-        # Target beyond the curve: clamp to the nearer endpoint.
-        return lo if abs(vals[0]) < abs(vals[-1]) else hi
+        raise NumericalError(
+            f"measured contrast {target:.4g} lies outside the calibration "
+            f"curve's range [{curve.min():.4g}, {curve.max():.4g}] over "
+            f"w_cp in [{lo:g}, {hi:g}] px"
+        )
     i = sign_change[0]
     a, b = grid[i], grid[i + 1]
     fa, fb = vals[i], vals[i + 1]

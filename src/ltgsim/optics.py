@@ -16,7 +16,9 @@ at degeneracy, so the joint spatial profile on the mask plane is
     F(dx1, dx2) = integral over the window of |A~ * Sinc|^2 dw,
 
 with angles mapped to mask positions through the imaging lens,
-dx = f * theta, and positions expressed in pixels.
+dx = f * theta, and positions expressed in pixels.  Sinc does not depend
+on w and |A~|^2 is a Gaussian in a variable linear in w, so the window
+integral is an exact erf difference (no numerical quadrature).
 
 Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 
@@ -43,6 +45,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
+from scipy.special import erfc
 
 C_LIGHT = 299792458.0
 
@@ -54,12 +57,9 @@ THETA0_CALIBRATED = 0.0291771450
 # First-order angular model; keep the window well inside its validity.
 MAX_SPECTRAL_WIDTH_NM = 120.0
 
-_QUAD_TOL = 1e-6
-_QUAD_NODES = (48, 96, 192, 384, 768)
-
 
 class NumericalError(RuntimeError):
-    """Quadrature refinement or profile fitting failed to converge."""
+    """A profile fit failed, or a calibration left the range it can invert."""
 
 
 @dataclass(frozen=True)
@@ -125,51 +125,38 @@ class JointSpatialProfile:
         return np.trapezoid(self.F, dx=self.spacing(), axis=1)
 
     def evaluate(self, x1_px: np.ndarray, x2_px: np.ndarray) -> np.ndarray:
-        """F on an arbitrary (x1, x2) product grid, by fresh quadrature."""
+        """F on an arbitrary (x1, x2) product grid, from the closed form."""
         return _f_samples(self.setup, np.asarray(x1_px, float), np.asarray(x2_px, float))
 
 
 def _f_samples(setup: PdcSetup, x1_px: np.ndarray, x2_px: np.ndarray) -> np.ndarray:
-    """Quadrature of |A~ * Sinc|^2 over the spectral window, per grid point.
+    """Integral of |A~ * Sinc|^2 over the spectral window, per grid point.
 
-    Gauss-Legendre with doubling refinement; converged when the scaled sup
-    change max|F_2N - F_N| / max|F_2N| drops below 1e-6.
+    Sinc^2 does not depend on w and |A~|^2 = exp(-((a + b w) s)^2), with
+    a = dk_perp at degeneracy, b = 2 theta0 / c and s = waist / sqrt(2), so
+    the window integral is the erf difference
+
+        sqrt(pi) / (2 b s) * [erfc(|a| s - b s W/2) - erfc(|a| s + b s W/2)].
+
+    The integral is even in a; taking |a| keeps both erfc arguments on the
+    side where erfc is accurate, so the tails stay exact and F >= 0.
     """
     th1 = x1_px * setup.pixel_width_d / setup.focal
     th2 = x2_px * setup.pixel_width_d / setup.focal
     t1 = th1[:, None]
     t2 = th2[None, :]
     wp0 = setup.pump_angular_freq
+    dk_par = -wp0 * setup.theta_0 * (t1 + t2) / (2.0 * C_LIGHT)
+    sinc2 = np.sinc(dk_par * setup.crystal_length / 2.0 / np.pi) ** 2
+    s = setup.pump_waist / np.sqrt(2.0)
+    u = np.abs(wp0 * (t1 - t2) / (2.0 * C_LIGHT)) * s
     window = setup.window_angular_freq
-
-    def integrand(omega):
-        dk_par = -wp0 * setup.theta_0 * (t1 + t2) / (2.0 * C_LIGHT)
-        dk_perp = wp0 * (t1 - t2) / (2.0 * C_LIGHT) + 2.0 * setup.theta_0 * omega / C_LIGHT
-        sinc = np.sinc(dk_par * setup.crystal_length / 2.0 / np.pi)
-        amp2 = np.exp(-(dk_perp**2) * setup.pump_waist**2 / 2.0)
-        return amp2 * sinc**2
-
     if window == 0.0:
         # Vanishing window: report the spectral density at degeneracy.
-        return integrand(0.0)
-
-    prev = None
-    for n_nodes in _QUAD_NODES:
-        nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
-        omegas = nodes * window / 2.0
-        weights = wts * window / 2.0
-        acc = np.zeros((th1.size, th2.size))
-        for om, wt in zip(omegas, weights):
-            acc += wt * integrand(om)
-        if prev is not None:
-            change = np.max(np.abs(acc - prev)) / max(np.max(np.abs(acc)), 1e-300)
-            if change <= _QUAD_TOL:
-                return acc
-        prev = acc
-    raise NumericalError(
-        f"spectral quadrature did not converge to {_QUAD_TOL} "
-        f"within {_QUAD_NODES[-1]} nodes"
-    )
+        return sinc2 * np.exp(-(u**2))
+    bs = 2.0 * setup.theta_0 / C_LIGHT * s
+    half = bs * window / 2.0
+    return sinc2 * (np.sqrt(np.pi) / (2.0 * bs)) * (erfc(u - half) - erfc(u + half))
 
 
 def expected_wp_px(setup: PdcSetup) -> float:
@@ -316,34 +303,6 @@ class WcpTable:
                 f"{float(self.w_tilde[i])!r}\n"
             )
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "WcpTable":
-        meta = {"theta_0": float("nan"), "w0_floor_px": float("nan")}
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "wcp_table =" in line:
-                    meta = json.loads(line.split("=", 1)[1])
-                continue
-            if line.startswith("spectral_width_nm"):
-                continue
-            parts = line.split(",")
-            rows.append(
-                (float(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]),
-                 float(parts[4]))
-            )
-        if not rows:
-            raise ValueError("empty table")
-        arr = np.array(rows)
-        return cls(
-            widths_nm=arr[:, 0], w_cp=arr[:, 1], order=arr[:, 2].astype(int),
-            w_p=arr[:, 3], w_tilde=arr[:, 4],
-            theta_0=float(meta["theta_0"]), w0_floor=float(meta["w0_floor_px"]),
-        )
 
 
 def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:

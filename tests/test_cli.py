@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ltgsim import cli
 from ltgsim.cli import (
     ConfigError,
     data_section,
@@ -27,23 +28,24 @@ def test_unknown_keys_rejected():
 
 
 def test_validate_odd_kernel_order():
-    diags = validate_config({"command": "transition-delta", "kernel": {"n": 3}})
+    diags = validate_config(resolve_config({"command": "transition-delta", "kernel": {"n": 3}}))
     assert any("even" in d for d in diags)
 
 
 def test_validate_spectral_bounds():
-    diags = validate_config(
+    diags = validate_config(resolve_config(
         {"command": "transition-spectral", "spectral": {"widths_nm": [200.0]}}
-    )
+    ))
     assert any("calibration bounds" in d for d in diags)
 
 
 def test_validate_clean_preset():
-    assert validate_config({"preset": "fig3-right", "command": "reproduce-figure"}) == []
+    config = resolve_config({"preset": "fig3-right", "command": "reproduce-figure"})
+    assert validate_config(config) == []
 
 
 def test_validate_delta_off_mask():
-    diags = validate_config({"command": "transition-delta", "deltas": [400]})
+    diags = validate_config(resolve_config({"command": "transition-delta", "deltas": [400]}))
     assert any("mask" in d for d in diags)
 
 
@@ -119,8 +121,36 @@ def test_cli_main_validate_exit_codes(tmp_path):
     assert main(["--config", str(bad), "--validate"]) == 1
 
 
-def test_cli_main_missing_file():
+def test_cli_main_missing_file(tmp_path, capsys):
     assert main(["--config", "/nonexistent/cfg.json"]) == 1
+    # Unusable contents: not an object, not JSON, not UTF-8.
+    cfg = tmp_path / "cfg.json"
+    for raw in (b"[1, 2]", b"{not json", b"\xff"):
+        cfg.write_bytes(raw)
+        assert main(["--config", str(cfg)]) == 1
+    assert len(capsys.readouterr().err.strip().splitlines()) == 4
+
+
+def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "resolve_config", lambda user: calls.append(user) or resolve_config(user))
+    assert main(["--preset", "fig3-left", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_main_calibration_beyond_curve_exits_2(tmp_path, capsys):
+    # A true w_cp of 14 px blurs the pattern below every contrast the
+    # [0.5, 10] px calibration curve reaches: one line and exit 2, no file.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "command": "calibrate-wcp",
+        "kernel": {"w_cp": 14.0},
+        "measurement": {"shot_noise": False},
+    }))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error: measured contrast")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_main_runs_and_writes(tmp_path):
@@ -139,37 +169,6 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out), "--seed", "4242"]) == 0
     text = (out / "analytic_le.csv").read_text()
     assert embedded_config(text)["master_seed"] == 4242
-
-
-def test_spectral_sweep_consumes_table_file(tmp_path):
-    # The width table emitted by optics-table feeds spectral sweeps by path.
-    table = tmp_path / "wcp.csv"
-    table.write_text(
-        '# wcp_table = {"theta_0": 0.0292, "w0_floor_px": 0.8594}\n'
-        "spectral_width_nm,w_cp,order,w_p,w_tilde\n"
-        "10.0,1.5,2,20.0,1.2\n"
-        "40.0,3.7,4,20.0,3.6\n"
-    )
-    files = run_config(
-        {
-            "command": "transition-spectral",
-            "grid": FAST_GRID,
-            "rtn": {"gamma": 0.12},
-            "spectral": {"widths_nm": [10.0, 40.0], "table_path": str(table)},
-        }
-    )
-    assert set(files) == {
-        "transition_spectral_10nm.csv",
-        "transition_spectral_40nm.csv",
-    }
-    with pytest.raises(ValueError, match="bounds"):
-        run_config(
-            {
-                "command": "transition-spectral",
-                "grid": FAST_GRID,
-                "spectral": {"widths_nm": [55.0], "table_path": str(table)},
-            }
-        )
 
 
 def test_preset_run_thread_count_invariance(tmp_path, child_env):

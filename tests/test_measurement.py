@@ -1,4 +1,6 @@
 """Output state, coincidence counting and the correlated-pixel calibration."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from ltgsim.measurement import (
     simulate_counts,
     visibility,
 )
+from ltgsim.optics import NumericalError
 from ltgsim.rtn import SeedSpec
 from ltgsim.slm import KernelParams, MaskGeometry
 
@@ -166,9 +169,14 @@ def test_calibration_narrow_kernel_maximal_contrast():
 
 
 def test_calibration_wide_kernel_no_contrast():
-    # w_cp >> n_r: the kernel averages the pattern away.
-    res = calibrate_wcp(KernelParams(25.0, 20.0, 2, GEO), shot_noise=False)
-    assert res.vis_of_v < 0.02
+    # w_cp >> n_r: the kernel averages the pattern away, with or without
+    # shot noise below every contrast the [0.5, 10] px calibration curve
+    # reaches, so no width is returned (not the curve's end, 10.0 +- 0.3).
+    for true_w, shot_noise in ((25.0, False), (14.0, False), (20.0, True), (30.0, True)):
+        with pytest.raises(NumericalError, match=r"w_cp in \[0.5, 10\]") as err:
+            calibrate_wcp(KernelParams(true_w, 20.0, 2, GEO), shot_noise=shot_noise,
+                          seed=SeedSpec(12345))
+        assert float(re.search(r"measured contrast (\S+)", str(err.value))[1]) < 0.02
 
 
 def test_calibration_round_trip():

@@ -3,14 +3,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.integrate import quad
 
 from ltgsim import optics
 from ltgsim.optics import (
     GridSpec,
     JointSpatialProfile,
     PdcSetup,
-    WcpTable,
     calibrate_theta0,
     combined_wcp,
     estimate_wcp_tilde,
@@ -27,36 +26,40 @@ SETUP = PdcSetup()  # calibrated theta_0, 15 nm window
 FLOOR_PX = 0.8594366926962348
 
 
-def closed_form_F(setup: PdcSetup, x1_px, x2_px):
-    """Independent oracle: the spectral integral done with erf.
-
-    The integrand is exp(-(w^2/2)(a + b*omega)^2) times an
-    omega-independent Sinc^2, so the window integral is an erf difference.
-    """
+def quad_F(setup: PdcSetup, x1_px: float, x2_px: float) -> float:
+    """Independent oracle: adaptive quadrature of |A~ * Sinc|^2 over the window."""
     c = optics.C_LIGHT
-    th1 = np.asarray(x1_px, float)[:, None] * setup.pixel_width_d / setup.focal
-    th2 = np.asarray(x2_px, float)[None, :] * setup.pixel_width_d / setup.focal
+    th1 = x1_px * setup.pixel_width_d / setup.focal
+    th2 = x2_px * setup.pixel_width_d / setup.focal
     wp0 = setup.pump_angular_freq
-    a = wp0 * (th1 - th2) / (2 * c)
-    b = 2 * setup.theta_0 / c
-    w = setup.pump_waist
     dk_par = -wp0 * setup.theta_0 * (th1 + th2) / (2 * c)
     sinc2 = np.sinc(dk_par * setup.crystal_length / 2 / np.pi) ** 2
-    win = setup.window_angular_freq
-    s = w / np.sqrt(2.0)
-    integral = (np.sqrt(np.pi) / (2 * b * s)) * (
-        erf(s * (a + b * win / 2)) - erf(s * (a - b * win / 2))
-    )
-    return sinc2 * integral
+
+    def density(omega):
+        dk_perp = wp0 * (th1 - th2) / (2 * c) + 2 * setup.theta_0 * omega / c
+        return np.exp(-(dk_perp**2) * setup.pump_waist**2 / 2)
+
+    half = setup.window_angular_freq / 2
+    value, _ = quad(density, -half, half, epsabs=0.0, epsrel=1e-13, limit=200)
+    return sinc2 * value
 
 
-def test_quadrature_matches_erf_oracle():
-    x = np.linspace(-40, 40, 81)
-    prof = joint_profile(SETUP, GridSpec(half_extent_px=64.5, spacing_px=1.61))
-    got = prof.evaluate(x, x)
-    want = closed_form_F(SETUP, x, x)
-    scale = want.max()
-    assert np.max(np.abs(got - want)) / scale < 1e-6
+# Centre, along the diagonal out to the beam edge, and across it into the
+# conditional tail, where F falls to 1e-11 (100 nm) ... 1e-198 (1 nm) of
+# its peak without underflowing.
+ORACLE_POINTS = [(0.0, 0.0), (-12.0, -10.5), (30.0, 30.0), (-45.0, -44.0),
+                 (3.0, -2.5), (8.0, 0.0), (-5.0, 5.0), (10.0, -3.0)]
+
+
+def test_closed_form_matches_quad_oracle():
+    for width_nm in (1.0, 15.0, 100.0):
+        setup = dataclasses.replace(SETUP, spectral_width_nm=width_nm)
+        prof = joint_profile(setup, GridSpec(half_extent_px=64.5, spacing_px=1.61))
+        for x1, x2 in ORACLE_POINTS:
+            want = quad_F(setup, x1, x2)
+            got = prof.evaluate(np.array([x1]), np.array([x2]))[0, 0]
+            assert want > 0.0
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0), (width_nm, x1, x2)
 
 
 def test_profile_symmetry():
@@ -189,18 +192,13 @@ def test_kernel_conditional_consistent_with_profile():
 
 def test_table_roundtrip_and_lookup():
     table = wcp_curve(SETUP, [10.0, 15.0, 20.0])
-    text = table.to_csv()
-    back = WcpTable.from_csv(text)
-    assert np.allclose(back.w_cp, table.w_cp)
-    assert np.allclose(back.w_p, table.w_p)
-    assert back.theta_0 == pytest.approx(table.theta_0)
-    w_cp, order, w_p = back.lookup(15.0)
+    w_cp, order, w_p = table.lookup(15.0)
     assert w_cp == pytest.approx(table.w_cp[1])
     assert order == table.order[1]
-    mid = back.lookup(12.5)[0]
+    mid = table.lookup(12.5)[0]
     assert table.w_cp[0] <= mid <= table.w_cp[1]
     with pytest.raises(ValueError, match="range"):
-        back.lookup(60.0)
+        table.lookup(60.0)
 
 
 def test_calibration_reproduces_frozen_angle():
