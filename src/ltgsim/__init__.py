@@ -29,13 +29,9 @@ from .optics import (
     wcp_curve,
 )
 from .rtn import (
-    PhaseSample,
     RtnParams,
     SeedSpec,
-    Trajectory,
-    accumulate_phase,
     mc_exponential_moment,
-    moment_from_trajectories,
     sample_trajectory,
 )
 from .series import CoherenceSeries
@@ -60,13 +56,10 @@ __all__ = [
     "MaskGeometry",
     "PdcSetup",
     "PhaseField",
-    "PhaseSample",
     "RtnParams",
     "SeedSpec",
-    "Trajectory",
     "TwoQubitState",
     "WcpTable",
-    "accumulate_phase",
     "build_kernel",
     "build_phase_field",
     "build_state",
@@ -84,7 +77,6 @@ __all__ = [
     "kernel_coherence",
     "local_coherence",
     "mc_exponential_moment",
-    "moment_from_trajectories",
     "pump_floor_px",
     "sample_trajectory",
     "simulate_counts",

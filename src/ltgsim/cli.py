@@ -55,9 +55,8 @@ DEFAULT_CONFIG = {
     "optics": {
         "widths_nm": [1.0, 2.5, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 60.0, 80.0, 100.0],
         "theta_0": optics.THETA0_CALIBRATED,
-        "spacing_px": 0.25,
     },
-    "output": {"dir": "out", "basename": None},
+    "output": {"dir": "out"},
     "preset": None,
 }
 
@@ -85,7 +84,6 @@ _RANGES = {
     "measurement.repeats": lambda v: v >= 1,
     "measurement.n_r": lambda v: v >= 1,
     "optics.theta_0": lambda v: v > 0,
-    "optics.spacing_px": lambda v: 0 < v <= 0.25,
 }
 
 PRESETS = {
@@ -194,14 +192,26 @@ def validate_config(config: dict) -> list[str]:
         diags.append(f"kernel: {exc}")
     if config["grid"]["t_max"] <= config["grid"]["t_min"]:
         diags.append("grid: t_max must exceed t_min")
+    if config["command"] in ("transition-delta", "transition-spectral") and (
+        config["rtn"]["p_plus"] != 0.5
+    ):
+        diags.append(
+            f"rtn: p_plus {config['rtn']['p_plus']} is not used by {config['command']}; "
+            "phase-field blocks start from the stationary ensemble (p_plus 0.5)"
+        )
+    # bool is an int subclass, so list entries are checked for it explicitly
     for d in config["deltas"]:
-        if not isinstance(d, int) or abs(d) >= npix:
+        if isinstance(d, bool) or not isinstance(d, int):
+            diags.append(f"deltas: shift {d!r} is not an integer")
+        elif abs(d) >= npix:
             diags.append(f"deltas: shift {d} leaves the {npix}-pixel mask")
     if config["mc"]["antithetic"] and config["mc"]["n_real"] % 2:
         diags.append("mc: antithetic pairing requires an even n_real")
     calibrated = []
     for width in config["optics"]["widths_nm"]:
-        if isinstance(width, (int, float)) and 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
+        if isinstance(width, bool) or not isinstance(width, (int, float)):
+            diags.append(f"optics: width {width!r} is not a number")
+        elif 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
             calibrated.append(float(width))
         else:
             diags.append(
@@ -211,7 +221,9 @@ def validate_config(config: dict) -> list[str]:
     lo = min(calibrated, default=0.0)
     hi = max(calibrated, default=optics.MAX_SPECTRAL_WIDTH_NM)
     for width in config["spectral"]["widths_nm"]:
-        if not isinstance(width, (int, float)) or not lo <= width <= hi:
+        if isinstance(width, bool) or not isinstance(width, (int, float)):
+            diags.append(f"spectral: width {width!r} is not a number")
+        elif not lo <= width <= hi:
             diags.append(
                 f"spectral: width {width} nm outside optics calibration "
                 f"bounds [{lo}, {hi}] nm"

@@ -8,7 +8,11 @@ of exp(i*m*phi(t)).
 
 Jumps are sampled as exact event times (exponential waiting times, or
 equivalently uniform order statistics given a Poisson count), so phase
-integrals carry no time-step discretization error.
+integrals carry no time-step discretization error.  Every ensemble, one
+realization or many, is a :class:`TrajectoryBatch` of initial signs and
++inf-padded jump times, and :meth:`TrajectoryBatch.phases_at` is the one
+phase integrator: the Monte Carlo moments and the pixel phase fields of
+:mod:`ltgsim.slm` both read phases from it.
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -19,7 +23,7 @@ stream indices give statistically independent streams and the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,103 +79,12 @@ class SeedSpec:
         return np.random.Generator(np.random.PCG64(self.sequence(*branch)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One noise realization: initial sign plus ordered jump times.
-
-    X(t) = initial_sign * (-1)**(number of jumps at or before t).
-    """
-
-    initial_sign: int
-    jump_times: np.ndarray
-    t_max: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "jump_times", np.asarray(self.jump_times, dtype=float)
-        )
-        if self.initial_sign not in (-1, 1):
-            raise ValueError("initial_sign must be +1 or -1")
-        jt = self.jump_times
-        if jt.size:
-            if jt[0] <= 0.0 or jt[-1] > self.t_max:
-                raise ValueError("jump times must lie in (0, t_max]")
-            if np.any(np.diff(jt) <= 0.0):
-                raise ValueError("jump times must be strictly increasing")
-
-    def value(self, t) -> np.ndarray:
-        """X(t), vectorized over t."""
-        t = np.asarray(t, dtype=float)
-        n = np.searchsorted(self.jump_times, t, side="right")
-        return self.initial_sign * np.where(n % 2 == 0, 1, -1)
-
-    def mirrored(self) -> "Trajectory":
-        """The sign-flipped twin (phi -> -phi), same jump times."""
-        return Trajectory(-self.initial_sign, self.jump_times, self.t_max)
-
-
-@dataclass(frozen=True)
-class PhaseSample:
-    """Noise phase phi(t) = integral_0^t X(s) ds at a single time."""
-
-    t: float
-    phi: float
-
-    def __post_init__(self):
-        if abs(self.phi) > self.t + 1e-12:
-            raise ValueError("noise phase cannot exceed elapsed time in magnitude")
-
-
-def sample_trajectory(params: RtnParams, seed: SeedSpec) -> Trajectory:
-    """Draw one trajectory; deterministic given (params, seed).
-
-    Waiting times between jumps are exponential with rate gamma; the
-    initial sign is +1 with probability ``params.p_plus``.
-    """
-    rng = seed.generator()
-    sign = 1 if rng.random() < params.p_plus else -1
-    if params.gamma == 0.0:
-        return Trajectory(sign, np.empty(0), params.t_max)
-    jumps = []
-    t = rng.exponential(1.0 / params.gamma)
-    while t <= params.t_max:
-        jumps.append(t)
-        t += rng.exponential(1.0 / params.gamma)
-    return Trajectory(sign, np.array(jumps), params.t_max)
-
-
-def accumulate_phase(traj: Trajectory, t: float) -> PhaseSample:
-    """Exact piecewise-linear integral of X(s) from 0 to t."""
-    if not 0.0 <= t <= traj.t_max:
-        raise ValueError(f"t={t} outside [0, {traj.t_max}]")
-    return PhaseSample(t, float(phase_on_grid(traj, np.array([t]))[0]))
-
-
-def phase_on_grid(traj: Trajectory, times: np.ndarray) -> np.ndarray:
-    """Noise phase phi at every grid time, exactly.
-
-    Uses phi(t) = s * (t + 2 * sum_i (-1)^i * max(t - tau_i, 0)) where
-    tau_i are the jump times (i starting at 1); each jump flips the slope.
-    """
-    times = np.asarray(times, dtype=float)
-    jt = traj.jump_times
-    if jt.size == 0:
-        return traj.initial_sign * times
-    alt = np.where(np.arange(jt.size) % 2 == 0, -1.0, 1.0)
-    dt = np.clip(times[:, None] - jt[None, :], 0.0, None)
-    return traj.initial_sign * (times + 2.0 * (dt * alt[None, :]).sum(axis=1))
-
-
-# ---------------------------------------------------------------------------
-# Batched sampling.  Distributionally identical to sample_trajectory but
-# draws the whole ensemble from one derived stream: given the Poisson jump
-# count on [0, t_max], jump times are sorted iid uniforms.
-# ---------------------------------------------------------------------------
-
-
 @dataclass
 class TrajectoryBatch:
-    """Column-padded ensemble of trajectories (padding value +inf)."""
+    """Column-padded ensemble of trajectories (padding value +inf).
+
+    Row r is X(t) = signs[r] * (-1)**(number of jumps at or before t).
+    """
 
     signs: np.ndarray       # (R,) +-1
     jump_times: np.ndarray  # (R, max_jumps), row-sorted, padded with +inf
@@ -180,8 +93,17 @@ class TrajectoryBatch:
     def __len__(self) -> int:
         return self.signs.size
 
+    def mirrored(self) -> "TrajectoryBatch":
+        """The sign-flipped twins (phi -> -phi), same jump times."""
+        return TrajectoryBatch(-self.signs, self.jump_times, self.t_max)
+
     def phases_at(self, t: float) -> np.ndarray:
-        """phi(t) for every realization (exact, vectorized)."""
+        """phi(t) for every realization (exact, vectorized).
+
+        Uses phi(t) = s * (t + 2 * sum_i (-1)^i * max(t - tau_i, 0)) over the
+        jump times tau_i (i starting at 1); each jump flips the slope and a
+        padding column contributes exactly zero.
+        """
         jt = self.jump_times
         if jt.shape[1] == 0:
             return self.signs * t
@@ -191,11 +113,43 @@ class TrajectoryBatch:
         return self.signs * (t + 2.0 * (dt * alt[None, :]).sum(axis=1))
 
 
+def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
+    """Rows of ``batches`` in order, jump columns padded with +inf to one width."""
+    width = max(b.jump_times.shape[1] for b in batches)
+    jumps = np.full((sum(len(b) for b in batches), width), np.inf)
+    row = 0
+    for b in batches:
+        jumps[row : row + len(b), : b.jump_times.shape[1]] = b.jump_times
+        row += len(b)
+    signs = np.concatenate([b.signs for b in batches])
+    return TrajectoryBatch(signs, jumps, batches[0].t_max)
+
+
+def sample_trajectory(params: RtnParams, seed: SeedSpec) -> TrajectoryBatch:
+    """Draw one trajectory as a one-row batch; deterministic given (params, seed).
+
+    Draw order: the initial sign (+1 with probability ``params.p_plus``),
+    then exponential waiting times of rate gamma until one passes t_max.
+    """
+    rng = seed.generator()
+    sign = 1.0 if rng.random() < params.p_plus else -1.0
+    jumps = []
+    if params.gamma > 0.0:
+        t = rng.exponential(1.0 / params.gamma)
+        while t <= params.t_max:
+            jumps.append(t)
+            t += rng.exponential(1.0 / params.gamma)
+    return TrajectoryBatch(np.array([sign]), np.array([jumps], dtype=float), params.t_max)
+
+
 def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBatch:
     """Draw ``n_real`` independent trajectories from one derived stream.
 
-    Draw order (fixed, part of the reproducibility contract): jump counts,
-    then all jump positions, then initial signs.
+    Distributionally identical to ``n_real`` calls of :func:`sample_trajectory`
+    but one stream for the whole ensemble: given the Poisson jump count on
+    [0, t_max], jump times are sorted iid uniforms.  Draw order (fixed, part
+    of the reproducibility contract): jump counts, then all jump positions,
+    then initial signs.
     """
     rng = seed.generator()
     counts = rng.poisson(params.gamma * params.t_max, n_real)
@@ -239,13 +193,7 @@ def mc_exponential_moment(
     n_draw = n_real // 2 if antithetic else n_real
     batch = sample_batch(params, n_draw, seed)
 
-    if antithetic:
-        mean, se = _reduce(lambda phi: np.cos(order * phi), batch, times)
-        values = mean.astype(complex)  # imaginary part exactly zero
-    else:
-        mean_re, se = _reduce(lambda phi: np.cos(order * phi), batch, times)
-        mean_im, _ = _reduce(lambda phi: np.sin(order * phi), batch, times)
-        values = mean_re + 1j * mean_im
+    values, se = _reduce(order, batch, times, imag=not antithetic)
 
     return CoherenceSeries(
         times,
@@ -264,15 +212,20 @@ def mc_exponential_moment(
     )
 
 
-def _reduce(func, batch: TrajectoryBatch, times: np.ndarray):
-    """Mean and standard error of func(phi) over the batch, per grid time.
+def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
+    """Mean of exp(i * order * phi) and standard error of its real part,
+    per grid time.
 
-    Accumulation is chunked with _REDUCE_CHUNK in ascending realization
-    order (deterministic bit pattern).
+    Without ``imag`` only cos(order * phi) is summed and the imaginary part
+    is exactly zero (antithetic pairs).  cos and sin come from one phase
+    evaluation per (chunk, time).  Accumulation is chunked with
+    _REDUCE_CHUNK in ascending realization order (deterministic bit
+    pattern).
     """
     n = len(batch)
     total = np.zeros(times.size)
     total_sq = np.zeros(times.size)
+    total_im = np.zeros(times.size)
     for start in range(0, n, _REDUCE_CHUNK):
         sub = TrajectoryBatch(
             batch.signs[start : start + _REDUCE_CHUNK],
@@ -280,42 +233,13 @@ def _reduce(func, batch: TrajectoryBatch, times: np.ndarray):
             batch.t_max,
         )
         for g, t in enumerate(times):
-            v = func(sub.phases_at(t))
+            phase = order * sub.phases_at(t)
+            v = np.cos(phase)
             total[g] += v.sum()
             total_sq[g] += (v * v).sum()
+            if imag:
+                total_im[g] += np.sin(phase).sum()
     mean = total / n
     var = np.clip(total_sq / n - mean**2, 0.0, None)
     se = np.sqrt(var / max(n - 1, 1))
-    return mean, se
-
-
-def moment_from_trajectories(
-    trajectories: Sequence[Trajectory],
-    order: int,
-    times: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-) -> CoherenceSeries:
-    """Weighted ensemble moment over an explicit trajectory list.
-
-    This is the same estimator as :func:`mc_exponential_moment` but on
-    caller-supplied realizations, so kernel-sum constructions can be
-    checked against the moment machinery on identical trajectories.
-    ``weights`` default to uniform and are normalized to unit sum.
-    """
-    times = np.asarray(times, dtype=float)
-    n = len(trajectories)
-    if n == 0:
-        raise ValueError("need at least one trajectory")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,) or np.any(w < 0):
-            raise ValueError("weights must be non-negative, one per trajectory")
-        w = w / w.sum()
-    values = np.zeros(times.size, dtype=complex)
-    for wi, traj in zip(w, trajectories):
-        values += wi * np.exp(1j * order * phase_on_grid(traj, times))
-    return CoherenceSeries(
-        times, values, MONTE_CARLO, params={"order": order, "n_real": n}
-    )
+    return (mean + 1j * (total_im / n) if imag else mean.astype(complex)), se

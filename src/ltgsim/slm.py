@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rtn import RtnParams, SeedSpec, Trajectory, phase_on_grid, sample_trajectory
+from .rtn import RtnParams, SeedSpec, TrajectoryBatch, sample_trajectory, stack_batches
 from .series import KERNEL_SUM, CoherenceSeries
 
 
@@ -141,24 +141,21 @@ class PhaseField:
     ``phi[i, g]`` is the noise phase at offset index i (offset i - n/2
     relative to the reference pixel) and grid time ``times[g]``.  The
     field is constant within blocks of ``n_rep`` consecutive offsets;
-    ``block_index[i]`` maps offsets to the backing trajectory in
-    ``trajectories``.
+    ``block_index[i]`` is the row of ``blocks``, the trajectories behind
+    the field, that offset i carries.
     """
 
     phi: np.ndarray
     times: np.ndarray
     n_rep: int
     block_index: np.ndarray
-    trajectories: list
+    blocks: TrajectoryBatch
     geometry: MaskGeometry
     balanced: bool
     params: dict = field(default_factory=dict)
 
     def n_blocks(self) -> int:
-        return len(self.trajectories)
-
-    def trajectory_for_offset(self, i: int) -> Trajectory:
-        return self.trajectories[self.block_index[i]]
+        return len(self.blocks)
 
 
 def build_phase_field(
@@ -168,7 +165,6 @@ def build_phase_field(
     geometry: MaskGeometry = MaskGeometry(),
     seed: SeedSpec = SeedSpec(0),
     balanced: bool = False,
-    p_plus: float = 0.5,
 ) -> PhaseField:
     """Sample a blockwise-constant noise phase field for one mask half.
 
@@ -178,10 +174,12 @@ def build_phase_field(
 
     Balanced: blocks are mirrored in (phi, -phi) pairs, with the mirror
     placed half a mask away (offset i + n_pixels/2 carries -phi of offset
-    i).  The half-mask separation keeps *adjacent* blocks independent, so
-    small delta shifts see unbiased statistics, and the per-pixel phase
+    i); ``blocks`` holds the independent rows followed by their mirrored
+    twins.  The half-mask separation keeps *adjacent* blocks independent,
+    so small delta shifts see unbiased statistics, and the per-pixel phase
     sum is exactly zero at every time, which is what keeps the kernel-sum
-    coherence real in the ideal-ensemble sense.
+    coherence real in the ideal-ensemble sense.  Every block starts from
+    the stationary ensemble (initial sign +1 with probability 1/2).
     """
     times = np.asarray(times, dtype=float)
     if n_rep < 1:
@@ -190,43 +188,43 @@ def build_phase_field(
     if balanced and n_pix % 2:
         raise ValueError("balanced fields need an even number of pixels per half")
     t_max = float(times.max()) if times.size else 1.0
-    params = RtnParams(gamma=gamma, t_max=t_max, p_plus=p_plus)
+    params = RtnParams(gamma=gamma, t_max=t_max)
 
     span = n_pix // 2 if balanced else n_pix
     n_indep = -(-span // n_rep)  # ceil
-    base = [sample_trajectory(params, SeedSpec(seed.master_seed, seed.stream_index + 1 + b))
-            for b in range(n_indep)]
+    base = stack_batches(
+        [sample_trajectory(params, SeedSpec(seed.master_seed, seed.stream_index + 1 + b))
+         for b in range(n_indep)]
+    )
     # Stream derivation: block b of field stream s uses stream s+1+b, so a
     # field consumes streams [s+1, s+1+n_blocks).  Callers building several
     # independent fields must space their stream indices by at least the
     # block count (a stride of 1000 is ample for any n_rep >= 1).
 
     if balanced:
-        trajectories = base + [tr.mirrored() for tr in base]
+        blocks = stack_batches([base, base.mirrored()])
         block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
         block_index = np.concatenate([block_half, block_half + n_indep])
     else:
-        trajectories = base
+        blocks = base
         block_index = np.repeat(np.arange(n_indep), n_rep)[:n_pix]
 
-    phi_blocks = np.empty((len(trajectories), times.size))
-    for b, tr in enumerate(trajectories):
-        phi_blocks[b] = phase_on_grid(tr, times)
-    phi = phi_blocks[block_index]
+    phi_blocks = np.empty((len(blocks), times.size))
+    for g, t in enumerate(times):
+        phi_blocks[:, g] = blocks.phases_at(t)
 
     return PhaseField(
-        phi=phi,
+        phi=phi_blocks[block_index],
         times=times,
         n_rep=n_rep,
         block_index=block_index,
-        trajectories=trajectories,
+        blocks=blocks,
         geometry=geometry,
         balanced=balanced,
         params={
             "gamma": gamma,
             "n_rep": n_rep,
             "balanced": balanced,
-            "p_plus": p_plus,
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
         },

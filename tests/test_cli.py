@@ -37,6 +37,12 @@ def test_validate_spectral_bounds():
         {"command": "transition-spectral", "spectral": {"widths_nm": [200.0]}}
     ))
     assert any("calibration bounds" in d for d in diags)
+    # a boolean is not a width of 1 nm
+    for section in ("spectral", "optics"):
+        diags = validate_config(resolve_config(
+            {"command": "transition-spectral", section: {"widths_nm": [True]}}
+        ))
+        assert any(d.startswith(f"{section}: width True") for d in diags)
 
 
 def test_validate_clean_preset():
@@ -47,6 +53,17 @@ def test_validate_clean_preset():
 def test_validate_delta_off_mask():
     diags = validate_config(resolve_config({"command": "transition-delta", "deltas": [400]}))
     assert any("mask" in d for d in diags)
+    # a boolean is not a shift of 1 pixel
+    diags = validate_config(resolve_config({"command": "transition-delta", "deltas": [True]}))
+    assert any(d.startswith("deltas: shift True") for d in diags)
+
+
+def test_validate_p_plus_on_phase_fields():
+    # phase-field blocks always start stationary; a biased p_plus would be ignored
+    for command in ("transition-delta", "transition-spectral"):
+        diags = validate_config(resolve_config({"command": command, "rtn": {"p_plus": 1.0}}))
+        assert any(d.startswith("rtn: p_plus") for d in diags)
+    assert validate_config(resolve_config({"command": "mc-moment", "rtn": {"p_plus": 1.0}})) == []
 
 
 def test_unknown_preset():

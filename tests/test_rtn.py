@@ -6,17 +6,27 @@ from hypothesis import strategies as st
 
 from ltgsim.analytic import exponential_moment
 from ltgsim.rtn import (
-    PhaseSample,
     RtnParams,
     SeedSpec,
-    Trajectory,
-    accumulate_phase,
+    TrajectoryBatch,
     mc_exponential_moment,
-    moment_from_trajectories,
-    phase_on_grid,
     sample_batch,
     sample_trajectory,
+    stack_batches,
 )
+
+
+def one_row(sign, jumps, t_max):
+    return TrajectoryBatch(np.array([float(sign)]), np.array([jumps], dtype=float), t_max)
+
+
+def segment_integral(sign, jumps, t1, t2):
+    # Oracle: integral of X over [t1, t2] as a sum of exact constant segments.
+    jt = jumps[(jumps > t1) & (jumps <= t2)]
+    edges = np.concatenate([[t1], jt, [t2]])
+    n_before = np.searchsorted(jumps, edges[:-1], side="right")
+    signs = sign * np.where(n_before % 2 == 0, 1.0, -1.0)
+    return float((np.diff(edges) * signs).sum())
 
 
 def test_invalid_params_rejected():
@@ -31,17 +41,17 @@ def test_invalid_params_rejected():
 def test_zero_rate_trajectory_is_constant():
     for seed in range(20):
         tr = sample_trajectory(RtnParams(0.0, 10.0), SeedSpec(seed))
-        assert tr.jump_times.size == 0
-        t = np.linspace(0, 10, 7)
-        assert np.all(np.abs(tr.value(t)) == 1)
-        assert np.all(tr.value(t) == tr.initial_sign)
+        assert len(tr) == 1 and tr.jump_times.shape == (1, 0)
+        assert abs(tr.signs[0]) == 1
+        for t in np.linspace(0, 10, 7):
+            assert tr.phases_at(t)[0] == tr.signs[0] * t
 
 
 def test_trajectory_determinism():
     a = sample_trajectory(RtnParams(2.0, 5.0), SeedSpec(42, 3))
     b = sample_trajectory(RtnParams(2.0, 5.0), SeedSpec(42, 3))
     c = sample_trajectory(RtnParams(2.0, 5.0), SeedSpec(42, 4))
-    assert a.initial_sign == b.initial_sign
+    assert np.array_equal(a.signs, b.signs)
     assert np.array_equal(a.jump_times, b.jump_times)
     assert not np.array_equal(a.jump_times, c.jump_times)
 
@@ -72,28 +82,20 @@ def test_autocorrelation_matches_exponential():
 
 
 def test_phase_constant_integrand():
-    tr = Trajectory(initial_sign=1, jump_times=np.empty(0), t_max=2.0)
-    assert accumulate_phase(tr, 0.7).phi == pytest.approx(0.7, abs=1e-15)
+    tr = one_row(1, [], 2.0)
+    assert tr.phases_at(0.7)[0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_phase_symmetric_cancellation():
-    tr = Trajectory(initial_sign=1, jump_times=np.array([0.5]), t_max=2.0)
-    assert accumulate_phase(tr, 1.0).phi == pytest.approx(0.0, abs=1e-15)
-
-
-def test_phase_out_of_range():
-    tr = Trajectory(1, np.empty(0), 1.0)
-    with pytest.raises(ValueError):
-        accumulate_phase(tr, 1.5)
-    with pytest.raises(ValueError):
-        accumulate_phase(tr, -0.1)
+    tr = one_row(1, [0.5], 2.0)
+    assert tr.phases_at(1.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_rate_phase_is_plus_minus_t():
     # With no switching the only reachable phases are +t and -t.
     t = 1.37
     phis = [
-        accumulate_phase(sample_trajectory(RtnParams(0.0, 2.0), SeedSpec(s)), t).phi
+        sample_trajectory(RtnParams(0.0, 2.0), SeedSpec(s)).phases_at(t)[0]
         for s in range(40)
     ]
     assert set(np.round(phis, 12)) <= {t, -t}
@@ -106,26 +108,16 @@ def test_phase_additivity(seed, gamma, f1, f2):
     # phi(t2) = phi(t1) + integral over [t1, t2]; split at an interior point.
     tr = sample_trajectory(RtnParams(gamma, 3.0), SeedSpec(seed))
     t1, t2 = sorted((3.0 * f1, 3.0 * f2))
-    phi1 = accumulate_phase(tr, t1).phi
-    phi2 = accumulate_phase(tr, t2).phi
-    # integral over [t1, t2] by summing exact segments of X
-    jt = tr.jump_times[(tr.jump_times > t1) & (tr.jump_times <= t2)]
-    edges = np.concatenate([[t1], jt, [t2]])
-    n_before = np.searchsorted(tr.jump_times, edges[:-1], side="right")
-    signs = tr.initial_sign * np.where(n_before % 2 == 0, 1.0, -1.0)
-    segment = float((np.diff(edges) * signs).sum())
+    phi1 = tr.phases_at(t1)[0]
+    phi2 = tr.phases_at(t2)[0]
+    segment = segment_integral(tr.signs[0], tr.jump_times[0], t1, t2)
     assert phi2 == pytest.approx(phi1 + segment, abs=1e-12)
 
 
 def test_phase_magnitude_bounded_by_time():
     tr = sample_trajectory(RtnParams(3.0, 4.0), SeedSpec(5))
     for t in np.linspace(0, 4, 17):
-        assert abs(accumulate_phase(tr, t).phi) <= t + 1e-12
-
-
-def test_phase_sample_invariant():
-    with pytest.raises(ValueError):
-        PhaseSample(t=1.0, phi=1.5)
+        assert abs(tr.phases_at(t)[0]) <= t + 1e-12
 
 
 def test_batch_phases_match_scalar_path():
@@ -135,11 +127,25 @@ def test_batch_phases_match_scalar_path():
     for t in times:
         phis = batch.phases_at(t)
         assert np.all(np.abs(phis) <= t + 1e-12)
-    # cross-check one row against the Trajectory integrator
+    # cross-check one row against the exact segment sum
     row = batch.jump_times[7]
-    tr = Trajectory(int(batch.signs[7]), row[np.isfinite(row)], 3.0)
     got = np.array([batch.phases_at(t)[7] for t in times])
-    assert np.allclose(got, phase_on_grid(tr, times), atol=1e-12)
+    expect = [segment_integral(batch.signs[7], row[np.isfinite(row)], 0.0, t) for t in times]
+    assert np.allclose(got, expect, atol=1e-12)
+
+
+def test_stack_and_mirror_keep_each_row():
+    params = RtnParams(2.0, 3.0)
+    rows = [sample_trajectory(params, SeedSpec(4, s)) for s in range(6)]
+    stacked = stack_batches(rows)
+    both = stack_batches([stacked, stacked.mirrored()])
+    assert len(both) == 12
+    assert stacked.jump_times.shape[1] == max(r.jump_times.shape[1] for r in rows)
+    for t in np.linspace(0, 3, 7):
+        phis = both.phases_at(t)
+        for i, tr in enumerate(rows):
+            assert phis[i] == pytest.approx(tr.phases_at(t)[0], abs=1e-12)
+            assert phis[i + 6] == -phis[i]
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +223,14 @@ def test_mc_standard_error_scaling():
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
 
-def test_moment_from_trajectories_weights():
-    times = np.linspace(0, 1, 5)
-    trajs = [sample_trajectory(RtnParams(0.0, 1.0), SeedSpec(s)) for s in range(10)]
-    signs = np.array([tr.initial_sign for tr in trajs], dtype=float)
-    w = np.arange(1.0, 11.0)
-    series = moment_from_trajectories(trajs, 2, times, weights=w)
-    expect = (w[:, None] * np.exp(2j * signs[:, None] * times[None, :])).sum(0) / w.sum()
-    assert np.allclose(series.values, expect, atol=1e-14)
+def test_mc_plain_is_direct_mean_over_same_draws():
+    # Plain mode takes cos and sin from one phase pass; the oracle is the
+    # direct mean of exp(i m phi) over the same sample_batch draws.
+    params, times, n_real = RtnParams(1.3, 2.0), np.linspace(0, 2, 9), 3000
+    for order in (1, 2, 4):
+        series = mc_exponential_moment(params, order, times, n_real, SeedSpec(8), antithetic=False)
+        batch = sample_batch(params, n_real, SeedSpec(8))
+        phi = np.stack([batch.phases_at(t) for t in times], axis=1)
+        expect = np.exp(1j * order * phi).mean(axis=0)
+        assert np.max(np.abs(series.values - expect)) < 1e-12
+        assert np.allclose(series.stderr, np.cos(order * phi).std(axis=0, ddof=1) / np.sqrt(n_real))
