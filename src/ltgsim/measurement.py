@@ -37,6 +37,11 @@ _SIGMA_Y2 = np.array(
      [-1, 0, 0, 0]], dtype=float
 )  # sigma_y (x) sigma_y in the {HH, HV, VH, VV} basis
 
+# A measured pattern contrast below this many standard errors sits in the
+# shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
+# calibration curve's range, so inverting it would return a wrong width.
+_MIN_CONTRAST_SIGMAS = 5.0
+
 
 @dataclass
 class TwoQubitState:
@@ -248,7 +253,8 @@ def calibrate_wcp(
     polynomial, and inverts it at the measured contrast; a contrast the
     curve does not reach raises NumericalError.  Uncertainty combines the
     sine-fit scatter with the polynomial residual, both divided by the
-    local curve slope.
+    local curve slope.  A contrast within 5 sigma of zero is shot noise,
+    not a measurement, and raises NumericalError as well.
     """
     if h_values is None:
         h_values = np.arange(-10, 10)
@@ -285,6 +291,11 @@ def calibrate_wcp(
     poly_rms = float(np.sqrt(np.mean((poly(curve_w) - curve_vis) ** 2)))
 
     w_est = _invert_monotone(poly, vis, curve_range)
+    if vis < _MIN_CONTRAST_SIGMAS * vis_sigma:
+        raise NumericalError(
+            f"measured contrast {vis:.4g} +- {vis_sigma:.2g} ({vis / vis_sigma:.1f} sigma) "
+            f"is not resolved above the shot noise; {_MIN_CONTRAST_SIGMAS:g} sigma are needed"
+        )
     slope = abs(poly.deriv()(w_est))
     if slope < 1e-9:
         raise NumericalError("calibration curve is flat at the inversion point")

@@ -26,6 +26,20 @@ With one shared field and delta = 0 this realizes the common-environment
 limit <e^{4i phi}>; shifting by delta >= n_rep (or using independent
 fields) decorrelates the two halves toward the independent-environment
 limit <e^{2i phi}>^2.
+
+Because phi is constant over blocks, ``kernel_coherence`` contracts over
+block pairs rather than pixel pairs:
+
+    Gamma(delta, t) = sum_{b1 b2} B[b1, b2] * z1[b1, t] * z2[b2, t],
+    z[b, t] = exp(2i * phi_block(b, t)),
+
+where B[b1, b2] sums the on-mask weights of every pixel pair (j, k) with
+j in block b1 of field 1 and k + delta in block b2 of field 2.  At n_rep
+= 3 that is 108 x 108 terms per time instead of 320 x 320.  B is built by
+one ``np.bincount`` and the contraction by single-threaded einsum, both
+in a fixed order, so the result does not depend on the thread count.
+``phasor_sum`` keeps the literal pixel contraction for arbitrary (not
+blockwise) mask phases.
 """
 from __future__ import annotations
 
@@ -136,16 +150,17 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
 
 @dataclass
 class PhaseField:
-    """Noise phases phi(offset, t) on one mask half.
+    """Noise phases phi(offset, t) on one mask half, stored per block.
 
-    ``phi[i, g]`` is the noise phase at offset index i (offset i - n/2
-    relative to the reference pixel) and grid time ``times[g]``.  The
-    field is constant within blocks of ``n_rep`` consecutive offsets;
-    ``block_index[i]`` is the row of ``blocks``, the trajectories behind
-    the field, that offset i carries.
+    The field is constant within blocks of ``n_rep`` consecutive offsets.
+    ``phi_blocks[b, g]`` is the phase of block b (row b of ``blocks``, the
+    trajectories behind the field) at grid time ``times[g]``, and
+    ``block_index[i]`` is the block that offset index i (offset i - n/2
+    relative to the reference pixel) carries.  The per-pixel array
+    ``phi`` is derived from these on access.
     """
 
-    phi: np.ndarray
+    phi_blocks: np.ndarray
     times: np.ndarray
     n_rep: int
     block_index: np.ndarray
@@ -153,6 +168,11 @@ class PhaseField:
     geometry: MaskGeometry
     balanced: bool
     params: dict = field(default_factory=dict)
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Per-pixel phases, shape (pixels, T): ``phi_blocks[block_index]``."""
+        return self.phi_blocks[self.block_index]
 
     def n_blocks(self) -> int:
         return len(self.blocks)
@@ -214,7 +234,7 @@ def build_phase_field(
         phi_blocks[:, g] = blocks.phases_at(t)
 
     return PhaseField(
-        phi=phi_blocks[block_index],
+        phi_blocks=phi_blocks,
         times=times,
         n_rep=n_rep,
         block_index=block_index,
@@ -229,6 +249,15 @@ def build_phase_field(
             "stream_index": seed.stream_index,
         },
     )
+
+
+def _on_mask(n_pix: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-2 index i + delta of each kernel column i, and which stay on the mask."""
+    shifted = np.arange(n_pix) + int(delta)
+    ok = (shifted >= 0) & (shifted < n_pix)
+    if not ok.any():
+        raise ValueError(f"shift delta={delta} moves every pixel off the mask")
+    return shifted, ok
 
 
 def phasor_sum(
@@ -254,10 +283,7 @@ def phasor_sum(
         raise ValueError("phase arrays do not match the kernel pixel count")
     if slm_phases1.shape[1] != slm_phases2.shape[1]:
         raise ValueError("phase arrays must share one time grid")
-    shifted = np.arange(n_pix) + int(delta)
-    ok = (shifted >= 0) & (shifted < n_pix)
-    if not ok.any():
-        raise ValueError(f"shift delta={delta} moves every pixel off the mask")
+    shifted, ok = _on_mask(n_pix, delta)
     z1 = np.exp(1j * slm_phases1)                 # (n_pix, T)
     z2 = np.exp(1j * slm_phases2[shifted[ok]])    # (n_ok, T)
     m = np.einsum("jk,kt->jt", kernel.weights[:, ok], z2, optimize=False)
@@ -277,6 +303,13 @@ def kernel_coherence(
     exp(2i*(phi1 + phi2)).  Passing ``field2 = field1`` writes one phase
     function across both halves; ``delta`` shifts the half-2 phase array
     in pixels.
+
+    The sum runs over block pairs: the on-mask kernel weights are binned
+    into B[b1, b2] by one ``np.bincount`` in row-major pixel order, and
+    Gamma(t) = sum_b1 z1[b1, t] * sum_b2 B[b1, b2] z2[b2, t] with
+    z = exp(2i * phi_blocks), contracted by single-threaded einsum.  As in
+    ``phasor_sum``, pairs shifted off the mask are dropped without
+    renormalizing; their weight is recorded as ``params["lost_mass"]``.
     """
     if field1.geometry != kernel.params.geometry or field2.geometry != kernel.params.geometry:
         raise ValueError("kernel and phase fields must share one mask geometry")
@@ -284,13 +317,26 @@ def kernel_coherence(
         field1.times, field2.times
     ):
         raise ValueError("phase fields must share one time grid")
-    values = phasor_sum(kernel, 2.0 * field1.phi, 2.0 * field2.phi, delta)
+    w = kernel.weights
+    shifted, ok = _on_mask(w.shape[0], delta)
+    n2 = field2.n_blocks()
+    pair = field1.block_index[:, None] * n2 + field2.block_index[shifted[ok]][None, :]
+    block_w = np.bincount(
+        pair.ravel(), weights=w[:, ok].ravel(), minlength=field1.n_blocks() * n2
+    ).reshape(-1, n2)
+    z1 = np.exp(1j * (2.0 * field1.phi_blocks))
+    z2 = z1 if field2 is field1 else np.exp(1j * (2.0 * field2.phi_blocks))
+    # block_w is real, so contract it with the interleaved (re, im) floats
+    # of z2: the same products as a complex einsum, ~5x faster.
+    m = np.einsum("ab,bt->at", block_w, z2.view(float), optimize=False).view(complex)
+    values = (z1 * m).sum(axis=0)
     return CoherenceSeries(
         field1.times,
         values,
         KERNEL_SUM,
         params={
             "delta": int(delta),
+            "lost_mass": float(w[:, ~ok].sum()),
             "w_cp": kernel.params.w_cp,
             "w_p": kernel.params.w_p,
             "n": kernel.params.n,

@@ -8,6 +8,7 @@ import pytest
 
 from ltgsim import cli
 from ltgsim.cli import (
+    PRESETS,
     ConfigError,
     data_section,
     embedded_config,
@@ -188,19 +189,22 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
     assert embedded_config(text)["master_seed"] == 4242
 
 
-def test_preset_run_thread_count_invariance(tmp_path, child_env):
+@pytest.mark.parametrize("preset", ["fig3-left", "fig4-left"])
+def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
     # Byte-identical data sections regardless of the thread budget (the
     # metadata block embeds the per-run output directory, so only the data
-    # part is comparable).
+    # part is comparable).  fig4-left runs the block contraction at
+    # gamma = 0.12 for four shifts.
     outs = []
     for threads in ("1", "8"):
         out = tmp_path / f"t{threads}"
         env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "ltgsim", "--preset", "fig3-left",
+            [sys.executable, "-m", "ltgsim", "--preset", preset,
              "--out", str(out)],
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, f"ltgsim exited {proc.returncode}:\n{proc.stderr}"
-        outs.append(data_section((out / "transition_delta_3.csv").read_text()))
+        outs.append([data_section((out / f"transition_delta_{d}.csv").read_text())
+                     for d in PRESETS[preset]["deltas"]])
     assert outs[0] == outs[1]

@@ -179,6 +179,25 @@ def test_calibration_wide_kernel_no_contrast():
         assert float(re.search(r"measured contrast (\S+)", str(err.value))[1]) < 0.02
 
 
+def test_calibration_refuses_contrast_in_shot_noise():
+    # True widths of 10-14 px leave a contrast of 2.7-4.9 sigma, inside the
+    # curve's range, whose inversion reads ~8.6 px off the noise floor
+    # (e.g. 8.67 +- 1.39 for a true 14 at seed 12345).
+    for true_w, seed in ((14.0, 12345), (12.0, 0), (10.0, 12345), (10.0, 0), (10.0, 1)):
+        with pytest.raises(NumericalError, match="not resolved above the shot noise") as err:
+            calibrate_wcp(KernelParams(true_w, 20.0, 2, GEO), seed=SeedSpec(seed))
+        assert float(re.search(r"\((\S+) sigma\)", str(err.value))[1]) < 5.0
+
+
+def test_calibration_resolved_contrast_with_shot_noise():
+    # Contrasts of >= 10.8 sigma still return the width within 3 sigma.
+    for true_w in (3.1, 6.0, 8.0):
+        for seed in (12345, 0, 1):
+            res = calibrate_wcp(KernelParams(true_w, 20.0, 2, GEO), seed=SeedSpec(seed))
+            assert res.vis_of_v >= 10.0 * res.vis_uncertainty
+            assert abs(res.w_cp_estimate - true_w) < 3.0 * res.w_cp_uncertainty
+
+
 def test_calibration_round_trip():
     for true_w in (1.0, 2.0, 3.0, 5.0, 8.0):
         res = calibrate_wcp(KernelParams(true_w, 20.0, 2, GEO), shot_noise=False)

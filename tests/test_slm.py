@@ -239,6 +239,33 @@ def test_shift_off_mask_rejected():
     zeros = np.zeros((320, 1))
     with pytest.raises(ValueError):
         phasor_sum(k, zeros, zeros, delta=320)
+    fld = build_phase_field(0.5, TIMES, 3, GEO, SeedSpec(30))
+    for delta in (320, -320):
+        with pytest.raises(ValueError, match="off the mask"):
+            kernel_coherence(k, fld, fld, delta)
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+@pytest.mark.parametrize("n_rep", [1, 3, 7, 320])
+def test_block_contraction_matches_pixel_sum(balanced, n_rep):
+    # The block-pair contraction of kernel_coherence against the literal
+    # pixel sum over the same phases.  n_rep = 7 leaves a truncated last
+    # block; the independent field uses another block size, so the block
+    # weight matrix is not square.  The w_p = 200 kernel loses ~9 % of its
+    # mass off the mask at delta = 150.
+    f1 = build_phase_field(2.0, TIMES, n_rep, GEO, SeedSpec(31), balanced=balanced)
+    f2 = build_phase_field(2.0, TIMES, 5, GEO, SeedSpec(31, 1000), balanced=balanced)
+    for k in (build_kernel(KernelParams(3.0, 20.0, 2, GEO)),
+              build_kernel(KernelParams(3.0, 200.0, 2, GEO))):
+        for delta in (-5, 0, 3, 150):
+            shifted = np.arange(320) + delta
+            lost = k.weights[:, (shifted < 0) | (shifted >= 320)].sum()
+            for other in (f1, f2):
+                series = kernel_coherence(k, f1, other, delta)
+                pixel = phasor_sum(k, 2.0 * f1.phi, 2.0 * other.phi, delta)
+                assert np.max(np.abs(series.values - pixel)) < 1e-13
+                assert series.params["lost_mass"] == lost
+                assert series.params["shared_field"] == (other is f1)
 
 
 # ---------------------------------------------------------------------------
