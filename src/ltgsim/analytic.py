@@ -82,11 +82,6 @@ def global_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     )
 
 
-def entanglement(series: CoherenceSeries) -> np.ndarray:
-    """E(t) = |Gamma(t)|, valid for both the local and global channels."""
-    return np.abs(series.values)
-
-
 def _check_grid(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size and times[0] < 0:

@@ -228,8 +228,12 @@ def validate_config(config: dict) -> list[str]:
                 f"spectral: width {width} nm outside optics calibration "
                 f"bounds [{lo}, {hi}] nm"
             )
-    if config["measurement"]["h_max"] < config["measurement"]["h_min"]:
+    m = config["measurement"]
+    if m["h_max"] < m["h_min"]:
         diags.append("measurement: empty h grid")
+    for key in ("h_min", "h_max"):
+        if abs(m[key]) >= npix:
+            diags.append(f"measurement: {key} shift {m[key]} leaves the {npix}-pixel mask")
     return diags
 
 

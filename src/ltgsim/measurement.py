@@ -14,7 +14,10 @@ The correlated-pixel calibration imprints a static rectangular phase
 pattern (+-pi/4 every n_r pixels) on both mask halves, shifts the second
 half by h, and reads the visibility V(h).  The contrast of V(h) falls as
 the kernel width w_cp blurs the pattern, which makes it an estimator of
-w_cp once compared against a simulated contrast-versus-width curve.
+w_cp once compared against a simulated contrast-versus-width curve
+(20 widths over [0.5, 10] px).  The pattern does not change with h, so
+each kernel W is contracted once, a = z^T W with z = exp(i * pattern),
+and Gamma(h) = sum_k a_k z_{k+h} follows for every shift from a.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .optics import NumericalError
 from .rtn import SeedSpec
-from .slm import CorrelationKernel, KernelParams, build_kernel, phasor_sum
+from .slm import CorrelationKernel, KernelParams, _on_mask, build_kernel
 
 _PLUS_PLUS = 0.5 * np.array([1.0, 1.0, 1.0, 1.0])
 _PLUS_MINUS = 0.5 * np.array([1.0, -1.0, 1.0, -1.0])
@@ -41,6 +44,12 @@ _SIGMA_Y2 = np.array(
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
 # calibration curve's range, so inverting it would return a wrong width.
 _MIN_CONTRAST_SIGMAS = 5.0
+
+# Phase of the calibration pattern (the paper's +-pi/4), and the widths (px)
+# of its simulated contrast-versus-width curve.
+_PATTERN_AMPLITUDE = np.pi / 4
+_CURVE_RANGE = (0.5, 10.0)
+_CURVE_SAMPLES = 20
 
 
 @dataclass
@@ -156,12 +165,12 @@ def visibility(record: CountRecord) -> float:
     return abs(record.n_pp - record.n_pm) / total
 
 
-def rect_phase_pattern(n_pixels: int, n_r: int = 5, amplitude: float = np.pi / 4) -> np.ndarray:
-    """Static mask phases switching +-amplitude every n_r pixels."""
+def rect_phase_pattern(n_pixels: int, n_r: int = 5) -> np.ndarray:
+    """Static mask phases switching +-pi/4 every n_r pixels."""
     if n_r < 1:
         raise ValueError("n_r must be >= 1")
     steps = np.arange(n_pixels) // n_r
-    return amplitude * np.where(steps % 2 == 0, 1.0, -1.0)
+    return _PATTERN_AMPLITUDE * np.where(steps % 2 == 0, 1.0, -1.0)
 
 
 @dataclass
@@ -184,50 +193,37 @@ class CalibrationResult:
             raise ValueError("visibility contrast must lie in [0, 1]")
 
 
-def _visibility_of_pattern_contrast(
-    kernel: CorrelationKernel,
-    p: float,
-    n_r: int,
-    h_values: np.ndarray,
-    n0: float,
-    acquisition_s: float,
-    repeats: int,
-    seed: Optional[SeedSpec],
-) -> tuple[np.ndarray, float, float, float]:
-    """V(h) for the rectangular pattern, its sine fit and contrast.
+def _pattern_coherence(kernel: CorrelationKernel, n_r: int, h_values: np.ndarray) -> np.ndarray:
+    """Re Gamma(h) of the rectangular pattern on both halves, for every shift h.
 
-    ``seed=None`` computes noise-free visibilities p * |Re Gamma(h)|.
-    Returns (V(h), amplitude, offset, rms residual of the sine fit).
+    Gamma(h) = sum_jk W[j,k] z_j z_{k+h} over the k whose shifted index
+    stays on the mask, with z = exp(i * pattern).  The pattern does not
+    change with h, so a = z^T W is contracted once and each shift is the
+    sum of a_k z_{k+h}; pairs shifted off the mask are dropped without
+    renormalizing, as in ``slm.phasor_sum``, which is the pixel-level
+    oracle for this contraction.  Both sums are single-threaded einsums.
     """
     n_pix = kernel.weights.shape[0]
-    pattern = rect_phase_pattern(n_pix, n_r)[:, None]
-    v = np.empty(h_values.size)
+    z = np.exp(1j * rect_phase_pattern(n_pix, n_r))
+    a = np.einsum("j,jk->k", z, kernel.weights, optimize=False)
+    re = np.empty(h_values.size)
     for i, h in enumerate(h_values):
-        g = phasor_sum(kernel, pattern, pattern, delta=int(h))[0]
-        re = float(np.clip(g.real, -1.0, 1.0))
-        p_pp = 0.25 * (1.0 + p * re)
-        p_pm = 0.25 * (1.0 - p * re)
-        if seed is None:
-            v[i] = p * abs(re)
-        else:
-            rec = simulate_counts(
-                (p_pp, p_pm), n0, acquisition_s, repeats,
-                seed=SeedSpec(seed.master_seed, seed.stream_index + 1 + i),
-                shot_noise=True,
-            )
-            v[i] = visibility(rec)
-    # Linear LSQ sine of period 2 * n_r in h.
+        shifted, ok = _on_mask(n_pix, h)
+        re[i] = np.einsum("k,k->", a[ok], z[shifted[ok]], optimize=False).real
+    return np.clip(re, -1.0, 1.0)
+
+
+def _sine_fit(h_values: np.ndarray, v: np.ndarray, n_r: int) -> tuple[float, float, float]:
+    """Amplitude, offset and rms residual of the LSQ sine of period 2 * n_r in h."""
     basis = np.column_stack(
         [np.ones(h_values.size),
          np.cos(np.pi * h_values / n_r),
          np.sin(np.pi * h_values / n_r)]
     )
     coef, _, _, _ = np.linalg.lstsq(basis, v, rcond=None)
-    offset = float(coef[0])
-    amplitude = float(np.hypot(coef[1], coef[2]))
     resid = v - basis @ coef
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return v, amplitude, offset, rms
+    return (float(np.hypot(coef[1], coef[2])), float(coef[0]),
+            float(np.sqrt(np.mean(resid**2))))
 
 
 def calibrate_wcp(
@@ -240,16 +236,16 @@ def calibrate_wcp(
     repeats: int = 4,
     shot_noise: bool = True,
     seed: SeedSpec = SeedSpec(0),
-    curve_range: tuple[float, float] = (0.5, 10.0),
-    curve_samples: int = 20,
 ) -> CalibrationResult:
     """Estimate the correlated-pixel width from pattern-contrast data.
 
     ``kernel_params.w_cp`` plays the role of the unknown true width: the
-    measurement leg simulates V(h) under it (with shot noise by default,
-    averaging ``repeats`` acquisitions of ``acquisition_s`` per point).
-    The estimation leg builds a noise-free contrast-versus-width curve
-    over ``curve_range`` with the same beam width and order, fits a cubic
+    measurement leg reads Re Gamma(h) for every shift from one pattern
+    contraction of its kernel and turns it into V(h), with shot noise by
+    default (averaging ``repeats`` acquisitions of ``acquisition_s`` per
+    point) or as p * |Re Gamma| without.  The estimation leg builds the
+    noise-free contrast of each of 20 widths over [0.5, 10] px, with the
+    same beam width and order and one contraction per kernel, fits a cubic
     polynomial, and inverts it at the measured contrast; a contrast the
     curve does not reach raises NumericalError.  Uncertainty combines the
     sine-fit scatter with the polynomial residual, both divided by the
@@ -260,11 +256,19 @@ def calibrate_wcp(
         h_values = np.arange(-10, 10)
     h_values = np.asarray(h_values, dtype=int)
 
-    true_kernel = build_kernel(kernel_params)
-    v, amplitude, offset, rms = _visibility_of_pattern_contrast(
-        true_kernel, p, n_r, h_values, n0, acquisition_s, repeats,
-        seed if shot_noise else None,
-    )
+    re_gamma = _pattern_coherence(build_kernel(kernel_params), n_r, h_values)
+    if shot_noise:
+        # shift i draws its counts from stream s + 1 + i of the seed
+        v = np.empty(h_values.size)
+        for i, re in enumerate(re_gamma):
+            rec = simulate_counts(
+                (0.25 * (1.0 + p * re), 0.25 * (1.0 - p * re)), n0, acquisition_s, repeats,
+                seed=SeedSpec(seed.master_seed, seed.stream_index + 1 + i),
+            )
+            v[i] = visibility(rec)
+    else:
+        v = p * np.abs(re_gamma)
+    amplitude, offset, rms = _sine_fit(h_values, v, n_r)
     if offset <= 0:
         raise NumericalError("sine fit returned a non-positive offset")
     vis = amplitude / offset
@@ -276,21 +280,20 @@ def calibrate_wcp(
     )
 
     # Simulated calibration curve (noise-free) and cubic fit.
-    curve_w = np.linspace(curve_range[0], curve_range[1], curve_samples)
-    curve_vis = np.empty(curve_samples)
+    curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
+    curve_vis = np.empty(_CURVE_SAMPLES)
     for i, w in enumerate(curve_w):
         k = build_kernel(
             KernelParams(w_cp=float(w), w_p=kernel_params.w_p,
                          n=kernel_params.n, geometry=kernel_params.geometry)
         )
-        _, a_i, c_i, _ = _visibility_of_pattern_contrast(
-            k, p, n_r, h_values, n0, acquisition_s, repeats, None
-        )
+        v_i = p * np.abs(_pattern_coherence(k, n_r, h_values))
+        a_i, c_i, _ = _sine_fit(h_values, v_i, n_r)
         curve_vis[i] = a_i / c_i
     poly = np.polynomial.Polynomial.fit(curve_w, curve_vis, deg=3)
     poly_rms = float(np.sqrt(np.mean((poly(curve_w) - curve_vis) ** 2)))
 
-    w_est = _invert_monotone(poly, vis, curve_range)
+    w_est = _invert_monotone(poly, vis, _CURVE_RANGE)
     if vis < _MIN_CONTRAST_SIGMAS * vis_sigma:
         raise NumericalError(
             f"measured contrast {vis:.4g} +- {vis_sigma:.2g} ({vis / vis_sigma:.1f} sigma) "

@@ -39,7 +39,9 @@ j in block b1 of field 1 and k + delta in block b2 of field 2.  At n_rep
 one ``np.bincount`` and the contraction by single-threaded einsum, both
 in a fixed order, so the result does not depend on the thread count.
 ``phasor_sum`` keeps the literal pixel contraction for arbitrary (not
-blockwise) mask phases.
+blockwise) mask phases.  No model path calls it: it is the pixel-level
+oracle that the tests hold this block sum and the calibration's pattern
+contraction (``measurement``) against.
 """
 from __future__ import annotations
 
@@ -128,10 +130,6 @@ class CorrelationKernel:
     def marginal1(self) -> np.ndarray:
         """Mass per half-1 pixel."""
         return self.weights.sum(axis=1)
-
-    def marginal2(self) -> np.ndarray:
-        """Mass per half-2 pixel."""
-        return self.weights.sum(axis=0)
 
 
 def build_kernel(params: KernelParams) -> CorrelationKernel:

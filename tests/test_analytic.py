@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltgsim.analytic import (
-    entanglement,
     exponential_moment,
     global_coherence,
     local_coherence,
@@ -84,7 +83,7 @@ def test_coherences_bounded():
 
 def test_entanglement_magnitude():
     series = global_coherence(0.0, np.array([np.pi / 8, np.pi / 4]))
-    e = entanglement(series)
+    e = series.magnitude
     assert e[0] == pytest.approx(0.0, abs=1e-12)  # |cos(pi/2)| = 0
     assert e[1] == pytest.approx(1.0, abs=1e-12)  # |cos(pi)| = 1
 
@@ -94,7 +93,7 @@ def test_entanglement_matches_concurrence_oracle():
     # dephased state built from Gamma at unit purity.
     t = np.linspace(0, 2 * np.pi, 40)
     series = global_coherence(0.12, t)
-    e = entanglement(series)
+    e = series.magnitude
     for k in range(t.size):
         state = build_state(1.0, complex(series.values[k]))
         assert abs(concurrence(state) - e[k]) < 1e-10

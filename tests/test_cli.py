@@ -8,7 +8,6 @@ import pytest
 
 from ltgsim import cli
 from ltgsim.cli import (
-    PRESETS,
     ConfigError,
     data_section,
     embedded_config,
@@ -57,6 +56,16 @@ def test_validate_delta_off_mask():
     # a boolean is not a shift of 1 pixel
     diags = validate_config(resolve_config({"command": "transition-delta", "deltas": [True]}))
     assert any(d.startswith("deltas: shift True") for d in diags)
+    # the calibration's pattern shifts face the same mask
+    diags = validate_config(resolve_config(
+        {"command": "calibrate-wcp", "measurement": {"h_min": -400, "h_max": -330}}
+    ))
+    assert any(d.startswith("measurement: h_min shift -400 leaves") for d in diags)
+    assert any(d.startswith("measurement: h_max shift -330 leaves") for d in diags)
+    diags = validate_config(resolve_config(
+        {"command": "calibrate-wcp", "measurement": {"h_min": -319, "h_max": 319}}
+    ))
+    assert diags == []
 
 
 def test_validate_p_plus_on_phase_fields():
@@ -137,6 +146,10 @@ def test_cli_main_validate_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "transition-delta", "kernel": {"n": 3}}))
     assert main(["--config", str(bad), "--validate"]) == 1
+    bad.write_text(json.dumps(
+        {"command": "calibrate-wcp", "measurement": {"h_min": -400, "h_max": -330}}
+    ))
+    assert main(["--config", str(bad), "--validate"]) == 1
 
 
 def test_cli_main_missing_file(tmp_path, capsys):
@@ -189,12 +202,13 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
     assert embedded_config(text)["master_seed"] == 4242
 
 
-@pytest.mark.parametrize("preset", ["fig3-left", "fig4-left"])
+@pytest.mark.parametrize("preset", ["fig3-left", "fig4-left", "figS-calibration"])
 def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
     # Byte-identical data sections regardless of the thread budget (the
     # metadata block embeds the per-run output directory, so only the data
     # part is comparable).  fig4-left runs the block contraction at
-    # gamma = 0.12 for four shifts.
+    # gamma = 0.12 for four shifts; figS-calibration runs the pattern
+    # contraction for 21 kernels and 20 shifts each.
     outs = []
     for threads in ("1", "8"):
         out = tmp_path / f"t{threads}"
@@ -205,6 +219,5 @@ def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, f"ltgsim exited {proc.returncode}:\n{proc.stderr}"
-        outs.append([data_section((out / f"transition_delta_{d}.csv").read_text())
-                     for d in PRESETS[preset]["deltas"]])
-    assert outs[0] == outs[1]
+        outs.append({p.name: data_section(p.read_text()) for p in sorted(out.glob("*.csv"))})
+    assert outs[0] and outs[0] == outs[1]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ltgsim.measurement import (
     CountRecord,
     TwoQubitState,
+    _pattern_coherence,
     build_state,
     calibrate_wcp,
     concurrence,
@@ -19,7 +20,7 @@ from ltgsim.measurement import (
 )
 from ltgsim.optics import NumericalError
 from ltgsim.rtn import SeedSpec
-from ltgsim.slm import KernelParams, MaskGeometry
+from ltgsim.slm import KernelParams, MaskGeometry, build_kernel, phasor_sum
 
 GEO = MaskGeometry()
 
@@ -156,6 +157,27 @@ def test_rect_pattern():
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_r", [1, 5, 7])
+@pytest.mark.parametrize("w_cp", [0.5, 3.1, 10.0])
+@pytest.mark.parametrize(
+    "geo, w_p",
+    # centred beam; off-centre reference pixels with a beam wide enough
+    # that the edge shifts keep real weight on the mask
+    [(GEO, 20.0), (MaskGeometry(j0=40.5, k0=600.0), 120.0)],
+)
+def test_pattern_contraction_matches_pixel_sum(n_r, w_cp, geo, w_p):
+    # Re Gamma(h) from one contraction a = z^T W per kernel equals the
+    # literal pixel sum with half 2 shifted by h, at every shift.
+    k = build_kernel(KernelParams(w_cp, w_p, 2, geo))
+    pattern = rect_phase_pattern(320, n_r)[:, None]
+    h = np.array([-319, -200, -37, -10, -3, -1, 0, 1, 2, 5, 9, 41, 160, 319])
+    want = np.array([phasor_sum(k, pattern, pattern, int(d))[0].real for d in h])
+    assert np.allclose(_pattern_coherence(k, n_r, h), want, rtol=0.0, atol=1e-13)
+    for d in (320, -320):
+        with pytest.raises(ValueError, match=f"shift delta={d} moves every pixel off"):
+            _pattern_coherence(k, n_r, np.array([0, d]))
 
 
 def test_calibration_narrow_kernel_maximal_contrast():
