@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
@@ -179,7 +180,31 @@ def resolve_config(user_config: dict) -> dict:
 
 def validate_config(config: dict) -> list[str]:
     """All range and consistency diagnostics of a resolved config."""
-    diags = []
+
+    def non_finite(node, where):
+        if isinstance(node, dict):
+            return [d for k, v in node.items()
+                    for d in non_finite(v, f"{where}.{k}" if where else k)]
+        if isinstance(node, list):
+            return [d for i, v in enumerate(node) for d in non_finite(v, f"{where}[{i}]")]
+        if isinstance(node, float) and not math.isfinite(node):
+            return [f"{where}: {node!r} is not a finite number"]
+        return []
+
+    diags = non_finite(config, "")
+    # Trajectories the run samples: the MC ensemble, or one phase field's blocks.
+    rows = 0
+    if config["command"] == "mc-moment":
+        rows = config["mc"]["n_real"]
+    elif config["command"] in ("transition-delta", "transition-spectral"):
+        span = config["geometry"]["pixels_per_half"] // (2 if config["field"]["balanced"] else 1)
+        rows = -(-span // config["field"]["n_rep"])
+    jumps = config["rtn"]["gamma"] * config["grid"]["t_max"] * rows
+    if not diags and jumps > 1e8:
+        diags.append(
+            f"rtn: gamma * t_max over {rows} trajectories expects {jumps:.3g} jumps, "
+            "more than the 1e8 (~0.8 GB of jump times) a run may hold"
+        )
     geo = config["geometry"]
     npix = geo["pixels_per_half"]
     try:
@@ -199,6 +224,11 @@ def validate_config(config: dict) -> list[str]:
             f"rtn: p_plus {config['rtn']['p_plus']} is not used by {config['command']}; "
             "phase-field blocks start from the stationary ensemble (p_plus 0.5)"
         )
+    for key, values in (("deltas", config["deltas"]),
+                        ("spectral.widths_nm", config["spectral"]["widths_nm"]),
+                        ("optics.widths_nm", config["optics"]["widths_nm"])):
+        if not values:
+            diags.append(f"{key}: empty list, nothing to run")
     # bool is an int subclass, so list entries are checked for it explicitly
     for d in config["deltas"]:
         if isinstance(d, bool) or not isinstance(d, int):
@@ -488,7 +518,9 @@ def main(argv=None) -> int:
     if args.seed is not None:
         user["master_seed"] = args.seed
     if args.out:
-        user.setdefault("output", {})["dir"] = args.out
+        output = user.setdefault("output", {})
+        if isinstance(output, dict):  # otherwise resolve_config reports the section
+            output["dir"] = args.out
     if not user:
         parser.print_usage(sys.stderr)
         return 1

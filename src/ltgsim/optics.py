@@ -34,6 +34,11 @@ Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 theta0 is not directly measurable here; :func:`calibrate_theta0` picks it
 so the marginal width reproduces a target beam size (20 px by default),
 which is the one observable that pins theta0 * L.
+
+scipy (``erfc``, ``curve_fit``, ``brentq``) is imported inside the
+functions that use it, so importing this module costs only numpy; only
+the ``transition-spectral`` and ``optics-table`` commands and
+:func:`calibrate_theta0` load scipy.
 """
 from __future__ import annotations
 
@@ -44,8 +49,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, brentq, curve_fit
-from scipy.special import erfc
 
 C_LIGHT = 299792458.0
 
@@ -60,6 +63,13 @@ MAX_SPECTRAL_WIDTH_NM = 120.0
 
 class NumericalError(RuntimeError):
     """A profile fit failed, or a calibration left the range it can invert."""
+
+
+def curve_fit(*args, **kwargs):
+    # Imports scipy on first call, so importing optics stays cheap (numpy only).
+    from scipy.optimize import curve_fit as fit
+
+    return fit(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -141,6 +151,8 @@ def _f_samples(setup: PdcSetup, x1_px: np.ndarray, x2_px: np.ndarray) -> np.ndar
     The integral is even in a; taking |a| keeps both erfc arguments on the
     side where erfc is accurate, so the tails stay exact and F >= 0.
     """
+    from scipy.special import erfc
+
     th1 = x1_px * setup.pixel_width_d / setup.focal
     th2 = x2_px * setup.pixel_width_d / setup.focal
     t1 = th1[:, None]
@@ -194,6 +206,8 @@ def _super_gaussian4(x, amp, center, width):
 
 
 def _fit_width(x, y, model, width_guess):
+    from scipy.optimize import OptimizeWarning
+
     scale = float(y.max())
     if scale <= 0:
         raise NumericalError("profile has no positive samples to fit")
@@ -343,6 +357,7 @@ def calibrate_theta0(
     The beam width is the only stated observable constraining
     theta_0 * crystal_length, so this is how the model gets its angle.
     """
+    from scipy.optimize import brentq
 
     def mismatch(theta):
         s = replace(setup, theta_0=theta)

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rtn import RtnParams, SeedSpec, TrajectoryBatch, sample_trajectory, stack_batches
 from .series import KERNEL_SUM, CoherenceSeries
@@ -135,10 +136,16 @@ class CorrelationKernel:
 def build_kernel(params: KernelParams) -> CorrelationKernel:
     """Evaluate and normalize the pair distribution on the pixel grid."""
     geo = params.geometry
-    dj = geo.offsets1()[:, None]
-    dk = geo.offsets2()[None, :]
-    corr = np.exp(-2.0 * np.abs(dj - dk) ** params.n / params.w_cp**params.n)
-    envelope = np.exp(-2.0 * dj**2 / params.w_p**2) * np.exp(-2.0 * dk**2 / params.w_p**2)
+    dj = geo.offsets1()
+    dk = geo.offsets2()
+    # The correlation factor depends only on j - k: take exp over the 2n - 1
+    # differences (j - k = -(n-1) .. n-1), then lay them out as the Toeplitz
+    # matrix corr[j, k] = corr_diff[j - k + n - 1].
+    diff = np.concatenate([dj[0] - dk[:0:-1], dj - dk[0]])
+    corr_diff = np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n)
+    corr = sliding_window_view(corr_diff, dk.size)[:, ::-1]
+    envelope = (np.exp(-2.0 * dj[:, None] ** 2 / params.w_p**2)
+                * np.exp(-2.0 * dk[None, :] ** 2 / params.w_p**2))
     w = corr * envelope
     total = w.sum()
     if total <= 0:

@@ -90,11 +90,15 @@ def test_analytic_run_values():
     assert np.allclose(mag, np.abs(np.cos(4 * t)), atol=1e-12)
 
 
-def test_empty_sweep_is_empty_success():
-    files = run_config(
-        {"command": "transition-delta", "deltas": [], "grid": FAST_GRID}
-    )
-    assert files == {}
+def test_empty_sweep_is_rejected():
+    # an empty sweep list would exit 0 and write nothing (or an empty table)
+    with pytest.raises(ConfigError, match="deltas: empty list"):
+        run_config({"command": "transition-delta", "deltas": [], "grid": FAST_GRID})
+    for key in ("spectral", "optics"):
+        diags = validate_config(resolve_config(
+            {"command": "transition-spectral", key: {"widths_nm": []}}
+        ))
+        assert f"{key}.widths_nm: empty list, nothing to run" in diags
 
 
 def test_mc_moment_has_stderr_column():
@@ -152,14 +156,53 @@ def test_cli_main_validate_exit_codes(tmp_path):
     assert main(["--config", str(bad), "--validate"]) == 1
 
 
+def test_cli_main_validate_rejects_unbounded_sampling(tmp_path, capsys, monkeypatch):
+    # Either config would keep the jump sampler drawing until memory runs out,
+    # so validation must stop it; the samplers are disabled to prove no draw.
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampler ran on a config that fails validation")
+
+    monkeypatch.setattr(cli.slm, "sample_trajectory", no_sampling)
+    monkeypatch.setattr(cli, "mc_exponential_moment", no_sampling)
+    cfg = tmp_path / "cfg.json"
+    cases = [
+        ('{"command": "transition-delta", "rtn": {"gamma": 1e308}}',
+         "rtn: gamma * t_max over 54"),
+        ('{"command": "mc-moment", "rtn": {"gamma": 200.0}}',
+         "rtn: gamma * t_max over 100000"),
+        ('{"command": "mc-moment", "rtn": {"gamma": Infinity}}',
+         "rtn.gamma: inf is not a finite"),
+        ('{"command": "analytic", "grid": {"t_max": Infinity}}',
+         "grid.t_max: inf is not a finite"),
+        ('{"command": "transition-delta", "geometry": {"j0": -Infinity}}',
+         "geometry.j0: -inf is not a finite"),
+    ]
+    for text, message in cases:
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        assert capsys.readouterr().out.startswith(message)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: " + message)
+    assert not (tmp_path / "out").exists()
+    # a non-finite list entry is named by its index
+    diags = validate_config(resolve_config(
+        {"command": "transition-spectral", "spectral": {"widths_nm": [15.0, float("nan")]}}
+    ))
+    assert "spectral.widths_nm[1]: nan is not a finite number" in diags
+
+
 def test_cli_main_missing_file(tmp_path, capsys):
     assert main(["--config", "/nonexistent/cfg.json"]) == 1
-    # Unusable contents: not an object, not JSON, not UTF-8.
+    # Unusable contents: not an object, not JSON, not UTF-8, an output
+    # section that is not a table (``--out`` writes into it).
     cfg = tmp_path / "cfg.json"
-    for raw in (b"[1, 2]", b"{not json", b"\xff"):
+    for raw in (b"[1, 2]", b"{not json", b"\xff",
+                b'{"command": "transition-delta", "output": 5}'):
         cfg.write_bytes(raw)
-        assert main(["--config", str(cfg)]) == 1
-    assert len(capsys.readouterr().err.strip().splitlines()) == 4
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 5 and err[-1] == "input error: output must be a table"
 
 
 def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
@@ -221,3 +264,43 @@ def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
         assert proc.returncode == 0, f"ltgsim exited {proc.returncode}:\n{proc.stderr}"
         outs.append({p.name: data_section(p.read_text()) for p in sorted(out.glob("*.csv"))})
     assert outs[0] and outs[0] == outs[1]
+
+
+# Runs ``cli.main`` on each argv list in a fresh interpreter and prints, as
+# its last line, whether scipy was loaded after the import and after each run.
+_SCIPY_PROBE = """
+import json, sys
+import ltgsim.cli as cli
+loaded = ["scipy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(3)
+    loaded.append("scipy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def _scipy_loaded(argvs, child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
+        env=child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, f"probe exited {proc.returncode}:\n{proc.stderr}"
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
+    # Only the optics model needs scipy; the shift, calibration and MC
+    # commands must start and run on numpy alone.
+    cfg = tmp_path / "mc.json"
+    cfg.write_text(json.dumps(
+        {"command": "mc-moment", "grid": FAST_GRID, "rtn": {"gamma": 1.0},
+         "mc": {"n_real": 200}}
+    ))
+    argvs = [["--preset", "fig4-left", "--out", str(tmp_path / "a")],
+             ["--preset", "figS-calibration", "--out", str(tmp_path / "b")],
+             ["--config", str(cfg), "--out", str(tmp_path / "c")]]
+    assert _scipy_loaded(argvs, child_env) == [False] * 4
+    # the same probe sees scipy once the spectral route runs the optics model
+    assert _scipy_loaded([["--preset", "fig4-right", "--out", str(tmp_path / "d")]],
+                         child_env) == [False, True]
