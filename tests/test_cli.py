@@ -157,8 +157,9 @@ def test_cli_main_validate_exit_codes(tmp_path):
 
 
 def test_cli_main_validate_rejects_unbounded_sampling(tmp_path, capsys, monkeypatch):
-    # Either config would keep the jump sampler drawing until memory runs out,
-    # so validation must stop it; the samplers are disabled to prove no draw.
+    # A huge or infinite rate keeps the jump sampler drawing until memory runs
+    # out, so validation must stop it before any draw (the samplers are
+    # replaced by a failing stub); every non-finite leaf is named by its path.
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampler ran on a config that fails validation")
 
