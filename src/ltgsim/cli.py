@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, measurement, optics, slm
-from .rtn import RtnParams, SeedSpec, mc_exponential_moment
+from .rtn import MAX_EXPECTED_JUMPS, RtnParams, SeedSpec, mc_exponential_moment
 from .series import CoherenceSeries
 
 COMMANDS = (
@@ -200,10 +200,10 @@ def validate_config(config: dict) -> list[str]:
         span = config["geometry"]["pixels_per_half"] // (2 if config["field"]["balanced"] else 1)
         rows = -(-span // config["field"]["n_rep"])
     jumps = config["rtn"]["gamma"] * config["grid"]["t_max"] * rows
-    if not diags and jumps > 1e8:
+    if not diags and jumps > MAX_EXPECTED_JUMPS:
         diags.append(
             f"rtn: gamma * t_max over {rows} trajectories expects {jumps:.3g} jumps, "
-            "more than the 1e8 (~0.8 GB of jump times) a run may hold"
+            f"more than the {MAX_EXPECTED_JUMPS:,.0f} (~0.8 GB of jump times) a run may hold"
         )
     geo = config["geometry"]
     npix = geo["pixels_per_half"]

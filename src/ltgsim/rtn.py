@@ -10,9 +10,10 @@ Jumps are sampled as exact event times (exponential waiting times, or
 equivalently uniform order statistics given a Poisson count), so phase
 integrals carry no time-step discretization error.  Every ensemble, one
 realization or many, is a :class:`TrajectoryBatch` of initial signs and
-+inf-padded jump times, and :meth:`TrajectoryBatch.phases_at` is the one
-phase integrator: the Monte Carlo moments and the pixel phase fields of
-:mod:`ltgsim.slm` both read phases from it.
++inf-padded jump times, and :meth:`TrajectoryBatch.phases` is the one
+phase integrator: it evaluates a whole ascending time grid at once by
+prefix sums over the jumps, and the Monte Carlo moments and the pixel
+phase fields of :mod:`ltgsim.slm` both read their phases from it.
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -29,11 +30,18 @@ import numpy as np
 
 from .series import MONTE_CARLO, CoherenceSeries
 
-# Ensemble reductions accumulate per-realization values in fixed-size chunks,
-# in ascending realization order.  The chunk size is a module constant, not a
-# tunable: changing it changes the floating-point reduction order and
-# therefore the bit pattern of results.
-_REDUCE_CHUNK = 16384
+# Ensemble reductions evaluate phases in tiles of whole rows holding about
+# this many (time, realization) phases, max(1, _TILE_PHASES // T) rows each,
+# in ascending realization order.  A fixed element budget keeps the working
+# set of a tile flat in the grid size (a fixed 16384-row tile would hold
+# 52 MB per array at T = 400).  It is a module constant, not a tunable: the
+# tile size fixes the floating-point reduction order and therefore the bit
+# pattern of results.
+_TILE_PHASES = 1 << 16
+
+# Ceiling on the expected jump count gamma * t_max of one trajectory (and,
+# in ``cli.validate_config``, of a whole run): 1e8 jump times are ~0.8 GB.
+MAX_EXPECTED_JUMPS = 1e8
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,15 @@ class RtnParams:
     p_plus: float = 0.5
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise ValueError(f"switching rate gamma must be >= 0, got {self.gamma}")
-        if not self.t_max > 0.0:
-            raise ValueError(f"horizon t_max must be > 0, got {self.t_max}")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"switching rate gamma must be finite and >= 0, got {self.gamma}")
+        if not 0.0 < self.t_max < np.inf:
+            raise ValueError(f"horizon t_max must be finite and > 0, got {self.t_max}")
+        if self.gamma * self.t_max > MAX_EXPECTED_JUMPS:
+            raise ValueError(
+                f"gamma * t_max = {self.gamma * self.t_max:.3g} expected jumps exceeds "
+                f"the {MAX_EXPECTED_JUMPS:,.0f} a trajectory may hold"
+            )
         if not 0.0 <= self.p_plus <= 1.0:
             raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus}")
 
@@ -84,6 +97,8 @@ class TrajectoryBatch:
     """Column-padded ensemble of trajectories (padding value +inf).
 
     Row r is X(t) = signs[r] * (-1)**(number of jumps at or before t).
+    :meth:`phases` integrates it over a whole time grid at once, laid out
+    (times, rows).
     """
 
     signs: np.ndarray       # (R,) +-1
@@ -97,20 +112,43 @@ class TrajectoryBatch:
         """The sign-flipped twins (phi -> -phi), same jump times."""
         return TrajectoryBatch(-self.signs, self.jump_times, self.t_max)
 
-    def phases_at(self, t: float) -> np.ndarray:
-        """phi(t) for every realization (exact, vectorized).
+    def phases(self, times: np.ndarray) -> np.ndarray:
+        """phi at every time of an ascending grid, shape (T, R) (exact).
 
-        Uses phi(t) = s * (t + 2 * sum_i (-1)^i * max(t - tau_i, 0)) over the
-        jump times tau_i (i starting at 1); each jump flips the slope and a
-        padding column contributes exactly zero.
+        Closed form: with c the number of jumps at or before t and
+        P_c = sum_{i <= c} (-1)^i * tau_i (i starting at 1),
+
+            phi(t) = s * ((-1)^c * t - 2 * P_c),
+
+        since each jump flips the slope.  Each jump is binned to the first
+        grid time at or after it (``searchsorted``; the +inf padding falls
+        past the grid), and c follows from one ``bincount`` and a cumulative
+        sum along the grid.  s * (-1)^c and -2 * s * P_c are then gathered
+        from two (jumps + 1, R) tables, the second built from the row prefix
+        sums of the alternating jump times with padding counted as 0.
+        Realizations lie along the contiguous axis, so a per-time sum over
+        them is numpy's pairwise sum.
         """
+        times = np.asarray(times, dtype=float)
+        if not np.all(times[1:] >= times[:-1]):
+            raise ValueError("time grid must be ascending")
         jt = self.jump_times
-        if jt.shape[1] == 0:
-            return self.signs * t
-        alt = np.where(np.arange(jt.shape[1]) % 2 == 0, -1.0, 1.0)
-        dt = t - jt
-        np.clip(dt, 0.0, None, out=dt)
-        return self.signs * (t + 2.0 * (dt * alt[None, :]).sum(axis=1))
+        n_t, (n_r, n_j) = times.size, jt.shape
+        if n_j == 0:
+            return times[:, None] * self.signs
+        rows = np.arange(n_r)
+        bins = np.searchsorted(times, jt) * n_r + rows[:, None]
+        count = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r)
+        c = np.cumsum(count.reshape(n_t + 1, n_r)[:n_t], axis=0)
+        at_c = c * n_r  # flat index of (c, row) in the tables
+        at_c += rows
+        parity = np.where(np.arange(n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^k
+        prefix = np.zeros((n_j + 1, n_r))
+        np.cumsum((np.where(np.isfinite(jt), jt, 0.0) * parity[1:]).T, axis=0, out=prefix[1:])
+        phi = (parity[:, None] * self.signs).ravel().take(at_c)
+        phi *= times[:, None]
+        phi += (-2.0 * self.signs * prefix).ravel().take(at_c)
+        return phi
 
 
 def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
@@ -176,9 +214,9 @@ def mc_exponential_moment(
     zero imaginary part; this is the balanced-realization selection that
     keeps the estimate real for every switching rate.
 
-    The reduction runs over realizations in ascending index order with a
-    fixed chunk size, so the result is bit-reproducible regardless of how
-    the caller parallelizes around it.
+    ``times`` must be ascending.  The reduction runs over realizations in
+    ascending index order with a fixed tile size, so the result is
+    bit-reproducible regardless of how the caller parallelizes around it.
     """
     times = np.asarray(times, dtype=float)
     if n_real < 2:
@@ -217,28 +255,30 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     per grid time.
 
     Without ``imag`` only cos(order * phi) is summed and the imaginary part
-    is exactly zero (antithetic pairs).  cos and sin come from one phase
-    evaluation per (chunk, time).  Accumulation is chunked with
-    _REDUCE_CHUNK in ascending realization order (deterministic bit
-    pattern).
+    is exactly zero (antithetic pairs).  Rows are taken in ascending tiles
+    of max(1, _TILE_PHASES // T); each tile gets its whole-grid phases from
+    one :meth:`TrajectoryBatch.phases` call, laid out (T, rows), and cos and
+    sin of them are summed per time over the contiguous row axis.  The
+    per-tile sums are added in tile order (deterministic bit pattern).
     """
     n = len(batch)
     total = np.zeros(times.size)
     total_sq = np.zeros(times.size)
     total_im = np.zeros(times.size)
-    for start in range(0, n, _REDUCE_CHUNK):
+    rows = max(1, _TILE_PHASES // max(times.size, 1))
+    for start in range(0, n, rows):
         sub = TrajectoryBatch(
-            batch.signs[start : start + _REDUCE_CHUNK],
-            batch.jump_times[start : start + _REDUCE_CHUNK],
+            batch.signs[start : start + rows],
+            batch.jump_times[start : start + rows],
             batch.t_max,
         )
-        for g, t in enumerate(times):
-            phase = order * sub.phases_at(t)
-            v = np.cos(phase)
-            total[g] += v.sum()
-            total_sq[g] += (v * v).sum()
-            if imag:
-                total_im[g] += np.sin(phase).sum()
+        phase = sub.phases(times)
+        phase *= order
+        v = np.cos(phase)
+        total += v.sum(axis=1)
+        total_sq += (v * v).sum(axis=1)
+        if imag:
+            total_im += np.sin(phase).sum(axis=1)
     mean = total / n
     var = np.clip(total_sq / n - mean**2, 0.0, None)
     se = np.sqrt(var / max(n - 1, 1))

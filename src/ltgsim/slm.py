@@ -205,6 +205,9 @@ def build_phase_field(
     sum is exactly zero at every time, which is what keeps the kernel-sum
     coherence real in the ideal-ensemble sense.  Every block starts from
     the stationary ensemble (initial sign +1 with probability 1/2).
+
+    ``times`` must be ascending.  The phases of every independent block
+    come from one :meth:`TrajectoryBatch.phases` call over the whole grid.
     """
     times = np.asarray(times, dtype=float)
     if n_rep < 1:
@@ -226,17 +229,18 @@ def build_phase_field(
     # independent fields must space their stream indices by at least the
     # block count (a stride of 1000 is ample for any n_rep >= 1).
 
+    # One whole-grid integration of the independent rows; a mirrored twin
+    # reads exactly -phi (negation is exact), so it is not integrated again.
+    phi = np.ascontiguousarray(base.phases(times).T)
     if balanced:
         blocks = stack_batches([base, base.mirrored()])
+        phi_blocks = np.concatenate([phi, -phi])
         block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
         block_index = np.concatenate([block_half, block_half + n_indep])
     else:
         blocks = base
+        phi_blocks = phi
         block_index = np.repeat(np.arange(n_indep), n_rep)[:n_pix]
-
-    phi_blocks = np.empty((len(blocks), times.size))
-    for g, t in enumerate(times):
-        phi_blocks[:, g] = blocks.phases_at(t)
 
     return PhaseField(
         phi_blocks=phi_blocks,

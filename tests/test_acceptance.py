@@ -106,7 +106,7 @@ def test_criterion_4_kernel_endpoint_equivalence():
     # shared field, delta = 0: fourth moment on identical trajectories
     fld = build_phase_field(0.12, times, 3, GEO, SeedSpec(12), balanced=True)
     lhs = kernel_coherence(kernel, fld, fld, 0).values
-    phi = np.stack([fld.blocks.phases_at(t) for t in times], axis=1)[fld.block_index]
+    phi = fld.blocks.phases(times).T[fld.block_index]
     diag = np.diag(kernel.weights)
     rhs = (diag[:, None] * np.exp(4j * phi)).sum(axis=0) / diag.sum()
     dev_ge = float(np.max(np.abs(lhs - rhs)))

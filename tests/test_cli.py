@@ -246,20 +246,37 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
     assert embedded_config(text)["master_seed"] == 4242
 
 
-@pytest.mark.parametrize("preset", ["fig3-left", "fig4-left", "figS-calibration"])
+# mc-moment configs for the thread-count test: gamma = 1 on the default
+# 400-point grid, so the reduction runs in several row tiles and a partial one.
+_MC_THREAD_CONFIGS = {
+    f"mc-moment-{mode}": {"command": "mc-moment", "rtn": {"gamma": 1.0},
+                          "mc": {"order": order, "n_real": 3000, "antithetic": mode == "antithetic"}}
+    for mode, order in (("antithetic", 4), ("plain", 2))
+}
+
+
+@pytest.mark.parametrize(
+    "preset", ["fig3-left", "fig4-left", "figS-calibration", *_MC_THREAD_CONFIGS]
+)
 def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
     # Byte-identical data sections regardless of the thread budget (the
     # metadata block embeds the per-run output directory, so only the data
     # part is comparable).  fig4-left runs the block contraction at
     # gamma = 0.12 for four shifts; figS-calibration runs the pattern
-    # contraction for 21 kernels and 20 shifts each.
+    # contraction for 21 kernels and 20 shifts each; the mc-moment runs
+    # take the tiled Monte Carlo reduction, antithetic and plain.
+    if preset in _MC_THREAD_CONFIGS:
+        config = tmp_path / "mc.json"
+        config.write_text(json.dumps(_MC_THREAD_CONFIGS[preset]))
+        source = ["--config", str(config)]
+    else:
+        source = ["--preset", preset]
     outs = []
     for threads in ("1", "8"):
         out = tmp_path / f"t{threads}"
         env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-m", "ltgsim", "--preset", preset,
-             "--out", str(out)],
+            [sys.executable, "-m", "ltgsim", *source, "--out", str(out)],
             env=env, capture_output=True, text=True,
         )
         assert proc.returncode == 0, f"ltgsim exited {proc.returncode}:\n{proc.stderr}"

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltgsim import rtn
 from ltgsim.analytic import exponential_moment
 from ltgsim.rtn import (
+    MAX_EXPECTED_JUMPS,
     RtnParams,
     SeedSpec,
     TrajectoryBatch,
@@ -14,6 +16,7 @@ from ltgsim.rtn import (
     sample_trajectory,
     stack_batches,
 )
+from ltgsim.slm import MaskGeometry, build_phase_field
 
 
 def one_row(sign, jumps, t_max):
@@ -29,6 +32,14 @@ def segment_integral(sign, jumps, t1, t2):
     return float((np.diff(edges) * signs).sum())
 
 
+def oracle_phases(batch, times):
+    # phi(t) = integral over [0, t], per row and time, from the segment oracle.
+    return np.array([
+        [segment_integral(s, row[np.isfinite(row)], 0.0, t) for s, row in zip(batch.signs, batch.jump_times)]
+        for t in times
+    ])
+
+
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         RtnParams(gamma=-0.1, t_max=1.0)
@@ -36,6 +47,12 @@ def test_invalid_params_rejected():
         RtnParams(gamma=1.0, t_max=0.0)
     with pytest.raises(ValueError):
         RtnParams(gamma=1.0, t_max=1.0, p_plus=1.5)
+    # Non-finite or unboundedly many expected jumps: sampling would not end.
+    for gamma, t_max in ((np.inf, 1.0), (1e308, 1.0), (1.0, np.inf), (np.nan, 1.0),
+                         (1.0, np.nan), (2 * MAX_EXPECTED_JUMPS, 1.0), (1e5, 1e4)):
+        with pytest.raises(ValueError):
+            RtnParams(gamma, t_max)
+    RtnParams(MAX_EXPECTED_JUMPS, 1.0)  # the ceiling itself is allowed
 
 
 def test_zero_rate_trajectory_is_constant():
@@ -43,8 +60,18 @@ def test_zero_rate_trajectory_is_constant():
         tr = sample_trajectory(RtnParams(0.0, 10.0), SeedSpec(seed))
         assert len(tr) == 1 and tr.jump_times.shape == (1, 0)
         assert abs(tr.signs[0]) == 1
-        for t in np.linspace(0, 10, 7):
-            assert tr.phases_at(t)[0] == tr.signs[0] * t
+        times = np.linspace(0, 10, 7)
+        assert np.array_equal(tr.phases(times)[:, 0], tr.signs[0] * times)
+    # A zero-rate batch has no jump columns at all; rows whose columns are
+    # all +inf padding (stacked next to a row that jumps) read the same.
+    times = np.linspace(0.5, 10.0, 6)
+    batch = sample_batch(RtnParams(0.0, 10.0), 7, SeedSpec(3))
+    assert batch.jump_times.shape == (7, 0)
+    assert np.array_equal(batch.phases(times), times[:, None] * batch.signs)
+    padded = stack_batches([one_row(1, [1.0], 10.0), one_row(-1, [], 10.0), one_row(1, [], 10.0)])
+    phis = padded.phases(times)
+    assert np.array_equal(phis[:, 1:], times[:, None] * np.array([-1.0, 1.0]))
+    assert np.allclose(phis[:, 0], oracle_phases(padded, times)[:, 0], atol=1e-15)
 
 
 def test_trajectory_determinism():
@@ -83,19 +110,33 @@ def test_autocorrelation_matches_exponential():
 
 def test_phase_constant_integrand():
     tr = one_row(1, [], 2.0)
-    assert tr.phases_at(0.7)[0] == pytest.approx(0.7, abs=1e-15)
+    assert tr.phases([0.7])[0, 0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_phase_symmetric_cancellation():
     tr = one_row(1, [0.5], 2.0)
-    assert tr.phases_at(1.0)[0] == pytest.approx(0.0, abs=1e-15)
+    assert tr.phases([1.0])[0, 0] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("times, rows", [
+    # Jumps exactly on grid times (steps of 0.25, exact in binary), at t = 0
+    # and at the last grid time: the phase is continuous at a jump, so
+    # counting it at its own grid time must still give the oracle.
+    (np.linspace(0.0, 2.0, 9), [(1, [0.5, 1.25, 1.5]), (-1, [0.0, 2.0]), (1, [0.25, 0.3])]),
+    # t_min > 0 with jumps before the first grid time: they count at every
+    # grid time, and phi is still the integral from 0.
+    (np.linspace(1.0, 3.0, 11), [(1, [0.2, 0.7, 1.3, 2.9]), (-1, [0.1]), (1, [0.4, 0.6, 0.8])]),
+])
+def test_phases_on_edge_grids(times, rows):
+    batch = stack_batches([one_row(sign, jumps, 3.0) for sign, jumps in rows])
+    assert np.allclose(batch.phases(times), oracle_phases(batch, times), atol=1e-15)
 
 
 def test_zero_rate_phase_is_plus_minus_t():
     # With no switching the only reachable phases are +t and -t.
     t = 1.37
     phis = [
-        sample_trajectory(RtnParams(0.0, 2.0), SeedSpec(s)).phases_at(t)[0]
+        sample_trajectory(RtnParams(0.0, 2.0), SeedSpec(s)).phases([t])[0, 0]
         for s in range(40)
     ]
     assert set(np.round(phis, 12)) <= {t, -t}
@@ -108,30 +149,31 @@ def test_phase_additivity(seed, gamma, f1, f2):
     # phi(t2) = phi(t1) + integral over [t1, t2]; split at an interior point.
     tr = sample_trajectory(RtnParams(gamma, 3.0), SeedSpec(seed))
     t1, t2 = sorted((3.0 * f1, 3.0 * f2))
-    phi1 = tr.phases_at(t1)[0]
-    phi2 = tr.phases_at(t2)[0]
+    phi1, phi2 = tr.phases([t1, t2])[:, 0]
     segment = segment_integral(tr.signs[0], tr.jump_times[0], t1, t2)
     assert phi2 == pytest.approx(phi1 + segment, abs=1e-12)
 
 
 def test_phase_magnitude_bounded_by_time():
     tr = sample_trajectory(RtnParams(3.0, 4.0), SeedSpec(5))
-    for t in np.linspace(0, 4, 17):
-        assert abs(tr.phases_at(t)[0]) <= t + 1e-12
+    times = np.linspace(0, 4, 17)
+    assert np.all(np.abs(tr.phases(times)[:, 0]) <= times + 1e-12)
 
 
 def test_batch_phases_match_scalar_path():
     params = RtnParams(1.5, 3.0)
     batch = sample_batch(params, 50, SeedSpec(9))
     times = np.linspace(0, 3, 11)
-    for t in times:
-        phis = batch.phases_at(t)
-        assert np.all(np.abs(phis) <= t + 1e-12)
-    # cross-check one row against the exact segment sum
-    row = batch.jump_times[7]
-    got = np.array([batch.phases_at(t)[7] for t in times])
-    expect = [segment_integral(batch.signs[7], row[np.isfinite(row)], 0.0, t) for t in times]
-    assert np.allclose(got, expect, atol=1e-12)
+    phis = batch.phases(times)
+    assert phis.shape == (11, 50)
+    assert np.all(np.abs(phis) <= times[:, None] + 1e-12)
+    # every row against the exact segment sum, and one row on its own
+    assert np.allclose(phis, oracle_phases(batch, times), atol=1e-13)
+    row = TrajectoryBatch(batch.signs[7:8], batch.jump_times[7:8], batch.t_max)
+    assert np.array_equal(row.phases(times)[:, 0], phis[:, 7])
+    # a grid starting after the first jumps of most rows
+    late = np.linspace(1.0, 3.0, 11)
+    assert np.allclose(batch.phases(late), oracle_phases(batch, late), atol=1e-13)
 
 
 def test_stack_and_mirror_keep_each_row():
@@ -141,11 +183,36 @@ def test_stack_and_mirror_keep_each_row():
     both = stack_batches([stacked, stacked.mirrored()])
     assert len(both) == 12
     assert stacked.jump_times.shape[1] == max(r.jump_times.shape[1] for r in rows)
-    for t in np.linspace(0, 3, 7):
-        phis = both.phases_at(t)
-        for i, tr in enumerate(rows):
-            assert phis[i] == pytest.approx(tr.phases_at(t)[0], abs=1e-12)
-            assert phis[i + 6] == -phis[i]
+    times = np.linspace(0, 3, 7)
+    phis = both.phases(times)
+    for i, tr in enumerate(rows):
+        assert np.allclose(phis[:, i], tr.phases(times)[:, 0], atol=1e-12)
+    assert np.array_equal(phis[:, 6:], -phis[:, :6])
+
+
+def test_balanced_field_mirrors_are_exact_negations():
+    # build_phase_field integrates the independent blocks once and stores
+    # -phi for their mirrored twins; that must equal integrating the twins.
+    times = np.linspace(0.0, 2 * np.pi, 400)
+    geo = MaskGeometry(pixels_per_half=40, j0=20.0, k0=60.0)
+    fld = build_phase_field(1.5, times, 3, geo, SeedSpec(21), balanced=True)
+    half = fld.n_blocks() // 2
+    assert np.array_equal(fld.phi_blocks[half:], -fld.phi_blocks[:half])
+    assert np.array_equal(fld.phi_blocks, fld.blocks.phases(times).T)
+    assert np.allclose(fld.phi_blocks.T, oracle_phases(fld.blocks, times), atol=1e-13)
+    assert np.array_equal(fld.phi[20:], -fld.phi[:20])  # offset i + n/2 carries -phi(i)
+
+
+def test_descending_grid_rejected():
+    # The integrator bins jumps into an ascending grid; any other order
+    # would give wrong phases, so both callers refuse it.
+    times = np.linspace(0, 2, 9)[::-1]
+    with pytest.raises(ValueError, match="ascending"):
+        mc_exponential_moment(RtnParams(1.0, 2.0), 2, times, 10, SeedSpec(0))
+    with pytest.raises(ValueError, match="ascending"):
+        build_phase_field(1.0, times, 3)
+    with pytest.raises(ValueError, match="ascending"):
+        one_row(1, [0.5], 2.0).phases([0.0, 1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +292,16 @@ def test_mc_standard_error_scaling():
 
 def test_mc_plain_is_direct_mean_over_same_draws():
     # Plain mode takes cos and sin from one phase pass; the oracle is the
-    # direct mean of exp(i m phi) over the same sample_batch draws.
-    params, times, n_real = RtnParams(1.3, 2.0), np.linspace(0, 2, 9), 3000
-    for order in (1, 2, 4):
-        series = mc_exponential_moment(params, order, times, n_real, SeedSpec(8), antithetic=False)
-        batch = sample_batch(params, n_real, SeedSpec(8))
-        phi = np.stack([batch.phases_at(t) for t in times], axis=1)
-        expect = np.exp(1j * order * phi).mean(axis=0)
-        assert np.max(np.abs(series.values - expect)) < 1e-12
-        assert np.allclose(series.stderr, np.cos(order * phi).std(axis=0, ddof=1) / np.sqrt(n_real))
+    # direct mean of exp(i m phi) over the same sample_batch draws, all rows
+    # integrated at once.  At 400 points the reduction runs in tiles of
+    # 163 rows, and 1000 rows leave a partial last tile.
+    params = RtnParams(1.3, 2.0)
+    assert 1000 % (rtn._TILE_PHASES // 400) and 1000 > rtn._TILE_PHASES // 400
+    for points, n_real in ((9, 3000), (400, 1000)):
+        times = np.linspace(0, 2, points)
+        phi = sample_batch(params, n_real, SeedSpec(8)).phases(times)
+        for order in (1, 2, 4):
+            series = mc_exponential_moment(params, order, times, n_real, SeedSpec(8), antithetic=False)
+            expect = np.exp(1j * order * phi).mean(axis=1)
+            assert np.max(np.abs(series.values - expect)) < 1e-12
+            assert np.allclose(series.stderr, np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(n_real))

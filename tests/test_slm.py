@@ -187,7 +187,7 @@ def test_global_endpoint_equivalence():
     k = build_kernel(KernelParams(0.3, 20.0, 4, GEO))
     fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(12), balanced=True)
     lhs = kernel_coherence(k, fld, fld, 0).values
-    phi = np.stack([fld.blocks.phases_at(t) for t in TIMES], axis=1)[fld.block_index]
+    phi = fld.blocks.phases(TIMES).T[fld.block_index]
     w = np.diag(k.weights)
     rhs = (w[:, None] * np.exp(4j * phi)).sum(axis=0) / w.sum()
     assert np.max(np.abs(lhs - rhs)) < 1e-10
