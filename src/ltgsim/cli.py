@@ -1,8 +1,9 @@
 """Batch front-end: validated configs, experiment dispatch, CSV output.
 
-Every run writes delimited text files whose ``#``-prefixed header embeds
-the fully resolved configuration (canonical JSON) and the RNG pedigree,
-so re-parsing the header reproduces the data section byte for byte.
+Every run writes delimited text files in one layout (``_table_csv``)
+whose ``#``-prefixed header embeds the fully resolved configuration
+(canonical JSON) and the RNG pedigree, so re-parsing the header
+reproduces the data section byte for byte.
 
 Exit codes: 0 success, 1 input error, 2 numerical error.
 """
@@ -208,7 +209,7 @@ def validate_config(config: dict) -> list[str]:
     geo = config["geometry"]
     npix = geo["pixels_per_half"]
     try:
-        slm.MaskGeometry(npix, 100e-6, geo["j0"], geo["k0"])
+        slm.MaskGeometry(npix, geo["j0"], geo["k0"])
     except ValueError as exc:
         diags.append(f"geometry: {exc}")
     try:
@@ -272,7 +273,21 @@ def validate_config(config: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _meta_lines(config: dict, extra: dict) -> list[str]:
+def _table_csv(config: dict, meta: dict, columns: dict) -> str:
+    """The one output file layout, shared by every command.
+
+    ``#`` metadata lines (package and RNG versions, the resolved config,
+    then each ``meta`` entry by key, all compact JSON), a ``# columns``
+    line, the header row, then one row per index of the equal-length
+    ``columns``.  Integer columns are written as integers and float columns
+    as ``repr(float)``; a non-finite float in any column refuses the table.
+    """
+    cells = []
+    for name, col in columns.items():
+        col = np.asarray(col)
+        if not np.issubdtype(col.dtype, np.integer) and not np.all(np.isfinite(col)):
+            raise ValueError(f"refusing to write non-finite {name} data")
+        cells.append([repr(x) for x in col.tolist()])
     try:
         pkg = _pkg_version("ltgsim")
     except Exception:
@@ -281,34 +296,22 @@ def _meta_lines(config: dict, extra: dict) -> list[str]:
         f"# ltgsim = {pkg}",
         f"# rng = PCG64 (numpy {np.__version__}); streams via "
         "SeedSequence(master_seed, spawn_key)",
-        f"# config = {json.dumps(config, sort_keys=True, separators=(',', ':'))}",
     ]
-    for key in sorted(extra):
-        lines.append(f"# {key} = {json.dumps(extra[key], sort_keys=True, separators=(',', ':'))}")
-    return lines
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def series_csv(series: CoherenceSeries, config: dict, extra: dict) -> str:
-    if not (np.all(np.isfinite(series.times)) and np.all(np.isfinite(series.values))):
-        raise ValueError("refusing to write non-finite series data")
-    cols = ["t", "re_gamma", "im_gamma", "abs_gamma", "entanglement"]
-    if series.stderr is not None:
-        cols.append("stderr")
-    lines = _meta_lines(config, {**extra, "series": series.params, "provenance": series.provenance})
-    lines.append("# columns = " + ",".join(cols))
-    lines.append(",".join(cols))
-    mag = series.magnitude
-    for i, t in enumerate(series.times):
-        row = [_fmt(t), _fmt(series.values[i].real), _fmt(series.values[i].imag),
-               _fmt(mag[i]), _fmt(mag[i])]
-        if series.stderr is not None:
-            row.append(_fmt(series.stderr[i]))
-        lines.append(",".join(row))
+    for key, val in [("config", config), *sorted(meta.items())]:
+        lines.append(f"# {key} = {json.dumps(val, sort_keys=True, separators=(',', ':'))}")
+    names = ",".join(columns)
+    lines += [f"# columns = {names}", names]
+    lines.extend(",".join(row) for row in zip(*cells))
     return "\n".join(lines) + "\n"
+
+
+def series_csv(series: CoherenceSeries, config: dict) -> str:
+    mag = series.magnitude
+    columns = {"t": series.times, "re_gamma": series.values.real,
+               "im_gamma": series.values.imag, "abs_gamma": mag, "entanglement": mag}
+    if series.stderr is not None:
+        columns["stderr"] = series.stderr
+    return _table_csv(config, {"series": series.params, "provenance": series.provenance}, columns)
 
 
 def data_section(text: str) -> str:
@@ -335,7 +338,7 @@ def _grid(config) -> np.ndarray:
 
 def _geometry(config) -> slm.MaskGeometry:
     g = config["geometry"]
-    return slm.MaskGeometry(g["pixels_per_half"], 100e-6, g["j0"], g["k0"])
+    return slm.MaskGeometry(g["pixels_per_half"], g["j0"], g["k0"])
 
 
 def _kernel_params(config) -> slm.KernelParams:
@@ -351,7 +354,7 @@ def _run_analytic(config):
         ("le", analytic.local_coherence(gamma, times)),
         ("ge", analytic.global_coherence(gamma, times)),
     ):
-        out[f"analytic_{tag}.csv"] = series_csv(series, config, {})
+        out[f"analytic_{tag}.csv"] = series_csv(series, config)
     return out
 
 
@@ -366,7 +369,7 @@ def _run_mc_moment(config):
         SeedSpec(config["master_seed"], 0),
         antithetic=config["mc"]["antithetic"],
     )
-    return {"mc_moment.csv": series_csv(series, config, {})}
+    return {"mc_moment.csv": series_csv(series, config)}
 
 
 def _run_transition_delta(config):
@@ -383,7 +386,7 @@ def _run_transition_delta(config):
     out = {}
     for series in sweep:
         d = series.params["delta"]
-        out[f"transition_delta_{d}.csv"] = series_csv(series, config, {})
+        out[f"transition_delta_{d}.csv"] = series_csv(series, config)
     return out
 
 
@@ -406,15 +409,17 @@ def _run_transition_spectral(config):
     for series in sweep:
         width = series.params["spectral_width_nm"]
         tag = f"{width:g}".replace(".", "p")
-        out[f"transition_spectral_{tag}nm.csv"] = series_csv(series, config, {})
+        out[f"transition_spectral_{tag}nm.csv"] = series_csv(series, config)
     return out
 
 
 def _run_optics_table(config):
     setup = optics.PdcSetup(theta_0=config["optics"]["theta_0"])
     table = optics.wcp_curve(setup, [float(w) for w in config["optics"]["widths_nm"]])
-    header = "\n".join(_meta_lines(config, {})) + "\n"
-    return {"wcp_table.csv": header + table.to_csv()}
+    meta = {"wcp_table": {"theta_0": table.theta_0, "w0_floor_px": table.w0_floor}}
+    columns = {"spectral_width_nm": table.widths_nm, "w_cp": table.w_cp, "order": table.order,
+               "w_p": table.w_p, "w_tilde": table.w_tilde}
+    return {"wcp_table.csv": _table_csv(config, meta, columns)}
 
 
 def _run_calibrate_wcp(config):
@@ -430,38 +435,17 @@ def _run_calibrate_wcp(config):
         shot_noise=m["shot_noise"],
         seed=SeedSpec(config["master_seed"], 0),
     )
-    widths = config["spectral"]["widths_nm"]
-    summary = {
-        "gamma": config["rtn"]["gamma"],
-        "delta": 0,
-        "w_cp": config["kernel"]["w_cp"],
-        "n": config["kernel"]["n"],
-        "w_p": config["kernel"]["w_p"],
-        "p": m["p"],
-        "seed": config["master_seed"],
-        "spectral_width_nm": widths[0] if len(widths) == 1 else None,
-        "n_r": m["n_r"],
-        "acquisition_s": m["acquisition_s"],
-        "repeats": m["repeats"],
+    meta = {"calibration": {
         "vis_of_v": result.vis_of_v,
         "vis_uncertainty": result.vis_uncertainty,
         "w_cp_estimate": result.w_cp_estimate,
         "w_cp_uncertainty": result.w_cp_uncertainty,
+    }}
+    return {
+        "calibration_vh.csv": _table_csv(config, meta, {"h": result.h_values, "v": result.v_of_h}),
+        "calibration_curve.csv": _table_csv(
+            config, meta, {"w_cp": result.curve_w, "vis": result.curve_vis}),
     }
-    lines = _meta_lines(config, {"calibration": summary})
-    lines.append("# columns = h,v")
-    lines.append("h,v")
-    for h, v in zip(result.h_values, result.v_of_h):
-        lines.append(f"{int(h)},{_fmt(v)}")
-    vh = "\n".join(lines) + "\n"
-
-    lines = _meta_lines(config, {"calibration": summary})
-    lines.append("# columns = w_cp,vis")
-    lines.append("w_cp,vis")
-    for w, v in zip(result.curve_w, result.curve_vis):
-        lines.append(f"{_fmt(w)},{_fmt(v)}")
-    curve = "\n".join(lines) + "\n"
-    return {"calibration_vh.csv": vh, "calibration_curve.csv": curve}
 
 
 _RUNNERS = {

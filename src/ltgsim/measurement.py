@@ -179,8 +179,6 @@ class CalibrationResult:
 
     h_values: np.ndarray
     v_of_h: np.ndarray
-    fitted_amplitude: float
-    fitted_offset: float
     vis_of_v: float
     vis_uncertainty: float
     w_cp_estimate: float
@@ -307,8 +305,6 @@ def calibrate_wcp(
     return CalibrationResult(
         h_values=h_values,
         v_of_h=v,
-        fitted_amplitude=amplitude,
-        fitted_offset=offset,
         vis_of_v=float(np.clip(vis, 0.0, 1.0)),
         vis_uncertainty=float(vis_sigma),
         w_cp_estimate=float(w_est),

@@ -42,8 +42,6 @@ the ``transition-spectral`` and ``optics-table`` commands and
 """
 from __future__ import annotations
 
-import io
-import json
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -304,19 +302,6 @@ class WcpTable:
         w_p = float(np.interp(width_nm, self.widths_nm, self.w_p))
         nearest = int(np.argmin(np.abs(self.widths_nm - width_nm)))
         return w_cp, int(self.order[nearest]), w_p
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        meta = {"theta_0": self.theta_0, "w0_floor_px": self.w0_floor}
-        buf.write(f"# wcp_table = {json.dumps(meta, sort_keys=True)}\n")
-        buf.write("spectral_width_nm,w_cp,order,w_p,w_tilde\n")
-        for i in range(self.widths_nm.size):
-            buf.write(
-                f"{float(self.widths_nm[i])!r},{float(self.w_cp[i])!r},"
-                f"{int(self.order[i])},{float(self.w_p[i])!r},"
-                f"{float(self.w_tilde[i])!r}\n"
-            )
-        return buf.getvalue()
 
 
 def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:

@@ -103,14 +103,13 @@ class TrajectoryBatch:
 
     signs: np.ndarray       # (R,) +-1
     jump_times: np.ndarray  # (R, max_jumps), row-sorted, padded with +inf
-    t_max: float
 
     def __len__(self) -> int:
         return self.signs.size
 
     def mirrored(self) -> "TrajectoryBatch":
         """The sign-flipped twins (phi -> -phi), same jump times."""
-        return TrajectoryBatch(-self.signs, self.jump_times, self.t_max)
+        return TrajectoryBatch(-self.signs, self.jump_times)
 
     def phases(self, times: np.ndarray) -> np.ndarray:
         """phi at every time of an ascending grid, shape (T, R) (exact).
@@ -160,7 +159,7 @@ def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
         jumps[row : row + len(b), : b.jump_times.shape[1]] = b.jump_times
         row += len(b)
     signs = np.concatenate([b.signs for b in batches])
-    return TrajectoryBatch(signs, jumps, batches[0].t_max)
+    return TrajectoryBatch(signs, jumps)
 
 
 def sample_trajectory(params: RtnParams, seed: SeedSpec) -> TrajectoryBatch:
@@ -177,7 +176,7 @@ def sample_trajectory(params: RtnParams, seed: SeedSpec) -> TrajectoryBatch:
         while t <= params.t_max:
             jumps.append(t)
             t += rng.exponential(1.0 / params.gamma)
-    return TrajectoryBatch(np.array([sign]), np.array([jumps], dtype=float), params.t_max)
+    return TrajectoryBatch(np.array([sign]), np.array([jumps], dtype=float))
 
 
 def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBatch:
@@ -196,7 +195,7 @@ def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBa
     jumps[np.arange(width)[None, :] >= counts[:, None]] = np.inf
     jumps.sort(axis=1)
     signs = np.where(rng.random(n_real) < params.p_plus, 1.0, -1.0)
-    return TrajectoryBatch(signs, jumps, params.t_max)
+    return TrajectoryBatch(signs, jumps)
 
 
 def mc_exponential_moment(
@@ -260,26 +259,33 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     one :meth:`TrajectoryBatch.phases` call, laid out (T, rows), and cos and
     sin of them are summed per time over the contiguous row axis.  The
     per-tile sums are added in tile order (deterministic bit pattern).
+
+    The variance comes from squares of cos - shift, with ``shift`` the first
+    tile's per-time mean: close to the final mean, so the one-pass
+    difference of moments keeps its relative precision where the variance
+    is small (early times, cos close to 1).
     """
     n = len(batch)
     total = np.zeros(times.size)
-    total_sq = np.zeros(times.size)
+    total_sq = np.zeros(times.size)  # sum of (cos - shift)^2
     total_im = np.zeros(times.size)
+    shift = None
     rows = max(1, _TILE_PHASES // max(times.size, 1))
     for start in range(0, n, rows):
-        sub = TrajectoryBatch(
-            batch.signs[start : start + rows],
-            batch.jump_times[start : start + rows],
-            batch.t_max,
-        )
-        phase = sub.phases(times)
+        tile = slice(start, start + rows)
+        phase = TrajectoryBatch(batch.signs[tile], batch.jump_times[tile]).phases(times)
         phase *= order
         v = np.cos(phase)
-        total += v.sum(axis=1)
-        total_sq += (v * v).sum(axis=1)
+        tile_sum = v.sum(axis=1)
+        total += tile_sum
+        if shift is None:
+            shift = tile_sum / v.shape[1]
+        v -= shift[:, None]
+        v *= v
+        total_sq += v.sum(axis=1)
         if imag:
             total_im += np.sin(phase).sum(axis=1)
     mean = total / n
-    var = np.clip(total_sq / n - mean**2, 0.0, None)
+    var = np.clip(total_sq / n - (mean - shift) ** 2, 0.0, None)
     se = np.sqrt(var / max(n - 1, 1))
     return (mean + 1j * (total_im / n) if imag else mean.astype(complex)), se

@@ -1,9 +1,9 @@
 """Pixel encoding of noise on a 1D phase mask and the kernel-sum coherence.
 
 The mask has two halves of ``pixels_per_half`` pixels (default 320 each).
-Half 1 carries qubit 1 with pixels j = 0..319 at positions x1 = d*j; half
-2 carries qubit 2 with pixels k = 320..639 at positions x2 = d*(640-k),
-so equal offsets from the reference pixels (j0, k0) face each other
+Half 1 carries qubit 1 with pixels j = 0..319 and half 2 carries qubit 2
+with pixels k = 320..639; the half-2 axis runs opposite to half 1, so
+equal offsets from the reference pixels (j0, k0) face each other
 spatially.  A pair distribution over pixel offsets,
 
     weights[j,k] ~ exp(-2*|dj-dk|^n / w_cp^n)
@@ -65,7 +65,6 @@ class MaskGeometry:
     """
 
     pixels_per_half: int = 320
-    pixel_width_d: float = 100e-6
     j0: float = 160.0
     k0: float = 480.0
 
@@ -77,14 +76,6 @@ class MaskGeometry:
             raise ValueError(f"j0 must lie in [0, {n})")
         if not n <= self.k0 < 2 * n:
             raise ValueError(f"k0 must lie in [{n}, {2 * n})")
-
-    def x1(self, j) -> np.ndarray:
-        """Position of half-1 pixel j."""
-        return self.pixel_width_d * np.asarray(j, dtype=float)
-
-    def x2(self, k) -> np.ndarray:
-        """Position of half-2 pixel k (axis runs opposite to half 1)."""
-        return self.pixel_width_d * (2.0 * self.pixels_per_half - np.asarray(k, dtype=float))
 
     def offsets1(self) -> np.ndarray:
         """dj = j - j0 for every half-1 pixel, in array order."""
@@ -128,10 +119,6 @@ class CorrelationKernel:
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("kernel weights must sum to 1 within 1e-12")
 
-    def marginal1(self) -> np.ndarray:
-        """Mass per half-1 pixel."""
-        return self.weights.sum(axis=1)
-
 
 def build_kernel(params: KernelParams) -> CorrelationKernel:
     """Evaluate and normalize the pair distribution on the pixel grid."""
@@ -157,21 +144,19 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
 class PhaseField:
     """Noise phases phi(offset, t) on one mask half, stored per block.
 
-    The field is constant within blocks of ``n_rep`` consecutive offsets.
-    ``phi_blocks[b, g]`` is the phase of block b (row b of ``blocks``, the
-    trajectories behind the field) at grid time ``times[g]``, and
-    ``block_index[i]`` is the block that offset index i (offset i - n/2
-    relative to the reference pixel) carries.  The per-pixel array
-    ``phi`` is derived from these on access.
+    The field is constant within blocks of ``params["n_rep"]`` consecutive
+    offsets.  ``phi_blocks[b, g]`` is the phase of block b (row b of
+    ``blocks``, the trajectories behind the field) at grid time
+    ``times[g]``, and ``block_index[i]`` is the block that offset index i
+    (offset i - n/2 relative to the reference pixel) carries.  The
+    per-pixel array ``phi`` is derived from these on access.
     """
 
     phi_blocks: np.ndarray
     times: np.ndarray
-    n_rep: int
     block_index: np.ndarray
     blocks: TrajectoryBatch
     geometry: MaskGeometry
-    balanced: bool
     params: dict = field(default_factory=dict)
 
     @property
@@ -245,11 +230,9 @@ def build_phase_field(
     return PhaseField(
         phi_blocks=phi_blocks,
         times=times,
-        n_rep=n_rep,
         block_index=block_index,
         blocks=blocks,
         geometry=geometry,
-        balanced=balanced,
         params={
             "gamma": gamma,
             "n_rep": n_rep,
@@ -349,7 +332,7 @@ def kernel_coherence(
             "w_cp": kernel.params.w_cp,
             "w_p": kernel.params.w_p,
             "n": kernel.params.n,
-            "n_rep": field1.n_rep,
+            "n_rep": field1.params["n_rep"],
             "shared_field": field2 is field1,
             **{k: field1.params.get(k) for k in ("gamma", "balanced", "master_seed", "stream_index")},
         },

@@ -114,7 +114,7 @@ def test_criterion_4_kernel_endpoint_equivalence():
     f1 = build_phase_field(0.12, times, 3, GEO, SeedSpec(13, 0), balanced=True)
     f2 = build_phase_field(0.12, times, 3, GEO, SeedSpec(13, 1000), balanced=True)
     lhs2 = kernel_coherence(kernel, f1, f2, 3).values
-    marg = kernel.marginal1()
+    marg = kernel.weights.sum(axis=1)
     shifted = np.arange(320) + 3
     ok_idx = shifted < 320
     prod = np.exp(2j * f1.phi[ok_idx]) * np.exp(2j * f2.phi[shifted[ok_idx]])

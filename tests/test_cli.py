@@ -16,6 +16,7 @@ from ltgsim.cli import (
     run_config,
     validate_config,
 )
+from ltgsim.series import MONTE_CARLO, CoherenceSeries
 
 FAST_GRID = {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 40}
 
@@ -114,6 +115,41 @@ def test_mc_moment_has_stderr_column():
     assert header.endswith("stderr")
 
 
+# One small config per command, for the output layout test.
+_LAYOUT_CONFIGS = {
+    "analytic": {"command": "analytic", "grid": FAST_GRID},
+    "mc-moment": {"command": "mc-moment", "grid": FAST_GRID, "rtn": {"gamma": 1.0},
+                  "mc": {"order": 2, "n_real": 200, "antithetic": False}},
+    "transition-delta": {"command": "transition-delta", "grid": FAST_GRID, "deltas": [1]},
+    "transition-spectral": {"command": "transition-spectral", "grid": FAST_GRID,
+                            "spectral": {"widths_nm": [15.0]}},
+    "optics-table": {"command": "optics-table", "optics": {"widths_nm": [15.0]},
+                     "spectral": {"widths_nm": [15.0]}},
+    "calibrate-wcp": {"command": "calibrate-wcp"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAYOUT_CONFIGS))
+def test_every_file_has_one_layout(command):
+    # Every file: metadata lines, "# columns = X", the header row X, then
+    # rows with one cell per column.
+    files = run_config(_LAYOUT_CONFIGS[command])
+    assert files
+    for name, text in files.items():
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert lines[first - 1] == "# columns = " + lines[first], name
+        assert all(line.count(",") == lines[first].count(",") for line in lines[first:]), name
+
+
+def test_non_finite_cell_refused():
+    # Any column is checked, not only times and values.
+    series = CoherenceSeries(np.linspace(0.0, 1.0, 3), np.ones(3), MONTE_CARLO,
+                             stderr=np.array([0.0, np.nan, 0.1]))
+    with pytest.raises(ValueError, match="non-finite stderr"):
+        cli.series_csv(series, resolve_config({"command": "mc-moment"}))
+
+
 def test_rerun_is_byte_identical():
     cfg = {
         "command": "transition-delta",
@@ -204,6 +240,22 @@ def test_cli_main_missing_file(tmp_path, capsys):
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 5 and err[-1] == "input error: output must be a table"
+
+
+def test_cli_main_schema_errors_name_the_path(tmp_path, capsys):
+    # A zero block size would divide by zero in validation, a string grid
+    # size would reach linspace, and a boolean seed would run as seed 1:
+    # each must stop at the schema with one line naming the dotted path.
+    cfg = tmp_path / "cfg.json"
+    cases = [({"command": "transition-delta", "field": {"n_rep": 0}}, "field.n_rep"),
+             ({"command": "analytic", "grid": {"points": "400"}}, "grid.points"),
+             ({"command": "analytic", "master_seed": True}, "master_seed")]
+    for config, where in cases:
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"input error: {where}: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_main_resolves_config_once(tmp_path, monkeypatch):

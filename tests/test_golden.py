@@ -2,8 +2,8 @@
 
 Every preset and the optics table are re-run and their data sections
 compared, column by column, with the committed files.  Regenerate out/
-with scripts/reproduce_figures.py and scripts/build_optics_table.py when
-a change is meant to move these numbers.
+with scripts/regenerate_out.py when a change is meant to move these
+numbers.
 """
 from pathlib import Path
 

@@ -19,8 +19,8 @@ from ltgsim.rtn import (
 from ltgsim.slm import MaskGeometry, build_phase_field
 
 
-def one_row(sign, jumps, t_max):
-    return TrajectoryBatch(np.array([float(sign)]), np.array([jumps], dtype=float), t_max)
+def one_row(sign, jumps):
+    return TrajectoryBatch(np.array([float(sign)]), np.array([jumps], dtype=float))
 
 
 def segment_integral(sign, jumps, t1, t2):
@@ -68,7 +68,7 @@ def test_zero_rate_trajectory_is_constant():
     batch = sample_batch(RtnParams(0.0, 10.0), 7, SeedSpec(3))
     assert batch.jump_times.shape == (7, 0)
     assert np.array_equal(batch.phases(times), times[:, None] * batch.signs)
-    padded = stack_batches([one_row(1, [1.0], 10.0), one_row(-1, [], 10.0), one_row(1, [], 10.0)])
+    padded = stack_batches([one_row(1, [1.0]), one_row(-1, []), one_row(1, [])])
     phis = padded.phases(times)
     assert np.array_equal(phis[:, 1:], times[:, None] * np.array([-1.0, 1.0]))
     assert np.allclose(phis[:, 0], oracle_phases(padded, times)[:, 0], atol=1e-15)
@@ -109,12 +109,12 @@ def test_autocorrelation_matches_exponential():
 
 
 def test_phase_constant_integrand():
-    tr = one_row(1, [], 2.0)
+    tr = one_row(1, [])
     assert tr.phases([0.7])[0, 0] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_phase_symmetric_cancellation():
-    tr = one_row(1, [0.5], 2.0)
+    tr = one_row(1, [0.5])
     assert tr.phases([1.0])[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -128,7 +128,7 @@ def test_phase_symmetric_cancellation():
     (np.linspace(1.0, 3.0, 11), [(1, [0.2, 0.7, 1.3, 2.9]), (-1, [0.1]), (1, [0.4, 0.6, 0.8])]),
 ])
 def test_phases_on_edge_grids(times, rows):
-    batch = stack_batches([one_row(sign, jumps, 3.0) for sign, jumps in rows])
+    batch = stack_batches([one_row(sign, jumps) for sign, jumps in rows])
     assert np.allclose(batch.phases(times), oracle_phases(batch, times), atol=1e-15)
 
 
@@ -169,7 +169,7 @@ def test_batch_phases_match_scalar_path():
     assert np.all(np.abs(phis) <= times[:, None] + 1e-12)
     # every row against the exact segment sum, and one row on its own
     assert np.allclose(phis, oracle_phases(batch, times), atol=1e-13)
-    row = TrajectoryBatch(batch.signs[7:8], batch.jump_times[7:8], batch.t_max)
+    row = TrajectoryBatch(batch.signs[7:8], batch.jump_times[7:8])
     assert np.array_equal(row.phases(times)[:, 0], phis[:, 7])
     # a grid starting after the first jumps of most rows
     late = np.linspace(1.0, 3.0, 11)
@@ -212,7 +212,7 @@ def test_descending_grid_rejected():
     with pytest.raises(ValueError, match="ascending"):
         build_phase_field(1.0, times, 3)
     with pytest.raises(ValueError, match="ascending"):
-        one_row(1, [0.5], 2.0).phases([0.0, 1.0, 0.5])
+        one_row(1, [0.5]).phases([0.0, 1.0, 0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -305,3 +305,16 @@ def test_mc_plain_is_direct_mean_over_same_draws():
             expect = np.exp(1j * order * phi).mean(axis=1)
             assert np.max(np.abs(series.values - expect)) < 1e-12
             assert np.allclose(series.stderr, np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(n_real))
+
+
+def test_mc_stderr_matches_two_pass_oracle():
+    # Where cos(m phi) barely varies (early times) a one-pass difference of
+    # raw moments loses relative precision; the shifted sums must keep the
+    # stderr of the same draws within 1e-10 of a long-double two-pass value.
+    params, n_real = RtnParams(1.0, 2.0 * np.pi), 3000
+    times = np.linspace(0.0, 2.0 * np.pi, 400)
+    series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic=False)
+    v = np.cos(2 * sample_batch(params, n_real, SeedSpec(5)).phases(times)).astype(np.longdouble)
+    dev = v - v.mean(axis=1, keepdims=True)
+    want = np.sqrt((dev * dev).sum(axis=1) / n_real / (n_real - 1))
+    np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
