@@ -37,10 +37,10 @@ DEFAULT_CONFIG = {
     "command": None,
     "master_seed": 12345,
     "grid": {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 400},
-    "rtn": {"gamma": 0.0, "p_plus": 0.5},
+    "rtn": {"gamma": 0.0},
     "kernel": {"w_cp": 3.0, "w_p": 20.0, "n": 2},
     "geometry": {"pixels_per_half": 320, "j0": 160.0, "k0": 480.0},
-    "field": {"n_rep": 3, "balanced": True},
+    "field": {"n_rep": 3},
     "deltas": [3, 2, 1, 0],
     "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0]},
     "mc": {"order": 4, "n_real": 100000, "antithetic": True},
@@ -71,7 +71,6 @@ _RANGES = {
     "grid.t_max": lambda v: v > 0,
     "grid.points": lambda v: v >= 1,
     "rtn.gamma": lambda v: v >= 0,
-    "rtn.p_plus": lambda v: 0 <= v <= 1,
     "kernel.w_cp": lambda v: v > 0,
     "kernel.w_p": lambda v: v > 0,
     # evenness is diagnosed semantically, with the sign-ambiguity rule
@@ -107,7 +106,6 @@ PRESETS = {
     "figS-calibration": {
         "command": "calibrate-wcp",
         "kernel": {"w_cp": 3.1, "w_p": 20.0, "n": 2},
-        "spectral": {"widths_nm": [15.0]},
         "measurement": {"shot_noise": True},
     },
 }
@@ -193,21 +191,27 @@ def validate_config(config: dict) -> list[str]:
         return []
 
     diags = non_finite(config, "")
-    # Trajectories the run samples: the MC ensemble, or one phase field's blocks.
+    geo = config["geometry"]
+    npix = geo["pixels_per_half"]
+    phase_field = config["command"] in ("transition-delta", "transition-spectral")
+    # Trajectories the run samples: the MC ensemble, or one phase field's
+    # independent blocks (those of the first half-mask).
     rows = 0
     if config["command"] == "mc-moment":
         rows = config["mc"]["n_real"]
-    elif config["command"] in ("transition-delta", "transition-spectral"):
-        span = config["geometry"]["pixels_per_half"] // (2 if config["field"]["balanced"] else 1)
-        rows = -(-span // config["field"]["n_rep"])
+    elif phase_field:
+        rows = -(-(npix // 2) // config["field"]["n_rep"])
     jumps = config["rtn"]["gamma"] * config["grid"]["t_max"] * rows
     if not diags and jumps > MAX_EXPECTED_JUMPS:
         diags.append(
             f"rtn: gamma * t_max over {rows} trajectories expects {jumps:.3g} jumps, "
             f"more than the {MAX_EXPECTED_JUMPS:,.0f} (~0.8 GB of jump times) a run may hold"
         )
-    geo = config["geometry"]
-    npix = geo["pixels_per_half"]
+    if phase_field and npix % 2:
+        diags.append(
+            f"geometry: pixels_per_half {npix} is odd; the phase field mirrors "
+            "each block half a mask away and needs an even count"
+        )
     try:
         slm.MaskGeometry(npix, geo["j0"], geo["k0"])
     except ValueError as exc:
@@ -218,13 +222,6 @@ def validate_config(config: dict) -> list[str]:
         diags.append(f"kernel: {exc}")
     if config["grid"]["t_max"] <= config["grid"]["t_min"]:
         diags.append("grid: t_max must exceed t_min")
-    if config["command"] in ("transition-delta", "transition-spectral") and (
-        config["rtn"]["p_plus"] != 0.5
-    ):
-        diags.append(
-            f"rtn: p_plus {config['rtn']['p_plus']} is not used by {config['command']}; "
-            "phase-field blocks start from the stationary ensemble (p_plus 0.5)"
-        )
     for key, values in (("deltas", config["deltas"]),
                         ("spectral.widths_nm", config["spectral"]["widths_nm"]),
                         ("optics.widths_nm", config["optics"]["widths_nm"])):
@@ -238,27 +235,15 @@ def validate_config(config: dict) -> list[str]:
             diags.append(f"deltas: shift {d} leaves the {npix}-pixel mask")
     if config["mc"]["antithetic"] and config["mc"]["n_real"] % 2:
         diags.append("mc: antithetic pairing requires an even n_real")
-    calibrated = []
-    for width in config["optics"]["widths_nm"]:
-        if isinstance(width, bool) or not isinstance(width, (int, float)):
-            diags.append(f"optics: width {width!r} is not a number")
-        elif 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
-            calibrated.append(float(width))
-        else:
-            diags.append(
-                f"optics: width {width} nm outside model range "
-                f"[0, {optics.MAX_SPECTRAL_WIDTH_NM}] nm"
-            )
-    lo = min(calibrated, default=0.0)
-    hi = max(calibrated, default=optics.MAX_SPECTRAL_WIDTH_NM)
-    for width in config["spectral"]["widths_nm"]:
-        if isinstance(width, bool) or not isinstance(width, (int, float)):
-            diags.append(f"spectral: width {width!r} is not a number")
-        elif not lo <= width <= hi:
-            diags.append(
-                f"spectral: width {width} nm outside optics calibration "
-                f"bounds [{lo}, {hi}] nm"
-            )
+    for key in ("spectral", "optics"):
+        for width in config[key]["widths_nm"]:
+            if isinstance(width, bool) or not isinstance(width, (int, float)):
+                diags.append(f"{key}: width {width!r} is not a number")
+            elif not 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
+                diags.append(
+                    f"{key}: width {width} nm outside model range "
+                    f"[0, {optics.MAX_SPECTRAL_WIDTH_NM}] nm"
+                )
     m = config["measurement"]
     if m["h_max"] < m["h_min"]:
         diags.append("measurement: empty h grid")
@@ -360,7 +345,7 @@ def _run_analytic(config):
 
 def _run_mc_moment(config):
     times = _grid(config)
-    params = RtnParams(config["rtn"]["gamma"], float(times.max()), config["rtn"]["p_plus"])
+    params = RtnParams(config["rtn"]["gamma"], float(times.max()))
     series = mc_exponential_moment(
         params,
         config["mc"]["order"],
@@ -374,14 +359,13 @@ def _run_mc_moment(config):
 
 def _run_transition_delta(config):
     times = _grid(config)
-    sweep = slm.transition_sweep_delta(
+    sweep = slm.transition_sweep(
         config["rtn"]["gamma"],
+        [_kernel_params(config)],
         [int(d) for d in config["deltas"]],
-        _kernel_params(config),
         times,
         n_rep=config["field"]["n_rep"],
         seed=SeedSpec(config["master_seed"], 0),
-        balanced=config["field"]["balanced"],
     )
     out = {}
     for series in sweep:
@@ -393,21 +377,22 @@ def _run_transition_delta(config):
 def _run_transition_spectral(config):
     times = _grid(config)
     setup = optics.PdcSetup(theta_0=config["optics"]["theta_0"])
-    widths = sorted(set(float(w) for w in config["spectral"]["widths_nm"]))
-    model = optics.wcp_curve(setup, widths)
-    sweep = slm.transition_sweep_spectral(
+    widths = [float(w) for w in config["spectral"]["widths_nm"]]
+    table = optics.wcp_curve(setup, widths)
+    geometry = _geometry(config)
+    kernels = [slm.KernelParams(float(w_cp), float(w_p), int(order), geometry)
+               for w_cp, w_p, order in zip(table.w_cp, table.w_p, table.order)]
+    sweep = slm.transition_sweep(
         config["rtn"]["gamma"],
-        [float(w) for w in config["spectral"]["widths_nm"]],
-        model,
+        kernels,
+        [0],
         times,
         n_rep=config["field"]["n_rep"],
-        geometry=_geometry(config),
         seed=SeedSpec(config["master_seed"], 0),
-        balanced=config["field"]["balanced"],
     )
     out = {}
-    for series in sweep:
-        width = series.params["spectral_width_nm"]
+    for width, series in zip(widths, sweep):
+        series.params["spectral_width_nm"] = width
         tag = f"{width:g}".replace(".", "p")
         out[f"transition_spectral_{tag}nm.csv"] = series_csv(series, config)
     return out

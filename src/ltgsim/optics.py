@@ -290,22 +290,9 @@ class WcpTable:
     theta_0: float
     w0_floor: float
 
-    def lookup(self, width_nm: float) -> tuple[float, int, float]:
-        """(w_cp, order, w_p) at a spectral width inside the table range."""
-        lo, hi = self.widths_nm.min(), self.widths_nm.max()
-        if not lo <= width_nm <= hi:
-            raise ValueError(
-                f"spectral width {width_nm} nm outside calibrated range "
-                f"[{lo}, {hi}] nm"
-            )
-        w_cp = float(np.interp(width_nm, self.widths_nm, self.w_cp))
-        w_p = float(np.interp(width_nm, self.widths_nm, self.w_p))
-        nearest = int(np.argmin(np.abs(self.widths_nm - width_nm)))
-        return w_cp, int(self.order[nearest]), w_p
-
 
 def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:
-    """Run the width pipeline for each spectral width."""
+    """Run the width pipeline for each spectral width; one row per width, in order."""
     floor = pump_floor_px(setup)
     w_cp, order, w_p, w_tilde = [], [], [], []
     for width in widths_nm:

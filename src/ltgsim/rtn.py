@@ -46,17 +46,15 @@ MAX_EXPECTED_JUMPS = 1e8
 
 @dataclass(frozen=True)
 class RtnParams:
-    """Switching rate, time horizon and initial-sign bias of the noise.
+    """Switching rate and time horizon of the noise.
 
-    ``p_plus`` is the probability of starting in the +1 state.  The default
-    1/2 is the stationary ensemble; a fixed initial sign (p_plus = 0 or 1)
-    is exposed for non-stationary studies but every closed-form moment in
-    :mod:`ltgsim.analytic` assumes the stationary choice.
+    Every trajectory starts from the stationary ensemble (initial sign +1
+    with probability 1/2), as the closed forms of :mod:`ltgsim.analytic`
+    assume.
     """
 
     gamma: float
     t_max: float
-    p_plus: float = 0.5
 
     def __post_init__(self):
         if not 0.0 <= self.gamma < np.inf:
@@ -68,8 +66,6 @@ class RtnParams:
                 f"gamma * t_max = {self.gamma * self.t_max:.3g} expected jumps exceeds "
                 f"the {MAX_EXPECTED_JUMPS:,.0f} a trajectory may hold"
             )
-        if not 0.0 <= self.p_plus <= 1.0:
-            raise ValueError(f"p_plus must lie in [0, 1], got {self.p_plus}")
 
 
 @dataclass(frozen=True)
@@ -165,11 +161,11 @@ def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
 def sample_trajectory(params: RtnParams, seed: SeedSpec) -> TrajectoryBatch:
     """Draw one trajectory as a one-row batch; deterministic given (params, seed).
 
-    Draw order: the initial sign (+1 with probability ``params.p_plus``),
+    Draw order: the initial sign (+1 with probability 1/2),
     then exponential waiting times of rate gamma until one passes t_max.
     """
     rng = seed.generator()
-    sign = 1.0 if rng.random() < params.p_plus else -1.0
+    sign = 1.0 if rng.random() < 0.5 else -1.0
     jumps = []
     if params.gamma > 0.0:
         t = rng.exponential(1.0 / params.gamma)
@@ -194,7 +190,7 @@ def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBa
     jumps = rng.random((n_real, width)) * params.t_max
     jumps[np.arange(width)[None, :] >= counts[:, None]] = np.inf
     jumps.sort(axis=1)
-    signs = np.where(rng.random(n_real) < params.p_plus, 1.0, -1.0)
+    signs = np.where(rng.random(n_real) < 0.5, 1.0, -1.0)
     return TrajectoryBatch(signs, jumps)
 
 
@@ -241,7 +237,6 @@ def mc_exponential_moment(
             "order": order,
             "n_real": n_real,
             "antithetic": antithetic,
-            "p_plus": params.p_plus,
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
         },

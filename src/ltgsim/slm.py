@@ -14,7 +14,10 @@ spatially.  A pair distribution over pixel offsets,
 the photon-pair correlation width w_cp, both in pixels.
 
 Noise enters as a phase field phi(offset, t) built from telegraph-noise
-trajectories, constant over blocks of ``n_rep`` consecutive offsets.  The
+trajectories, constant over blocks of ``n_rep`` consecutive offsets.  Every
+field is balanced: the blocks of the first half-mask of offsets are
+independent, and offset i + n/2 carries -phi of offset i, so the phases sum
+to zero at every time (``pixels_per_half`` must be even).  The
 dephasing channel puts *twice* the noise phase between the polarization
 components of each photon (the sigma_z eigenvalues differ by 2), so the
 coherence factor read out by the kernel sum is
@@ -25,7 +28,10 @@ coherence factor read out by the kernel sum is
 With one shared field and delta = 0 this realizes the common-environment
 limit <e^{4i phi}>; shifting by delta >= n_rep (or using independent
 fields) decorrelates the two halves toward the independent-environment
-limit <e^{2i phi}>^2.
+limit <e^{2i phi}>^2.  A correlation width w_cp beyond n_rep (a wider
+source spectrum) decorrelates them too, so both routes between the limits
+are one sweep, ``transition_sweep``: one shared field, read by each kernel
+at each shift.
 
 Because phi is constant over blocks, ``kernel_coherence`` contracts over
 block pairs rather than pixel pairs:
@@ -174,22 +180,20 @@ def build_phase_field(
     n_rep: int,
     geometry: MaskGeometry = MaskGeometry(),
     seed: SeedSpec = SeedSpec(0),
-    balanced: bool = False,
 ) -> PhaseField:
-    """Sample a blockwise-constant noise phase field for one mask half.
+    """Sample a blockwise-constant, balanced noise phase field for one mask half.
 
-    Unbalanced: ceil(n_pixels / n_rep) independent trajectories, block b
-    covering offsets [b*n_rep, (b+1)*n_rep); 320 not divisible by n_rep
-    leaves a truncated final block.
-
-    Balanced: blocks are mirrored in (phi, -phi) pairs, with the mirror
-    placed half a mask away (offset i + n_pixels/2 carries -phi of offset
-    i); ``blocks`` holds the independent rows followed by their mirrored
-    twins.  The half-mask separation keeps *adjacent* blocks independent,
-    so small delta shifts see unbiased statistics, and the per-pixel phase
-    sum is exactly zero at every time, which is what keeps the kernel-sum
-    coherence real in the ideal-ensemble sense.  Every block starts from
-    the stationary ensemble (initial sign +1 with probability 1/2).
+    The first half-mask of offsets holds ceil(n_pixels / 2 / n_rep)
+    independent blocks, block b covering offsets [b*n_rep, (b+1)*n_rep)
+    (a truncated final block where n_rep does not divide n_pixels / 2).
+    Each is mirrored half a mask away: offset i + n_pixels/2 carries -phi
+    of offset i, and ``blocks`` holds the independent rows followed by
+    their mirrored twins.  The half-mask separation keeps *adjacent* blocks
+    independent, so small delta shifts see unbiased statistics, and the
+    per-pixel phase sum is exactly zero at every time, which is what keeps
+    the kernel-sum coherence real in the ideal-ensemble sense.  The mirror
+    needs an even number of pixels per half.  Every block starts from the
+    stationary ensemble (initial sign +1 with probability 1/2).
 
     ``times`` must be ascending.  The phases of every independent block
     come from one :meth:`TrajectoryBatch.phases` call over the whole grid.
@@ -198,45 +202,35 @@ def build_phase_field(
     if n_rep < 1:
         raise ValueError("n_rep must be >= 1")
     n_pix = geometry.pixels_per_half
-    if balanced and n_pix % 2:
-        raise ValueError("balanced fields need an even number of pixels per half")
+    if n_pix % 2:
+        raise ValueError("phase fields need an even number of pixels per half")
     t_max = float(times.max()) if times.size else 1.0
     params = RtnParams(gamma=gamma, t_max=t_max)
 
-    span = n_pix // 2 if balanced else n_pix
+    span = n_pix // 2
     n_indep = -(-span // n_rep)  # ceil
     base = stack_batches(
         [sample_trajectory(params, SeedSpec(seed.master_seed, seed.stream_index + 1 + b))
          for b in range(n_indep)]
     )
     # Stream derivation: block b of field stream s uses stream s+1+b, so a
-    # field consumes streams [s+1, s+1+n_blocks).  Callers building several
-    # independent fields must space their stream indices by at least the
-    # block count (a stride of 1000 is ample for any n_rep >= 1).
+    # field consumes streams [s+1, s+1+n_indep).  Callers building several
+    # independent fields must space their stream indices by at least that
+    # count (a stride of 1000 is ample for any n_rep >= 1).
 
     # One whole-grid integration of the independent rows; a mirrored twin
     # reads exactly -phi (negation is exact), so it is not integrated again.
     phi = np.ascontiguousarray(base.phases(times).T)
-    if balanced:
-        blocks = stack_batches([base, base.mirrored()])
-        phi_blocks = np.concatenate([phi, -phi])
-        block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
-        block_index = np.concatenate([block_half, block_half + n_indep])
-    else:
-        blocks = base
-        phi_blocks = phi
-        block_index = np.repeat(np.arange(n_indep), n_rep)[:n_pix]
-
+    block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
     return PhaseField(
-        phi_blocks=phi_blocks,
+        phi_blocks=np.concatenate([phi, -phi]),
         times=times,
-        block_index=block_index,
-        blocks=blocks,
+        block_index=np.concatenate([block_half, block_half + n_indep]),
+        blocks=stack_batches([base, base.mirrored()]),
         geometry=geometry,
         params={
             "gamma": gamma,
             "n_rep": n_rep,
-            "balanced": balanced,
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
         },
@@ -334,60 +328,33 @@ def kernel_coherence(
             "n": kernel.params.n,
             "n_rep": field1.params["n_rep"],
             "shared_field": field2 is field1,
-            **{k: field1.params.get(k) for k in ("gamma", "balanced", "master_seed", "stream_index")},
+            **{k: field1.params.get(k) for k in ("gamma", "master_seed", "stream_index")},
         },
     )
 
 
-def transition_sweep_delta(
+def transition_sweep(
     gamma: float,
+    kernels: Sequence[KernelParams],
     deltas: Sequence[int],
-    kernel_params: KernelParams,
     times: np.ndarray,
     n_rep: int = 3,
     seed: SeedSpec = SeedSpec(0),
-    balanced: bool = True,
 ) -> list[CoherenceSeries]:
-    """Gamma(delta, t) for each shift, sharing one phase field.
+    """Gamma(delta, t) for each kernel and shift, kernel-major, on one field.
 
-    The field (and hence the noise realizations) is fixed across the
-    sweep; delta is the only variable.  Decreasing delta to zero walks
-    the channel from independent-looking environments to one common
-    environment.
+    Both routes from local to global noise are this one sum over one phase
+    field (and hence one set of noise realizations), built on the mask
+    geometry of ``kernels``: decreasing the shift delta to zero, or
+    narrowing w_cp (a narrower source spectrum) below the block size n_rep,
+    lets the two qubits see the same phase blocks, walking the channel from
+    independent-looking environments to one common environment.
     """
-    kernel = build_kernel(kernel_params)
-    fld = build_phase_field(
-        gamma, times, n_rep, kernel_params.geometry, seed, balanced=balanced
-    )
-    return [kernel_coherence(kernel, fld, fld, delta=d) for d in deltas]
-
-
-def transition_sweep_spectral(
-    gamma: float,
-    spectral_widths_nm: Sequence[float],
-    optics_model,
-    times: np.ndarray,
-    n_rep: int = 3,
-    geometry: MaskGeometry = MaskGeometry(),
-    seed: SeedSpec = SeedSpec(0),
-    balanced: bool = True,
-) -> list[CoherenceSeries]:
-    """Gamma(0, t) for each spectral width, sharing one phase field.
-
-    ``optics_model`` maps a spectral width in nm to kernel parameters
-    (w_cp, n, w_p) via ``lookup(width_nm)`` -- see
-    :class:`ltgsim.optics.WcpTable`.  Raises a range error outside the
-    calibrated table.  The shift is fixed at zero; widening the spectrum
-    grows w_cp past the block size n_rep, so the two qubits stop seeing
-    the same phase blocks and the channel slides toward the
-    independent-environment limit.
-    """
-    fld = build_phase_field(gamma, times, n_rep, geometry, seed, balanced=balanced)
+    if not kernels:
+        return []
+    fld = build_phase_field(gamma, times, n_rep, kernels[0].geometry, seed)
     out = []
-    for width in spectral_widths_nm:
-        w_cp, order, w_p = optics_model.lookup(width)
-        kernel = build_kernel(KernelParams(w_cp=w_cp, w_p=w_p, n=order, geometry=geometry))
-        series = kernel_coherence(kernel, fld, fld, delta=0)
-        series.params["spectral_width_nm"] = float(width)
-        out.append(series)
+    for params in kernels:
+        kernel = build_kernel(params)
+        out.extend(kernel_coherence(kernel, fld, fld, delta=d) for d in deltas)
     return out

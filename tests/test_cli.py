@@ -33,11 +33,23 @@ def test_validate_odd_kernel_order():
     assert any("even" in d for d in diags)
 
 
-def test_validate_spectral_bounds():
+def test_validate_spectral_bounds(tmp_path):
+    # Spectral widths are checked against the optics model's range, not
+    # against the optics-table widths: 110 nm runs, 130 nm does not.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "transition-spectral", "grid": FAST_GRID,
+                               "spectral": {"widths_nm": [110.0]}}))
+    assert main(["--config", str(cfg), "--validate"]) == 0
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "transition_spectral_110nm.csv").exists()
     diags = validate_config(resolve_config(
-        {"command": "transition-spectral", "spectral": {"widths_nm": [200.0]}}
+        {"command": "transition-spectral", "spectral": {"widths_nm": [130.0]}}
     ))
-    assert any("calibration bounds" in d for d in diags)
+    assert diags == ["spectral: width 130.0 nm outside model range [0, 120.0] nm"]
+    assert validate_config(resolve_config(
+        {"command": "transition-spectral", "spectral": {"widths_nm": [15.0]},
+         "optics": {"widths_nm": [1.0, 2.0]}}
+    )) == []
     # a boolean is not a width of 1 nm
     for section in ("spectral", "optics"):
         diags = validate_config(resolve_config(
@@ -69,12 +81,49 @@ def test_validate_delta_off_mask():
     assert diags == []
 
 
-def test_validate_p_plus_on_phase_fields():
-    # phase-field blocks always start stationary; a biased p_plus would be ignored
+def test_validate_odd_pixels_per_half(tmp_path, capsys):
+    # The phase field mirrors each block half a mask away, so both transition
+    # commands need an even pixel count; --validate must say so, not the run.
+    cfg = tmp_path / "cfg.json"
     for command in ("transition-delta", "transition-spectral"):
-        diags = validate_config(resolve_config({"command": command, "rtn": {"p_plus": 1.0}}))
-        assert any(d.startswith("rtn: p_plus") for d in diags)
-    assert validate_config(resolve_config({"command": "mc-moment", "rtn": {"p_plus": 1.0}})) == []
+        cfg.write_text(json.dumps({"command": command, "geometry": {"pixels_per_half": 321}}))
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith("geometry: pixels_per_half 321 is odd")
+    # no phase field, no constraint
+    assert validate_config(resolve_config(
+        {"command": "calibrate-wcp", "geometry": {"pixels_per_half": 321}})) == []
+
+
+class _ReadRecorder(dict):
+    """A config table that records the dotted path of every key read by []."""
+
+    def __init__(self, data, seen, path=""):
+        super().__init__(data)
+        self.seen, self.path = seen, path
+
+    def __getitem__(self, key):
+        where = f"{self.path}.{key}" if self.path else key
+        self.seen.add(where)
+        val = super().__getitem__(key)
+        return _ReadRecorder(val, self.seen, where) if isinstance(val, dict) else val
+
+
+def _leaves(table, path=""):
+    for key, val in table.items():
+        where = f"{path}.{key}" if path else key
+        yield from _leaves(val, where) if isinstance(val, dict) else [where]
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+def test_preset_sets_only_keys_its_command_reads(preset):
+    # A preset key its command never reads looks like a setting but does
+    # nothing; run the preset's runner and check each one is read.
+    seen = set()
+    config = resolve_config({"preset": preset})
+    cli._RUNNERS[config["command"]](_ReadRecorder(config, seen))
+    unread = [leaf for leaf in _leaves(cli.PRESETS[preset]) if leaf != "command" and leaf not in seen]
+    assert unread == []
 
 
 def test_unknown_preset():

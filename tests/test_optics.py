@@ -190,15 +190,15 @@ def test_kernel_conditional_consistent_with_profile():
     assert abs(popt[2]) == pytest.approx(w_cp, rel=0.10)
 
 
-def test_table_roundtrip_and_lookup():
-    table = wcp_curve(SETUP, [10.0, 15.0, 20.0])
-    w_cp, order, w_p = table.lookup(15.0)
-    assert w_cp == pytest.approx(table.w_cp[1])
-    assert order == table.order[1]
-    mid = table.lookup(12.5)[0]
-    assert table.w_cp[0] <= mid <= table.w_cp[1]
-    with pytest.raises(ValueError, match="range"):
-        table.lookup(60.0)
+def test_table_rows_follow_input_order():
+    # transition-spectral reads one kernel per row, in config order: each
+    # row is computed from its own width, whatever the order or repeats.
+    table = wcp_curve(SETUP, [10.0, 15.0])
+    again = wcp_curve(SETUP, [15.0, 10.0, 15.0])
+    assert again.widths_nm.tolist() == [15.0, 10.0, 15.0]
+    for col in ("w_cp", "order", "w_p", "w_tilde"):
+        got, want = getattr(again, col), getattr(table, col)
+        assert np.array_equal(got, want[[1, 0, 1]]), col
 
 
 def test_calibration_reproduces_frozen_angle():

@@ -45,8 +45,6 @@ def test_invalid_params_rejected():
         RtnParams(gamma=-0.1, t_max=1.0)
     with pytest.raises(ValueError):
         RtnParams(gamma=1.0, t_max=0.0)
-    with pytest.raises(ValueError):
-        RtnParams(gamma=1.0, t_max=1.0, p_plus=1.5)
     # Non-finite or unboundedly many expected jumps: sampling would not end.
     for gamma, t_max in ((np.inf, 1.0), (1e308, 1.0), (1.0, np.inf), (np.nan, 1.0),
                          (1.0, np.nan), (2 * MAX_EXPECTED_JUMPS, 1.0), (1e5, 1e4)):
@@ -195,7 +193,7 @@ def test_balanced_field_mirrors_are_exact_negations():
     # -phi for their mirrored twins; that must equal integrating the twins.
     times = np.linspace(0.0, 2 * np.pi, 400)
     geo = MaskGeometry(pixels_per_half=40, j0=20.0, k0=60.0)
-    fld = build_phase_field(1.5, times, 3, geo, SeedSpec(21), balanced=True)
+    fld = build_phase_field(1.5, times, 3, geo, SeedSpec(21))
     half = fld.n_blocks() // 2
     assert np.array_equal(fld.phi_blocks[half:], -fld.phi_blocks[:half])
     assert np.array_equal(fld.phi_blocks, fld.blocks.phases(times).T)

@@ -14,8 +14,7 @@ from ltgsim.slm import (
     build_phase_field,
     kernel_coherence,
     phasor_sum,
-    transition_sweep_delta,
-    transition_sweep_spectral,
+    transition_sweep,
 )
 
 GEO = MaskGeometry()
@@ -109,24 +108,36 @@ def test_field_zero_rate_values():
 
 
 def test_field_block_structure():
+    # 54 independent blocks over the first 160 offsets (the last one holds a
+    # single offset), then their 54 mirrors over the second 160
     fld = build_phase_field(1.0, TIMES, 3, GEO, SeedSpec(6))
-    assert fld.n_blocks() == int(np.ceil(320 / 3))
-    # constant within blocks, truncated last block covered
-    for b in range(fld.n_blocks()):
-        rows = fld.phi[3 * b : 3 * (b + 1)]
-        assert np.all(rows == rows[0])
+    assert fld.n_blocks() == 2 * int(np.ceil(160 / 3)) == 108
+    # constant within blocks, truncated last block of each half covered
+    for half in (0, 160):
+        for b in range(54):
+            rows = fld.phi[half + 3 * b : half + min(3 * (b + 1), 160)]
+            assert np.all(rows == rows[0])
     assert np.array_equal(fld.block_index[:6], [0, 0, 0, 1, 1, 1])
+    assert fld.block_index[159] == 53
+    assert np.array_equal(fld.block_index[160:], fld.block_index[:160] + 54)
     assert fld.block_index[-1] == fld.n_blocks() - 1
 
 
 def test_field_single_block():
+    # one independent block covers the first half-mask, its mirror the second
     fld = build_phase_field(0.7, TIMES, 320, GEO, SeedSpec(7))
-    assert fld.n_blocks() == 1
-    assert np.all(fld.phi == fld.phi[0])
+    assert fld.n_blocks() == 2
+    assert np.all(fld.phi[:160] == fld.phi[0])
+    assert np.all(fld.phi[160:] == -fld.phi[0])
+
+
+def test_field_needs_even_pixel_count():
+    with pytest.raises(ValueError, match="even number of pixels"):
+        build_phase_field(0.7, TIMES, 3, MaskGeometry(321, 160.0, 480.0), SeedSpec(7))
 
 
 def test_field_balanced_sum_is_zero():
-    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(8), balanced=True)
+    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(8))
     assert np.max(np.abs(fld.phi.sum(axis=0))) < 1e-12
     # mirrored pairs: upper half is the negated lower half
     assert np.array_equal(fld.phi[160:], -fld.phi[:160])
@@ -173,7 +184,7 @@ def test_global_endpoint_equivalence():
     # fourth-moment ensemble average on the very same trajectories, with
     # weights given by the kernel diagonal.
     k = build_kernel(KernelParams(0.3, 20.0, 4, GEO))
-    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(12), balanced=True)
+    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(12))
     lhs = kernel_coherence(k, fld, fld, 0).values
     phi = fld.blocks.phases(TIMES).T[fld.block_index]
     w = np.diag(k.weights)
@@ -185,8 +196,8 @@ def test_local_endpoint_equivalence():
     # Narrow kernel, independent fields, delta = n_rep: the kernel sum must
     # equal the per-pair product of half phasors under the kernel marginal.
     k = build_kernel(KernelParams(0.3, 20.0, 4, GEO))
-    f1 = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(13, 0), balanced=True)
-    f2 = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(13, 1000), balanced=True)
+    f1 = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(13, 0))
+    f2 = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(13, 1000))
     lhs = kernel_coherence(k, f1, f2, 3).values
     marg = k.weights.sum(axis=1)
     shifted = np.arange(320) + 3
@@ -233,27 +244,28 @@ def test_shift_off_mask_rejected():
             kernel_coherence(k, fld, fld, delta)
 
 
-@pytest.mark.parametrize("balanced", [False, True])
+@pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("n_rep", [1, 3, 7, 320])
-def test_block_contraction_matches_pixel_sum(balanced, n_rep):
+def test_block_contraction_matches_pixel_sum(shared, n_rep):
     # The block-pair contraction of kernel_coherence against the literal
-    # pixel sum over the same phases.  n_rep = 7 leaves a truncated last
-    # block; the independent field uses another block size, so the block
-    # weight matrix is not square.  The w_p = 200 kernel loses ~9 % of its
-    # mass off the mask at delta = 150.
-    f1 = build_phase_field(2.0, TIMES, n_rep, GEO, SeedSpec(31), balanced=balanced)
-    f2 = build_phase_field(2.0, TIMES, 5, GEO, SeedSpec(31, 1000), balanced=balanced)
+    # pixel sum over the same phases, with field 2 the shared field or an
+    # independent one.  n_rep = 7 leaves a truncated last block in each
+    # half-mask and n_rep = 320 one block and its mirror; the independent
+    # field uses another block size, so the block weight matrix is not
+    # square.  The w_p = 200 kernel loses ~9 % of its mass off the mask at
+    # delta = 150.
+    f1 = build_phase_field(2.0, TIMES, n_rep, GEO, SeedSpec(31))
+    other = f1 if shared else build_phase_field(2.0, TIMES, 5, GEO, SeedSpec(31, 1000))
     for k in (build_kernel(KernelParams(3.0, 20.0, 2, GEO)),
               build_kernel(KernelParams(3.0, 200.0, 2, GEO))):
         for delta in (-5, 0, 3, 150):
             shifted = np.arange(320) + delta
             lost = k.weights[:, (shifted < 0) | (shifted >= 320)].sum()
-            for other in (f1, f2):
-                series = kernel_coherence(k, f1, other, delta)
-                pixel = phasor_sum(k, 2.0 * f1.phi, 2.0 * other.phi, delta)
-                assert np.max(np.abs(series.values - pixel)) < 1e-13
-                assert series.params["lost_mass"] == lost
-                assert series.params["shared_field"] == (other is f1)
+            series = kernel_coherence(k, f1, other, delta)
+            pixel = phasor_sum(k, 2.0 * f1.phi, 2.0 * other.phi, delta)
+            assert np.max(np.abs(series.values - pixel)) < 1e-13
+            assert series.params["lost_mass"] == lost
+            assert series.params["shared_field"] == shared
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +275,23 @@ def test_block_contraction_matches_pixel_sum(balanced, n_rep):
 
 def test_delta_sweep_single_matches_direct():
     kp = KernelParams(3.0, 20.0, 2, GEO)
-    sweep = transition_sweep_delta(0.12, [0], kp, TIMES, seed=SeedSpec(21))
+    sweep = transition_sweep(0.12, [kp], [0], TIMES, seed=SeedSpec(21))
     k = build_kernel(kp)
-    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(21), balanced=True)
+    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(21))
     direct = kernel_coherence(k, fld, fld, 0)
     assert np.array_equal(sweep[0].values, direct.values)
 
 
 def test_delta_sweep_shares_field():
     kp = KernelParams(3.0, 20.0, 2, GEO)
-    sweep = transition_sweep_delta(0.12, [3, 0], kp, TIMES, seed=SeedSpec(22))
+    sweep = transition_sweep(0.12, [kp], [3, 0], TIMES, seed=SeedSpec(22))
     # both entries must come from one realization: at delta=0 and gamma=0.12
     # the t=0 value is 1 for both, and the series differ beyond it
     assert sweep[0].params["delta"] == 3
     assert sweep[1].params["delta"] == 0
     assert not np.array_equal(sweep[0].values, sweep[1].values)
     # same seed again reproduces bit-identically
-    again = transition_sweep_delta(0.12, [3, 0], kp, TIMES, seed=SeedSpec(22))
+    again = transition_sweep(0.12, [kp], [3, 0], TIMES, seed=SeedSpec(22))
     assert np.array_equal(sweep[0].values, again[0].values)
 
 
@@ -288,35 +300,22 @@ def test_delta_sweep_revival_emergence():
     # t = pi/4 (where the local-limit curve has a node) monotonically.
     t = np.linspace(0.0, 2.0 * np.pi, 400)
     kp = KernelParams(3.0, 20.0, 2, GEO)
-    sweep = transition_sweep_delta(0.12, [3, 2, 1, 0], kp, t, seed=SeedSpec(12345))
+    sweep = transition_sweep(0.12, [kp], [3, 2, 1, 0], t, seed=SeedSpec(12345))
     k = np.argmin(np.abs(t - np.pi / 4))
     peaks = [abs(s.values.real[k]) for s in sweep]
     assert all(np.diff(peaks) > 0.0)
     assert peaks[-1] > 2.0 * peaks[0]
 
 
-class _FakeOptics:
-    """Minimal stand-in for the spectral-width table."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def lookup(self, width_nm):
-        if width_nm not in self.rows:
-            raise ValueError(f"width {width_nm} outside calibrated range")
-        return self.rows[width_nm]
-
-
 def test_spectral_sweep_empty():
-    assert transition_sweep_spectral(0.12, [], _FakeOptics({}), TIMES) == []
+    assert transition_sweep(0.12, [], [0], TIMES) == []
 
 
 def test_spectral_sweep_endpoints():
-    model = _FakeOptics({15.0: (0.5, 2, 20.0), 100.0: (9.0, 4, 20.0)})
+    narrow_kp, wide_kp = KernelParams(0.5, 20.0, 2, GEO), KernelParams(9.0, 20.0, 4, GEO)
     t = np.linspace(0.0, 2.0 * np.pi, 120)
-    narrow, wide = transition_sweep_spectral(
-        0.0, [15.0, 100.0], model, t, n_rep=3, seed=SeedSpec(23)
-    )
+    narrow, wide = transition_sweep(0.0, [narrow_kp, wide_kp], [0], t, n_rep=3, seed=SeedSpec(23))
+    assert (narrow.params["w_cp"], wide.params["w_cp"]) == (0.5, 9.0)
     # narrow correlation (w_cp < n_rep): shared-block phases, global limit
     ge = np.abs(np.cos(4 * t))
     dev_ge = np.max(np.abs(np.abs(narrow.values.real) - ge))
@@ -325,5 +324,20 @@ def test_spectral_sweep_endpoints():
     # t = pi/8 + k pi/4 are suppressed toward the local limit
     probe = np.argmin(np.abs(t - np.pi / 4))
     assert abs(wide.values.real[probe]) < abs(narrow.values.real[probe])
-    with pytest.raises(ValueError, match="range"):
-        transition_sweep_spectral(0.0, [55.0], model, t)
+
+
+def test_sweep_is_kernel_major_on_one_field():
+    # Every (kernel, shift) series equals kernel_coherence on the one field
+    # the sweep builds, in kernel-major order.
+    kps = [KernelParams(1.0, 20.0, 2, GEO), KernelParams(4.0, 20.0, 4, GEO)]
+    sweep = transition_sweep(0.5, kps, [2, 0], TIMES, seed=SeedSpec(24))
+    fld = build_phase_field(0.5, TIMES, 3, GEO, SeedSpec(24))
+    expected = [kernel_coherence(build_kernel(kp), fld, fld, d) for kp in kps for d in (2, 0)]
+    assert [(s.params["w_cp"], s.params["delta"]) for s in sweep] == [
+        (1.0, 2), (1.0, 0), (4.0, 2), (4.0, 0)]
+    for got, want in zip(sweep, expected):
+        assert np.array_equal(got.values, want.values)
+    # kernels on another mask geometry cannot read this field
+    with pytest.raises(ValueError, match="geometry"):
+        transition_sweep(0.5, [kps[0], KernelParams(1.0, 20.0, 2, MaskGeometry(j0=159.0))],
+                         [0], TIMES)
