@@ -5,7 +5,9 @@ kernel-sum channel with both local-to-global transition strategies, the
 down-conversion spatial-correlation model, and coincidence/visibility
 measurement including the correlated-pixel calibration.
 
-The package root exports nothing; import the layer modules
+The package root holds only ``__version__``; import the layer modules
 (``ltgsim.analytic``, ``ltgsim.rtn``, ``ltgsim.slm``, ``ltgsim.optics``,
 ``ltgsim.measurement``, ``ltgsim.cli``) directly.
 """
+
+__version__ = "0.1.0"

@@ -14,12 +14,11 @@ import copy
 import json
 import math
 import sys
-from importlib.metadata import version as _pkg_version
 from pathlib import Path
 
 import numpy as np
 
-from . import analytic, measurement, optics, slm
+from . import __version__, analytic, measurement, optics, slm
 from .rtn import MAX_EXPECTED_JUMPS, RtnParams, SeedSpec, mc_exponential_moment
 from .series import CoherenceSeries
 
@@ -233,6 +232,13 @@ def validate_config(config: dict) -> list[str]:
             diags.append(f"deltas: shift {d!r} is not an integer")
         elif abs(d) >= npix:
             diags.append(f"deltas: shift {d} leaves the {npix}-pixel mask")
+    for key, values, file_name in (("deltas", config["deltas"], _delta_file),
+                                   ("spectral.widths_nm", config["spectral"]["widths_nm"],
+                                    _spectral_file)):
+        names = [file_name(v) for v in values if isinstance(v, (int, float))]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            diags.append(f"{key}: entries share an output file: {', '.join(repeated)}")
     if config["mc"]["antithetic"] and config["mc"]["n_real"] % 2:
         diags.append("mc: antithetic pairing requires an even n_real")
     for key in ("spectral", "optics"):
@@ -273,12 +279,8 @@ def _table_csv(config: dict, meta: dict, columns: dict) -> str:
         if not np.issubdtype(col.dtype, np.integer) and not np.all(np.isfinite(col)):
             raise ValueError(f"refusing to write non-finite {name} data")
         cells.append([repr(x) for x in col.tolist()])
-    try:
-        pkg = _pkg_version("ltgsim")
-    except Exception:
-        pkg = "0.1.0"
     lines = [
-        f"# ltgsim = {pkg}",
+        f"# ltgsim = {__version__}",
         f"# rng = PCG64 (numpy {np.__version__}); streams via "
         "SeedSequence(master_seed, spawn_key)",
     ]
@@ -357,6 +359,14 @@ def _run_mc_moment(config):
     return {"mc_moment.csv": series_csv(series, config)}
 
 
+def _delta_file(delta) -> str:
+    return f"transition_delta_{delta}.csv"
+
+
+def _spectral_file(width) -> str:
+    return "transition_spectral_" + f"{width:g}".replace(".", "p") + "nm.csv"
+
+
 def _run_transition_delta(config):
     times = _grid(config)
     sweep = slm.transition_sweep(
@@ -369,8 +379,7 @@ def _run_transition_delta(config):
     )
     out = {}
     for series in sweep:
-        d = series.params["delta"]
-        out[f"transition_delta_{d}.csv"] = series_csv(series, config)
+        out[_delta_file(series.params["delta"])] = series_csv(series, config)
     return out
 
 
@@ -393,8 +402,7 @@ def _run_transition_spectral(config):
     out = {}
     for width, series in zip(widths, sweep):
         series.params["spectral_width_nm"] = width
-        tag = f"{width:g}".replace(".", "p")
-        out[f"transition_spectral_{tag}nm.csv"] = series_csv(series, config)
+        out[_spectral_file(width)] = series_csv(series, config)
     return out
 
 

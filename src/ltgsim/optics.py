@@ -18,7 +18,9 @@ at degeneracy, so the joint spatial profile on the mask plane is
 with angles mapped to mask positions through the imaging lens,
 dx = f * theta, and positions expressed in pixels.  Sinc does not depend
 on w and |A~|^2 is a Gaussian in a variable linear in w, so the window
-integral is an exact erf difference (no numerical quadrature).
+integral is an exact erf difference (no numerical quadrature).  F factors
+as S(dx1 + dx2) * W(|dx1 - dx2|): the phase-matching sinc^2 times the
+window integral of |A~|^2.
 
 Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 
@@ -34,19 +36,15 @@ Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 theta0 is not directly measurable here; :func:`calibrate_theta0` picks it
 so the marginal width reproduces a target beam size (20 px by default),
 which is the one observable that pins theta0 * L.
-
-scipy (``erfc``, ``curve_fit``, ``brentq``) is imported inside the
-functions that use it, so importing this module costs only numpy; only
-the ``transition-spectral`` and ``optics-table`` commands and
-:func:`calibrate_theta0` load scipy.
 """
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 C_LIGHT = 299792458.0
 
@@ -61,13 +59,6 @@ MAX_SPECTRAL_WIDTH_NM = 120.0
 
 class NumericalError(RuntimeError):
     """A profile fit failed, or a calibration left the range it can invert."""
-
-
-def curve_fit(*args, **kwargs):
-    # Imports scipy on first call, so importing optics stays cheap (numpy only).
-    from scipy.optimize import curve_fit as fit
-
-    return fit(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -134,39 +125,40 @@ class JointSpatialProfile:
 
     def evaluate(self, x1_px: np.ndarray, x2_px: np.ndarray) -> np.ndarray:
         """F on an arbitrary (x1, x2) product grid, from the closed form."""
-        return _f_samples(self.setup, np.asarray(x1_px, float), np.asarray(x2_px, float))
+        x1, x2 = np.asarray(x1_px, float)[:, None], np.asarray(x2_px, float)
+        return np.multiply(*_f_samples(self.setup, x1 + x2, x1 - x2))
 
 
-def _f_samples(setup: PdcSetup, x1_px: np.ndarray, x2_px: np.ndarray) -> np.ndarray:
-    """Integral of |A~ * Sinc|^2 over the spectral window, per grid point.
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # element-wise over a few thousand points
+
+
+def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
+    """The factors S(x1 + x2) and W(|x1 - x2|) of F, at the given sums and differences.
 
     Sinc^2 does not depend on w and |A~|^2 = exp(-((a + b w) s)^2), with
     a = dk_perp at degeneracy, b = 2 theta0 / c and s = waist / sqrt(2), so
-    the window integral is the erf difference
+    over a window of full angular width D the window factor is the erf
+    difference
 
-        sqrt(pi) / (2 b s) * [erfc(|a| s - b s W/2) - erfc(|a| s + b s W/2)].
+        W = sqrt(pi) / (2 b s) * [erfc(|a| s - b s D/2) - erfc(|a| s + b s D/2)].
 
     The integral is even in a; taking |a| keeps both erfc arguments on the
     side where erfc is accurate, so the tails stay exact and F >= 0.
     """
-    from scipy.special import erfc
-
-    th1 = x1_px * setup.pixel_width_d / setup.focal
-    th2 = x2_px * setup.pixel_width_d / setup.focal
-    t1 = th1[:, None]
-    t2 = th2[None, :]
+    px_angle = setup.pixel_width_d / setup.focal
     wp0 = setup.pump_angular_freq
-    dk_par = -wp0 * setup.theta_0 * (t1 + t2) / (2.0 * C_LIGHT)
+    dk_par = -wp0 * setup.theta_0 * (sum_px * px_angle) / (2.0 * C_LIGHT)
     sinc2 = np.sinc(dk_par * setup.crystal_length / 2.0 / np.pi) ** 2
     s = setup.pump_waist / np.sqrt(2.0)
-    u = np.abs(wp0 * (t1 - t2) / (2.0 * C_LIGHT)) * s
+    u = np.abs(wp0 * (diff_px * px_angle) / (2.0 * C_LIGHT)) * s
     window = setup.window_angular_freq
     if window == 0.0:
         # Vanishing window: report the spectral density at degeneracy.
-        return sinc2 * np.exp(-(u**2))
+        return sinc2, np.exp(-(u**2))
     bs = 2.0 * setup.theta_0 / C_LIGHT * s
     half = bs * window / 2.0
-    return sinc2 * (np.sqrt(np.pi) / (2.0 * bs)) * (erfc(u - half) - erfc(u + half))
+    erfc_diff = (_erfc(u - half) - _erfc(u + half)).astype(float)
+    return sinc2, (np.sqrt(np.pi) / (2.0 * bs)) * erfc_diff
 
 
 def expected_wp_px(setup: PdcSetup) -> float:
@@ -192,35 +184,56 @@ def joint_profile(setup: PdcSetup, grid: Optional[GridSpec] = None) -> JointSpat
     if grid.half_extent_px < 3.0 * expected_wp_px(setup):
         raise ValueError("grid must cover at least +-3 expected beam widths")
     axis = grid.axis()
-    return JointSpatialProfile(_f_samples(setup, axis, axis), axis, setup)
+    # S over the 2n - 1 sums and W over the 2n - 1 differences of the axis,
+    # laid out as the Hankel matrix S[i + j] times the Toeplitz W[i - j + n - 1].
+    sums = np.concatenate([axis[0] + axis[:-1], axis + axis[-1]])
+    diffs = np.concatenate([axis[0] - axis[:0:-1], axis - axis[0]])
+    sinc2, window = _f_samples(setup, sums, diffs)
+    F = sliding_window_view(sinc2, axis.size) * sliding_window_view(window, axis.size)[:, ::-1]
+    return JointSpatialProfile(F, axis, setup)
 
 
-def _gaussian(x, amp, center, width):
-    return amp * np.exp(-2.0 * (x - center) ** 2 / width**2)
+# Levenberg-Marquardt stopping rule of curve_fit: converged once a step would
+# move the parameters by at most _FIT_XTOL of their norm; failed after _FIT_MAX_STEPS.
+_FIT_XTOL = 1e-9
+_FIT_MAX_STEPS = 200
 
 
-def _super_gaussian4(x, amp, center, width):
-    return amp * np.exp(-2.0 * np.abs(x - center) ** 4 / width**4)
+def curve_fit(x, y, order, width_guess):
+    """Width and residual of a * exp(-2 |x - c|^n / w^n), n in {2, 4}, fitted to y / max(y).
 
-
-def _fit_width(x, y, model, width_guess):
-    from scipy.optimize import OptimizeWarning
-
+    Levenberg-Marquardt from (a, c, w) = (1, 0, width_guess) with Marquardt
+    scaling and the analytic Jacobian.  Normalizing y keeps the width free of
+    the profile's scale; single-threaded einsum keeps it free of the thread count.
+    """
     scale = float(y.max())
     if scale <= 0:
         raise NumericalError("profile has no positive samples to fit")
-    y = y / scale  # widths must not depend on the profile's normalization
-    try:
-        with warnings.catch_warnings():
-            # Near-exact fits make the covariance singular; only widths matter.
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                model, x, y, p0=[1.0, 0.0, width_guess], maxfev=20000
-            )
-    except RuntimeError as exc:
-        raise NumericalError(f"profile fit failed: {exc}") from exc
-    resid = float(np.sum((y - model(x, *popt)) ** 2))
-    return abs(popt[2]), resid
+    y = y / scale
+    p, step, cost, lam = np.array([1.0, 0.0, width_guess]), np.zeros(3), math.inf, 1e-2
+    for _ in range(_FIT_MAX_STEPS):
+        a, c, w = p + step
+        u = (x - c) / w
+        e = np.exp(-2.0 * u**order)
+        trial_r = y - a * e
+        trial_cost = float(np.sum(trial_r**2))
+        if not math.isfinite(trial_cost):
+            raise NumericalError(f"order-{order} profile fit reached a non-finite value")
+        if trial_cost < cost:  # accept the step (the first, empty one always)
+            p, r, cost, lam = p + step, trial_r, trial_cost, lam / 10.0
+            g = 2.0 * order * a * e * u ** (order - 1) / w
+            jac = np.stack([e, g, g * u])
+        else:
+            lam *= 10.0
+        jtj = np.einsum("ik,jk->ij", jac, jac, optimize=False)
+        grad = np.einsum("ik,k->i", jac, r, optimize=False)
+        try:
+            step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"order-{order} profile fit is singular") from exc
+        if np.linalg.norm(step) <= _FIT_XTOL * np.linalg.norm(p):
+            return abs(p[2]), cost
+    raise NumericalError(f"order-{order} profile fit did not converge in {_FIT_MAX_STEPS} steps")
 
 
 def estimate_wp(profile: JointSpatialProfile) -> float:
@@ -228,7 +241,7 @@ def estimate_wp(profile: JointSpatialProfile) -> float:
     x = profile.axis_px
     marg = profile.marginal()
     guess = 2.0 * np.sqrt(max(_second_moment(x, marg), 1e-6))
-    width, _ = _fit_width(x, marg, _gaussian, guess)
+    width, _ = curve_fit(x, marg, 2, guess)
     return width
 
 
@@ -263,8 +276,8 @@ def estimate_wcp_tilde(
     else:
         y = profile.evaluate(x_fine, np.array([0.0]))[:, 0]
 
-    w2, r2 = _fit_width(x_fine, y, _gaussian, guess)
-    w4, r4 = _fit_width(x_fine, y, _super_gaussian4, guess)
+    w2, r2 = curve_fit(x_fine, y, 2, guess)
+    w4, r4 = curve_fit(x_fine, y, 4, guess)
     return (w2, 2) if r2 <= r4 else (w4, 4)
 
 
@@ -329,10 +342,16 @@ def calibrate_theta0(
     The beam width is the only stated observable constraining
     theta_0 * crystal_length, so this is how the model gets its angle.
     """
-    from scipy.optimize import brentq
 
     def mismatch(theta):
         s = replace(setup, theta_0=theta)
         return estimate_wp(joint_profile(s, default_grid(s, spacing_px=0.5))) - target_wp_px
 
-    return float(brentq(mismatch, *bracket, xtol=1e-7))
+    lo, hi = bracket
+    below = mismatch(lo) < 0
+    if below == (mismatch(hi) < 0):
+        raise ValueError("the bracket does not enclose the target beam width")
+    while hi - lo > 1e-7:  # bisection to the angle tolerance
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (mismatch(mid) < 0) == below else (lo, mid)
+    return 0.5 * (lo + hi)

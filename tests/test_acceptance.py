@@ -6,8 +6,10 @@ PASS/FAIL lines.
 Criteria 5 and 6 assert targets the pinned physics model provably cannot
 reach; they are implemented faithfully and left red, and their failure
 messages carry the measured values and the quantitative cause: with the
-w_cp = 3 kernel, 81% of the pair mass shares a phase block at delta = 0
-(expected curve 0.81 cos 4t + 0.19, a deterministic 0.38 deviation), and
+w_cp = 3 kernel at delta = 0, 60.5% of the pair mass shares a phase block
+and the other 39.5% sees independent blocks (none sees a mirror twin), so
+the ensemble expects 0.605 cos 4t + 0.395 cos^2 2t = 0.802 cos 4t + 0.198
+at gamma = 0, a 0.395 deviation from |cos 4t| where cos 4t = -1; and
 calibrating theta_0 to the 20-pixel beam width fixes the product of beam
 width and spectral-walk width, pinning w_cp(15 nm) near 1.9 px.
 """
@@ -140,8 +142,9 @@ def test_criterion_5_transition_reproduction():
     assert _report(
         5, ok,
         f"delta=0 dev {dev0:.3f} (<0.15), delta=3 dev {dev3:.3f} (<0.15), "
-        f"2nd revival peak {peak:.6f} (<1); at w_cp=3 the same-block pair "
-        "mass is 0.81, so the expected delta=0 curve is 0.81 cos4t + 0.19",
+        f"2nd revival peak {peak:.6f} (<1); at w_cp=3 and delta=0 the pair mass "
+        "is 0.605 same-block, 0 mirror and 0.395 independent, so the expected "
+        "gamma=0 curve is 0.802 cos4t + 0.198",
     )
 
 

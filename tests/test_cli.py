@@ -95,6 +95,23 @@ def test_validate_odd_pixels_per_half(tmp_path, capsys):
         {"command": "calibrate-wcp", "geometry": {"pixels_per_half": 321}})) == []
 
 
+def test_validate_repeated_sweep_entries(tmp_path, capsys):
+    # Entries that format to one file name would overwrite each other's
+    # series after running twice: --validate names the file, in one line.
+    cfg = tmp_path / "cfg.json"
+    cases = [({"command": "transition-delta", "deltas": [1, 1, 0]},
+              "deltas: entries share an output file: transition_delta_1.csv"),
+             ({"command": "transition-spectral", "spectral": {"widths_nm": [15, 15.0000001, 30]}},
+              "spectral.widths_nm: entries share an output file: transition_spectral_15nm.csv")]
+    for config, message in cases:
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        assert capsys.readouterr().out.strip().splitlines() == [message]
+    # the optics table writes each width as a row of one file: repeats are fine
+    assert validate_config(resolve_config(
+        {"command": "optics-table", "optics": {"widths_nm": [15.0, 15.0]}})) == []
+
+
 class _ReadRecorder(dict):
     """A config table that records the dotted path of every key read by []."""
 
@@ -357,13 +374,14 @@ _MC_THREAD_CONFIGS = {
 
 
 @pytest.mark.parametrize(
-    "preset", ["fig3-left", "fig4-left", "figS-calibration", *_MC_THREAD_CONFIGS]
+    "preset", ["fig3-left", "fig4-left", "fig4-right", "figS-calibration", *_MC_THREAD_CONFIGS]
 )
 def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
     # Byte-identical data sections regardless of the thread budget (the
     # metadata block embeds the per-run output directory, so only the data
     # part is comparable).  fig4-left runs the block contraction at
-    # gamma = 0.12 for four shifts; figS-calibration runs the pattern
+    # gamma = 0.12 for four shifts; fig4-right adds the optics profile and
+    # width fits for four kernels; figS-calibration runs the pattern
     # contraction for 21 kernels and 20 shifts each; the mc-moment runs
     # take the tiled Monte Carlo reduction, antithetic and plain.
     if preset in _MC_THREAD_CONFIGS:
@@ -409,17 +427,21 @@ def _scipy_loaded(argvs, child_env):
 
 
 def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
-    # Only the optics model needs scipy; the shift, calibration and MC
-    # commands must start and run on numpy alone.
+    # The package depends on numpy alone: every command, the optics model
+    # included, must start and run without loading scipy.
     cfg = tmp_path / "mc.json"
     cfg.write_text(json.dumps(
         {"command": "mc-moment", "grid": FAST_GRID, "rtn": {"gamma": 1.0},
          "mc": {"n_real": 200}}
     ))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"command": "optics-table", "optics": {"widths_nm": [1.0, 40.0]}}))
     argvs = [["--preset", "fig4-left", "--out", str(tmp_path / "a")],
              ["--preset", "figS-calibration", "--out", str(tmp_path / "b")],
              ["--config", str(cfg), "--out", str(tmp_path / "c")]]
     assert _scipy_loaded(argvs, child_env) == [False] * 4
-    # the same probe sees scipy once the spectral route runs the optics model
-    assert _scipy_loaded([["--preset", "fig4-right", "--out", str(tmp_path / "d")]],
-                         child_env) == [False, True]
+    # the optics model runs in a fresh probe, so nothing before it can have
+    # loaded scipy on its behalf
+    argvs = [["--preset", "fig4-right", "--out", str(tmp_path / "d")],
+             ["--config", str(table), "--out", str(tmp_path / "e")]]
+    assert _scipy_loaded(argvs, child_env) == [False] * 3

@@ -15,11 +15,13 @@ from ltgsim.cli import PRESETS, data_section, run_config
 OUT = Path(__file__).resolve().parents[1] / "out"
 
 # Gamma series and calibration data.  Kernel sums run in a fixed order, so
-# on one numpy/scipy build they repeat bit for bit; across builds they move
-# by ~1e-15.  The fig4-right series also go through the width fits, which
-# stop at curve_fit's own tolerances, so a ~1e-14 relative change in the
-# joint profile moves w_cp by up to ~6e-6 and Gamma by up to ~4e-7.  1e-5
-# leaves room for that, while a 1 % change of w_cp moves Gamma by >= 1.7e-3.
+# on one numpy build they repeat bit for bit; across builds they move by
+# ~1e-15.  The fig4-right series also go through the width fits, which stop
+# once a step moves the parameters by less than 1e-9 of their norm: a
+# ~1e-14 relative change in the joint profile moves the widths by up to
+# ~2e-8 (the earlier scipy curve_fit, stopping sooner, by up to ~6e-6).
+# 1e-5 leaves room for that, while a 1 % change of w_cp moves Gamma by
+# >= 1.7e-3.
 SERIES_ATOL = 1e-5
 
 # wcp_table columns.  The inputs and the chosen fit order must match

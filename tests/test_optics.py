@@ -6,9 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from ltgsim import optics
+from ltgsim.cli import main
 from ltgsim.optics import (
     GridSpec,
     JointSpatialProfile,
+    NumericalError,
     PdcSetup,
     calibrate_theta0,
     combined_wcp,
@@ -60,6 +62,15 @@ def test_closed_form_matches_quad_oracle():
             got = prof.evaluate(np.array([x1]), np.array([x2]))[0, 0]
             assert want > 0.0
             assert got == pytest.approx(want, rel=1e-9, abs=0.0), (width_nm, x1, x2)
+
+
+def test_separable_grid_matches_pointwise_evaluation():
+    # joint_profile lays the two factors out as Hankel x Toeplitz matrices;
+    # evaluate forms x1 + x2 and x1 - x2 on the product grid directly.
+    for width_nm in (1.0, 15.0, 100.0):
+        prof = joint_profile(dataclasses.replace(SETUP, spectral_width_nm=width_nm))
+        direct = prof.evaluate(prof.axis_px, prof.axis_px)
+        assert np.max(np.abs(prof.F - direct)) <= 1e-14 * prof.F.max(), width_nm
 
 
 def test_profile_symmetry():
@@ -188,6 +199,50 @@ def test_kernel_conditional_consistent_with_profile():
 
     popt, _ = curve_fit(model, x, cond, p0=[cond.max(), 0.0, w_cp])
     assert abs(popt[2]) == pytest.approx(w_cp, rel=0.10)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+def test_fits_reach_scipy_residual(monkeypatch):
+    # Every fit of the width pipeline (w_p, then the n = 2 and n = 4
+    # conditional fits) ends at a residual no larger than scipy's
+    # curve_fit reaches from the same start on the same data.
+    from scipy.optimize import curve_fit as scipy_fit
+
+    calls, own_fit = [], optics.curve_fit
+
+    def recorded(x, y, order, width_guess):
+        width, resid = own_fit(x, y, order, width_guess)
+        calls.append((x, y / y.max(), order, width_guess, resid))
+        return width, resid
+
+    monkeypatch.setattr(optics, "curve_fit", recorded)
+    wcp_curve(SETUP, [15.0, 30.0, 60.0, 100.0])
+    assert [c[2] for c in calls] == [2, 2, 4] * 4
+    for x, y, order, guess, resid in calls:
+        def model(xx, a, c, w):
+            return a * np.exp(-2.0 * np.abs(xx - c) ** order / w**order)
+
+        popt, _ = scipy_fit(model, x, y, p0=[1.0, 0.0, guess], maxfev=20000)
+        assert resid <= np.sum((y - model(x, *popt)) ** 2) * (1 + 1e-9), (order, guess)
+
+
+def test_degenerate_fit_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    x = np.linspace(-10.0, 10.0, 81)
+    y = np.exp(-2.0 * x**2 / 9.0)
+    y[40] = np.nan
+    for order in (2, 4):
+        with pytest.raises(NumericalError, match="non-finite"):
+            optics.curve_fit(x, y, order, 3.0)
+    with pytest.raises(NumericalError, match="no positive samples"):
+        optics.curve_fit(x, np.zeros_like(x), 2, 3.0)
+    # through the command line: a profile with non-finite samples ends in
+    # one line and exit 2, with no output written
+    factors = optics._f_samples
+    monkeypatch.setattr(optics, "_f_samples", lambda *a: [f * np.nan for f in factors(*a)])
+    assert main(["--preset", "fig4-right", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error: order-2 profile fit")
+    assert not (tmp_path / "out").exists()
 
 
 def test_table_rows_follow_input_order():
