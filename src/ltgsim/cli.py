@@ -206,6 +206,11 @@ def validate_config(config: dict) -> list[str]:
             f"rtn: gamma * t_max over {rows} trajectories expects {jumps:.3g} jumps, "
             f"more than the {MAX_EXPECTED_JUMPS:,.0f} (~0.8 GB of jump times) a run may hold"
         )
+    elif rows > MAX_EXPECTED_JUMPS:  # at a low rate the rows themselves are the memory
+        diags.append(
+            f"mc: n_real {rows} trajectories exceed the {MAX_EXPECTED_JUMPS:,.0f} "
+            "(~0.8 GB per array) a run may sample"
+        )
     if phase_field and npix % 2:
         diags.append(
             f"geometry: pixels_per_half {npix} is odd; the phase field mirrors "
@@ -219,6 +224,16 @@ def validate_config(config: dict) -> list[str]:
         slm.KernelParams(config["kernel"]["w_cp"], config["kernel"]["w_p"], config["kernel"]["n"])
     except ValueError as exc:
         diags.append(f"kernel: {exc}")
+    theta_0 = config["optics"]["theta_0"]
+    try:  # the profile grid is sized from the beam width, which scales as 1 / theta_0
+        points = optics.default_grid(optics.PdcSetup(theta_0=theta_0)).size()
+    except ArithmeticError:  # a theta_0 so small that the beam width overflows
+        points = math.inf
+    if not 3 <= points <= optics.MAX_GRID_POINTS:
+        diags.append(
+            f"optics: theta_0 {theta_0!r} sizes the profile grid at {points} points per axis, "
+            f"outside the 3 to {optics.MAX_GRID_POINTS} a profile may sample"
+        )
     if config["grid"]["t_max"] <= config["grid"]["t_min"]:
         diags.append("grid: t_max must exceed t_min")
     for key, values in (("deltas", config["deltas"]),

@@ -56,6 +56,10 @@ THETA0_CALIBRATED = 0.0291771450
 # First-order angular model; keep the window well inside its validity.
 MAX_SPECTRAL_WIDTH_NM = 120.0
 
+# Ceiling on the points per axis of a sampled profile: F holds points^2
+# floats, 134 MB at this size (the calibrated setup's default grid has 511).
+MAX_GRID_POINTS = 4097
+
 
 class NumericalError(RuntimeError):
     """A profile fit failed, or a calibration left the range it can invert."""
@@ -99,8 +103,12 @@ class GridSpec:
     half_extent_px: float
     spacing_px: float = 0.25
 
+    def size(self) -> int:
+        """Points on the axis: 2 * floor(half_extent / spacing) + 1."""
+        return 2 * int(np.floor(self.half_extent_px / self.spacing_px)) + 1
+
     def axis(self) -> np.ndarray:
-        n = int(np.floor(self.half_extent_px / self.spacing_px))
+        n = self.size() // 2
         return np.arange(-n, n + 1) * self.spacing_px
 
 

@@ -10,10 +10,15 @@ Jumps are sampled as exact event times (exponential waiting times, or
 equivalently uniform order statistics given a Poisson count), so phase
 integrals carry no time-step discretization error.  Every ensemble, one
 realization or many, is a :class:`TrajectoryBatch` of initial signs and
-+inf-padded jump times, and :meth:`TrajectoryBatch.phases` is the one
-phase integrator: it evaluates a whole ascending time grid at once by
-prefix sums over the jumps, and the Monte Carlo moments and the pixel
-phase fields of :mod:`ltgsim.slm` both read their phases from it.
++inf-padded jump times.  Between jumps a phase is linear in t, and
+:meth:`TrajectoryBatch._segments` tabulates those pieces for a whole
+ascending time grid by prefix sums over the jumps: each realization's
+slope and offset per jump segment, and which segment holds each grid time.
+:meth:`TrajectoryBatch.phases` evaluates them, and the pixel phase fields
+of :mod:`ltgsim.slm` read their phases from it.  The Monte Carlo reduction
+reads the same tables and forms cos and sin of the phases by angle
+addition over the segments, so trig runs once per time and once per
+segment, not once per (time, realization).
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -115,35 +120,47 @@ class TrajectoryBatch:
 
             phi(t) = s * ((-1)^c * t - 2 * P_c),
 
-        since each jump flips the slope.  Each jump is binned to the first
-        grid time at or after it (``searchsorted``; the +inf padding falls
-        past the grid), and c follows from one ``bincount`` and a cumulative
-        sum along the grid.  s * (-1)^c and -2 * s * P_c are then gathered
-        from two (jumps + 1, R) tables, the second built from the row prefix
-        sums of the alternating jump times with padding counted as 0.
-        Realizations lie along the contiguous axis, so a per-time sum over
-        them is numpy's pairwise sum.
+        since each jump flips the slope.  The slope s * (-1)^c and the
+        offset -2 * s * P_c are gathered from the tables of
+        :meth:`_segments`.  Realizations lie along the contiguous axis, so a
+        per-time sum over them is numpy's pairwise sum.
         """
         times = np.asarray(times, dtype=float)
         if not np.all(times[1:] >= times[:-1]):
             raise ValueError("time grid must be ascending")
+        if self.jump_times.shape[1] == 0:
+            return times[:, None] * self.signs
+        at_c, slope, offset = self._segments(times)
+        phi = slope.take(at_c)
+        phi *= times[:, None]
+        phi += offset.take(at_c)
+        return phi
+
+    def _segments(self, times: np.ndarray):
+        """The linear pieces of phi on an ascending grid.
+
+        Returns ``(at_c, slope, offset)``: ``slope`` and ``offset`` are the
+        flattened (jumps + 1, R) tables of s * (-1)^c and -2 * s * P_c, and
+        ``at_c`` (T, R) is the flat index of (c, row) for each grid time, so
+        phi = slope.take(at_c) * t + offset.take(at_c).  Each jump is binned
+        to the first grid time at or after it (``searchsorted``; the +inf
+        padding falls past the grid), and ``at_c`` follows from one
+        ``bincount`` and a cumulative sum along the grid.  The offsets come
+        from the row prefix sums of the alternating jump times, padding
+        counted as 0.
+        """
         jt = self.jump_times
         n_t, (n_r, n_j) = times.size, jt.shape
-        if n_j == 0:
-            return times[:, None] * self.signs
         rows = np.arange(n_r)
         bins = np.searchsorted(times, jt) * n_r + rows[:, None]
-        count = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r)
-        c = np.cumsum(count.reshape(n_t + 1, n_r)[:n_t], axis=0)
-        at_c = c * n_r  # flat index of (c, row) in the tables
-        at_c += rows
+        at_c = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r).reshape(n_t + 1, n_r)[:n_t]
+        at_c *= n_r
+        at_c[0] += rows
+        np.cumsum(at_c, axis=0, out=at_c)  # c * n_r + row
         parity = np.where(np.arange(n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^k
         prefix = np.zeros((n_j + 1, n_r))
         np.cumsum((np.where(np.isfinite(jt), jt, 0.0) * parity[1:]).T, axis=0, out=prefix[1:])
-        phi = (parity[:, None] * self.signs).ravel().take(at_c)
-        phi *= times[:, None]
-        phi += (-2.0 * self.signs * prefix).ravel().take(at_c)
-        return phi
+        return at_c, (parity[:, None] * self.signs).ravel(), (-2.0 * self.signs * prefix).ravel()
 
 
 def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
@@ -239,6 +256,8 @@ def mc_exponential_moment(
             "antithetic": antithetic,
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
+            "jump_columns": batch.jump_times.shape[1],
+            "max_stderr": float(np.max(se, initial=0.0)),
         },
         stderr=se,
     )
@@ -250,10 +269,20 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
 
     Without ``imag`` only cos(order * phi) is summed and the imaginary part
     is exactly zero (antithetic pairs).  Rows are taken in ascending tiles
-    of max(1, _TILE_PHASES // T); each tile gets its whole-grid phases from
-    one :meth:`TrajectoryBatch.phases` call, laid out (T, rows), and cos and
-    sin of them are summed per time over the contiguous row axis.  The
-    per-tile sums are added in tile order (deterministic bit pattern).
+    of max(1, _TILE_PHASES // T), laid out (T, rows); the per-time sums run
+    over the contiguous row axis and the per-tile sums are added in tile
+    order (deterministic bit pattern).
+
+    No trig runs per (time, row).  Between jumps m * phi = sigma * m * t + B
+    with sigma = +-1 and B = m * offset, both read from the segment tables
+    of :meth:`TrajectoryBatch._segments`, so by angle addition
+
+        cos(m phi) = cos(m t) * cos B - sin(m t) * (sigma * sin B),
+        sin(m phi) = sin(m t) * (sigma * cos B) + cos(m t) * sin B:
+
+    cos and sin run once per grid time and once per table entry (jumps + 1
+    per row); per phase, each of cos(m phi) and sin(m phi) costs two
+    gathers, two products and a sum.
 
     The variance comes from squares of cos - shift, with ``shift`` the first
     tile's per-time mean: close to the final mean, so the one-pass
@@ -265,12 +294,18 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     total_sq = np.zeros(times.size)  # sum of (cos - shift)^2
     total_im = np.zeros(times.size)
     shift = None
+    cos_mt, sin_mt = np.cos(order * times)[:, None], np.sin(order * times)[:, None]
     rows = max(1, _TILE_PHASES // max(times.size, 1))
     for start in range(0, n, rows):
         tile = slice(start, start + rows)
-        phase = TrajectoryBatch(batch.signs[tile], batch.jump_times[tile]).phases(times)
-        phase *= order
-        v = np.cos(phase)
+        at_c, sigma, b = TrajectoryBatch(batch.signs[tile], batch.jump_times[tile])._segments(times)
+        b *= order
+        cos_b, sin_b = np.cos(b), np.sin(b)
+        v = cos_b.take(at_c)
+        v *= cos_mt
+        w = (sigma * sin_b).take(at_c)
+        w *= sin_mt
+        v -= w  # cos(m phi)
         tile_sum = v.sum(axis=1)
         total += tile_sum
         if shift is None:
@@ -279,7 +314,12 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
         v *= v
         total_sq += v.sum(axis=1)
         if imag:
-            total_im += np.sin(phase).sum(axis=1)
+            v = (sigma * cos_b).take(at_c)
+            v *= sin_mt
+            w = sin_b.take(at_c)
+            w *= cos_mt
+            v += w  # sin(m phi)
+            total_im += v.sum(axis=1)
     mean = total / n
     var = np.clip(total_sq / n - (mean - shift) ** 2, 0.0, None)
     se = np.sqrt(var / max(n - 1, 1))

@@ -16,6 +16,7 @@ from ltgsim.cli import (
     run_config,
     validate_config,
 )
+from ltgsim.rtn import RtnParams, SeedSpec, sample_batch
 from ltgsim.series import MONTE_CARLO, CoherenceSeries
 
 FAST_GRID = {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 40}
@@ -177,8 +178,17 @@ def test_mc_moment_has_stderr_column():
             "rtn": {"gamma": 1.0},
         }
     )
-    header = data_section(files["mc_moment.csv"]).splitlines()[0]
+    text = files["mc_moment.csv"]
+    header = data_section(text).splitlines()[0]
     assert header.endswith("stderr")
+    # The series metadata says how wide the jump table was and how well the
+    # estimate is pinned down; neither enters the data section.
+    line = next(l for l in text.splitlines() if l.startswith("# series = "))
+    series = json.loads(line[len("# series = "):])
+    batch = sample_batch(RtnParams(1.0, 2.0), 1000, SeedSpec(12345, 0))
+    assert series["jump_columns"] == batch.jump_times.shape[1] > 0
+    stderr = np.array([float(row.split(",")[-1]) for row in data_section(text).splitlines()[1:]])
+    assert series["max_stderr"] == stderr.max() > 0
 
 
 # One small config per command, for the output layout test.
@@ -293,6 +303,46 @@ def test_cli_main_validate_rejects_unbounded_sampling(tmp_path, capsys, monkeypa
         {"command": "transition-spectral", "spectral": {"widths_nm": [15.0, float("nan")]}}
     ))
     assert "spectral.widths_nm[1]: nan is not a finite number" in diags
+
+
+def test_cli_main_validate_bounds_profile_grid(tmp_path, capsys, monkeypatch):
+    # The profile grid is sized from theta_0 (beam width ~ 1 / theta_0): at
+    # theta_0 = 100 it has one point and the width fits crashed; at 1e-3 it
+    # has 14 929 points per axis (~1.8 GB per array).  Both must stop at
+    # validation, before any profile is built (joint_profile is stubbed).
+    def no_profile(*args, **kwargs):
+        raise AssertionError("profile built for a config that fails validation")
+
+    monkeypatch.setattr(cli.optics, "joint_profile", no_profile)
+    cfg = tmp_path / "cfg.json"
+    for theta_0, points in ((100, "1"), (1e-3, "14929"), (1e-320, "inf")):
+        cfg.write_text(json.dumps({"command": "optics-table", "optics": {"theta_0": theta_0}}))
+        message = f"optics: theta_0 {theta_0!r} sizes the profile grid at {points} points"
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith(message)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: " + message)
+    assert not (tmp_path / "out").exists()
+    # the calibrated angle sizes the grid at 511 points
+    assert validate_config(resolve_config({"command": "optics-table"})) == []
+
+
+def test_cli_main_validate_bounds_mc_rows(tmp_path, capsys):
+    # At gamma = 0 no jump is expected, but 1e10 rows would need 80 GB for
+    # their signs alone.  Validated only: this config is never run.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "mc-moment", "rtn": {"gamma": 0.0},
+                               "mc": {"n_real": 10_000_000_000}}))
+    assert main(["--config", str(cfg), "--validate"]) == 1
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == ["mc: n_real 10000000000 trajectories exceed the 100,000,000 "
+                   "(~0.8 GB per array) a run may sample"]
+    # the ceiling itself is allowed
+    assert validate_config(resolve_config(
+        {"command": "mc-moment", "rtn": {"gamma": 0.0}, "mc": {"n_real": 100_000_000}}
+    )) == []
 
 
 def test_cli_main_missing_file(tmp_path, capsys):

@@ -289,20 +289,33 @@ def test_mc_standard_error_scaling():
 
 
 def test_mc_plain_is_direct_mean_over_same_draws():
-    # Plain mode takes cos and sin from one phase pass; the oracle is the
-    # direct mean of exp(i m phi) over the same sample_batch draws, all rows
-    # integrated at once.  At 400 points the reduction runs in tiles of
-    # 163 rows, and 1000 rows leave a partial last tile.
-    params = RtnParams(1.3, 2.0)
+    # Plain mode forms cos and sin of m * phi by angle addition over the jump
+    # segments; the oracle is the direct mean of exp(i m phi) over the same
+    # sample_batch draws, all rows integrated at once.  At 400 points the
+    # reduction runs in tiles of 163 rows, and 1000 rows leave a partial last
+    # tile.  Order 3 is not a power of two, so m times a segment offset is
+    # not exact, and at t_max = 200 the arguments reach 600.
     assert 1000 % (rtn._TILE_PHASES // 400) and 1000 > rtn._TILE_PHASES // 400
-    for points, n_real in ((9, 3000), (400, 1000)):
-        times = np.linspace(0, 2, points)
-        phi = sample_batch(params, n_real, SeedSpec(8)).phases(times)
-        for order in (1, 2, 4):
+    for gamma, t_max, points, n_real, orders in ((1.3, 2.0, 9, 3000, (1, 2, 4)),
+                                                 (1.3, 2.0, 400, 1000, (1, 2, 4)),
+                                                 (0.0, 200.0, 400, 1000, (3,)),
+                                                 (20.0, 200.0, 400, 1000, (3,))):
+        params = RtnParams(gamma, t_max)
+        times = np.linspace(0, t_max, points)
+        batch = sample_batch(params, n_real, SeedSpec(8))
+        phi = batch.phases(times)
+        for order in orders:
             series = mc_exponential_moment(params, order, times, n_real, SeedSpec(8), antithetic=False)
             expect = np.exp(1j * order * phi).mean(axis=1)
             assert np.max(np.abs(series.values - expect)) < 1e-12
-            assert np.allclose(series.stderr, np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(n_real))
+            want_se = np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(n_real)
+            assert np.max(np.abs(series.stderr - want_se)) < 1e-12
+    # At gamma = 0, phi = s * t: every row reads cos(m t), and sin(m t) with its sign.
+    params, times = RtnParams(0.0, 200.0), np.linspace(0.0, 200.0, 400)
+    s_mean = sample_batch(params, 1000, SeedSpec(8)).signs.mean()
+    zero = mc_exponential_moment(params, 3, times, 1000, SeedSpec(8), antithetic=False)
+    assert np.max(np.abs(zero.values.real - np.cos(3 * times))) < 1e-15
+    assert np.max(np.abs(zero.values.imag - s_mean * np.sin(3 * times))) < 1e-15
 
 
 def test_mc_stderr_matches_two_pass_oracle():
@@ -316,3 +329,4 @@ def test_mc_stderr_matches_two_pass_oracle():
     dev = v - v.mean(axis=1, keepdims=True)
     want = np.sqrt((dev * dev).sum(axis=1) / n_real / (n_real - 1))
     np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
+
