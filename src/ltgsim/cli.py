@@ -234,6 +234,14 @@ def validate_config(config: dict) -> list[str]:
             f"optics: theta_0 {theta_0!r} sizes the profile grid at {points} points per axis, "
             f"outside the 3 to {optics.MAX_GRID_POINTS} a profile may sample"
         )
+    else:  # a beam narrower than a few grid spacings cannot be fitted
+        setup = optics.PdcSetup(theta_0=theta_0)
+        spacings = optics.expected_wp_px(setup) / optics.default_grid(setup).spacing_px
+        if spacings < optics.MIN_WP_SPACINGS:
+            diags.append(
+                f"optics: theta_0 {theta_0!r} gives an expected beam width of {spacings:.3g} "
+                f"grid spacings, fewer than the {optics.MIN_WP_SPACINGS} a width fit resolves"
+            )
     if config["grid"]["t_max"] <= config["grid"]["t_min"]:
         diags.append("grid: t_max must exceed t_min")
     for key, values in (("deltas", config["deltas"]),

@@ -205,9 +205,9 @@ def _pattern_coherence(kernel: CorrelationKernel, n_r: int, h_values: np.ndarray
     z = np.exp(1j * rect_phase_pattern(n_pix, n_r))
     a = np.einsum("j,jk->k", z, kernel.weights, optimize=False)
     re = np.empty(h_values.size)
-    for i, h in enumerate(h_values):
-        shifted, ok = _on_mask(n_pix, h)
-        re[i] = np.einsum("k,k->", a[ok], z[shifted[ok]], optimize=False).real
+    for i, h in enumerate(h_values.tolist()):
+        on = _on_mask(n_pix, h)
+        re[i] = np.einsum("k,k->", a[on], z[on.start + h:on.stop + h], optimize=False).real
     return np.clip(re, -1.0, 1.0)
 
 

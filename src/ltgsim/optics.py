@@ -60,6 +60,11 @@ MAX_SPECTRAL_WIDTH_NM = 120.0
 # floats, 134 MB at this size (the calibrated setup's default grid has 511).
 MAX_GRID_POINTS = 4097
 
+# Floor on the expected beam width in grid spacings: a fit to a narrower
+# marginal reads the grid, not the beam (at theta_0 = 2, 1.2 spacings, it
+# returned 1.33 px for an expected 0.29 px).
+MIN_WP_SPACINGS = 4
+
 
 class NumericalError(RuntimeError):
     """A profile fit failed, or a calibration left the range it can invert."""

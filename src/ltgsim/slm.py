@@ -40,10 +40,16 @@ block pairs rather than pixel pairs:
     z[b, t] = exp(2i * phi_block(b, t)),
 
 where B[b1, b2] sums the on-mask weights of every pixel pair (j, k) with
-j in block b1 of field 1 and k + delta in block b2 of field 2.  At n_rep
-= 3 that is 108 x 108 terms per time instead of 320 x 320.  B is built by
-one ``np.bincount`` and the contraction by single-threaded einsum, both
-in a fixed order, so the result does not depend on the thread count.
+j in block b1 of field 1 and k + delta in block b2 of field 2.  Each block
+covers one run of consecutive offsets, so B comes from two run sums (the
+kernel rows of each field-1 block, then the on-mask columns of each
+field-2 block, each added in pixel order), and ``build_phase_field``
+takes the phasors z once per field.  B is banded: a pixel pair only carries weight within a few w_cp of
+the diagonal, so the contraction runs over fixed groups of block rows, each
+over the column range that holds its nonzeros; entries below the smallest
+normal float are set to zero first (their weight is reported).  Every
+contraction is a single-threaded einsum in a fixed order, so the result
+does not depend on the thread count.
 ``phasor_sum`` keeps the literal pixel contraction for arbitrary (not
 blockwise) mask phases.  No model path calls it: it is the pixel-level
 oracle that the tests hold this block sum and the calibration's pattern
@@ -137,13 +143,15 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
     diff = np.concatenate([dj[0] - dk[:0:-1], dj - dk[0]])
     corr_diff = np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n)
     corr = sliding_window_view(corr_diff, dk.size)[:, ::-1]
-    envelope = (np.exp(-2.0 * dj[:, None] ** 2 / params.w_p**2)
-                * np.exp(-2.0 * dk[None, :] ** 2 / params.w_p**2))
-    w = corr * envelope
+    # One (n, n) array, scaled in place: a kernel is the largest array of a sweep.
+    w = (np.exp(-2.0 * dj[:, None] ** 2 / params.w_p**2)
+         * np.exp(-2.0 * dk[None, :] ** 2 / params.w_p**2))
+    w *= corr
     total = w.sum()
     if total <= 0:
         raise ValueError("kernel has no support on the mask")
-    return CorrelationKernel(w / total, params)
+    w /= total
+    return CorrelationKernel(w, params)
 
 
 @dataclass
@@ -153,17 +161,26 @@ class PhaseField:
     The field is constant within blocks of ``params["n_rep"]`` consecutive
     offsets.  ``phi_blocks[b, g]`` is the phase of block b (row b of
     ``blocks``, the trajectories behind the field) at grid time
-    ``times[g]``, and ``block_index[i]`` is the block that offset index i
-    (offset i - n/2 relative to the reference pixel) carries.  The
-    per-pixel array ``phi`` is derived from these on access.
+    ``times[g]``, ``phasors[b, g]`` is exp(2i * phi_blocks[b, g]), and
+    ``block_index[i]`` is the block that offset index i (offset i - n/2
+    relative to the reference pixel) carries.  Blocks are numbered along
+    the mask: block_index runs 0, 0, .., 1, 1, .. and steps by one, so each
+    block is one run of consecutive offsets.  The per-pixel array ``phi``
+    is derived from these on access.
     """
 
     phi_blocks: np.ndarray
+    phasors: np.ndarray
     times: np.ndarray
     block_index: np.ndarray
     blocks: TrajectoryBatch
     geometry: MaskGeometry
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        steps = np.diff(self.block_index)
+        if self.block_index[0] != 0 or np.any((steps != 0) & (steps != 1)):
+            raise ValueError("block_index must number the blocks along the mask, one run each")
 
     @property
     def phi(self) -> np.ndarray:
@@ -219,11 +236,21 @@ def build_phase_field(
     # count (a stride of 1000 is ample for any n_rep >= 1).
 
     # One whole-grid integration of the independent rows; a mirrored twin
-    # reads exactly -phi (negation is exact), so it is not integrated again.
-    phi = np.ascontiguousarray(base.phases(times).T)
+    # reads exactly -phi (negation is exact), so it is not integrated again,
+    # and its phasor is conj(z), bit for bit exp(2i * -phi).
+    # Both tables are filled in place, without temporaries of their size.
+    phi = np.empty((2 * n_indep, times.size))
+    phi[:n_indep] = base.phases(times).T
+    np.negative(phi[:n_indep], out=phi[n_indep:])
+    phasors = np.empty(phi.shape, dtype=complex)
+    z = phasors[:n_indep]
+    np.multiply(phi[:n_indep], 2j, out=z)
+    np.exp(z, out=z)
+    np.conjugate(z, out=phasors[n_indep:])
     block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
     return PhaseField(
-        phi_blocks=np.concatenate([phi, -phi]),
+        phi_blocks=phi,
+        phasors=phasors,
         times=times,
         block_index=np.concatenate([block_half, block_half + n_indep]),
         blocks=stack_batches([base, base.mirrored()]),
@@ -237,13 +264,18 @@ def build_phase_field(
     )
 
 
-def _on_mask(n_pix: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
-    """Half-2 index i + delta of each kernel column i, and which stay on the mask."""
-    shifted = np.arange(n_pix) + int(delta)
-    ok = (shifted >= 0) & (shifted < n_pix)
-    if not ok.any():
+# Block rows per einsum in the banded contraction of ``kernel_coherence``.
+# Any group size gives the same bits (only exact zeros are skipped); 6 rows
+# measured fastest at n_rep = 3.
+_BAND_ROWS = 6
+
+
+def _on_mask(n_pix: int, delta: int) -> slice:
+    """Kernel columns i whose half-2 index i + delta stays on the mask."""
+    on = slice(max(0, -delta), min(n_pix, n_pix - delta))
+    if on.start >= on.stop:
         raise ValueError(f"shift delta={delta} moves every pixel off the mask")
-    return shifted, ok
+    return on
 
 
 def phasor_sum(
@@ -269,11 +301,67 @@ def phasor_sum(
         raise ValueError("phase arrays do not match the kernel pixel count")
     if slm_phases1.shape[1] != slm_phases2.shape[1]:
         raise ValueError("phase arrays must share one time grid")
-    shifted, ok = _on_mask(n_pix, delta)
-    z1 = np.exp(1j * slm_phases1)                 # (n_pix, T)
-    z2 = np.exp(1j * slm_phases2[shifted[ok]])    # (n_ok, T)
-    m = np.einsum("jk,kt->jt", kernel.weights[:, ok], z2, optimize=False)
+    delta = int(delta)
+    on = _on_mask(n_pix, delta)
+    z1 = np.exp(1j * slm_phases1)                                   # (n_pix, T)
+    z2 = np.exp(1j * slm_phases2[on.start + delta:on.stop + delta])  # (n_on, T)
+    m = np.einsum("jk,kt->jt", kernel.weights[:, on], z2, optimize=False)
     return (z1 * m).sum(axis=0)
+
+
+def _run_sums(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sums of the rows of ``a`` over each run of equal entries of ``index``.
+
+    Each run's rows are added one by one in row order, all runs at once.
+    """
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    lengths = np.diff(starts, append=index.size)
+    out = a[starts]
+    for r in range(1, lengths.max()):
+        more = lengths > r
+        out[more] += a[starts[more] + r]
+    return out
+
+
+def _block_table(weights: np.ndarray, index1: np.ndarray, index2: np.ndarray) -> np.ndarray:
+    """Sums of ``weights`` over the runs of ``index1`` (rows), then of ``index2`` (columns).
+
+    Row b of the result is the b-th run of ``index1``, column c the c-th
+    run of ``index2``; the result is C-contiguous.
+    """
+    return np.ascontiguousarray(_run_sums(_run_sums(weights, index1).T, index2).T)
+
+
+def _band_product(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``table @ z`` as one einsum per group of block rows, over its nonzero columns.
+
+    einsum accumulates each output entry term by term in column order, so
+    leaving out exact zeros keeps every bit: the result equals
+    ``np.einsum("ab,bt->at", table, z, optimize=False)``.
+    """
+    n_rows, n_cols = table.shape
+    nonzero = table != 0
+    cols = np.arange(n_cols)
+    starts = np.arange(0, n_rows, _BAND_ROWS)
+    lo = np.minimum.reduceat(np.where(nonzero, cols, n_cols).min(axis=1), starts)
+    hi = np.maximum.reduceat(np.where(nonzero, cols + 1, 0).max(axis=1), starts)
+    out = np.zeros((n_rows, z.shape[1]))
+    for r, c0, c1 in zip(starts.tolist(), lo.tolist(), hi.tolist()):
+        if c0 < c1:
+            band = slice(r, r + _BAND_ROWS)
+            np.einsum("ab,bt->at", table[band, c0:c1], z[c0:c1], out=out[band], optimize=False)
+    return out
+
+
+def _class_masses(table: np.ndarray, first: int, n_blocks: int) -> dict:
+    """Weight of B on same-block, mirror-twin and independent pairs of one field."""
+    gap = np.abs(np.arange(table.shape[0])[:, None] - (first + np.arange(table.shape[1])))
+    same, mirror = gap == 0, gap == n_blocks // 2
+    return {
+        "m_same": float(table[same].sum()),
+        "m_mirror": float(table[mirror].sum()),
+        "m_indep": float(table[~(same | mirror)].sum()),
+    }
 
 
 def kernel_coherence(
@@ -290,12 +378,23 @@ def kernel_coherence(
     function across both halves; ``delta`` shifts the half-2 phase array
     in pixels.
 
-    The sum runs over block pairs: the on-mask kernel weights are binned
-    into B[b1, b2] by one ``np.bincount`` in row-major pixel order, and
-    Gamma(t) = sum_b1 z1[b1, t] * sum_b2 B[b1, b2] z2[b2, t] with
-    z = exp(2i * phi_blocks), contracted by single-threaded einsum.  As in
+    The sum runs over block pairs.  The on-mask kernel weights are summed
+    into B[b1, b2] over runs: rows over the blocks of field 1, then the
+    on-mask column slice over the blocks of field 2 it reads.  Entries of B
+    below ``np.finfo(float).tiny`` (the kernel's underflowing Gaussian
+    tails) are set to zero, so no product is subnormal; their weight is
+    ``params["flushed_mass"]``.  Then Gamma(t) = sum_b1 z1[b1, t] *
+    sum_b2 B[b1, b2] z2[b2, t], with the phasors z each field holds,
+    contracted by single-threaded einsum over the band of B only (groups
+    of ``_BAND_ROWS`` block rows, each over its nonzero columns).  As in
     ``phasor_sum``, pairs shifted off the mask are dropped without
-    renormalizing; their weight is recorded as ``params["lost_mass"]``.
+    renormalizing; their weight is ``params["lost_mass"]``.
+
+    With one shared field, ``params`` also holds the class masses of B:
+    ``m_same`` (both pixels in one block, phasor e^{4i phi}), ``m_mirror``
+    (a block and its mirror twin, phasor 1) and ``m_indep`` (independent
+    blocks).  The ensemble mean of Gamma is m_same * M4(t) + m_mirror +
+    m_indep * M2(t)^2, with M_m the moments of ``analytic.exponential_moment``.
     """
     if field1.geometry != kernel.params.geometry or field2.geometry != kernel.params.geometry:
         raise ValueError("kernel and phase fields must share one mask geometry")
@@ -304,30 +403,37 @@ def kernel_coherence(
     ):
         raise ValueError("phase fields must share one time grid")
     w = kernel.weights
-    shifted, ok = _on_mask(w.shape[0], delta)
-    n2 = field2.n_blocks()
-    pair = field1.block_index[:, None] * n2 + field2.block_index[shifted[ok]][None, :]
-    block_w = np.bincount(
-        pair.ravel(), weights=w[:, ok].ravel(), minlength=field1.n_blocks() * n2
-    ).reshape(-1, n2)
-    z1 = np.exp(1j * (2.0 * field1.phi_blocks))
-    z2 = z1 if field2 is field1 else np.exp(1j * (2.0 * field2.phi_blocks))
-    # block_w is real, so contract it with the interleaved (re, im) floats
-    # of z2: the same products as a complex einsum, ~5x faster.
-    m = np.einsum("ab,bt->at", block_w, z2.view(float), optimize=False).view(complex)
-    values = (z1 * m).sum(axis=0)
+    delta = int(delta)
+    on = _on_mask(w.shape[0], delta)
+    off = np.ones(w.shape[1], dtype=bool)
+    off[on] = False
+    # Column c of B is block first + c of field 2: B spans only the blocks
+    # the shifted kernel reads.
+    index2 = field2.block_index[on.start + delta:on.stop + delta]
+    table, first = _block_table(w[:, on], field1.block_index, index2), int(index2[0])
+    flushed = table < np.finfo(float).tiny
+    flushed_mass = float(table[flushed].sum())
+    table[flushed] = 0.0
+    # B is real, so it contracts the interleaved (re, im) floats of z2: the
+    # same products as a complex einsum at a fraction of the cost.
+    z2 = field2.phasors[first:first + table.shape[1]].view(float)
+    m = _band_product(table, z2).view(complex)
+    values = np.multiply(field1.phasors, m, out=m).sum(axis=0)
+    shared = field2 is field1
     return CoherenceSeries(
         field1.times,
         values,
         KERNEL_SUM,
         params={
-            "delta": int(delta),
-            "lost_mass": float(w[:, ~ok].sum()),
+            "delta": delta,
+            "lost_mass": float(w[:, off].sum()),
+            "flushed_mass": flushed_mass,
+            **(_class_masses(table, first, field1.n_blocks()) if shared else {}),
             "w_cp": kernel.params.w_cp,
             "w_p": kernel.params.w_p,
             "n": kernel.params.n,
             "n_rep": field1.params["n_rep"],
-            "shared_field": field2 is field1,
+            "shared_field": shared,
             **{k: field1.params.get(k) for k in ("gamma", "master_seed", "stream_index")},
         },
     )

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ltgsim import cli
+from ltgsim import cli, optics
 from ltgsim.cli import (
     ConfigError,
     data_section,
@@ -327,6 +327,31 @@ def test_cli_main_validate_bounds_profile_grid(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
     # the calibrated angle sizes the grid at 511 points
     assert validate_config(resolve_config({"command": "optics-table"})) == []
+
+
+def test_cli_main_validate_rejects_beam_finer_than_grid(tmp_path, capsys, monkeypatch):
+    # At theta_0 = 7.4 (3 grid points) and 2 (7 points) the expected beam
+    # width is 0.079 and 0.29 px, 0.3 and 1.2 grid spacings; the width fits
+    # returned 0.43 and 1.33 px for them with no flag.  Both must stop at
+    # validation; the calibrated angle (80 spacings) passes.
+    def no_profile(*args, **kwargs):
+        raise AssertionError("profile built for a config that fails validation")
+
+    monkeypatch.setattr(cli.optics, "joint_profile", no_profile)
+    cfg = tmp_path / "cfg.json"
+    for theta_0 in (7.4, 2):
+        cfg.write_text(json.dumps({"command": "optics-table", "optics": {"theta_0": theta_0}}))
+        message = f"optics: theta_0 {theta_0!r} gives an expected beam width of"
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith(message)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: " + message)
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(json.dumps({"command": "optics-table",
+                               "optics": {"theta_0": optics.THETA0_CALIBRATED}}))
+    assert main(["--config", str(cfg), "--validate"]) == 0
 
 
 def test_cli_main_validate_bounds_mc_rows(tmp_path, capsys):

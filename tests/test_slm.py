@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
+from ltgsim import slm
+from ltgsim.analytic import exponential_moment
 from ltgsim.rtn import SeedSpec
 from ltgsim.slm import (
     CorrelationKernel,
@@ -254,10 +256,14 @@ def test_block_contraction_matches_pixel_sum(shared, n_rep):
     # field uses another block size, so the block weight matrix is not
     # square.  The w_p = 200 kernel loses ~9 % of its mass off the mask at
     # delta = 150.
+    # The (20, n = 4) and w_cp = 8 kernels have the widest bands of B in
+    # the presets.
     f1 = build_phase_field(2.0, TIMES, n_rep, GEO, SeedSpec(31))
     other = f1 if shared else build_phase_field(2.0, TIMES, 5, GEO, SeedSpec(31, 1000))
     for k in (build_kernel(KernelParams(3.0, 20.0, 2, GEO)),
-              build_kernel(KernelParams(3.0, 200.0, 2, GEO))):
+              build_kernel(KernelParams(3.0, 200.0, 2, GEO)),
+              build_kernel(KernelParams(20.0, 20.0, 4, GEO)),
+              build_kernel(KernelParams(8.0, 20.0, 2, GEO))):
         for delta in (-5, 0, 3, 150):
             shifted = np.arange(320) + delta
             lost = k.weights[:, (shifted < 0) | (shifted >= 320)].sum()
@@ -266,6 +272,78 @@ def test_block_contraction_matches_pixel_sum(shared, n_rep):
             assert np.max(np.abs(series.values - pixel)) < 1e-13
             assert series.params["lost_mass"] == lost
             assert series.params["shared_field"] == shared
+
+
+@pytest.mark.parametrize("n_rep", [1, 3, 7])
+def test_banded_contraction_equals_dense_einsum(n_rep, monkeypatch):
+    # The banded product skips only exact zeros of the block table, so at
+    # any group size it equals the dense einsum on the same table bit for
+    # bit: banding can never drop weight.
+    fld = build_phase_field(1.0, TIMES, n_rep, GEO, SeedSpec(32))
+    z = fld.phasors.view(float)
+    for kp in (KernelParams(3.0, 20.0, 2, GEO), KernelParams(20.0, 20.0, 4, GEO),
+               KernelParams(8.0, 20.0, 2, GEO), KernelParams(3.0, 200.0, 2, GEO)):
+        w = build_kernel(kp).weights
+        for delta in (-5, 0, 3):
+            on = slm._on_mask(320, delta)
+            index2 = fld.block_index[on.start + delta:on.stop + delta]
+            table = slm._block_table(w[:, on], fld.block_index, index2)
+            table[table < np.finfo(float).tiny] = 0.0
+            z2 = z[index2[0]:index2[0] + table.shape[1]]
+            dense = np.einsum("ab,bt->at", table, z2, optimize=False)
+            for rows in (1, 6, 200):
+                monkeypatch.setattr(slm, "_BAND_ROWS", rows)
+                assert np.array_equal(slm._band_product(table, z2), dense)
+
+
+def test_phasors_are_mirror_conjugates():
+    fld = build_phase_field(1.0, TIMES, 3, GEO, SeedSpec(33))
+    assert np.array_equal(fld.phasors, np.exp(1j * (2.0 * fld.phi_blocks)))
+    assert np.array_equal(fld.phasors[54:], fld.phasors[:54].conj())
+
+
+def test_class_masses_sum_to_one():
+    # The three class masses, the weight shifted off the mask and the
+    # weight flushed from B as subnormal account for the whole kernel.
+    for n_rep in (1, 3, 320):
+        fld = build_phase_field(0.5, TIMES, n_rep, GEO, SeedSpec(34))
+        for kp in (KernelParams(3.0, 20.0, 2, GEO), KernelParams(20.0, 20.0, 4, GEO),
+                   KernelParams(3.0, 200.0, 2, GEO)):
+            k = build_kernel(kp)
+            for delta in (-5, 0, 3, 150):
+                p = kernel_coherence(k, fld, fld, delta).params
+                total = (p["m_same"] + p["m_mirror"] + p["m_indep"]
+                         + p["lost_mass"] + p["flushed_mass"])
+                assert abs(total - 1.0) <= 1e-15
+                assert min(p["m_same"], p["m_mirror"], p["m_indep"], p["flushed_mass"]) >= 0.0
+    # independent fields have no class masses
+    other = build_phase_field(0.5, TIMES, 3, GEO, SeedSpec(34, 1000))
+    assert "m_same" not in kernel_coherence(k, fld, other, 0).params
+
+
+@pytest.mark.parametrize("gamma", [0.12, 1.0])
+def test_seed_mean_matches_exact_ensemble_mean(gamma):
+    # Same-block pairs see e^{4i phi} (mean M4), a block and its mirror twin
+    # see 1, independent blocks M2^2, so the ensemble mean of the kernel sum
+    # is m_same M4 + m_mirror + m_indep M2^2.  n_rep = 320 puts mass on the
+    # mirror class.  The floor covers float rounding where the spread
+    # across seeds vanishes (t = 0).
+    n_seeds = 200
+    times = np.linspace(0.0, 2.0 * np.pi, 30)
+    m2, m4 = exponential_moment(gamma, 2, times), exponential_moment(gamma, 4, times)
+    w3, w8 = (build_kernel(KernelParams(w_cp, 20.0, 2, GEO)) for w_cp in (3.0, 8.0))
+    cases = ((3, [(w3, 3), (w3, 0), (w8, 0)]), (320, [(w3, 2)]))
+    for n_rep, reads in cases:
+        fields = [build_phase_field(gamma, times, n_rep, GEO, SeedSpec(s)) for s in range(n_seeds)]
+        for k, delta in reads:
+            runs = [kernel_coherence(k, fld, fld, delta) for fld in fields]
+            p = runs[0].params
+            exact = p["m_same"] * m4 + p["m_mirror"] + p["m_indep"] * m2**2
+            values = np.array([series.values for series in runs])
+            for part, want in ((values.real, exact), (values.imag, 0.0)):
+                se = part.std(axis=0, ddof=1) / np.sqrt(n_seeds)
+                assert np.all(np.abs(part.mean(axis=0) - want) <= 5.0 * se + 1e-14), p
+    assert p["m_mirror"] > 0.1
 
 
 # ---------------------------------------------------------------------------
