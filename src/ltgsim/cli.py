@@ -295,13 +295,17 @@ def _table_csv(config: dict, meta: dict, columns: dict) -> str:
     line, the header row, then one row per index of the equal-length
     ``columns``.  Integer columns are written as integers and float columns
     as ``repr(float)``; a non-finite float in any column refuses the table.
+    A column object passed under several names is formatted once.
     """
-    cells = []
+    formatted = {}  # id of a column object -> its cell strings
     for name, col in columns.items():
-        col = np.asarray(col)
-        if not np.issubdtype(col.dtype, np.integer) and not np.all(np.isfinite(col)):
+        if id(col) in formatted:
+            continue
+        values = np.asarray(col)
+        if not np.issubdtype(values.dtype, np.integer) and not np.all(np.isfinite(values)):
             raise ValueError(f"refusing to write non-finite {name} data")
-        cells.append([repr(x) for x in col.tolist()])
+        formatted[id(col)] = [repr(x) for x in values.tolist()]
+    cells = [formatted[id(col)] for col in columns.values()]
     lines = [
         f"# ltgsim = {__version__}",
         f"# rng = PCG64 (numpy {np.__version__}); streams via "

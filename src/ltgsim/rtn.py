@@ -155,7 +155,7 @@ class TrajectoryBatch:
         bins = np.searchsorted(times, jt) * n_r + rows[:, None]
         at_c = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r).reshape(n_t + 1, n_r)[:n_t]
         at_c *= n_r
-        at_c[0] += rows
+        at_c[:1] += rows  # a slice: an empty grid has no first time
         np.cumsum(at_c, axis=0, out=at_c)  # c * n_r + row
         parity = np.where(np.arange(n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^k
         prefix = np.zeros((n_j + 1, n_r))

@@ -212,7 +212,7 @@ def build_phase_field(
     needs an even number of pixels per half.  Every block starts from the
     stationary ensemble (initial sign +1 with probability 1/2).
 
-    ``times`` must be ascending.  The phases of every independent block
+    ``times`` must be ascending and non-empty.  The phases of every independent block
     come from one :meth:`TrajectoryBatch.phases` call over the whole grid.
     """
     times = np.asarray(times, dtype=float)
@@ -221,8 +221,9 @@ def build_phase_field(
     n_pix = geometry.pixels_per_half
     if n_pix % 2:
         raise ValueError("phase fields need an even number of pixels per half")
-    t_max = float(times.max()) if times.size else 1.0
-    params = RtnParams(gamma=gamma, t_max=t_max)
+    if times.size == 0:
+        raise ValueError("phase fields need at least one time point")
+    params = RtnParams(gamma=gamma, t_max=float(times.max()))
 
     span = n_pix // 2
     n_indep = -(-span // n_rep)  # ceil

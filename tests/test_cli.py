@@ -226,6 +226,17 @@ def test_non_finite_cell_refused():
         cli.series_csv(series, resolve_config({"command": "mc-moment"}))
 
 
+def test_shared_column_written_like_a_copy():
+    # series_csv passes one magnitude array as two columns; formatting it
+    # once must give the bytes of two separately formatted columns.
+    cfg = resolve_config({"command": "mc-moment"})
+    x = np.array([0.1, 1.0 / 3.0, 2.5e-300])
+    assert cli._table_csv(cfg, {}, {"a": x, "b": x}) == cli._table_csv(cfg, {}, {"a": x, "b": x.copy()})
+    bad = np.array([1.0, np.inf])
+    with pytest.raises(ValueError, match="non-finite a data"):
+        cli._table_csv(cfg, {}, {"a": bad, "b": bad})
+
+
 def test_rerun_is_byte_identical():
     cfg = {
         "command": "transition-delta",

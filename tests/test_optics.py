@@ -226,6 +226,64 @@ def test_fits_reach_scipy_residual(monkeypatch):
         assert resid <= np.sum((y - model(x, *popt)) ** 2) * (1 + 1e-9), (order, guess)
 
 
+@pytest.mark.parametrize("order", [2, 4])
+def test_newton_terms_match_finite_differences(order):
+    # Gradient and Hessian of half the residual sum against central
+    # differences of the residual sum alone, at a point with large,
+    # asymmetric residuals and with u = (x - c) / w = 0 on the grid.
+    x = np.arange(-60, 61) * 0.25
+    y = np.exp(-np.abs(x - 0.3)) + 0.2 * (x > 2.0)
+    p0 = np.array([0.8, 1.25, 3.0])
+
+    def half_cost(p):
+        a, c, w = p
+        return 0.5 * np.sum((y - a * np.exp(-2.0 * ((x - c) / w) ** order)) ** 2)
+
+    a, c, w = p0
+    u = (x - c) / w
+    e = np.exp(-2.0 * u**order)
+    _, grad, hess = optics._newton_terms(u, e, y - a * e, a, w, order)
+    h, eye = 1e-4, np.eye(3)
+    fd_grad = [(half_cost(p0 + h * d) - half_cost(p0 - h * d)) / (2 * h) for d in eye]
+    fd_hess = [[(half_cost(p0 + h * (di + dj)) - half_cost(p0 + h * (di - dj))
+                 - half_cost(p0 - h * (di - dj)) + half_cost(p0 - h * (di + dj))) / (4 * h * h)
+                for dj in eye] for di in eye]
+    assert np.allclose(-grad, fd_grad, rtol=1e-6, atol=1e-8)
+    assert np.allclose(hess, fd_hess, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("guess", [2.0, 8.0, 12.0])
+def test_fit_recovers_off_centre_profile(order, guess):
+    # Noise-free data off the origin, so the fit has to move c: the centre
+    # rows of the exact Hessian are exercised, which symmetric profiles
+    # never reach.  A zero residual pins a and c along with the width.
+    x = np.linspace(-20.0, 20.0, 401)
+    y = 0.7 * np.exp(-2.0 * np.abs(x - 1.3) ** order / 4.0**order)
+    width, resid = optics.curve_fit(x, y, order, guess)
+    assert width == pytest.approx(4.0, abs=1e-8)
+    assert resid < 1e-12
+
+
+def test_fit_rejects_unsupported_order():
+    x = np.linspace(-10.0, 10.0, 81)
+    with pytest.raises(ValueError, match="order 2 or 4"):
+        optics.curve_fit(x, np.exp(-np.abs(x) ** 3), 3, 3.0)
+
+
+def test_width_fits_converge_in_few_steps(monkeypatch):
+    # Newton steps on the exact Hessian: every fit of the presets' width
+    # tables and of the angle calibration converges well inside 20
+    # residual evaluations (Gauss-Newton needed up to 50).
+    from ltgsim.cli import PRESETS, resolve_config
+
+    monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 20)
+    widths = set(PRESETS["fig4-right"]["spectral"]["widths_nm"])
+    widths |= set(resolve_config({"command": "optics-table"})["optics"]["widths_nm"])
+    wcp_curve(SETUP, sorted(widths))
+    calibrate_theta0(PdcSetup())
+
+
 def test_degenerate_fit_is_a_numerical_error(tmp_path, capsys, monkeypatch):
     x = np.linspace(-10.0, 10.0, 81)
     y = np.exp(-2.0 * x**2 / 9.0)

@@ -130,6 +130,12 @@ def test_phases_on_edge_grids(times, rows):
     assert np.allclose(batch.phases(times), oracle_phases(batch, times), atol=1e-15)
 
 
+def test_phases_on_empty_grid():
+    # An empty grid gives an empty (0, rows) table, not an index error.
+    batch = stack_batches([one_row(1, [0.5, 1.25]), one_row(-1, [])])
+    assert batch.phases(np.array([])).shape == (0, 2)
+
+
 def test_zero_rate_phase_is_plus_minus_t():
     # With no switching the only reachable phases are +t and -t.
     t = 1.37

@@ -138,6 +138,11 @@ def test_field_needs_even_pixel_count():
         build_phase_field(0.7, TIMES, 3, MaskGeometry(321, 160.0, 480.0), SeedSpec(7))
 
 
+def test_field_needs_a_time_point():
+    with pytest.raises(ValueError, match="at least one time point"):
+        build_phase_field(0.5, np.array([]), 3)
+
+
 def test_field_balanced_sum_is_zero():
     fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(8))
     assert np.max(np.abs(fld.phi.sum(axis=0))) < 1e-12
