@@ -66,7 +66,7 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
 
 def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_LE: squared second moment, for independent per-qubit noises."""
-    times = _check_grid(times)
+    times = np.asarray(times, dtype=float)
     vals = exponential_moment(gamma, 2, times) ** 2
     return CoherenceSeries(
         times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "LE"}
@@ -75,17 +75,9 @@ def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
 
 def global_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_GE: fourth moment, for one noise shared by both qubits."""
-    times = _check_grid(times)
+    times = np.asarray(times, dtype=float)
     vals = exponential_moment(gamma, 4, times)
     return CoherenceSeries(
         times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "GE"}
     )
 
-
-def _check_grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.size and times[0] < 0:
-        raise ValueError("grid must start at t >= 0")
-    if times.size > 1 and np.any(np.diff(times) < 0):
-        raise ValueError("grid must be ascending")
-    return times

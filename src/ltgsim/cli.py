@@ -156,18 +156,38 @@ def _check_schema(config: dict, defaults: dict = DEFAULT_CONFIG, path: str = "")
     return problems
 
 
+def _preset_conflicts(preset: dict, user: dict, path: str = ""):
+    """Leaves ``user`` sets to a value other than ``preset``'s, as messages."""
+    for key in preset.keys() & user.keys() - {"command"}:
+        where = f"{path}.{key}" if path else key
+        if isinstance(preset[key], dict):
+            yield from _preset_conflicts(preset[key], user[key], where)
+        elif user[key] != preset[key]:
+            yield f"{where} is {user[key]!r}, but the preset sets {preset[key]!r}"
+
+
 def resolve_config(user_config: dict) -> dict:
-    """Merge over defaults, expand presets, reject unknown keys."""
+    """Merge over defaults, expand presets, reject unknown keys.
+
+    A preset applies over the defaults; a command other than its own (or
+    ``reproduce-figure``), or a leaf it sets to another value, is refused.
+    """
     config = _merge(DEFAULT_CONFIG, user_config)
-    if config["command"] == "reproduce-figure" or (
-        config["command"] is None and config.get("preset")
-    ):
-        name = config.get("preset")
-        if name not in PRESETS:
+    name = config["preset"]
+    if config["command"] == "reproduce-figure" or name is not None:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        config = _merge(config, PRESETS[name])
+        preset = PRESETS[name]
+        if config["command"] not in (None, "reproduce-figure", preset["command"]):
+            raise ConfigError(
+                f"command is {config['command']!r}, but preset {name} runs {preset['command']!r}"
+            )
+        conflicts = sorted(_preset_conflicts(preset, user_config))
+        if conflicts:
+            raise ConfigError(f"preset {name}: " + "; ".join(conflicts))
+        config = _merge(config, preset)
     if config["command"] is None:
         raise ConfigError("config must name a command (or a preset)")
     problems = _check_schema(config)

@@ -1,14 +1,17 @@
-"""Two-qubit output state, coincidence counting and width calibration.
+"""Coincidence counting and the correlated-pixel width calibration.
 
 The channel leaves the populations of HH and VV at 1/2 and multiplies the
 HH-VV coherence by p * Gamma(t), where p in [0, 1] is the purity of the
 initial state (p = 1 is the Bell state).  Detection behind 45/135-degree
 polarizers turns the real part of the coherence into coincidence-count
-contrast:
+contrast, which is all this module computes of the state:
 
     p++ = (1 + p Re Gamma) / 4      rate N++ = N0 (1 + p Re Gamma)
     p+- = (1 - p Re Gamma) / 4      rate N+- = N0 (1 - p Re Gamma)
     visibility V = |N++ - N+-| / (N++ + N+-) = p |Re Gamma|
+
+``detection_probabilities`` is that closed form; the 4x4 density matrix,
+its |++> and |+-> projections and the Wootters concurrence are its test oracle.
 
 The correlated-pixel calibration imprints a static rectangular phase
 pattern (+-pi/4 every n_r pixels) on both mask halves, shifts the second
@@ -30,16 +33,6 @@ from .optics import NumericalError
 from .rtn import SeedSpec
 from .slm import CorrelationKernel, KernelParams, _on_mask, build_kernel
 
-_PLUS_PLUS = 0.5 * np.array([1.0, 1.0, 1.0, 1.0])
-_PLUS_MINUS = 0.5 * np.array([1.0, -1.0, 1.0, -1.0])
-
-_SIGMA_Y2 = np.array(
-    [[0, 0, 0, -1],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [-1, 0, 0, 0]], dtype=float
-)  # sigma_y (x) sigma_y in the {HH, HV, VH, VV} basis
-
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
 # calibration curve's range, so inverting it would return a wrong width.
@@ -52,80 +45,10 @@ _CURVE_RANGE = (0.5, 10.0)
 _CURVE_SAMPLES = 20
 
 
-@dataclass
-class TwoQubitState:
-    """4x4 density matrix in the {HH, HV, VH, VV} polarization basis."""
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError("density matrix must be 4x4")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix must be Hermitian within 1e-12")
-        if abs(np.trace(rho).real - 1.0) > 1e-12:
-            raise ValueError("density matrix must have unit trace within 1e-12")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("density matrix must be positive semidefinite")
-        self.rho = rho
-
-
-def build_state(p: float, gamma_value: complex) -> TwoQubitState:
-    """Dephased two-qubit state with purity p and coherence factor Gamma."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("purity p must lie in [0, 1]")
-    if abs(gamma_value) > 1.0 + 1e-9:
-        raise ValueError("|Gamma| must not exceed 1")
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = 0.5
-    rho[0, 3] = 0.5 * p * gamma_value
-    rho[3, 0] = np.conj(rho[0, 3])
-    return TwoQubitState(rho)
-
-
-def concurrence(state: TwoQubitState) -> float:
-    """Wootters concurrence of an arbitrary two-qubit state.
-
-    Independent of the dephasing-channel structure; serves as the oracle
-    for E(t) = |Gamma(t)| on the states this package produces.  Uses the
-    Hermitian form sqrt(rho) rho~ sqrt(rho), whose eigensolve is
-    backward-stable (the plain product rho rho~ is non-Hermitian and
-    loses half the digits near degenerate spectra).
-    """
-    rho = state.rho
-    evals, vecs = np.linalg.eigh(rho)
-    sqrt_rho = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    # The Wootters lambdas are the singular values of
-    # sqrt(rho) (sy x sy) sqrt(rho)* (sy x sy): singular values carry
-    # absolute (not square-rooted) rounding error near zero.
-    a = sqrt_rho @ _SIGMA_Y2 @ sqrt_rho.conj() @ _SIGMA_Y2
-    lams = np.linalg.svd(a, compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
-
-
-def detection_probabilities(state: TwoQubitState) -> tuple[float, float]:
-    """(p++, p+-): projections onto |++> and |+-> at unit efficiency."""
-    p_pp = float((_PLUS_PLUS @ state.rho @ _PLUS_PLUS).real)
-    p_pm = float((_PLUS_MINUS @ state.rho @ _PLUS_MINUS).real)
-    return p_pp, p_pm
-
-
-@dataclass
-class CountRecord:
-    """Coincidence rates (per second) in the two polarizer settings."""
-
-    n_pp: float
-    n_pm: float
-    n0: float
-    acquisition_s: float
-    repeats: int
-
-    def __post_init__(self):
-        if self.n_pp < 0 or self.n_pm < 0:
-            raise ValueError("count rates cannot be negative")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
+    """(p++, p+-) = ((1 + p Re Gamma) / 4, (1 - p Re Gamma) / 4) at unit efficiency."""
+    x = p * re_gamma
+    return 0.25 * (1.0 + x), 0.25 * (1.0 - x)
 
 
 def simulate_counts(
@@ -134,35 +57,35 @@ def simulate_counts(
     acquisition_s: float = 8.0,
     repeats: int = 4,
     seed: SeedSpec = SeedSpec(0),
-    shot_noise: bool = True,
-) -> CountRecord:
-    """Coincidence rates from detection probabilities.
+) -> tuple[float, float]:
+    """Shot-noise coincidence rates (N++, N+-) per second from detection probabilities.
 
     The rate scale n0 absorbs the source brightness and every collection
-    efficiency, so rates are n0 * (1 +- p Re Gamma) = 4 * n0 * prob.
-    With ``shot_noise`` each repeat draws Poisson counts over the
-    acquisition window; rates are averaged over repeats in index order.
+    efficiency: the expected rates are 4 * n0 * prob.  Each of ``repeats``
+    acquisitions draws Poisson counts over ``acquisition_s`` seconds, and
+    the rates are averaged over repeats in index order.
     """
     if n0 <= 0:
         raise ValueError("n0 must be positive")
+    if not 0.0 < acquisition_s < np.inf:
+        raise ValueError(f"acquisition_s must be finite and > 0, got {acquisition_s}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     expected = 4.0 * n0 * np.asarray(probs, dtype=float)
     if np.any(expected < 0):
         raise ValueError("negative expected rate; check probabilities")
-    if shot_noise:
-        rng = seed.generator()
-        counts = rng.poisson(expected[None, :] * acquisition_s, size=(repeats, 2))
-        rates = counts.mean(axis=0) / acquisition_s
-    else:
-        rates = expected
-    return CountRecord(float(rates[0]), float(rates[1]), n0, acquisition_s, repeats)
+    rng = seed.generator()
+    counts = rng.poisson(expected[None, :] * acquisition_s, size=(repeats, 2))
+    rates = counts.mean(axis=0) / acquisition_s
+    return float(rates[0]), float(rates[1])
 
 
-def visibility(record: CountRecord) -> float:
+def visibility(n_pp: float, n_pm: float) -> float:
     """|N++ - N+-| / (N++ + N+-); undefined when both rates vanish."""
-    total = record.n_pp + record.n_pm
+    total = n_pp + n_pm
     if total <= 0:
         raise ValueError("visibility undefined: zero total counts")
-    return abs(record.n_pp - record.n_pm) / total
+    return abs(n_pp - n_pm) / total
 
 
 def rect_phase_pattern(n_pixels: int, n_r: int = 5) -> np.ndarray:
@@ -259,11 +182,11 @@ def calibrate_wcp(
         # shift i draws its counts from stream s + 1 + i of the seed
         v = np.empty(h_values.size)
         for i, re in enumerate(re_gamma):
-            rec = simulate_counts(
-                (0.25 * (1.0 + p * re), 0.25 * (1.0 - p * re)), n0, acquisition_s, repeats,
+            rates = simulate_counts(
+                detection_probabilities(p, re), n0, acquisition_s, repeats,
                 seed=SeedSpec(seed.master_seed, seed.stream_index + 1 + i),
             )
-            v[i] = visibility(rec)
+            v[i] = visibility(*rates)
     else:
         v = p * np.abs(re_gamma)
     amplitude, offset, rms = _sine_fit(h_values, v, n_r)

@@ -15,10 +15,10 @@ realization or many, is a :class:`TrajectoryBatch` of initial signs and
 ascending time grid by prefix sums over the jumps: each realization's
 slope and offset per jump segment, and which segment holds each grid time.
 :meth:`TrajectoryBatch.phases` evaluates them, and the pixel phase fields
-of :mod:`ltgsim.slm` read their phases from it.  The Monte Carlo reduction
-reads the same tables and forms cos and sin of the phases by angle
-addition over the segments, so trig runs once per time and once per
-segment, not once per (time, realization).
+of :mod:`ltgsim.slm` take their phasors exp(2i * phi) from it.  The Monte
+Carlo reduction reads the same tables and forms cos and sin of the phases
+by angle addition over the segments, so trig runs once per time and once
+per segment, not once per (time, realization).
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -107,10 +107,6 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return self.signs.size
-
-    def mirrored(self) -> "TrajectoryBatch":
-        """The sign-flipped twins (phi -> -phi), same jump times."""
-        return TrajectoryBatch(-self.signs, self.jump_times)
 
     def phases(self, times: np.ndarray) -> np.ndarray:
         """phi at every time of an ascending grid, shape (T, R) (exact).

@@ -63,7 +63,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rtn import RtnParams, SeedSpec, TrajectoryBatch, sample_trajectory, stack_batches
+from .rtn import RtnParams, SeedSpec, sample_trajectory, stack_batches
 from .series import KERNEL_SUM, CoherenceSeries
 
 
@@ -156,24 +156,21 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
 
 @dataclass
 class PhaseField:
-    """Noise phases phi(offset, t) on one mask half, stored per block.
+    """Noise phasors exp(2i * phi(offset, t)) on one mask half, stored per block.
 
     The field is constant within blocks of ``params["n_rep"]`` consecutive
-    offsets.  ``phi_blocks[b, g]`` is the phase of block b (row b of
-    ``blocks``, the trajectories behind the field) at grid time
-    ``times[g]``, ``phasors[b, g]`` is exp(2i * phi_blocks[b, g]), and
-    ``block_index[i]`` is the block that offset index i (offset i - n/2
+    offsets.  ``phasors[b, g]`` is exp(2i * phi_b(times[g])) for block b,
+    and ``block_index[i]`` is the block that offset index i (offset i - n/2
     relative to the reference pixel) carries.  Blocks are numbered along
     the mask: block_index runs 0, 0, .., 1, 1, .. and steps by one, so each
-    block is one run of consecutive offsets.  The per-pixel array ``phi``
-    is derived from these on access.
+    block is one run of consecutive offsets.  The kernel sum reads only the
+    phasors; the phases are not kept (see :func:`build_phase_field` for the
+    stream each block's trajectory is drawn from).
     """
 
-    phi_blocks: np.ndarray
     phasors: np.ndarray
     times: np.ndarray
     block_index: np.ndarray
-    blocks: TrajectoryBatch
     geometry: MaskGeometry
     params: dict = field(default_factory=dict)
 
@@ -182,13 +179,8 @@ class PhaseField:
         if self.block_index[0] != 0 or np.any((steps != 0) & (steps != 1)):
             raise ValueError("block_index must number the blocks along the mask, one run each")
 
-    @property
-    def phi(self) -> np.ndarray:
-        """Per-pixel phases, shape (pixels, T): ``phi_blocks[block_index]``."""
-        return self.phi_blocks[self.block_index]
-
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.phasors.shape[0]
 
 
 def build_phase_field(
@@ -204,7 +196,7 @@ def build_phase_field(
     independent blocks, block b covering offsets [b*n_rep, (b+1)*n_rep)
     (a truncated final block where n_rep does not divide n_pixels / 2).
     Each is mirrored half a mask away: offset i + n_pixels/2 carries -phi
-    of offset i, and ``blocks`` holds the independent rows followed by
+    of offset i, and ``phasors`` holds the independent rows followed by
     their mirrored twins.  The half-mask separation keeps *adjacent* blocks
     independent, so small delta shifts see unbiased statistics, and the
     per-pixel phase sum is exactly zero at every time, which is what keeps
@@ -236,25 +228,19 @@ def build_phase_field(
     # independent fields must space their stream indices by at least that
     # count (a stride of 1000 is ample for any n_rep >= 1).
 
-    # One whole-grid integration of the independent rows; a mirrored twin
-    # reads exactly -phi (negation is exact), so it is not integrated again,
-    # and its phasor is conj(z), bit for bit exp(2i * -phi).
-    # Both tables are filled in place, without temporaries of their size.
-    phi = np.empty((2 * n_indep, times.size))
-    phi[:n_indep] = base.phases(times).T
-    np.negative(phi[:n_indep], out=phi[n_indep:])
-    phasors = np.empty(phi.shape, dtype=complex)
+    # One whole-grid integration of the independent rows, written as
+    # exp(2i * phi) straight into the table; a mirrored twin reads exactly
+    # -phi, so its phasor is conj(z), bit for bit exp(2i * -phi).
+    phasors = np.empty((2 * n_indep, times.size), dtype=complex)
     z = phasors[:n_indep]
-    np.multiply(phi[:n_indep], 2j, out=z)
+    np.multiply(base.phases(times).T, 2j, out=z)
     np.exp(z, out=z)
     np.conjugate(z, out=phasors[n_indep:])
     block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
     return PhaseField(
-        phi_blocks=phi,
         phasors=phasors,
         times=times,
         block_index=np.concatenate([block_half, block_half + n_indep]),
-        blocks=stack_batches([base, base.mirrored()]),
         geometry=geometry,
         params={
             "gamma": gamma,

@@ -19,15 +19,11 @@ import time
 
 import numpy as np
 import pytest
+from oracles import build_state, concurrence, field_phases, projections
 
 from ltgsim.analytic import exponential_moment, global_coherence, local_coherence
 from ltgsim.cli import data_section
-from ltgsim.measurement import (
-    build_state,
-    calibrate_wcp,
-    concurrence,
-    detection_probabilities,
-)
+from ltgsim.measurement import calibrate_wcp, detection_probabilities
 from ltgsim.optics import (
     PdcSetup,
     estimate_wp,
@@ -108,7 +104,7 @@ def test_criterion_4_kernel_endpoint_equivalence():
     # shared field, delta = 0: fourth moment on identical trajectories
     fld = build_phase_field(0.12, times, 3, GEO, SeedSpec(12))
     lhs = kernel_coherence(kernel, fld, fld, 0).values
-    phi = fld.blocks.phases(times).T[fld.block_index]
+    phi = field_phases(fld)
     diag = np.diag(kernel.weights)
     rhs = (diag[:, None] * np.exp(4j * phi)).sum(axis=0) / diag.sum()
     dev_ge = float(np.max(np.abs(lhs - rhs)))
@@ -119,7 +115,7 @@ def test_criterion_4_kernel_endpoint_equivalence():
     marg = kernel.weights.sum(axis=1)
     shifted = np.arange(320) + 3
     ok_idx = shifted < 320
-    prod = np.exp(2j * f1.phi[ok_idx]) * np.exp(2j * f2.phi[shifted[ok_idx]])
+    prod = np.exp(2j * field_phases(f1)[ok_idx]) * np.exp(2j * field_phases(f2)[shifted[ok_idx]])
     rhs2 = (marg[ok_idx, None] * prod).sum(axis=0) / marg[ok_idx].sum()
     dev_le = float(np.max(np.abs(lhs2 - rhs2)))
     ok = dev_ge < 1e-10 and dev_le < 1e-10
@@ -203,12 +199,10 @@ def test_criterion_8_state_physics_properties():
         worst["trace"] = max(worst["trace"], abs(float(np.trace(rho).real) - 1.0))
         worst["eig"] = max(worst["eig"], -float(np.linalg.eigvalsh(rho).min()))
         worst["conc"] = max(worst["conc"], abs(concurrence(state) - p * abs(g)))
-        p_pp, p_pm = detection_probabilities(state)
-        worst["det"] = max(
-            worst["det"],
-            abs(p_pp - 0.25 * (1 + p * g.real)),
-            abs(p_pm - 0.25 * (1 - p * g.real)),
-        )
+        # the state's projections against the closed form the package computes
+        p_pp, p_pm = projections(state)
+        want_pp, want_pm = detection_probabilities(p, g.real)
+        worst["det"] = max(worst["det"], abs(p_pp - want_pp), abs(p_pm - want_pm))
     ok = (
         worst["eig"] < 1e-10
         and worst["conc"] < 1e-10

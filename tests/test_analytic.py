@@ -3,13 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import build_state, concurrence
 
 from ltgsim.analytic import (
     exponential_moment,
     global_coherence,
     local_coherence,
 )
-from ltgsim.measurement import build_state, concurrence
 
 # 3 * exp(-2): degenerate-branch value at gamma = m = 2, t = 1, frozen from
 # the gamma -> m limit of the hyperbolic form.
@@ -106,3 +106,15 @@ def test_precondition_errors():
         exponential_moment(1.0, 0, 0.5)
     with pytest.raises(ValueError):
         exponential_moment(1.0, 2, -0.5)
+
+
+def test_coherence_rejects_bad_grids():
+    # A negative time is refused by the moment at every grid point, not only
+    # the first, and a descending grid by the series container.
+    for coherence in (local_coherence, global_coherence):
+        for times in (np.array([-0.5, 0.0, 1.0]), np.array([0.0, 1.0, -0.5])):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                coherence(0.5, times)
+        with pytest.raises(ValueError, match="time grid must be ascending"):
+            coherence(0.5, np.array([1.0, 0.5, 0.0]))
+        assert coherence(0.5, [0.0, 0.5]).times.dtype == float

@@ -147,6 +147,38 @@ def test_preset_sets_only_keys_its_command_reads(preset):
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset"):
         resolve_config({"command": "reproduce-figure", "preset": "fig9"})
+    with pytest.raises(ConfigError, match=r"unknown preset \{\}"):  # not a TypeError
+        resolve_config({"preset": {}})
+
+
+def test_preset_refuses_what_it_would_drop(tmp_path, capsys):
+    # Another command beside a preset, or a leaf the preset sets to another
+    # value, used to drop one side silently (the preset, or the leaf); both
+    # now stop with one line naming the path, and nothing is written.
+    cfg = tmp_path / "cfg.json"
+    cases = [({"command": "analytic"}, ["--preset", "fig4-left"],
+              "input error: command is 'analytic', but preset fig4-left runs 'transition-delta'"),
+             ({"preset": "fig3-left", "rtn": {"gamma": 0.5}}, [],
+              "input error: preset fig3-left: rtn.gamma is 0.5, but the preset sets 0.0")]
+    for config, flags, message in cases:
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), *flags, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [message]
+    assert not (tmp_path / "out").exists()
+
+
+def test_preset_takes_what_agrees_with_it(tmp_path):
+    # The seed flag, a leaf equal to the preset's, and the preset's own
+    # command all run the preset.
+    assert main(["--preset", "fig4-left", "--seed", "7", "--out", str(tmp_path / "a")]) == 0
+    assert embedded_config((tmp_path / "a" / "transition_delta_0.csv").read_text())["master_seed"] == 7
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"measurement": {"shot_noise": True}}))
+    assert main(["--config", str(cfg), "--preset", "figS-calibration",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "b" / "calibration_vh.csv").exists()
+    config = resolve_config({"command": "transition-delta", "preset": "fig4-left"})
+    assert (config["rtn"]["gamma"], config["deltas"]) == (0.12, [3, 2, 1, 0])
 
 
 def test_analytic_run_values():

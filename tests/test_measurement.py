@@ -1,18 +1,15 @@
-"""Output state, coincidence counting and the correlated-pixel calibration."""
+"""Detection, coincidence counting and the correlated-pixel calibration."""
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import TwoQubitState, build_state, concurrence, projections
 
 from ltgsim.measurement import (
-    CountRecord,
-    TwoQubitState,
     _pattern_coherence,
-    build_state,
     calibrate_wcp,
-    concurrence,
     detection_probabilities,
     rect_phase_pattern,
     simulate_counts,
@@ -30,6 +27,16 @@ p_vals = st.floats(0.0, 1.0)
 gammas = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi)).map(
     lambda mp: mp[0] * np.exp(1j * mp[1])
 )
+
+
+def expected_rates(p, re_gamma, n0=250.0):
+    # N++ and N+- without shot noise: 4 * n0 * (p++, p+-).
+    return tuple(4.0 * n0 * np.array(detection_probabilities(p, re_gamma)))
+
+
+# ---------------------------------------------------------------------------
+# state oracle (tests/oracles.py) and detection
+# ---------------------------------------------------------------------------
 
 
 def test_bell_state():
@@ -73,78 +80,93 @@ def test_state_invariants_enforced():
 @given(p_vals, gammas)
 @settings(max_examples=300, deadline=None)
 def test_state_physics_properties(p, g):
+    # The density-matrix projections onto |++> and |+-> are the closed form
+    # the package computes.
     state = build_state(p, g)
     rho = state.rho
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
     assert abs(np.trace(rho).real - 1.0) < 1e-14
     assert np.linalg.eigvalsh(rho).min() > -1e-12
     assert abs(concurrence(state) - p * abs(g)) < 1e-10
-    p_pp, p_pm = detection_probabilities(state)
-    assert abs(p_pp - 0.25 * (1 + p * g.real)) < 1e-12
-    assert abs(p_pm - 0.25 * (1 - p * g.real)) < 1e-12
+    p_pp, p_pm = projections(state)
+    want_pp, want_pm = detection_probabilities(p, g.real)
+    assert abs(p_pp - want_pp) < 1e-12
+    assert abs(p_pm - want_pm) < 1e-12
 
 
 def test_detection_bell():
-    assert detection_probabilities(build_state(1.0, 1.0)) == pytest.approx((0.5, 0.0))
+    assert detection_probabilities(1.0, 1.0) == pytest.approx((0.5, 0.0))
+    assert projections(build_state(1.0, 1.0)) == pytest.approx((0.5, 0.0))
 
 
 def test_detection_dephased():
-    assert detection_probabilities(build_state(0.7, 0.0)) == pytest.approx((0.25, 0.25))
+    assert detection_probabilities(0.7, 0.0) == pytest.approx((0.25, 0.25))
 
 
 def test_detection_frozen_values():
     # direct arithmetic: p = 0.927, Gamma = -1
-    p_pp, p_pm = detection_probabilities(build_state(0.927, -1.0 + 0.0j))
+    p_pp, p_pm = detection_probabilities(0.927, -1.0)
     assert p_pp == pytest.approx(0.018250, abs=1e-12)
     assert p_pm == pytest.approx(0.481750, abs=1e-12)
 
 
+@given(p_vals, st.floats(-1.0, 1.0), st.sampled_from([1.0, 250.0, 1e6]))
+@settings(max_examples=300, deadline=None)
+def test_visibility_of_expected_rates_is_closed_form(p, re_gamma, n0):
+    # V of the noise-free rates 4 * n0 * (p++, p+-) is p |Re Gamma|.
+    assert abs(visibility(*expected_rates(p, re_gamma, n0)) - p * abs(re_gamma)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# counts and visibility
+# ---------------------------------------------------------------------------
+
+
 def test_counts_noise_free():
-    rec = simulate_counts((0.25, 0.25), n0=250.0, shot_noise=False)
-    assert rec.n_pp == pytest.approx(250.0, abs=1e-12)
-    assert rec.n_pm == pytest.approx(250.0, abs=1e-12)
-    assert rec.acquisition_s == 8.0 and rec.repeats == 4
+    # The noise-free limit: over a long acquisition the Poisson rates sit
+    # on the expected 4 * n0 * prob (relative spread ~3e-8 here).
+    n_pp, n_pm = simulate_counts((0.25, 0.0), n0=250.0, acquisition_s=1e12)
+    assert n_pp == pytest.approx(250.0, rel=1e-6)
+    assert n_pm == 0.0
 
 
 def test_counts_poisson_oracle():
     # Mean of many noisy acquisitions sits on the expectation (3 sigma).
-    probs = detection_probabilities(build_state(0.9, 0.4 + 0.0j))
+    probs = detection_probabilities(0.9, 0.4)
     expect = 4 * 100.0 * np.array(probs)
     n = 10_000
-    rates = np.array([
-        [r.n_pp, r.n_pm]
-        for r in (
-            simulate_counts(probs, 100.0, 1.0, 1, SeedSpec(4, s), True)
-            for s in range(n)
-        )
-    ])
+    rates = np.array([simulate_counts(probs, 100.0, 1.0, 1, SeedSpec(4, s)) for s in range(n)])
     se = np.sqrt(expect / 1.0 / n)  # Poisson variance = mean counts
     assert np.all(np.abs(rates.mean(axis=0) - expect) < 3 * se)
 
 
+def test_counts_reject_bad_acquisition():
+    # A window that is not positive and finite, or no repeat at all, has
+    # no rate: refused by name instead of NaN rates or a numpy error.
+    for acquisition_s in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="acquisition_s must be finite and > 0"):
+            simulate_counts((0.25, 0.25), 250.0, acquisition_s)
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        simulate_counts((0.25, 0.25), 250.0, 8.0, 0)
+    with pytest.raises(ValueError, match="acquisition_s"):
+        calibrate_wcp(KernelParams(3.1, 20.0, 2, GEO), acquisition_s=0.0)
+
+
 def test_visibility_values():
-    assert visibility(CountRecord(100.0, 100.0, 100.0, 8.0, 4)) == 0.0
-    rec = simulate_counts(
-        detection_probabilities(build_state(0.927, 1.0)), 250.0, shot_noise=False
-    )
-    assert visibility(rec) == pytest.approx(0.927, abs=1e-12)
-    rec2 = simulate_counts(
-        detection_probabilities(build_state(1.0, np.cos(4 * np.pi / 4) + 0j)),
-        250.0, shot_noise=False,
-    )
-    assert visibility(rec2) == pytest.approx(1.0, abs=1e-12)
+    assert visibility(100.0, 100.0) == 0.0
+    assert visibility(*expected_rates(0.927, 1.0)) == pytest.approx(0.927, abs=1e-12)
+    assert visibility(*expected_rates(1.0, np.cos(4 * np.pi / 4))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_visibility_zero_counts():
     with pytest.raises(ValueError):
-        visibility(CountRecord(0.0, 0.0, 1.0, 8.0, 1))
+        visibility(0.0, 0.0)
 
 
 def test_visibility_scale_invariant():
     for scale in (0.1, 10.0):
-        a = simulate_counts((0.4, 0.1), 250.0, shot_noise=False)
-        b = simulate_counts((0.4, 0.1), 250.0 * scale, shot_noise=False)
-        assert visibility(a) == pytest.approx(visibility(b), rel=1e-12)
+        a = 4.0 * 250.0 * np.array((0.4, 0.1))
+        assert visibility(*a) == pytest.approx(visibility(*(scale * a)), rel=1e-12)
 
 
 def test_rect_pattern():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import field_phases, field_trajectories
 
 from ltgsim import rtn
 from ltgsim.analytic import exponential_moment
@@ -184,7 +185,7 @@ def test_stack_and_mirror_keep_each_row():
     params = RtnParams(2.0, 3.0)
     rows = [sample_trajectory(params, SeedSpec(4, s)) for s in range(6)]
     stacked = stack_batches(rows)
-    both = stack_batches([stacked, stacked.mirrored()])
+    both = stack_batches([stacked, TrajectoryBatch(-stacked.signs, stacked.jump_times)])
     assert len(both) == 12
     assert stacked.jump_times.shape[1] == max(r.jump_times.shape[1] for r in rows)
     times = np.linspace(0, 3, 7)
@@ -196,15 +197,16 @@ def test_stack_and_mirror_keep_each_row():
 
 def test_balanced_field_mirrors_are_exact_negations():
     # build_phase_field integrates the independent blocks once and stores
-    # -phi for their mirrored twins; that must equal integrating the twins.
+    # conj(z) for their mirrored twins; that must equal the phasors of the
+    # twins' phases -phi, and the phases must match the segment oracle.
     times = np.linspace(0.0, 2 * np.pi, 400)
     geo = MaskGeometry(pixels_per_half=40, j0=20.0, k0=60.0)
     fld = build_phase_field(1.5, times, 3, geo, SeedSpec(21))
-    half = fld.n_blocks() // 2
-    assert np.array_equal(fld.phi_blocks[half:], -fld.phi_blocks[:half])
-    assert np.array_equal(fld.phi_blocks, fld.blocks.phases(times).T)
-    assert np.allclose(fld.phi_blocks.T, oracle_phases(fld.blocks, times), atol=1e-13)
-    assert np.array_equal(fld.phi[20:], -fld.phi[:20])  # offset i + n/2 carries -phi(i)
+    phi = field_phases(fld)
+    assert np.array_equal(phi[20:], -phi[:20])  # offset i + n/2 carries -phi(i)
+    assert np.array_equal(fld.phasors[fld.block_index], np.exp(2j * phi))
+    segments = oracle_phases(field_trajectories(fld), times).T
+    assert np.allclose(phi[:20], segments[fld.block_index[:20]], atol=1e-13)
 
 
 def test_descending_grid_rejected():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import field_phases
 from scipy.optimize import curve_fit
 
 from ltgsim import slm
@@ -103,10 +104,13 @@ def test_kernel_rejects_unnormalized():
 
 
 def test_field_zero_rate_values():
+    # gamma = 0: every pixel's phase is +-t, its phasor exp(+-2it)
     fld = build_phase_field(0.0, TIMES, 3, GEO, SeedSpec(5))
+    phi = field_phases(fld)
     for i in (0, 100, 319):
-        row = fld.phi[i]
-        assert np.allclose(np.abs(row), TIMES, atol=1e-14)
+        assert np.allclose(np.abs(phi[i]), TIMES, atol=1e-14)
+        z = fld.phasors[fld.block_index[i]]
+        assert min(np.max(np.abs(z - np.exp(s * 2j * TIMES))) for s in (1, -1)) < 1e-14
 
 
 def test_field_block_structure():
@@ -117,7 +121,7 @@ def test_field_block_structure():
     # constant within blocks, truncated last block of each half covered
     for half in (0, 160):
         for b in range(54):
-            rows = fld.phi[half + 3 * b : half + min(3 * (b + 1), 160)]
+            rows = fld.phasors[fld.block_index[half + 3 * b : half + min(3 * (b + 1), 160)]]
             assert np.all(rows == rows[0])
     assert np.array_equal(fld.block_index[:6], [0, 0, 0, 1, 1, 1])
     assert fld.block_index[159] == 53
@@ -129,8 +133,11 @@ def test_field_single_block():
     # one independent block covers the first half-mask, its mirror the second
     fld = build_phase_field(0.7, TIMES, 320, GEO, SeedSpec(7))
     assert fld.n_blocks() == 2
-    assert np.all(fld.phi[:160] == fld.phi[0])
-    assert np.all(fld.phi[160:] == -fld.phi[0])
+    phi = field_phases(fld)
+    assert np.all(phi[:160] == phi[0])
+    assert np.all(phi[160:] == -phi[0])
+    z = fld.phasors[fld.block_index]
+    assert np.all(z[:160] == z[0]) and np.all(z[160:] == z[0].conj())
 
 
 def test_field_needs_even_pixel_count():
@@ -145,14 +152,15 @@ def test_field_needs_a_time_point():
 
 def test_field_balanced_sum_is_zero():
     fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(8))
-    assert np.max(np.abs(fld.phi.sum(axis=0))) < 1e-12
+    phi = field_phases(fld)
+    assert np.max(np.abs(phi.sum(axis=0))) < 1e-12
     # mirrored pairs: upper half is the negated lower half
-    assert np.array_equal(fld.phi[160:], -fld.phi[:160])
+    assert np.array_equal(phi[160:], -phi[:160])
 
 
 def test_field_independent_blocks_differ():
     fld = build_phase_field(2.0, TIMES, 3, GEO, SeedSpec(9))
-    assert not np.array_equal(fld.phi[0], fld.phi[3])
+    assert not np.array_equal(fld.phasors[fld.block_index[0]], fld.phasors[fld.block_index[3]])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,7 @@ def test_global_endpoint_equivalence():
     k = build_kernel(KernelParams(0.3, 20.0, 4, GEO))
     fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(12))
     lhs = kernel_coherence(k, fld, fld, 0).values
-    phi = fld.blocks.phases(TIMES).T[fld.block_index]
+    phi = field_phases(fld)
     w = np.diag(k.weights)
     rhs = (w[:, None] * np.exp(4j * phi)).sum(axis=0) / w.sum()
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -209,7 +217,7 @@ def test_local_endpoint_equivalence():
     marg = k.weights.sum(axis=1)
     shifted = np.arange(320) + 3
     ok = shifted < 320
-    prod = np.exp(2j * f1.phi[ok]) * np.exp(2j * f2.phi[shifted[ok]])
+    prod = np.exp(2j * field_phases(f1)[ok]) * np.exp(2j * field_phases(f2)[shifted[ok]])
     rhs = (marg[ok, None] * prod).sum(axis=0) / marg[ok].sum()
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -265,6 +273,7 @@ def test_block_contraction_matches_pixel_sum(shared, n_rep):
     # the presets.
     f1 = build_phase_field(2.0, TIMES, n_rep, GEO, SeedSpec(31))
     other = f1 if shared else build_phase_field(2.0, TIMES, 5, GEO, SeedSpec(31, 1000))
+    mask1, mask2 = 2.0 * field_phases(f1), 2.0 * field_phases(other)
     for k in (build_kernel(KernelParams(3.0, 20.0, 2, GEO)),
               build_kernel(KernelParams(3.0, 200.0, 2, GEO)),
               build_kernel(KernelParams(20.0, 20.0, 4, GEO)),
@@ -273,7 +282,7 @@ def test_block_contraction_matches_pixel_sum(shared, n_rep):
             shifted = np.arange(320) + delta
             lost = k.weights[:, (shifted < 0) | (shifted >= 320)].sum()
             series = kernel_coherence(k, f1, other, delta)
-            pixel = phasor_sum(k, 2.0 * f1.phi, 2.0 * other.phi, delta)
+            pixel = phasor_sum(k, mask1, mask2, delta)
             assert np.max(np.abs(series.values - pixel)) < 1e-13
             assert series.params["lost_mass"] == lost
             assert series.params["shared_field"] == shared
@@ -303,8 +312,19 @@ def test_banded_contraction_equals_dense_einsum(n_rep, monkeypatch):
 
 def test_phasors_are_mirror_conjugates():
     fld = build_phase_field(1.0, TIMES, 3, GEO, SeedSpec(33))
-    assert np.array_equal(fld.phasors, np.exp(1j * (2.0 * fld.phi_blocks)))
+    assert np.array_equal(fld.phasors[fld.block_index], np.exp(1j * (2.0 * field_phases(fld))))
     assert np.array_equal(fld.phasors[54:], fld.phasors[:54].conj())
+
+
+@pytest.mark.parametrize("gamma, n_rep, seed", [
+    (0.12, 3, SeedSpec(12345)), (1.5, 7, SeedSpec(3, 1000)), (4.0, 320, SeedSpec(0, 5))])
+def test_field_follows_documented_streams(gamma, n_rep, seed):
+    # Block b of a field at (master_seed, s) is the trajectory of stream
+    # s + 1 + b and its mirror twin the same trajectory negated: re-drawn
+    # from those streams, exp(2i phi) equals the stored phasors bit for bit.
+    fld = build_phase_field(gamma, TIMES, n_rep, GEO, seed)
+    assert fld.n_blocks() == 2 * -(-160 // n_rep)
+    assert np.array_equal(np.exp(2j * field_phases(fld)), fld.phasors[fld.block_index])
 
 
 def test_class_masses_sum_to_one():
