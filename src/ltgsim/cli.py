@@ -62,7 +62,8 @@ DEFAULT_CONFIG = {
 }
 
 # Range checks by dotted leaf path.  A leaf's accepted types come from its
-# default (see _accepted_types); leaves not listed take any such value.
+# default (see _accepted_types); leaves not listed take any such value.  The
+# kernel leaves are checked once, by slm.KernelParams in validate_config.
 _RANGES = {
     "command": lambda v: v in COMMANDS,
     "master_seed": lambda v: 0 <= v < 2**64,
@@ -70,10 +71,6 @@ _RANGES = {
     "grid.t_max": lambda v: v > 0,
     "grid.points": lambda v: v >= 1,
     "rtn.gamma": lambda v: v >= 0,
-    "kernel.w_cp": lambda v: v > 0,
-    "kernel.w_p": lambda v: v > 0,
-    # evenness is diagnosed semantically, with the sign-ambiguity rule
-    "kernel.n": lambda v: v >= 2,
     "geometry.pixels_per_half": lambda v: v >= 2,
     "field.n_rep": lambda v: v >= 1,
     "mc.order": lambda v: v >= 1,

@@ -10,15 +10,14 @@ Jumps are sampled as exact event times (exponential waiting times, or
 equivalently uniform order statistics given a Poisson count), so phase
 integrals carry no time-step discretization error.  Every ensemble, one
 realization or many, is a :class:`TrajectoryBatch` of initial signs and
-+inf-padded jump times.  Between jumps a phase is linear in t, and
-:meth:`TrajectoryBatch._segments` tabulates those pieces for a whole
-ascending time grid by prefix sums over the jumps: each realization's
-slope and offset per jump segment, and which segment holds each grid time.
-:meth:`TrajectoryBatch.phases` evaluates them, and the pixel phase fields
-of :mod:`ltgsim.slm` take their phasors exp(2i * phi) from it.  The Monte
-Carlo reduction reads the same tables and forms cos and sin of the phases
-by angle addition over the segments, so trig runs once per time and once
-per segment, not once per (time, realization).
++inf-padded jump times.  Between jumps a phase is linear in t, so
+:meth:`TrajectoryBatch.phases` evaluates a whole ascending time grid from
+prefix sums over the jumps; the pixel phase fields of :mod:`ltgsim.slm`
+take their phasors exp(2i * phi) from it.  The Monte Carlo reduction never
+forms a phase per (time, realization): cos(m * phi) differs from cos(m * t)
+only by a term fixed on each jump segment, so its per-time sums over
+realizations change only at jumps and are swept event by event, in
+O(jumps + times) work.
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -35,14 +34,13 @@ import numpy as np
 
 from .series import MONTE_CARLO, CoherenceSeries
 
-# Ensemble reductions evaluate phases in tiles of whole rows holding about
-# this many (time, realization) phases, max(1, _TILE_PHASES // T) rows each,
-# in ascending realization order.  A fixed element budget keeps the working
-# set of a tile flat in the grid size (a fixed 16384-row tile would hold
-# 52 MB per array at T = 400).  It is a module constant, not a tunable: the
-# tile size fixes the floating-point reduction order and therefore the bit
-# pattern of results.
-_TILE_PHASES = 1 << 16
+# The Monte Carlo reduction sweeps rows in chunks of about this many jump
+# segments, max(1, _CHUNK_SEGMENTS // (columns + 1)) rows each, in ascending
+# realization order.  The budget bounds the working set of a chunk whatever
+# the ensemble size.  It is a module constant, not a tunable: the chunk size
+# fixes the floating-point summation order and therefore the bit pattern of
+# results.
+_CHUNK_SEGMENTS = 1 << 14
 
 # Ceiling on the expected jump count gamma * t_max of one trajectory (and,
 # in ``cli.validate_config``, of a whole run): 1e8 jump times are ~0.8 GB.
@@ -116,37 +114,23 @@ class TrajectoryBatch:
 
             phi(t) = s * ((-1)^c * t - 2 * P_c),
 
-        since each jump flips the slope.  The slope s * (-1)^c and the
-        offset -2 * s * P_c are gathered from the tables of
-        :meth:`_segments`.  Realizations lie along the contiguous axis, so a
-        per-time sum over them is numpy's pairwise sum.
+        since each jump flips the slope.  The slopes s * (-1)^c and offsets
+        -2 * s * P_c form flattened (jumps + 1, R) tables, the offsets from
+        row prefix sums of the alternating jump times (padding counted as
+        0).  Each jump is binned to the first grid time at or after it
+        (``searchsorted``; the +inf padding falls past the grid), and the
+        flat table index c * R + row of each (time, row) follows from one
+        ``bincount`` and a cumulative sum along the grid.  Realizations lie
+        along the contiguous axis, so a per-time sum over them is numpy's
+        pairwise sum.
         """
         times = np.asarray(times, dtype=float)
         if not np.all(times[1:] >= times[:-1]):
             raise ValueError("time grid must be ascending")
-        if self.jump_times.shape[1] == 0:
-            return times[:, None] * self.signs
-        at_c, slope, offset = self._segments(times)
-        phi = slope.take(at_c)
-        phi *= times[:, None]
-        phi += offset.take(at_c)
-        return phi
-
-    def _segments(self, times: np.ndarray):
-        """The linear pieces of phi on an ascending grid.
-
-        Returns ``(at_c, slope, offset)``: ``slope`` and ``offset`` are the
-        flattened (jumps + 1, R) tables of s * (-1)^c and -2 * s * P_c, and
-        ``at_c`` (T, R) is the flat index of (c, row) for each grid time, so
-        phi = slope.take(at_c) * t + offset.take(at_c).  Each jump is binned
-        to the first grid time at or after it (``searchsorted``; the +inf
-        padding falls past the grid), and ``at_c`` follows from one
-        ``bincount`` and a cumulative sum along the grid.  The offsets come
-        from the row prefix sums of the alternating jump times, padding
-        counted as 0.
-        """
         jt = self.jump_times
         n_t, (n_r, n_j) = times.size, jt.shape
+        if n_j == 0:
+            return times[:, None] * self.signs
         rows = np.arange(n_r)
         bins = np.searchsorted(times, jt) * n_r + rows[:, None]
         at_c = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r).reshape(n_t + 1, n_r)[:n_t]
@@ -156,7 +140,10 @@ class TrajectoryBatch:
         parity = np.where(np.arange(n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^k
         prefix = np.zeros((n_j + 1, n_r))
         np.cumsum((np.where(np.isfinite(jt), jt, 0.0) * parity[1:]).T, axis=0, out=prefix[1:])
-        return at_c, (parity[:, None] * self.signs).ravel(), (-2.0 * self.signs * prefix).ravel()
+        phi = (parity[:, None] * self.signs).ravel().take(at_c)
+        phi *= times[:, None]
+        phi += (-2.0 * self.signs * prefix).ravel().take(at_c)
+        return phi
 
 
 def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
@@ -222,9 +209,11 @@ def mc_exponential_moment(
     zero imaginary part; this is the balanced-realization selection that
     keeps the estimate real for every switching rate.
 
-    ``times`` must be ascending.  The reduction runs over realizations in
-    ascending index order with a fixed tile size, so the result is
-    bit-reproducible regardless of how the caller parallelizes around it.
+    ``times`` must be ascending.  The reduction sweeps the jump events of
+    fixed chunks of realizations in ascending index order, so the result
+    is bit-reproducible regardless of how the caller parallelizes around
+    it.  ``params`` records ``jump_events``, the finite jump times the
+    sweep visited (its work count).
     """
     times = np.asarray(times, dtype=float)
     if n_real < 2:
@@ -239,7 +228,7 @@ def mc_exponential_moment(
     n_draw = n_real // 2 if antithetic else n_real
     batch = sample_batch(params, n_draw, seed)
 
-    values, se = _reduce(order, batch, times, imag=not antithetic)
+    values, se, events = _reduce(order, batch, times, imag=not antithetic)
 
     return CoherenceSeries(
         times,
@@ -253,6 +242,7 @@ def mc_exponential_moment(
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
             "jump_columns": batch.jump_times.shape[1],
+            "jump_events": events,
             "max_stderr": float(np.max(se, initial=0.0)),
         },
         stderr=se,
@@ -260,63 +250,79 @@ def mc_exponential_moment(
 
 
 def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
-    """Mean of exp(i * order * phi) and standard error of its real part,
-    per grid time.
+    """Mean of exp(i * order * phi), the standard error of its real part
+    and the number of jump events swept, per grid time.
 
     Without ``imag`` only cos(order * phi) is summed and the imaginary part
-    is exactly zero (antithetic pairs).  Rows are taken in ascending tiles
-    of max(1, _TILE_PHASES // T), laid out (T, rows); the per-time sums run
-    over the contiguous row axis and the per-tile sums are added in tile
-    order (deterministic bit pattern).
+    is exactly zero (antithetic pairs).  On a jump segment
+    m * phi = sigma * m * t + B, with sigma = +-1 and B = -2 * m * s * P_c
+    as in :meth:`TrajectoryBatch.phases` (B = 0 before the first jump).
+    With a = cos(m t) and b = sin(m t),
 
-    No trig runs per (time, row).  Between jumps m * phi = sigma * m * t + B
-    with sigma = +-1 and B = m * offset, both read from the segment tables
-    of :meth:`TrajectoryBatch._segments`, so by angle addition
+        cos(m phi) = a + d,  d = a * K - b * (sigma * sin B),
+        sin(m phi) = b * (sigma * cos B) + a * sin B,
 
-        cos(m phi) = cos(m t) * cos B - sin(m t) * (sigma * sin B),
-        sin(m phi) = sin(m t) * (sigma * cos B) + cos(m t) * sin B:
+    where K = cos B - 1 = -2 * sin(B / 2)^2 keeps its digits at small B.
+    The sums over rows of K, sigma * sin B, their squares and product (and,
+    with ``imag``, of sigma * cos B and sin B) change only at jumps: each
+    jump adds its segment's value minus the previous segment's at the first
+    grid time after it.  phi is continuous, so this reads the values of the
+    at-or-after binning of ``phases``, and a row whose first jump falls on
+    a grid time keeps d = 0 exactly there.  Per chunk of
+    max(1, _CHUNK_SEGMENTS // (columns + 1)) rows one ``bincount`` per sum
+    bins the finite jumps by grid time; chunks are added in row order and
+    one cumulative sum along the grid gives the sums at every time.
 
-    cos and sin run once per grid time and once per table entry (jumps + 1
-    per row); per phase, each of cos(m phi) and sin(m phi) costs two
-    gathers, two products and a sum.
-
-    The variance comes from squares of cos - shift, with ``shift`` the first
-    tile's per-time mean: close to the final mean, so the one-pass
-    difference of moments keeps its relative precision where the variance
-    is small (early times, cos close to 1).
+    The variance is taken about the no-jump value a:
+    var = sum d^2 / n - mean(d)^2, with sum d^2 expanded as
+    a^2 sum K^2 + b^2 sum (sigma sin B)^2 - 2ab sum K sigma sin B.  A row
+    that has not jumped has d = 0 exactly, so gamma = 0 gives a zero
+    standard error and early times keep their relative precision.  The
+    expansion carries an absolute rounding error of order
+    eps * (sum K^2 + sum (sigma sin B)^2): where all rows that have jumped
+    agree exactly (duplicated rows) the standard error reads about
+    sqrt(eps / n) instead of 0.
     """
-    n = len(batch)
-    total = np.zeros(times.size)
-    total_sq = np.zeros(times.size)  # sum of (cos - shift)^2
-    total_im = np.zeros(times.size)
-    shift = None
-    cos_mt, sin_mt = np.cos(order * times)[:, None], np.sin(order * times)[:, None]
-    rows = max(1, _TILE_PHASES // max(times.size, 1))
+    n, n_t = len(batch), times.size
+    n_j = batch.jump_times.shape[1]
+    flip = np.where(np.arange(1, n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^c on segment c >= 1
+    sums = np.zeros((7 if imag else 5, n_t + 1))  # bin n_t: jumps past the grid
+    if imag:
+        sums[5, 0] = batch.signs.sum()  # sigma * cos B = s before the first jump
+    events = 0
+    rows = max(1, _CHUNK_SEGMENTS // (n_j + 1))
     for start in range(0, n, rows):
-        tile = slice(start, start + rows)
-        at_c, sigma, b = TrajectoryBatch(batch.signs[tile], batch.jump_times[tile])._segments(times)
-        b *= order
-        cos_b, sin_b = np.cos(b), np.sin(b)
-        v = cos_b.take(at_c)
-        v *= cos_mt
-        w = (sigma * sin_b).take(at_c)
-        w *= sin_mt
-        v -= w  # cos(m phi)
-        tile_sum = v.sum(axis=1)
-        total += tile_sum
-        if shift is None:
-            shift = tile_sum / v.shape[1]
-        v -= shift[:, None]
-        v *= v
-        total_sq += v.sum(axis=1)
+        jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
+        finite = np.isfinite(jt)
+        seg_b = np.cumsum(np.where(finite, jt, 0.0) * flip, axis=1)  # P_c
+        seg_b *= -2.0 * signs[:, None]
+        seg_b = seg_b[finite] * order  # B of the segment each jump opens
+        sigma = (signs[:, None] * flip)[finite]
+        first = np.zeros_like(finite)
+        first[:, :1] = True
+        first = first[finite]  # the jump that ends segment 0 of its row
+        half = np.sin(0.5 * seg_b)
+        k = -2.0 * half * half
+        sin_b = np.sin(seg_b)
+        sigma_sin = sigma * sin_b
+        values = [k, sigma_sin, k * k, sigma_sin * sigma_sin, k * sigma_sin]
+        before = [0.0] * 5
         if imag:
-            v = (sigma * cos_b).take(at_c)
-            v *= sin_mt
-            w = sin_b.take(at_c)
-            w *= cos_mt
-            v += w  # sin(m phi)
-            total_im += v.sum(axis=1)
-    mean = total / n
-    var = np.clip(total_sq / n - (mean - shift) ** 2, 0.0, None)
+            values += [sigma + sigma * k, sin_b]
+            before += [-sigma[first], 0.0]  # sigma * cos B = s = -sigma on segment 0
+        bins = np.searchsorted(times, jt[finite], side="right")
+        for total, v, v0 in zip(sums, values, before):
+            step = np.diff(v, prepend=0.0)  # minus the previous segment's value
+            step[first] = v[first] - v0
+            total += np.bincount(bins, weights=step, minlength=n_t + 1)
+        events += bins.size
+    sums = np.cumsum(sums[:, :n_t], axis=1)
+    a, b = np.cos(order * times), np.sin(order * times)
+    mean_d = (a * sums[0] - b * sums[1]) / n
+    sum_d2 = a * a * sums[2] + b * b * sums[3] - 2.0 * a * b * sums[4]
+    var = np.clip(sum_d2 / n - mean_d * mean_d, 0.0, None)
     se = np.sqrt(var / max(n - 1, 1))
-    return (mean + 1j * (total_im / n) if imag else mean.astype(complex)), se
+    mean = a + mean_d
+    if imag:
+        return mean + 1j * ((b * sums[5] + a * sums[6]) / n), se, events
+    return mean.astype(complex), se, events

@@ -213,12 +213,14 @@ def test_mc_moment_has_stderr_column():
     text = files["mc_moment.csv"]
     header = data_section(text).splitlines()[0]
     assert header.endswith("stderr")
-    # The series metadata says how wide the jump table was and how well the
-    # estimate is pinned down; neither enters the data section.
+    # The series metadata says how wide the jump table was, how many jumps
+    # the reduction swept and how well the estimate is pinned down; none of
+    # it enters the data section.
     line = next(l for l in text.splitlines() if l.startswith("# series = "))
     series = json.loads(line[len("# series = "):])
     batch = sample_batch(RtnParams(1.0, 2.0), 1000, SeedSpec(12345, 0))
     assert series["jump_columns"] == batch.jump_times.shape[1] > 0
+    assert series["jump_events"] == np.isfinite(batch.jump_times).sum() > 0
     stderr = np.array([float(row.split(",")[-1]) for row in data_section(text).splitlines()[1:]])
     assert series["max_stderr"] == stderr.max() > 0
 
@@ -442,6 +444,21 @@ def test_cli_main_schema_errors_name_the_path(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_main_kernel_rules_end_in_one_line(tmp_path, capsys):
+    # The kernel rules live in slm.KernelParams alone; validation reports its
+    # message under "kernel", and a run stops there with exit 1, no file.
+    cfg = tmp_path / "cfg.json"
+    for kernel in ({"w_cp": 0}, {"w_p": -1}, {"n": 0}):
+        cfg.write_text(json.dumps({"command": "transition-delta", "kernel": kernel}))
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == 1 and out[0].startswith("kernel: "), out
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("input error: kernel: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "resolve_config", lambda user: calls.append(user) or resolve_config(user))
@@ -483,7 +500,7 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
 
 
 # mc-moment configs for the thread-count test: gamma = 1 on the default
-# 400-point grid, so the reduction runs in several row tiles and a partial one.
+# 400-point grid, so the reduction sweeps several row chunks and a partial one.
 _MC_THREAD_CONFIGS = {
     f"mc-moment-{mode}": {"command": "mc-moment", "rtn": {"gamma": 1.0},
                           "mc": {"order": order, "n_real": 3000, "antithetic": mode == "antithetic"}}
@@ -501,7 +518,7 @@ def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
     # gamma = 0.12 for four shifts; fig4-right adds the optics profile and
     # width fits for four kernels; figS-calibration runs the pattern
     # contraction for 21 kernels and 20 shifts each; the mc-moment runs
-    # take the tiled Monte Carlo reduction, antithetic and plain.
+    # take the chunked Monte Carlo sweep, antithetic and plain.
     if preset in _MC_THREAD_CONFIGS:
         config = tmp_path / "mc.json"
         config.write_text(json.dumps(_MC_THREAD_CONFIGS[preset]))

@@ -117,7 +117,7 @@ def test_phase_symmetric_cancellation():
     assert tr.phases([1.0])[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("times, rows", [
+EDGE_GRIDS = [
     # Jumps exactly on grid times (steps of 0.25, exact in binary), at t = 0
     # and at the last grid time: the phase is continuous at a jump, so
     # counting it at its own grid time must still give the oracle.
@@ -125,7 +125,15 @@ def test_phase_symmetric_cancellation():
     # t_min > 0 with jumps before the first grid time: they count at every
     # grid time, and phi is still the integral from 0.
     (np.linspace(1.0, 3.0, 11), [(1, [0.2, 0.7, 1.3, 2.9]), (-1, [0.1]), (1, [0.4, 0.6, 0.8])]),
-])
+    # A grid that ends before the last jumps: those fall past the grid.
+    (np.linspace(0.0, 1.0, 6), [(1, [0.3, 1.7, 2.5]), (-1, [0.9, 1.1]), (1, [4.0])]),
+    # Rows with no jumps between rows with many.
+    (np.linspace(0.0, 6.0, 31), [(1, []), (-1, list(np.linspace(0.05, 5.95, 40) ** 1.01)),
+                                 (-1, []), (1, list(np.linspace(0.1, 5.9, 25))), (1, [])]),
+]
+
+
+@pytest.mark.parametrize("times, rows", EDGE_GRIDS)
 def test_phases_on_edge_grids(times, rows):
     batch = stack_batches([one_row(sign, jumps) for sign, jumps in rows])
     assert np.allclose(batch.phases(times), oracle_phases(batch, times), atol=1e-15)
@@ -296,14 +304,43 @@ def test_mc_standard_error_scaling():
     assert 2.0 / 1.5 < ratio < 2.0 * 1.5
 
 
+def direct_moment(batch, order, times):
+    # Oracle: mean of exp(i m phi) over the rows and the stderr of its real
+    # part, from every (time, row) phase at once.
+    phi = batch.phases(times)
+    return (np.exp(1j * order * phi).mean(axis=1),
+            np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(len(batch)))
+
+
+@pytest.mark.parametrize("budget", [rtn._CHUNK_SEGMENTS, 1])
+@pytest.mark.parametrize("imag", [True, False])
+@pytest.mark.parametrize("times, rows", EDGE_GRIDS)
+def test_mc_sweep_on_edge_grids(times, rows, imag, budget, monkeypatch):
+    # The sweep moves a row onto its new segment at the first grid time after
+    # a jump, phases() at the first at or after it; phi is continuous, so both
+    # must agree where jumps sit on grid times (on the first grid, at 0.25
+    # every row reads cos(0.75) and the stderr is 0), precede the first or
+    # follow the last.  A budget of one segment takes every row as a chunk
+    # of its own.  Without imag (the antithetic mode) only the real part is
+    # summed.
+    monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", budget)
+    batch = stack_batches([one_row(sign, jumps) for sign, jumps in rows])
+    values, se, events = rtn._reduce(3, batch, times, imag=imag)
+    expect, want_se = direct_moment(batch, 3, times)
+    if not imag:
+        assert np.all(values.imag == 0.0)
+        expect = expect.real
+    assert np.max(np.abs(values - expect)) < 1e-12
+    assert np.max(np.abs(se - want_se)) < 1e-12
+    assert events == np.isfinite(batch.jump_times).sum()
+
+
 def test_mc_plain_is_direct_mean_over_same_draws():
-    # Plain mode forms cos and sin of m * phi by angle addition over the jump
-    # segments; the oracle is the direct mean of exp(i m phi) over the same
-    # sample_batch draws, all rows integrated at once.  At 400 points the
-    # reduction runs in tiles of 163 rows, and 1000 rows leave a partial last
-    # tile.  Order 3 is not a power of two, so m times a segment offset is
-    # not exact, and at t_max = 200 the arguments reach 600.
-    assert 1000 % (rtn._TILE_PHASES // 400) and 1000 > rtn._TILE_PHASES // 400
+    # Plain mode sums cos and sin of m * phi by a sweep over the jump events;
+    # the oracle is the direct mean of exp(i m phi) over the same
+    # sample_batch draws, all rows integrated at once.  Order 3 is not a
+    # power of two, so m times a segment offset is not exact, and at
+    # t_max = 200 the arguments reach 600.
     for gamma, t_max, points, n_real, orders in ((1.3, 2.0, 9, 3000, (1, 2, 4)),
                                                  (1.3, 2.0, 400, 1000, (1, 2, 4)),
                                                  (0.0, 200.0, 400, 1000, (3,)),
@@ -311,6 +348,9 @@ def test_mc_plain_is_direct_mean_over_same_draws():
         params = RtnParams(gamma, t_max)
         times = np.linspace(0, t_max, points)
         batch = sample_batch(params, n_real, SeedSpec(8))
+        if gamma == 20.0:  # the rows span several chunks and leave a partial last one
+            chunk = max(1, rtn._CHUNK_SEGMENTS // (batch.jump_times.shape[1] + 1))
+            assert n_real > chunk and n_real % chunk
         phi = batch.phases(times)
         for order in orders:
             series = mc_exponential_moment(params, order, times, n_real, SeedSpec(8), antithetic=False)
@@ -328,8 +368,9 @@ def test_mc_plain_is_direct_mean_over_same_draws():
 
 def test_mc_stderr_matches_two_pass_oracle():
     # Where cos(m phi) barely varies (early times) a one-pass difference of
-    # raw moments loses relative precision; the shifted sums must keep the
-    # stderr of the same draws within 1e-10 of a long-double two-pass value.
+    # raw moments loses relative precision; the sums about the no-jump value
+    # must keep the stderr of the same draws within 1e-10 of a long-double
+    # two-pass value.
     params, n_real = RtnParams(1.0, 2.0 * np.pi), 3000
     times = np.linspace(0.0, 2.0 * np.pi, 400)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic=False)
@@ -338,3 +379,45 @@ def test_mc_stderr_matches_two_pass_oracle():
     want = np.sqrt((dev * dev).sum(axis=1) / n_real / (n_real - 1))
     np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
 
+
+def test_mc_stderr_precision_at_low_rate():
+    # At gamma = 0.12 few rows have jumped by early times, so the spread of
+    # cos(m phi) is small against its mean.  Deviations from the no-jump
+    # value cos(m t) are exactly 0 on those rows, so the stderr matches a
+    # long-double two-pass value (taken in blocks of times) to 1e-12, and is
+    # exactly 0 at gamma = 0.
+    times = np.linspace(0.0, 2.0 * np.pi, 400)
+    params, n_real = RtnParams(0.12, 2.0 * np.pi), 20000
+    for antithetic in (False, True):
+        series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
+        n = n_real // 2 if antithetic else n_real
+        batch = sample_batch(params, n, SeedSpec(5))
+        want = np.empty(times.size)
+        for block in np.array_split(np.arange(times.size), 8):
+            v = np.cos(2 * batch.phases(times[block])).astype(np.longdouble)
+            dev = v - v.mean(axis=1, keepdims=True)
+            want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
+        np.testing.assert_allclose(series.stderr, want, rtol=1e-12, atol=0.0)
+    for antithetic in (False, True):
+        zero = mc_exponential_moment(RtnParams(0.0, 2.0 * np.pi), 3, times, 1000, SeedSpec(5),
+                                     antithetic)
+        assert np.all(zero.stderr == 0.0)
+
+
+def test_mc_stderr_keeps_relative_precision_at_tiny_times():
+    # At t ~ 1e-7 a row that has jumped deviates from cos(m t) by ~1e-13, far
+    # below the rounding of cos(m phi) itself, so the oracle takes
+    # d = cos(2 phi) - cos(2 t) = -2 sin(phi + t) sin(phi - t) in long
+    # double.  The sweep forms K = cos B - 1 as -2 sin(B / 2)^2 and must
+    # match it to the two-pass bound of 1e-10 (K = cos B - 1 misses by 2e-3).
+    times = np.concatenate([[0.0], np.geomspace(1e-7, 1e-3, 60)])
+    params, n_real = RtnParams(1000.0, 1e-3), 4000
+    for antithetic in (False, True):
+        series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
+        n = n_real // 2 if antithetic else n_real
+        phi = sample_batch(params, n, SeedSpec(5)).phases(times).astype(np.longdouble)
+        t = times[:, None].astype(np.longdouble)
+        d = -2 * np.sin(phi + t) * np.sin(phi - t)
+        dev = d - d.mean(axis=1, keepdims=True)
+        want = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
+        np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
