@@ -13,11 +13,12 @@ realization or many, is a :class:`TrajectoryBatch` of initial signs and
 +inf-padded jump times.  Between jumps a phase is linear in t, so
 :meth:`TrajectoryBatch.phases` evaluates a whole ascending time grid from
 prefix sums over the jumps; the pixel phase fields of :mod:`ltgsim.slm`
-take their phasors exp(2i * phi) from it.  The Monte Carlo reduction never
-forms a phase per (time, realization): cos(m * phi) differs from cos(m * t)
-only by a term fixed on each jump segment, so its per-time sums over
-realizations change only at jumps and are swept event by event, in
-O(jumps + times) work.
+take their phasors exp(2i * phi) from it.  The Monte Carlo reduction
+writes cos(m * phi) as cos(m * t) plus two constants of the jump segment
+weighted by cos(m * t) and sin(m * t).  Where realizations hold few jumps
+against the grid, its per-time sums over realizations change only at jumps
+and are swept event by event, in O(jumps + times) work; otherwise each
+(time, realization) reads the constants of its segment directly.
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -34,13 +35,25 @@ import numpy as np
 
 from .series import MONTE_CARLO, CoherenceSeries
 
-# The Monte Carlo reduction sweeps rows in chunks of about this many jump
-# segments, max(1, _CHUNK_SEGMENTS // (columns + 1)) rows each, in ascending
-# realization order.  The budget bounds the working set of a chunk whatever
-# the ensemble size.  It is a module constant, not a tunable: the chunk size
-# fixes the floating-point summation order and therefore the bit pattern of
-# results.
+# The Monte Carlo reduction takes rows in fixed chunks, in ascending
+# realization order: the event sweep max(1, _CHUNK_SEGMENTS // (columns + 1))
+# rows (about that many jump segments), the direct pass
+# max(1, _CHUNK_PHASES // (columns + 1 + T)) (the segments plus one phase per
+# grid time).  The direct pass does a few cheap passes per phase, so it
+# takes larger chunks to spread its per-chunk overhead: at 2^14 it ran up
+# to 1.4x slower.  The budgets bound the working set of a chunk whatever
+# the ensemble size.  They are module constants, not tunables: the chunk
+# size fixes the floating-point summation order and therefore the bit
+# pattern of results.
 _CHUNK_SEGMENTS = 1 << 14
+_CHUNK_PHASES = 1 << 16
+
+# The event sweep's variance carries a rounding error of up to about
+# eps * scale / 4 (scale as in ``_sweep``; measured at 6 to 6300 jumps per
+# row on x86-64, where its long-double sums are wider than double).  Where
+# var < _SWEEP_VAR_FLOOR * scale that error could exceed 4e-12 of var, and
+# the direct pass recomputes the standard error at those times.
+_SWEEP_VAR_FLOOR = 2.0**-16
 
 # Ceiling on the expected jump count gamma * t_max of one trajectory (and,
 # in ``cli.validate_config``, of a whole run): 1e8 jump times are ~0.8 GB.
@@ -114,36 +127,59 @@ class TrajectoryBatch:
 
             phi(t) = s * ((-1)^c * t - 2 * P_c),
 
-        since each jump flips the slope.  The slopes s * (-1)^c and offsets
-        -2 * s * P_c form flattened (jumps + 1, R) tables, the offsets from
-        row prefix sums of the alternating jump times (padding counted as
-        0).  Each jump is binned to the first grid time at or after it
-        (``searchsorted``; the +inf padding falls past the grid), and the
-        flat table index c * R + row of each (time, row) follows from one
-        ``bincount`` and a cumulative sum along the grid.  Realizations lie
-        along the contiguous axis, so a per-time sum over them is numpy's
-        pairwise sum.
+        since each jump flips the slope.  The slopes s * (-1)^c and the
+        offsets -2 * s * P_c of :func:`_segments` form flattened
+        (jumps + 1, R) tables, read at the indices of
+        :func:`_segment_index`.  Realizations lie along the contiguous axis,
+        so a per-time sum over them is numpy's pairwise sum.
         """
         times = np.asarray(times, dtype=float)
         if not np.all(times[1:] >= times[:-1]):
             raise ValueError("time grid must be ascending")
-        jt = self.jump_times
-        n_t, (n_r, n_j) = times.size, jt.shape
-        if n_j == 0:
+        if self.jump_times.shape[1] == 0:
             return times[:, None] * self.signs
-        rows = np.arange(n_r)
-        bins = np.searchsorted(times, jt) * n_r + rows[:, None]
-        at_c = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r).reshape(n_t + 1, n_r)[:n_t]
-        at_c *= n_r
-        at_c[:1] += rows  # a slice: an empty grid has no first time
-        np.cumsum(at_c, axis=0, out=at_c)  # c * n_r + row
-        parity = np.where(np.arange(n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^k
-        prefix = np.zeros((n_j + 1, n_r))
-        np.cumsum((np.where(np.isfinite(jt), jt, 0.0) * parity[1:]).T, axis=0, out=prefix[1:])
+        at_c = _segment_index(self.jump_times, times)
+        parity, offset = _segments(self.signs, self.jump_times)
         phi = (parity[:, None] * self.signs).ravel().take(at_c)
         phi *= times[:, None]
-        phi += (-2.0 * self.signs * prefix).ravel().take(at_c)
+        phi += offset.T.ravel().take(at_c)
         return phi
+
+
+def _segment_index(jump_times: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Flat index c * R + row of the jump segment holding each (time, row)
+    of an ascending grid, shape (T, R), c counting the jumps at or before t.
+
+    Each jump is binned to the first grid time at or after it
+    (``searchsorted``; the +inf padding falls past the grid), so the index
+    follows from one ``bincount`` and a cumulative sum along the grid.
+    """
+    n_t, n_r = times.size, jump_times.shape[0]
+    rows = np.arange(n_r)
+    bins = np.searchsorted(times, jump_times) * n_r + rows[:, None]
+    at_c = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r).reshape(n_t + 1, n_r)[:n_t]
+    at_c *= n_r
+    at_c[:1] += rows  # a slice: an empty grid has no first time
+    np.cumsum(at_c, axis=0, out=at_c)
+    return at_c
+
+
+def _segments(signs: np.ndarray, jump_times: np.ndarray):
+    """The linear pieces of phi: on jump segment c = 0..J of row r,
+    phi(t) = signs[r] * parity[c] * t + offset[r, c].
+
+    Returns ``parity`` = (-1)^c, shape (J + 1,), and ``offset`` =
+    -2 * s * P_c, shape (R, J + 1), from row prefix sums of the alternating
+    jump times (padding counted as 0, so padded segments repeat the last
+    offset).
+    """
+    n_r, n_j = jump_times.shape
+    parity = np.where(np.arange(n_j + 1) % 2 == 0, 1.0, -1.0)
+    offset = np.zeros((n_r, n_j + 1))
+    np.cumsum(np.where(np.isfinite(jump_times), jump_times, 0.0) * parity[1:], axis=1,
+              out=offset[:, 1:])
+    offset *= -2.0 * signs[:, None]
+    return parity, offset
 
 
 def stack_batches(batches: Sequence[TrajectoryBatch]) -> TrajectoryBatch:
@@ -209,11 +245,14 @@ def mc_exponential_moment(
     zero imaginary part; this is the balanced-realization selection that
     keeps the estimate real for every switching rate.
 
-    ``times`` must be ascending.  The reduction sweeps the jump events of
-    fixed chunks of realizations in ascending index order, so the result
-    is bit-reproducible regardless of how the caller parallelizes around
-    it.  ``params`` records ``jump_events``, the finite jump times the
-    sweep visited (its work count).
+    ``times`` must be ascending.  The reduction takes fixed chunks of
+    realizations in ascending index order, so the result is
+    bit-reproducible regardless of how the caller parallelizes around it.
+    ``params`` records its work counts: ``jump_events``, the finite jump
+    times, and ``direct_times``, the grid times the direct pass evaluated
+    (all of them where it runs alone, see ``_reduce``; otherwise those
+    where the event sweep's variance fell below its rounding bound,
+    usually none).
     """
     times = np.asarray(times, dtype=float)
     if n_real < 2:
@@ -228,7 +267,7 @@ def mc_exponential_moment(
     n_draw = n_real // 2 if antithetic else n_real
     batch = sample_batch(params, n_draw, seed)
 
-    values, se, events = _reduce(order, batch, times, imag=not antithetic)
+    values, se, events, direct = _reduce(order, batch, times, imag=not antithetic)
 
     return CoherenceSeries(
         times,
@@ -243,6 +282,7 @@ def mc_exponential_moment(
             "stream_index": seed.stream_index,
             "jump_columns": batch.jump_times.shape[1],
             "jump_events": events,
+            "direct_times": direct,
             "max_stderr": float(np.max(se, initial=0.0)),
         },
         stderr=se,
@@ -250,13 +290,56 @@ def mc_exponential_moment(
 
 
 def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
-    """Mean of exp(i * order * phi), the standard error of its real part
-    and the number of jump events swept, per grid time.
+    """Mean of exp(i * order * phi) and the standard error of its real part
+    per grid time, the number of finite jump times and the number of grid
+    times the direct pass evaluated.
 
     Without ``imag`` only cos(order * phi) is summed and the imaginary part
-    is exactly zero (antithetic pairs).  On a jump segment
-    m * phi = sigma * m * t + B, with sigma = +-1 and B = -2 * m * s * P_c
-    as in :meth:`TrajectoryBatch.phases` (B = 0 before the first jump).
+    is exactly zero (antithetic pairs).  The event sweep (:func:`_sweep`)
+    costs O(jumps + times) per chunk of rows, the direct pass
+    (:func:`_direct`) O(jumps + rows * times), but the sweep spends about
+    twice as much per jump: on 400 times it was 1.2x faster at 200 jumps
+    per row and even at 400.  So the direct pass runs alone once
+    rows hold on average at least half as many jumps as there are grid
+    times.  Otherwise the sweep runs, and where its variance is below the
+    rounding bound of its sums (_SWEEP_VAR_FLOOR) the direct pass
+    recomputes the standard error at those times, about the sweep's mean.
+    When the sweep of the first chunk alone is within a factor 4 of that
+    bound at a quarter of the times or more (motional narrowing), the
+    direct pass runs alone, as it would redo many of them.
+    """
+    n, n_t = len(batch), times.size
+    events = int(np.isfinite(batch.jump_times).sum())
+    if 2 * events < n * n_t:
+        rows, narrowing = _sweep_rows(batch), False
+        if 1 < rows < n:  # a first chunk of two rows or more to judge by
+            head = TrajectoryBatch(batch.signs[:rows], batch.jump_times[:rows])
+            _, var, scale = _sweep(order, head, times, False)
+            # A few rows judge the bound only roughly: a margin of 4 on it.
+            narrowing = 4 * np.count_nonzero(var < 4 * _SWEEP_VAR_FLOOR * scale) >= n_t
+        if not narrowing:
+            values, var, scale = _sweep(order, batch, times, imag)
+            se = np.sqrt(var / max(n - 1, 1))
+            redo = np.flatnonzero(var < _SWEEP_VAR_FLOOR * scale)
+            if redo.size:
+                mean_d = values.real[redo] - np.cos(order * times[redo])
+                se[redo] = _direct(order, batch, times[redo], False, center=mean_d)[1]
+            return values, se, events, redo.size
+    values, se = _direct(order, batch, times, imag)
+    return values, se, events, n_t
+
+
+def _sweep_rows(batch: TrajectoryBatch) -> int:
+    """Rows per chunk of the event sweep: about _CHUNK_SEGMENTS segments."""
+    return max(1, _CHUNK_SEGMENTS // (batch.jump_times.shape[1] + 1))
+
+
+def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
+    """Event sweep: mean of exp(i * order * phi), the variance of its real
+    part and that variance's rounding scale, per grid time.
+
+    On a jump segment m * phi = sigma * m * t + B, with sigma = +-1 and
+    B = m * offset from :func:`_segments` (B = 0 before the first jump).
     With a = cos(m t) and b = sin(m t),
 
         cos(m phi) = a + d,  d = a * K - b * (sigma * sin B),
@@ -267,40 +350,40 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     with ``imag``, of sigma * cos B and sin B) change only at jumps: each
     jump adds its segment's value minus the previous segment's at the first
     grid time after it.  phi is continuous, so this reads the values of the
-    at-or-after binning of ``phases``, and a row whose first jump falls on
-    a grid time keeps d = 0 exactly there.  Per chunk of
-    max(1, _CHUNK_SEGMENTS // (columns + 1)) rows one ``bincount`` per sum
-    bins the finite jumps by grid time; chunks are added in row order and
-    one cumulative sum along the grid gives the sums at every time.
+    at-or-after binning of :meth:`TrajectoryBatch.phases`, and a row whose
+    first jump falls on a grid time keeps d = 0 exactly there.  Per chunk
+    of max(1, _CHUNK_SEGMENTS // (columns + 1)) rows one ``bincount`` per
+    sum bins the finite jumps by grid time; chunks are added in row order
+    and one cumulative sum along the grid gives the sums at every time.
 
     The variance is taken about the no-jump value a:
     var = sum d^2 / n - mean(d)^2, with sum d^2 expanded as
     a^2 sum K^2 + b^2 sum (sigma sin B)^2 - 2ab sum K sigma sin B.  A row
-    that has not jumped has d = 0 exactly, so gamma = 0 gives a zero
-    standard error and early times keep their relative precision.  The
-    expansion carries an absolute rounding error of order
-    eps * (sum K^2 + sum (sigma sin B)^2): where all rows that have jumped
-    agree exactly (duplicated rows) the standard error reads about
-    sqrt(eps / n) instead of 0.
+    that has not jumped has d = 0 exactly, so gamma = 0 gives var = 0 and
+    early times keep their relative precision.  The sums are accumulated
+    across chunks, along the grid and through these formulas in long
+    double, since each is only as precise as
+    scale = (a^2 sum K^2 + b^2 sum (sigma sin B)^2 + 2|ab sum K sigma sin B|) / n,
+    and var can be far below scale: when the spread of cos(m phi) is
+    small but its mean is far from cos(m t) (motional narrowing,
+    gamma * t >> 1, where scale / var reached 5e5), or when all rows that
+    have jumped agree.  At gamma = 1000, order 2, double sums missed a
+    two-pass variance by up to 2e-10 relative, long-double ones by 3e-11.
     """
     n, n_t = len(batch), times.size
-    n_j = batch.jump_times.shape[1]
-    flip = np.where(np.arange(1, n_j + 1) % 2 == 0, 1.0, -1.0)  # (-1)^c on segment c >= 1
-    sums = np.zeros((7 if imag else 5, n_t + 1))  # bin n_t: jumps past the grid
+    sums = np.zeros((7 if imag else 5, n_t + 1), dtype=np.longdouble)  # bin n_t: past the grid
     if imag:
         sums[5, 0] = batch.signs.sum()  # sigma * cos B = s before the first jump
-    events = 0
-    rows = max(1, _CHUNK_SEGMENTS // (n_j + 1))
+    rows = _sweep_rows(batch)
     for start in range(0, n, rows):
         jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
         finite = np.isfinite(jt)
-        seg_b = np.cumsum(np.where(finite, jt, 0.0) * flip, axis=1)  # P_c
-        seg_b *= -2.0 * signs[:, None]
-        seg_b = seg_b[finite] * order  # B of the segment each jump opens
-        sigma = (signs[:, None] * flip)[finite]
+        parity, offset = _segments(signs, jt)
+        seg_b = offset[:, 1:][finite] * order  # B of the segment each jump opens
+        sigma = (signs[:, None] * parity[1:])[finite]
         first = np.zeros_like(finite)
         first[:, :1] = True
-        first = first[finite]  # the jump that ends segment 0 of its row
+        first = np.flatnonzero(first[finite])  # the jumps that end segment 0 of their row
         half = np.sin(0.5 * seg_b)
         k = -2.0 * half * half
         sin_b = np.sin(seg_b)
@@ -315,14 +398,71 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
             step = np.diff(v, prepend=0.0)  # minus the previous segment's value
             step[first] = v[first] - v0
             total += np.bincount(bins, weights=step, minlength=n_t + 1)
-        events += bins.size
     sums = np.cumsum(sums[:, :n_t], axis=1)
     a, b = np.cos(order * times), np.sin(order * times)
     mean_d = (a * sums[0] - b * sums[1]) / n
-    sum_d2 = a * a * sums[2] + b * b * sums[3] - 2.0 * a * b * sums[4]
-    var = np.clip(sum_d2 / n - mean_d * mean_d, 0.0, None)
-    se = np.sqrt(var / max(n - 1, 1))
-    mean = a + mean_d
+    a2, b2, ab = a * a * sums[2], b * b * sums[3], 2.0 * a * b * sums[4]
+    var = np.clip((a2 + b2 - ab) / n - mean_d * mean_d, 0.0, None).astype(float)
+    scale = ((a2 + b2 + np.abs(ab)) / n).astype(float)
+    mean = a + mean_d.astype(float)
     if imag:
-        return mean + 1j * ((b * sums[5] + a * sums[6]) / n), se, events
-    return mean.astype(complex), se, events
+        mean = mean + 1j * ((b * sums[5] + a * sums[6]) / n).astype(float)
+    return mean.astype(complex), var, scale
+
+
+def _direct(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool,
+            center: np.ndarray | None = None):
+    """Direct pass: mean of exp(i * order * phi) and the standard error of
+    its real part per grid time, from the segment of every (time, row).
+
+    Rows are taken in chunks of max(1, _CHUNK_PHASES // (columns + 1 + T))
+    in ascending order; per-time sums run over the contiguous row axis and
+    chunk sums are added in chunk order.  Each (time, row) reads K and
+    sigma * sin B of its segment (as in :func:`_sweep`) and contributes
+    d = a * K - b * (sigma * sin B), its deviation from the no-jump value
+    a = cos(m t).  The trig runs once per segment where the grid has at
+    least as many times as a row has segments, else once per (time, row)
+    on the gathered B; both give the same bits.  Sums and squares are
+    taken of d - center, ``center`` defaulting to the first chunk's mean:
+    close to the final mean, so the one-pass difference of moments keeps
+    its relative precision where the variance is small.
+    """
+    n, n_j = len(batch), batch.jump_times.shape[1]
+    total, total_sq, total_im = np.zeros((3, times.size))
+    a, b = np.cos(order * times)[:, None], np.sin(order * times)[:, None]
+    trig_first = times.size >= n_j + 1
+    rows = max(1, _CHUNK_PHASES // (n_j + 1 + times.size))
+    for start in range(0, n, rows):
+        jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
+        at_c = _segment_index(jt, times)
+        parity, offset = _segments(signs, jt)
+        seg_b = (offset * order).T.ravel()  # laid out like the index
+        sigma = (parity[:, None] * signs).ravel()
+        if not trig_first:
+            seg_b, sigma = seg_b.take(at_c), sigma.take(at_c)
+        half = np.sin(0.5 * seg_b)
+        k = -2.0 * half * half
+        sin_b = np.sin(seg_b)
+        parts = [k, sigma * sin_b] + ([sigma + sigma * k, sin_b] if imag else [])
+        parts = [v.take(at_c) if trig_first else v for v in parts]
+        d, w = parts[0], parts[1]
+        d *= a
+        w *= b
+        d -= w
+        if center is None:
+            center = d.mean(axis=1)
+        d -= center[:, None]
+        total += d.sum(axis=1)
+        d *= d
+        total_sq += d.sum(axis=1)
+        if imag:  # sin(m phi) = b * (sigma * cos B) + a * sin B
+            v, w = parts[2], parts[3]
+            v *= b
+            w *= a
+            v += w
+            total_im += v.sum(axis=1)
+    mean_d = total / n  # about center
+    var = np.clip(total_sq / n - mean_d * mean_d, 0.0, None)
+    se = np.sqrt(var / max(n - 1, 1))
+    mean = a[:, 0] + (center + mean_d)
+    return (mean + 1j * (total_im / n) if imag else mean.astype(complex)), se

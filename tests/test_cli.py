@@ -214,13 +214,15 @@ def test_mc_moment_has_stderr_column():
     header = data_section(text).splitlines()[0]
     assert header.endswith("stderr")
     # The series metadata says how wide the jump table was, how many jumps
-    # the reduction swept and how well the estimate is pinned down; none of
-    # it enters the data section.
+    # the reduction swept, at how many times the direct pass ran (none: at
+    # gamma = 1 the event sweep holds its precision) and how well the
+    # estimate is pinned down; none of it enters the data section.
     line = next(l for l in text.splitlines() if l.startswith("# series = "))
     series = json.loads(line[len("# series = "):])
     batch = sample_batch(RtnParams(1.0, 2.0), 1000, SeedSpec(12345, 0))
     assert series["jump_columns"] == batch.jump_times.shape[1] > 0
     assert series["jump_events"] == np.isfinite(batch.jump_times).sum() > 0
+    assert series["direct_times"] == 0
     stderr = np.array([float(row.split(",")[-1]) for row in data_section(text).splitlines()[1:]])
     assert series["max_stderr"] == stderr.max() > 0
 
@@ -500,11 +502,15 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
 
 
 # mc-moment configs for the thread-count test: gamma = 1 on the default
-# 400-point grid, so the reduction sweeps several row chunks and a partial one.
+# 400-point grid, so the reduction sweeps several row chunks and a partial one;
+# at gamma = 100 a row holds ~630 jumps, so the direct pass runs instead, over
+# chunks of about 60 rows.
 _MC_THREAD_CONFIGS = {
-    f"mc-moment-{mode}": {"command": "mc-moment", "rtn": {"gamma": 1.0},
-                          "mc": {"order": order, "n_real": 3000, "antithetic": mode == "antithetic"}}
-    for mode, order in (("antithetic", 4), ("plain", 2))
+    f"mc-moment-{mode}": {"command": "mc-moment", "rtn": {"gamma": gamma},
+                          "mc": {"order": order, "n_real": n_real,
+                                 "antithetic": mode == "antithetic"}}
+    for mode, gamma, order, n_real in (("antithetic", 1.0, 4, 3000), ("plain", 1.0, 2, 3000),
+                                       ("dense", 100.0, 2, 1000))
 }
 
 
@@ -518,7 +524,8 @@ def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
     # gamma = 0.12 for four shifts; fig4-right adds the optics profile and
     # width fits for four kernels; figS-calibration runs the pattern
     # contraction for 21 kernels and 20 shifts each; the mc-moment runs
-    # take the chunked Monte Carlo sweep, antithetic and plain.
+    # take the chunked event sweep, antithetic and plain, and at gamma = 100
+    # (~600 jumps a row) the chunked direct pass.
     if preset in _MC_THREAD_CONFIGS:
         config = tmp_path / "mc.json"
         config.write_text(json.dumps(_MC_THREAD_CONFIGS[preset]))

@@ -312,32 +312,39 @@ def direct_moment(batch, order, times):
             np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(len(batch)))
 
 
-@pytest.mark.parametrize("budget", [rtn._CHUNK_SEGMENTS, 1])
+@pytest.mark.parametrize("row_chunks", [False, True])
 @pytest.mark.parametrize("imag", [True, False])
 @pytest.mark.parametrize("times, rows", EDGE_GRIDS)
-def test_mc_sweep_on_edge_grids(times, rows, imag, budget, monkeypatch):
+def test_mc_sweep_on_edge_grids(times, rows, imag, row_chunks, monkeypatch):
     # The sweep moves a row onto its new segment at the first grid time after
     # a jump, phases() at the first at or after it; phi is continuous, so both
     # must agree where jumps sit on grid times (on the first grid, at 0.25
     # every row reads cos(0.75) and the stderr is 0), precede the first or
-    # follow the last.  A budget of one segment takes every row as a chunk
-    # of its own.  Without imag (the antithetic mode) only the real part is
-    # summed.
-    monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", budget)
+    # follow the last.  These rows hold fewer jumps than half the grid's
+    # times, so _reduce sweeps; the direct pass must agree on them too.
+    # Budgets of one entry take every row as a chunk of its own.  Without
+    # imag (the antithetic mode) only the real part is summed.
+    if row_chunks:
+        monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", 1)
+        monkeypatch.setattr(rtn, "_CHUNK_PHASES", 1)
     batch = stack_batches([one_row(sign, jumps) for sign, jumps in rows])
-    values, se, events = rtn._reduce(3, batch, times, imag=imag)
     expect, want_se = direct_moment(batch, 3, times)
     if not imag:
-        assert np.all(values.imag == 0.0)
         expect = expect.real
-    assert np.max(np.abs(values - expect)) < 1e-12
-    assert np.max(np.abs(se - want_se)) < 1e-12
+    values, se, events, direct = rtn._reduce(3, batch, times, imag=imag)
     assert events == np.isfinite(batch.jump_times).sum()
+    assert direct < times.size
+    for values, se in ((values, se), rtn._direct(3, batch, times, imag)):
+        if not imag:
+            assert np.all(values.imag == 0.0)
+        assert np.max(np.abs(values - expect)) < 1e-12
+        assert np.max(np.abs(se - want_se)) < 1e-12
 
 
 def test_mc_plain_is_direct_mean_over_same_draws():
-    # Plain mode sums cos and sin of m * phi by a sweep over the jump events;
-    # the oracle is the direct mean of exp(i m phi) over the same
+    # Plain mode sums cos and sin of m * phi by a sweep over the jump events
+    # (gamma = 1.3) or, with more jumps a row than half the grid's times, by
+    # the direct pass (gamma = 20); the oracle is the direct mean of exp(i m phi) over the same
     # sample_batch draws, all rows integrated at once.  Order 3 is not a
     # power of two, so m times a segment offset is not exact, and at
     # t_max = 200 the arguments reach 600.
@@ -348,8 +355,9 @@ def test_mc_plain_is_direct_mean_over_same_draws():
         params = RtnParams(gamma, t_max)
         times = np.linspace(0, t_max, points)
         batch = sample_batch(params, n_real, SeedSpec(8))
-        if gamma == 20.0:  # the rows span several chunks and leave a partial last one
-            chunk = max(1, rtn._CHUNK_SEGMENTS // (batch.jump_times.shape[1] + 1))
+        if gamma == 20.0:  # ~4000 jumps a row: the direct pass, over several
+            # chunks and a partial last one
+            chunk = max(1, rtn._CHUNK_PHASES // (batch.jump_times.shape[1] + 1 + points))
             assert n_real > chunk and n_real % chunk
         phi = batch.phases(times)
         for order in orders:
@@ -421,3 +429,61 @@ def test_mc_stderr_keeps_relative_precision_at_tiny_times():
         dev = d - d.mean(axis=1, keepdims=True)
         want = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
         np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma, points, antithetic",
+                         [(1000.0, 400, False), (1000.0, 400, True), (500.0, 4000, False)])
+def test_mc_stderr_at_high_rate(gamma, points, antithetic):
+    # Motional narrowing: at gamma = 500 to 1000 the spread of cos(2 phi) is
+    # small while its mean stays near 1, far from cos(2 t) (-1 at
+    # t_max = pi / 2), so the sweep's sums about cos(2 t) reach ~1e5 times
+    # the variance.  The stderr must still match a long-double two-pass
+    # value at 1e-10.  On 400 times (1570 jumps a row) the direct pass runs
+    # for its cost; on 4000 (785 jumps a row) because the first chunk's
+    # sweep is below its rounding bound at a quarter of the times.  Where
+    # the sweep's variance is above that bound, the sweep alone must hold
+    # the 1e-10 too.
+    params, n_real = RtnParams(gamma, 0.5 * np.pi), 1000
+    times = np.linspace(0.0, 0.5 * np.pi, points)
+    series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
+    n = n_real // 2 if antithetic else n_real
+    batch = sample_batch(params, n, SeedSpec(5))
+    want = np.empty(points)
+    for block in np.array_split(np.arange(points), -(-points // 500)):
+        phi = batch.phases(times[block]).astype(np.longdouble)
+        t = times[block, None].astype(np.longdouble)
+        d = -2 * np.sin(phi + t) * np.sin(phi - t)  # cos(2 phi) - cos(2 t)
+        dev = d - d.mean(axis=1, keepdims=True)
+        want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
+    np.testing.assert_allclose(series.stderr, want, rtol=1e-10, atol=0.0)
+    assert series.params["direct_times"] == points
+    _, var, scale = rtn._sweep(2, batch, times, imag=not antithetic)
+    held = var > rtn._SWEEP_VAR_FLOOR * scale
+    assert np.max(scale[held] / var[held]) > 2.0**15  # up to the bound
+    np.testing.assert_allclose(np.sqrt(var[held] / (n - 1)), want[held], rtol=1e-10, atol=0.0)
+
+
+def test_mc_stderr_of_duplicated_rows_is_zero():
+    # Where every row that has jumped reads the same cos(m phi) the variance
+    # is 0, far below the sweep's rounding bound; the direct pass must
+    # return it (the expanded sums alone left ~2e-8).
+    batch = TrajectoryBatch(np.array([1.0, 1.0]), np.array([[0.37, 1.21], [0.37, 1.21]]))
+    values, se, events, direct = rtn._reduce(3, batch, np.linspace(0.0, 2.0, 9), imag=True)
+    assert np.all(se < 1e-15)
+    assert 0 < direct < 9
+
+
+def test_direct_pass_bits_do_not_depend_on_trig_order():
+    # With fewer grid times than jump segments the direct pass runs its trig
+    # on the gathered segment values, otherwise once per segment before the
+    # gather.  Padding columns switch it from one to the other without moving
+    # a row's segments, and the three rows stay one chunk either way.
+    times = np.linspace(0.0, 2.0, 9)
+    rows = [(1, [0.5, 1.25, 1.5]), (-1, [0.0, 2.0]), (1, [0.25, 0.3, 1.9])]
+    batch = stack_batches([one_row(sign, jumps) for sign, jumps in rows])
+    padded = stack_batches([batch, TrajectoryBatch(np.zeros(0), np.full((0, 20), np.inf))])
+    assert batch.jump_times.shape[1] + 1 < times.size < padded.jump_times.shape[1] + 1
+    for imag in (True, False):
+        values, se = rtn._direct(3, batch, times, imag)
+        values_padded, se_padded = rtn._direct(3, padded, times, imag)
+        assert np.array_equal(values, values_padded) and np.array_equal(se, se_padded)
