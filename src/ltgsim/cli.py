@@ -241,24 +241,10 @@ def validate_config(config: dict) -> list[str]:
         slm.KernelParams(config["kernel"]["w_cp"], config["kernel"]["w_p"], config["kernel"]["n"])
     except ValueError as exc:
         diags.append(f"kernel: {exc}")
-    theta_0 = config["optics"]["theta_0"]
-    try:  # the profile grid is sized from the beam width, which scales as 1 / theta_0
-        points = optics.default_grid(optics.PdcSetup(theta_0=theta_0)).size()
-    except ArithmeticError:  # a theta_0 so small that the beam width overflows
-        points = math.inf
-    if not 3 <= points <= optics.MAX_GRID_POINTS:
-        diags.append(
-            f"optics: theta_0 {theta_0!r} sizes the profile grid at {points} points per axis, "
-            f"outside the 3 to {optics.MAX_GRID_POINTS} a profile may sample"
-        )
-    else:  # a beam narrower than a few grid spacings cannot be fitted
-        setup = optics.PdcSetup(theta_0=theta_0)
-        spacings = optics.expected_wp_px(setup) / optics.default_grid(setup).spacing_px
-        if spacings < optics.MIN_WP_SPACINGS:
-            diags.append(
-                f"optics: theta_0 {theta_0!r} gives an expected beam width of {spacings:.3g} "
-                f"grid spacings, fewer than the {optics.MIN_WP_SPACINGS} a width fit resolves"
-            )
+    try:
+        optics.profile_axis(optics.PdcSetup(theta_0=config["optics"]["theta_0"]))
+    except ValueError as exc:
+        diags.append(f"optics: {exc}")
     if config["grid"]["t_max"] <= config["grid"]["t_min"]:
         diags.append("grid: t_max must exceed t_min")
     for key, values in (("deltas", config["deltas"]),
@@ -285,11 +271,11 @@ def validate_config(config: dict) -> list[str]:
         for width in config[key]["widths_nm"]:
             if isinstance(width, bool) or not isinstance(width, (int, float)):
                 diags.append(f"{key}: width {width!r} is not a number")
-            elif not 0 <= width <= optics.MAX_SPECTRAL_WIDTH_NM:
-                diags.append(
-                    f"{key}: width {width} nm outside model range "
-                    f"[0, {optics.MAX_SPECTRAL_WIDTH_NM}] nm"
-                )
+                continue
+            try:
+                optics.PdcSetup(spectral_width_nm=width)
+            except ValueError as exc:
+                diags.append(f"{key}: {exc}")
     m = config["measurement"]
     if m["h_max"] < m["h_min"]:
         diags.append("measurement: empty h grid")
@@ -348,13 +334,6 @@ def series_csv(series: CoherenceSeries, config: dict) -> str:
 def data_section(text: str) -> str:
     """The non-comment part of an output file (header row + rows)."""
     return "\n".join(l for l in text.splitlines() if not l.startswith("#")) + "\n"
-
-
-def embedded_config(text: str) -> dict:
-    for line in text.splitlines():
-        if line.startswith("# config = "):
-            return json.loads(line[len("# config = "):])
-    raise ValueError("no embedded config found")
 
 
 # ---------------------------------------------------------------------------

@@ -33,31 +33,34 @@ Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 * ``w_cp``     -- quadrature sum sqrt(w~^2 + w0^2), the correlated-pixel
                   width fed to the mask kernel.
 
-theta0 is not directly measurable here; :func:`calibrate_theta0` picks it
-so the marginal width reproduces a target beam size (20 px by default),
-which is the one observable that pins theta0 * L.
+F is sampled on one grid, :func:`profile_axis`.  Every caller is held to
+the model's input rules: :class:`PdcSetup` refuses a spectral width outside
+[0, 120] nm and :func:`profile_axis` a theta0 that sizes the grid too small,
+too large or too coarse for the beam.
+
+theta0 is not directly measurable here; it is fixed so that the marginal
+width reproduces a 20 px beam, the one observable that pins theta0 * L.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 C_LIGHT = 299792458.0
 
-# Central emission angle (rad) calibrated so the default setup yields a
-# 20-pixel beam width on the mask; see calibrate_theta0 and the test that
-# regenerates this number.
+# Central emission angle (rad) that gives the default setup a 20-pixel beam
+# on the mask; tests/test_optics.py re-derives it by bisection.
 THETA0_CALIBRATED = 0.0291771450
 
 # First-order angular model; keep the window well inside its validity.
 MAX_SPECTRAL_WIDTH_NM = 120.0
 
 # Ceiling on the points per axis of a sampled profile: F holds points^2
-# floats, 134 MB at this size (the calibrated setup's default grid has 511).
+# floats, 134 MB at this size (the calibrated setup's grid has 511).
 MAX_GRID_POINTS = 4097
 
 # Floor on the expected beam width in grid spacings: a fit to a narrower
@@ -88,8 +91,9 @@ class PdcSetup:
                      "focal", "theta_0", "pixel_width_d"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.spectral_width_nm < 0:
-            raise ValueError("spectral_width_nm must be >= 0")
+        if not 0 <= self.spectral_width_nm <= MAX_SPECTRAL_WIDTH_NM:
+            raise ValueError(f"width {self.spectral_width_nm} nm outside model range "
+                             f"[0, {MAX_SPECTRAL_WIDTH_NM}] nm")
 
     @property
     def pump_angular_freq(self) -> float:
@@ -99,22 +103,6 @@ class PdcSetup:
     def window_angular_freq(self) -> float:
         """Full angular-frequency width of the rectangular spectral window."""
         return 2.0 * np.pi * C_LIGHT * (self.spectral_width_nm * 1e-9) / self.lambda_0**2
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Sampling of the (dx1, dx2) plane, in pixels."""
-
-    half_extent_px: float
-    spacing_px: float = 0.25
-
-    def size(self) -> int:
-        """Points on the axis: 2 * floor(half_extent / spacing) + 1."""
-        return 2 * int(np.floor(self.half_extent_px / self.spacing_px)) + 1
-
-    def axis(self) -> np.ndarray:
-        n = self.size() // 2
-        return np.arange(-n, n + 1) * self.spacing_px
 
 
 @dataclass
@@ -179,25 +167,43 @@ def expected_wp_px(setup: PdcSetup) -> float:
     """Phase-matching estimate of the beam width, for grid sizing.
 
     The coefficient matches the Gaussian-fit convention used by
-    :func:`estimate_wp` (a fit to the sinc-squared marginal), so grids
-    sized from this estimate cover +-3 of the fitted width.
+    :func:`estimate_wp` (a fit to the sinc-squared marginal), so the grid
+    sized from this estimate covers +-3.2 of the fitted width.
     """
     return 0.36 * setup.focal * setup.lambda_0 / (
         setup.theta_0 * setup.crystal_length * setup.pixel_width_d
     )
 
 
-def default_grid(setup: PdcSetup, spacing_px: float = 0.25) -> GridSpec:
-    return GridSpec(half_extent_px=3.2 * expected_wp_px(setup), spacing_px=spacing_px)
+def profile_axis(setup: PdcSetup) -> np.ndarray:
+    """The axis of both coordinates of F, in pixels: +-3.2 expected beam
+    widths (which scale as 1 / theta_0) at 0.25 px.  A grid outside 3 to
+    MAX_GRID_POINTS points, or a beam narrower than MIN_WP_SPACINGS
+    spacings, is refused with a ValueError.
+    """
+    spacing = 0.25
+    try:
+        wp = expected_wp_px(setup)
+        n = int(np.floor(3.2 * wp / spacing))
+    except ArithmeticError:  # a theta_0 so small that the beam width overflows
+        n = math.inf
+    points = 2 * n + 1
+    if not 3 <= points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"theta_0 {setup.theta_0!r} sizes the profile grid at {points} points per axis, "
+            f"outside the 3 to {MAX_GRID_POINTS} a profile may sample"
+        )
+    if wp / spacing < MIN_WP_SPACINGS:
+        raise ValueError(
+            f"theta_0 {setup.theta_0!r} gives an expected beam width of {wp / spacing:.3g} "
+            f"grid spacings, fewer than the {MIN_WP_SPACINGS} a width fit resolves"
+        )
+    return np.arange(-n, n + 1) * spacing
 
 
-def joint_profile(setup: PdcSetup, grid: Optional[GridSpec] = None) -> JointSpatialProfile:
-    """Sample F on the grid (defaults to +-3.2 expected beam widths)."""
-    if grid is None:
-        grid = default_grid(setup)
-    if grid.half_extent_px < 3.0 * expected_wp_px(setup):
-        raise ValueError("grid must cover at least +-3 expected beam widths")
-    axis = grid.axis()
+def joint_profile(setup: PdcSetup) -> JointSpatialProfile:
+    """Sample F on :func:`profile_axis` in both coordinates."""
+    axis = profile_axis(setup)
     # S over the 2n - 1 sums and W over the 2n - 1 differences of the axis,
     # laid out as the Hankel matrix S[i + j] times the Toeplitz W[i - j + n - 1].
     sums = np.concatenate([axis[0] + axis[:-1], axis + axis[-1]])
@@ -307,15 +313,12 @@ def _second_moment(x, y):
     return ((x - mean) ** 2 * y).sum() / total
 
 
-def estimate_wcp_tilde(
-    profile: JointSpatialProfile, pixel_integration: bool = True
-) -> tuple[float, int]:
+def estimate_wcp_tilde(profile: JointSpatialProfile) -> tuple[float, int]:
     """Width and preferred order of the conditional profile F(dx1, 0).
 
     Fits both a Gaussian and an order-4 super-Gaussian to a finely
-    resampled slice and returns the lower-residual fit.  With
-    ``pixel_integration`` the second coordinate is averaged over one
-    pixel, matching how a physical pixel collects photon 2.
+    resampled slice, its second coordinate averaged over one pixel as a
+    physical pixel collects photon 2, and returns the lower-residual fit.
     """
     # Coarse width from the stored grid row nearest dx2 = 0.
     mid = int(np.argmin(np.abs(profile.axis_px)))
@@ -324,13 +327,9 @@ def estimate_wcp_tilde(
 
     extent = max(6.0 * guess, 4.0)
     x_fine = np.linspace(-extent, extent, 401)
-    if pixel_integration:
-        nodes, wts = np.polynomial.legendre.leggauss(9)
-        x2 = nodes * 0.5
-        slab = profile.evaluate(x_fine, x2)
-        y = (slab * (wts * 0.5)[None, :]).sum(axis=1)
-    else:
-        y = profile.evaluate(x_fine, np.array([0.0]))[:, 0]
+    nodes, wts = np.polynomial.legendre.leggauss(9)
+    slab = profile.evaluate(x_fine, nodes * 0.5)
+    y = (slab * (wts * 0.5)[None, :]).sum(axis=1)
 
     w2, r2 = curve_fit(x_fine, y, 2, guess)
     w4, r4 = curve_fit(x_fine, y, 4, guess)
@@ -365,11 +364,6 @@ def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:
     floor = pump_floor_px(setup)
     w_cp, order, w_p, w_tilde = [], [], [], []
     for width in widths_nm:
-        if width > MAX_SPECTRAL_WIDTH_NM:
-            raise ValueError(
-                f"spectral width {width} nm beyond the first-order model "
-                f"range ({MAX_SPECTRAL_WIDTH_NM} nm)"
-            )
         s = replace(setup, spectral_width_nm=float(width))
         prof = joint_profile(s)
         w_p.append(estimate_wp(prof))
@@ -386,28 +380,3 @@ def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:
         theta_0=setup.theta_0,
         w0_floor=floor,
     )
-
-
-def calibrate_theta0(
-    setup: PdcSetup,
-    target_wp_px: float = 20.0,
-    bracket: tuple[float, float] = (0.008, 0.12),
-) -> float:
-    """Central angle that reproduces the target beam width on the mask.
-
-    The beam width is the only stated observable constraining
-    theta_0 * crystal_length, so this is how the model gets its angle.
-    """
-
-    def mismatch(theta):
-        s = replace(setup, theta_0=theta)
-        return estimate_wp(joint_profile(s, default_grid(s, spacing_px=0.5))) - target_wp_px
-
-    lo, hi = bracket
-    below = mismatch(lo) < 0
-    if below == (mismatch(hi) < 0):
-        raise ValueError("the bracket does not enclose the target beam width")
-    while hi - lo > 1e-7:  # bisection to the angle tolerance
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if (mismatch(mid) < 0) == below else (lo, mid)
-    return 0.5 * (lo + hi)

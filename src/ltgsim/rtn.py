@@ -304,29 +304,23 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     times.  Otherwise the sweep runs, and where its variance is below the
     rounding bound of its sums (_SWEEP_VAR_FLOOR) the direct pass
     recomputes the standard error at those times, about the sweep's mean.
-    When the sweep of the first chunk alone is within a factor 4 of that
-    bound at a quarter of the times or more (motional narrowing), the
-    direct pass runs alone, as it would redo many of them.
+    When the sweep's first chunk alone is within a factor 4 of that bound
+    at a quarter of the times or more (motional narrowing), the sweep
+    gives up and the direct pass runs alone, as it would redo many of them.
     """
     n, n_t = len(batch), times.size
     events = int(np.isfinite(batch.jump_times).sum())
-    if 2 * events < n * n_t:
-        rows, narrowing = _sweep_rows(batch), False
-        if 1 < rows < n:  # a first chunk of two rows or more to judge by
-            head = TrajectoryBatch(batch.signs[:rows], batch.jump_times[:rows])
-            _, var, scale = _sweep(order, head, times, False)
-            # A few rows judge the bound only roughly: a margin of 4 on it.
-            narrowing = 4 * np.count_nonzero(var < 4 * _SWEEP_VAR_FLOOR * scale) >= n_t
-        if not narrowing:
-            values, var, scale = _sweep(order, batch, times, imag)
-            se = np.sqrt(var / max(n - 1, 1))
-            redo = np.flatnonzero(var < _SWEEP_VAR_FLOOR * scale)
-            if redo.size:
-                mean_d = values.real[redo] - np.cos(order * times[redo])
-                se[redo] = _direct(order, batch, times[redo], False, center=mean_d)[1]
-            return values, se, events, redo.size
-    values, se = _direct(order, batch, times, imag)
-    return values, se, events, n_t
+    swept = _sweep(order, batch, times, imag) if 2 * events < n * n_t else None
+    if swept is None:
+        values, se = _direct(order, batch, times, imag)
+        return values, se, events, n_t
+    values, var, scale = swept
+    se = np.sqrt(var / max(n - 1, 1))
+    redo = np.flatnonzero(var < _SWEEP_VAR_FLOOR * scale)
+    if redo.size:
+        mean_d = values.real[redo] - np.cos(order * times[redo])
+        se[redo] = _direct(order, batch, times[redo], False, center=mean_d)[1]
+    return values, se, events, redo.size
 
 
 def _sweep_rows(batch: TrajectoryBatch) -> int:
@@ -334,9 +328,20 @@ def _sweep_rows(batch: TrajectoryBatch) -> int:
     return max(1, _CHUNK_SEGMENTS // (batch.jump_times.shape[1] + 1))
 
 
+def _segment_terms(seg_b: np.ndarray, sigma: np.ndarray, imag: bool) -> list:
+    """K = cos B - 1 = -2 * sin(B / 2)^2 (exact digits at small B) and
+    sigma * sin B of segments m * phi = sigma * m * t + B; with ``imag``
+    also sigma * cos B and sin B."""
+    half = np.sin(0.5 * seg_b)
+    k = -2.0 * half * half
+    sin_b = np.sin(seg_b)
+    return [k, sigma * sin_b] + ([sigma + sigma * k, sin_b] if imag else [])
+
+
 def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     """Event sweep: mean of exp(i * order * phi), the variance of its real
-    part and that variance's rounding scale, per grid time.
+    part and that variance's rounding scale, per grid time; None in motional
+    narrowing, judged on the first chunk (see :func:`_reduce`).
 
     On a jump segment m * phi = sigma * m * t + B, with sigma = +-1 and
     B = m * offset from :func:`_segments` (B = 0 before the first jump).
@@ -345,7 +350,7 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
         cos(m phi) = a + d,  d = a * K - b * (sigma * sin B),
         sin(m phi) = b * (sigma * cos B) + a * sin B,
 
-    where K = cos B - 1 = -2 * sin(B / 2)^2 keeps its digits at small B.
+    with K = cos B - 1 as :func:`_segment_terms` forms it.
     The sums over rows of K, sigma * sin B, their squares and product (and,
     with ``imag``, of sigma * cos B and sin B) change only at jumps: each
     jump adds its segment's value minus the previous segment's at the first
@@ -374,6 +379,7 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     sums = np.zeros((7 if imag else 5, n_t + 1), dtype=np.longdouble)  # bin n_t: past the grid
     if imag:
         sums[5, 0] = batch.signs.sum()  # sigma * cos B = s before the first jump
+    a, b = np.cos(order * times), np.sin(order * times)
     rows = _sweep_rows(batch)
     for start in range(0, n, rows):
         jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
@@ -384,30 +390,36 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
         first = np.zeros_like(finite)
         first[:, :1] = True
         first = np.flatnonzero(first[finite])  # the jumps that end segment 0 of their row
-        half = np.sin(0.5 * seg_b)
-        k = -2.0 * half * half
-        sin_b = np.sin(seg_b)
-        sigma_sin = sigma * sin_b
-        values = [k, sigma_sin, k * k, sigma_sin * sigma_sin, k * sigma_sin]
+        k, sigma_sin, *cos_sin = _segment_terms(seg_b, sigma, imag)
+        values = [k, sigma_sin, k * k, sigma_sin * sigma_sin, k * sigma_sin, *cos_sin]
         before = [0.0] * 5
         if imag:
-            values += [sigma + sigma * k, sin_b]
             before += [-sigma[first], 0.0]  # sigma * cos B = s = -sigma on segment 0
         bins = np.searchsorted(times, jt[finite], side="right")
         for total, v, v0 in zip(sums, values, before):
             step = np.diff(v, prepend=0.0)  # minus the previous segment's value
             step[first] = v[first] - v0
             total += np.bincount(bins, weights=step, minlength=n_t + 1)
+        if start == 0 and 1 < rows < n:  # a first chunk of two rows or more to judge by
+            _, var, scale = _sweep_moments(np.cumsum(sums[:5, :n_t], axis=1), a, b, rows)
+            # A few rows judge the bound only roughly: a margin of 4 on it.
+            if 4 * np.count_nonzero(var < 4 * _SWEEP_VAR_FLOOR * scale) >= n_t:
+                return None
     sums = np.cumsum(sums[:, :n_t], axis=1)
-    a, b = np.cos(order * times), np.sin(order * times)
-    mean_d = (a * sums[0] - b * sums[1]) / n
-    a2, b2, ab = a * a * sums[2], b * b * sums[3], 2.0 * a * b * sums[4]
-    var = np.clip((a2 + b2 - ab) / n - mean_d * mean_d, 0.0, None).astype(float)
-    scale = ((a2 + b2 + np.abs(ab)) / n).astype(float)
+    mean_d, var, scale = _sweep_moments(sums, a, b, n)
     mean = a + mean_d.astype(float)
     if imag:
         mean = mean + 1j * ((b * sums[5] + a * sums[6]) / n).astype(float)
     return mean.astype(complex), var, scale
+
+
+def _sweep_moments(sums, a, b, n: int):
+    """mean(d), var and scale of :func:`_sweep` from its sums over ``n`` rows."""
+    mean_d = (a * sums[0] - b * sums[1]) / n
+    a2, b2, ab = a * a * sums[2], b * b * sums[3], 2.0 * a * b * sums[4]
+    var = np.clip((a2 + b2 - ab) / n - mean_d * mean_d, 0.0, None).astype(float)
+    scale = ((a2 + b2 + np.abs(ab)) / n).astype(float)
+    return mean_d, var, scale
 
 
 def _direct(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool,
@@ -440,10 +452,7 @@ def _direct(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool,
         sigma = (parity[:, None] * signs).ravel()
         if not trig_first:
             seg_b, sigma = seg_b.take(at_c), sigma.take(at_c)
-        half = np.sin(0.5 * seg_b)
-        k = -2.0 * half * half
-        sin_b = np.sin(seg_b)
-        parts = [k, sigma * sin_b] + ([sigma + sigma * k, sin_b] if imag else [])
+        parts = _segment_terms(seg_b, sigma, imag)
         parts = [v.take(at_c) if trig_first else v for v in parts]
         d, w = parts[0], parts[1]
         d *= a

@@ -10,7 +10,6 @@ from ltgsim import cli, optics
 from ltgsim.cli import (
     ConfigError,
     data_section,
-    embedded_config,
     main,
     resolve_config,
     run_config,
@@ -20,6 +19,14 @@ from ltgsim.rtn import RtnParams, SeedSpec, sample_batch
 from ltgsim.series import MONTE_CARLO, CoherenceSeries
 
 FAST_GRID = {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 40}
+
+
+def embedded_config(text: str) -> dict:
+    """The resolved config an output file embeds in its ``# config`` line."""
+    for line in text.splitlines():
+        if line.startswith("# config = "):
+            return json.loads(line[len("# config = "):])
+    raise ValueError("no embedded config found")
 
 
 def test_unknown_keys_rejected():

@@ -6,13 +6,11 @@ import pytest
 from scipy.integrate import quad
 
 from ltgsim import optics
-from ltgsim.cli import main
+from ltgsim.cli import main, resolve_config, validate_config
 from ltgsim.optics import (
-    GridSpec,
     JointSpatialProfile,
     NumericalError,
     PdcSetup,
-    calibrate_theta0,
     combined_wcp,
     estimate_wcp_tilde,
     estimate_wp,
@@ -46,6 +44,36 @@ def quad_F(setup: PdcSetup, x1_px: float, x2_px: float) -> float:
     return sinc2 * value
 
 
+def point_slice_fit(prof: JointSpatialProfile) -> tuple[float, int]:
+    """estimate_wcp_tilde without the pixel average: the same guess, extent
+    and fits, on the point slice F(dx1, 0)."""
+    mid = int(np.argmin(np.abs(prof.axis_px)))
+    guess = 2.0 * np.sqrt(max(optics._second_moment(prof.axis_px, prof.F[:, mid]), 0.01))
+    extent = max(6.0 * guess, 4.0)
+    x = np.linspace(-extent, extent, 401)
+    y = prof.evaluate(x, [0.0])[:, 0]
+    w2, r2 = optics.curve_fit(x, y, 2, guess)
+    w4, r4 = optics.curve_fit(x, y, 4, guess)
+    return (w2, 2) if r2 <= r4 else (w4, 4)
+
+
+def calibrate_theta0(target_wp_px: float = 20.0, bracket=(0.008, 0.12)) -> float:
+    """Central angle at which the default setup's fitted beam width is the
+    target, by bisection: the beam width is the only stated observable that
+    constrains theta_0 * crystal_length."""
+
+    def mismatch(theta):
+        return estimate_wp(joint_profile(PdcSetup(theta_0=theta))) - target_wp_px
+
+    lo, hi = bracket
+    below = mismatch(lo) < 0
+    assert below != (mismatch(hi) < 0), "the bracket does not enclose the target beam width"
+    while hi - lo > 1e-7:  # bisection to the angle tolerance
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if (mismatch(mid) < 0) == below else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 # Centre, along the diagonal out to the beam edge, and across it into the
 # conditional tail, where F falls to 1e-11 (100 nm) ... 1e-198 (1 nm) of
 # its peak without underflowing.
@@ -56,7 +84,7 @@ ORACLE_POINTS = [(0.0, 0.0), (-12.0, -10.5), (30.0, 30.0), (-45.0, -44.0),
 def test_closed_form_matches_quad_oracle():
     for width_nm in (1.0, 15.0, 100.0):
         setup = dataclasses.replace(SETUP, spectral_width_nm=width_nm)
-        prof = joint_profile(setup, GridSpec(half_extent_px=64.5, spacing_px=1.61))
+        prof = joint_profile(setup)
         for x1, x2 in ORACLE_POINTS:
             want = quad_F(setup, x1, x2)
             got = prof.evaluate(np.array([x1]), np.array([x2]))[0, 0]
@@ -83,8 +111,7 @@ def test_vanishing_window_is_pump_limited():
     # Spectrum width -> 0: the conditional width is set by the pump
     # transform alone, i.e. the floor value.
     s = dataclasses.replace(SETUP, spectral_width_nm=0.0)
-    prof = joint_profile(s)
-    w, order = estimate_wcp_tilde(prof, pixel_integration=False)
+    w, order = point_slice_fit(joint_profile(s))
     assert order == 2
     assert w == pytest.approx(FLOOR_PX, rel=1e-3)
 
@@ -128,8 +155,8 @@ def test_conditional_order_preference():
 )
 def test_pixel_integration_width_stable_at_15nm():
     prof = joint_profile(SETUP)
-    w_on, _ = estimate_wcp_tilde(prof, pixel_integration=True)
-    w_off, _ = estimate_wcp_tilde(prof, pixel_integration=False)
+    w_on, _ = estimate_wcp_tilde(prof)
+    w_off, _ = point_slice_fit(prof)
     assert abs(w_on - w_off) / w_off < 0.02
 
 
@@ -137,8 +164,8 @@ def test_pixel_integration_width_stable_wide_window():
     # Same claim, in the regime where the artifact's widths support it.
     s40 = dataclasses.replace(SETUP, spectral_width_nm=40.0)
     prof = joint_profile(s40)
-    w_on, _ = estimate_wcp_tilde(prof, pixel_integration=True)
-    w_off, _ = estimate_wcp_tilde(prof, pixel_integration=False)
+    w_on, _ = estimate_wcp_tilde(prof)
+    w_off, _ = point_slice_fit(prof)
     assert abs(w_on - w_off) / w_off < 0.02
 
 
@@ -275,13 +302,13 @@ def test_width_fits_converge_in_few_steps(monkeypatch):
     # Newton steps on the exact Hessian: every fit of the presets' width
     # tables and of the angle calibration converges well inside 20
     # residual evaluations (Gauss-Newton needed up to 50).
-    from ltgsim.cli import PRESETS, resolve_config
+    from ltgsim.cli import PRESETS
 
     monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 20)
     widths = set(PRESETS["fig4-right"]["spectral"]["widths_nm"])
     widths |= set(resolve_config({"command": "optics-table"})["optics"]["widths_nm"])
     wcp_curve(SETUP, sorted(widths))
-    calibrate_theta0(PdcSetup())
+    calibrate_theta0()
 
 
 def test_degenerate_fit_is_a_numerical_error(tmp_path, capsys, monkeypatch):
@@ -315,13 +342,37 @@ def test_table_rows_follow_input_order():
 
 
 def test_calibration_reproduces_frozen_angle():
-    theta = calibrate_theta0(PdcSetup())
+    theta = calibrate_theta0()
     assert theta == pytest.approx(optics.THETA0_CALIBRATED, abs=2e-5)
 
 
 def test_out_of_model_range_rejected():
     with pytest.raises(ValueError):
         wcp_curve(SETUP, [200.0])
+
+
+def test_library_refuses_what_validate_refuses():
+    # The grid and width rules hold for library callers too, with the text
+    # --validate prints after its section prefix.
+    cases = [
+        (lambda: joint_profile(PdcSetup(theta_0=100)),
+         {"optics": {"theta_0": 100}},
+         "optics: theta_0 100 sizes the profile grid at 1 points per axis, "
+         "outside the 3 to 4097 a profile may sample"),
+        (lambda: joint_profile(PdcSetup(theta_0=7.4)),
+         {"optics": {"theta_0": 7.4}},
+         "optics: theta_0 7.4 gives an expected beam width of 0.315 grid spacings, "
+         "fewer than the 4 a width fit resolves"),
+        (lambda: PdcSetup(spectral_width_nm=130.0),
+         {"spectral": {"widths_nm": [130.0]}},
+         "spectral: width 130.0 nm outside model range [0, 120.0] nm"),
+    ]
+    for call, config, line in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == line.partition(": ")[2]
+        diags = validate_config(resolve_config({"command": "transition-spectral", **config}))
+        assert diags == [line]
 
 
 def test_setup_validation():

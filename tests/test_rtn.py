@@ -433,7 +433,7 @@ def test_mc_stderr_keeps_relative_precision_at_tiny_times():
 
 @pytest.mark.parametrize("gamma, points, antithetic",
                          [(1000.0, 400, False), (1000.0, 400, True), (500.0, 4000, False)])
-def test_mc_stderr_at_high_rate(gamma, points, antithetic):
+def test_mc_stderr_at_high_rate(gamma, points, antithetic, monkeypatch):
     # Motional narrowing: at gamma = 500 to 1000 the spread of cos(2 phi) is
     # small while its mean stays near 1, far from cos(2 t) (-1 at
     # t_max = pi / 2), so the sweep's sums about cos(2 t) reach ~1e5 times
@@ -442,7 +442,7 @@ def test_mc_stderr_at_high_rate(gamma, points, antithetic):
     # for its cost; on 4000 (785 jumps a row) because the first chunk's
     # sweep is below its rounding bound at a quarter of the times.  Where
     # the sweep's variance is above that bound, the sweep alone must hold
-    # the 1e-10 too.
+    # the 1e-10 too; run on one-row chunks, it does not give up there.
     params, n_real = RtnParams(gamma, 0.5 * np.pi), 1000
     times = np.linspace(0.0, 0.5 * np.pi, points)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
@@ -457,10 +457,27 @@ def test_mc_stderr_at_high_rate(gamma, points, antithetic):
         want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
     np.testing.assert_allclose(series.stderr, want, rtol=1e-10, atol=0.0)
     assert series.params["direct_times"] == points
+    monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", 1)
     _, var, scale = rtn._sweep(2, batch, times, imag=not antithetic)
     held = var > rtn._SWEEP_VAR_FLOOR * scale
     assert np.max(scale[held] / var[held]) > 2.0**15  # up to the bound
     np.testing.assert_allclose(np.sqrt(var[held] / (n - 1)), want[held], rtol=1e-10, atol=0.0)
+
+
+def test_sweep_builds_each_chunk_once(monkeypatch):
+    # The sweep judges motional narrowing on the sums of its own first
+    # chunk, so a sparse batch over several chunks forms each chunk's
+    # segments once (a separate pilot sweep formed the first chunk's twice).
+    params, times = RtnParams(1.0, 2.0 * np.pi), np.linspace(0.0, 2.0 * np.pi, 400)
+    batch = sample_batch(params, 3000, SeedSpec(2))
+    rows = rtn._sweep_rows(batch)
+    assert 1 < rows < len(batch) and len(batch) % rows
+    calls, segments = [], rtn._segments
+    monkeypatch.setattr(rtn, "_segments", lambda *a: calls.append(a) or segments(*a))
+    for imag in (True, False):
+        calls.clear()
+        assert rtn._reduce(2, batch, times, imag)[3] == 0  # swept, nothing redone
+        assert len(calls) == -(-len(batch) // rows)
 
 
 def test_mc_stderr_of_duplicated_rows_is_zero():
