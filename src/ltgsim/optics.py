@@ -89,7 +89,7 @@ class PdcSetup:
     def __post_init__(self):
         for name in ("lambda_pump", "lambda_0", "crystal_length", "pump_waist",
                      "focal", "theta_0", "pixel_width_d"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # refuses NaN too
                 raise ValueError(f"{name} must be positive")
         if not 0 <= self.spectral_width_nm <= MAX_SPECTRAL_WIDTH_NM:
             raise ValueError(f"width {self.spectral_width_nm} nm outside model range "

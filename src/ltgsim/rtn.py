@@ -18,7 +18,10 @@ writes cos(m * phi) as cos(m * t) plus two constants of the jump segment
 weighted by cos(m * t) and sin(m * t).  Where realizations hold few jumps
 against the grid, its per-time sums over realizations change only at jumps
 and are swept event by event, in O(jumps + times) work; otherwise each
-(time, realization) reads the constants of its segment directly.
+(time, realization) reads the constants of its segment directly.  Both
+place each jump on the grid by :func:`_grid_bins`: an index guessed from
+the grid's mean spacing and checked against its two neighbouring grid
+times, with a binary search only for the jumps that fail the check.
 
 Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
@@ -29,6 +32,7 @@ stream indices give statistically independent streams and the same
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -151,17 +155,55 @@ def _segment_index(jump_times: np.ndarray, times: np.ndarray) -> np.ndarray:
     of an ascending grid, shape (T, R), c counting the jumps at or before t.
 
     Each jump is binned to the first grid time at or after it
-    (``searchsorted``; the +inf padding falls past the grid), so the index
-    follows from one ``bincount`` and a cumulative sum along the grid.
+    (:func:`_grid_bins`, side "left"; the +inf padding falls past the grid),
+    so the index follows from one ``bincount`` and a cumulative sum along
+    the grid.
     """
     n_t, n_r = times.size, jump_times.shape[0]
     rows = np.arange(n_r)
-    bins = np.searchsorted(times, jump_times) * n_r + rows[:, None]
+    bins = _grid_bins(times, jump_times, "left") * n_r + rows[:, None]
     at_c = np.bincount(bins.ravel(), minlength=(n_t + 1) * n_r).reshape(n_t + 1, n_r)[:n_t]
     at_c *= n_r
     at_c[:1] += rows  # a slice: an empty grid has no first time
     np.cumsum(at_c, axis=0, out=at_c)
     return at_c
+
+
+def _grid_bins(times: np.ndarray, x: np.ndarray, side: str) -> np.ndarray:
+    """``np.searchsorted(times, x, side=side)`` for an ascending grid, bit for
+    bit, in O(1) per key where the grid is close to uniform.
+
+    Each index is guessed from the grid's mean spacing, the float guess
+    clipped to [0, T] before the integer cast (so +inf, NaN and keys off the
+    grid never reach the cast), and checked against the two grid times
+    around it: ``side`` "right" counts the grid times at or before a key,
+    "left" those before it.  Only keys whose guess fails the check (keys on
+    or within rounding of a grid time, non-uniform grids) go to
+    ``searchsorted``, as does every key of a grid with fewer than 2 points
+    or a span that is not positive and finite.
+    """
+    before = {"left": np.less, "right": np.less_equal}[side]
+    n_t = times.size
+    span = times[-1] - times[0] if n_t > 1 else 0.0
+    if not 0.0 < span < np.inf:
+        return np.searchsorted(times, x, side=side)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (n_t - 1) / span
+        guess = x * scale
+        guess += 1.0 - times[0] * scale
+        np.fmax(guess, 0.0, out=guess)  # fmax and fmin send NaN to a bound
+        np.fmin(guess, n_t, out=guess)
+    bins = guess.astype(np.intp)
+    # Bounds of bin i: grid times i - 1 and i, with -inf before the grid and
+    # NaN past it (before(NaN, key) is false for every key).
+    edges = np.concatenate(([-np.inf], times, [np.nan]))
+    ok = before(edges.take(bins), x)
+    ok &= ~before(edges[1:].take(bins), x)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        flat = bins.reshape(-1)
+        flat[miss] = np.searchsorted(times, x.reshape(-1).take(miss), side=side)
+    return bins
 
 
 def _segments(signs: np.ndarray, jump_times: np.ndarray):
@@ -224,7 +266,7 @@ def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBa
     counts = rng.poisson(params.gamma * params.t_max, n_real)
     width = int(counts.max()) if n_real else 0
     jumps = rng.random((n_real, width)) * params.t_max
-    jumps[np.arange(width)[None, :] >= counts[:, None]] = np.inf
+    np.putmask(jumps, np.arange(width) >= counts[:, None], np.inf)
     jumps.sort(axis=1)
     signs = np.where(rng.random(n_real) < 0.5, 1.0, -1.0)
     return TrajectoryBatch(signs, jumps)
@@ -331,11 +373,18 @@ def _sweep_rows(batch: TrajectoryBatch) -> int:
 def _segment_terms(seg_b: np.ndarray, sigma: np.ndarray, imag: bool) -> list:
     """K = cos B - 1 = -2 * sin(B / 2)^2 (exact digits at small B) and
     sigma * sin B of segments m * phi = sigma * m * t + B; with ``imag``
-    also sigma * cos B and sin B."""
-    half = np.sin(0.5 * seg_b)
-    k = -2.0 * half * half
+    also sigma * cos B and sin B.  Overwrites ``seg_b``."""
     sin_b = np.sin(seg_b)
-    return [k, sigma * sin_b] + ([sigma + sigma * k, sin_b] if imag else [])
+    seg_b *= 0.5
+    half = np.sin(seg_b, out=seg_b)
+    k = half * -2.0
+    k *= half
+    sigma_sin = sigma * sin_b
+    if not imag:
+        return [k, sigma_sin]
+    sigma_cos = sigma * k
+    sigma_cos += sigma
+    return [k, sigma_sin, sigma_cos, sin_b]
 
 
 def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
@@ -357,9 +406,14 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     grid time after it.  phi is continuous, so this reads the values of the
     at-or-after binning of :meth:`TrajectoryBatch.phases`, and a row whose
     first jump falls on a grid time keeps d = 0 exactly there.  Per chunk
-    of max(1, _CHUNK_SEGMENTS // (columns + 1)) rows one ``bincount`` per
-    sum bins the finite jumps by grid time; chunks are added in row order
-    and one cumulative sum along the grid gives the sums at every time.
+    of max(1, _CHUNK_SEGMENTS // (columns + 1)) rows the finite jumps are
+    taken by flat index into the chunk's padded table, in row order
+    (:func:`_chunk_jumps`): their grid times from :func:`_grid_bins` (side
+    "right"), B from the ``offset`` table of :func:`_segments`, sigma from
+    the row's sign and the column's parity.  One ``bincount`` per sum, all
+    sharing those bins, adds the steps by grid time; chunks are added in
+    row order and one cumulative sum along the grid gives the sums at every
+    time.
 
     The variance is taken about the no-jump value a:
     var = sum d^2 / n - mean(d)^2, with sum d^2 expanded as
@@ -383,22 +437,17 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     rows = _sweep_rows(batch)
     for start in range(0, n, rows):
         jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
-        finite = np.isfinite(jt)
-        parity, offset = _segments(signs, jt)
-        seg_b = offset[:, 1:][finite] * order  # B of the segment each jump opens
-        sigma = (signs[:, None] * parity[1:])[finite]
-        first = np.zeros_like(finite)
-        first[:, :1] = True
-        first = np.flatnonzero(first[finite])  # the jumps that end segment 0 of their row
+        bins, seg_b, sigma, first = _chunk_jumps(times, jt, signs, *_segments(signs, jt), order)
         k, sigma_sin, *cos_sin = _segment_terms(seg_b, sigma, imag)
-        values = [k, sigma_sin, k * k, sigma_sin * sigma_sin, k * sigma_sin, *cos_sin]
         before = [0.0] * 5
         if imag:
             before += [-sigma[first], 0.0]  # sigma * cos B = s = -sigma on segment 0
-        bins = np.searchsorted(times, jt[finite], side="right")
-        for total, v, v0 in zip(sums, values, before):
-            step = np.diff(v, prepend=0.0)  # minus the previous segment's value
-            step[first] = v[first] - v0
+        # The three products are formed one at a time into one buffer.
+        prod, step = np.empty_like(k), np.empty_like(k)
+        products = (np.multiply(u, w, out=prod) for u, w in ((k, k), (sigma_sin, sigma_sin), (k, sigma_sin)))
+        for total, v, v0 in zip(sums, chain((k, sigma_sin), products, cos_sin), before):
+            np.subtract(v[1:], v[:-1], out=step[1:])  # minus the previous segment's value
+            step[first] = v[first] - v0  # first holds 0: rows are padded at their end
             total += np.bincount(bins, weights=step, minlength=n_t + 1)
         if start == 0 and 1 < rows < n:  # a first chunk of two rows or more to judge by
             _, var, scale = _sweep_moments(np.cumsum(sums[:5, :n_t], axis=1), a, b, rows)
@@ -411,6 +460,22 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     if imag:
         mean = mean + 1j * ((b * sums[5] + a * sums[6]) / n).astype(float)
     return mean.astype(complex), var, scale
+
+
+def _chunk_jumps(times, jt, signs, parity, offset, order: int):
+    """The finite jumps of a chunk of rows, in row order, taken by flat index
+    into its padded table: the grid bin where each starts to count (side
+    "right"), B = order * offset and sigma of the segment it opens, and the
+    positions of the jumps that end segment 0 of their row."""
+    idx = np.flatnonzero(np.isfinite(jt))
+    row, col = np.divmod(idx, jt.shape[1])
+    bins = _grid_bins(times, jt.reshape(-1).take(idx), "right")
+    idx += row + 1  # offset[row, col + 1]
+    seg_b = offset.reshape(-1).take(idx)
+    seg_b *= order
+    sigma = signs.take(row)
+    sigma *= parity.take(col + 1)
+    return bins, seg_b, sigma, np.flatnonzero(col == 0)
 
 
 def _sweep_moments(sums, a, b, n: int):

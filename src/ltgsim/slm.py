@@ -108,7 +108,7 @@ class KernelParams:
     geometry: MaskGeometry = field(default_factory=MaskGeometry)
 
     def __post_init__(self):
-        if self.w_cp <= 0 or self.w_p <= 0:
+        if not self.w_cp > 0 or not self.w_p > 0:  # refuses NaN too
             raise ValueError("w_cp and w_p must be positive")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(
@@ -128,7 +128,7 @@ class CorrelationKernel:
         w = self.weights
         if np.any(w < 0):
             raise ValueError("kernel weights must be non-negative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # refuses NaN too
             raise ValueError("kernel weights must sum to 1 within 1e-12")
 
 
@@ -148,7 +148,7 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
          * np.exp(-2.0 * dk[None, :] ** 2 / params.w_p**2))
     w *= corr
     total = w.sum()
-    if total <= 0:
+    if not total > 0:
         raise ValueError("kernel has no support on the mask")
     w /= total
     return CorrelationKernel(w, params)

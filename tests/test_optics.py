@@ -351,6 +351,15 @@ def test_out_of_model_range_rejected():
         wcp_curve(SETUP, [200.0])
 
 
+@pytest.mark.parametrize("name", ["lambda_pump", "lambda_0", "crystal_length", "pump_waist",
+                                  "focal", "theta_0", "pixel_width_d"])
+def test_setup_rejects_nan_lengths(name):
+    # NaN fails "> 0"; before, it passed "<= 0" and surfaced later as an
+    # unrelated cast or fit error.
+    with pytest.raises(ValueError, match=f"{name} must be positive"):
+        PdcSetup(**{name: float("nan")})
+
+
 def test_library_refuses_what_validate_refuses():
     # The grid and width rules hold for library callers too, with the text
     # --validate prints after its section prefix.

@@ -229,6 +229,52 @@ def test_descending_grid_rejected():
         one_row(1, [0.5]).phases([0.0, 1.0, 0.5])
 
 
+@st.composite
+def grids_and_keys(draw):
+    # Uniform grids of 1 to 4000 points (t_min = 0 or above), non-uniform
+    # grids and grids with repeated times, with keys on grid times, one ulp
+    # either side of them, between them, below and above the grid, and +inf.
+    kind = draw(st.sampled_from(["uniform", "non-uniform", "repeats"]))
+    if kind == "uniform":
+        t_min = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+        times = np.linspace(t_min, t_min + draw(st.floats(1e-3, 100.0)), draw(st.integers(1, 4000)))
+    else:
+        times = np.sort(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40)))
+        if kind == "repeats":
+            times = np.repeat(times, draw(st.lists(st.integers(1, 3), min_size=times.size,
+                                                   max_size=times.size)))
+    at = np.array(draw(st.lists(st.integers(0, times.size - 1), max_size=40)), dtype=int)
+    frac = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=at.size, max_size=at.size)))
+    on = times[at]
+    between = on + frac * (times[np.minimum(at + 1, times.size - 1)] - on)
+    edges = [times[0] - 1.0, np.nextafter(times[0], -np.inf), np.nextafter(times[-1], np.inf),
+             times[-1] + 1.0, np.inf]
+    keys = np.concatenate([on, np.nextafter(on, -np.inf), np.nextafter(on, np.inf), between, edges])
+    return times, np.array(draw(st.permutations(keys)))
+
+
+@given(grids_and_keys())
+@settings(max_examples=200, deadline=None)
+def test_grid_bins_equal_searchsorted(grid_keys):
+    # The arithmetic binning of the phases and the event sweep must give
+    # searchsorted's bins exactly, for either side and any key layout.
+    times, keys = grid_keys
+    for side in ("left", "right"):
+        want = np.searchsorted(times, keys, side=side)
+        assert np.array_equal(rtn._grid_bins(times, keys, side), want)
+        assert np.array_equal(rtn._grid_bins(times, keys.reshape(-1, 1), side), want[:, None])
+
+
+def test_grid_bins_on_degenerate_grids():
+    # Fewer than 2 points, a zero span or an empty key set go to searchsorted.
+    keys = np.array([-1.0, 2.0, 2.5, np.inf])
+    for times in (np.array([]), np.array([2.0]), np.full(3, 2.0)):
+        for side in ("left", "right"):
+            want = np.searchsorted(times, keys, side=side)
+            assert np.array_equal(rtn._grid_bins(times, keys, side), want)
+            assert rtn._grid_bins(times, keys[:0], side).size == 0
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo exponential moments
 # ---------------------------------------------------------------------------
@@ -338,6 +384,23 @@ def test_mc_sweep_on_edge_grids(times, rows, imag, row_chunks, monkeypatch):
         if not imag:
             assert np.all(values.imag == 0.0)
         assert np.max(np.abs(values - expect)) < 1e-12
+        assert np.max(np.abs(se - want_se)) < 1e-12
+
+
+def test_mc_sweep_on_non_uniform_grid():
+    # On a quadratic grid the spacing guess of _grid_bins misses for most
+    # jumps, which then take searchsorted's bins inside the sweep; the sweep
+    # and the phases must still match the direct oracle and the segments.
+    params = RtnParams(1.3, 2.0)
+    times = 2.0 * np.linspace(0.0, 1.0, 60) ** 2
+    batch = sample_batch(params, 3000, SeedSpec(6))
+    assert np.allclose(batch.phases(times[::6])[:, :40], oracle_phases(batch, times[::6])[:, :40],
+                       atol=1e-13)
+    expect, want_se = direct_moment(batch, 3, times)
+    for imag in (True, False):
+        values, se, events, direct = rtn._reduce(3, batch, times, imag=imag)
+        assert direct == 0  # swept
+        assert np.max(np.abs(values - (expect if imag else expect.real))) < 1e-12
         assert np.max(np.abs(se - want_se)) < 1e-12
 
 

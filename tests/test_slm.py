@@ -98,6 +98,22 @@ def test_kernel_rejects_unnormalized():
         CorrelationKernel(np.full((4, 4), 1.0), KernelParams(1, 1, 2, MaskGeometry(2, 1, 3)))
 
 
+@pytest.mark.parametrize("w_cp, w_p", [(np.nan, 20.0), (3.0, np.nan)])
+def test_kernel_params_reject_nan_widths(w_cp, w_p):
+    # A NaN width fails "> 0"; before, w_cp = NaN built an all-NaN kernel.
+    with pytest.raises(ValueError, match="positive"):
+        KernelParams(w_cp, w_p)
+
+
+def test_kernel_rejects_nan_weights():
+    # |NaN - 1| > 1e-12 is false, so the unit-sum check must be written as
+    # "not within 1e-12" to refuse NaN weights.
+    weights = np.full((4, 4), 1.0 / 16.0)
+    weights[1, 2] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        CorrelationKernel(weights, KernelParams(1, 1, 2, MaskGeometry(2, 1, 3)))
+
+
 # ---------------------------------------------------------------------------
 # phase field
 # ---------------------------------------------------------------------------
