@@ -41,12 +41,12 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
     -------
     Real moment value(s); scalar in, scalar out.
     """
-    if gamma < 0:
+    if not gamma >= 0:  # refuses NaN too
         raise ValueError("gamma must be >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise ValueError("t must be >= 0")
 
     if abs(gamma - order) < _DEGENERATE_TOL:

@@ -19,19 +19,20 @@ half by h, and reads the visibility V(h).  The contrast of V(h) falls as
 the kernel width w_cp blurs the pattern, which makes it an estimator of
 w_cp once compared against a simulated contrast-versus-width curve
 (20 widths over [0.5, 10] px).  The pattern does not change with h, so
-each kernel W is contracted once, a = z^T W with z = exp(i * pattern),
-and Gamma(h) = sum_k a_k z_{k+h} follows for every shift from a.
+Gamma(h) = sum_k a_k z_{k+h} follows for every shift from a = z^T W with
+z = exp(i * pattern), and a follows from the kernel's factors, not from W.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
 from .rtn import SeedSpec
-from .slm import CorrelationKernel, KernelParams, _on_mask, build_kernel
+from .slm import _NO_SUPPORT, KernelParams, _on_mask, kernel_factors
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
@@ -114,37 +115,35 @@ class CalibrationResult:
             raise ValueError("visibility contrast must lie in [0, 1]")
 
 
-def _pattern_coherence(kernel: CorrelationKernel, n_r: int, h_values: np.ndarray) -> np.ndarray:
-    """Re Gamma(h) of the rectangular pattern on both halves, for every shift h.
+def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.ndarray) -> np.ndarray:
+    """Re Gamma(h) of the rectangular pattern on both halves, per kernel (rows) and shift h.
 
-    Gamma(h) = sum_jk W[j,k] z_j z_{k+h} over the k whose shifted index
-    stays on the mask, with z = exp(i * pattern).  The pattern does not
-    change with h, so a = z^T W is contracted once and each shift is the
-    sum of a_k z_{k+h}; pairs shifted off the mask are dropped without
-    renormalizing, as in ``slm.phasor_sum``, which is the pixel-level
-    oracle for this contraction.  Both sums are single-threaded einsums.
+    Gamma(h) = sum_k a_k z_{k+h} with a = z^T W over the k whose shifted
+    index stays on the mask, dropping the rest without renormalizing as the
+    pixel-level oracle ``slm.phasor_sum`` does.  In the factors (g1, g2, c)
+    of ``slm.kernel_factors``, a_k = g2_k sum_j z_j g1_j c[j - k + N - 1] /
+    total.  Re z is the constant cos(pi/4), so the correlation of c with g1
+    gives Re a and total alike; one with sin(pattern) * g1 gives Im a.  All
+    sums are single-threaded einsums (``np.correlate`` calls the BLAS dot).
     """
-    n_pix = kernel.weights.shape[0]
-    z = np.exp(1j * rect_phase_pattern(n_pix, n_r))
-    a = np.einsum("j,jk->k", z, kernel.weights, optimize=False)
-    re = np.empty(h_values.size)
-    for i, h in enumerate(h_values.tolist()):
-        on = _on_mask(n_pix, h)
-        re[i] = np.einsum("k,k->", a[on], z[on.start + h:on.stop + h], optimize=False).real
-    return np.clip(re, -1.0, 1.0)
-
-
-def _sine_fit(h_values: np.ndarray, v: np.ndarray, n_r: int) -> tuple[float, float, float]:
-    """Amplitude, offset and rms residual of the LSQ sine of period 2 * n_r in h."""
-    basis = np.column_stack(
-        [np.ones(h_values.size),
-         np.cos(np.pi * h_values / n_r),
-         np.sin(np.pi * h_values / n_r)]
-    )
-    coef, _, _, _ = np.linalg.lstsq(basis, v, rcond=None)
-    resid = v - basis @ coef
-    return (float(np.hypot(coef[1], coef[2])), float(coef[0]),
-            float(np.sqrt(np.mean(resid**2))))
+    n_pix = kernels[0].geometry.pixels_per_half
+    for h in (h_values.min(initial=0), h_values.max(initial=0)):
+        _on_mask(n_pix, int(h))
+    pattern = rect_phase_pattern(n_pix, n_r)
+    g1, g2, c = (np.array(f) for f in zip(*map(kernel_factors, kernels)))
+    # The Gaussian tails reach the subnormal range, where products are many
+    # times slower: c and g1 are scaled by 2^500 (exactly; sums stay < 2^1010).
+    lift = 2.0**500
+    toeplitz = sliding_window_view(c * lift, n_pix, axis=1)[:, ::-1]  # [w, k, j] = c[w, j - k + N - 1]
+    corr_re = np.einsum("wkj,wj->wk", toeplitz, g1 * lift, optimize=False) / lift**2
+    corr_im = np.einsum("wkj,wj->wk", toeplitz, g1 * (lift * np.sin(pattern)), optimize=False) / lift**2
+    total = np.einsum("wk,wk->w", g2, corr_re, optimize=False)
+    if not np.all(total > 0):
+        raise ValueError(_NO_SUPPORT)
+    a = (np.cos(_PATTERN_AMPLITUDE) * corr_re + 1j * corr_im) * (g2 / total[:, None])
+    # [h, k] = z_{k+h}, read from z padded with zeros off the mask
+    shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values]
+    return np.clip(np.einsum("wk,hk->wh", a, shifted, optimize=False).real, -1.0, 1.0)
 
 
 def calibrate_wcp(
@@ -161,23 +160,26 @@ def calibrate_wcp(
     """Estimate the correlated-pixel width from pattern-contrast data.
 
     ``kernel_params.w_cp`` plays the role of the unknown true width: the
-    measurement leg reads Re Gamma(h) for every shift from one pattern
+    measurement leg reads Re Gamma(h) for every shift from the pattern
     contraction of its kernel and turns it into V(h), with shot noise by
     default (averaging ``repeats`` acquisitions of ``acquisition_s`` per
     point) or as p * |Re Gamma| without.  The estimation leg builds the
     noise-free contrast of each of 20 widths over [0.5, 10] px, with the
-    same beam width and order and one contraction per kernel, fits a cubic
-    polynomial, and inverts it at the measured contrast; a contrast the
-    curve does not reach raises NumericalError.  Uncertainty combines the
-    sine-fit scatter with the polynomial residual, both divided by the
-    local curve slope.  A contrast within 5 sigma of zero is shot noise,
-    not a measurement, and raises NumericalError as well.
+    same beam width and order (one contraction and one sine fit serve all
+    21 kernels), fits a cubic polynomial, and inverts it at the measured
+    contrast; a contrast the curve does not reach raises NumericalError.
+    Uncertainty combines the sine-fit scatter with the polynomial residual,
+    both divided by the local curve slope.  A contrast within 5 sigma of
+    zero is shot noise, not a measurement, and raises NumericalError too.
     """
     if h_values is None:
         h_values = np.arange(-10, 10)
     h_values = np.asarray(h_values, dtype=int)
 
-    re_gamma = _pattern_coherence(build_kernel(kernel_params), n_r, h_values)
+    # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
+    curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
+    kernels = [kernel_params, *(replace(kernel_params, w_cp=float(w)) for w in curve_w)]
+    re_gamma, *curve_re = _pattern_coherence(kernels, n_r, h_values)
     if shot_noise:
         # shift i draws its counts from stream s + 1 + i of the seed
         v = np.empty(h_values.size)
@@ -189,28 +191,21 @@ def calibrate_wcp(
             v[i] = visibility(*rates)
     else:
         v = p * np.abs(re_gamma)
-    amplitude, offset, rms = _sine_fit(h_values, v, n_r)
+    # One least-squares sine of period 2 * n_r in h per row: V(h), then the curve's.
+    phase = np.pi * h_values / n_r
+    basis = np.column_stack([np.ones(h_values.size), np.cos(phase), np.sin(phase)])
+    coef, _, _, _ = np.linalg.lstsq(basis, np.vstack([v, p * np.abs(curve_re)]).T, rcond=None)
+    amplitude, offset = float(np.hypot(coef[1, 0], coef[2, 0])), float(coef[0, 0])
     if offset <= 0:
         raise NumericalError("sine fit returned a non-positive offset")
     vis = amplitude / offset
-    npts = h_values.size
-    sigma_amp = rms * np.sqrt(2.0 / npts)
-    sigma_off = rms / np.sqrt(npts)
+    rms = np.sqrt(np.mean((v - basis @ coef[:, 0]) ** 2))
+    sigma_amp = rms * np.sqrt(2.0 / h_values.size)
+    sigma_off = rms / np.sqrt(h_values.size)
     vis_sigma = vis * np.sqrt(
         (sigma_amp / max(amplitude, 1e-12)) ** 2 + (sigma_off / offset) ** 2
     )
-
-    # Simulated calibration curve (noise-free) and cubic fit.
-    curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
-    curve_vis = np.empty(_CURVE_SAMPLES)
-    for i, w in enumerate(curve_w):
-        k = build_kernel(
-            KernelParams(w_cp=float(w), w_p=kernel_params.w_p,
-                         n=kernel_params.n, geometry=kernel_params.geometry)
-        )
-        v_i = p * np.abs(_pattern_coherence(k, n_r, h_values))
-        a_i, c_i, _ = _sine_fit(h_values, v_i, n_r)
-        curve_vis[i] = a_i / c_i
+    curve_vis = np.hypot(coef[1, 1:], coef[2, 1:]) / coef[0, 1:]
     poly = np.polynomial.Polynomial.fit(curve_w, curve_vis, deg=3)
     poly_rms = float(np.sqrt(np.mean((poly(curve_w) - curve_vis) ** 2)))
 

@@ -11,7 +11,7 @@ spatially.  A pair distribution over pixel offsets,
     dj = j - j0,  dk = k - k0,
 
 (unit sum; super-Gaussian order n even) encodes the beam envelope w_p and
-the photon-pair correlation width w_cp, both in pixels.
+the photon-pair correlation width w_cp, both in pixels (``kernel_factors``).
 
 Noise enters as a phase field phi(offset, t) built from telegraph-noise
 trajectories, constant over blocks of ``n_rep`` consecutive offsets.  Every
@@ -53,7 +53,7 @@ does not depend on the thread count.
 ``phasor_sum`` keeps the literal pixel contraction for arbitrary (not
 blockwise) mask phases.  No model path calls it: it is the pixel-level
 oracle that the tests hold this block sum and the calibration's pattern
-contraction (``measurement``) against.
+contraction (``measurement``, from ``kernel_factors``) against.
 """
 from __future__ import annotations
 
@@ -65,6 +65,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .rtn import RtnParams, SeedSpec, sample_trajectory, stack_batches
 from .series import KERNEL_SUM, CoherenceSeries
+
+_NO_SUPPORT = "kernel has no support on the mask"
 
 
 @dataclass(frozen=True)
@@ -132,24 +134,27 @@ class CorrelationKernel:
             raise ValueError("kernel weights must sum to 1 within 1e-12")
 
 
+def kernel_factors(params: KernelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Beam envelopes g1, g2 and correlation values c of the pair distribution.
+
+    weights[j, k] = g1[j] * g2[k] * c[j - k + N - 1] / total for N pixels per
+    half: the correlation factor depends only on j - k (2N - 1 values).
+    """
+    dj, dk = params.geometry.offsets1(), params.geometry.offsets2()
+    diff = np.concatenate([dj[0] - dk[:0:-1], dj - dk[0]])
+    return (np.exp(-2.0 * dj**2 / params.w_p**2), np.exp(-2.0 * dk**2 / params.w_p**2),
+            np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n))
+
+
 def build_kernel(params: KernelParams) -> CorrelationKernel:
     """Evaluate and normalize the pair distribution on the pixel grid."""
-    geo = params.geometry
-    dj = geo.offsets1()
-    dk = geo.offsets2()
-    # The correlation factor depends only on j - k: take exp over the 2n - 1
-    # differences (j - k = -(n-1) .. n-1), then lay them out as the Toeplitz
-    # matrix corr[j, k] = corr_diff[j - k + n - 1].
-    diff = np.concatenate([dj[0] - dk[:0:-1], dj - dk[0]])
-    corr_diff = np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n)
-    corr = sliding_window_view(corr_diff, dk.size)[:, ::-1]
-    # One (n, n) array, scaled in place: a kernel is the largest array of a sweep.
-    w = (np.exp(-2.0 * dj[:, None] ** 2 / params.w_p**2)
-         * np.exp(-2.0 * dk[None, :] ** 2 / params.w_p**2))
-    w *= corr
+    g1, g2, c = kernel_factors(params)
+    # One (N, N) array, the largest of a sweep, scaled in place by c[j - k + N - 1].
+    w = g1[:, None] * g2[None, :]
+    w *= sliding_window_view(c, g2.size)[:, ::-1]
     total = w.sum()
     if not total > 0:
-        raise ValueError("kernel has no support on the mask")
+        raise ValueError(_NO_SUPPORT)
     w /= total
     return CorrelationKernel(w, params)
 

@@ -108,6 +108,15 @@ def test_precondition_errors():
         exponential_moment(1.0, 2, -0.5)
 
 
+def test_moment_rejects_nan():
+    # NaN fails every ordering test, so only checks written as "not >= 0"
+    # catch it; before, both calls returned NaN moments.
+    with pytest.raises(ValueError, match="gamma must be >= 0"):
+        exponential_moment(float("nan"), 2, [0.5, 1.0])
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        exponential_moment(1.0, 2, np.array([0.5, np.nan]))
+
+
 def test_coherence_rejects_bad_grids():
     # A negative time is refused by the moment at every grid point, not only
     # the first, and a descending grid by the series container.

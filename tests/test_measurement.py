@@ -190,16 +190,29 @@ def test_rect_pattern():
     [(GEO, 20.0), (MaskGeometry(j0=40.5, k0=600.0), 120.0)],
 )
 def test_pattern_contraction_matches_pixel_sum(n_r, w_cp, geo, w_p):
-    # Re Gamma(h) from one contraction a = z^T W per kernel equals the
-    # literal pixel sum with half 2 shifted by h, at every shift.
-    k = build_kernel(KernelParams(w_cp, w_p, 2, geo))
+    # Re Gamma(h) from the kernel's factors, with no weight matrix formed,
+    # equals the literal pixel sum with half 2 shifted by h, at every shift,
+    # for both super-Gaussian orders.
     pattern = rect_phase_pattern(320, n_r)[:, None]
     h = np.array([-319, -200, -37, -10, -3, -1, 0, 1, 2, 5, 9, 41, 160, 319])
-    want = np.array([phasor_sum(k, pattern, pattern, int(d))[0].real for d in h])
-    assert np.allclose(_pattern_coherence(k, n_r, h), want, rtol=0.0, atol=1e-13)
-    for d in (320, -320):
-        with pytest.raises(ValueError, match=f"shift delta={d} moves every pixel off"):
-            _pattern_coherence(k, n_r, np.array([0, d]))
+    for n in (2, 4):
+        kp = KernelParams(w_cp, w_p, n, geo)
+        k = build_kernel(kp)
+        want = np.array([phasor_sum(k, pattern, pattern, int(d))[0].real for d in h])
+        assert np.allclose(_pattern_coherence([kp], n_r, h)[0], want, rtol=0.0, atol=1e-13)
+        for d in (320, -320):
+            with pytest.raises(ValueError, match=f"shift delta={d} moves every pixel off"):
+                _pattern_coherence([kp], n_r, np.array([0, d]))
+
+
+def test_calibration_refuses_kernel_without_support():
+    # Half-pixel offsets and w_cp = 1e-3 px underflow every correlation value.
+    kp = KernelParams(1e-3, 20.0, 2, MaskGeometry(j0=160.5))
+    with pytest.raises(ValueError) as built:
+        build_kernel(kp)
+    with pytest.raises(ValueError) as calibrated:
+        calibrate_wcp(kp, shot_noise=False)
+    assert str(calibrated.value) == str(built.value) == "kernel has no support on the mask"
 
 
 def test_calibration_narrow_kernel_maximal_contrast():

@@ -62,6 +62,24 @@ def test_kernel_unit_sum_and_positive(w_cp, w_p, n):
     assert np.all(k.weights >= 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("geo", [GEO, MaskGeometry(j0=40.5, k0=600.0)])
+def test_kernel_is_product_of_its_factors(n, geo):
+    # The weights are the outer product of the beam envelopes times the
+    # correlation value of each index difference j - k, normalized, bit for bit.
+    kp = KernelParams(3.0, 40.0, n, geo)
+    g1, g2, corr_diff = slm.kernel_factors(kp)
+    j = np.arange(geo.pixels_per_half)
+    diff = j[:, None] - j[None, :] + j.size - 1
+    dj, dk = geo.offsets1(), geo.offsets2()
+    assert np.array_equal(corr_diff[diff],
+                          np.exp(-2.0 * np.abs(dj[:, None] - dk[None, :]) ** n / 3.0**n))
+    assert np.array_equal(g1, np.exp(-2.0 * dj**2 / 40.0**2))
+    assert np.array_equal(g2, np.exp(-2.0 * dk**2 / 40.0**2))
+    w = np.outer(g1, g2) * corr_diff[diff]
+    assert np.array_equal(build_kernel(kp).weights, w / w.sum())
+
+
 def test_kernel_factorizes_without_correlation():
     # w_cp -> infinity: the pair factor is 1 and the kernel is a product
     # of independent Gaussians in each half.
