@@ -6,13 +6,17 @@ zero switching rate, both endpoints, the slow-noise shift and spectral-width
 sweeps, and the correlated-pixel calibration) and out/wcp_table.csv (w_cp,
 fit order, w_p and w_tilde per spectral width).  tests/test_golden.py
 re-runs against these files.  For each file it rewrites, the script prints
-the largest |difference| of the data section against the file it replaces.
+whether the data section is byte-identical to the file it replaces (else
+its largest |difference|) and every value of the ``# series`` and
+``# calibration`` lines that changed, with the |difference| of numbers.
 Run from the repository root with src on the import path, e.g.
 ``PYTHONPATH=src python scripts/regenerate_out.py``.
 """
 import contextlib
 import io
+import json
 import sys
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -20,20 +24,63 @@ import numpy as np
 from ltgsim.cli import PRESETS, data_section, main, run_config
 
 OUT = Path("out")
+META_KEYS = ("series", "calibration")
+
+
+def data_drift(old: str, new: str) -> str:
+    """Byte identity, else the largest |difference|, of two data sections."""
+    old_data, new_data = data_section(old), data_section(new)
+    if old_data == new_data:
+        return "data byte-identical"
+    tables = []
+    for text in (old_data, new_data):
+        rows = [line.split(",") for line in text.splitlines()]
+        tables.append((rows[0], np.array(rows[1:], dtype=float)))
+    (old_head, old_vals), (new_head, new_vals) = tables
+    if old_head != new_head or old_vals.shape != new_vals.shape:
+        return "data columns or rows changed"
+    return f"data max |delta| = {np.max(np.abs(new_vals - old_vals), initial=0.0):.3g}"
+
+
+def metadata(text: str) -> dict:
+    """The ``# series`` and ``# calibration`` lines of an output file, parsed."""
+    out = {}
+    for line in text.splitlines():
+        if line.startswith("# "):
+            key, _, val = line[2:].partition(" = ")
+            if key in META_KEYS:
+                out[key] = json.loads(val)
+    return out
+
+
+def meta_drift(old: str, new: str) -> list[str]:
+    """The changed entries of each metadata line, as 'key: name old -> new; ...'."""
+    old_meta, new_meta = metadata(old), metadata(new)
+    out = []
+    for key in META_KEYS:
+        a, b = old_meta.get(key, {}), new_meta.get(key, {})
+        changes = []
+        for name in sorted(a.keys() | b.keys()):
+            if name not in a or name not in b:
+                changes.append(f"{name} new {b[name]!r}" if name in b else f"{name} removed")
+                continue
+            va, vb = a[name], b[name]
+            if va == vb:
+                continue
+            change = f"{name} {va!r} -> {vb!r}"
+            if all(isinstance(v, Real) and not isinstance(v, bool) for v in (va, vb)):
+                change += f" (|delta| {abs(vb - va):.3g})"
+            changes.append(change)
+        if key in old_meta or key in new_meta:
+            out.append(f"{key}: " + ("; ".join(changes) if changes else "unchanged"))
+    return out
 
 
 def drift(old: str | None, new: str) -> str:
-    """Largest |difference| between the data sections of two output files."""
+    """One report line for a rewritten output file."""
     if old is None:
         return "new file"
-    tables = []
-    for text in (old, new):
-        rows = [line.split(",") for line in data_section(text).splitlines()]
-        tables.append((rows[0], np.array(rows[1:], dtype=float)))
-    (old_head, old_data), (new_head, new_data) = tables
-    if old_head != new_head or old_data.shape != new_data.shape:
-        return "columns or rows changed"
-    return f"max |delta| = {np.max(np.abs(new_data - old_data), initial=0.0):.3g}"
+    return "; ".join([data_drift(old, new), *meta_drift(old, new)])
 
 
 def run() -> int:

@@ -8,7 +8,8 @@ These are the exact oracles for every Monte Carlo and kernel-sum result:
 with the stationary (equiprobable initial sign) ensemble.  For g < m the
 root is imaginary and the hyperbolic form turns trigonometric; at g = m
 it degenerates to exp(-g*t) * (1 + g*t).  The result is real in every
-branch.
+branch.  For g > m it is evaluated as exp(-m*m*t/(g+d)) * (1 + e/2 -
+(g/(2d)) * e) with e = expm1(-2*d*t), which stays finite at any g*t.
 
 Local environments (independent noises):   Gamma_LE(t) = <e^{2i phi}>^2
 Global environment (one shared noise):     Gamma_GE(t) = <e^{4i phi}>
@@ -52,9 +53,13 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
     if abs(gamma - order) < _DEGENERATE_TOL:
         out = np.exp(-gamma * t_arr) * (1.0 + gamma * t_arr)
     elif gamma > order:
+        # exp(-g t) (cosh + (g/d) sinh) rewritten with e = exp(-2 d t) - 1 and
+        # g - d = m^2 / (g + d): no factor overflows, where exp(-g t) underflows
+        # against cosh's overflow once g t exceeds ~710.
         d = np.sqrt(gamma * gamma - float(order) ** 2)
-        out = np.exp(-gamma * t_arr) * (
-            np.cosh(d * t_arr) + (gamma / d) * np.sinh(d * t_arr)
+        e = np.expm1(-2.0 * d * t_arr)
+        out = np.exp(-float(order) ** 2 * t_arr / (gamma + d)) * (
+            1.0 + 0.5 * e - (gamma / (2.0 * d)) * e
         )
     else:
         w = np.sqrt(float(order) ** 2 - gamma * gamma)

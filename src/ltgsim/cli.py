@@ -290,24 +290,31 @@ def validate_config(config: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _cells(name: str, col) -> list[str]:
+    """Cell strings of one column: integers as integers, floats as ``repr(float)``.
+
+    A non-finite float refuses the column.
+    """
+    values = np.asarray(col)
+    if not np.issubdtype(values.dtype, np.integer) and not np.all(np.isfinite(values)):
+        raise ValueError(f"refusing to write non-finite {name} data")
+    return [repr(x) for x in values.tolist()]
+
+
 def _table_csv(config: dict, meta: dict, columns: dict) -> str:
     """The one output file layout, shared by every command.
 
     ``#`` metadata lines (package and RNG versions, the resolved config,
     then each ``meta`` entry by key, all compact JSON), a ``# columns``
     line, the header row, then one row per index of the equal-length
-    ``columns``.  Integer columns are written as integers and float columns
-    as ``repr(float)``; a non-finite float in any column refuses the table.
-    A column object passed under several names is formatted once.
+    ``columns``, each formatted by ``_cells`` or given as a list of its
+    ``_cells`` strings.  A column object passed under several names is
+    formatted once.
     """
     formatted = {}  # id of a column object -> its cell strings
     for name, col in columns.items():
-        if id(col) in formatted:
-            continue
-        values = np.asarray(col)
-        if not np.issubdtype(values.dtype, np.integer) and not np.all(np.isfinite(values)):
-            raise ValueError(f"refusing to write non-finite {name} data")
-        formatted[id(col)] = [repr(x) for x in values.tolist()]
+        if id(col) not in formatted:
+            formatted[id(col)] = col if isinstance(col, list) else _cells(name, col)
     cells = [formatted[id(col)] for col in columns.values()]
     lines = [
         f"# ltgsim = {__version__}",
@@ -322,9 +329,11 @@ def _table_csv(config: dict, meta: dict, columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_csv(series: CoherenceSeries, config: dict) -> str:
+def series_csv(series: CoherenceSeries, config: dict, t_cells: list[str] | None = None) -> str:
+    """One series file.  ``t_cells``: the ``_cells`` of ``series.times``, formatted
+    once by a run whose series all share that grid."""
     mag = series.magnitude
-    columns = {"t": series.times, "re_gamma": series.values.real,
+    columns = {"t": series.times if t_cells is None else t_cells, "re_gamma": series.values.real,
                "im_gamma": series.values.imag, "abs_gamma": mag, "entanglement": mag}
     if series.stderr is not None:
         columns["stderr"] = series.stderr
@@ -359,12 +368,13 @@ def _kernel_params(config) -> slm.KernelParams:
 def _run_analytic(config):
     times = _grid(config)
     gamma = config["rtn"]["gamma"]
+    t_cells = _cells("t", times)
     out = {}
     for tag, series in (
         ("le", analytic.local_coherence(gamma, times)),
         ("ge", analytic.global_coherence(gamma, times)),
     ):
-        out[f"analytic_{tag}.csv"] = series_csv(series, config)
+        out[f"analytic_{tag}.csv"] = series_csv(series, config, t_cells)
     return out
 
 
@@ -400,9 +410,10 @@ def _run_transition_delta(config):
         n_rep=config["field"]["n_rep"],
         seed=SeedSpec(config["master_seed"], 0),
     )
+    t_cells = _cells("t", times)
     out = {}
     for series in sweep:
-        out[_delta_file(series.params["delta"])] = series_csv(series, config)
+        out[_delta_file(series.params["delta"])] = series_csv(series, config, t_cells)
     return out
 
 
@@ -422,10 +433,11 @@ def _run_transition_spectral(config):
         n_rep=config["field"]["n_rep"],
         seed=SeedSpec(config["master_seed"], 0),
     )
+    t_cells = _cells("t", times)
     out = {}
     for width, series in zip(widths, sweep):
         series.params["spectral_width_nm"] = width
-        out[_spectral_file(width)] = series_csv(series, config)
+        out[_spectral_file(width)] = series_csv(series, config, t_cells)
     return out
 
 

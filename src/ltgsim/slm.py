@@ -44,12 +44,14 @@ j in block b1 of field 1 and k + delta in block b2 of field 2.  Each block
 covers one run of consecutive offsets, so B comes from two run sums (the
 kernel rows of each field-1 block, then the on-mask columns of each
 field-2 block, each added in pixel order), and ``build_phase_field``
-takes the phasors z once per field.  B is banded: a pixel pair only carries weight within a few w_cp of
-the diagonal, so the contraction runs over fixed groups of block rows, each
-over the column range that holds its nonzeros; entries below the smallest
-normal float are set to zero first (their weight is reported).  Every
-contraction is a single-threaded einsum in a fixed order, so the result
-does not depend on the thread count.
+takes the phasors z once per field.  B is banded: a pixel pair only
+carries weight within a few w_cp of the diagonal.  Its Gaussian tails, the
+entries below 2^-70 / B.size, are set to zero first; together they weigh
+less than 2^-70, so Gamma moves by less than that at every t (their weight
+is reported).  The contraction then runs over fixed groups of block rows,
+each over the column range that holds its nonzeros.  Every contraction is
+a single-threaded einsum in a fixed order, so the result does not depend on
+the thread count.
 ``phasor_sum`` keeps the literal pixel contraction for arbitrary (not
 blockwise) mask phases.  No model path calls it: it is the pixel-level
 oracle that the tests hold this block sum and the calibration's pattern
@@ -57,6 +59,7 @@ contraction (``measurement``, from ``kernel_factors``) against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -117,6 +120,14 @@ class KernelParams:
                 f"super-Gaussian order n must be a positive even integer, got {self.n}; "
                 "odd orders make the correlation factor sign-ambiguous"
             )
+        # kernel_factors divides by w_cp**n and w_p**2: both must be normal floats.
+        for name, width, power in (("w_cp", self.w_cp, self.n), ("w_p", self.w_p, 2)):
+            try:
+                ok = np.finfo(float).tiny <= float(width) ** power < math.inf
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name}**{power} = {width!r}**{power} is not a finite normal float")
 
 
 @dataclass
@@ -142,8 +153,11 @@ def kernel_factors(params: KernelParams) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     dj, dk = params.geometry.offsets1(), params.geometry.offsets2()
     diff = np.concatenate([dj[0] - dk[:0:-1], dj - dk[0]])
-    return (np.exp(-2.0 * dj**2 / params.w_p**2), np.exp(-2.0 * dk**2 / params.w_p**2),
-            np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n))
+    # A quotient past the float range (a tiny normal width) is -inf: a factor
+    # of exactly 0, as exp gives already far below the overflow.
+    with np.errstate(over="ignore"):
+        return (np.exp(-2.0 * dj**2 / params.w_p**2), np.exp(-2.0 * dk**2 / params.w_p**2),
+                np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n))
 
 
 def build_kernel(params: KernelParams) -> CorrelationKernel:
@@ -261,6 +275,10 @@ def build_phase_field(
 # measured fastest at n_rep = 3.
 _BAND_ROWS = 6
 
+# Bound on the weight ``_flush`` takes from B, and so on the change of Gamma(t)
+# (|z1 z2| = 1): far below the rounding of the sum itself (~1e-16).
+_FLUSH_MASS = 2.0**-70
+
 
 def _on_mask(n_pix: int, delta: int) -> slice:
     """Kernel columns i whose half-2 index i + delta stays on the mask."""
@@ -324,6 +342,14 @@ def _block_table(weights: np.ndarray, index1: np.ndarray, index2: np.ndarray) ->
     return np.ascontiguousarray(_run_sums(_run_sums(weights, index1).T, index2).T)
 
 
+def _flush(table: np.ndarray) -> float:
+    """Zero the entries of ``table`` below ``_FLUSH_MASS / table.size``; returns their sum."""
+    flushed = table < _FLUSH_MASS / table.size
+    mass = float(table[flushed].sum())
+    table[flushed] = 0.0
+    return mass
+
+
 def _band_product(table: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``table @ z`` as one einsum per group of block rows, over its nonzero columns.
 
@@ -373,13 +399,14 @@ def kernel_coherence(
     The sum runs over block pairs.  The on-mask kernel weights are summed
     into B[b1, b2] over runs: rows over the blocks of field 1, then the
     on-mask column slice over the blocks of field 2 it reads.  Entries of B
-    below ``np.finfo(float).tiny`` (the kernel's underflowing Gaussian
-    tails) are set to zero, so no product is subnormal; their weight is
-    ``params["flushed_mass"]``.  Then Gamma(t) = sum_b1 z1[b1, t] *
-    sum_b2 B[b1, b2] z2[b2, t], with the phasors z each field holds,
-    contracted by single-threaded einsum over the band of B only (groups
-    of ``_BAND_ROWS`` block rows, each over its nonzero columns).  As in
-    ``phasor_sum``, pairs shifted off the mask are dropped without
+    below ``_FLUSH_MASS / B.size`` (the kernel's Gaussian tails) are set to
+    zero; their weight is ``params["flushed_mass"]`` < 2^-70, which bounds
+    the change of Gamma(t) at every t because |z1 z2| = 1.  The nonzero
+    entries left are ``params["b_nonzeros"]``.  Then Gamma(t) = sum_b1
+    z1[b1, t] * sum_b2 B[b1, b2] z2[b2, t], with the phasors z each field
+    holds, contracted by single-threaded einsum over the band of B only
+    (groups of ``_BAND_ROWS`` block rows, each over its nonzero columns).
+    As in ``phasor_sum``, pairs shifted off the mask are dropped without
     renormalizing; their weight is ``params["lost_mass"]``.
 
     With one shared field, ``params`` also holds the class masses of B:
@@ -403,9 +430,7 @@ def kernel_coherence(
     # the shifted kernel reads.
     index2 = field2.block_index[on.start + delta:on.stop + delta]
     table, first = _block_table(w[:, on], field1.block_index, index2), int(index2[0])
-    flushed = table < np.finfo(float).tiny
-    flushed_mass = float(table[flushed].sum())
-    table[flushed] = 0.0
+    flushed_mass = _flush(table)
     # B is real, so it contracts the interleaved (re, im) floats of z2: the
     # same products as a complex einsum at a fraction of the cost.
     z2 = field2.phasors[first:first + table.shape[1]].view(float)
@@ -420,6 +445,7 @@ def kernel_coherence(
             "delta": delta,
             "lost_mass": float(w[:, off].sum()),
             "flushed_mass": flushed_mass,
+            "b_nonzeros": int(np.count_nonzero(table)),
             **(_class_masses(table, first, field1.n_blocks()) if shared else {}),
             "w_cp": kernel.params.w_cp,
             "w_p": kernel.params.w_p,

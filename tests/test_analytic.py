@@ -99,6 +99,24 @@ def test_entanglement_matches_concurrence_oracle():
         assert abs(concurrence(state) - e[k]) < 1e-10
 
 
+def test_fast_noise_form_matches_hyperbolic_form():
+    # For gamma > m the moment is evaluated without cosh and sinh: in
+    # exp(-g t) * (cosh(d t) + (g/d) sinh(d t)) the exp underflows while
+    # cosh overflows once g t exceeds ~710, which made NaN.  Where that form
+    # is finite both agree to rounding; beyond it the moment stays finite.
+    t = np.linspace(0.0, 2.0 * np.pi, 400)
+    for gamma in (2.5, 4.0 + 1e-6, 5.0, 30.0, 111.0, 200.0, 500.0, 1e6):
+        for m in (1, 2, 4):
+            if gamma <= m:
+                continue
+            got = exponential_moment(gamma, m, t)
+            assert np.all(np.isfinite(got)) and np.all(np.abs(got) <= 1.0)
+            ts = t[gamma * t <= 700.0]
+            d = np.sqrt(gamma * gamma - m * m)
+            want = np.exp(-gamma * ts) * (np.cosh(d * ts) + (gamma / d) * np.sinh(d * ts))
+            assert np.all(np.abs(got[:ts.size] - want) <= 1e-12 * np.abs(want)), (gamma, m)
+
+
 def test_precondition_errors():
     with pytest.raises(ValueError):
         exponential_moment(-1.0, 2, 0.5)

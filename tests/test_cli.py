@@ -197,6 +197,18 @@ def test_analytic_run_values():
     assert np.allclose(mag, np.abs(np.cos(4 * t)), atol=1e-12)
 
 
+def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
+    # gamma = 500 (motional narrowing): the closed form used to turn NaN once
+    # gamma * t exceeded ~710, so the run refused its own non-finite data.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "analytic", "rtn": {"gamma": 500}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    body = data_section((tmp_path / "out" / "analytic_ge.csv").read_text()).splitlines()[1:]
+    re_gamma = np.array([float(r.split(",")[1]) for r in body])
+    assert re_gamma[0] == 1.0 and np.all((re_gamma > 0.0) & (re_gamma <= 1.0))
+
+
 def test_empty_sweep_is_rejected():
     # an empty sweep list would exit 0 and write nothing (or an empty table)
     with pytest.raises(ConfigError, match="deltas: empty list"):
@@ -278,6 +290,10 @@ def test_shared_column_written_like_a_copy():
     bad = np.array([1.0, np.inf])
     with pytest.raises(ValueError, match="non-finite a data"):
         cli._table_csv(cfg, {}, {"a": bad, "b": bad})
+    # A sweep formats its shared time column once for all its series files.
+    series = CoherenceSeries(np.array([0.0, 1.0 / 3.0, 2.5]), np.array([1.0, 0.5j, -0.25]),
+                             MONTE_CARLO)
+    assert cli.series_csv(series, cfg, cli._cells("t", series.times)) == cli.series_csv(series, cfg)
 
 
 def test_rerun_is_byte_identical():
@@ -456,8 +472,11 @@ def test_cli_main_schema_errors_name_the_path(tmp_path, capsys):
 def test_cli_main_kernel_rules_end_in_one_line(tmp_path, capsys):
     # The kernel rules live in slm.KernelParams alone; validation reports its
     # message under "kernel", and a run stops there with exit 1, no file.
+    # Widths whose w_cp**n or w_p**2 is not a normal float ended in an
+    # OverflowError traceback (1e200) or in RuntimeWarnings (1e-300).
     cfg = tmp_path / "cfg.json"
-    for kernel in ({"w_cp": 0}, {"w_p": -1}, {"n": 0}):
+    for kernel in ({"w_cp": 0}, {"w_p": -1}, {"n": 0}, {"w_cp": 1e200}, {"w_p": 1e200},
+                   {"w_cp": 1e-300}, {"w_p": 1e-300}):
         cfg.write_text(json.dumps({"command": "transition-delta", "kernel": kernel}))
         assert main(["--config", str(cfg), "--validate"]) == 1
         out = capsys.readouterr().out.strip().splitlines()

@@ -1,10 +1,11 @@
 """The committed out/ directory is golden data.
 
 Every preset and the optics table are re-run and their data sections
-compared, column by column, with the committed files.  Regenerate out/
-with scripts/regenerate_out.py when a change is meant to move these
-numbers.
+compared, column by column, with the committed files, and so are the
+calibration results of the ``# calibration`` line.  Regenerate out/ with
+scripts/regenerate_out.py when a change is meant to move these numbers.
 """
+import json
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,24 @@ SERIES_ATOL = 1e-5
 TABLE_ATOL = {"spectral_width_nm": 0.0, "order": 0.0, "w_cp": 1e-5, "w_tilde": 1e-5, "w_p": 1e-2}
 
 
+# The # calibration values (vis_of_v, vis_uncertainty, w_cp_estimate,
+# w_cp_uncertainty).  They follow from V(h) and the contrast curve by
+# closed-form steps only (one least-squares fit for all sines, a cubic
+# polynomial fit, linear interpolation on a fixed grid), with no iterative
+# stopping point, so they move by rounding alone: reordering the kernel
+# contraction moved w_cp_estimate by 4.4e-16 relative.  1e-10 relative leaves
+# ~1e5 times that for other builds and the cancellation in the residuals,
+# while a 1 % change of the true w_cp moves w_cp_estimate by 1.2 % and
+# vis_of_v by 0.9 %.
+CALIBRATION_RTOL = 1e-10
+
+
+def _calibration(text: str) -> dict:
+    prefix = "# calibration = "
+    return next(json.loads(line[len(prefix):]) for line in text.splitlines()
+                if line.startswith(prefix))
+
+
 def _columns(text: str) -> tuple[list[str], np.ndarray]:
     rows = [line.split(",") for line in data_section(text).splitlines()]
     return rows[0], np.array(rows[1:], dtype=float)
@@ -55,6 +74,12 @@ def test_preset_matches_committed_out(preset):
     assert sorted(files) == sorted(p.name for p in committed.glob("*.csv"))
     for name, text in files.items():
         _assert_matches(text, committed / name, {})
+        if PRESETS[preset]["command"] == "calibrate-wcp":
+            got, want = _calibration(text), _calibration((committed / name).read_text())
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_allclose(got[key], want[key], rtol=CALIBRATION_RTOL, atol=0.0,
+                                           err_msg=f"{name}: # calibration {key}")
 
 
 def test_optics_table_matches_committed_out():

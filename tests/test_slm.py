@@ -336,12 +336,41 @@ def test_banded_contraction_equals_dense_einsum(n_rep, monkeypatch):
             on = slm._on_mask(320, delta)
             index2 = fld.block_index[on.start + delta:on.stop + delta]
             table = slm._block_table(w[:, on], fld.block_index, index2)
-            table[table < np.finfo(float).tiny] = 0.0
+            slm._flush(table)
             z2 = z[index2[0]:index2[0] + table.shape[1]]
             dense = np.einsum("ab,bt->at", table, z2, optimize=False)
             for rows in (1, 6, 200):
                 monkeypatch.setattr(slm, "_BAND_ROWS", rows)
                 assert np.array_equal(slm._band_product(table, z2), dense)
+
+
+@pytest.mark.parametrize("n_rep", [1, 3, 7])
+def test_flush_moves_gamma_by_at_most_flushed_mass(n_rep):
+    # The kernel sum zeroes the entries of B below 2^-70 / B.size.  Against
+    # the contraction that zeroes only subnormal entries, Gamma(t) moves by
+    # at most their weight, flushed_mass <= 2^-70, since |z1 z2| = 1; 1e-15
+    # covers the rounding of the sum.
+    fld = build_phase_field(1.0, TIMES, n_rep, GEO, SeedSpec(35))
+    z = fld.phasors.view(float)
+    for w_cp in (3.0, 8.0, 20.0):
+        for w_p in (20.0, 200.0):
+            for n in (2, 4):
+                k = build_kernel(KernelParams(w_cp, w_p, n, GEO))
+                for delta in (-5, 0, 3):
+                    on = slm._on_mask(320, delta)
+                    index2 = fld.block_index[on.start + delta:on.stop + delta]
+                    table = slm._block_table(k.weights[:, on], fld.block_index, index2)
+                    kept = table.copy()
+                    table[table < np.finfo(float).tiny] = 0.0
+                    z2 = z[index2[0]:index2[0] + table.shape[1]]
+                    m = np.einsum("ab,bt->at", table, z2, optimize=False).view(complex)
+                    subnormal_only = (fld.phasors * m).sum(axis=0)
+                    series = kernel_coherence(k, fld, fld, delta)
+                    p = series.params
+                    assert p["flushed_mass"] == slm._flush(kept) <= 2.0**-70
+                    assert p["b_nonzeros"] == np.count_nonzero(kept)
+                    assert (np.max(np.abs(series.values - subnormal_only))
+                            <= p["flushed_mass"] + 1e-15), (w_cp, w_p, n, delta)
 
 
 def test_phasors_are_mirror_conjugates():
@@ -363,7 +392,7 @@ def test_field_follows_documented_streams(gamma, n_rep, seed):
 
 def test_class_masses_sum_to_one():
     # The three class masses, the weight shifted off the mask and the
-    # weight flushed from B as subnormal account for the whole kernel.
+    # weight flushed from B account for the whole kernel.
     for n_rep in (1, 3, 320):
         fld = build_phase_field(0.5, TIMES, n_rep, GEO, SeedSpec(34))
         for kp in (KernelParams(3.0, 20.0, 2, GEO), KernelParams(20.0, 20.0, 4, GEO),
