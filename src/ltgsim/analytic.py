@@ -56,7 +56,8 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         # exp(-g t) (cosh + (g/d) sinh) rewritten with e = exp(-2 d t) - 1 and
         # g - d = m^2 / (g + d): no factor overflows, where exp(-g t) underflows
         # against cosh's overflow once g t exceeds ~710.
-        d = np.sqrt(gamma * gamma - float(order) ** 2)
+        # d = sqrt(g^2 - m^2) without squaring g, which overflows past ~1e154.
+        d = gamma * np.sqrt((1.0 - order / gamma) * (1.0 + order / gamma))
         e = np.expm1(-2.0 * d * t_arr)
         out = np.exp(-float(order) ** 2 * t_arr / (gamma + d)) * (
             1.0 + 0.5 * e - (gamma / (2.0 * d)) * e

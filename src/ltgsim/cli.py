@@ -75,7 +75,7 @@ _RANGES = {
     "field.n_rep": lambda v: v >= 1,
     "mc.order": lambda v: v >= 1,
     "mc.n_real": lambda v: v >= 2,
-    "measurement.p": lambda v: 0 <= v <= 1,
+    "measurement.p": lambda v: 0 < v <= 1,
     "measurement.n0": lambda v: v > 0,
     "measurement.acquisition_s": lambda v: v > 0,
     "measurement.repeats": lambda v: v >= 1,
@@ -277,8 +277,16 @@ def validate_config(config: dict) -> list[str]:
             except ValueError as exc:
                 diags.append(f"{key}: {exc}")
     m = config["measurement"]
-    if m["h_max"] < m["h_min"]:
-        diags.append("measurement: empty h grid")
+    n_shifts = max(0, m["h_max"] - m["h_min"] + 1)
+    if n_shifts < measurement.MIN_SHIFTS:
+        diags.append(f"measurement.h_min/h_max: {n_shifts} shifts; the sine fit of V(h) "
+                     f"needs {measurement.MIN_SHIFTS}")
+    if 2 * m["n_r"] > npix:
+        diags.append(f"measurement.n_r: pattern period {2 * m['n_r']} exceeds a mask half")
+    counts = 2 * m["n0"] * m["acquisition_s"]
+    if counts > measurement.MAX_EXPECTED_COUNTS:
+        diags.append(f"measurement.n0/acquisition_s: up to {counts:.3g} expected counts per "
+                     f"acquisition, over {measurement.MAX_EXPECTED_COUNTS:.0e}")
     for key in ("h_min", "h_max"):
         if abs(m[key]) >= npix:
             diags.append(f"measurement: {key} shift {m[key]} leaves the {npix}-pixel mask")

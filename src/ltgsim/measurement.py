@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
 from .rtn import SeedSpec
-from .slm import _NO_SUPPORT, KernelParams, _on_mask, kernel_factors
+from .slm import KernelParams, _on_mask, kernel_factors, normalization, toeplitz_product
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
@@ -44,6 +44,14 @@ _MIN_CONTRAST_SIGMAS = 5.0
 _PATTERN_AMPLITUDE = np.pi / 4
 _CURVE_RANGE = (0.5, 10.0)
 _CURVE_SAMPLES = 20
+
+# Ceiling on the expected counts of one acquisition (at most 2 * n0 *
+# acquisition_s), below numpy's Poisson limit of ~9.2e18.
+MAX_EXPECTED_COUNTS = 1e18
+
+# Shifts a calibration needs: the sine fit of V(h) has three parameters,
+# and its scatter, hence the contrast's uncertainty, needs one shift more.
+MIN_SHIFTS = 4
 
 
 def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
@@ -118,28 +126,19 @@ class CalibrationResult:
 def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.ndarray) -> np.ndarray:
     """Re Gamma(h) of the rectangular pattern on both halves, per kernel (rows) and shift h.
 
-    Gamma(h) = sum_k a_k z_{k+h} with a = z^T W over the k whose shifted
-    index stays on the mask, dropping the rest without renormalizing as the
-    pixel-level oracle ``slm.phasor_sum`` does.  In the factors (g1, g2, c)
-    of ``slm.kernel_factors``, a_k = g2_k sum_j z_j g1_j c[j - k + N - 1] /
-    total.  Re z is the constant cos(pi/4), so the correlation of c with g1
-    gives Re a and total alike; one with sin(pattern) * g1 gives Im a.  All
-    sums are single-threaded einsums (``np.correlate`` calls the BLAS dot).
+    Gamma(h) = sum_k a_k z_{k+h} over the k whose shifted index stays on the
+    mask, the rest dropped as by ``slm.phasor_sum``, with a = z^T W, i.e.
+    a_k = g2_k sum_j z_j g1_j c[j - k + N - 1] / total.  Re z is the constant
+    cos(pi/4), so the correlation of c with g1 that ``slm.normalization``
+    takes for the total gives Re a too; one with sin(pattern) * g1 gives Im a.
     """
     n_pix = kernels[0].geometry.pixels_per_half
     for h in (h_values.min(initial=0), h_values.max(initial=0)):
         _on_mask(n_pix, int(h))
     pattern = rect_phase_pattern(n_pix, n_r)
     g1, g2, c = (np.array(f) for f in zip(*map(kernel_factors, kernels)))
-    # The Gaussian tails reach the subnormal range, where products are many
-    # times slower: c and g1 are scaled by 2^500 (exactly; sums stay < 2^1010).
-    lift = 2.0**500
-    toeplitz = sliding_window_view(c * lift, n_pix, axis=1)[:, ::-1]  # [w, k, j] = c[w, j - k + N - 1]
-    corr_re = np.einsum("wkj,wj->wk", toeplitz, g1 * lift, optimize=False) / lift**2
-    corr_im = np.einsum("wkj,wj->wk", toeplitz, g1 * (lift * np.sin(pattern)), optimize=False) / lift**2
-    total = np.einsum("wk,wk->w", g2, corr_re, optimize=False)
-    if not np.all(total > 0):
-        raise ValueError(_NO_SUPPORT)
+    corr_re, total = normalization(g1, g2, c)
+    corr_im = toeplitz_product(c, g1 * np.sin(pattern))
     a = (np.cos(_PATTERN_AMPLITUDE) * corr_re + 1j * corr_im) * (g2 / total[:, None])
     # [h, k] = z_{k+h}, read from z padded with zeros off the mask
     shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values]
@@ -168,6 +167,8 @@ def calibrate_wcp(
     same beam width and order (one contraction and one sine fit serve all
     21 kernels), fits a cubic polynomial, and inverts it at the measured
     contrast; a contrast the curve does not reach raises NumericalError.
+    A purity p outside (0, 1], fewer than ``MIN_SHIFTS`` shifts or a
+    pattern period 2 * n_r longer than a mask half raise ValueError.
     Uncertainty combines the sine-fit scatter with the polynomial residual,
     both divided by the local curve slope.  A contrast within 5 sigma of
     zero is shot noise, not a measurement, and raises NumericalError too.
@@ -175,6 +176,12 @@ def calibrate_wcp(
     if h_values is None:
         h_values = np.arange(-10, 10)
     h_values = np.asarray(h_values, dtype=int)
+    if not 0.0 < p <= 1.0:  # refuses NaN too
+        raise ValueError(f"p must lie in (0, 1], got {p!r}")
+    if h_values.size < MIN_SHIFTS:
+        raise ValueError(f"the sine fit of V(h) needs {MIN_SHIFTS} shifts, got {h_values.size}")
+    if 2 * n_r > kernel_params.geometry.pixels_per_half:
+        raise ValueError(f"pattern period 2 * n_r = {2 * n_r} exceeds a mask half")
 
     # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)

@@ -35,8 +35,8 @@ Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 
 F is sampled on one grid, :func:`profile_axis`.  Every caller is held to
 the model's input rules: :class:`PdcSetup` refuses a spectral width outside
-[0, 120] nm and :func:`profile_axis` a theta0 that sizes the grid too small,
-too large or too coarse for the beam.
+[0, 120] nm or positive below 1e-6 nm, and :func:`profile_axis` a theta0
+that sizes the grid too small, too large or too coarse for the beam.
 
 theta0 is not directly measurable here; it is fixed so that the marginal
 width reproduces a 20 px beam, the one observable that pins theta0 * L.
@@ -68,6 +68,11 @@ MAX_GRID_POINTS = 4097
 # returned 1.33 px for an expected 0.29 px).
 MIN_WP_SPACINGS = 4
 
+# Floor on a positive spectral width: the window factor, an erfc difference
+# across half the window (see _f_samples), keeps ~9 digits at 1e-6 nm and
+# the calibrated setup, none below ~1e-15 nm (F vanishes on the whole grid).
+MIN_SPECTRAL_WIDTH_NM = 1e-6
+
 
 class NumericalError(RuntimeError):
     """A profile fit failed, or a calibration left the range it can invert."""
@@ -94,6 +99,10 @@ class PdcSetup:
         if not 0 <= self.spectral_width_nm <= MAX_SPECTRAL_WIDTH_NM:
             raise ValueError(f"width {self.spectral_width_nm} nm outside model range "
                              f"[0, {MAX_SPECTRAL_WIDTH_NM}] nm")
+        if 0 < self.spectral_width_nm < MIN_SPECTRAL_WIDTH_NM:
+            raise ValueError(f"width {self.spectral_width_nm} nm is below the "
+                             f"{MIN_SPECTRAL_WIDTH_NM:g} nm the window factor resolves "
+                             "(0 nm gives the zero-width limit)")
 
     @property
     def pump_angular_freq(self) -> float:

@@ -4,14 +4,17 @@ The mask has two halves of ``pixels_per_half`` pixels (default 320 each).
 Half 1 carries qubit 1 with pixels j = 0..319 and half 2 carries qubit 2
 with pixels k = 320..639; the half-2 axis runs opposite to half 1, so
 equal offsets from the reference pixels (j0, k0) face each other
-spatially.  A pair distribution over pixel offsets,
+spatially.  A pair distribution over the pixel offsets dj = j - j0 and
+dk = k - k0 encodes the beam envelope w_p and the photon-pair correlation
+width w_cp, both in pixels (super-Gaussian order n even).  Its one
+representation is its factors (``kernel_factors``):
 
-    weights[j,k] ~ exp(-2*|dj-dk|^n / w_cp^n)
-                   * exp(-2*dj^2 / w_p^2) * exp(-2*dk^2 / w_p^2),
-    dj = j - j0,  dk = k - k0,
+    weights[j, k] = g1[j] * g2[k] * c[j - k + N - 1] / total,
+    g1 = exp(-2*dj^2 / w_p^2),  g2 = exp(-2*dk^2 / w_p^2),
+    c = exp(-2*|dj - dk|^n / w_cp^n),
 
-(unit sum; super-Gaussian order n even) encodes the beam envelope w_p and
-the photon-pair correlation width w_cp, both in pixels (``kernel_factors``).
+with the unit-sum total of ``normalization``, which the kernel sum, the
+calibration (``measurement``) and the dense test oracle share.
 
 Noise enters as a phase field phi(offset, t) built from telegraph-noise
 trajectories, constant over blocks of ``n_rep`` consecutive offsets.  Every
@@ -34,28 +37,24 @@ are one sweep, ``transition_sweep``: one shared field, read by each kernel
 at each shift.
 
 Because phi is constant over blocks, ``kernel_coherence`` contracts over
-block pairs rather than pixel pairs:
+block pairs:
 
     Gamma(delta, t) = sum_{b1 b2} B[b1, b2] * z1[b1, t] * z2[b2, t],
     z[b, t] = exp(2i * phi_block(b, t)),
 
 where B[b1, b2] sums the on-mask weights of every pixel pair (j, k) with
-j in block b1 of field 1 and k + delta in block b2 of field 2.  Each block
-covers one run of consecutive offsets, so B comes from two run sums (the
-kernel rows of each field-1 block, then the on-mask columns of each
-field-2 block, each added in pixel order), and ``build_phase_field``
-takes the phasors z once per field.  B is banded: a pixel pair only
-carries weight within a few w_cp of the diagonal.  Its Gaussian tails, the
-entries below 2^-70 / B.size, are set to zero first; together they weigh
-less than 2^-70, so Gamma moves by less than that at every t (their weight
-is reported).  The contraction then runs over fixed groups of block rows,
-each over the column range that holds its nonzeros.  Every contraction is
-a single-threaded einsum in a fixed order, so the result does not depend on
-the thread count.
-``phasor_sum`` keeps the literal pixel contraction for arbitrary (not
-blockwise) mask phases.  No model path calls it: it is the pixel-level
-oracle that the tests hold this block sum and the calibration's pattern
-contraction (``measurement``, from ``kernel_factors``) against.
+j in block b1 of field 1 and k + delta in block b2 of field 2, and
+``build_phase_field`` takes the phasors z once per field.  B is built from
+the factors over the run of j - k diagonals whose weight bound can reach
+the flush (the weight sits within a few w_cp of the diagonal), and its
+entries below the rest of a 2^-70 budget divided by B.size, the Gaussian
+tails, are set to zero.  What is left out weighs less than 2^-70, so Gamma
+moves by less than that at every t.  The contraction runs over groups of
+block rows, each over the columns that hold its nonzeros.  Every sum runs
+in a fixed order, so the result does not depend on the thread count.
+``build_kernel`` (the dense (N, N) weights, ``CorrelationKernel``) and
+``phasor_sum`` (the literal pixel sum for arbitrary mask phases) are test
+oracles only: no model path calls them.
 """
 from __future__ import annotations
 
@@ -132,7 +131,7 @@ class KernelParams:
 
 @dataclass
 class CorrelationKernel:
-    """Normalized pixel-pair weights |f_jk|^2 (rows: half 1, cols: half 2)."""
+    """Normalized pixel-pair weights |f_jk|^2 (rows: half 1, cols: half 2): a test oracle."""
 
     weights: np.ndarray
     params: KernelParams
@@ -160,15 +159,35 @@ def kernel_factors(params: KernelParams) -> tuple[np.ndarray, np.ndarray, np.nda
                 np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n))
 
 
+def toeplitz_product(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[..., k] = sum_j c[..., j - k + N - 1] * g[..., j], N = g.shape[-1], by one einsum.
+
+    The factors' Gaussian tails reach the subnormal range, where products are
+    many times slower: both operands are scaled by 2^500 (exactly; every sum
+    stays below 2^1010) and the sums scaled back.
+    """
+    lift = 2.0**500
+    # [..., k, j] = c[..., j - k + N - 1]: the windows of c, last start first
+    toeplitz = sliding_window_view(c * lift, g.shape[-1], axis=-1)[..., ::-1, :]
+    return np.einsum("...kj,...j->...k", toeplitz, g * lift, optimize=False) / lift**2
+
+
+def normalization(g1: np.ndarray, g2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, total): corr = ``toeplitz_product(c, g1)`` and total = g2 . corr, the
+    kernel's whole weight, batched over leading axes; refuses a kernel without support."""
+    corr = toeplitz_product(c, g1)
+    total = np.einsum("...k,...k->...", g2, corr, optimize=False)
+    if not np.all(total > 0):
+        raise ValueError(_NO_SUPPORT)
+    return corr, total
+
+
 def build_kernel(params: KernelParams) -> CorrelationKernel:
-    """Evaluate and normalize the pair distribution on the pixel grid."""
+    """The normalized pair distribution as one (N, N) array: a test oracle only."""
     g1, g2, c = kernel_factors(params)
-    # One (N, N) array, the largest of a sweep, scaled in place by c[j - k + N - 1].
+    _, total = normalization(g1, g2, c)
     w = g1[:, None] * g2[None, :]
     w *= sliding_window_view(c, g2.size)[:, ::-1]
-    total = w.sum()
-    if not total > 0:
-        raise ValueError(_NO_SUPPORT)
     w /= total
     return CorrelationKernel(w, params)
 
@@ -294,17 +313,12 @@ def phasor_sum(
     slm_phases2: np.ndarray,
     delta: int = 0,
 ) -> np.ndarray:
-    """Kernel-weighted sum of phasors of literal mask phases.
+    """Kernel-weighted sum of phasors of literal mask phases: a test oracle.
 
     ``slm_phases*`` have shape (pixels, T); half 2 is read at offset
     index i + delta.  Pixel pairs whose shifted index falls off the mask
     are dropped *without* renormalizing: photons addressed past the mask
-    edge are simply lost.  With the default beam width (w_p = 20 out of
-    320 pixels) the lost mass is far below float precision.
-
-    The (j, k) contraction runs in deterministic row-major order
-    (single-threaded einsum), which the bit-reproducibility contract
-    relies on.
+    edge are simply lost.
     """
     n_pix = kernel.weights.shape[0]
     if slm_phases1.shape[0] != n_pix or slm_phases2.shape[0] != n_pix:
@@ -319,35 +333,52 @@ def phasor_sum(
     return (z1 * m).sum(axis=0)
 
 
-def _run_sums(a: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Sums of the rows of ``a`` over each run of equal entries of ``index``.
-
-    Each run's rows are added one by one in row order, all runs at once.
-    """
-    starts = np.flatnonzero(np.diff(index, prepend=-1))
-    lengths = np.diff(starts, append=index.size)
-    out = a[starts]
-    for r in range(1, lengths.max()):
-        more = lengths > r
-        out[more] += a[starts[more] + r]
+def _flush(table: np.ndarray, mass: float) -> float:
+    """Zero the entries of ``table`` below ``mass / table.size``; returns their sum (< mass)."""
+    flushed = table < mass / table.size
+    out = float(table[flushed].sum())
+    table[flushed] = 0.0
     return out
 
 
-def _block_table(weights: np.ndarray, index1: np.ndarray, index2: np.ndarray) -> np.ndarray:
-    """Sums of ``weights`` over the runs of ``index1`` (rows), then of ``index2`` (columns).
+def _block_weights(params: KernelParams, index1: np.ndarray, index2: np.ndarray,
+                   on: slice) -> tuple[np.ndarray, float, float]:
+    """(B, flushed_mass, lost_mass) of the on-mask kernel, from its factors.
 
-    Row b of the result is the b-th run of ``index1``, column c the c-th
-    run of ``index2``; the result is C-contiguous.
+    Diagonal i of c weighs at most c[i] * min(sum g1, sum g2) / total (g1, g2
+    <= 1).  The diagonals at either end whose bound is below ``_FLUSH_MASS /
+    (B.size * c.size)`` are left out, together less than one flush threshold,
+    and B is flushed with the rest of ``_FLUSH_MASS``; flushed_mass is their
+    bound sum plus the flushed weight.  Pair weights are formed as in
+    ``build_kernel``.
     """
-    return np.ascontiguousarray(_run_sums(_run_sums(weights, index1).T, index2).T)
-
-
-def _flush(table: np.ndarray) -> float:
-    """Zero the entries of ``table`` below ``_FLUSH_MASS / table.size``; returns their sum."""
-    flushed = table < _FLUSH_MASS / table.size
-    mass = float(table[flushed].sum())
-    table[flushed] = 0.0
-    return mass
+    g1, g2, c = kernel_factors(params)
+    corr, total = normalization(g1, g2, c)
+    n_pix, first = g1.size, int(index2[0])
+    shape = (int(index1[-1]) + 1, int(index2[-1]) - first + 1)
+    bound = c * (min(g1.sum(), g2.sum()) / total)
+    kept = np.flatnonzero(bound >= _FLUSH_MASS / (shape[0] * shape[1] * c.size))
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    # Row j reads columns j + n_pix - hi .. j + n_pix - 1 - lo: a window of g2
+    # and of the block columns, zero off the mask and padded by n_pix - 1.
+    g2_pad, cols_pad = np.zeros(3 * n_pix - 2), np.zeros(3 * n_pix - 2, dtype=np.intp)
+    at = slice(n_pix - 1 + on.start, n_pix - 1 + on.stop)
+    g2_pad[at], cols_pad[at] = g2[on], index2 - first
+    rows = slice(2 * n_pix - 1 - hi, 3 * n_pix - 1 - hi)
+    g2_win, cols_win = (sliding_window_view(a, hi - lo)[rows] for a in (g2_pad, cols_pad))
+    w = g1[:, None] * g2_win
+    w *= c[lo:hi][::-1]
+    w /= total
+    cells = (index1[:, None] * shape[1] + cols_win).ravel()
+    # The pairs of one row and block pair first, then those sums: two short
+    # sums, not one long one (at n_rep = 320 a block pair holds 160^2 pairs).
+    runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+    table = np.bincount(cells[runs], np.add.reduceat(w.ravel(), runs),
+                        minlength=shape[0] * shape[1]).reshape(shape)
+    dropped = float(bound[:lo].sum() + bound[hi:].sum())
+    off = np.r_[:on.start, on.stop:n_pix]
+    lost = float(np.einsum("k,k->", g2[off], corr[off], optimize=False) / total)
+    return table, dropped + _flush(table, _FLUSH_MASS - dropped), lost
 
 
 def _band_product(table: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -383,31 +414,24 @@ def _class_masses(table: np.ndarray, first: int, n_blocks: int) -> dict:
 
 
 def kernel_coherence(
-    kernel: CorrelationKernel,
+    params: KernelParams,
     field1: PhaseField,
     field2: PhaseField,
     delta: int = 0,
 ) -> CoherenceSeries:
     """Coherence factor Gamma(delta, t) of the pixel-encoded channel.
 
-    The mask phase imprinted per pixel is twice the noise phase (see the
-    module docstring), so each pixel pair contributes
-    exp(2i*(phi1 + phi2)).  Passing ``field2 = field1`` writes one phase
-    function across both halves; ``delta`` shifts the half-2 phase array
-    in pixels.
-
-    The sum runs over block pairs.  The on-mask kernel weights are summed
-    into B[b1, b2] over runs: rows over the blocks of field 1, then the
-    on-mask column slice over the blocks of field 2 it reads.  Entries of B
-    below ``_FLUSH_MASS / B.size`` (the kernel's Gaussian tails) are set to
-    zero; their weight is ``params["flushed_mass"]`` < 2^-70, which bounds
-    the change of Gamma(t) at every t because |z1 z2| = 1.  The nonzero
-    entries left are ``params["b_nonzeros"]``.  Then Gamma(t) = sum_b1
-    z1[b1, t] * sum_b2 B[b1, b2] z2[b2, t], with the phasors z each field
-    holds, contracted by single-threaded einsum over the band of B only
-    (groups of ``_BAND_ROWS`` block rows, each over its nonzero columns).
-    As in ``phasor_sum``, pairs shifted off the mask are dropped without
-    renormalizing; their weight is ``params["lost_mass"]``.
+    Each pixel pair contributes exp(2i*(phi1 + phi2)), twice the noise phase
+    (see the module docstring).  Passing ``field2 = field1`` writes one phase
+    function across both halves; ``delta`` shifts the half-2 phase array in
+    pixels.  The sum runs over the block table B of the module docstring,
+    with ``params["b_nonzeros"]`` nonzero entries, by single-threaded einsum
+    over groups of ``_BAND_ROWS`` block rows.  ``params["flushed_mass"]`` <=
+    2^-70 is the weight of B's zeroed entries plus the bound of the diagonals
+    left out: at least the weight left out, so it bounds the change of
+    Gamma(t) at every t, since |z1 z2| = 1.  As in ``phasor_sum``, pairs
+    shifted off the mask are dropped without renormalizing; their weight is
+    ``params["lost_mass"]``.
 
     With one shared field, ``params`` also holds the class masses of B:
     ``m_same`` (both pixels in one block, phasor e^{4i phi}), ``m_mirror``
@@ -415,22 +439,17 @@ def kernel_coherence(
     blocks).  The ensemble mean of Gamma is m_same * M4(t) + m_mirror +
     m_indep * M2(t)^2, with M_m the moments of ``analytic.exponential_moment``.
     """
-    if field1.geometry != kernel.params.geometry or field2.geometry != kernel.params.geometry:
+    if field1.geometry != params.geometry or field2.geometry != params.geometry:
         raise ValueError("kernel and phase fields must share one mask geometry")
-    if field1.times.shape != field2.times.shape or not np.array_equal(
-        field1.times, field2.times
-    ):
+    if not np.array_equal(field1.times, field2.times):
         raise ValueError("phase fields must share one time grid")
-    w = kernel.weights
     delta = int(delta)
-    on = _on_mask(w.shape[0], delta)
-    off = np.ones(w.shape[1], dtype=bool)
-    off[on] = False
+    on = _on_mask(params.geometry.pixels_per_half, delta)
     # Column c of B is block first + c of field 2: B spans only the blocks
     # the shifted kernel reads.
     index2 = field2.block_index[on.start + delta:on.stop + delta]
-    table, first = _block_table(w[:, on], field1.block_index, index2), int(index2[0])
-    flushed_mass = _flush(table)
+    table, flushed_mass, lost = _block_weights(params, field1.block_index, index2, on)
+    first = int(index2[0])
     # B is real, so it contracts the interleaved (re, im) floats of z2: the
     # same products as a complex einsum at a fraction of the cost.
     z2 = field2.phasors[first:first + table.shape[1]].view(float)
@@ -443,13 +462,13 @@ def kernel_coherence(
         KERNEL_SUM,
         params={
             "delta": delta,
-            "lost_mass": float(w[:, off].sum()),
+            "lost_mass": lost,
             "flushed_mass": flushed_mass,
             "b_nonzeros": int(np.count_nonzero(table)),
             **(_class_masses(table, first, field1.n_blocks()) if shared else {}),
-            "w_cp": kernel.params.w_cp,
-            "w_p": kernel.params.w_p,
-            "n": kernel.params.n,
+            "w_cp": params.w_cp,
+            "w_p": params.w_p,
+            "n": params.n,
             "n_rep": field1.params["n_rep"],
             "shared_field": shared,
             **{k: field1.params.get(k) for k in ("gamma", "master_seed", "stream_index")},
@@ -477,8 +496,4 @@ def transition_sweep(
     if not kernels:
         return []
     fld = build_phase_field(gamma, times, n_rep, kernels[0].geometry, seed)
-    out = []
-    for params in kernels:
-        kernel = build_kernel(params)
-        out.extend(kernel_coherence(kernel, fld, fld, delta=d) for d in deltas)
-    return out
+    return [kernel_coherence(params, fld, fld, delta=d) for params in kernels for d in deltas]

@@ -1,10 +1,12 @@
 """Independent oracles the tests hold the package to.
 
 The package computes the detection probabilities of the dephased state in
-closed form and stores each phase field as its phasors only.  The density
-matrix with its Wootters concurrence and |++>/|+-> projections, and the
-per-pixel noise phases re-drawn from a field's documented streams, live
-here as the slower, more literal routes to the same numbers.
+closed form, stores each phase field as its phasors only and builds the
+kernel sum's block table from the kernel's factors.  The density matrix
+with its Wootters concurrence and |++>/|+-> projections, the per-pixel
+noise phases re-drawn from a field's documented streams, and the block
+table run-summed from the dense kernel (``slm.build_kernel``) live here as
+the slower, more literal routes to the same numbers.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ltgsim.rtn import RtnParams, SeedSpec, TrajectoryBatch, sample_trajectory, stack_batches
-from ltgsim.slm import PhaseField
+from ltgsim.slm import KernelParams, PhaseField, _on_mask, build_kernel
 
 _PLUS_PLUS = 0.5 * np.array([1.0, 1.0, 1.0, 1.0])
 _PLUS_MINUS = 0.5 * np.array([1.0, -1.0, 1.0, -1.0])
@@ -107,3 +109,31 @@ def field_phases(fld: PhaseField) -> np.ndarray:
     """
     phi = field_trajectories(fld).phases(fld.times).T
     return np.concatenate([phi, -phi])[fld.block_index]
+
+
+def run_sums(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Sums of the rows of ``a`` over each run of equal entries of ``index``.
+
+    Each run's rows are added one by one in row order, all runs at once.
+    """
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    lengths = np.diff(starts, append=index.size)
+    out = a[starts]
+    for r in range(1, lengths.max()):
+        more = lengths > r
+        out[more] += a[starts[more] + r]
+    return out
+
+
+def block_table(params: KernelParams, field1: PhaseField, field2: PhaseField,
+                delta: int) -> tuple[np.ndarray, int]:
+    """(B, first): the unflushed block table of the kernel sum, from the dense kernel.
+
+    The on-mask columns of ``build_kernel(params).weights`` run-summed over
+    the blocks of field 1 (rows), then over the blocks of field 2 that the
+    shifted columns read; column c of B is block ``first`` + c of field 2.
+    """
+    on = _on_mask(params.geometry.pixels_per_half, delta)
+    index2 = field2.block_index[on.start + delta:on.stop + delta]
+    rows = run_sums(build_kernel(params).weights[:, on], field1.block_index)
+    return np.ascontiguousarray(run_sums(rows.T, index2).T), int(index2[0])

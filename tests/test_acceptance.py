@@ -100,10 +100,11 @@ def test_criterion_3_mc_vs_analytic():
 
 def test_criterion_4_kernel_endpoint_equivalence():
     times = np.linspace(0.0, 2.0 * np.pi, 60)
-    kernel = build_kernel(KernelParams(0.3, 20.0, 4, GEO))
+    params = KernelParams(0.3, 20.0, 4, GEO)
+    kernel = build_kernel(params)
     # shared field, delta = 0: fourth moment on identical trajectories
     fld = build_phase_field(0.12, times, 3, GEO, SeedSpec(12))
-    lhs = kernel_coherence(kernel, fld, fld, 0).values
+    lhs = kernel_coherence(params, fld, fld, 0).values
     phi = field_phases(fld)
     diag = np.diag(kernel.weights)
     rhs = (diag[:, None] * np.exp(4j * phi)).sum(axis=0) / diag.sum()
@@ -111,7 +112,7 @@ def test_criterion_4_kernel_endpoint_equivalence():
     # independent fields, delta = n_rep: product of per-half phasors
     f1 = build_phase_field(0.12, times, 3, GEO, SeedSpec(13, 0))
     f2 = build_phase_field(0.12, times, 3, GEO, SeedSpec(13, 1000))
-    lhs2 = kernel_coherence(kernel, f1, f2, 3).values
+    lhs2 = kernel_coherence(params, f1, f2, 3).values
     marg = kernel.weights.sum(axis=1)
     shifted = np.arange(320) + 3
     ok_idx = shifted < 320
@@ -125,10 +126,10 @@ def test_criterion_4_kernel_endpoint_equivalence():
 def test_criterion_5_transition_reproduction():
     # fig3 presets' kernel (w_cp=3, n=2, w_p=20), gamma = 0, 3-pixel
     # blocks, balanced shared field.
-    kernel = build_kernel(KernelParams(3.0, 20.0, 2, GEO))
+    params = KernelParams(3.0, 20.0, 2, GEO)
     fld = build_phase_field(0.0, GRID, 3, GEO, SeedSpec(12345))
-    g0 = kernel_coherence(kernel, fld, fld, 0)
-    g3 = kernel_coherence(kernel, fld, fld, 3)
+    g0 = kernel_coherence(params, fld, fld, 0)
+    g3 = kernel_coherence(params, fld, fld, 3)
     dev0 = float(np.max(np.abs(np.abs(g0.values.real) - np.abs(np.cos(4 * GRID)))))
     dev3 = float(np.max(np.abs(np.abs(g3.values.real) - np.cos(2 * GRID) ** 2)))
     # second revival of the delta=3 curve sits near t = pi

@@ -209,6 +209,49 @@ def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
     assert re_gamma[0] == 1.0 and np.all((re_gamma > 0.0) & (re_gamma <= 1.0))
 
 
+@pytest.mark.parametrize("config, code, line", [
+    # A sine fit of V(h) through 1-3 shifts has no scatter left: exit 0
+    # with vis_of_v 1.0 +- 1.3e-15 (h 0..1), or exit 2 "calibration curve is
+    # flat" (h 0..0).
+    ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 1}}, 1,
+     "input error: measurement.h_min/h_max: "),
+    ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 2}}, 1,
+     "input error: measurement.h_min/h_max: "),
+    ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 0}}, 1,
+     "input error: measurement.h_min/h_max: "),
+    # A pattern period longer than a mask half leaves a curve range ~1e-9.
+    ({"command": "calibrate-wcp", "measurement": {"n_r": 100000}}, 1,
+     "input error: measurement.n_r: "),
+    # p = 0 divided 0 by 0 in the curve's sine fits.
+    ({"command": "calibrate-wcp", "measurement": {"p": 0}}, 1, "input error: measurement.p: "),
+    # numpy's Poisson draw refused with "lam value too large".
+    ({"command": "calibrate-wcp", "measurement": {"n0": 1e300}}, 1,
+     "input error: measurement.n0/acquisition_s: "),
+    # The window factor of a 1e-300 nm window vanishes on the whole grid, and
+    # the marginal's second moment divided 0 by 0.
+    ({"command": "transition-spectral", "spectral": {"widths_nm": [1e-300]}}, 1,
+     "input error: spectral: width 1e-300 nm is below the"),
+    # gamma^2 overflowed to inf and the closed form turned NaN.
+    ({"command": "analytic", "rtn": {"gamma": 1e300}, "grid": FAST_GRID}, 0, None),
+], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1e5", "p-0", "n0-1e300", "width-1e-300nm", "gamma-1e300"])
+def test_cli_main_extreme_inputs_end_cleanly(tmp_path, capsys, config, code, line):
+    # Each input either runs to finite data or ends in one stderr line and
+    # its exit code, with no warning (warnings are errors under pytest).
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    if line is None:
+        assert err == []
+        for path in out.glob("*.csv"):
+            body = [r.split(",") for r in data_section(path.read_text()).splitlines()[1:]]
+            assert np.all(np.isfinite(np.array(body, dtype=float)))
+    else:
+        assert len(err) == 1 and err[0].startswith(line), err
+        assert not out.exists()
+
+
 def test_empty_sweep_is_rejected():
     # an empty sweep list would exit 0 and write nothing (or an empty table)
     with pytest.raises(ConfigError, match="deltas: empty list"):
