@@ -6,8 +6,9 @@ zero switching rate, both endpoints, the slow-noise shift and spectral-width
 sweeps, and the correlated-pixel calibration) and out/wcp_table.csv (w_cp,
 fit order, w_p and w_tilde per spectral width).  tests/test_golden.py
 re-runs against these files.  For each file it rewrites, the script prints
-whether the data section is byte-identical to the file it replaces (else
-its largest |difference|) and every value of the ``# series`` and
+the columns it dropped or added, whether the data section is
+byte-identical to the file it replaces over the columns both share (else
+their largest |difference|), and every value of the ``# series`` and
 ``# calibration`` lines that changed, with the |difference| of numbers.
 Run from the repository root with src on the import path, e.g.
 ``PYTHONPATH=src python scripts/regenerate_out.py``.
@@ -27,19 +28,32 @@ OUT = Path("out")
 META_KEYS = ("series", "calibration")
 
 
+def columns(text: str) -> tuple[list[str], dict[str, tuple[str, ...]]]:
+    """The header of an output file's data section and its {column: cells}."""
+    rows = [line.split(",") for line in data_section(text).splitlines()]
+    return rows[0], dict(zip(rows[0], zip(*rows[1:])))
+
+
 def data_drift(old: str, new: str) -> str:
-    """Byte identity, else the largest |difference|, of two data sections."""
-    old_data, new_data = data_section(old), data_section(new)
-    if old_data == new_data:
+    """Columns dropped or added, then byte identity (else the largest
+    |difference|) of the columns both data sections share."""
+    if data_section(old) == data_section(new):
         return "data byte-identical"
-    tables = []
-    for text in (old_data, new_data):
-        rows = [line.split(",") for line in text.splitlines()]
-        tables.append((rows[0], np.array(rows[1:], dtype=float)))
-    (old_head, old_vals), (new_head, new_vals) = tables
-    if old_head != new_head or old_vals.shape != new_vals.shape:
-        return "data columns or rows changed"
-    return f"data max |delta| = {np.max(np.abs(new_vals - old_vals), initial=0.0):.3g}"
+    (old_head, old_cols), (new_head, new_cols) = columns(old), columns(new)
+    notes = [f"column {name} dropped" for name in old_head if name not in new_cols]
+    notes += [f"column {name} added" for name in new_head if name not in old_cols]
+    shared = [name for name in new_head if name in old_cols]
+    if not shared:
+        notes.append("no column shared")
+    elif len({len(col) for col in (*old_cols.values(), *new_cols.values())}) > 1:
+        notes.append("data rows changed")
+    elif all(old_cols[name] == new_cols[name] for name in shared):
+        notes.append("shared columns byte-identical")
+    else:
+        old_vals, new_vals = (np.array([cols[name] for name in shared], dtype=float)
+                              for cols in (old_cols, new_cols))
+        notes.append(f"data max |delta| = {np.max(np.abs(new_vals - old_vals)):.3g}")
+    return "; ".join(notes)
 
 
 def metadata(text: str) -> dict:

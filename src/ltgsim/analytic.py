@@ -8,8 +8,8 @@ These are the exact oracles for every Monte Carlo and kernel-sum result:
 with the stationary (equiprobable initial sign) ensemble.  For g < m the
 root is imaginary and the hyperbolic form turns trigonometric; at g = m
 it degenerates to exp(-g*t) * (1 + g*t).  The result is real in every
-branch.  For g > m it is evaluated as exp(-m*m*t/(g+d)) * (1 + e/2 -
-(g/(2d)) * e) with e = expm1(-2*d*t), which stays finite at any g*t.
+branch.  For g > m it is evaluated as exp(-m*x*t/(1+s)) * (1 + e/2 - e/(2s))
+with x = m/g, s = d/g and e = expm1(-2*d*t), which stays finite at any g*t.
 
 Local environments (independent noises):   Gamma_LE(t) = <e^{2i phi}>^2
 Global environment (one shared noise):     Gamma_GE(t) = <e^{4i phi}>
@@ -54,14 +54,17 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         out = np.exp(-gamma * t_arr) * (1.0 + gamma * t_arr)
     elif gamma > order:
         # exp(-g t) (cosh + (g/d) sinh) rewritten with e = exp(-2 d t) - 1 and
-        # g - d = m^2 / (g + d): no factor overflows, where exp(-g t) underflows
-        # against cosh's overflow once g t exceeds ~710.
-        # d = sqrt(g^2 - m^2) without squaring g, which overflows past ~1e154.
-        d = gamma * np.sqrt((1.0 - order / gamma) * (1.0 + order / gamma))
-        e = np.expm1(-2.0 * d * t_arr)
-        out = np.exp(-float(order) ** 2 * t_arr / (gamma + d)) * (
-            1.0 + 0.5 * e - (gamma / (2.0 * d)) * e
-        )
+        # g - d = m^2 / (g + d), then in x = m / g and s = d / g = sqrt(1 - x^2)
+        # (g^2, g + d and 2 d overflow near the largest floats):
+        # exp(-m x t / (1 + s)) (1 + e/2 - e / (2 s)).  No factor overflows,
+        # where exp(-g t) underflows against cosh's overflow once g t > ~710.
+        x = order / gamma
+        s = np.sqrt((1.0 - x) * (1.0 + x))
+        d = gamma * s
+        # Past d t = 20, expm1(-2 d t) is -1.0 exactly; capping t there keeps
+        # d t finite at any g, and 0 at t = 0.
+        e = np.expm1(-2.0 * (d * np.minimum(t_arr, 20.0 / d)))
+        out = np.exp(-order * x * t_arr / (1.0 + s)) * (1.0 + 0.5 * e - e / (2.0 * s))
     else:
         w = np.sqrt(float(order) ** 2 - gamma * gamma)
         out = np.exp(-gamma * t_arr) * (

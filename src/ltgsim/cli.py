@@ -29,7 +29,6 @@ COMMANDS = (
     "transition-spectral",
     "optics-table",
     "calibrate-wcp",
-    "reproduce-figure",
 )
 
 DEFAULT_CONFIG = {
@@ -166,18 +165,18 @@ def _preset_conflicts(preset: dict, user: dict, path: str = ""):
 def resolve_config(user_config: dict) -> dict:
     """Merge over defaults, expand presets, reject unknown keys.
 
-    A preset applies over the defaults; a command other than its own (or
-    ``reproduce-figure``), or a leaf it sets to another value, is refused.
+    A preset applies over the defaults; a command other than its own, or a
+    leaf it sets to another value, is refused.
     """
     config = _merge(DEFAULT_CONFIG, user_config)
     name = config["preset"]
-    if config["command"] == "reproduce-figure" or name is not None:
+    if name is not None:
         if not isinstance(name, str) or name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
             )
         preset = PRESETS[name]
-        if config["command"] not in (None, "reproduce-figure", preset["command"]):
+        if config["command"] not in (None, preset["command"]):
             raise ConfigError(
                 f"command is {config['command']!r}, but preset {name} runs {preset['command']!r}"
             )
@@ -207,16 +206,14 @@ def validate_config(config: dict) -> list[str]:
         return []
 
     diags = non_finite(config, "")
-    geo = config["geometry"]
+    geo, m = config["geometry"], config["measurement"]
     npix = geo["pixels_per_half"]
     phase_field = config["command"] in ("transition-delta", "transition-spectral")
+    mc = config["command"] == "mc-moment"
     # Trajectories the run samples: the MC ensemble, or one phase field's
     # independent blocks (those of the first half-mask).
-    rows = 0
-    if config["command"] == "mc-moment":
-        rows = config["mc"]["n_real"]
-    elif phase_field:
-        rows = -(-(npix // 2) // config["field"]["n_rep"])
+    blocks = -(-(npix // 2) // config["field"]["n_rep"])
+    rows = config["mc"]["n_real"] if mc else blocks if phase_field else 0
     jumps = config["rtn"]["gamma"] * config["grid"]["t_max"] * rows
     if not diags and jumps > MAX_EXPECTED_JUMPS:
         diags.append(
@@ -228,6 +225,15 @@ def validate_config(config: dict) -> list[str]:
             f"mc: n_real {rows} trajectories exceed the {MAX_EXPECTED_JUMPS:,.0f} "
             "(~0.8 GB per array) a run may sample"
         )
+    # Entries of the largest array on the time grid: the phase field's phasors
+    # (both halves' blocks), the MC reduction's 7 rows of per-time sums, or one
+    # series; and the (repeats, 2) counts of one calibration shift.
+    per_time = 2 * blocks if phase_field else 7 if mc else 1
+    for key, size in (("grid.points", per_time * config["grid"]["points"]),
+                      ("measurement.repeats", 2 * m["repeats"])):
+        if size > MAX_EXPECTED_JUMPS:
+            diags.append(f"{key}: {size:.3g} array entries exceed the {MAX_EXPECTED_JUMPS:,.0f} "
+                         "(~0.8 GB per array) a run may hold")
     if phase_field and npix % 2:
         diags.append(
             f"geometry: pixels_per_half {npix} is odd; the phase field mirrors "
@@ -276,17 +282,16 @@ def validate_config(config: dict) -> list[str]:
                 optics.PdcSetup(spectral_width_nm=width)
             except ValueError as exc:
                 diags.append(f"{key}: {exc}")
-    m = config["measurement"]
     n_shifts = max(0, m["h_max"] - m["h_min"] + 1)
     if n_shifts < measurement.MIN_SHIFTS:
         diags.append(f"measurement.h_min/h_max: {n_shifts} shifts; the sine fit of V(h) "
                      f"needs {measurement.MIN_SHIFTS}")
     if 2 * m["n_r"] > npix:
         diags.append(f"measurement.n_r: pattern period {2 * m['n_r']} exceeds a mask half")
-    counts = 2 * m["n0"] * m["acquisition_s"]
-    if counts > measurement.MAX_EXPECTED_COUNTS:
-        diags.append(f"measurement.n0/acquisition_s: up to {counts:.3g} expected counts per "
-                     f"acquisition, over {measurement.MAX_EXPECTED_COUNTS:.0e}")
+    try:
+        measurement.check_counts(m["n0"], m["acquisition_s"])
+    except ValueError as exc:
+        diags.append(f"measurement.n0/acquisition_s: {exc}")
     for key in ("h_min", "h_max"):
         if abs(m[key]) >= npix:
             diags.append(f"measurement: {key} shift {m[key]} leaves the {npix}-pixel mask")
@@ -316,14 +321,9 @@ def _table_csv(config: dict, meta: dict, columns: dict) -> str:
     then each ``meta`` entry by key, all compact JSON), a ``# columns``
     line, the header row, then one row per index of the equal-length
     ``columns``, each formatted by ``_cells`` or given as a list of its
-    ``_cells`` strings.  A column object passed under several names is
-    formatted once.
+    ``_cells`` strings.
     """
-    formatted = {}  # id of a column object -> its cell strings
-    for name, col in columns.items():
-        if id(col) not in formatted:
-            formatted[id(col)] = col if isinstance(col, list) else _cells(name, col)
-    cells = [formatted[id(col)] for col in columns.values()]
+    cells = [col if isinstance(col, list) else _cells(name, col) for name, col in columns.items()]
     lines = [
         f"# ltgsim = {__version__}",
         f"# rng = PCG64 (numpy {np.__version__}); streams via "
@@ -340,9 +340,8 @@ def _table_csv(config: dict, meta: dict, columns: dict) -> str:
 def series_csv(series: CoherenceSeries, config: dict, t_cells: list[str] | None = None) -> str:
     """One series file.  ``t_cells``: the ``_cells`` of ``series.times``, formatted
     once by a run whose series all share that grid."""
-    mag = series.magnitude
     columns = {"t": series.times if t_cells is None else t_cells, "re_gamma": series.values.real,
-               "im_gamma": series.values.imag, "abs_gamma": mag, "entanglement": mag}
+               "im_gamma": series.values.imag, "abs_gamma": series.magnitude}
     if series.stderr is not None:
         columns["stderr"] = series.stderr
     return _table_csv(config, {"series": series.params, "provenance": series.provenance}, columns)
@@ -373,17 +372,18 @@ def _kernel_params(config) -> slm.KernelParams:
     return slm.KernelParams(k["w_cp"], k["w_p"], k["n"], _geometry(config))
 
 
+def _series_files(config, times, files: dict) -> dict[str, str]:
+    """``series_csv`` of each series in ``{file name: series}``, all on the grid
+    ``times``, whose time column is formatted once."""
+    t_cells = _cells("t", times)
+    return {name: series_csv(series, config, t_cells) for name, series in files.items()}
+
+
 def _run_analytic(config):
     times = _grid(config)
     gamma = config["rtn"]["gamma"]
-    t_cells = _cells("t", times)
-    out = {}
-    for tag, series in (
-        ("le", analytic.local_coherence(gamma, times)),
-        ("ge", analytic.global_coherence(gamma, times)),
-    ):
-        out[f"analytic_{tag}.csv"] = series_csv(series, config, t_cells)
-    return out
+    return _series_files(config, times, {"analytic_le.csv": analytic.local_coherence(gamma, times),
+                                         "analytic_ge.csv": analytic.global_coherence(gamma, times)})
 
 
 def _run_mc_moment(config):
@@ -397,7 +397,7 @@ def _run_mc_moment(config):
         SeedSpec(config["master_seed"], 0),
         antithetic=config["mc"]["antithetic"],
     )
-    return {"mc_moment.csv": series_csv(series, config)}
+    return _series_files(config, times, {"mc_moment.csv": series})
 
 
 def _delta_file(delta) -> str:
@@ -408,45 +408,31 @@ def _spectral_file(width) -> str:
     return "transition_spectral_" + f"{width:g}".replace(".", "p") + "nm.csv"
 
 
-def _run_transition_delta(config):
+def _sweep(config, kernels, shifts) -> tuple[np.ndarray, list[CoherenceSeries]]:
+    """The time grid, and the series of each kernel and shift (kernel-major) on
+    one phase field."""
     times = _grid(config)
-    sweep = slm.transition_sweep(
-        config["rtn"]["gamma"],
-        [_kernel_params(config)],
-        [int(d) for d in config["deltas"]],
-        times,
-        n_rep=config["field"]["n_rep"],
-        seed=SeedSpec(config["master_seed"], 0),
-    )
-    t_cells = _cells("t", times)
-    out = {}
-    for series in sweep:
-        out[_delta_file(series.params["delta"])] = series_csv(series, config, t_cells)
-    return out
+    return times, slm.transition_sweep(config["rtn"]["gamma"], kernels, shifts, times,
+                                       n_rep=config["field"]["n_rep"],
+                                       seed=SeedSpec(config["master_seed"], 0))
+
+
+def _run_transition_delta(config):
+    shifts = [int(d) for d in config["deltas"]]
+    times, sweep = _sweep(config, [_kernel_params(config)], shifts)
+    return _series_files(config, times, {_delta_file(d): s for d, s in zip(shifts, sweep)})
 
 
 def _run_transition_spectral(config):
-    times = _grid(config)
-    setup = optics.PdcSetup(theta_0=config["optics"]["theta_0"])
     widths = [float(w) for w in config["spectral"]["widths_nm"]]
-    table = optics.wcp_curve(setup, widths)
+    table = optics.wcp_curve(optics.PdcSetup(theta_0=config["optics"]["theta_0"]), widths)
     geometry = _geometry(config)
     kernels = [slm.KernelParams(float(w_cp), float(w_p), int(order), geometry)
                for w_cp, w_p, order in zip(table.w_cp, table.w_p, table.order)]
-    sweep = slm.transition_sweep(
-        config["rtn"]["gamma"],
-        kernels,
-        [0],
-        times,
-        n_rep=config["field"]["n_rep"],
-        seed=SeedSpec(config["master_seed"], 0),
-    )
-    t_cells = _cells("t", times)
-    out = {}
+    times, sweep = _sweep(config, kernels, [0])
     for width, series in zip(widths, sweep):
         series.params["spectral_width_nm"] = width
-        out[_spectral_file(width)] = series_csv(series, config, t_cells)
-    return out
+    return _series_files(config, times, {_spectral_file(w): s for w, s in zip(widths, sweep)})
 
 
 def _run_optics_table(config):
@@ -534,7 +520,6 @@ def main(argv=None) -> int:
             return 1
     if args.preset:
         user["preset"] = args.preset
-        user.setdefault("command", "reproduce-figure")
     if args.seed is not None:
         user["master_seed"] = args.seed
     if args.out:

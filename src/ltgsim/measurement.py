@@ -60,6 +60,15 @@ def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
     return 0.25 * (1.0 + x), 0.25 * (1.0 - x)
 
 
+def check_counts(n0: float, acquisition_s: float) -> None:
+    """Refuse an acquisition that may expect more than ``MAX_EXPECTED_COUNTS``
+    counts: 2 * n0 * acquisition_s, the counts at p++ = 1/2."""
+    counts = 2.0 * n0 * acquisition_s
+    if counts > MAX_EXPECTED_COUNTS:
+        raise ValueError(f"n0 {n0!r} and acquisition_s {acquisition_s!r} expect up to "
+                         f"{counts:.3g} counts per acquisition, over {MAX_EXPECTED_COUNTS:.0e}")
+
+
 def simulate_counts(
     probs: tuple[float, float],
     n0: float,
@@ -74,12 +83,13 @@ def simulate_counts(
     acquisitions draws Poisson counts over ``acquisition_s`` seconds, and
     the rates are averaged over repeats in index order.
     """
-    if n0 <= 0:
+    if not n0 > 0:  # refuses NaN too
         raise ValueError("n0 must be positive")
     if not 0.0 < acquisition_s < np.inf:
         raise ValueError(f"acquisition_s must be finite and > 0, got {acquisition_s}")
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_counts(n0, acquisition_s)
     expected = 4.0 * n0 * np.asarray(probs, dtype=float)
     if np.any(expected < 0):
         raise ValueError("negative expected rate; check probabilities")

@@ -67,7 +67,7 @@ def test_validate_spectral_bounds(tmp_path):
 
 
 def test_validate_clean_preset():
-    config = resolve_config({"preset": "fig3-right", "command": "reproduce-figure"})
+    config = resolve_config({"preset": "fig3-right"})
     assert validate_config(config) == []
 
 
@@ -153,7 +153,7 @@ def test_preset_sets_only_keys_its_command_reads(preset):
 
 def test_unknown_preset():
     with pytest.raises(ConfigError, match="unknown preset"):
-        resolve_config({"command": "reproduce-figure", "preset": "fig9"})
+        resolve_config({"preset": "fig9"})
     with pytest.raises(ConfigError, match=r"unknown preset \{\}"):  # not a TypeError
         resolve_config({"preset": {}})
 
@@ -233,7 +233,13 @@ def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
      "input error: spectral: width 1e-300 nm is below the"),
     # gamma^2 overflowed to inf and the closed form turned NaN.
     ({"command": "analytic", "rtn": {"gamma": 1e300}, "grid": FAST_GRID}, 0, None),
-], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1e5", "p-0", "n0-1e300", "width-1e-300nm", "gamma-1e300"])
+    # 2 * d * t overflowed (5e307), and gamma + d and 2 * d too, with inf * 0
+    # at t = 0 (1e308 and the largest float).
+    ({"command": "analytic", "rtn": {"gamma": 5e307}, "grid": FAST_GRID}, 0, None),
+    ({"command": "analytic", "rtn": {"gamma": 1e308}, "grid": FAST_GRID}, 0, None),
+    ({"command": "analytic", "rtn": {"gamma": sys.float_info.max}, "grid": FAST_GRID}, 0, None),
+], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1e5", "p-0", "n0-1e300", "width-1e-300nm", "gamma-1e300",
+        "gamma-5e307", "gamma-1e308", "gamma-max"])
 def test_cli_main_extreme_inputs_end_cleanly(tmp_path, capsys, config, code, line):
     # Each input either runs to finite data or ends in one stderr line and
     # its exit code, with no warning (warnings are errors under pytest).
@@ -243,7 +249,7 @@ def test_cli_main_extreme_inputs_end_cleanly(tmp_path, capsys, config, code, lin
     assert main(["--config", str(cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err.strip().splitlines()
     if line is None:
-        assert err == []
+        assert err == [] and list(out.glob("*.csv"))
         for path in out.glob("*.csv"):
             body = [r.split(",") for r in data_section(path.read_text()).splitlines()[1:]]
             assert np.all(np.isfinite(np.array(body, dtype=float)))
@@ -325,15 +331,9 @@ def test_non_finite_cell_refused():
 
 
 def test_shared_column_written_like_a_copy():
-    # series_csv passes one magnitude array as two columns; formatting it
-    # once must give the bytes of two separately formatted columns.
+    # A run formats its shared time column once for all its series files;
+    # each file must get the bytes of its own formatted time column.
     cfg = resolve_config({"command": "mc-moment"})
-    x = np.array([0.1, 1.0 / 3.0, 2.5e-300])
-    assert cli._table_csv(cfg, {}, {"a": x, "b": x}) == cli._table_csv(cfg, {}, {"a": x, "b": x.copy()})
-    bad = np.array([1.0, np.inf])
-    with pytest.raises(ValueError, match="non-finite a data"):
-        cli._table_csv(cfg, {}, {"a": bad, "b": bad})
-    # A sweep formats its shared time column once for all its series files.
     series = CoherenceSeries(np.array([0.0, 1.0 / 3.0, 2.5]), np.array([1.0, 0.5j, -0.25]),
                              MONTE_CARLO)
     assert cli.series_csv(series, cfg, cli._cells("t", series.times)) == cli.series_csv(series, cfg)
@@ -481,6 +481,32 @@ def test_cli_main_validate_bounds_mc_rows(tmp_path, capsys):
     assert validate_config(resolve_config(
         {"command": "mc-moment", "rtn": {"gamma": 0.0}, "mc": {"n_real": 100_000_000}}
     )) == []
+
+
+def test_cli_main_validate_bounds_grid_and_repeats(tmp_path, capsys, monkeypatch):
+    # 1e10 grid points are an 80 GB time grid (and the phase field holds 108
+    # blocks' phasors per point); 1e12 repeats a (1e12, 2) Poisson array per
+    # shift.  Validated only: the work is stubbed and these configs never run.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a config that fails validation")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_work))
+    cfg = tmp_path / "cfg.json"
+    big_grid = {"points": 10_000_000_000}
+    cases = [({"command": "analytic", "grid": big_grid}, "grid.points: 1e+10 array entries"),
+             ({"command": "transition-delta", "grid": big_grid}, "grid.points: 1.08e+12 array entries"),
+             ({"command": "calibrate-wcp", "measurement": {"repeats": 1_000_000_000_000}},
+              "measurement.repeats: 2e+12 array entries")]
+    for config, message in cases:
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == [message + " exceed the 100,000,000 (~0.8 GB per array) a run may hold"]
+    # the ceiling itself is allowed: the phase field's 108 blocks by 925 925 points
+    assert validate_config(resolve_config(
+        {"command": "transition-delta", "grid": {"points": 925_925}})) == []
+    assert validate_config(resolve_config(
+        {"command": "transition-delta", "grid": {"points": 925_926}})) != []
 
 
 def test_cli_main_missing_file(tmp_path, capsys):

@@ -152,6 +152,19 @@ def test_counts_reject_bad_acquisition():
         calibrate_wcp(KernelParams(3.1, 20.0, 2, GEO), acquisition_s=0.0)
 
 
+def test_counts_refuse_beyond_poisson_range():
+    # numpy's Poisson draw stopped with "lam value too large", naming no
+    # argument; the counts ceiling names both.
+    message = r"n0 1e\+300 and acquisition_s 8\.0 expect up to 1\.6e\+301 counts"
+    with pytest.raises(ValueError, match=message):
+        simulate_counts((0.25, 0.25), 1e300)
+    with pytest.raises(ValueError, match=message):
+        calibrate_wcp(KernelParams(3.1, 20.0), n0=1e300)
+    with pytest.raises(ValueError, match="n0 must be positive"):
+        simulate_counts((0.25, 0.25), float("nan"))
+    simulate_counts((0.25, 0.25), 250.0, 2e15)  # the ceiling itself is allowed
+
+
 def test_visibility_values():
     assert visibility(100.0, 100.0) == 0.0
     assert visibility(*expected_rates(0.927, 1.0)) == pytest.approx(0.927, abs=1e-12)
