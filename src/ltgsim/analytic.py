@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rtn import check_moment, check_rate
 from .series import ANALYTIC, CoherenceSeries
 
 # Treat |gamma - order| below this as the degenerate branch; avoids
@@ -27,25 +28,12 @@ _DEGENERATE_TOL = 1e-9
 
 
 def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
-    """< exp(i * order * phi(t)) > for stationary telegraph noise.
-
-    Parameters
-    ----------
-    gamma : float
-        Switching rate, >= 0.
-    order : int
-        Moment order m >= 1 (2 and 4 are the two-qubit cases).
-    t : float or ndarray
-        Time(s), >= 0.
-
-    Returns
-    -------
-    Real moment value(s); scalar in, scalar out.
-    """
-    if not gamma >= 0:  # refuses NaN too
-        raise ValueError("gamma must be >= 0")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    """< exp(i * order * phi(t)) > for stationary telegraph noise, real, at the
+    time(s) t >= 0 (scalar in, scalar out), for a switching rate gamma as
+    ``rtn.check_rate`` and an order m as ``rtn.check_moment`` (2 and 4 are the
+    two-qubit cases)."""
+    check_rate(gamma)
+    check_moment(order)
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr >= 0):
         raise ValueError("t must be >= 0")

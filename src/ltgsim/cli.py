@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic, measurement, optics, slm
-from .rtn import MAX_EXPECTED_JUMPS, RtnParams, SeedSpec, mc_exponential_moment
+from . import __version__, analytic, measurement, optics, rtn, slm
+from .rtn import RtnParams, SeedSpec, mc_exponential_moment
 from .series import CoherenceSeries
 
 COMMANDS = (
@@ -60,26 +60,15 @@ DEFAULT_CONFIG = {
     "preset": None,
 }
 
-# Range checks by dotted leaf path.  A leaf's accepted types come from its
-# default (see _accepted_types); leaves not listed take any such value.  The
-# kernel leaves are checked once, by slm.KernelParams in validate_config.
+# Range checks of the leaves the CLI owns, by dotted path; every integer,
+# list entries included, also lies within 64 bits.  A leaf's accepted types
+# come from its default (see _accepted_types).  The rules on model values
+# are their modules', which validate_config calls.
 _RANGES = {
     "command": lambda v: v in COMMANDS,
-    "master_seed": lambda v: 0 <= v < 2**64,
+    "master_seed": lambda v: v >= 0,
     "grid.t_min": lambda v: v >= 0,
-    "grid.t_max": lambda v: v > 0,
     "grid.points": lambda v: v >= 1,
-    "rtn.gamma": lambda v: v >= 0,
-    "geometry.pixels_per_half": lambda v: v >= 2,
-    "field.n_rep": lambda v: v >= 1,
-    "mc.order": lambda v: v >= 1,
-    "mc.n_real": lambda v: v >= 2,
-    "measurement.p": lambda v: 0 < v <= 1,
-    "measurement.n0": lambda v: v > 0,
-    "measurement.acquisition_s": lambda v: v > 0,
-    "measurement.repeats": lambda v: v >= 1,
-    "measurement.n_r": lambda v: v >= 1,
-    "optics.theta_0": lambda v: v > 0,
 }
 
 PRESETS = {
@@ -87,22 +76,12 @@ PRESETS = {
     "fig3-left": {"command": "transition-delta", "rtn": {"gamma": 0.0}, "deltas": [3]},
     "fig3-right": {"command": "transition-delta", "rtn": {"gamma": 0.0}, "deltas": [0]},
     # Slow noise, both transition strategies.
-    "fig4-left": {
-        "command": "transition-delta",
-        "rtn": {"gamma": 0.12},
-        "deltas": [3, 2, 1, 0],
-    },
-    "fig4-right": {
-        "command": "transition-spectral",
-        "rtn": {"gamma": 0.12},
-        "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0]},
-    },
+    "fig4-left": {"command": "transition-delta", "rtn": {"gamma": 0.12}, "deltas": [3, 2, 1, 0]},
+    "fig4-right": {"command": "transition-spectral", "rtn": {"gamma": 0.12},
+                   "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0]}},
     # Correlated-pixel calibration at the measured conditions.
-    "figS-calibration": {
-        "command": "calibrate-wcp",
-        "kernel": {"w_cp": 3.1, "w_p": 20.0, "n": 2},
-        "measurement": {"shot_noise": True},
-    },
+    "figS-calibration": {"command": "calibrate-wcp", "kernel": {"w_cp": 3.1, "w_p": 20.0, "n": 2},
+                         "measurement": {"shot_noise": True}},
 }
 
 
@@ -143,11 +122,13 @@ def _check_schema(config: dict, defaults: dict = DEFAULT_CONFIG, path: str = "")
             problems.extend(_check_schema(val, defaults[key], where))
             continue
         types, pred = _accepted_types(defaults[key]), _RANGES.get(where)
+        entries = val if isinstance(val, list) else [val]
         if isinstance(val, bool) and bool not in types:
             problems.append(f"{where}: unexpected boolean")
         elif not isinstance(val, types):
             problems.append(f"{where}: bad type {type(val).__name__}")
-        elif pred is not None and not pred(val):
+        elif (pred is not None and not pred(val)
+              or any(isinstance(v, int) and abs(v) >= 2**64 for v in entries)):
             problems.append(f"{where}: value {val!r} out of range")
     return problems
 
@@ -193,7 +174,8 @@ def resolve_config(user_config: dict) -> dict:
 
 
 def validate_config(config: dict) -> list[str]:
-    """All range and consistency diagnostics of a resolved config."""
+    """All range and consistency diagnostics of a resolved config: its
+    non-finite numbers alone, else each module's rules, under the keys they read."""
 
     def non_finite(node, where):
         if isinstance(node, dict):
@@ -206,53 +188,48 @@ def validate_config(config: dict) -> list[str]:
         return []
 
     diags = non_finite(config, "")
-    geo, m = config["geometry"], config["measurement"]
-    npix = geo["pixels_per_half"]
-    phase_field = config["command"] in ("transition-delta", "transition-spectral")
-    mc = config["command"] == "mc-moment"
-    # Trajectories the run samples: the MC ensemble, or one phase field's
-    # independent blocks (those of the first half-mask).
-    blocks = -(-(npix // 2) // config["field"]["n_rep"])
-    rows = config["mc"]["n_real"] if mc else blocks if phase_field else 0
-    jumps = config["rtn"]["gamma"] * config["grid"]["t_max"] * rows
-    if not diags and jumps > MAX_EXPECTED_JUMPS:
-        diags.append(
-            f"rtn: gamma * t_max over {rows} trajectories expects {jumps:.3g} jumps, "
-            f"more than the {MAX_EXPECTED_JUMPS:,.0f} (~0.8 GB of jump times) a run may hold"
-        )
-    elif rows > MAX_EXPECTED_JUMPS:  # at a low rate the rows themselves are the memory
-        diags.append(
-            f"mc: n_real {rows} trajectories exceed the {MAX_EXPECTED_JUMPS:,.0f} "
-            "(~0.8 GB per array) a run may sample"
-        )
-    # Entries of the largest array on the time grid: the phase field's phasors
-    # (both halves' blocks), the MC reduction's 7 rows of per-time sums, or one
-    # series; and the (repeats, 2) counts of one calibration shift.
-    per_time = 2 * blocks if phase_field else 7 if mc else 1
-    for key, size in (("grid.points", per_time * config["grid"]["points"]),
-                      ("measurement.repeats", 2 * m["repeats"])):
-        if size > MAX_EXPECTED_JUMPS:
-            diags.append(f"{key}: {size:.3g} array entries exceed the {MAX_EXPECTED_JUMPS:,.0f} "
-                         "(~0.8 GB per array) a run may hold")
-    if phase_field and npix % 2:
-        diags.append(
-            f"geometry: pixels_per_half {npix} is odd; the phase field mirrors "
-            "each block half a mask away and needs an even count"
-        )
-    try:
-        slm.MaskGeometry(npix, geo["j0"], geo["k0"])
-    except ValueError as exc:
-        diags.append(f"geometry: {exc}")
-    try:
-        slm.KernelParams(config["kernel"]["w_cp"], config["kernel"]["w_p"], config["kernel"]["n"])
-    except ValueError as exc:
-        diags.append(f"kernel: {exc}")
-    try:
-        optics.profile_axis(optics.PdcSetup(theta_0=config["optics"]["theta_0"]))
-    except ValueError as exc:
-        diags.append(f"optics: {exc}")
-    if config["grid"]["t_max"] <= config["grid"]["t_min"]:
+    if diags:
+        return diags
+
+    def check(key, rule, *args, sep=": ") -> bool:
+        try:
+            rule(*args)
+        except ValueError as exc:
+            diags.append(f"{key}{sep}{exc}")
+            return False
+        return True
+
+    command, g, geo, mc, m = (config[k] for k in ("command", "grid", "geometry", "mc", "measurement"))
+    npix, gamma, n_rep = geo["pixels_per_half"], config["rtn"]["gamma"], config["field"]["n_rep"]
+    phase_field = command in ("transition-delta", "transition-spectral")
+    check("rtn.gamma", rtn.check_rate, gamma)
+    if g["t_max"] <= g["t_min"]:
         diags.append("grid: t_max must exceed t_min")
+    # Noise is sampled up to the grid's last time, t_min on one point, and the
+    # phase order * phi formed on the grid has the order of the analytic GE
+    # moment, of the MC moment, of a phase field's noise, or 0 off the grid.
+    one_point = (phase_field or command == "mc-moment") and g["points"] == 1
+    order = {"analytic": 4, "mc-moment": mc["order"], "transition-delta": 1,
+             "transition-spectral": 1}.get(command, 0)
+    check("grid.points" if one_point else "grid.t_max", rtn.check_horizon,
+          g["t_min"] if one_point else g["t_max"], order)
+    check("mc", rtn.check_moment, mc["order"], mc["n_real"], mc["antithetic"])
+    if command == "mc-moment":
+        check("mc", rtn.check_entries, mc["n_real"])
+        check("rtn", rtn.check_ensemble, gamma, g["t_max"], mc["n_real"])
+        check("grid.points", rtn.check_grid, g["points"])
+    elif not phase_field:  # the grid itself, or one series on it
+        check("grid.points", rtn.check_entries, g["points"])
+    if check("field.n_rep", slm.field_blocks, npix, n_rep) and phase_field:
+        blocks = slm.field_blocks(npix, n_rep)
+        check("geometry", slm.check_mirror, npix)
+        check("rtn", rtn.check_ensemble, gamma, g["t_max"], blocks)
+        check("grid.points", slm.check_field_grid, blocks, g["points"])
+    check("geometry", slm.MaskGeometry, npix, geo["j0"], geo["k0"])
+    k = config["kernel"]
+    check("kernel", slm.KernelParams, k["w_cp"], k["w_p"], k["n"])
+    check("optics", lambda theta_0: optics.profile_axis(optics.PdcSetup(theta_0=theta_0)),
+          config["optics"]["theta_0"])
     for key, values in (("deltas", config["deltas"]),
                         ("spectral.widths_nm", config["spectral"]["widths_nm"]),
                         ("optics.widths_nm", config["optics"]["widths_nm"])):
@@ -262,8 +239,8 @@ def validate_config(config: dict) -> list[str]:
     for d in config["deltas"]:
         if isinstance(d, bool) or not isinstance(d, int):
             diags.append(f"deltas: shift {d!r} is not an integer")
-        elif abs(d) >= npix:
-            diags.append(f"deltas: shift {d} leaves the {npix}-pixel mask")
+        else:
+            check("deltas", slm.check_shift, npix, d)
     for key, values, file_name in (("deltas", config["deltas"], _delta_file),
                                    ("spectral.widths_nm", config["spectral"]["widths_nm"],
                                     _spectral_file)):
@@ -271,30 +248,19 @@ def validate_config(config: dict) -> list[str]:
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             diags.append(f"{key}: entries share an output file: {', '.join(repeated)}")
-    if config["mc"]["antithetic"] and config["mc"]["n_real"] % 2:
-        diags.append("mc: antithetic pairing requires an even n_real")
     for key in ("spectral", "optics"):
         for width in config[key]["widths_nm"]:
             if isinstance(width, bool) or not isinstance(width, (int, float)):
                 diags.append(f"{key}: width {width!r} is not a number")
-                continue
-            try:
-                optics.PdcSetup(spectral_width_nm=width)
-            except ValueError as exc:
-                diags.append(f"{key}: {exc}")
-    n_shifts = max(0, m["h_max"] - m["h_min"] + 1)
-    if n_shifts < measurement.MIN_SHIFTS:
-        diags.append(f"measurement.h_min/h_max: {n_shifts} shifts; the sine fit of V(h) "
-                     f"needs {measurement.MIN_SHIFTS}")
-    if 2 * m["n_r"] > npix:
-        diags.append(f"measurement.n_r: pattern period {2 * m['n_r']} exceeds a mask half")
-    try:
-        measurement.check_counts(m["n0"], m["acquisition_s"])
-    except ValueError as exc:
-        diags.append(f"measurement.n0/acquisition_s: {exc}")
+            else:
+                check(key, lambda w: optics.PdcSetup(spectral_width_nm=w), width)
+    check("measurement.p", measurement.check_purity, m["p"])
+    check("measurement.h_min/h_max", measurement.check_shifts, max(0, m["h_max"] - m["h_min"] + 1))
+    check("measurement.n_r", measurement.check_pattern, npix, m["n_r"])
+    check("measurement.n0/acquisition_s", measurement.check_counts, m["n0"], m["acquisition_s"])
+    check("measurement.repeats", measurement.check_repeats, m["repeats"])
     for key in ("h_min", "h_max"):
-        if abs(m[key]) >= npix:
-            diags.append(f"measurement: {key} shift {m[key]} leaves the {npix}-pixel mask")
+        check(f"measurement: {key}", slm.check_shift, npix, m[key], sep=" ")
     return diags
 
 
@@ -388,15 +354,10 @@ def _run_analytic(config):
 
 def _run_mc_moment(config):
     times = _grid(config)
-    params = RtnParams(config["rtn"]["gamma"], float(times.max()))
-    series = mc_exponential_moment(
-        params,
-        config["mc"]["order"],
-        times,
-        config["mc"]["n_real"],
-        SeedSpec(config["master_seed"], 0),
-        antithetic=config["mc"]["antithetic"],
-    )
+    mc = config["mc"]
+    series = mc_exponential_moment(RtnParams(config["rtn"]["gamma"], float(times.max())),
+                                   mc["order"], times, mc["n_real"],
+                                   SeedSpec(config["master_seed"], 0), antithetic=mc["antithetic"])
     return _series_files(config, times, {"mc_moment.csv": series})
 
 
@@ -447,22 +408,12 @@ def _run_optics_table(config):
 def _run_calibrate_wcp(config):
     m = config["measurement"]
     result = measurement.calibrate_wcp(
-        _kernel_params(config),
-        p=m["p"],
-        n_r=m["n_r"],
-        h_values=np.arange(m["h_min"], m["h_max"] + 1),
-        n0=m["n0"],
-        acquisition_s=m["acquisition_s"],
-        repeats=m["repeats"],
-        shot_noise=m["shot_noise"],
-        seed=SeedSpec(config["master_seed"], 0),
-    )
-    meta = {"calibration": {
-        "vis_of_v": result.vis_of_v,
-        "vis_uncertainty": result.vis_uncertainty,
-        "w_cp_estimate": result.w_cp_estimate,
-        "w_cp_uncertainty": result.w_cp_uncertainty,
-    }}
+        _kernel_params(config), p=m["p"], n_r=m["n_r"],
+        h_values=np.arange(m["h_min"], m["h_max"] + 1), n0=m["n0"],
+        acquisition_s=m["acquisition_s"], repeats=m["repeats"], shot_noise=m["shot_noise"],
+        seed=SeedSpec(config["master_seed"], 0))
+    meta = {"calibration": {key: getattr(result, key) for key in (
+        "vis_of_v", "vis_uncertainty", "w_cp_estimate", "w_cp_uncertainty")}}
     return {
         "calibration_vh.csv": _table_csv(config, meta, {"h": result.h_values, "v": result.v_of_h}),
         "calibration_curve.csv": _table_csv(
@@ -502,10 +453,8 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", type=str, help="named preset (see README)")
     parser.add_argument("--seed", type=int, help="override master seed")
     parser.add_argument("--out", type=str, help="output directory")
-    parser.add_argument(
-        "--validate", action="store_true",
-        help="report config diagnostics without running",
-    )
+    parser.add_argument("--validate", action="store_true",
+                        help="report config diagnostics without running")
     args = parser.parse_args(argv)
 
     user: dict = {}

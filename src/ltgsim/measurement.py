@@ -31,8 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
-from .rtn import SeedSpec
-from .slm import KernelParams, _on_mask, kernel_factors, normalization, toeplitz_product
+from .rtn import SeedSpec, check_entries
+from .slm import KernelParams, check_shift, kernel_factors, normalization, toeplitz_product
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
@@ -60,22 +60,50 @@ def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
     return 0.25 * (1.0 + x), 0.25 * (1.0 - x)
 
 
+def check_purity(p: float) -> None:
+    """Refuse a purity outside (0, 1], or subnormal: p scales the calibration
+    curve, which a subnormal p leaves without digits."""
+    if not np.finfo(float).tiny <= p <= 1.0:  # refuses NaN too
+        raise ValueError(f"p must be a normal float in (0, 1], got {p!r}")
+
+
 def check_counts(n0: float, acquisition_s: float) -> None:
-    """Refuse an acquisition that may expect more than ``MAX_EXPECTED_COUNTS``
-    counts: 2 * n0 * acquisition_s, the counts at p++ = 1/2."""
+    """Refuse a rate scale n0 <= 0, an acquisition window that is not finite
+    and > 0, or one that may expect more than ``MAX_EXPECTED_COUNTS`` counts:
+    2 * n0 * acquisition_s, the counts at p++ = 1/2."""
+    if not n0 > 0:  # refuses NaN too
+        raise ValueError("n0 must be positive")
+    if not 0.0 < acquisition_s < np.inf:
+        raise ValueError(f"acquisition_s must be finite and > 0, got {acquisition_s}")
     counts = 2.0 * n0 * acquisition_s
     if counts > MAX_EXPECTED_COUNTS:
         raise ValueError(f"n0 {n0!r} and acquisition_s {acquisition_s!r} expect up to "
                          f"{counts:.3g} counts per acquisition, over {MAX_EXPECTED_COUNTS:.0e}")
 
 
-def simulate_counts(
-    probs: tuple[float, float],
-    n0: float,
-    acquisition_s: float = 8.0,
-    repeats: int = 4,
-    seed: SeedSpec = SeedSpec(0),
-) -> tuple[float, float]:
+def check_repeats(repeats: int) -> None:
+    """Refuse repeats < 1, or more than a (repeats, 2) counts array may hold."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_entries(2 * repeats)
+
+
+def check_pattern(n_pixels: int, n_r: int) -> None:
+    """Refuse a pattern run n_r < 1, or a period 2 * n_r longer than a mask half."""
+    if n_r < 1:
+        raise ValueError(f"n_r must be >= 1, got {n_r}")
+    if 2 * n_r > n_pixels:
+        raise ValueError(f"pattern period 2 * n_r = {2 * n_r} exceeds a mask half")
+
+
+def check_shifts(n_shifts: int) -> None:
+    """Refuse fewer than ``MIN_SHIFTS`` calibration shifts."""
+    if n_shifts < MIN_SHIFTS:
+        raise ValueError(f"the sine fit of V(h) needs {MIN_SHIFTS} shifts, got {n_shifts}")
+
+
+def simulate_counts(probs: tuple[float, float], n0: float, acquisition_s: float = 8.0,
+                    repeats: int = 4, seed: SeedSpec = SeedSpec(0)) -> tuple[float, float]:
     """Shot-noise coincidence rates (N++, N+-) per second from detection probabilities.
 
     The rate scale n0 absorbs the source brightness and every collection
@@ -83,13 +111,8 @@ def simulate_counts(
     acquisitions draws Poisson counts over ``acquisition_s`` seconds, and
     the rates are averaged over repeats in index order.
     """
-    if not n0 > 0:  # refuses NaN too
-        raise ValueError("n0 must be positive")
-    if not 0.0 < acquisition_s < np.inf:
-        raise ValueError(f"acquisition_s must be finite and > 0, got {acquisition_s}")
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
     check_counts(n0, acquisition_s)
+    check_repeats(repeats)
     expected = 4.0 * n0 * np.asarray(probs, dtype=float)
     if np.any(expected < 0):
         raise ValueError("negative expected rate; check probabilities")
@@ -108,9 +131,8 @@ def visibility(n_pp: float, n_pm: float) -> float:
 
 
 def rect_phase_pattern(n_pixels: int, n_r: int = 5) -> np.ndarray:
-    """Static mask phases switching +-pi/4 every n_r pixels."""
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
+    """Static mask phases switching +-pi/4 every n_r pixels (``check_pattern``)."""
+    check_pattern(n_pixels, n_r)
     steps = np.arange(n_pixels) // n_r
     return _PATTERN_AMPLITUDE * np.where(steps % 2 == 0, 1.0, -1.0)
 
@@ -144,7 +166,7 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     """
     n_pix = kernels[0].geometry.pixels_per_half
     for h in (h_values.min(initial=0), h_values.max(initial=0)):
-        _on_mask(n_pix, int(h))
+        check_shift(n_pix, int(h))
     pattern = rect_phase_pattern(n_pix, n_r)
     g1, g2, c = (np.array(f) for f in zip(*map(kernel_factors, kernels)))
     corr_re, total = normalization(g1, g2, c)
@@ -177,21 +199,16 @@ def calibrate_wcp(
     same beam width and order (one contraction and one sine fit serve all
     21 kernels), fits a cubic polynomial, and inverts it at the measured
     contrast; a contrast the curve does not reach raises NumericalError.
-    A purity p outside (0, 1], fewer than ``MIN_SHIFTS`` shifts or a
-    pattern period 2 * n_r longer than a mask half raise ValueError.
     Uncertainty combines the sine-fit scatter with the polynomial residual,
     both divided by the local curve slope.  A contrast within 5 sigma of
-    zero is shot noise, not a measurement, and raises NumericalError too.
+    zero is shot noise, not a measurement, and raises NumericalError too,
+    as does a shift that records no coincidence.
     """
     if h_values is None:
         h_values = np.arange(-10, 10)
     h_values = np.asarray(h_values, dtype=int)
-    if not 0.0 < p <= 1.0:  # refuses NaN too
-        raise ValueError(f"p must lie in (0, 1], got {p!r}")
-    if h_values.size < MIN_SHIFTS:
-        raise ValueError(f"the sine fit of V(h) needs {MIN_SHIFTS} shifts, got {h_values.size}")
-    if 2 * n_r > kernel_params.geometry.pixels_per_half:
-        raise ValueError(f"pattern period 2 * n_r = {2 * n_r} exceeds a mask half")
+    check_purity(p)
+    check_shifts(h_values.size)
 
     # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
@@ -205,6 +222,10 @@ def calibrate_wcp(
                 detection_probabilities(p, re), n0, acquisition_s, repeats,
                 seed=SeedSpec(seed.master_seed, seed.stream_index + 1 + i),
             )
+            if not sum(rates) > 0:
+                raise NumericalError(
+                    f"shift h = {h_values[i]} recorded no coincidences in {repeats} x "
+                    f"{acquisition_s:g} s at n0 = {n0:g}; raise n0 or acquisition_s")
             v[i] = visibility(*rates)
     else:
         v = p * np.abs(re_gamma)

@@ -75,7 +75,8 @@ MIN_SPECTRAL_WIDTH_NM = 1e-6
 
 
 class NumericalError(RuntimeError):
-    """A profile fit failed, or a calibration left the range it can invert."""
+    """A profile fit failed, a calibration left the range it can invert, or a
+    kernel's weight underflowed to nothing on the mask."""
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,55 @@ _CHUNK_PHASES = 1 << 16
 # the direct pass recomputes the standard error at those times.
 _SWEEP_VAR_FLOOR = 2.0**-16
 
-# Ceiling on the expected jump count gamma * t_max of one trajectory (and,
-# in ``cli.validate_config``, of a whole run): 1e8 jump times are ~0.8 GB.
+# Ceiling on the expected jumps of an ensemble (``check_ensemble``), which
+# also bounds the entries of any one array a run allocates (``check_entries``):
+# 1e8 jump times, or array entries, are ~0.8 GB.
 MAX_EXPECTED_JUMPS = 1e8
+
+
+def check_rate(gamma: float) -> None:
+    """Refuse a switching rate that is not finite and >= 0."""
+    if not 0.0 <= gamma < np.inf:  # refuses NaN too
+        raise ValueError(f"switching rate gamma must be >= 0 and finite, got {gamma}")
+
+
+def check_horizon(t_max: float, order: int = 1) -> None:
+    """Refuse a horizon that is not finite and > 0, or one over which the phase
+    order * phi overflows (|phi| <= t_max; ``_segments`` offsets reach 2 * t_max)."""
+    if not 0.0 < t_max < np.inf:
+        raise ValueError(f"horizon t_max must be finite and > 0, got {t_max}")
+    if not 2.0 * order * t_max < np.inf:
+        raise ValueError(f"2 * order * t_max = 2 * {order} * {t_max!r} overflows the phases")
+
+
+def check_entries(entries: int) -> None:
+    """Refuse an array of more than ``MAX_EXPECTED_JUMPS`` entries."""
+    if entries > MAX_EXPECTED_JUMPS:
+        raise ValueError(f"{entries:.3g} array entries exceed the {MAX_EXPECTED_JUMPS:,.0f} "
+                         "(~0.8 GB per array) a run may hold")
+
+
+def check_ensemble(gamma: float, t_max: float, rows: int) -> None:
+    """Refuse ``rows`` trajectories expecting more than ``MAX_EXPECTED_JUMPS`` jumps."""
+    jumps = gamma * t_max * rows
+    if jumps > MAX_EXPECTED_JUMPS:
+        raise ValueError(f"gamma * t_max over {rows} trajectories expects {jumps:.3g} jumps, more "
+                         f"than the {MAX_EXPECTED_JUMPS:,.0f} (~0.8 GB of jump times) a run may hold")
+
+
+def check_moment(order: int, n_real: int = 2, antithetic: bool = False) -> None:
+    """Refuse a moment order that is not a positive integer, or fewer than 2
+    realizations (an odd count of antithetic ones)."""
+    if order < 1 or int(order) != order:
+        raise ValueError(f"moment order must be a positive integer, got {order}")
+    if n_real < 2 or antithetic and n_real % 2:
+        raise ValueError(f"n_real must be >= 2, and even for antithetic pairs, got {n_real}")
+
+
+def check_grid(points: int) -> None:
+    """Refuse a time grid on which the 7 per-time sums of ``_sweep`` exceed
+    ``check_entries``."""
+    check_entries(7 * points)
 
 
 @dataclass(frozen=True)
@@ -77,15 +123,9 @@ class RtnParams:
     t_max: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError(f"switching rate gamma must be finite and >= 0, got {self.gamma}")
-        if not 0.0 < self.t_max < np.inf:
-            raise ValueError(f"horizon t_max must be finite and > 0, got {self.t_max}")
-        if self.gamma * self.t_max > MAX_EXPECTED_JUMPS:
-            raise ValueError(
-                f"gamma * t_max = {self.gamma * self.t_max:.3g} expected jumps exceeds "
-                f"the {MAX_EXPECTED_JUMPS:,.0f} a trajectory may hold"
-            )
+        check_rate(self.gamma)
+        check_horizon(self.t_max)
+        check_ensemble(self.gamma, self.t_max, 1)
 
 
 @dataclass(frozen=True)
@@ -272,14 +312,8 @@ def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBa
     return TrajectoryBatch(signs, jumps)
 
 
-def mc_exponential_moment(
-    params: RtnParams,
-    order: int,
-    times: np.ndarray,
-    n_real: int,
-    seed: SeedSpec,
-    antithetic: bool = False,
-) -> CoherenceSeries:
+def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_real: int,
+                          seed: SeedSpec, antithetic: bool = False) -> CoherenceSeries:
     """Monte Carlo estimate of < exp(i * order * phi(t)) > on a time grid.
 
     With ``antithetic`` set, realizations come in mirrored (phi, -phi)
@@ -297,12 +331,11 @@ def mc_exponential_moment(
     usually none).
     """
     times = np.asarray(times, dtype=float)
-    if n_real < 2:
-        raise ValueError("n_real must be >= 2")
-    if order < 1 or int(order) != order:
-        raise ValueError("moment order must be a positive integer")
-    if antithetic and n_real % 2:
-        raise ValueError("antithetic pairing requires an even n_real")
+    check_moment(order, n_real, antithetic)
+    check_entries(n_real)  # at a low rate the rows themselves are the memory
+    check_horizon(params.t_max, order)
+    check_ensemble(params.gamma, params.t_max, n_real)
+    check_grid(times.size)
     if times.size and (times.min() < 0.0 or times.max() > params.t_max):
         raise ValueError("time grid must lie within [0, t_max]")
 

@@ -22,22 +22,13 @@ _MAG_TOL = 1e-9
 
 @dataclass
 class CoherenceSeries:
-    """Complex coherence factor sampled on an ascending time grid.
-
-    Parameters
-    ----------
-    times : ndarray
-        Ascending time grid (dimensionless units of the dephasing coupling).
-    values : ndarray of complex
-        Coherence factor at each grid time.  Magnitude never exceeds 1
-        (up to float tolerance): each value is an average of unit phasors.
-    provenance : str
-        One of ``analytic``, ``monte_carlo``, ``kernel_sum``.
-    params : dict
-        Free-form record of the parameters that produced the series.
-    stderr : ndarray, optional
-        Per-time standard error of the real part (Monte Carlo routes only).
-    """
+    """Complex coherence factor ``values`` on an ascending grid ``times``
+    (dimensionless units of the dephasing coupling).  Each value is an
+    average of unit phasors, so its magnitude never exceeds 1 (up to float
+    tolerance).  ``provenance`` is ``analytic``, ``monte_carlo`` or
+    ``kernel_sum``, ``params`` a free-form record of what produced the
+    series, and ``stderr`` the per-time standard error of the real part
+    (Monte Carlo routes only)."""
 
     times: np.ndarray
     values: np.ndarray

@@ -65,7 +65,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rtn import RtnParams, SeedSpec, sample_trajectory, stack_batches
+from .optics import NumericalError
+from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, sample_trajectory,
+                  stack_batches)
 from .series import KERNEL_SUM, CoherenceSeries
 
 _NO_SUPPORT = "kernel has no support on the mask"
@@ -86,8 +88,9 @@ class MaskGeometry:
 
     def __post_init__(self):
         n = self.pixels_per_half
-        if n < 1:
-            raise ValueError("pixels_per_half must be positive")
+        if n < 2:
+            raise ValueError(f"pixels_per_half must be >= 2, got {n}")
+        check_entries(n * (2 * n - 1))  # the kernel sum's pair weights, at most n x (2n - 1)
         if not 0 <= self.j0 < n:
             raise ValueError(f"j0 must lie in [0, {n})")
         if not n <= self.k0 < 2 * n:
@@ -174,11 +177,12 @@ def toeplitz_product(c: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def normalization(g1: np.ndarray, g2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(corr, total): corr = ``toeplitz_product(c, g1)`` and total = g2 . corr, the
-    kernel's whole weight, batched over leading axes; refuses a kernel without support."""
+    kernel's whole weight, batched over leading axes.  A kernel whose weight
+    underflows to nothing on the mask raises NumericalError."""
     corr = toeplitz_product(c, g1)
     total = np.einsum("...k,...k->...", g2, corr, optimize=False)
     if not np.all(total > 0):
-        raise ValueError(_NO_SUPPORT)
+        raise NumericalError(_NO_SUPPORT)
     return corr, total
 
 
@@ -190,6 +194,26 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
     w *= sliding_window_view(c, g2.size)[:, ::-1]
     w /= total
     return CorrelationKernel(w, params)
+
+
+def field_blocks(n_pix: int, n_rep: int) -> int:
+    """Independent blocks of a phase field, ceil(n_pix / 2 / n_rep); refuses n_rep < 1."""
+    if n_rep < 1:
+        raise ValueError(f"n_rep must be >= 1, got {n_rep}")
+    return -(-(n_pix // 2) // n_rep)
+
+
+def check_mirror(n_pix: int) -> None:
+    """Refuse an odd pixel count: a phase field mirrors each block half a mask away."""
+    if n_pix % 2:
+        raise ValueError(f"pixels_per_half {n_pix} is odd; a phase field mirrors each block "
+                         "half a mask away and needs an even number of pixels per half")
+
+
+def check_field_grid(n_indep: int, points: int) -> None:
+    """Refuse a grid on which the phasors of n_indep blocks and their mirror
+    twins fail ``rtn.check_entries``."""
+    check_entries(2 * n_indep * points)
 
 
 @dataclass
@@ -221,13 +245,9 @@ class PhaseField:
         return self.phasors.shape[0]
 
 
-def build_phase_field(
-    gamma: float,
-    times: np.ndarray,
-    n_rep: int,
-    geometry: MaskGeometry = MaskGeometry(),
-    seed: SeedSpec = SeedSpec(0),
-) -> PhaseField:
+def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
+                      geometry: MaskGeometry = MaskGeometry(), seed: SeedSpec = SeedSpec(0)
+                      ) -> PhaseField:
     """Sample a blockwise-constant, balanced noise phase field for one mask half.
 
     The first half-mask of offsets holds ceil(n_pixels / 2 / n_rep)
@@ -246,17 +266,16 @@ def build_phase_field(
     come from one :meth:`TrajectoryBatch.phases` call over the whole grid.
     """
     times = np.asarray(times, dtype=float)
-    if n_rep < 1:
-        raise ValueError("n_rep must be >= 1")
     n_pix = geometry.pixels_per_half
-    if n_pix % 2:
-        raise ValueError("phase fields need an even number of pixels per half")
+    n_indep = field_blocks(n_pix, n_rep)
+    check_mirror(n_pix)
     if times.size == 0:
         raise ValueError("phase fields need at least one time point")
     params = RtnParams(gamma=gamma, t_max=float(times.max()))
+    check_ensemble(gamma, params.t_max, n_indep)
+    check_field_grid(n_indep, times.size)
 
     span = n_pix // 2
-    n_indep = -(-span // n_rep)  # ceil
     base = stack_batches(
         [sample_trajectory(params, SeedSpec(seed.master_seed, seed.stream_index + 1 + b))
          for b in range(n_indep)]
@@ -274,7 +293,7 @@ def build_phase_field(
     np.multiply(base.phases(times).T, 2j, out=z)
     np.exp(z, out=z)
     np.conjugate(z, out=phasors[n_indep:])
-    block_half = np.repeat(np.arange(n_indep), n_rep)[:span]
+    block_half = np.arange(span) // min(n_rep, span)
     return PhaseField(
         phasors=phasors,
         times=times,
@@ -299,20 +318,20 @@ _BAND_ROWS = 6
 _FLUSH_MASS = 2.0**-70
 
 
+def check_shift(n_pix: int, delta: int) -> None:
+    """Refuse a shift of half 2 that moves every pixel off the mask."""
+    if abs(delta) >= n_pix:
+        raise ValueError(f"shift delta={delta} moves every pixel off the mask")
+
+
 def _on_mask(n_pix: int, delta: int) -> slice:
     """Kernel columns i whose half-2 index i + delta stays on the mask."""
-    on = slice(max(0, -delta), min(n_pix, n_pix - delta))
-    if on.start >= on.stop:
-        raise ValueError(f"shift delta={delta} moves every pixel off the mask")
-    return on
+    check_shift(n_pix, delta)
+    return slice(max(0, -delta), min(n_pix, n_pix - delta))
 
 
-def phasor_sum(
-    kernel: CorrelationKernel,
-    slm_phases1: np.ndarray,
-    slm_phases2: np.ndarray,
-    delta: int = 0,
-) -> np.ndarray:
+def phasor_sum(kernel: CorrelationKernel, slm_phases1: np.ndarray, slm_phases2: np.ndarray,
+               delta: int = 0) -> np.ndarray:
     """Kernel-weighted sum of phasors of literal mask phases: a test oracle.
 
     ``slm_phases*`` have shape (pixels, T); half 2 is read at offset
@@ -413,12 +432,8 @@ def _class_masses(table: np.ndarray, first: int, n_blocks: int) -> dict:
     }
 
 
-def kernel_coherence(
-    params: KernelParams,
-    field1: PhaseField,
-    field2: PhaseField,
-    delta: int = 0,
-) -> CoherenceSeries:
+def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseField,
+                     delta: int = 0) -> CoherenceSeries:
     """Coherence factor Gamma(delta, t) of the pixel-encoded channel.
 
     Each pixel pair contributes exp(2i*(phi1 + phi2)), twice the noise phase
@@ -476,14 +491,9 @@ def kernel_coherence(
     )
 
 
-def transition_sweep(
-    gamma: float,
-    kernels: Sequence[KernelParams],
-    deltas: Sequence[int],
-    times: np.ndarray,
-    n_rep: int = 3,
-    seed: SeedSpec = SeedSpec(0),
-) -> list[CoherenceSeries]:
+def transition_sweep(gamma: float, kernels: Sequence[KernelParams], deltas: Sequence[int],
+                     times: np.ndarray, n_rep: int = 3, seed: SeedSpec = SeedSpec(0)
+                     ) -> list[CoherenceSeries]:
     """Gamma(delta, t) for each kernel and shift, kernel-major, on one field.
 
     Both routes from local to global noise are this one sum over one phase

@@ -1,10 +1,18 @@
 """Config validation, presets, output format and reproducibility."""
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltgsim import cli, optics
 from ltgsim.cli import (
@@ -81,8 +89,10 @@ def test_validate_delta_off_mask():
     diags = validate_config(resolve_config(
         {"command": "calibrate-wcp", "measurement": {"h_min": -400, "h_max": -330}}
     ))
-    assert any(d.startswith("measurement: h_min shift -400 leaves") for d in diags)
-    assert any(d.startswith("measurement: h_max shift -330 leaves") for d in diags)
+    assert any(d.startswith("measurement: h_min shift delta=-400 moves every pixel off")
+               for d in diags)
+    assert any(d.startswith("measurement: h_max shift delta=-330 moves every pixel off")
+               for d in diags)
     diags = validate_config(resolve_config(
         {"command": "calibrate-wcp", "measurement": {"h_min": -319, "h_max": 319}}
     ))
@@ -238,8 +248,26 @@ def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
     ({"command": "analytic", "rtn": {"gamma": 5e307}, "grid": FAST_GRID}, 0, None),
     ({"command": "analytic", "rtn": {"gamma": 1e308}, "grid": FAST_GRID}, 0, None),
     ({"command": "analytic", "rtn": {"gamma": sys.float_info.max}, "grid": FAST_GRID}, 0, None),
+    # The one-point grid [0] passed --validate, then the noise horizon 0 was
+    # refused naming no key.
+    *[({"command": command, "grid": {"points": 1}}, 1, "input error: grid.points: ")
+      for command in ("mc-moment", "transition-delta", "transition-spectral")],
+    # order * t overflowed with 2-6 RuntimeWarnings before the non-finite data
+    # was refused.
+    *[({"command": command, "grid": {"t_max": 1.7e308}}, 1, "input error: grid.t_max: ")
+      for command in ("analytic", "mc-moment", "transition-delta")],
+    # A shift without a coincidence is a measurement outcome, not an input
+    # error: "visibility undefined: zero total counts" exited 1.
+    ({"command": "calibrate-wcp", "measurement": {"n0": 0.1}}, 2,
+     "numerical error: shift h = -9 recorded no coincidences in 4 x 8 s at n0 = 0.1"),
+    # A beam narrower than the pixel pitch off the pixel centres: every pair
+    # weight underflows, which --validate cannot see without the kernel.
+    ({"command": "calibrate-wcp", "kernel": {"w_p": 1e-150}, "geometry": {"j0": 0.5}}, 2,
+     "numerical error: kernel has no support on the mask"),
 ], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1e5", "p-0", "n0-1e300", "width-1e-300nm", "gamma-1e300",
-        "gamma-5e307", "gamma-1e308", "gamma-max"])
+        "gamma-5e307", "gamma-1e308", "gamma-max", "one-point-mc", "one-point-delta",
+        "one-point-spectral", "t_max-max-analytic", "t_max-max-mc", "t_max-max-delta",
+        "n0-0.1", "no-support"])
 def test_cli_main_extreme_inputs_end_cleanly(tmp_path, capsys, config, code, line):
     # Each input either runs to finite data or ends in one stderr line and
     # its exit code, with no warning (warnings are errors under pytest).
@@ -475,8 +503,8 @@ def test_cli_main_validate_bounds_mc_rows(tmp_path, capsys):
                                "mc": {"n_real": 10_000_000_000}}))
     assert main(["--config", str(cfg), "--validate"]) == 1
     out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["mc: n_real 10000000000 trajectories exceed the 100,000,000 "
-                   "(~0.8 GB per array) a run may sample"]
+    assert out == ["mc: 1e+10 array entries exceed the 100,000,000 "
+                   "(~0.8 GB per array) a run may hold"]
     # the ceiling itself is allowed
     assert validate_config(resolve_config(
         {"command": "mc-moment", "rtn": {"gamma": 0.0}, "mc": {"n_real": 100_000_000}}
@@ -525,11 +553,15 @@ def test_cli_main_missing_file(tmp_path, capsys):
 def test_cli_main_schema_errors_name_the_path(tmp_path, capsys):
     # A zero block size would divide by zero in validation, a string grid
     # size would reach linspace, and a boolean seed would run as seed 1:
-    # each must stop at the schema with one line naming the dotted path.
+    # each must stop before any work with one line naming the dotted path.
     cfg = tmp_path / "cfg.json"
     cases = [({"command": "transition-delta", "field": {"n_rep": 0}}, "field.n_rep"),
              ({"command": "analytic", "grid": {"points": "400"}}, "grid.points"),
-             ({"command": "analytic", "master_seed": True}, "master_seed")]
+             ({"command": "analytic", "master_seed": True}, "master_seed"),
+             # integers past 64 bits ended in OverflowError tracebacks
+             ({"command": "transition-delta", "field": {"n_rep": 2**64}}, "field.n_rep"),
+             ({"command": "transition-spectral", "spectral": {"widths_nm": [10**400]}},
+              "spectral.widths_nm")]
     for config, where in cases:
         cfg.write_text(json.dumps(config))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
@@ -682,3 +714,94 @@ def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
     argvs = [["--preset", "fig4-right", "--out", str(tmp_path / "d")],
              ["--config", str(table), "--out", str(tmp_path / "e")]]
     assert _scipy_loaded(argvs, child_env) == [False] * 3
+
+
+# Boundary values of every numeric config leaf: 0, tiny, huge, and values on
+# both sides of each edge of its range (one unit apart for integers).
+# Resource ceilings (expected jumps, array entries, counts, profile grid
+# size) are drawn on their refused side only: their accepted side is by
+# construction up to ~0.8 GB per array.
+_TINY, _HUGE = 5e-324, sys.float_info.max
+_EDGE_VALUES = {
+    "master_seed": [-1, 0, 2**64 - 1, 2**64],
+    "grid.t_min": [-1.0, 0.0, _TINY, 1.0, 2.0, 1e300],
+    # 2 * order * t_max overflows past 2.2e307 (order 4), 4.5e307 (2) and 9e307 (1)
+    "grid.t_max": [-1.0, 0.0, _TINY, 1.0, 1e300, 2.2e307, 2.3e307, 4.4e307, 4.5e307, 8.9e307,
+                   9e307, _HUGE],
+    "grid.points": [-1, 0, 1, 2, 10**12, 10**400],
+    "rtn.gamma": [-1.0, 0.0, _TINY, 1.0, 1e300, _HUGE, 10**400],
+    "kernel.w_cp": [-1.0, 0.0, _TINY, 1e-300, 1e-150, 1.0, 1e150, 1e200, _HUGE],
+    "kernel.w_p": [-1.0, 0.0, _TINY, 1e-300, 1e-150, 1.0, 1e150, 1e200, _HUGE],
+    "kernel.n": [-1, 0, 1, 2, 3, 4, 2**64],
+    "geometry.pixels_per_half": [-1, 0, 1, 2, 3, 319, 321, 2**63, 2**64],
+    "geometry.j0": [-1.0, 0.0, _TINY, 0.5, 319.0, 320.0, 1e300],
+    "geometry.k0": [319.0, 320.0, 639.0, 640.0, 1e19, 1e300],
+    "field.n_rep": [-1, 0, 1, 2, 160, 161, 2**63, 2**64],
+    "deltas": [[-320], [-319], [0], [319], [320], [2**63], [2**64]],
+    "spectral.widths_nm": [[-1.0], [0.0], [_TINY], [1e-6], [120.0], [121.0], [_HUGE], [10**400]],
+    "mc.order": [-1, 0, 1, 2, 2**63, 2**64, 10**400],
+    "mc.n_real": [-1, 0, 1, 2, 3, 10**9, 10**400],
+    "mc.antithetic": [False, True],
+    "measurement.p": [-1.0, 0.0, _TINY, sys.float_info.min, 1e-300, 1.0, 1.0000000000000002],
+    "measurement.n0": [-1.0, 0.0, _TINY, 1e-300, 0.1, 6e16, 7e16, _HUGE],
+    "measurement.acquisition_s": [-1.0, 0.0, _TINY, 1e-300, 1.9e15, 2.1e15, _HUGE],
+    "measurement.repeats": [-1, 0, 1, 2, 10**12, 10**400],
+    "measurement.shot_noise": [False, True],
+    "measurement.n_r": [-1, 0, 1, 160, 161, 2**64],
+    "measurement.h_min": [-2**64, -320, -319, 0, 1, 319, 320],
+    "measurement.h_max": [-320, -319, -8, -7, 0, 319, 320, 2**64],
+    "optics.widths_nm": [[0.0], [_TINY], [1e-6], [120.0], [121.0], [10**400]],
+    "optics.theta_0": [-1.0, 0.0, _TINY, 0.5, 0.58, 0.59, 7.4, 100.0, _HUGE],
+}
+
+# Small runs of every command, which the drawn leaves then override.
+_SMALL_RUN = {"grid": {"t_min": 0.0, "t_max": 2.0, "points": 8}, "deltas": [1],
+              "mc": {"order": 2, "n_real": 8}, "spectral": {"widths_nm": [15.0]},
+              "optics": {"widths_nm": [15.0]}}
+
+
+@st.composite
+def _edge_configs(draw):
+    config = json.loads(json.dumps(_SMALL_RUN))
+    config["command"] = draw(st.sampled_from(cli.COMMANDS))
+    for leaf in draw(st.lists(st.sampled_from(sorted(_EDGE_VALUES)), min_size=1, max_size=3)):
+        *sections, key = leaf.split(".")
+        table = config
+        for section in sections:
+            table = table.setdefault(section, {})
+        table[key] = draw(st.sampled_from(_EDGE_VALUES[leaf]))
+    return config
+
+
+def _main_in_process(argv):
+    """(exit code, stdout lines, stderr lines) of ``cli.main`` with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue().splitlines(), err.getvalue().splitlines()
+
+
+@given(_edge_configs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_validate_agrees_with_the_run(config):
+    # --validate and the run judge one config alike: a refused config exits 1
+    # with one stderr line and writes nothing; an accepted one runs to finite
+    # data, or ends as a numerical error (exit 2) in one line.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps(config))
+        code, diags, schema = _main_in_process(["--config", str(cfg), "--validate"])
+        run_code, _, err = _main_in_process(["--config", str(cfg), "--out", str(out)])
+        if code:
+            # diagnostics on stdout, each under its key, or one schema line on stderr
+            assert code == 1 and (diags or len(schema) == 1) and run_code == 1, (diags, err)
+            assert all(re.match(r"[\w.\[\]/]+: ", d) for d in diags), diags
+            assert len(err) == 1 and err[0].startswith("input error: ") and not out.exists()
+        elif run_code == 2:
+            assert len(err) == 1 and err[0].startswith("numerical error: ") and not out.exists()
+        else:
+            assert run_code == 0 and list(out.glob("*.csv")), err
+            for path in out.glob("*.csv"):
+                body = [r.split(",") for r in data_section(path.read_text()).splitlines()[1:]]
+                assert np.all(np.isfinite(np.array(body, dtype=float)))

@@ -221,9 +221,9 @@ def test_pattern_contraction_matches_pixel_sum(n_r, w_cp, geo, w_p):
 def test_calibration_refuses_kernel_without_support():
     # Half-pixel offsets and w_cp = 1e-3 px underflow every correlation value.
     kp = KernelParams(1e-3, 20.0, 2, MaskGeometry(j0=160.5))
-    with pytest.raises(ValueError) as built:
+    with pytest.raises(NumericalError) as built:
         build_kernel(kp)
-    with pytest.raises(ValueError) as calibrated:
+    with pytest.raises(NumericalError) as calibrated:
         calibrate_wcp(kp, shot_noise=False)
     assert str(calibrated.value) == str(built.value) == "kernel has no support on the mask"
 
