@@ -33,7 +33,10 @@ Derived widths (all e^-2 convention, i.e. the w of exp(-2 x^2 / w^2)):
 * ``w_cp``     -- quadrature sum sqrt(w~^2 + w0^2), the correlated-pixel
                   width fed to the mask kernel.
 
-F is sampled on one grid, :func:`profile_axis`.  Every caller is held to
+F is held on one grid, :func:`profile_axis`, as its two factors: S over
+the grid's 2n - 1 sums and W over its 2n - 1 differences, never as the
+n x n matrix.  The marginal and the slice the width fits read are sums
+and products of the two.  Every caller is held to
 the model's input rules: :class:`PdcSetup` refuses a spectral width outside
 [0, 120] nm or positive below 1e-6 nm, and :func:`profile_axis` a theta0
 that sizes the grid too small, too large or too coarse for the beam.
@@ -43,6 +46,7 @@ width reproduces a 20 px beam, the one observable that pins theta0 * L.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -59,8 +63,9 @@ THETA0_CALIBRATED = 0.0291771450
 # First-order angular model; keep the window well inside its validity.
 MAX_SPECTRAL_WIDTH_NM = 120.0
 
-# Ceiling on the points per axis of a sampled profile: F holds points^2
-# floats, 134 MB at this size (the calibrated setup's grid has 511).
+# Ceiling on the points per axis of a sampled profile (the calibrated setup's
+# grid has 511): F itself, formed only on request, holds points^2 floats,
+# 134 MB at this size.
 MAX_GRID_POINTS = 4097
 
 # Floor on the expected beam width in grid spacings: a fit to a narrower
@@ -117,23 +122,52 @@ class PdcSetup:
 
 @dataclass
 class JointSpatialProfile:
-    """F sampled on a square pixel grid, plus on-demand evaluation."""
+    """F on a square pixel grid of n points, held as its two factors, plus
+    on-demand evaluation.
 
-    F: np.ndarray
+    ``sum_factor[k]`` is S at x1 + x2 = 2 axis[0] + k h and ``diff_factor[k]``
+    is W at x1 - x2 = (n - 1 - k) h, for k < 2n - 1 and spacing h, so
+
+        F[i, j] = S[i + j] * W[i - j + n - 1] = sum_factor[i + j] * diff_factor[j - i + n - 1].
+
+    W is stored in that order so that row i of F reads both factors forward.
+    """
+
+    sum_factor: np.ndarray
+    diff_factor: np.ndarray
     axis_px: np.ndarray
     setup: PdcSetup
 
     def __post_init__(self):
-        if np.any(self.F < 0):
+        if np.any(self.sum_factor < 0) or np.any(self.diff_factor < 0):  # hence F >= 0
             raise ValueError("joint profile must be non-negative")
+
+    def _windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views [i, j] = sum_factor[i + j] and diff_factor[j - i + n - 1]."""
+        n = self.axis_px.size
+        return sliding_window_view(self.sum_factor, n), sliding_window_view(self.diff_factor, n)[::-1]
+
+    @property
+    def F(self) -> np.ndarray:
+        """The n x n matrix F[i, j], formed on each access: for inspection only."""
+        s, w = self._windows()
+        return s * w
 
     def spacing(self) -> float:
         return float(self.axis_px[1] - self.axis_px[0])
 
+    def column(self, j: int) -> np.ndarray:
+        """F[:, j], the profile along x1 at x2 = axis_px[j]."""
+        n = self.axis_px.size
+        return self.sum_factor[j:j + n] * self.diff_factor[j:j + n][::-1]
+
     def marginal(self) -> np.ndarray:
-        """F_p(dx1) = integral over dx2 (trapezoid on the stored grid)."""
-        F = self.F
-        return self.spacing() * (F.sum(axis=1) - 0.5 * (F[:, 0] + F[:, -1]))
+        """F_p(dx1) = integral over dx2 (trapezoid on the grid).
+
+        Row sums by one single-threaded einsum over the windows of the factors.
+        """
+        rows = np.einsum("ij,ij->i", *self._windows(), optimize=False)
+        return self.spacing() * (rows - 0.5 * (self.column(0) + self.column(self.axis_px.size - 1)))
 
     def evaluate(self, x1_px: np.ndarray, x2_px: np.ndarray) -> np.ndarray:
         """F on an arbitrary (x1, x2) product grid, from the closed form."""
@@ -141,7 +175,86 @@ class JointSpatialProfile:
         return np.multiply(*_f_samples(self.setup, x1 + x2, x1 - x2))
 
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)  # element-wise over a few thousand points
+def _exp(x: np.ndarray) -> np.ndarray:
+    """Real exp of this module.  np.exp's last bits depend on the SIMD level
+    numpy dispatches; every real exp here goes through this one function, so
+    a dispatch-independent exp can replace it in one place."""
+    return np.exp(x)
+
+
+# W. J. Cody's rational approximations (CALERF): erf(x) = x P(x^2) / Q(x^2)
+# for |x| <= 0.46875; erfc(y) = exp(-y^2) P(y) / Q(y) for 0.46875 < y <= 4;
+# erfc(y) = exp(-y^2) / y * (1/sqrt(pi) - z P(z) / Q(z)), z = 1/y^2, above.
+# Each tuple holds the numerator's leading coefficient, then the remaining
+# numerator and denominator coefficients from the highest order down.
+_ERF_SMALL = (1.85777706184603153e-1,
+              (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+               3.20937758913846947e03),
+              (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+               2.84423683343917062e03))
+_ERFC_MID = (2.15311535474403846e-8,
+             (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+              2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+              2.05107837782607147e03, 1.23033935479799725e03),
+             (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+              1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+              3.43936767414372164e03, 1.23033935480374942e03))
+_ERFC_LARGE = (1.63153871373020978e-2,
+               (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+                1.60837851487422766e-2, 6.58749161529837803e-4),
+               (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+                6.05183413124413191e-2, 2.33520497626869185e-3))
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
+
+def _rational(coeffs, z: np.ndarray) -> np.ndarray:
+    """P(z) / Q(z) by Horner's rule, Q monic: P = (lead z + num[0]) z + ... + num[-1],
+    Q = (z + den[0]) z + ... + den[-1]."""
+    lead, num, den = coeffs
+    p, q = lead * z, z
+    for a, b in zip(num[:-1], den[:-1]):
+        p, q = (p + a) * z, (q + b) * z
+    return (p + num[-1]) / (q + den[-1])
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function, element-wise, in Cody's rational form.
+
+    Within 8 ulp of ``math.erfc`` where that is a normal number, and within
+    1e-322 in the subnormal tail; 2.0 exactly below x = -6.  exp(-y^2) is
+    taken as exp(-r^2) exp(-(y - r)(y + r)) with r = y rounded down to 1/16,
+    which keeps the rounding of y^2 out of the exponent.
+    """
+    x = np.asarray(x, float)
+    y = np.abs(x)
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    xs = x[small]
+    out[small] = 1.0 - xs * _rational(_ERF_SMALL, xs * xs)
+    tail = ~small  # NaN lands here and stays NaN
+    yt = np.minimum(y[tail], 30.0)  # erfc underflows to 0 below 27.3; keeps inf finite
+    mid = yt <= 4.0
+    r = np.empty_like(yt)
+    r[mid] = _rational(_ERFC_MID, yt[mid])
+    yl = yt[~mid]
+    z = 1.0 / (yl * yl)
+    r[~mid] = (_INV_SQRT_PI - z * _rational(_ERFC_LARGE, z)) / yl
+    r16 = np.floor(yt * 16.0) / 16.0
+    r = _exp(-r16 * r16) * _exp(-(yt - r16) * (yt + r16)) * r
+    out[tail] = np.where(x[tail] < 0.0, 2.0 - r, r)
+    return out
+
+
+@functools.cache
+def _pixel_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """9-point Gauss-Legendre nodes and weights over one pixel, [-1/2, 1/2].
+
+    Formed on first use, not at import, and shared read-only after that.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(9)
+    nodes, weights = nodes * 0.5, weights * 0.5
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
@@ -166,11 +279,10 @@ def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
     window = setup.window_angular_freq
     if window == 0.0:
         # Vanishing window: report the spectral density at degeneracy.
-        return sinc2, np.exp(-(u**2))
+        return sinc2, _exp(-(u**2))
     bs = 2.0 * setup.theta_0 / C_LIGHT * s
     half = bs * window / 2.0
-    erfc_diff = (_erfc(u - half) - _erfc(u + half)).astype(float)
-    return sinc2, (np.sqrt(np.pi) / (2.0 * bs)) * erfc_diff
+    return sinc2, (np.sqrt(np.pi) / (2.0 * bs)) * (_erfc(u - half) - _erfc(u + half))
 
 
 def expected_wp_px(setup: PdcSetup) -> float:
@@ -212,15 +324,12 @@ def profile_axis(setup: PdcSetup) -> np.ndarray:
 
 
 def joint_profile(setup: PdcSetup) -> JointSpatialProfile:
-    """Sample F on :func:`profile_axis` in both coordinates."""
+    """F's two factors on :func:`profile_axis`: S over the 2n - 1 sums x1 + x2,
+    W over the 2n - 1 differences x1 - x2, in the order JointSpatialProfile holds."""
     axis = profile_axis(setup)
-    # S over the 2n - 1 sums and W over the 2n - 1 differences of the axis,
-    # laid out as the Hankel matrix S[i + j] times the Toeplitz W[i - j + n - 1].
     sums = np.concatenate([axis[0] + axis[:-1], axis + axis[-1]])
-    diffs = np.concatenate([axis[0] - axis[:0:-1], axis - axis[0]])
-    sinc2, window = _f_samples(setup, sums, diffs)
-    F = sliding_window_view(sinc2, axis.size) * sliding_window_view(window, axis.size)[:, ::-1]
-    return JointSpatialProfile(F, axis, setup)
+    diffs = np.concatenate([axis[-1] - axis[:-1], axis[0] - axis])
+    return JointSpatialProfile(*_f_samples(setup, sums, diffs), axis, setup)
 
 
 # Stopping rule of curve_fit's damped Newton iteration: converged once a step
@@ -255,7 +364,7 @@ def curve_fit(x, y, order, width_guess):
         a, c, w = p + step
         u = (x - c) / w
         u2 = u * u  # powers by products: u**4 costs twice as much
-        e = np.exp(-2.0 * (u2 if order == 2 else u2 * u2))
+        e = _exp(-2.0 * (u2 if order == 2 else u2 * u2))
         trial_r = y - a * e
         trial_cost = float(np.einsum("k,k->", trial_r, trial_r, optimize=False))
         if not math.isfinite(trial_cost):
@@ -330,16 +439,16 @@ def estimate_wcp_tilde(profile: JointSpatialProfile) -> tuple[float, int]:
     resampled slice, its second coordinate averaged over one pixel as a
     physical pixel collects photon 2, and returns the lower-residual fit.
     """
-    # Coarse width from the stored grid row nearest dx2 = 0.
+    # Coarse width from the grid column nearest dx2 = 0.
     mid = int(np.argmin(np.abs(profile.axis_px)))
-    coarse = profile.F[:, mid]
+    coarse = profile.column(mid)
     guess = 2.0 * np.sqrt(max(_second_moment(profile.axis_px, coarse), 0.01))
 
     extent = max(6.0 * guess, 4.0)
     x_fine = np.linspace(-extent, extent, 401)
-    nodes, wts = np.polynomial.legendre.leggauss(9)
-    slab = profile.evaluate(x_fine, nodes * 0.5)
-    y = (slab * (wts * 0.5)[None, :]).sum(axis=1)
+    nodes, wts = _pixel_quadrature()
+    slab = profile.evaluate(x_fine, nodes)
+    y = (slab * wts[None, :]).sum(axis=1)
 
     w2, r2 = curve_fit(x_fine, y, 2, guess)
     w4, r4 = curve_fit(x_fine, y, 4, guess)

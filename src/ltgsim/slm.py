@@ -186,6 +186,13 @@ def normalization(g1: np.ndarray, g2: np.ndarray, c: np.ndarray) -> tuple[np.nda
     return corr, total
 
 
+def _factored_kernel(params: KernelParams) -> tuple[np.ndarray, ...]:
+    """(g1, g2, c, corr, total): ``kernel_factors`` and their ``normalization``,
+    the kernel as the kernel sum reads it at any shift."""
+    g1, g2, c = kernel_factors(params)
+    return (g1, g2, c, *normalization(g1, g2, c))
+
+
 def build_kernel(params: KernelParams) -> CorrelationKernel:
     """The normalized pair distribution as one (N, N) array: a test oracle only."""
     g1, g2, c = kernel_factors(params)
@@ -360,9 +367,9 @@ def _flush(table: np.ndarray, mass: float) -> float:
     return out
 
 
-def _block_weights(params: KernelParams, index1: np.ndarray, index2: np.ndarray,
+def _block_weights(factors: tuple[np.ndarray, ...], index1: np.ndarray, index2: np.ndarray,
                    on: slice) -> tuple[np.ndarray, float, float]:
-    """(B, flushed_mass, lost_mass) of the on-mask kernel, from its factors.
+    """(B, flushed_mass, lost_mass) of the on-mask kernel, from ``_factored_kernel``.
 
     Diagonal i of c weighs at most c[i] * min(sum g1, sum g2) / total (g1, g2
     <= 1).  The diagonals at either end whose bound is below ``_FLUSH_MASS /
@@ -371,8 +378,7 @@ def _block_weights(params: KernelParams, index1: np.ndarray, index2: np.ndarray,
     bound sum plus the flushed weight.  Pair weights are formed as in
     ``build_kernel``.
     """
-    g1, g2, c = kernel_factors(params)
-    corr, total = normalization(g1, g2, c)
+    g1, g2, c, corr, total = factors
     n_pix, first = g1.size, int(index2[0])
     shape = (int(index1[-1]) + 1, int(index2[-1]) - first + 1)
     bound = c * (min(g1.sum(), g2.sum()) / total)
@@ -433,7 +439,8 @@ def _class_masses(table: np.ndarray, first: int, n_blocks: int) -> dict:
 
 
 def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseField,
-                     delta: int = 0) -> CoherenceSeries:
+                     delta: int = 0, factors: tuple[np.ndarray, ...] | None = None
+                     ) -> CoherenceSeries:
     """Coherence factor Gamma(delta, t) of the pixel-encoded channel.
 
     Each pixel pair contributes exp(2i*(phi1 + phi2)), twice the noise phase
@@ -453,6 +460,9 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
     (a block and its mirror twin, phasor 1) and ``m_indep`` (independent
     blocks).  The ensemble mean of Gamma is m_same * M4(t) + m_mirror +
     m_indep * M2(t)^2, with M_m the moments of ``analytic.exponential_moment``.
+
+    ``factors`` is ``_factored_kernel(params)`` from a caller that reads one
+    kernel at several shifts; by default it is formed here.
     """
     if field1.geometry != params.geometry or field2.geometry != params.geometry:
         raise ValueError("kernel and phase fields must share one mask geometry")
@@ -463,7 +473,9 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
     # Column c of B is block first + c of field 2: B spans only the blocks
     # the shifted kernel reads.
     index2 = field2.block_index[on.start + delta:on.stop + delta]
-    table, flushed_mass, lost = _block_weights(params, field1.block_index, index2, on)
+    if factors is None:
+        factors = _factored_kernel(params)
+    table, flushed_mass, lost = _block_weights(factors, field1.block_index, index2, on)
     first = int(index2[0])
     # B is real, so it contracts the interleaved (re, im) floats of z2: the
     # same products as a complex einsum at a fraction of the cost.
@@ -501,9 +513,14 @@ def transition_sweep(gamma: float, kernels: Sequence[KernelParams], deltas: Sequ
     geometry of ``kernels``: decreasing the shift delta to zero, or
     narrowing w_cp (a narrower source spectrum) below the block size n_rep,
     lets the two qubits see the same phase blocks, walking the channel from
-    independent-looking environments to one common environment.
+    independent-looking environments to one common environment.  Each
+    kernel's factors and normalization are formed once, for all its shifts.
     """
     if not kernels:
         return []
     fld = build_phase_field(gamma, times, n_rep, kernels[0].geometry, seed)
-    return [kernel_coherence(params, fld, fld, delta=d) for params in kernels for d in deltas]
+    sweep = []
+    for params in kernels:
+        factors = _factored_kernel(params)
+        sweep += [kernel_coherence(params, fld, fld, d, factors) for d in deltas]
+    return sweep

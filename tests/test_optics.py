@@ -1,5 +1,6 @@
 """Down-conversion spatial-correlation model and width pipeline."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def point_slice_fit(prof: JointSpatialProfile) -> tuple[float, int]:
     """estimate_wcp_tilde without the pixel average: the same guess, extent
     and fits, on the point slice F(dx1, 0)."""
     mid = int(np.argmin(np.abs(prof.axis_px)))
-    guess = 2.0 * np.sqrt(max(optics._second_moment(prof.axis_px, prof.F[:, mid]), 0.01))
+    guess = 2.0 * np.sqrt(max(optics._second_moment(prof.axis_px, prof.column(mid)), 0.01))
     extent = max(6.0 * guess, 4.0)
     x = np.linspace(-extent, extent, 401)
     y = prof.evaluate(x, [0.0])[:, 0]
@@ -121,11 +122,94 @@ def test_estimate_wp_defaults():
     assert estimate_wp(prof) == pytest.approx(20.0, abs=3.0)
 
 
+def grid_sums_diffs(x):
+    """The 2n - 1 sums x1 + x2 and differences x1 - x2 of a uniform axis, in
+    the order JointSpatialProfile holds its factors."""
+    return (np.concatenate([x[0] + x[:-1], x + x[-1]]),
+            np.concatenate([x[-1] - x[:-1], x[0] - x]))
+
+
 def test_estimate_wp_recovers_synthetic_gaussian():
+    # exp(-2 x1^2 / w^2) exp(-2 x2^2 / w^2) = exp(-s^2 / w^2) exp(-d^2 / w^2)
+    # for s = x1 + x2, d = x1 - x2: a separable Gaussian of width w.
     x = np.linspace(-40, 40, 401)
-    F = np.exp(-2 * x[:, None] ** 2 / 10.0**2) * np.exp(-2 * x[None, :] ** 2 / 10.0**2)
-    prof = JointSpatialProfile(F, x, SETUP)
+    s, d = grid_sums_diffs(x)
+    prof = JointSpatialProfile(np.exp(-(s**2) / 10.0**2), np.exp(-(d**2) / 10.0**2), x, SETUP)
     assert estimate_wp(prof) == pytest.approx(10.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_factored_profile_matches_materialised_matrix(asymmetric):
+    # marginal() and column() read the factors only; they must equal the
+    # trapezoid and the columns of F formed element by element, also when W
+    # is not even in x1 - x2 (a skewed, offset Gaussian difference factor).
+    x = np.linspace(-6.0, 6.0, 49)
+    s, d = grid_sums_diffs(x)
+    sum_factor = np.exp(-(s**2) / 30.0)
+    diff_factor = np.exp(-((d - 1.3) ** 2) / 2.0) * (1.0 + 0.5 * np.tanh(d)) if asymmetric \
+        else np.exp(-(d**2) / 2.0)
+    prof = JointSpatialProfile(sum_factor, diff_factor, x, SETUP)
+    n = x.size
+    F = np.array([[sum_factor[i + j] * diff_factor[j - i + n - 1] for j in range(n)]
+                  for i in range(n)])
+    if asymmetric:
+        assert not np.allclose(F, F.T)
+    assert np.array_equal(prof.F, F)
+    for j in range(n):
+        assert np.array_equal(prof.column(j), F[:, j]), j
+    h = x[1] - x[0]
+    trapezoid = h * (F.sum(axis=1) - 0.5 * (F[:, 0] + F[:, -1]))
+    np.testing.assert_allclose(prof.marginal(), trapezoid, rtol=1e-14, atol=0.0)
+
+
+def test_negative_profile_factor_is_refused():
+    x = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="non-negative"):
+        JointSpatialProfile(np.ones(9), np.r_[np.ones(8), -1e-300], x, SETUP)
+    with pytest.raises(ValueError, match="non-negative"):
+        JointSpatialProfile(np.r_[-1.0, np.ones(8)], np.ones(9), x, SETUP)
+
+
+def test_width_pipeline_never_forms_the_matrix(tmp_path, monkeypatch):
+    # The width fits read F's factors only: with the n x n matrix refused, the
+    # width table and the spectral sweep still run.
+    def refuse(self):
+        raise AssertionError("the width pipeline formed the joint-profile matrix")
+
+    monkeypatch.setattr(JointSpatialProfile, "F", property(refuse))
+    wcp_curve(SETUP, [0.0, 1.0, 15.0, 40.0, 100.0])
+    assert main(["--preset", "fig4-right", "--out", str(tmp_path / "spectral")]) == 0
+    config = tmp_path / "table.json"
+    config.write_text('{"command": "optics-table", "optics": {"widths_nm": [2.5, 60.0]}}')
+    assert main(["--config", str(config), "--out", str(tmp_path / "table")]) == 0
+
+
+# Dense grid over [-30, 30], with both sides of Cody's range edges 0.46875
+# and 4 resolved and the band 26.5-27.3 where math.erfc turns subnormal and
+# then 0.
+ERFC_GRID = np.unique(np.concatenate([
+    np.linspace(-30.0, 30.0, 120001),
+    np.linspace(-0.48, -0.46, 2001), np.linspace(0.46, 0.48, 2001),
+    np.linspace(-4.01, -3.99, 2001), np.linspace(3.99, 4.01, 2001),
+    np.linspace(26.5, 27.3, 16001),
+    [np.nextafter(0.46875, 0.0), 0.46875, np.nextafter(0.46875, 1.0),
+     np.nextafter(4.0, 0.0), 4.0, np.nextafter(4.0, 5.0), -0.46875, -4.0],
+]))
+
+
+def test_vectorised_erfc_matches_math_erfc():
+    # Bounds fixed before measuring: 8 ulp where math.erfc is a normal
+    # number, 1e-322 absolute (two subnormal steps) in the subnormal tail.
+    got = optics._erfc(ERFC_GRID)
+    want = np.array([math.erfc(v) for v in ERFC_GRID])
+    normal = want >= np.finfo(float).tiny
+    assert np.count_nonzero(~normal & (want > 0.0)) > 100  # the tail is sampled
+    ulps = np.abs(got - want)[normal] / np.spacing(want[normal])
+    assert ulps.max() <= 8.0, ERFC_GRID[normal][np.argmax(ulps)]
+    assert np.abs(got - want)[~normal].max() <= 1e-322
+    assert np.all(got[ERFC_GRID < -6.0] == 2.0)
+    edge = optics._erfc(np.array([np.inf, -np.inf, np.nan, 0.0, -0.0]))
+    assert edge[:2].tolist() == [0.0, 2.0] and np.isnan(edge[2]) and edge[3:].tolist() == [1.0, 1.0]
 
 
 def test_longer_crystal_narrows_beam():
@@ -180,7 +264,7 @@ def test_combined_width_floor():
 
 def test_scaling_leaves_widths_unchanged():
     prof = joint_profile(SETUP)
-    scaled = JointSpatialProfile(7.3 * prof.F, prof.axis_px, prof.setup)
+    scaled = JointSpatialProfile(7.3 * prof.sum_factor, prof.diff_factor, prof.axis_px, prof.setup)
     assert estimate_wp(scaled) == pytest.approx(estimate_wp(prof), rel=1e-9)
     # conditional estimates re-evaluate from the setup, so scale-free by
     # construction; the marginal fit must also be amplitude-free

@@ -524,6 +524,20 @@ def test_sweep_is_kernel_major_on_one_field():
                          [0], TIMES)
 
 
+def test_sweep_forms_each_kernels_factors_once(monkeypatch):
+    # One kernel_coherence call per (kernel, shift), but the factors and their
+    # normalization once per kernel.
+    calls = {"kernel_factors": 0, "normalization": 0, "kernel_coherence": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(slm, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(slm, name, counted)
+    kps = [KernelParams(1.0, 20.0, 2, GEO), KernelParams(4.0, 20.0, 4, GEO)]
+    transition_sweep(0.5, kps, [3, 2, 0], TIMES, seed=SeedSpec(24))
+    assert calls == {"kernel_factors": 2, "normalization": 2, "kernel_coherence": 6}
+
+
 def test_model_paths_never_form_the_dense_kernel(monkeypatch):
     # The sweeps and the calibration read the kernel's factors only: with
     # the dense kernel (N x N weights) unavailable, they still run, at
