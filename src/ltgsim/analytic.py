@@ -58,7 +58,7 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         out = np.exp(-gamma * t_arr) * (
             np.cos(w * t_arr) + (gamma / w) * np.sin(w * t_arr)
         )
-    return out if isinstance(t, np.ndarray) else float(out)
+    return out if np.ndim(t) else float(out)
 
 
 def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:

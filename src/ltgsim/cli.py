@@ -1,5 +1,9 @@
 """Batch front-end: validated configs, experiment dispatch, CSV output.
 
+``resolve_config`` is the one gate: it refuses a config with one
+``ConfigError`` listing every problem, which ``--validate`` prints on
+stdout, one per line, and a run as one ``input error:`` line on stderr.
+
 Every run writes delimited text files in one layout (``_table_csv``)
 whose ``#``-prefixed header embeds the fully resolved configuration
 (canonical JSON) and the RNG pedigree, so re-parsing the header
@@ -61,11 +65,12 @@ DEFAULT_CONFIG = {
 }
 
 # Range checks of the leaves the CLI owns, by dotted path; every integer,
-# list entries included, also lies within 64 bits.  A leaf's accepted types
-# come from its default (see _accepted_types).  The rules on model values
-# are their modules', which validate_config calls.
+# list entries included, also lies within 64 bits, and every float is finite.
+# A leaf's accepted types come from its default (see _accepted_types).  The
+# rules on model values are their modules', which resolve_config calls.  A
+# missing command (None) is named by resolve_config itself.
 _RANGES = {
-    "command": lambda v: v in COMMANDS,
+    "command": lambda v: v is None or v in COMMANDS,
     "master_seed": lambda v: v >= 0,
     "grid.t_min": lambda v: v >= 0,
     "grid.points": lambda v: v >= 1,
@@ -86,21 +91,26 @@ PRESETS = {
 
 
 class ConfigError(ValueError):
-    """Configuration failed schema or consistency checks."""
+    """A config ``resolve_config`` refuses; ``problems`` holds one line per problem."""
+
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict, problems: list[str], path: str = "") -> dict:
+    """``override`` over ``base``; unknown keys and non-table sections go to ``problems``."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{where} must be a table")
-            out[key] = _merge(base[key], val, where)
-        else:
+            problems.append(f"unknown config key: {where}")
+        elif not isinstance(base[key], dict):
             out[key] = val
+        elif isinstance(val, dict):
+            out[key] = _merge(base[key], val, problems, where)
+        else:
+            problems.append(f"{where} must be a table")
     return out
 
 
@@ -114,7 +124,8 @@ def _accepted_types(default) -> tuple:
 
 
 def _check_schema(config: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> list[str]:
-    """Type and range problems of a config already merged over the defaults."""
+    """Type, range and finiteness problems of a config already merged over the
+    defaults; a non-finite list entry is named by its index."""
     problems = []
     for key, val in config.items():
         where = f"{path}.{key}" if path else key
@@ -130,6 +141,11 @@ def _check_schema(config: dict, defaults: dict = DEFAULT_CONFIG, path: str = "")
         elif (pred is not None and not pred(val)
               or any(isinstance(v, int) and abs(v) >= 2**64 for v in entries)):
             problems.append(f"{where}: value {val!r} out of range")
+        else:
+            index = "[{}]" if entries is val else ""
+            problems.extend(f"{where}{index.format(i)}: {v!r} is not a finite number"
+                            for i, v in enumerate(entries)
+                            if isinstance(v, float) and not math.isfinite(v))
     return problems
 
 
@@ -138,64 +154,45 @@ def _preset_conflicts(preset: dict, user: dict, path: str = ""):
     for key in preset.keys() & user.keys() - {"command"}:
         where = f"{path}.{key}" if path else key
         if isinstance(preset[key], dict):
-            yield from _preset_conflicts(preset[key], user[key], where)
+            if isinstance(user[key], dict):  # else _merge reports the section
+                yield from _preset_conflicts(preset[key], user[key], where)
         elif user[key] != preset[key]:
             yield f"{where} is {user[key]!r}, but the preset sets {preset[key]!r}"
 
 
 def resolve_config(user_config: dict) -> dict:
-    """Merge over defaults, expand presets, reject unknown keys.
+    """The config merged over the defaults and its preset, else one
+    ``ConfigError`` listing every problem.
 
     A preset applies over the defaults; a command other than its own, or a
-    leaf it sets to another value, is refused.
+    leaf it sets to another value, is refused.  Only a config whose keys,
+    types, ranges and numbers pass faces each module's rules.
     """
-    config = _merge(DEFAULT_CONFIG, user_config)
+    problems: list[str] = []
+    config = _merge(DEFAULT_CONFIG, user_config, problems)
     name = config["preset"]
-    if name is not None:
-        if not isinstance(name, str) or name not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-            )
+    if name is None:
+        if config["command"] is None:
+            problems.append("config must name a command (or a preset)")
+    elif not isinstance(name, str) or name not in PRESETS:
+        problems.append(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    else:
         preset = PRESETS[name]
         if config["command"] not in (None, preset["command"]):
-            raise ConfigError(
+            problems.append(
                 f"command is {config['command']!r}, but preset {name} runs {preset['command']!r}"
             )
-        conflicts = sorted(_preset_conflicts(preset, user_config))
-        if conflicts:
-            raise ConfigError(f"preset {name}: " + "; ".join(conflicts))
-        config = _merge(config, preset)
-    if config["command"] is None:
-        raise ConfigError("config must name a command (or a preset)")
-    problems = _check_schema(config)
+        problems.extend(f"preset {name}: {c}" for c in sorted(_preset_conflicts(preset, user_config)))
+        config = _merge(config, preset, problems)
+    problems.extend(_check_schema(config))
     if problems:
-        raise ConfigError("; ".join(problems))
-    return config
-
-
-def validate_config(config: dict) -> list[str]:
-    """All range and consistency diagnostics of a resolved config: its
-    non-finite numbers alone, else each module's rules, under the keys they read."""
-
-    def non_finite(node, where):
-        if isinstance(node, dict):
-            return [d for k, v in node.items()
-                    for d in non_finite(v, f"{where}.{k}" if where else k)]
-        if isinstance(node, list):
-            return [d for i, v in enumerate(node) for d in non_finite(v, f"{where}[{i}]")]
-        if isinstance(node, float) and not math.isfinite(node):
-            return [f"{where}: {node!r} is not a finite number"]
-        return []
-
-    diags = non_finite(config, "")
-    if diags:
-        return diags
+        raise ConfigError(problems)
 
     def check(key, rule, *args, sep=": ") -> bool:
         try:
             rule(*args)
         except ValueError as exc:
-            diags.append(f"{key}{sep}{exc}")
+            problems.append(f"{key}{sep}{exc}")
             return False
         return True
 
@@ -204,7 +201,7 @@ def validate_config(config: dict) -> list[str]:
     phase_field = command in ("transition-delta", "transition-spectral")
     check("rtn.gamma", rtn.check_rate, gamma)
     if g["t_max"] <= g["t_min"]:
-        diags.append("grid: t_max must exceed t_min")
+        problems.append("grid: t_max must exceed t_min")
     # Noise is sampled up to the grid's last time, t_min on one point, and the
     # phase order * phi formed on the grid has the order of the analytic GE
     # moment, of the MC moment, of a phase field's noise, or 0 off the grid.
@@ -234,11 +231,11 @@ def validate_config(config: dict) -> list[str]:
                         ("spectral.widths_nm", config["spectral"]["widths_nm"]),
                         ("optics.widths_nm", config["optics"]["widths_nm"])):
         if not values:
-            diags.append(f"{key}: empty list, nothing to run")
+            problems.append(f"{key}: empty list, nothing to run")
     # bool is an int subclass, so list entries are checked for it explicitly
     for d in config["deltas"]:
         if isinstance(d, bool) or not isinstance(d, int):
-            diags.append(f"deltas: shift {d!r} is not an integer")
+            problems.append(f"deltas: shift {d!r} is not an integer")
         else:
             check("deltas", slm.check_shift, npix, d)
     for key, values, file_name in (("deltas", config["deltas"], _delta_file),
@@ -247,11 +244,11 @@ def validate_config(config: dict) -> list[str]:
         names = [file_name(v) for v in values if isinstance(v, (int, float))]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
-            diags.append(f"{key}: entries share an output file: {', '.join(repeated)}")
+            problems.append(f"{key}: entries share an output file: {', '.join(repeated)}")
     for key in ("spectral", "optics"):
         for width in config[key]["widths_nm"]:
             if isinstance(width, bool) or not isinstance(width, (int, float)):
-                diags.append(f"{key}: width {width!r} is not a number")
+                problems.append(f"{key}: width {width!r} is not a number")
             else:
                 check(key, lambda w: optics.PdcSetup(spectral_width_nm=w), width)
     check("measurement.p", measurement.check_purity, m["p"])
@@ -261,7 +258,9 @@ def validate_config(config: dict) -> list[str]:
     check("measurement.repeats", measurement.check_repeats, m["repeats"])
     for key in ("h_min", "h_max"):
         check(f"measurement: {key}", slm.check_shift, npix, m[key], sep=" ")
-    return diags
+    if problems:
+        raise ConfigError(problems)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -431,16 +430,10 @@ _RUNNERS = {
 }
 
 
-def _run_resolved(config: dict) -> dict[str, str]:
-    diags = validate_config(config)
-    if diags:
-        raise ConfigError("; ".join(diags))
-    return _RUNNERS[config["command"]](config)
-
-
 def run_config(user_config: dict) -> dict[str, str]:
-    """Resolve, validate and execute a config; returns {filename: text}."""
-    return _run_resolved(resolve_config(user_config))
+    """Resolve and execute a config; returns {filename: text}."""
+    config = resolve_config(user_config)
+    return _RUNNERS[config["command"]](config)
 
 
 def main(argv=None) -> int:
@@ -481,13 +474,17 @@ def main(argv=None) -> int:
 
     try:
         config = resolve_config(user)
+    except ConfigError as exc:
         if args.validate:
-            diags = validate_config(config)
-            for d in diags:
-                print(d)
-            return 1 if diags else 0
-        files = _run_resolved(config)
-    except ValueError as exc:  # ConfigError included
+            print("\n".join(exc.problems))
+        else:
+            print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    if args.validate:
+        return 0
+    try:
+        files = _RUNNERS[config["command"]](config)
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except optics.NumericalError as exc:

@@ -24,7 +24,7 @@ z = exp(i * pattern), and a follows from the kernel's factors, not from W.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,8 +147,8 @@ class CalibrationResult:
     vis_uncertainty: float
     w_cp_estimate: float
     w_cp_uncertainty: float
-    curve_w: np.ndarray = field(default_factory=lambda: np.empty(0))
-    curve_vis: np.ndarray = field(default_factory=lambda: np.empty(0))
+    curve_w: np.ndarray
+    curve_vis: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.vis_of_v <= 1.0:

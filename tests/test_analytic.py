@@ -19,6 +19,8 @@ DEGENERATE_VALUE = 0.4060058497098381
 def test_free_evolution_is_cosine():
     t = np.linspace(0, 2 * np.pi, 101)
     assert np.allclose(exponential_moment(0.0, 4, t), np.cos(4 * t), atol=1e-15)
+    # a list of times gives the array, not a TypeError from float()
+    assert np.array_equal(exponential_moment(0.0, 4, t.tolist()), exponential_moment(0.0, 4, t))
 
 
 def test_degenerate_branch_value():

@@ -21,7 +21,6 @@ from ltgsim.cli import (
     main,
     resolve_config,
     run_config,
-    validate_config,
 )
 from ltgsim.rtn import RtnParams, SeedSpec, sample_batch
 from ltgsim.series import MONTE_CARLO, CoherenceSeries
@@ -37,6 +36,15 @@ def embedded_config(text: str) -> dict:
     raise ValueError("no embedded config found")
 
 
+def _problems(user_config: dict) -> list[str]:
+    """The problems ``resolve_config`` refuses a config for; [] if it resolves."""
+    try:
+        resolve_config(user_config)
+    except ConfigError as exc:
+        return exc.problems
+    return []
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config key: kernal"):
         resolve_config({"command": "analytic", "kernal": {}})
@@ -45,7 +53,7 @@ def test_unknown_keys_rejected():
 
 
 def test_validate_odd_kernel_order():
-    diags = validate_config(resolve_config({"command": "transition-delta", "kernel": {"n": 3}}))
+    diags = _problems({"command": "transition-delta", "kernel": {"n": 3}})
     assert any("even" in d for d in diags)
 
 
@@ -58,44 +66,43 @@ def test_validate_spectral_bounds(tmp_path):
     assert main(["--config", str(cfg), "--validate"]) == 0
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "transition_spectral_110nm.csv").exists()
-    diags = validate_config(resolve_config(
+    diags = _problems(
         {"command": "transition-spectral", "spectral": {"widths_nm": [130.0]}}
-    ))
+    )
     assert diags == ["spectral: width 130.0 nm outside model range [0, 120.0] nm"]
-    assert validate_config(resolve_config(
+    assert _problems(
         {"command": "transition-spectral", "spectral": {"widths_nm": [15.0]},
          "optics": {"widths_nm": [1.0, 2.0]}}
-    )) == []
+    ) == []
     # a boolean is not a width of 1 nm
     for section in ("spectral", "optics"):
-        diags = validate_config(resolve_config(
+        diags = _problems(
             {"command": "transition-spectral", section: {"widths_nm": [True]}}
-        ))
+        )
         assert any(d.startswith(f"{section}: width True") for d in diags)
 
 
 def test_validate_clean_preset():
-    config = resolve_config({"preset": "fig3-right"})
-    assert validate_config(config) == []
+    assert _problems({"preset": "fig3-right"}) == []
 
 
 def test_validate_delta_off_mask():
-    diags = validate_config(resolve_config({"command": "transition-delta", "deltas": [400]}))
+    diags = _problems({"command": "transition-delta", "deltas": [400]})
     assert any("mask" in d for d in diags)
     # a boolean is not a shift of 1 pixel
-    diags = validate_config(resolve_config({"command": "transition-delta", "deltas": [True]}))
+    diags = _problems({"command": "transition-delta", "deltas": [True]})
     assert any(d.startswith("deltas: shift True") for d in diags)
     # the calibration's pattern shifts face the same mask
-    diags = validate_config(resolve_config(
+    diags = _problems(
         {"command": "calibrate-wcp", "measurement": {"h_min": -400, "h_max": -330}}
-    ))
+    )
     assert any(d.startswith("measurement: h_min shift delta=-400 moves every pixel off")
                for d in diags)
     assert any(d.startswith("measurement: h_max shift delta=-330 moves every pixel off")
                for d in diags)
-    diags = validate_config(resolve_config(
+    diags = _problems(
         {"command": "calibrate-wcp", "measurement": {"h_min": -319, "h_max": 319}}
-    ))
+    )
     assert diags == []
 
 
@@ -109,8 +116,8 @@ def test_validate_odd_pixels_per_half(tmp_path, capsys):
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 1 and out[0].startswith("geometry: pixels_per_half 321 is odd")
     # no phase field, no constraint
-    assert validate_config(resolve_config(
-        {"command": "calibrate-wcp", "geometry": {"pixels_per_half": 321}})) == []
+    assert _problems(
+        {"command": "calibrate-wcp", "geometry": {"pixels_per_half": 321}}) == []
 
 
 def test_validate_repeated_sweep_entries(tmp_path, capsys):
@@ -126,8 +133,30 @@ def test_validate_repeated_sweep_entries(tmp_path, capsys):
         assert main(["--config", str(cfg), "--validate"]) == 1
         assert capsys.readouterr().out.strip().splitlines() == [message]
     # the optics table writes each width as a row of one file: repeats are fine
-    assert validate_config(resolve_config(
-        {"command": "optics-table", "optics": {"widths_nm": [15.0, 15.0]}})) == []
+    assert _problems(
+        {"command": "optics-table", "optics": {"widths_nm": [15.0, 15.0]}}) == []
+
+
+def test_validate_answers_on_stdout_alone(tmp_path, capsys):
+    # Shape, preset and leaf refusals used to reach stderr under --validate,
+    # and only the first of two leaf problems was named.  Every refusal goes to
+    # stdout, one per line, and a run ends in one stderr line joining them all.
+    cfg = tmp_path / "cfg.json"
+    cases = [('{"command": "analytic", "kernal": {}}', ["unknown config key: kernal"]),
+             ('{"preset": "fig3-left", "rtn": {"gamma": 0.5}}',
+              ["preset fig3-left: rtn.gamma is 0.5, but the preset sets 0.0"]),
+             ('{"command": "analytic", "grid": {"points": -1}}',
+              ["grid.points: value -1 out of range"]),
+             ('{"grid": {"points": "x"}, "rtn": {"gamma": NaN}}',
+              ["config must name a command (or a preset)", "grid.points: bad type str",
+               "rtn.gamma: nan is not a finite number"])]
+    for text, lines in cases:
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--validate"]) == 1
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "input error: " + "; ".join(lines) + "\n")
+    assert not (tmp_path / "out").exists()
 
 
 class _ReadRecorder(dict):
@@ -291,9 +320,9 @@ def test_empty_sweep_is_rejected():
     with pytest.raises(ConfigError, match="deltas: empty list"):
         run_config({"command": "transition-delta", "deltas": [], "grid": FAST_GRID})
     for key in ("spectral", "optics"):
-        diags = validate_config(resolve_config(
+        diags = _problems(
             {"command": "transition-spectral", key: {"widths_nm": []}}
-        ))
+        )
         assert f"{key}.widths_nm: empty list, nothing to run" in diags
 
 
@@ -440,9 +469,9 @@ def test_cli_main_validate_rejects_unbounded_sampling(tmp_path, capsys, monkeypa
         assert len(err) == 1 and err[0].startswith("input error: " + message)
     assert not (tmp_path / "out").exists()
     # a non-finite list entry is named by its index
-    diags = validate_config(resolve_config(
+    diags = _problems(
         {"command": "transition-spectral", "spectral": {"widths_nm": [15.0, float("nan")]}}
-    ))
+    )
     assert "spectral.widths_nm[1]: nan is not a finite number" in diags
 
 
@@ -467,7 +496,7 @@ def test_cli_main_validate_bounds_profile_grid(tmp_path, capsys, monkeypatch):
         assert len(err) == 1 and err[0].startswith("input error: " + message)
     assert not (tmp_path / "out").exists()
     # the calibrated angle sizes the grid at 511 points
-    assert validate_config(resolve_config({"command": "optics-table"})) == []
+    assert _problems({"command": "optics-table"}) == []
 
 
 def test_cli_main_validate_rejects_beam_finer_than_grid(tmp_path, capsys, monkeypatch):
@@ -506,9 +535,9 @@ def test_cli_main_validate_bounds_mc_rows(tmp_path, capsys):
     assert out == ["mc: 1e+10 array entries exceed the 100,000,000 "
                    "(~0.8 GB per array) a run may hold"]
     # the ceiling itself is allowed
-    assert validate_config(resolve_config(
+    assert _problems(
         {"command": "mc-moment", "rtn": {"gamma": 0.0}, "mc": {"n_real": 100_000_000}}
-    )) == []
+    ) == []
 
 
 def test_cli_main_validate_bounds_grid_and_repeats(tmp_path, capsys, monkeypatch):
@@ -531,10 +560,10 @@ def test_cli_main_validate_bounds_grid_and_repeats(tmp_path, capsys, monkeypatch
         out = capsys.readouterr().out.strip().splitlines()
         assert out == [message + " exceed the 100,000,000 (~0.8 GB per array) a run may hold"]
     # the ceiling itself is allowed: the phase field's 108 blocks by 925 925 points
-    assert validate_config(resolve_config(
-        {"command": "transition-delta", "grid": {"points": 925_925}})) == []
-    assert validate_config(resolve_config(
-        {"command": "transition-delta", "grid": {"points": 925_926}})) != []
+    assert _problems(
+        {"command": "transition-delta", "grid": {"points": 925_925}}) == []
+    assert _problems(
+        {"command": "transition-delta", "grid": {"points": 925_926}}) != []
 
 
 def test_cli_main_missing_file(tmp_path, capsys):
@@ -787,15 +816,17 @@ def _main_in_process(argv):
 def test_validate_agrees_with_the_run(config):
     # --validate and the run judge one config alike: a refused config exits 1
     # with one stderr line and writes nothing; an accepted one runs to finite
-    # data, or ends as a numerical error (exit 2) in one line.
+    # data, or ends as a numerical error (exit 2) in one line.  --validate
+    # answers on stdout alone: every refusal, or nothing.
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
         cfg.write_text(json.dumps(config))
-        code, diags, schema = _main_in_process(["--config", str(cfg), "--validate"])
+        code, diags, validate_err = _main_in_process(["--config", str(cfg), "--validate"])
         run_code, _, err = _main_in_process(["--config", str(cfg), "--out", str(out)])
+        assert validate_err == [] and bool(diags) == bool(code), (diags, validate_err)
         if code:
-            # diagnostics on stdout, each under its key, or one schema line on stderr
-            assert code == 1 and (diags or len(schema) == 1) and run_code == 1, (diags, err)
+            # diagnostics on stdout, each under its key
+            assert code == 1 and run_code == 1, (diags, err)
             assert all(re.match(r"[\w.\[\]/]+: ", d) for d in diags), diags
             assert len(err) == 1 and err[0].startswith("input error: ") and not out.exists()
         elif run_code == 2:

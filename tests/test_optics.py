@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ltgsim import optics
-from ltgsim.cli import main, resolve_config, validate_config
+from ltgsim.cli import ConfigError, main, resolve_config
 from ltgsim.optics import (
     JointSpatialProfile,
     NumericalError,
@@ -464,8 +464,9 @@ def test_library_refuses_what_validate_refuses():
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == line.partition(": ")[2]
-        diags = validate_config(resolve_config({"command": "transition-spectral", **config}))
-        assert diags == [line]
+        with pytest.raises(ConfigError) as refusal:
+            resolve_config({"command": "transition-spectral", **config})
+        assert refusal.value.problems == [line]
 
 
 def test_setup_validation():
