@@ -71,7 +71,6 @@ DEFAULT_CONFIG = {
 # missing command (None) is named by resolve_config itself.
 _RANGES = {
     "command": lambda v: v is None or v in COMMANDS,
-    "master_seed": lambda v: v >= 0,
     "grid.t_min": lambda v: v >= 0,
     "grid.points": lambda v: v >= 1,
 }
@@ -199,6 +198,7 @@ def resolve_config(user_config: dict) -> dict:
     command, g, geo, mc, m = (config[k] for k in ("command", "grid", "geometry", "mc", "measurement"))
     npix, gamma, n_rep = geo["pixels_per_half"], config["rtn"]["gamma"], config["field"]["n_rep"]
     phase_field = command in ("transition-delta", "transition-spectral")
+    check("master_seed", rtn.check_seed, config["master_seed"])
     check("rtn.gamma", rtn.check_rate, gamma)
     if g["t_max"] <= g["t_min"]:
         problems.append("grid: t_max must exceed t_min")

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
 from .rtn import SeedSpec, check_entries
-from .slm import KernelParams, check_shift, kernel_factors, normalization, toeplitz_product
+from .slm import _FLUSH_MASS, _NO_SUPPORT, KernelParams, check_shift, kernel_factors
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
@@ -55,7 +55,11 @@ MIN_SHIFTS = 4
 
 
 def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
-    """(p++, p+-) = ((1 + p Re Gamma) / 4, (1 - p Re Gamma) / 4) at unit efficiency."""
+    """(p++, p+-) = ((1 + p Re Gamma) / 4, (1 - p Re Gamma) / 4) at unit efficiency,
+    for a purity p in [0, 1] and |Re Gamma| <= 1 (NaN refused)."""
+    if not (0.0 <= p <= 1.0 and abs(re_gamma) <= 1.0):
+        raise ValueError(f"detection needs p in [0, 1] and |Re Gamma| <= 1, got p = {p!r}, "
+                         f"Re Gamma = {re_gamma!r}")
     x = p * re_gamma
     return 0.25 * (1.0 + x), 0.25 * (1.0 - x)
 
@@ -113,13 +117,14 @@ def simulate_counts(probs: tuple[float, float], n0: float, acquisition_s: float 
     """
     check_counts(n0, acquisition_s)
     check_repeats(repeats)
-    expected = 4.0 * n0 * np.asarray(probs, dtype=float)
-    if np.any(expected < 0):
-        raise ValueError("negative expected rate; check probabilities")
-    rng = seed.generator()
-    counts = rng.poisson(expected[None, :] * acquisition_s, size=(repeats, 2))
-    rates = counts.mean(axis=0) / acquisition_s
-    return float(rates[0]), float(rates[1])
+    lam = [4.0 * n0 * prob * acquisition_s for prob in probs]
+    if not min(lam) >= 0:  # refuses NaN too
+        raise ValueError(f"expected counts {lam} are not all >= 0; check probabilities")
+    # Plain floats, summed repeat by repeat: the bits of a float64 mean over axis 0.
+    sums = [0.0, 0.0]
+    for row in seed.generator().poisson(lam, size=(repeats, 2)).tolist():
+        sums = [total + count for total, count in zip(sums, row)]
+    return sums[0] / repeats / acquisition_s, sums[1] / repeats / acquisition_s
 
 
 def visibility(n_pp: float, n_pm: float) -> float:
@@ -161,17 +166,45 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     Gamma(h) = sum_k a_k z_{k+h} over the k whose shifted index stays on the
     mask, the rest dropped as by ``slm.phasor_sum``, with a = z^T W, i.e.
     a_k = g2_k sum_j z_j g1_j c[j - k + N - 1] / total.  Re z is the constant
-    cos(pi/4), so the correlation of c with g1 that ``slm.normalization``
-    takes for the total gives Re a too; one with sin(pattern) * g1 gives Im a.
+    cos(pi/4), so Re a correlates c with g1 and Im a with sin(pattern) * g1.
+    The kernels differ in w_cp alone: they share g1 and g2, and c takes one
+    row each from one exp.
+
+    Diagonal d = j - k + N - 1 weighs c[d] * s[d] / total, with s[d] the sum
+    of g1[j] * g2[k] over its pairs and total = c . s.  Only the run of
+    diagonals where some kernel's weight reaches ``slm._FLUSH_MASS`` / (2N - 1)
+    is contracted, in one einsum for both parts of a: the diagonals left out
+    weigh less than 2^-70 in every kernel, so with |z| = 1 each Gamma(h)
+    moves by less than that from the sum over all pairs.  As in
+    ``slm.toeplitz_product``, the operands are scaled by 2^500 past the
+    subnormal range.  A kernel whose total underflows raises NumericalError.
     """
-    n_pix = kernels[0].geometry.pixels_per_half
+    geometry, w_p, n = kernels[0].geometry, kernels[0].w_p, kernels[0].n
+    if any((k.geometry, k.w_p, k.n) != (geometry, w_p, n) for k in kernels):
+        raise ValueError("the kernels of one pattern contraction may differ in w_cp alone")
+    n_pix = geometry.pixels_per_half
     for h in (h_values.min(initial=0), h_values.max(initial=0)):
         check_shift(n_pix, int(h))
     pattern = rect_phase_pattern(n_pix, n_r)
-    g1, g2, c = (np.array(f) for f in zip(*map(kernel_factors, kernels)))
-    corr_re, total = normalization(g1, g2, c)
-    corr_im = toeplitz_product(c, g1 * np.sin(pattern))
-    a = (np.cos(_PATTERN_AMPLITUDE) * corr_re + 1j * corr_im) * (g2 / total[:, None])
+    g1, g2, c = kernel_factors(kernels[0], [k.w_cp for k in kernels])
+    lift = 2.0**500
+    # [p, i] = envelope p (g1, then sin(pattern) * g1) at pixel i - N + 1, zero off the mask
+    envelopes = np.zeros((2, 3 * n_pix - 2))
+    envelopes[:, n_pix - 1:2 * n_pix - 1] = g1 * lift
+    envelopes[1, n_pix - 1:2 * n_pix - 1] *= np.sin(pattern)
+    # [k, d] = g1[k + d - N + 1], the pair (j, k) of diagonal d
+    g1_diag = sliding_window_view(envelopes[0], 2 * n_pix - 1)[:n_pix]
+    pair_sums = np.einsum("kd,k->d", g1_diag, g2 * lift, optimize=False) / lift**2
+    total = np.einsum("wd,d->w", c, pair_sums, optimize=False)
+    if not np.all(total > 0):
+        raise NumericalError(_NO_SUPPORT)
+    weight = c * (pair_sums / total[:, None])
+    kept = np.flatnonzero(np.any(weight >= _FLUSH_MASS / c.shape[1], axis=0))
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    # [p, k, d - lo] = envelopes[p, k + d]: the band of diagonals row k reads
+    band = sliding_window_view(envelopes, hi - lo, axis=1)[:, lo:lo + n_pix]
+    corr = np.einsum("wd,pkd->wpk", c[:, lo:hi] * lift, band, optimize=False) / lift**2
+    a = (np.cos(_PATTERN_AMPLITUDE) * corr[:, 0] + 1j * corr[:, 1]) * (g2 / total[:, None])
     # [h, k] = z_{k+h}, read from z padded with zeros off the mask
     shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values]
     return np.clip(np.einsum("wk,hk->wh", a, shifted, optimize=False).real, -1.0, 1.0)

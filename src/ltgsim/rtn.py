@@ -31,6 +31,7 @@ stream indices give statistically independent streams and the same
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -104,6 +105,13 @@ def check_moment(order: int, n_real: int = 2, antithetic: bool = False) -> None:
         raise ValueError(f"n_real must be >= 2, and even for antithetic pairs, got {n_real}")
 
 
+def check_seed(master_seed: int, stream_index: int = 0) -> None:
+    """Refuse a master seed or stream index that is not a non-negative integer."""
+    for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 def check_grid(points: int) -> None:
     """Refuse a time grid on which the 7 per-time sums of ``_sweep`` exceed
     ``check_entries``."""
@@ -136,8 +144,7 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be non-negative")
+        check_seed(self.master_seed, self.stream_index)
 
     def sequence(self, *branch: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(
@@ -336,8 +343,8 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     check_horizon(params.t_max, order)
     check_ensemble(params.gamma, params.t_max, n_real)
     check_grid(times.size)
-    if times.size and (times.min() < 0.0 or times.max() > params.t_max):
-        raise ValueError("time grid must lie within [0, t_max]")
+    if times.size and not (times.min() >= 0.0 and times.max() <= params.t_max):  # NaN too
+        raise ValueError("time grid must be finite and lie within [0, t_max]")
 
     n_draw = n_real // 2 if antithetic else n_real
     batch = sample_batch(params, n_draw, seed)

@@ -13,8 +13,9 @@ representation is its factors (``kernel_factors``):
     g1 = exp(-2*dj^2 / w_p^2),  g2 = exp(-2*dk^2 / w_p^2),
     c = exp(-2*|dj - dk|^n / w_cp^n),
 
-with the unit-sum total of ``normalization``, which the kernel sum, the
-calibration (``measurement``) and the dense test oracle share.
+with the unit-sum total of ``normalization``, which the kernel sum and the
+dense test oracle share (the calibration in ``measurement`` sums c against
+the diagonal sums of g1 g2 instead).
 
 Noise enters as a phase field phi(offset, t) built from telegraph-noise
 trajectories, constant over blocks of ``n_rep`` consecutive offsets.  Every
@@ -59,6 +60,7 @@ oracles only: no model path calls them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -147,19 +149,24 @@ class CorrelationKernel:
             raise ValueError("kernel weights must sum to 1 within 1e-12")
 
 
-def kernel_factors(params: KernelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_factors(params: KernelParams, w_cp: Sequence[float] | None = None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Beam envelopes g1, g2 and correlation values c of the pair distribution.
 
     weights[j, k] = g1[j] * g2[k] * c[j - k + N - 1] / total for N pixels per
     half: the correlation factor depends only on j - k (2N - 1 values).
+    Given ``w_cp``, c has one row per width, from one exp: bit for bit the c
+    of ``params`` with that w_cp (a valid ``KernelParams`` width).
     """
     dj, dk = params.geometry.offsets1(), params.geometry.offsets2()
     diff = np.concatenate([dj[0] - dk[:0:-1], dj - dk[0]])
+    scale = (params.w_cp**params.n if w_cp is None
+             else np.array([w**params.n for w in w_cp])[:, None])
     # A quotient past the float range (a tiny normal width) is -inf: a factor
     # of exactly 0, as exp gives already far below the overflow.
     with np.errstate(over="ignore"):
         return (np.exp(-2.0 * dj**2 / params.w_p**2), np.exp(-2.0 * dk**2 / params.w_p**2),
-                np.exp(-2.0 * np.abs(diff) ** params.n / params.w_cp**params.n))
+                np.exp(-2.0 * np.abs(diff) ** params.n / scale))
 
 
 def toeplitz_product(c: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -326,7 +333,10 @@ _FLUSH_MASS = 2.0**-70
 
 
 def check_shift(n_pix: int, delta: int) -> None:
-    """Refuse a shift of half 2 that moves every pixel off the mask."""
+    """Refuse a shift of half 2 that is not a whole number of pixels, or that
+    moves every pixel off the mask."""
+    if not (isinstance(delta, numbers.Integral) or float(delta).is_integer()):  # NaN too
+        raise ValueError(f"shift delta={delta!r} is not a whole number of pixels")
     if abs(delta) >= n_pix:
         raise ValueError(f"shift delta={delta} moves every pixel off the mask")
 
@@ -334,6 +344,7 @@ def check_shift(n_pix: int, delta: int) -> None:
 def _on_mask(n_pix: int, delta: int) -> slice:
     """Kernel columns i whose half-2 index i + delta stays on the mask."""
     check_shift(n_pix, delta)
+    delta = int(delta)
     return slice(max(0, -delta), min(n_pix, n_pix - delta))
 
 
@@ -351,8 +362,8 @@ def phasor_sum(kernel: CorrelationKernel, slm_phases1: np.ndarray, slm_phases2: 
         raise ValueError("phase arrays do not match the kernel pixel count")
     if slm_phases1.shape[1] != slm_phases2.shape[1]:
         raise ValueError("phase arrays must share one time grid")
-    delta = int(delta)
     on = _on_mask(n_pix, delta)
+    delta = int(delta)
     z1 = np.exp(1j * slm_phases1)                                   # (n_pix, T)
     z2 = np.exp(1j * slm_phases2[on.start + delta:on.stop + delta])  # (n_on, T)
     m = np.einsum("jk,kt->jt", kernel.weights[:, on], z2, optimize=False)
@@ -468,8 +479,8 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
         raise ValueError("kernel and phase fields must share one mask geometry")
     if not np.array_equal(field1.times, field2.times):
         raise ValueError("phase fields must share one time grid")
-    delta = int(delta)
     on = _on_mask(params.geometry.pixels_per_half, delta)
+    delta = int(delta)
     # Column c of B is block first + c of field 2: B spans only the blocks
     # the shifted kernel reads.
     index2 = field2.block_index[on.start + delta:on.stop + delta]

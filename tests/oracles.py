@@ -6,16 +6,20 @@ kernel sum's block table from the kernel's factors.  The density matrix
 with its Wootters concurrence and |++>/|+-> projections, the per-pixel
 noise phases re-drawn from a field's documented streams, and the block
 table run-summed from the dense kernel (``slm.build_kernel``) live here as
-the slower, more literal routes to the same numbers.
+the slower, more literal routes to the same numbers, as is the dense
+Toeplitz contraction of the calibration pattern.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ltgsim.measurement import rect_phase_pattern
 from ltgsim.rtn import RtnParams, SeedSpec, TrajectoryBatch, sample_trajectory, stack_batches
-from ltgsim.slm import KernelParams, PhaseField, _on_mask, build_kernel
+from ltgsim.slm import (KernelParams, PhaseField, _on_mask, build_kernel, kernel_factors,
+                        normalization, toeplitz_product)
 
 _PLUS_PLUS = 0.5 * np.array([1.0, 1.0, 1.0, 1.0])
 _PLUS_MINUS = 0.5 * np.array([1.0, -1.0, 1.0, -1.0])
@@ -137,3 +141,21 @@ def block_table(params: KernelParams, field1: PhaseField, field2: PhaseField,
     index2 = field2.block_index[on.start + delta:on.stop + delta]
     rows = run_sums(build_kernel(params).weights[:, on], field1.block_index)
     return np.ascontiguousarray(run_sums(rows.T, index2).T), int(index2[0])
+
+
+def dense_pattern_coherence(kernels: list[KernelParams], n_r: int,
+                            h_values: np.ndarray) -> np.ndarray:
+    """Re Gamma(h) of ``measurement._pattern_coherence`` over every j - k diagonal.
+
+    a = z^T W from the dense Toeplitz products of each kernel's factors: Re a
+    from the correlation of c with g1 that ``slm.normalization`` takes for
+    the total, Im a from the one with sin(pattern) * g1.
+    """
+    n_pix = kernels[0].geometry.pixels_per_half
+    pattern = rect_phase_pattern(n_pix, n_r)
+    g1, g2, c = (np.array(f) for f in zip(*map(kernel_factors, kernels)))
+    corr_re, total = normalization(g1, g2, c)
+    corr_im = toeplitz_product(c, g1 * np.sin(pattern))
+    a = (np.cos(np.pi / 4) * corr_re + 1j * corr_im) * (g2 / total[:, None])
+    shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values]
+    return np.einsum("wk,hk->wh", a, shifted).real

@@ -1,4 +1,6 @@
 """Closed-form moment branches and the coherence-factor oracles."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,17 @@ def test_moment_rejects_nan():
         exponential_moment(float("nan"), 2, [0.5, 1.0])
     with pytest.raises(ValueError, match="t must be >= 0"):
         exponential_moment(1.0, 2, np.array([0.5, np.nan]))
+
+
+def test_moment_rejects_infinite_times():
+    # An infinite time raised a RuntimeWarning from cos and returned NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (1.0, 2.0, 3.0):  # each branch
+            for t in (np.inf, [0.0, np.inf], np.array([np.inf, 1.0])):
+                with pytest.raises(ValueError, match="t must be >= 0 and finite") as err:
+                    exponential_moment(gamma, 2, t)
+                assert "\n" not in str(err.value)
 
 
 def test_coherence_rejects_bad_grids():

@@ -86,6 +86,14 @@ def test_validate_clean_preset():
     assert _problems({"preset": "fig3-right"}) == []
 
 
+def test_master_seed_rule_is_the_seed_spec_rule():
+    # One check serves the config and the library: what resolve_config
+    # reports for master_seed is what SeedSpec raises.
+    with pytest.raises(ValueError) as err:
+        SeedSpec(-1)
+    assert _problems({"command": "analytic", "master_seed": -1}) == [f"master_seed: {err.value}"]
+
+
 def test_validate_delta_off_mask():
     diags = _problems({"command": "transition-delta", "deltas": [400]})
     assert any("mask" in d for d in diags)

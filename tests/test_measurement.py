@@ -1,13 +1,17 @@
 """Detection, coincidence counting and the correlated-pixel calibration."""
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import TwoQubitState, build_state, concurrence, projections
+from oracles import (TwoQubitState, build_state, concurrence, dense_pattern_coherence,
+                     projections)
 
 from ltgsim.measurement import (
+    _CURVE_RANGE,
+    _CURVE_SAMPLES,
     _pattern_coherence,
     calibrate_wcp,
     detection_probabilities,
@@ -101,6 +105,21 @@ def test_detection_bell():
 
 def test_detection_dephased():
     assert detection_probabilities(0.7, 0.0) == pytest.approx((0.25, 0.25))
+
+
+def test_detection_refuses_impossible_coherence():
+    # |Re Gamma| > 1 returned (0.5, 0.0) at p = 0.5 and a negative
+    # probability at p = 1; NaN passed through to numpy's Poisson draw.
+    for p, re_gamma in ((0.5, 2.0), (1.0, 2.0), (1.0, -1.0000000000000002), (1.5, 0.5),
+                        (float("nan"), 0.5), (1.0, float("nan")), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match=r"p in \[0, 1\] and \|Re Gamma\| <= 1") as err:
+            detection_probabilities(p, re_gamma)
+        assert "\n" not in str(err.value)
+    assert detection_probabilities(1.0, -1.0) == (0.0, 0.5)
+    # probabilities passed by hand are refused before the draw, NaN included
+    for probs in ((0.25, -0.01), (float("nan"), 0.25)):
+        with pytest.raises(ValueError, match="are not all >= 0"):
+            simulate_counts(probs, 250.0)
 
 
 def test_detection_frozen_values():
@@ -216,6 +235,36 @@ def test_pattern_contraction_matches_pixel_sum(n_r, w_cp, geo, w_p):
         for d in (320, -320):
             with pytest.raises(ValueError, match=f"shift delta={d} moves every pixel off"):
                 _pattern_coherence([kp], n_r, np.array([0, d]))
+
+
+# Bound on the move of Re Gamma(h) by the diagonals the banded pattern
+# contraction leaves out (2^-70), plus rounding.
+_BAND_ATOL = 2.0**-70 + 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize(
+    "w_cp, w_p, geo",
+    # the figS-calibration kernels, the wide kernel, the off-centre geometry
+    [(3.1, 20.0, GEO), (20.0, 200.0, GEO), (3.1, 120.0, MaskGeometry(j0=40.5, k0=600.0))],
+)
+def test_banded_pattern_contraction_matches_dense(n, w_cp, w_p, geo):
+    # The measured kernel and the 20 curve widths, contracted over the band
+    # of diagonals that carry weight, match the dense Toeplitz route within
+    # the stated bound at every shift.
+    kp = KernelParams(w_cp, w_p, n, geo)
+    curve = np.linspace(*_CURVE_RANGE, _CURVE_SAMPLES)
+    kernels = [kp, *(replace(kp, w_cp=float(w)) for w in curve)]
+    h = np.array([-319, -160, -37, -10, -3, -1, 0, 1, 2, 5, 9, 41, 200, 319])
+    for n_r in (1, 5):
+        got = _pattern_coherence(kernels, n_r, h)
+        np.testing.assert_allclose(got, dense_pattern_coherence(kernels, n_r, h),
+                                   rtol=0.0, atol=_BAND_ATOL)
+    # one envelope pair serves every kernel, so they may differ in w_cp alone
+    for other in (replace(kp, w_p=w_p + 1.0), replace(kp, n=n + 2),
+                  replace(kp, geometry=MaskGeometry(j0=100.0))):
+        with pytest.raises(ValueError, match="differ in w_cp alone"):
+            _pattern_coherence([kp, other], 5, h)
 
 
 def test_calibration_refuses_kernel_without_support():

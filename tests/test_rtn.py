@@ -1,4 +1,6 @@
 """Trajectory sampling, exact phases and Monte Carlo moments."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,27 @@ def test_invalid_params_rejected():
         with pytest.raises(ValueError):
             RtnParams(gamma, t_max)
     RtnParams(MAX_EXPECTED_JUMPS, 1.0)  # the ceiling itself is allowed
+
+
+def test_seed_spec_refuses_what_is_not_a_stream():
+    # SeedSpec(-1) constructed and failed later in SeedSequence, and
+    # SeedSpec(1.5).generator() raised a TypeError.
+    for master_seed, stream_index in ((-1, 0), (1.5, 0), (0, -1), (0, 2.0), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="must be a non-negative integer") as err:
+            SeedSpec(master_seed, stream_index)
+        assert "\n" not in str(err.value)
+    assert SeedSpec(np.int64(3), np.uint8(1)).generator().integers(9) == SeedSpec(3, 1).generator().integers(9)
+
+
+def test_mc_refuses_non_finite_times():
+    # [0, nan] passed the range check (nan < 0 is false) and returned NaN.
+    params = RtnParams(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for times in ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="must be finite and lie within") as err:
+                mc_exponential_moment(params, 2, np.array(times), 8, SeedSpec(0))
+            assert "\n" not in str(err.value)
 
 
 def test_zero_rate_trajectory_is_constant():

@@ -287,6 +287,24 @@ def test_out_of_range_mass_dropped_not_renormalized():
     assert g[0].real == pytest.approx(kept, abs=1e-12)
 
 
+def test_fractional_shift_refused():
+    # A shift of 1.5 px ran as the delta = 1 series and recorded delta 1.
+    kp = KernelParams(3.0, 20.0, 2, GEO)
+    fld = build_phase_field(0.5, TIMES, 3, GEO, SeedSpec(30))
+    zeros = np.zeros((320, 1))
+    for delta in (1.5, -0.5, np.float64(2.25), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="is not a whole number of pixels") as err:
+            kernel_coherence(kp, fld, fld, delta)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match="is not a whole number of pixels"):
+            phasor_sum(build_kernel(kp), zeros, zeros, delta)
+    # a whole number of any type is the shift it names
+    want = kernel_coherence(kp, fld, fld, 2)
+    for delta in (2.0, np.int64(2), np.float64(2.0)):
+        got = kernel_coherence(kp, fld, fld, delta)
+        assert np.array_equal(got.values, want.values) and got.params["delta"] == 2
+
+
 def test_shift_off_mask_rejected():
     k = build_kernel(KernelParams(3.0, 20.0, 2, GEO))
     zeros = np.zeros((320, 1))
