@@ -183,8 +183,8 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     if any((k.geometry, k.w_p, k.n) != (geometry, w_p, n) for k in kernels):
         raise ValueError("the kernels of one pattern contraction may differ in w_cp alone")
     n_pix = geometry.pixels_per_half
-    for h in (h_values.min(initial=0), h_values.max(initial=0)):
-        check_shift(n_pix, int(h))
+    for h in set(h_values.tolist()):
+        check_shift(n_pix, h)
     pattern = rect_phase_pattern(n_pix, n_r)
     g1, g2, c = kernel_factors(kernels[0], [k.w_cp for k in kernels])
     lift = 2.0**500
@@ -206,7 +206,7 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     corr = np.einsum("wd,pkd->wpk", c[:, lo:hi] * lift, band, optimize=False) / lift**2
     a = (np.cos(_PATTERN_AMPLITUDE) * corr[:, 0] + 1j * corr[:, 1]) * (g2 / total[:, None])
     # [h, k] = z_{k+h}, read from z padded with zeros off the mask
-    shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values]
+    shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values.astype(int)]
     return np.clip(np.einsum("wk,hk->wh", a, shifted, optimize=False).real, -1.0, 1.0)
 
 
@@ -237,9 +237,7 @@ def calibrate_wcp(
     zero is shot noise, not a measurement, and raises NumericalError too,
     as does a shift that records no coincidence.
     """
-    if h_values is None:
-        h_values = np.arange(-10, 10)
-    h_values = np.asarray(h_values, dtype=int)
+    h_values = np.asarray(np.arange(-10, 10) if h_values is None else h_values)
     check_purity(p)
     check_shifts(h_values.size)
 
@@ -247,6 +245,7 @@ def calibrate_wcp(
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
     kernels = [kernel_params, *(replace(kernel_params, w_cp=float(w)) for w in curve_w)]
     re_gamma, *curve_re = _pattern_coherence(kernels, n_r, h_values)
+    h_values = h_values.astype(int)  # whole numbers: _pattern_coherence checked each shift
     if shot_noise:
         # shift i draws its counts from stream s + 1 + i of the seed
         v = np.empty(h_values.size)

@@ -237,6 +237,16 @@ def test_pattern_contraction_matches_pixel_sum(n_r, w_cp, geo, w_p):
                 _pattern_coherence([kp], n_r, np.array([0, d]))
 
 
+def test_calibration_refuses_fractional_shifts():
+    # h + 0.5 ran as the truncated whole shifts, 0 twice, and returned a width.
+    kp = KernelParams(3.1, 20.0, 2, GEO)
+    for h in (np.arange(-10, 10) + 0.5, [0, 1, 2, np.nan], [0, 1, 2, np.inf]):
+        with pytest.raises(ValueError, match="is not a whole number of pixels"):
+            calibrate_wcp(kp, shot_noise=False, h_values=h)
+    res = calibrate_wcp(kp, shot_noise=False, h_values=np.arange(-10.0, 10.0))
+    assert res.h_values.dtype.kind == "i" and np.array_equal(res.h_values, np.arange(-10, 10))
+
+
 # Bound on the move of Re Gamma(h) by the diagonals the banded pattern
 # contraction leaves out (2^-70), plus rounding.
 _BAND_ATOL = 2.0**-70 + 1e-15
