@@ -206,7 +206,8 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     corr = np.einsum("wd,pkd->wpk", c[:, lo:hi] * lift, band, optimize=False) / lift**2
     a = (np.cos(_PATTERN_AMPLITUDE) * corr[:, 0] + 1j * corr[:, 1]) * (g2 / total[:, None])
     # [h, k] = z_{k+h}, read from z padded with zeros off the mask
-    shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values.astype(int)]
+    windows = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)
+    shifted = windows[n_pix + h_values.astype(int)]
     return np.clip(np.einsum("wk,hk->wh", a, shifted, optimize=False).real, -1.0, 1.0)
 
 
