@@ -252,12 +252,14 @@ def resolve_config(user_config: dict) -> dict:
             else:
                 check(key, lambda w: optics.PdcSetup(spectral_width_nm=w), width)
     check("measurement.p", measurement.check_purity, m["p"])
-    check("measurement.h_min/h_max", measurement.check_shifts, max(0, m["h_max"] - m["h_min"] + 1))
-    check("measurement.n_r", measurement.check_pattern, npix, m["n_r"])
     check("measurement.n0/acquisition_s", measurement.check_counts, m["n0"], m["acquisition_s"])
     check("measurement.repeats", measurement.check_repeats, m["repeats"])
     for key in ("h_min", "h_max"):
         check(f"measurement: {key}", slm.check_shift, npix, m[key], sep=" ")
+    phases = max(0, m["h_max"] - m["h_min"] + 1)  # distinct h mod 2 * n_r: min(this, 2 * n_r)
+    if check("measurement.n_r", measurement.check_pattern, npix, m["n_r"]):
+        phases = min(phases, 2 * m["n_r"])
+    check("measurement.h_min/h_max", measurement.check_shifts, phases)
     if problems:
         raise ConfigError(problems)
     return config

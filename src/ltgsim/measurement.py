@@ -19,8 +19,8 @@ half by h, and reads the visibility V(h).  The contrast of V(h) falls as
 the kernel width w_cp blurs the pattern, which makes it an estimator of
 w_cp once compared against a simulated contrast-versus-width curve
 (20 widths over [0.5, 10] px).  The pattern does not change with h, so
-Gamma(h) = sum_k a_k z_{k+h} follows for every shift from a = z^T W with
-z = exp(i * pattern), and a follows from the kernel's factors, not from W.
+Gamma(h) follows for every shift from one contraction of the kernel's
+factors (``_pattern_coherence``).
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
-from .rtn import SeedSpec, check_entries
-from .slm import _FLUSH_MASS, _NO_SUPPORT, KernelParams, check_shift, kernel_factors
+from .rtn import SeedSpec, check_entries, check_integer
+from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
@@ -49,8 +49,8 @@ _CURVE_SAMPLES = 20
 # acquisition_s), below numpy's Poisson limit of ~9.2e18.
 MAX_EXPECTED_COUNTS = 1e18
 
-# Shifts a calibration needs: the sine fit of V(h) has three parameters,
-# and its scatter, hence the contrast's uncertainty, needs one shift more.
+# Distinct shift phases h mod 2 * n_r a calibration needs: the sine fit of V(h)
+# has three parameters, and its scatter (the contrast's uncertainty) one more.
 MIN_SHIFTS = 4
 
 
@@ -86,24 +86,23 @@ def check_counts(n0: float, acquisition_s: float) -> None:
 
 
 def check_repeats(repeats: int) -> None:
-    """Refuse repeats < 1, or more than a (repeats, 2) counts array may hold."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    """Refuse repeats not an integer >= 1, or more than a (repeats, 2) counts array holds."""
+    check_integer("repeats", repeats, 1)
     check_entries(2 * repeats)
 
 
 def check_pattern(n_pixels: int, n_r: int) -> None:
-    """Refuse a pattern run n_r < 1, or a period 2 * n_r longer than a mask half."""
-    if n_r < 1:
-        raise ValueError(f"n_r must be >= 1, got {n_r}")
+    """Refuse a run n_r not an integer >= 1, or a period 2 * n_r longer than a mask half."""
+    check_integer("n_r", n_r, 1)
     if 2 * n_r > n_pixels:
         raise ValueError(f"pattern period 2 * n_r = {2 * n_r} exceeds a mask half")
 
 
-def check_shifts(n_shifts: int) -> None:
-    """Refuse fewer than ``MIN_SHIFTS`` calibration shifts."""
-    if n_shifts < MIN_SHIFTS:
-        raise ValueError(f"the sine fit of V(h) needs {MIN_SHIFTS} shifts, got {n_shifts}")
+def check_shifts(n_phases: int) -> None:
+    """Refuse calibration shifts of fewer than ``MIN_SHIFTS`` distinct phases h mod 2 * n_r."""
+    if n_phases < MIN_SHIFTS:
+        raise ValueError(f"the sine fit of V(h) needs shifts of {MIN_SHIFTS} distinct phases "
+                         f"h mod 2 * n_r, got {n_phases}")
 
 
 def simulate_counts(probs: tuple[float, float], n0: float, acquisition_s: float = 8.0,
@@ -166,41 +165,30 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     Gamma(h) = sum_k a_k z_{k+h} over the k whose shifted index stays on the
     mask, the rest dropped as by ``slm.phasor_sum``, with a = z^T W, i.e.
     a_k = g2_k sum_j z_j g1_j c[j - k + N - 1] / total.  Re z is the constant
-    cos(pi/4), so Re a correlates c with g1 and Im a with sin(pattern) * g1.
-    The kernels differ in w_cp alone: they share g1 and g2, and c takes one
-    row each from one exp.
-
-    Diagonal d = j - k + N - 1 weighs c[d] * s[d] / total, with s[d] the sum
-    of g1[j] * g2[k] over its pairs and total = c . s.  Only the run of
-    diagonals where some kernel's weight reaches ``slm._FLUSH_MASS`` / (2N - 1)
-    is contracted, in one einsum for both parts of a: the diagonals left out
-    weigh less than 2^-70 in every kernel, so with |z| = 1 each Gamma(h)
-    moves by less than that from the sum over all pairs.  As in
-    ``slm.toeplitz_product``, the operands are scaled by 2^500 past the
-    subnormal range.  A kernel whose total underflows raises NumericalError.
+    cos(pi/4), so Re a correlates c with g1 and Im a with sin(pattern) * g1,
+    both in one einsum (with the 2^500 lift of ``slm.pair_sums``) over the
+    band of diagonals of ``slm.kernel_band``, which also gives the total and
+    refuses a kernel without support.  The diagonals left out weigh less than
+    2^-70 in every kernel, so with |z| = 1 each Gamma(h) moves by less than
+    that.  The kernels differ in w_cp alone: they share g1 and g2, and c
+    takes one row each from one exp.
     """
     geometry, w_p, n = kernels[0].geometry, kernels[0].w_p, kernels[0].n
     if any((k.geometry, k.w_p, k.n) != (geometry, w_p, n) for k in kernels):
         raise ValueError("the kernels of one pattern contraction may differ in w_cp alone")
     n_pix = geometry.pixels_per_half
+    if h_values.ndim != 1:
+        raise ValueError(f"h_values must be one list of shifts, got shape {h_values.shape}")
     for h in set(h_values.tolist()):
         check_shift(n_pix, h)
     pattern = rect_phase_pattern(n_pix, n_r)
     g1, g2, c = kernel_factors(kernels[0], [k.w_cp for k in kernels])
+    total, lo, hi, _ = kernel_band(c, pair_sums(g1, g2))
     lift = 2.0**500
     # [p, i] = envelope p (g1, then sin(pattern) * g1) at pixel i - N + 1, zero off the mask
     envelopes = np.zeros((2, 3 * n_pix - 2))
     envelopes[:, n_pix - 1:2 * n_pix - 1] = g1 * lift
     envelopes[1, n_pix - 1:2 * n_pix - 1] *= np.sin(pattern)
-    # [k, d] = g1[k + d - N + 1], the pair (j, k) of diagonal d
-    g1_diag = sliding_window_view(envelopes[0], 2 * n_pix - 1)[:n_pix]
-    pair_sums = np.einsum("kd,k->d", g1_diag, g2 * lift, optimize=False) / lift**2
-    total = np.einsum("wd,d->w", c, pair_sums, optimize=False)
-    if not np.all(total > 0):
-        raise NumericalError(_NO_SUPPORT)
-    weight = c * (pair_sums / total[:, None])
-    kept = np.flatnonzero(np.any(weight >= _FLUSH_MASS / c.shape[1], axis=0))
-    lo, hi = int(kept[0]), int(kept[-1]) + 1
     # [p, k, d - lo] = envelopes[p, k + d]: the band of diagonals row k reads
     band = sliding_window_view(envelopes, hi - lo, axis=1)[:, lo:lo + n_pix]
     corr = np.einsum("wd,pkd->wpk", c[:, lo:hi] * lift, band, optimize=False) / lift**2
@@ -240,13 +228,13 @@ def calibrate_wcp(
     """
     h_values = np.asarray(np.arange(-10, 10) if h_values is None else h_values)
     check_purity(p)
-    check_shifts(h_values.size)
 
     # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
     kernels = [kernel_params, *(replace(kernel_params, w_cp=float(w)) for w in curve_w)]
     re_gamma, *curve_re = _pattern_coherence(kernels, n_r, h_values)
     h_values = h_values.astype(int)  # whole numbers: _pattern_coherence checked each shift
+    check_shifts(len(set((h_values % (2 * n_r)).tolist())))
     if shot_noise:
         # shift i draws its counts from stream s + 1 + i of the seed
         v = np.empty(h_values.size)

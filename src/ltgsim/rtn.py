@@ -96,13 +96,21 @@ def check_ensemble(gamma: float, t_max: float, rows: int) -> None:
                          f"than the {MAX_EXPECTED_JUMPS:,.0f} (~0.8 GB of jump times) a run may hold")
 
 
+def check_integer(name: str, value: int, minimum: int) -> None:
+    """Refuse a count that is not an integer (a float, whole or not, or a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def check_moment(order: int, n_real: int = 2, antithetic: bool = False) -> None:
-    """Refuse a moment order that is not a positive integer, or fewer than 2
-    realizations (an odd count of antithetic ones)."""
-    if order < 1 or int(order) != order:
-        raise ValueError(f"moment order must be a positive integer, got {order}")
-    if n_real < 2 or antithetic and n_real % 2:
-        raise ValueError(f"n_real must be >= 2, and even for antithetic pairs, got {n_real}")
+    """Refuse a moment order that is not an integer >= 1, or realizations not an
+    integer >= 2 (an odd count of antithetic ones)."""
+    check_integer("moment order", order, 1)
+    check_integer("n_real", n_real, 2)
+    if antithetic and n_real % 2:
+        raise ValueError(f"n_real must be even for antithetic pairs, got {n_real}")
 
 
 def check_seed(master_seed: int, stream_index: int = 0) -> None:
@@ -110,6 +118,12 @@ def check_seed(master_seed: int, stream_index: int = 0) -> None:
     for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def check_times(times: np.ndarray, t_max: float) -> None:
+    """Refuse a time grid that is not ascending, or not finite within [0, t_max]."""
+    if times.size and not (times[0] >= 0.0 and times[-1] <= t_max and np.all(np.diff(times) >= 0)):
+        raise ValueError(f"time grid must be ascending and must be finite and lie within [0, {t_max!r}]")
 
 
 def check_grid(points: int) -> None:
@@ -343,8 +357,7 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     check_horizon(params.t_max, order)
     check_ensemble(params.gamma, params.t_max, n_real)
     check_grid(times.size)
-    if times.size and not (times.min() >= 0.0 and times.max() <= params.t_max):  # NaN too
-        raise ValueError("time grid must be finite and lie within [0, t_max]")
+    check_times(times, params.t_max)
 
     n_draw = n_real // 2 if antithetic else n_real
     batch = sample_batch(params, n_draw, seed)

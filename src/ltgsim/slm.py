@@ -13,9 +13,9 @@ representation is its factors (``kernel_factors``):
     g1 = exp(-2*dj^2 / w_p^2),  g2 = exp(-2*dk^2 / w_p^2),
     c = exp(-2*|dj - dk|^n / w_cp^n),
 
-with the unit-sum total of ``normalization``, which the kernel sum and the
-dense test oracle share (the calibration in ``measurement`` sums c against
-the diagonal sums of g1 g2 instead).
+with total = c . s, s[d] the sum of g1 g2 along diagonal d (``pair_sums``).
+``kernel_band`` forms every total, for the kernel sum, the calibration in
+``measurement`` and the dense kernel alike.
 
 Noise enters as a phase field phi(offset, t) built from telegraph-noise
 trajectories, constant over blocks of ``n_rep`` consecutive offsets.  Every
@@ -46,13 +46,13 @@ block pairs:
 where B[b1, b2] sums the on-mask weights of every pixel pair (j, k) with
 j in block b1 of field 1 and k + delta in block b2 of field 2, and
 ``build_phase_field`` takes the phasors z once per field.  B is built from
-the factors over the run of j - k diagonals whose weight bound can reach
-the flush (the weight sits within a few w_cp of the diagonal), and its
-entries below the rest of a 2^-70 budget divided by B.size, the Gaussian
-tails, are set to zero.  What is left out weighs less than 2^-70, so Gamma
-moves by less than that at every t.  The contraction runs over groups of
-block rows, each over the columns that hold its nonzeros.  Every sum runs
-in a fixed order, so the result does not depend on the thread count.
+the factors over the run of j - k diagonals whose weight can reach the
+flush (``kernel_band``), and its entries below the rest of a 2^-70 budget
+divided by B.size, the Gaussian tails, are set to zero.  What is left out
+weighs less than 2^-70, so Gamma moves by less than that at every t.  The
+contraction runs by single-threaded einsum over groups of block rows, each
+over the columns that hold its nonzeros, in a fixed order, so the result
+does not depend on the thread count.
 ``build_kernel`` (the dense (N, N) weights, ``CorrelationKernel``) and
 ``phasor_sum`` (the literal pixel sum for arbitrary mask phases) are test
 oracles only: no model path calls them.
@@ -68,11 +68,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
-from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, sample_trajectory,
-                  stack_batches)
+from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, check_integer,
+                  check_times, sample_trajectory, stack_batches)
 from .series import KERNEL_SUM, CoherenceSeries
 
 _NO_SUPPORT = "kernel has no support on the mask"
+
+# Bound on the weight a contraction leaves out of a kernel, and so on the
+# change of Gamma (|z| = 1): far below the rounding of the sum itself (~1e-16).
+_FLUSH_MASS = 2.0**-70
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,7 @@ class MaskGeometry:
 
     def __post_init__(self):
         n = self.pixels_per_half
-        if n < 2:
-            raise ValueError(f"pixels_per_half must be >= 2, got {n}")
+        check_integer("pixels_per_half", n, 2)
         check_entries(n * (2 * n - 1))  # the kernel sum's pair weights, at most n x (2n - 1)
         if not 0 <= self.j0 < n:
             raise ValueError(f"j0 must lie in [0, {n})")
@@ -169,41 +172,44 @@ def kernel_factors(params: KernelParams, w_cp: Sequence[float] | None = None
                 np.exp(-2.0 * np.abs(diff) ** params.n / scale))
 
 
-def toeplitz_product(c: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """[..., k] = sum_j c[..., j - k + N - 1] * g[..., j], N = g.shape[-1], by one einsum.
+def pair_sums(g1: np.ndarray, g2: np.ndarray, cols: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """s[d] = sum of g1[j] * g2[k] over the pairs of diagonal d = j - k + N - 1 with
+    k in ``cols``, by one einsum.  The tails reach the subnormal range, where
+    products are many times slower: both operands are scaled by 2^500 (exactly;
+    every sum stays below 2^1010) and the sums scaled back."""
+    n_pix, lift = g1.size, 2.0**500
+    padded = np.zeros(3 * n_pix - 2)
+    padded[n_pix - 1:2 * n_pix - 1] = g1 * lift
+    # [k, d] = g1[k + d - N + 1], the pair (j, k) of diagonal d, zero off the mask
+    g1_diag = sliding_window_view(padded, 2 * n_pix - 1)[cols]
+    return np.einsum("kd,k->d", g1_diag, g2[cols] * lift, optimize=False) / lift**2
 
-    The factors' Gaussian tails reach the subnormal range, where products are
-    many times slower: both operands are scaled by 2^500 (exactly; every sum
-    stays below 2^1010) and the sums scaled back.
-    """
-    lift = 2.0**500
-    # [..., k, j] = c[..., j - k + N - 1]: the windows of c, last start first
-    toeplitz = sliding_window_view(c * lift, g.shape[-1], axis=-1)[..., ::-1, :]
-    return np.einsum("...kj,...j->...k", toeplitz, g * lift, optimize=False) / lift**2
 
-
-def normalization(g1: np.ndarray, g2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(corr, total): corr = ``toeplitz_product(c, g1)`` and total = g2 . corr, the
-    kernel's whole weight, batched over leading axes.  A kernel whose weight
-    underflows to nothing on the mask raises NumericalError."""
-    corr = toeplitz_product(c, g1)
-    total = np.einsum("...k,...k->...", g2, corr, optimize=False)
+def kernel_band(c: np.ndarray, s: np.ndarray, mass: float = _FLUSH_MASS
+                ) -> tuple[np.ndarray, int, int, np.ndarray]:
+    """(total, lo, hi, left_out): total = c . s per kernel (row of c), [lo, hi) the
+    run of diagonals d where some kernel's weight c[d] s[d] / total reaches
+    mass / (2N - 1), and left_out the weight outside it, below ``mass``.  A
+    kernel without weight on the mask raises NumericalError."""
+    total = np.einsum("...d,d->...", c, s, optimize=False)
     if not np.all(total > 0):
         raise NumericalError(_NO_SUPPORT)
-    return corr, total
+    share = c * (s / total[..., None])
+    kept = np.flatnonzero((share >= mass / s.size).reshape(-1, s.size).any(axis=0))
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    return total, lo, hi, share[..., :lo].sum(axis=-1) + share[..., hi:].sum(axis=-1)
 
 
 def _factored_kernel(params: KernelParams) -> tuple[np.ndarray, ...]:
-    """(g1, g2, c, corr, total): ``kernel_factors`` and their ``normalization``,
-    the kernel as the kernel sum reads it at any shift."""
+    """(g1, g2, c, s): ``kernel_factors`` and their ``pair_sums``, read at any shift."""
     g1, g2, c = kernel_factors(params)
-    return (g1, g2, c, *normalization(g1, g2, c))
+    return g1, g2, c, pair_sums(g1, g2)
 
 
 def build_kernel(params: KernelParams) -> CorrelationKernel:
     """The normalized pair distribution as one (N, N) array: a test oracle only."""
     g1, g2, c = kernel_factors(params)
-    _, total = normalization(g1, g2, c)
+    total = kernel_band(c, pair_sums(g1, g2))[0]
     w = g1[:, None] * g2[None, :]
     w *= sliding_window_view(c, g2.size)[:, ::-1]
     w /= total
@@ -211,9 +217,8 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
 
 
 def field_blocks(n_pix: int, n_rep: int) -> int:
-    """Independent blocks of a phase field, ceil(n_pix / 2 / n_rep); refuses n_rep < 1."""
-    if n_rep < 1:
-        raise ValueError(f"n_rep must be >= 1, got {n_rep}")
+    """Independent blocks of a phase field, ceil(n_pix / 2 / n_rep), for an integer n_rep >= 1."""
+    check_integer("n_rep", n_rep, 1)
     return -(-(n_pix // 2) // n_rep)
 
 
@@ -276,8 +281,8 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     needs an even number of pixels per half.  Every block starts from the
     stationary ensemble (initial sign +1 with probability 1/2).
 
-    ``times`` must be ascending and non-empty.  The phases of every independent block
-    come from one :meth:`TrajectoryBatch.phases` call over the whole grid.
+    ``times`` must be non-empty, ascending and >= 0.  One :meth:`TrajectoryBatch.phases`
+    call over the whole grid gives the phases of every independent block.
     """
     times = np.asarray(times, dtype=float)
     n_pix = geometry.pixels_per_half
@@ -286,6 +291,7 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     if times.size == 0:
         raise ValueError("phase fields need at least one time point")
     params = RtnParams(gamma=gamma, t_max=float(times.max()))
+    check_times(times, params.t_max)
     check_ensemble(gamma, params.t_max, n_indep)
     check_field_grid(n_indep, times.size)
 
@@ -326,10 +332,6 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
 # Any group size gives the same bits (only exact zeros are skipped); 6 rows
 # measured fastest at n_rep = 3.
 _BAND_ROWS = 6
-
-# Bound on the weight ``_flush`` takes from B, and so on the change of Gamma(t)
-# (|z1 z2| = 1): far below the rounding of the sum itself (~1e-16).
-_FLUSH_MASS = 2.0**-70
 
 
 def check_shift(n_pix: int, delta: int) -> None:
@@ -382,19 +384,16 @@ def _block_weights(factors: tuple[np.ndarray, ...], index1: np.ndarray, index2: 
                    on: slice) -> tuple[np.ndarray, float, float]:
     """(B, flushed_mass, lost_mass) of the on-mask kernel, from ``_factored_kernel``.
 
-    Diagonal i of c weighs at most c[i] * min(sum g1, sum g2) / total (g1, g2
-    <= 1).  The diagonals at either end whose bound is below ``_FLUSH_MASS /
-    (B.size * c.size)`` are left out, together less than one flush threshold,
-    and B is flushed with the rest of ``_FLUSH_MASS``; flushed_mass is their
-    bound sum plus the flushed weight.  Pair weights are formed as in
-    ``build_kernel``.
+    The diagonals of ``kernel_band`` at a budget of one flush threshold,
+    ``_FLUSH_MASS / B.size``, enter B, pair weights formed as in
+    ``build_kernel``.  B is flushed with the rest of ``_FLUSH_MASS``;
+    flushed_mass is the weight left out plus the flushed weight, and
+    lost_mass = c . s / total over the columns off the mask.
     """
-    g1, g2, c, corr, total = factors
+    g1, g2, c, s = factors
     n_pix, first = g1.size, int(index2[0])
     shape = (int(index1[-1]) + 1, int(index2[-1]) - first + 1)
-    bound = c * (min(g1.sum(), g2.sum()) / total)
-    kept = np.flatnonzero(bound >= _FLUSH_MASS / (shape[0] * shape[1] * c.size))
-    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    total, lo, hi, left_out = kernel_band(c, s, _FLUSH_MASS / (shape[0] * shape[1]))
     # Row j reads columns j + n_pix - hi .. j + n_pix - 1 - lo: a window of g2
     # and of the block columns, zero off the mask and padded by n_pix - 1.
     g2_pad, cols_pad = np.zeros(3 * n_pix - 2), np.zeros(3 * n_pix - 2, dtype=np.intp)
@@ -411,10 +410,9 @@ def _block_weights(factors: tuple[np.ndarray, ...], index1: np.ndarray, index2: 
     runs = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
     table = np.bincount(cells[runs], np.add.reduceat(w.ravel(), runs),
                         minlength=shape[0] * shape[1]).reshape(shape)
-    dropped = float(bound[:lo].sum() + bound[hi:].sum())
     off = np.r_[:on.start, on.stop:n_pix]
-    lost = float(np.einsum("k,k->", g2[off], corr[off], optimize=False) / total)
-    return table, dropped + _flush(table, _FLUSH_MASS - dropped), lost
+    lost = float(np.einsum("d,d->", c, pair_sums(g1, g2, off), optimize=False) / total)
+    return table, float(left_out) + _flush(table, _FLUSH_MASS - left_out), lost
 
 
 def _band_product(table: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -458,13 +456,11 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
     (see the module docstring).  Passing ``field2 = field1`` writes one phase
     function across both halves; ``delta`` shifts the half-2 phase array in
     pixels.  The sum runs over the block table B of the module docstring,
-    with ``params["b_nonzeros"]`` nonzero entries, by single-threaded einsum
-    over groups of ``_BAND_ROWS`` block rows.  ``params["flushed_mass"]`` <=
-    2^-70 is the weight of B's zeroed entries plus the bound of the diagonals
-    left out: at least the weight left out, so it bounds the change of
-    Gamma(t) at every t, since |z1 z2| = 1.  As in ``phasor_sum``, pairs
-    shifted off the mask are dropped without renormalizing; their weight is
-    ``params["lost_mass"]``.
+    with ``params["b_nonzeros"]`` nonzero entries.  ``params["flushed_mass"]``
+    <= 2^-70, the weight of B's zeroed entries and of the diagonals left out,
+    bounds the change of Gamma(t) at every t, since |z1 z2| = 1.  As in
+    ``phasor_sum``, pairs shifted off the mask are dropped without
+    renormalizing; their weight is ``params["lost_mass"]``.
 
     With one shared field, ``params`` also holds the class masses of B:
     ``m_same`` (both pixels in one block, phasor e^{4i phi}), ``m_mirror``
@@ -525,7 +521,7 @@ def transition_sweep(gamma: float, kernels: Sequence[KernelParams], deltas: Sequ
     narrowing w_cp (a narrower source spectrum) below the block size n_rep,
     lets the two qubits see the same phase blocks, walking the channel from
     independent-looking environments to one common environment.  Each
-    kernel's factors and normalization are formed once, for all its shifts.
+    kernel's factors and diagonal pair sums are formed once, for all its shifts.
     """
     if not kernels:
         return []

@@ -6,8 +6,11 @@ kernel sum's block table from the kernel's factors.  The density matrix
 with its Wootters concurrence and |++>/|+-> projections, the per-pixel
 noise phases re-drawn from a field's documented streams, and the block
 table run-summed from the dense kernel (``slm.build_kernel``) live here as
-the slower, more literal routes to the same numbers, as is the dense
-Toeplitz contraction of the calibration pattern.
+the slower, more literal routes to the same numbers.  So does the dense
+Toeplitz pair (``toeplitz_product``, ``normalization``): the kernel's total
+summed column by column, where the package sums c against the diagonal
+pair sums of ``slm.pair_sums``, and the dense contraction of the
+calibration pattern built on it.
 """
 from __future__ import annotations
 
@@ -18,8 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ltgsim.measurement import rect_phase_pattern
 from ltgsim.rtn import RtnParams, SeedSpec, TrajectoryBatch, sample_trajectory, stack_batches
-from ltgsim.slm import (KernelParams, PhaseField, _on_mask, build_kernel, kernel_factors,
-                        normalization, toeplitz_product)
+from ltgsim.slm import KernelParams, PhaseField, _on_mask, build_kernel, kernel_factors
 
 _PLUS_PLUS = 0.5 * np.array([1.0, 1.0, 1.0, 1.0])
 _PLUS_MINUS = 0.5 * np.array([1.0, -1.0, 1.0, -1.0])
@@ -143,12 +145,31 @@ def block_table(params: KernelParams, field1: PhaseField, field2: PhaseField,
     return np.ascontiguousarray(run_sums(rows.T, index2).T), int(index2[0])
 
 
+def toeplitz_product(c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """[..., k] = sum_j c[..., j - k + N - 1] * g[..., j], N = g.shape[-1], by one einsum.
+
+    Both operands are scaled by 2^500 past the subnormal range, as in
+    ``slm.pair_sums``.
+    """
+    lift = 2.0**500
+    # [..., k, j] = c[..., j - k + N - 1]: the windows of c, last start first
+    toeplitz = sliding_window_view(c * lift, g.shape[-1], axis=-1)[..., ::-1, :]
+    return np.einsum("...kj,...j->...k", toeplitz, g * lift, optimize=False) / lift**2
+
+
+def normalization(g1: np.ndarray, g2: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, total): corr = ``toeplitz_product(c, g1)`` and total = g2 . corr,
+    the kernel's whole weight summed column by column, batched over leading axes."""
+    corr = toeplitz_product(c, g1)
+    return corr, np.einsum("...k,...k->...", g2, corr, optimize=False)
+
+
 def dense_pattern_coherence(kernels: list[KernelParams], n_r: int,
                             h_values: np.ndarray) -> np.ndarray:
     """Re Gamma(h) of ``measurement._pattern_coherence`` over every j - k diagonal.
 
     a = z^T W from the dense Toeplitz products of each kernel's factors: Re a
-    from the correlation of c with g1 that ``slm.normalization`` takes for
+    from the correlation of c with g1 that ``normalization`` also takes for
     the total, Im a from the one with sin(pattern) * g1.
     """
     n_pix = kernels[0].geometry.pixels_per_half

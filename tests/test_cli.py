@@ -266,6 +266,11 @@ def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
      "input error: measurement.h_min/h_max: "),
     ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 0}}, 1,
      "input error: measurement.h_min/h_max: "),
+    # n_r = 1 leaves two shift phases h mod 2: exit 0 with w_cp 2.93 for a
+    # true 3.1 (vis_of_v 1.6e-5 +- 1.2e-16), or with shot noise exit 2 "0.7 sigma".
+    *[({"command": "calibrate-wcp", "kernel": {"w_cp": 3.1},
+        "measurement": {"n_r": 1, "shot_noise": shot_noise}}, 1,
+       "input error: measurement.h_min/h_max: ") for shot_noise in (False, True)],
     # A pattern period longer than a mask half leaves a curve range ~1e-9.
     ({"command": "calibrate-wcp", "measurement": {"n_r": 100000}}, 1,
      "input error: measurement.n_r: "),
@@ -301,8 +306,8 @@ def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
     # weight underflows, which --validate cannot see without the kernel.
     ({"command": "calibrate-wcp", "kernel": {"w_p": 1e-150}, "geometry": {"j0": 0.5}}, 2,
      "numerical error: kernel has no support on the mask"),
-], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1e5", "p-0", "n0-1e300", "width-1e-300nm", "gamma-1e300",
-        "gamma-5e307", "gamma-1e308", "gamma-max", "one-point-mc", "one-point-delta",
+], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1", "n_r-1-shot-noise", "n_r-1e5", "p-0", "n0-1e300",
+        "width-1e-300nm", "gamma-1e300", "gamma-5e307", "gamma-1e308", "gamma-max", "one-point-mc", "one-point-delta",
         "one-point-spectral", "t_max-max-analytic", "t_max-max-mc", "t_max-max-delta",
         "n0-0.1", "no-support"])
 def test_cli_main_extreme_inputs_end_cleanly(tmp_path, capsys, config, code, line):

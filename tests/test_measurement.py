@@ -247,6 +247,19 @@ def test_calibration_refuses_fractional_shifts():
     assert res.h_values.dtype.kind == "i" and np.array_equal(res.h_values, np.arange(-10, 10))
 
 
+def test_calibration_refuses_repeated_shift_phases():
+    # Shifts a period 2 * n_r apart repeat one phase of the sine fit: n_r = 1
+    # (two phases) returned w_cp 2.93 for a true 3.1 with vis_of_v 1.6e-5 +-
+    # 1.2e-16, and h = [0, 1, 0, 1] a contrast with sigma_V = 5e-16.
+    kp = KernelParams(3.1, 20.0, 2, GEO)
+    for kwargs, phases in (({"n_r": 1}, 2), ({"h_values": [0, 1, 0, 1]}, 2),
+                           ({"h_values": [0, 10, -10, 20, 1]}, 2),
+                           ({"n_r": 2, "h_values": np.arange(-3, 0)}, 3)):
+        with pytest.raises(ValueError, match=rf"needs shifts of 4 distinct phases h mod 2 \* n_r, "
+                                             rf"got {phases}$"):
+            calibrate_wcp(kp, shot_noise=False, **kwargs)
+
+
 # Bound on the move of Re Gamma(h) by the diagonals the banded pattern
 # contraction leaves out (2^-70), plus rounding.
 _BAND_ATOL = 2.0**-70 + 1e-15

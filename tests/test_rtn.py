@@ -19,7 +19,8 @@ from ltgsim.rtn import (
     sample_trajectory,
     stack_batches,
 )
-from ltgsim.slm import MaskGeometry, build_phase_field
+from ltgsim.measurement import calibrate_wcp, rect_phase_pattern, simulate_counts
+from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field
 
 
 def one_row(sign, jumps):
@@ -75,6 +76,35 @@ def test_mc_refuses_non_finite_times():
             with pytest.raises(ValueError, match="must be finite and lie within") as err:
                 mc_exponential_moment(params, 2, np.array(times), 8, SeedSpec(0))
             assert "\n" not in str(err.value)
+
+
+def test_field_and_mc_share_one_time_grid_rule():
+    # build_phase_field built a field at t = -1, a time mc_exponential_moment refused.
+    times = np.array([-1.0, 0.5])
+    for run in (lambda: build_phase_field(0.1, times, 3),
+                lambda: mc_exponential_moment(RtnParams(0.1, 0.5), 2, times, 8, SeedSpec(0))):
+        with pytest.raises(ValueError, match=r"must be finite and lie within \[0, 0\.5\]$"):
+            run()
+
+
+@pytest.mark.parametrize("name, run", [
+    ("n_rep", lambda: build_phase_field(0.5, np.linspace(0.0, 1.0, 3), 2.5)),
+    ("repeats", lambda: simulate_counts((0.25, 0.25), 250.0, 8.0, 2.5)),
+    ("n_real", lambda: mc_exponential_moment(RtnParams(1.0, 1.0), 2, np.linspace(0.0, 1.0, 3),
+                                             10.5, SeedSpec(0))),
+    ("n_r", lambda: calibrate_wcp(KernelParams(3.1, 20.0), n_r=5.5, shot_noise=False)),
+    ("n_r", lambda: rect_phase_pattern(320, 2.5)),
+    ("pixels_per_half", lambda: MaskGeometry(320.5)),
+    ("h_values", lambda: calibrate_wcp(KernelParams(3.1, 20.0), h_values=np.zeros((4, 2), int))),
+], ids=["n_rep", "repeats", "n_real", "calibration-n_r", "pattern-n_r", "pixels_per_half",
+        "h_values-2d"])
+def test_integer_parameters_refuse_fractions(name, run):
+    # n_rep, repeats and n_real raised a TypeError naming no argument,
+    # n_r = 5.5 returned a width and 2.5 built a pattern, 320.5 pixels built
+    # a geometry, and 2-D shifts raised "unhashable type".
+    with pytest.raises(ValueError, match=f"^{name} must be ") as err:
+        run()
+    assert "\n" not in str(err.value)
 
 
 def test_zero_rate_trajectory_is_constant():

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import block_table, field_phases
+from oracles import block_table, field_phases, normalization
 from scipy.optimize import curve_fit
 
 from ltgsim import slm
 from ltgsim.analytic import exponential_moment
-from ltgsim.measurement import calibrate_wcp
+from ltgsim.measurement import _pattern_coherence, calibrate_wcp
 from ltgsim.rtn import SeedSpec
 from ltgsim.slm import (
     CorrelationKernel,
@@ -78,9 +78,10 @@ def test_kernel_is_product_of_its_factors(n, geo):
     assert np.array_equal(g1, np.exp(-2.0 * dj**2 / 40.0**2))
     assert np.array_equal(g2, np.exp(-2.0 * dk**2 / 40.0**2))
     w = np.outer(g1, g2) * corr_diff[diff]
-    total = slm.normalization(g1, g2, corr_diff)[1]
-    assert total == pytest.approx(w.sum(), rel=1e-14, abs=0.0)
+    total = slm.kernel_band(corr_diff, slm.pair_sums(g1, g2))[0]
     assert np.array_equal(build_kernel(kp).weights, w / total)
+    for other in (total, normalization(g1, g2, corr_diff)[1]):  # the oracle's Toeplitz total
+        assert other == pytest.approx(w.sum(), rel=1e-14, abs=0.0)
 
 
 def test_kernel_factorizes_without_correlation():
@@ -544,8 +545,9 @@ def test_sweep_is_kernel_major_on_one_field():
 
 def test_sweep_forms_each_kernels_factors_once(monkeypatch):
     # One kernel_coherence call per (kernel, shift), but the factors and their
-    # normalization once per kernel.
-    calls = {"kernel_factors": 0, "normalization": 0, "kernel_coherence": 0}
+    # diagonal pair sums once per kernel; each shift adds only the pair sums
+    # of its columns off the mask (none at delta = 0).
+    calls = {"kernel_factors": 0, "pair_sums": 0, "kernel_coherence": 0}
     for name in calls:
         def counted(*args, _f=getattr(slm, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -553,7 +555,29 @@ def test_sweep_forms_each_kernels_factors_once(monkeypatch):
         monkeypatch.setattr(slm, name, counted)
     kps = [KernelParams(1.0, 20.0, 2, GEO), KernelParams(4.0, 20.0, 4, GEO)]
     transition_sweep(0.5, kps, [3, 2, 0], TIMES, seed=SeedSpec(24))
-    assert calls == {"kernel_factors": 2, "normalization": 2, "kernel_coherence": 6}
+    assert calls == {"kernel_factors": 2, "pair_sums": 2 + 6, "kernel_coherence": 6}
+
+
+@pytest.mark.parametrize("kp", [KernelParams(3.1, 20.0, 2, GEO), KernelParams(8.0, 200.0, 4, GEO),
+                                KernelParams(3.0, 40.0, 2, MaskGeometry(j0=40.5, k0=600.0))])
+def test_kernel_sum_and_calibration_share_one_total(kp, monkeypatch):
+    # The kernel sum, the dense kernel and the calibration take a kernel's
+    # total from the one slm helper pair, so they read it bit for bit alike.
+    band, totals = slm.kernel_band, []
+
+    def recorded(c, s, *args):
+        out = band(c, s, *args)
+        totals.append(np.atleast_1d(out[0])[0])
+        return out
+
+    monkeypatch.setattr(slm, "kernel_band", recorded)
+    monkeypatch.setattr("ltgsim.measurement.kernel_band", recorded)
+    fld = build_phase_field(0.5, TIMES, 3, kp.geometry, SeedSpec(37))
+    kernel_coherence(kp, fld, fld, 3)
+    build_kernel(kp)
+    _pattern_coherence([kp], 5, np.arange(-10, 10))
+    assert len(totals) == 3 and totals[0] > 0.0
+    assert totals[1:] == [totals[0]] * 2, totals
 
 
 def test_model_paths_never_form_the_dense_kernel(monkeypatch):
