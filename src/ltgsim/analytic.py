@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .rtn import check_moment, check_rate
-from .series import ANALYTIC, CoherenceSeries
+from .series import ANALYTIC, CoherenceSeries, check_times
 
 # Treat |gamma - order| below this as the degenerate branch; avoids
 # catastrophic cancellation in gamma/delta near the crossover.
@@ -29,14 +29,13 @@ _DEGENERATE_TOL = 1e-9
 
 def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
     """< exp(i * order * phi(t)) > for stationary telegraph noise, real, at the
-    finite time(s) t >= 0 (scalar in, scalar out), for a switching rate gamma as
-    ``rtn.check_rate`` and an order m as ``rtn.check_moment`` (2 and 4 are the
-    two-qubit cases)."""
+    time(s) t of a grid as ``series.check_times`` (scalar in, scalar out), for a
+    switching rate gamma as ``rtn.check_rate`` and an order m as
+    ``rtn.check_moment`` (2 and 4 are the two-qubit cases)."""
     check_rate(gamma)
     check_moment(order)
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0) & (t_arr < np.inf)):  # refuses NaN too
-        raise ValueError("t must be >= 0 and finite")
+    check_times(t_arr.ravel())
 
     if abs(gamma - order) < _DEGENERATE_TOL:
         out = np.exp(-gamma * t_arr) * (1.0 + gamma * t_arr)

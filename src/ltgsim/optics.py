@@ -175,11 +175,11 @@ class JointSpatialProfile:
         return np.multiply(*_f_samples(self.setup, x1 + x2, x1 - x2))
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
+def _exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real exp of this module.  np.exp's last bits depend on the SIMD level
     numpy dispatches; every real exp here goes through this one function, so
     a dispatch-independent exp can replace it in one place."""
-    return np.exp(x)
+    return np.exp(x, out=out)
 
 
 # W. J. Cody's rational approximations (CALERF): erf(x) = x P(x^2) / Q(x^2)
@@ -348,8 +348,11 @@ def curve_fit(x, y, order, width_guess):
     model (:func:`_newton_terms`), so the step stays quadratically convergent
     on these large-residual misfits, where Gauss-Newton (d2f dropped) converges
     only linearly.  A step is kept only if it lowers the residual; lam then
-    falls tenfold, else it rises tenfold and the step is re-solved.  The fits
-    of the width pipeline take 4-10 residual evaluations.  Normalizing y
+    falls tenfold, else it rises tenfold and the step is re-solved.  The 3 x 3
+    terms, their solve (:func:`_damped_solve`) and the stopping norms are
+    Python floats: on a few hundred points numpy's per-call cost, not the
+    arithmetic, bounds a step.  From the starts of the width pipeline the
+    w_p fits take 4 residual evaluations, the w~ fits 4-10.  Normalizing y
     keeps the width free of the profile's scale; single-threaded einsum keeps
     it free of the thread count.
     """
@@ -359,69 +362,120 @@ def curve_fit(x, y, order, width_guess):
     if scale <= 0:
         raise NumericalError("profile has no positive samples to fit")
     y = y / scale
-    p, step, cost, lam = np.array([1.0, 0.0, width_guess]), np.zeros(3), math.inf, 1e-2
+    u = np.empty(x.size)
+    rows = np.empty((2 * order + 2, x.size))  # r, then e u^p for p = 0 .. 2n
+    r, e = rows[0], rows[1]
+    p, step, cost, lam = (1.0, 0.0, float(width_guess)), (0.0, 0.0, 0.0), math.inf, 1e-2
     for _ in range(_FIT_MAX_STEPS):
-        a, c, w = p + step
-        u = (x - c) / w
-        u2 = u * u  # powers by products: u**4 costs twice as much
-        e = _exp(-2.0 * (u2 if order == 2 else u2 * u2))
-        trial_r = y - a * e
-        trial_cost = float(np.einsum("k,k->", trial_r, trial_r, optimize=False))
+        a, c, w = trial = (p[0] + step[0], p[1] + step[1], p[2] + step[2])
+        np.subtract(x, c, out=u)
+        u /= w
+        np.multiply(u, u, out=e)  # powers by products: u**4 costs twice as much
+        if order == 4:
+            e *= e
+        e *= -2.0
+        _exp(e, out=e)
+        np.multiply(e, a, out=r)
+        np.subtract(y, r, out=r)
+        trial_cost = float(np.einsum("k,k->", r, r, optimize=False))
         if not math.isfinite(trial_cost):
             raise NumericalError(f"order-{order} profile fit reached a non-finite value")
         if trial_cost < cost:  # accept the step (the first, empty one always)
-            p, cost, lam = p + step, trial_cost, lam / 10.0
-            jtj, grad, hess = _newton_terms(u, e, trial_r, a, w, order)
-            damping = np.diag(np.diag(jtj))
+            p, cost, lam = trial, trial_cost, lam / 10.0
+            damping, grad, hess = _newton_terms(u, rows, a, w, order)
         else:
             lam *= 10.0
         try:
-            step = np.linalg.solve(hess + lam * damping, grad)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"order-{order} profile fit is singular") from exc
-        if np.linalg.norm(step) <= _FIT_XTOL * np.linalg.norm(p):
+            step = _damped_solve(hess, damping, lam, grad)
+        except ZeroDivisionError:  # a zero pivot
+            step = (math.nan,) * 3
+        size = math.hypot(*step)
+        if not math.isfinite(size):  # a zero pivot or non-finite terms
+            raise NumericalError(f"order-{order} profile fit is singular")
+        if size <= _FIT_XTOL * math.hypot(*p):
             return abs(p[2]), cost
     raise NumericalError(f"order-{order} profile fit did not converge in {_FIT_MAX_STEPS} steps")
 
 
-def _newton_terms(u, e, r, a, w, order):
-    """J^T J, J^T r and the Hessian J^T J - sum r * d2f of half the residual sum.
+def _newton_terms(u, rows, a, w, order):
+    """diag(J^T J), J^T r and the Hessian J^T J - sum r * d2f of half the residual
+    sum, as Python floats.
 
-    For f = a * e, e = exp(-2 u^n), u = (x - c) / w and q = 2n u^(n-1) / w,
-    over the parameters (a, c, w):
+    ``rows`` holds r and e = exp(-2 u^n) in its first two rows; the others are
+    overwritten with e u^p, p = 1 .. 2n.  For f = a * e, u = (x - c) / w and
+    q = k u^(n-1), k = 2n / w, over the parameters (a, c, w):
 
         f_a = e,  f_c = a e q,  f_w = a e q u,
         f_aa = 0,  f_ac = e q,  f_aw = e q u,
         f_cc = a e (q^2 - 2n(n-1) u^(n-2) / w^2),
-        f_cw = a e q (q u - n / w),  f_ww = a e q u (q u - (n+1) / w).
+        f_cw = a e q (q u - n / w),  f_ww = a e q u (q u - (n+1) / w),
 
-    Powers of u are products, never divisions by u, which vanishes on the grid.
+    so each entry is a scalar times a sum of e * e u^p (J^T J) or r * e u^p (the
+    rest), all from one contraction.  Powers of u are products, never
+    divisions by u, which vanishes on the grid.
     """
-    u2 = u * u
-    q = (2.0 * order / w) * (u if order == 2 else u2 * u)
-    eq = e * q
-    f_c = a * eq
-    f_w = f_c * u
-    qu = q * u
-    rows = np.stack([
-        e, f_c, f_w, r,
-        eq, eq * u,
-        f_c * q - (2.0 * order * (order - 1) * a / w**2) * (e if order == 2 else e * u2),
-        f_c * (qu - order / w),
-        f_w * (qu - (order + 1) / w),
-    ])
-    # J^T J, J^T r and sum r * (f_ac, f_aw, f_cc, f_cw, f_ww) in one contraction.
-    m = np.einsum("ik,jk->ij", rows[:4], rows, optimize=False)
-    jtj, grad = m[:3, :3], m[:3, 3]
-    r_ac, r_aw, r_cc, r_cw, r_ww = m[3, 4:]
-    return jtj, grad, jtj - np.array([[0.0, r_ac, r_aw], [r_ac, r_cc, r_cw], [r_aw, r_cw, r_ww]])
+    n = order
+    for i in range(2, 2 * n + 2):
+        np.multiply(rows[i - 1], u, out=rows[i])
+    sr, se = np.einsum("ik,jk->ij", rows[:2], rows[1:], optimize=False).tolist()
+    k = 2.0 * n / w
+    ak, kk = a * k, k * k
+    jj = ak * ak
+    r_ac, r_aw = k * sr[n - 1], k * sr[n]
+    r_cc = a * (kk * sr[2 * n - 2] - (2.0 * n * (n - 1) / w**2) * sr[n - 2])
+    r_cw = a * (kk * sr[2 * n - 1] - (n / w) * k * sr[n - 1])
+    r_ww = a * (kk * sr[2 * n] - ((n + 1) / w) * k * sr[n])
+    h_ac, h_aw, h_cw = ak * se[n - 1] - r_ac, ak * se[n] - r_aw, jj * se[2 * n - 1] - r_cw
+    damping = (se[0], jj * se[2 * n - 2], jj * se[2 * n])
+    grad = (sr[0], ak * sr[n - 1], ak * sr[n])
+    hess = ((damping[0], h_ac, h_aw),
+            (h_ac, damping[1] - r_cc, h_cw),
+            (h_aw, h_cw, damping[2] - r_ww))
+    return damping, grad, hess
+
+
+def _damped_solve(hess, damping, lam, rhs):
+    """d with (hess + lam * diag(damping)) d = rhs for 3 x 3 hess, in Python
+    floats: Gaussian elimination with partial pivoting (the first largest
+    pivot of a column).  A zero pivot raises ZeroDivisionError."""
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = hess
+    top, mid, low = sorted(([h00 + lam * damping[0], h01, h02, rhs[0]],
+                            [h10, h11 + lam * damping[1], h12, rhs[1]],
+                            [h20, h21, h22 + lam * damping[2], rhs[2]]),
+                           key=lambda row: abs(row[0]), reverse=True)  # stable
+    f_mid, f_low = mid[0] / top[0], low[0] / top[0]
+    m11, m12, m1 = mid[1] - f_mid * top[1], mid[2] - f_mid * top[2], mid[3] - f_mid * top[3]
+    l11, l12, l1 = low[1] - f_low * top[1], low[2] - f_low * top[2], low[3] - f_low * top[3]
+    if abs(l11) > abs(m11):
+        (m11, m12, m1), (l11, l12, l1) = (l11, l12, l1), (m11, m12, m1)
+    f = l11 / m11
+    d2 = (l1 - f * m1) / (l12 - f * m12)
+    d1 = (m1 - m12 * d2) / m11
+    return (top[3] - top[1] * d1 - top[2] * d2) / top[0], d1, d2
 
 
 def estimate_wp(profile: JointSpatialProfile) -> float:
-    """Beam width in pixels: Gaussian fit of the marginal of F."""
+    """Beam width in pixels: Gaussian fit of the marginal of F.
+
+    The fit starts from the marginal's half-maximum width, HWHM / sqrt(ln 2 / 2)
+    with both crossings interpolated linearly: 4 residual evaluations on the
+    sinc^2 marginals of the width pipeline, where 2 sqrt(second moment), ~26.4 px
+    for a ~20 px beam, took 8-9.  A marginal that does not fall to half its
+    maximum inside the grid (theta_0 above ~0.111 at 120 nm) starts from
+    2 sqrt(second moment).
+    """
     x = profile.axis_px
     marg = profile.marginal()
-    guess = 2.0 * np.sqrt(max(_second_moment(x, marg), 1e-6))
+    half = 0.5 * marg.max()
+    above = np.flatnonzero(marg >= half)  # empty if the marginal holds NaN
+    if above.size and 0 < above[0] and above[-1] < x.size - 1:
+        i, j, h = above[0], above[-1], profile.spacing()
+        out_l, in_l, in_r, out_r = marg[[i - 1, i, j, j + 1]].tolist()
+        left = x[i] - h * (in_l - half) / (in_l - out_l)
+        right = x[j] + h * (in_r - half) / (in_r - out_r)
+        guess = 0.5 * (right - left) / math.sqrt(0.5 * math.log(2.0))
+    else:
+        guess = 2.0 * np.sqrt(max(_second_moment(x, marg), 1e-6))
     width, _ = curve_fit(x, marg, 2, guess)
     return width
 

@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .series import MONTE_CARLO, CoherenceSeries
+from .series import MONTE_CARLO, CoherenceSeries, check_times
 
 # The Monte Carlo reduction takes rows in fixed chunks, in ascending
 # realization order: the event sweep max(1, _CHUNK_SEGMENTS // (columns + 1))
@@ -120,12 +120,6 @@ def check_seed(master_seed: int, stream_index: int = 0) -> None:
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
-def check_times(times: np.ndarray, t_max: float) -> None:
-    """Refuse a time grid that is not ascending, or not finite within [0, t_max]."""
-    if times.size and not (times[0] >= 0.0 and times[-1] <= t_max and np.all(np.diff(times) >= 0)):
-        raise ValueError(f"time grid must be ascending and must be finite and lie within [0, {t_max!r}]")
-
-
 def check_grid(points: int) -> None:
     """Refuse a time grid on which the 7 per-time sums of ``_sweep`` exceed
     ``check_entries``."""
@@ -185,7 +179,7 @@ class TrajectoryBatch:
         return self.signs.size
 
     def phases(self, times: np.ndarray) -> np.ndarray:
-        """phi at every time of an ascending grid, shape (T, R) (exact).
+        """phi at every time of a grid as ``series.check_times``, shape (T, R) (exact).
 
         Closed form: with c the number of jumps at or before t and
         P_c = sum_{i <= c} (-1)^i * tau_i (i starting at 1),
@@ -199,8 +193,7 @@ class TrajectoryBatch:
         so a per-time sum over them is numpy's pairwise sum.
         """
         times = np.asarray(times, dtype=float)
-        if not np.all(times[1:] >= times[:-1]):
-            raise ValueError("time grid must be ascending")
+        check_times(times)
         if self.jump_times.shape[1] == 0:
             return times[:, None] * self.signs
         at_c = _segment_index(self.jump_times, times)

@@ -1,10 +1,12 @@
-"""Shared container for coherence-factor time series.
+"""Shared container for coherence-factor time series, and its time-grid rule.
 
 Analytic formulas, Monte Carlo ensembles and kernel sums all produce the
-same object so that one comparison harness serves every route.
+same object so that one comparison harness serves every route, and every
+route refuses a time grid by the same rule, :func:`check_times`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,6 +20,15 @@ _PROVENANCES = (ANALYTIC, MONTE_CARLO, KERNEL_SUM)
 
 # Allow a hair of float slop on the |value| <= 1 physics bound.
 _MAG_TOL = 1e-9
+
+
+def check_times(times: np.ndarray, t_max: float = math.inf) -> None:
+    """Refuse a 1-D time grid that is not ascending, or not finite within [0, t_max]."""
+    if times.size and not (0.0 <= times[0] and times[-1] <= t_max and times[-1] < math.inf
+                           and np.all(np.diff(times) >= 0)):
+        bound = ("t must be >= 0 and finite" if t_max == math.inf
+                 else f"must be finite and lie within [0, {t_max!r}]")
+        raise ValueError(f"time grid must be ascending and {bound}")
 
 
 @dataclass
@@ -41,8 +52,7 @@ class CoherenceSeries:
         self.values = np.asarray(self.values, dtype=complex)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have matching shapes")
-        if self.times.size > 1 and np.any(np.diff(self.times) < 0):
-            raise ValueError("time grid must be ascending")
+        check_times(self.times.ravel())
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         mag = np.abs(self.values)

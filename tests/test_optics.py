@@ -129,13 +129,16 @@ def grid_sums_diffs(x):
             np.concatenate([x[-1] - x[:-1], x[0] - x]))
 
 
-def test_estimate_wp_recovers_synthetic_gaussian():
-    # exp(-2 x1^2 / w^2) exp(-2 x2^2 / w^2) = exp(-s^2 / w^2) exp(-d^2 / w^2)
-    # for s = x1 + x2, d = x1 - x2: a separable Gaussian of width w.
+def gaussian_profile() -> JointSpatialProfile:
+    """A separable Gaussian of width 10: exp(-2 x1^2 / w^2) exp(-2 x2^2 / w^2)
+    = exp(-s^2 / w^2) exp(-d^2 / w^2) for s = x1 + x2, d = x1 - x2."""
     x = np.linspace(-40, 40, 401)
     s, d = grid_sums_diffs(x)
-    prof = JointSpatialProfile(np.exp(-(s**2) / 10.0**2), np.exp(-(d**2) / 10.0**2), x, SETUP)
-    assert estimate_wp(prof) == pytest.approx(10.0, abs=1e-6)
+    return JointSpatialProfile(np.exp(-(s**2) / 10.0**2), np.exp(-(d**2) / 10.0**2), x, SETUP)
+
+
+def test_estimate_wp_recovers_synthetic_gaussian():
+    assert estimate_wp(gaussian_profile()) == pytest.approx(10.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("asymmetric", [False, True])
@@ -352,14 +355,16 @@ def test_newton_terms_match_finite_differences(order):
 
     a, c, w = p0
     u = (x - c) / w
-    e = np.exp(-2.0 * u**order)
-    _, grad, hess = optics._newton_terms(u, e, y - a * e, a, w, order)
+    rows = np.empty((2 * order + 2, x.size))  # r, e, then scratch
+    rows[1] = np.exp(-2.0 * u**order)
+    rows[0] = y - a * rows[1]
+    _, grad, hess = optics._newton_terms(u, rows, a, w, order)
     h, eye = 1e-4, np.eye(3)
     fd_grad = [(half_cost(p0 + h * d) - half_cost(p0 - h * d)) / (2 * h) for d in eye]
     fd_hess = [[(half_cost(p0 + h * (di + dj)) - half_cost(p0 + h * (di - dj))
                  - half_cost(p0 - h * (di - dj)) + half_cost(p0 - h * (di + dj))) / (4 * h * h)
                 for dj in eye] for di in eye]
-    assert np.allclose(-grad, fd_grad, rtol=1e-6, atol=1e-8)
+    assert np.allclose(-np.array(grad), fd_grad, rtol=1e-6, atol=1e-8)
     assert np.allclose(hess, fd_hess, rtol=1e-5, atol=1e-6)
 
 
@@ -382,17 +387,70 @@ def test_fit_rejects_unsupported_order():
         optics.curve_fit(x, np.exp(-np.abs(x) ** 3), 3, 3.0)
 
 
+def table_widths():
+    """The spectral widths of the fig4-right and optics-table width tables."""
+    from ltgsim.cli import PRESETS
+
+    widths = set(PRESETS["fig4-right"]["spectral"]["widths_nm"])
+    return sorted(widths | set(resolve_config({"command": "optics-table"})["optics"]["widths_nm"]))
+
+
 def test_width_fits_converge_in_few_steps(monkeypatch):
     # Newton steps on the exact Hessian: every fit of the presets' width
     # tables and of the angle calibration converges well inside 20
     # residual evaluations (Gauss-Newton needed up to 50).
-    from ltgsim.cli import PRESETS
-
     monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 20)
-    widths = set(PRESETS["fig4-right"]["spectral"]["widths_nm"])
-    widths |= set(resolve_config({"command": "optics-table"})["optics"]["widths_nm"])
-    wcp_curve(SETUP, sorted(widths))
+    wcp_curve(SETUP, table_widths())
     calibrate_theta0()
+
+
+def test_beam_fits_converge_in_five_evaluations(monkeypatch):
+    # From the half-maximum start the w_p fit of every table width converges
+    # within 5 residual evaluations (the second-moment start took 8-9).
+    monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 5)
+    for width_nm in table_widths():
+        estimate_wp(joint_profile(dataclasses.replace(SETUP, spectral_width_nm=width_nm)))
+
+
+def second_moment_fit(prof: JointSpatialProfile) -> float:
+    """The w_p fit from 2 sqrt(second moment) of the marginal."""
+    x, marg = prof.axis_px, prof.marginal()
+    guess = 2.0 * np.sqrt(max(optics._second_moment(x, marg), 1e-6))
+    return optics.curve_fit(x, marg, 2, guess)[0]
+
+
+def test_half_maximum_start_keeps_the_beam_width():
+    # The start moves w_p by at most 1e-8 relative: on every table width, on
+    # a marginal that stays above half its maximum to the grid's edge (the
+    # second-moment fallback, the same fit), and on a separable Gaussian.
+    profiles = [joint_profile(dataclasses.replace(SETUP, spectral_width_nm=w))
+                for w in table_widths()]
+    wide = joint_profile(dataclasses.replace(SETUP, theta_0=0.12, spectral_width_nm=120.0))
+    marg = wide.marginal()
+    assert marg[0] >= 0.5 * marg.max() or marg[-1] >= 0.5 * marg.max()
+    for prof in (*profiles, wide, gaussian_profile()):
+        assert estimate_wp(prof) == pytest.approx(second_moment_fit(prof), rel=1e-8, abs=0.0)
+    assert estimate_wp(wide) == second_moment_fit(wide)
+
+
+def test_singular_fit_is_a_numerical_error():
+    # Every sample at the centre: the centre and width columns of the
+    # Hessian vanish, and the solve meets a zero pivot.
+    with pytest.raises(NumericalError, match="order-2 profile fit is singular"):
+        optics.curve_fit(np.zeros(5), np.ones(5), 2, 3.0)
+    with pytest.raises(ZeroDivisionError):
+        optics._damped_solve(((1.0, 2.0, 0.0), (2.0, 4.0, 0.0), (0.0, 0.0, 1.0)),
+                             (0.0, 0.0, 0.0), 0.0, (1.0, 1.0, 1.0))
+
+
+def test_damped_solve_matches_lapack():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        hess = rng.standard_normal((3, 3))
+        damping, rhs, lam = rng.random(3), rng.standard_normal(3), 10.0 ** rng.integers(-4, 2)
+        want = np.linalg.solve(hess + lam * np.diag(damping), rhs)
+        got = optics._damped_solve(hess.tolist(), damping.tolist(), lam, rhs.tolist())
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_degenerate_fit_is_a_numerical_error(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from ltgsim.rtn import (
     stack_batches,
 )
 from ltgsim.measurement import calibrate_wcp, rect_phase_pattern, simulate_counts
+from ltgsim.series import ANALYTIC, CoherenceSeries
 from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field
 
 
@@ -87,6 +88,19 @@ def test_field_and_mc_share_one_time_grid_rule():
             run()
 
 
+def test_phases_series_and_moment_share_one_time_grid_rule():
+    # phases([-1.0, 0.5]) returned phi(-1) = +1.0; phases and the series kept
+    # "ascending" alone, and the moment "t >= 0 and finite" alone.
+    batch = sample_trajectory(RtnParams(1.0, 2.0), SeedSpec(0))
+    for times in ([-1.0, 0.5], [0.0, np.nan], [0.0, np.inf], [1.0, 0.5]):
+        for run in (batch.phases,
+                    lambda t: CoherenceSeries(t, np.ones(2), ANALYTIC),
+                    lambda t: exponential_moment(1.0, 2, t)):
+            with pytest.raises(ValueError, match=r"^time grid must be ascending and "
+                                                 r"t must be >= 0 and finite$"):
+                run(times)
+
+
 @pytest.mark.parametrize("name, run", [
     ("n_rep", lambda: build_phase_field(0.5, np.linspace(0.0, 1.0, 3), 2.5)),
     ("repeats", lambda: simulate_counts((0.25, 0.25), 250.0, 8.0, 2.5)),
@@ -96,12 +110,15 @@ def test_field_and_mc_share_one_time_grid_rule():
     ("n_r", lambda: rect_phase_pattern(320, 2.5)),
     ("pixels_per_half", lambda: MaskGeometry(320.5)),
     ("h_values", lambda: calibrate_wcp(KernelParams(3.1, 20.0), h_values=np.zeros((4, 2), int))),
+    ("n", lambda: KernelParams(3.0, 20.0, 4.0)),
+    ("n", lambda: KernelParams(3.0, 20.0, True)),
 ], ids=["n_rep", "repeats", "n_real", "calibration-n_r", "pattern-n_r", "pixels_per_half",
-        "h_values-2d"])
+        "h_values-2d", "kernel-n", "kernel-n-bool"])
 def test_integer_parameters_refuse_fractions(name, run):
     # n_rep, repeats and n_real raised a TypeError naming no argument,
     # n_r = 5.5 returned a width and 2.5 built a pattern, 320.5 pixels built
-    # a geometry, and 2-D shifts raised "unhashable type".
+    # a geometry, 2-D shifts raised "unhashable type", and a kernel of order
+    # 4.0 (or True) was built and recorded "n": 4.0.
     with pytest.raises(ValueError, match=f"^{name} must be ") as err:
         run()
     assert "\n" not in str(err.value)

@@ -63,6 +63,27 @@ def test_kernel_unit_sum_and_positive(w_cp, w_p, n):
     assert np.all(k.weights >= 0.0)
 
 
+def test_kernel_factors_are_plain_exp_bit_for_bit(monkeypatch):
+    # kernel_factors leaves the arguments below -746 out of np.exp; every
+    # factor must still be np.exp's, bit for bit: the presets' kernels (the
+    # spectral sweep's from its width table), the calibration's 21 rows, a
+    # wide kernel and an order-4 one.
+    from ltgsim.cli import PRESETS, resolve_config
+    from ltgsim.optics import PdcSetup, wcp_curve
+
+    table = wcp_curve(PdcSetup(), PRESETS["fig4-right"]["spectral"]["widths_nm"])
+    cases = [(KernelParams(**resolve_config(dict(p))["kernel"]), None) for p in PRESETS.values()]
+    cases += [(KernelParams(float(w), float(wp), int(n)), None)
+              for w, wp, n in zip(table.w_cp, table.w_p, table.order)]
+    cases += [(KernelParams(3.1, 20.0), [3.1, *np.linspace(0.5, 10.0, 20)]),
+              (KernelParams(20.0, 200.0), None), (KernelParams(3.0, 20.0, 4), None)]
+    got = [slm.kernel_factors(params, w_cp) for params, w_cp in cases]
+    monkeypatch.setattr(slm, "_exp", np.exp)
+    for (params, w_cp), factors in zip(cases, got):
+        for have, want in zip(factors, slm.kernel_factors(params, w_cp)):
+            assert np.array_equal(have, want), params
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("geo", [GEO, MaskGeometry(j0=40.5, k0=600.0)])
 def test_kernel_is_product_of_its_factors(n, geo):
