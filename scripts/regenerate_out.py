@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the committed out/ directory: every preset and the w_cp table.
+"""Regenerate the committed out/ directory: every preset, the w_cp table and
+one Monte Carlo pair.
 
 Writes out/figures/<preset>/ for each built-in preset (the shift sweep at
 zero switching rate, both endpoints, the slow-noise shift and spectral-width
-sweeps, and the correlated-pixel calibration) and out/wcp_table.csv (w_cp,
-fit order, w_p and w_tilde per spectral width).  tests/test_golden.py
-re-runs against these files.  For each file it rewrites, the script prints
-the columns it dropped or added, whether the data section is
-byte-identical to the file it replaces over the columns both share (else
-their largest |difference|), and every value of the ``# series`` and
-``# calibration`` lines that changed, with the |difference| of numbers.
+sweeps, and the correlated-pixel calibration), out/wcp_table.csv (w_cp,
+fit order, w_p and w_tilde per spectral width) and out/mc/<run>/ for the
+``mc-moment`` runs of ``MC_RUNS``.  tests/test_golden.py re-runs against
+these files.  For each file it rewrites, the script prints the columns it
+dropped or added, whether the data section is byte-identical to the file it
+replaces over the columns both share (else their largest |difference|),
+and every value of the ``# series`` and ``# calibration`` lines that
+changed, with the |difference| of numbers.
 Run from the repository root with src on the import path, e.g.
 ``PYTHONPATH=src python scripts/regenerate_out.py``.
 """
@@ -26,6 +28,16 @@ from ltgsim.cli import PRESETS, data_section, main, run_config
 
 OUT = Path("out")
 META_KEYS = ("series", "calibration")
+
+# The mc-moment pair: gamma = 1 on the default grid (400 times up to 2 pi),
+# 2000 realizations, order 2 plain and order 4 antithetic.  Their means move
+# by about one standard error if the draw or its stream changes.
+MC_RUNS = {
+    "order2": {"command": "mc-moment", "rtn": {"gamma": 1.0},
+               "mc": {"order": 2, "n_real": 2000, "antithetic": False}},
+    "order4": {"command": "mc-moment", "rtn": {"gamma": 1.0},
+               "mc": {"order": 4, "n_real": 2000, "antithetic": True}},
+}
 
 
 def columns(text: str) -> tuple[list[str], dict[str, tuple[str, ...]]]:
@@ -97,6 +109,14 @@ def drift(old: str | None, new: str) -> str:
     return "; ".join([data_drift(old, new), *meta_drift(old, new)])
 
 
+def write(path: Path, text: str) -> None:
+    """Write one output file and print its report line."""
+    old = path.read_text() if path.exists() else None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(f"{path}: {drift(old, text)}")
+
+
 def run() -> int:
     for name in sorted(PRESETS):
         directory = OUT / "figures" / name
@@ -112,10 +132,11 @@ def run() -> int:
             print(f"{path}: {drift(before.get(path.name), path.read_text())}")
     # The table keeps the default output.dir ("out") in its embedded config.
     for name, text in run_config({"command": "optics-table"}).items():
-        path = OUT / name
-        old = path.read_text() if path.exists() else None
-        path.write_text(text)
-        print(f"{path}: {drift(old, text)}")
+        write(OUT / name, text)
+    for label, config in MC_RUNS.items():
+        directory = OUT / "mc" / label
+        for name, text in run_config({**config, "output": {"dir": str(directory)}}).items():
+            write(directory / name, text)
     return 0
 
 

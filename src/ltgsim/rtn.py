@@ -10,15 +10,20 @@ Jumps are sampled as exact event times (exponential waiting times, or
 equivalently uniform order statistics given a Poisson count), so phase
 integrals carry no time-step discretization error.  Every ensemble, one
 realization or many, is a :class:`TrajectoryBatch` of initial signs and
-+inf-padded jump times.  Between jumps a phase is linear in t, so
-:meth:`TrajectoryBatch.phases` evaluates a whole ascending time grid from
-prefix sums over the jumps; the pixel phase fields of :mod:`ltgsim.slm`
-take their phasors exp(2i * phi) from it.  The Monte Carlo reduction
-writes cos(m * phi) as cos(m * t) plus two constants of the jump segment
-weighted by cos(m * t) and sin(m * t).  Where realizations hold few jumps
-against the grid, its per-time sums over realizations change only at jumps
-and are swept event by event, in O(jumps + times) work; otherwise each
-(time, realization) reads the constants of its segment directly.  Both
++inf-padded jump times.  A Monte Carlo ensemble is first drawn as an
+:class:`Ensemble`, its jump counts and signs and the stream state at which
+its jump positions start, and :func:`sample_batch` draws its rows as
+batches chunk by chunk, each equal to those rows of the whole table, so the
+reduction holds O(realizations) memory plus one chunk.  Between jumps a
+phase is linear in t, so :meth:`TrajectoryBatch.phases` evaluates a whole
+ascending time grid from prefix sums over the jumps; the pixel phase fields
+of :mod:`ltgsim.slm` take their phasors exp(2i * phi) from it.  The Monte
+Carlo reduction writes cos(m * phi) as cos(m * t) plus two constants of the
+jump segment weighted by cos(m * t) and sin(m * t).  Where realizations
+hold few jumps against the grid, its per-time sums over realizations change
+only at jumps and are swept event by event, in O(jumps + times) work;
+otherwise each (time, realization) reads the constants of its segment
+directly.  Both
 place each jump on the grid by :func:`_grid_bins`: an index guessed from
 the grid's mean spacing and checked against its two neighbouring grid
 times, with a binary search only for the jumps that fail the check.
@@ -27,14 +32,17 @@ Reproducibility: all randomness derives from numpy's PCG64 generator,
 seeded via SeedSequence(master_seed, spawn_key=(stream_index, ...)).
 Spawn-key derivation is collision-free by construction, so distinct
 stream indices give statistically independent streams and the same
-(master_seed, stream_index) pair is always bit-identical.
+(master_seed, stream_index) pair is always bit-identical.  A chunk of an
+:class:`Ensemble` takes its jump positions from the stream positions the
+whole table would, however often a pass draws it again.
 """
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,10 +54,10 @@ from .series import MONTE_CARLO, CoherenceSeries, check_times
 # max(1, _CHUNK_PHASES // (columns + 1 + T)) (the segments plus one phase per
 # grid time).  The direct pass does a few cheap passes per phase, so it
 # takes larger chunks to spread its per-chunk overhead: at 2^14 it ran up
-# to 1.4x slower.  The budgets bound the working set of a chunk whatever
-# the ensemble size.  They are module constants, not tunables: the chunk
-# size fixes the floating-point summation order and therefore the bit
-# pattern of results.
+# to 1.4x slower.  The budgets bound the working set of a chunk, its jump
+# table included, whatever the ensemble size.  They are module constants,
+# not tunables: the chunk size fixes the floating-point summation order and
+# therefore the bit pattern of results.
 _CHUNK_SEGMENTS = 1 << 14
 _CHUNK_PHASES = 1 << 16
 
@@ -62,7 +70,9 @@ _SWEEP_VAR_FLOOR = 2.0**-16
 
 # Ceiling on the expected jumps of an ensemble (``check_ensemble``), which
 # also bounds the entries of any one array a run allocates (``check_entries``):
-# 1e8 jump times, or array entries, are ~0.8 GB.
+# 1e8 jump times, or array entries, are ~0.8 GB.  A phase field holds all its
+# jump times at once; ``mc-moment`` draws its table one row chunk at a time,
+# so for it the ceiling bounds the work, not the memory.
 MAX_EXPECTED_JUMPS = 1e8
 
 
@@ -97,11 +107,14 @@ def check_ensemble(gamma: float, t_max: float, rows: int) -> None:
 
 
 def check_integer(name: str, value: int, minimum: int) -> None:
-    """Refuse a count that is not an integer (a float, whole or not, or a bool) >= minimum."""
+    """Refuse a count that is not an integer (a float, whole or not, or a bool) >= minimum,
+    or one past the float range, which overflows any arithmetic with floats."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if value > sys.float_info.max:
+        raise ValueError(f"{name} must be <= {sys.float_info.max:.3g}, got {value}")
 
 
 def check_moment(order: int, n_real: int = 2, antithetic: bool = False) -> None:
@@ -169,7 +182,9 @@ class TrajectoryBatch:
 
     Row r is X(t) = signs[r] * (-1)**(number of jumps at or before t).
     :meth:`phases` integrates it over a whole time grid at once, laid out
-    (times, rows).
+    (times, rows).  A batch can also be reduced by the Monte Carlo passes
+    in place of an :class:`Ensemble`: ``width``, ``jump_events`` and
+    ``chunks`` are the three things they read.
     """
 
     signs: np.ndarray       # (R,) +-1
@@ -177,6 +192,20 @@ class TrajectoryBatch:
 
     def __len__(self) -> int:
         return self.signs.size
+
+    @property
+    def width(self) -> int:
+        return self.jump_times.shape[1]
+
+    def jump_events(self) -> int:
+        """The number of finite jump times."""
+        return int(np.isfinite(self.jump_times).sum())
+
+    def chunks(self, rows: int) -> Iterator[TrajectoryBatch]:
+        """Views of ``rows`` rows each (the last one may hold fewer), in row order."""
+        for start in range(0, len(self), rows):
+            yield TrajectoryBatch(self.signs[start : start + rows],
+                                  self.jump_times[start : start + rows])
 
     def phases(self, times: np.ndarray) -> np.ndarray:
         """phi at every time of a grid as ``series.check_times``, shape (T, R) (exact).
@@ -307,23 +336,90 @@ def sample_trajectory(params: RtnParams, seed: SeedSpec) -> TrajectoryBatch:
     return TrajectoryBatch(np.array([sign]), np.array([jumps], dtype=float))
 
 
-def sample_batch(params: RtnParams, n_real: int, seed: SeedSpec) -> TrajectoryBatch:
-    """Draw ``n_real`` independent trajectories from one derived stream.
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """The part of an ensemble draw made once per run: everything but the
+    jump positions, which :func:`sample_batch` draws in row chunks on demand.
+
+    The positions of row r are the ``width`` uniforms that follow those of
+    rows 0 .. r - 1 in the stream, starting at ``state``, so any chunk of
+    rows equals those rows of the whole padded table, and a pass over the
+    rows holds one chunk at a time: O(rows) memory plus one chunk.
+    """
+
+    t_max: float
+    counts: np.ndarray  # (R,) jumps per row
+    signs: np.ndarray   # (R,) +-1
+    width: int          # jump columns of every chunk, max(counts)
+    state: dict         # PCG64 state at the first position uniform
+
+    def __len__(self) -> int:
+        return self.signs.size
+
+    def jump_events(self) -> int:
+        """The number of jumps, finite jump times of the whole table."""
+        return int(self.counts.sum())
+
+    def positions(self, start: int = 0) -> np.random.Generator:
+        """A generator at the first position uniform of row ``start``."""
+        bits = np.random.PCG64()
+        bits.state = self.state
+        bits.advance(start * self.width)
+        return np.random.Generator(bits)
+
+    def chunks(self, rows: int) -> Iterator[TrajectoryBatch]:
+        """Batches of ``rows`` rows each (the last one may hold fewer), in row
+        order, drawn by :func:`sample_batch` in sequence from one generator.
+        Each pass over the chunks draws them again from ``state``."""
+        rng = self.positions()
+        for start in range(0, len(self), rows):
+            yield sample_batch(self, start, start + rows, rng)
+
+
+def draw_ensemble(params: RtnParams, n_real: int, seed: SeedSpec) -> Ensemble:
+    """Draw the counts and signs of ``n_real`` independent trajectories from
+    one derived stream; :func:`sample_batch` draws their jump positions.
 
     Distributionally identical to ``n_real`` calls of :func:`sample_trajectory`
     but one stream for the whole ensemble: given the Poisson jump count on
     [0, t_max], jump times are sorted iid uniforms.  Draw order (fixed, part
-    of the reproducibility contract): jump counts, then all jump positions,
-    then initial signs.
+    of the reproducibility contract): jump counts, then n_real * width
+    uniform jump positions in row-major order, then initial signs.  The
+    signs are drawn here, from the stream moved past the positions with
+    ``PCG64.advance``, so no position is drawn before a chunk needs it.
     """
+    check_integer("n_real", n_real, 0)
+    check_entries(n_real)
+    check_ensemble(params.gamma, params.t_max, n_real)
     rng = seed.generator()
     counts = rng.poisson(params.gamma * params.t_max, n_real)
     width = int(counts.max()) if n_real else 0
-    jumps = rng.random((n_real, width)) * params.t_max
-    np.putmask(jumps, np.arange(width) >= counts[:, None], np.inf)
-    jumps.sort(axis=1)
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(n_real * width)
     signs = np.where(rng.random(n_real) < 0.5, 1.0, -1.0)
-    return TrajectoryBatch(signs, jumps)
+    return Ensemble(params.t_max, counts, signs, width, state)
+
+
+def sample_batch(ensemble: Ensemble, start: int = 0, stop: int | None = None,
+                 rng: np.random.Generator | None = None) -> TrajectoryBatch:
+    """Rows [start, stop) of an ensemble (by default all of them) as a padded
+    batch, bit for bit those rows of the whole table.
+
+    ``rng`` must stand at the first position uniform of row ``start``, as
+    :meth:`Ensemble.chunks` passes it to draw chunks in sequence; without
+    it a generator is moved there from the ensemble's saved state.
+    """
+    check_integer("start", start, 0)
+    if stop is not None:
+        check_integer("stop", stop, start)
+    counts = ensemble.counts[start:stop]
+    if rng is None:
+        rng = ensemble.positions(start)
+    jumps = rng.random((counts.size, ensemble.width))
+    jumps *= ensemble.t_max
+    np.putmask(jumps, np.arange(ensemble.width) >= counts[:, None], np.inf)
+    jumps.sort(axis=1)
+    return TrajectoryBatch(ensemble.signs[start:stop], jumps)
 
 
 def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_real: int,
@@ -338,6 +434,8 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     ``times`` must be ascending.  The reduction takes fixed chunks of
     realizations in ascending index order, so the result is
     bit-reproducible regardless of how the caller parallelizes around it.
+    It draws each chunk's jump positions when it reaches it
+    (:meth:`Ensemble.chunks`), so memory is O(n_real) plus one chunk.
     ``params`` records its work counts: ``jump_events``, the finite jump
     times, and ``direct_times``, the grid times the direct pass evaluated
     (all of them where it runs alone, see ``_reduce``; otherwise those
@@ -346,16 +444,14 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     """
     times = np.asarray(times, dtype=float)
     check_moment(order, n_real, antithetic)
-    check_entries(n_real)  # at a low rate the rows themselves are the memory
+    check_entries(n_real)  # the counts and signs of the rows are the memory
     check_horizon(params.t_max, order)
     check_ensemble(params.gamma, params.t_max, n_real)
     check_grid(times.size)
     check_times(times, params.t_max)
 
-    n_draw = n_real // 2 if antithetic else n_real
-    batch = sample_batch(params, n_draw, seed)
-
-    values, se, events, direct = _reduce(order, batch, times, imag=not antithetic)
+    ensemble = draw_ensemble(params, n_real // 2 if antithetic else n_real, seed)
+    values, se, events, direct = _reduce(order, ensemble, times, imag=not antithetic)
 
     return CoherenceSeries(
         times,
@@ -368,7 +464,7 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
             "antithetic": antithetic,
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
-            "jump_columns": batch.jump_times.shape[1],
+            "jump_columns": ensemble.width,
             "jump_events": events,
             "direct_times": direct,
             "max_stderr": float(np.max(se, initial=0.0)),
@@ -377,7 +473,7 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     )
 
 
-def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
+def _reduce(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool):
     """Mean of exp(i * order * phi) and the standard error of its real part
     per grid time, the number of finite jump times and the number of grid
     times the direct pass evaluated.
@@ -395,25 +491,29 @@ def _reduce(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     When the sweep's first chunk alone is within a factor 4 of that bound
     at a quarter of the times or more (motional narrowing), the sweep
     gives up and the direct pass runs alone, as it would redo many of them.
+    Each pass reads ``draws`` through its ``chunks``: from an
+    :class:`Ensemble` the redo pass and the direct pass after a sweep that
+    gave up draw their chunks again from the saved stream state, the same
+    bits as the first time.
     """
-    n, n_t = len(batch), times.size
-    events = int(np.isfinite(batch.jump_times).sum())
-    swept = _sweep(order, batch, times, imag) if 2 * events < n * n_t else None
+    n, n_t = len(draws), times.size
+    events = draws.jump_events()
+    swept = _sweep(order, draws, times, imag) if 2 * events < n * n_t else None
     if swept is None:
-        values, se = _direct(order, batch, times, imag)
+        values, se = _direct(order, draws, times, imag)
         return values, se, events, n_t
     values, var, scale = swept
     se = np.sqrt(var / max(n - 1, 1))
     redo = np.flatnonzero(var < _SWEEP_VAR_FLOOR * scale)
     if redo.size:
         mean_d = values.real[redo] - np.cos(order * times[redo])
-        se[redo] = _direct(order, batch, times[redo], False, center=mean_d)[1]
+        se[redo] = _direct(order, draws, times[redo], False, center=mean_d)[1]
     return values, se, events, redo.size
 
 
-def _sweep_rows(batch: TrajectoryBatch) -> int:
+def _sweep_rows(draws: Ensemble | TrajectoryBatch) -> int:
     """Rows per chunk of the event sweep: about _CHUNK_SEGMENTS segments."""
-    return max(1, _CHUNK_SEGMENTS // (batch.jump_times.shape[1] + 1))
+    return max(1, _CHUNK_SEGMENTS // (draws.width + 1))
 
 
 def _segment_terms(seg_b: np.ndarray, sigma: np.ndarray, imag: bool) -> list:
@@ -433,7 +533,7 @@ def _segment_terms(seg_b: np.ndarray, sigma: np.ndarray, imag: bool) -> list:
     return [k, sigma_sin, sigma_cos, sin_b]
 
 
-def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
+def _sweep(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool):
     """Event sweep: mean of exp(i * order * phi), the variance of its real
     part and that variance's rounding scale, per grid time; None in motional
     narrowing, judged on the first chunk (see :func:`_reduce`).
@@ -475,14 +575,14 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
     have jumped agree.  At gamma = 1000, order 2, double sums missed a
     two-pass variance by up to 2e-10 relative, long-double ones by 3e-11.
     """
-    n, n_t = len(batch), times.size
+    n, n_t = len(draws), times.size
     sums = np.zeros((7 if imag else 5, n_t + 1), dtype=np.longdouble)  # bin n_t: past the grid
     if imag:
-        sums[5, 0] = batch.signs.sum()  # sigma * cos B = s before the first jump
+        sums[5, 0] = draws.signs.sum()  # sigma * cos B = s before the first jump
     a, b = np.cos(order * times), np.sin(order * times)
-    rows = _sweep_rows(batch)
-    for start in range(0, n, rows):
-        jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
+    rows = _sweep_rows(draws)
+    for i, chunk in enumerate(draws.chunks(rows)):
+        jt, signs = chunk.jump_times, chunk.signs
         bins, seg_b, sigma, first = _chunk_jumps(times, jt, signs, *_segments(signs, jt), order)
         k, sigma_sin, *cos_sin = _segment_terms(seg_b, sigma, imag)
         before = [0.0] * 5
@@ -495,7 +595,7 @@ def _sweep(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool):
             np.subtract(v[1:], v[:-1], out=step[1:])  # minus the previous segment's value
             step[first] = v[first] - v0  # first holds 0: rows are padded at their end
             total += np.bincount(bins, weights=step, minlength=n_t + 1)
-        if start == 0 and 1 < rows < n:  # a first chunk of two rows or more to judge by
+        if i == 0 and 1 < rows < n:  # a first chunk of two rows or more to judge by
             _, var, scale = _sweep_moments(np.cumsum(sums[:5, :n_t], axis=1), a, b, rows)
             # A few rows judge the bound only roughly: a margin of 4 on it.
             if 4 * np.count_nonzero(var < 4 * _SWEEP_VAR_FLOOR * scale) >= n_t:
@@ -533,7 +633,7 @@ def _sweep_moments(sums, a, b, n: int):
     return mean_d, var, scale
 
 
-def _direct(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool,
+def _direct(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool,
             center: np.ndarray | None = None):
     """Direct pass: mean of exp(i * order * phi) and the standard error of
     its real part per grid time, from the segment of every (time, row).
@@ -550,13 +650,13 @@ def _direct(order: int, batch: TrajectoryBatch, times: np.ndarray, imag: bool,
     close to the final mean, so the one-pass difference of moments keeps
     its relative precision where the variance is small.
     """
-    n, n_j = len(batch), batch.jump_times.shape[1]
+    n, n_j = len(draws), draws.width
     total, total_sq, total_im = np.zeros((3, times.size))
     a, b = np.cos(order * times)[:, None], np.sin(order * times)[:, None]
     trig_first = times.size >= n_j + 1
     rows = max(1, _CHUNK_PHASES // (n_j + 1 + times.size))
-    for start in range(0, n, rows):
-        jt, signs = batch.jump_times[start : start + rows], batch.signs[start : start + rows]
+    for chunk in draws.chunks(rows):
+        jt, signs = chunk.jump_times, chunk.signs
         at_c = _segment_index(jt, times)
         parity, offset = _segments(signs, jt)
         seg_b = (offset * order).T.ravel()  # laid out like the index

@@ -22,7 +22,7 @@ from ltgsim.cli import (
     resolve_config,
     run_config,
 )
-from ltgsim.rtn import RtnParams, SeedSpec, sample_batch
+from ltgsim.rtn import RtnParams, SeedSpec, draw_ensemble, sample_batch
 from ltgsim.series import MONTE_CARLO, CoherenceSeries
 
 FAST_GRID = {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 40}
@@ -357,7 +357,7 @@ def test_mc_moment_has_stderr_column():
     # estimate is pinned down; none of it enters the data section.
     line = next(l for l in text.splitlines() if l.startswith("# series = "))
     series = json.loads(line[len("# series = "):])
-    batch = sample_batch(RtnParams(1.0, 2.0), 1000, SeedSpec(12345, 0))
+    batch = sample_batch(draw_ensemble(RtnParams(1.0, 2.0), 1000, SeedSpec(12345, 0)))
     assert series["jump_columns"] == batch.jump_times.shape[1] > 0
     assert series["jump_events"] == np.isfinite(batch.jump_times).sum() > 0
     assert series["direct_times"] == 0

@@ -1,8 +1,9 @@
 """The committed out/ directory is golden data.
 
-Every preset and the optics table are re-run and their data sections
-compared, column by column, with the committed files, and so are the
-calibration results of the ``# calibration`` line.  Regenerate out/ with
+Every preset, the optics table and the Monte Carlo pair of out/mc/ are
+re-run and their data sections compared, column by column, with the
+committed files, and so are the calibration results of the
+``# calibration`` line.  Regenerate out/ with
 scripts/regenerate_out.py when a change is meant to move these numbers.
 """
 import json
@@ -22,7 +23,9 @@ OUT = Path(__file__).resolve().parents[1] / "out"
 # ~1e-14 relative change in the joint profile moves the widths by up to
 # ~2e-8 (the earlier scipy curve_fit, stopping sooner, by up to ~6e-6).
 # 1e-5 leaves room for that, while a 1 % change of w_cp moves Gamma by
-# >= 1.7e-3.
+# >= 1.7e-3.  The Monte Carlo pair repeats bit for bit for one seed on one
+# build; a change to the draw or its stream moves the means by about one
+# standard error (up to 0.017 at 2000 realizations), far above 1e-5.
 SERIES_ATOL = 1e-5
 
 # wcp_table columns.  The inputs and the chosen fit order must match
@@ -80,6 +83,21 @@ def test_preset_matches_committed_out(preset):
             for key in want:
                 np.testing.assert_allclose(got[key], want[key], rtol=CALIBRATION_RTOL, atol=0.0,
                                            err_msg=f"{name}: # calibration {key}")
+
+
+# The runs of scripts/regenerate_out.py's MC_RUNS.
+MC_RUNS = {
+    "order2": {"command": "mc-moment", "rtn": {"gamma": 1.0},
+               "mc": {"order": 2, "n_real": 2000, "antithetic": False}},
+    "order4": {"command": "mc-moment", "rtn": {"gamma": 1.0},
+               "mc": {"order": 4, "n_real": 2000, "antithetic": True}},
+}
+
+
+@pytest.mark.parametrize("label", sorted(MC_RUNS))
+def test_mc_moment_matches_committed_out(label):
+    committed = OUT / "mc" / label / "mc_moment.csv"
+    _assert_matches(run_config(MC_RUNS[label])["mc_moment.csv"], committed, {})
 
 
 def test_optics_table_matches_committed_out():

@@ -1,4 +1,5 @@
 """Trajectory sampling, exact phases and Monte Carlo moments."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from ltgsim.rtn import (
     RtnParams,
     SeedSpec,
     TrajectoryBatch,
+    draw_ensemble,
     mc_exponential_moment,
     sample_batch,
     sample_trajectory,
@@ -112,13 +114,18 @@ def test_phases_series_and_moment_share_one_time_grid_rule():
     ("h_values", lambda: calibrate_wcp(KernelParams(3.1, 20.0), h_values=np.zeros((4, 2), int))),
     ("n", lambda: KernelParams(3.0, 20.0, 4.0)),
     ("n", lambda: KernelParams(3.0, 20.0, True)),
+    ("n_real", lambda: mc_exponential_moment(RtnParams(1.0, 1.0), 2, np.linspace(0.0, 1.0, 3),
+                                             10**400, SeedSpec(0))),
+    ("moment order", lambda: mc_exponential_moment(RtnParams(1.0, 1.0), 10**400,
+                                                   np.linspace(0.0, 1.0, 3), 8, SeedSpec(0))),
 ], ids=["n_rep", "repeats", "n_real", "calibration-n_r", "pattern-n_r", "pixels_per_half",
-        "h_values-2d", "kernel-n", "kernel-n-bool"])
+        "h_values-2d", "kernel-n", "kernel-n-bool", "n_real-past-floats", "order-past-floats"])
 def test_integer_parameters_refuse_fractions(name, run):
     # n_rep, repeats and n_real raised a TypeError naming no argument,
     # n_r = 5.5 returned a width and 2.5 built a pattern, 320.5 pixels built
     # a geometry, 2-D shifts raised "unhashable type", and a kernel of order
-    # 4.0 (or True) was built and recorded "n": 4.0.
+    # 4.0 (or True) was built and recorded "n": 4.0.  Counts past the float
+    # range raised an OverflowError where they met a float.
     with pytest.raises(ValueError, match=f"^{name} must be ") as err:
         run()
     assert "\n" not in str(err.value)
@@ -134,7 +141,7 @@ def test_zero_rate_trajectory_is_constant():
     # A zero-rate batch has no jump columns at all; rows whose columns are
     # all +inf padding (stacked next to a row that jumps) read the same.
     times = np.linspace(0.5, 10.0, 6)
-    batch = sample_batch(RtnParams(0.0, 10.0), 7, SeedSpec(3))
+    batch = sample_batch(draw_ensemble(RtnParams(0.0, 10.0), 7, SeedSpec(3)))
     assert batch.jump_times.shape == (7, 0)
     assert np.array_equal(batch.phases(times), times[:, None] * batch.signs)
     padded = stack_batches([one_row(1, [1.0]), one_row(-1, []), one_row(1, [])])
@@ -155,7 +162,7 @@ def test_trajectory_determinism():
 def test_jump_count_poisson_oracle():
     # Oracle: jump count over [0, t_max] is Poisson with mean gamma * t_max.
     gamma, t_max, n = 0.12, 10.0, 100_000
-    batch = sample_batch(RtnParams(gamma, t_max), n, SeedSpec(2024))
+    batch = sample_batch(draw_ensemble(RtnParams(gamma, t_max), n, SeedSpec(2024)))
     counts = np.isfinite(batch.jump_times).sum(axis=1)
     mean = gamma * t_max
     se = np.sqrt(mean / n)
@@ -165,7 +172,7 @@ def test_jump_count_poisson_oracle():
 def test_autocorrelation_matches_exponential():
     # <X(t) X(0)> = exp(-2 gamma t)
     gamma, t_max, n = 2.0, 1.0, 100_000
-    batch = sample_batch(RtnParams(gamma, t_max), n, SeedSpec(11))
+    batch = sample_batch(draw_ensemble(RtnParams(gamma, t_max), n, SeedSpec(11)))
     for t in (0.1, 0.25, 0.5):
         parity = np.where(
             (np.isfinite(batch.jump_times) & (batch.jump_times <= t)).sum(axis=1) % 2 == 0,
@@ -245,7 +252,7 @@ def test_phase_magnitude_bounded_by_time():
 
 def test_batch_phases_match_scalar_path():
     params = RtnParams(1.5, 3.0)
-    batch = sample_batch(params, 50, SeedSpec(9))
+    batch = sample_batch(draw_ensemble(params, 50, SeedSpec(9)))
     times = np.linspace(0, 3, 11)
     phis = batch.phases(times)
     assert phis.shape == (11, 50)
@@ -463,7 +470,7 @@ def test_mc_sweep_on_non_uniform_grid():
     # and the phases must still match the direct oracle and the segments.
     params = RtnParams(1.3, 2.0)
     times = 2.0 * np.linspace(0.0, 1.0, 60) ** 2
-    batch = sample_batch(params, 3000, SeedSpec(6))
+    batch = sample_batch(draw_ensemble(params, 3000, SeedSpec(6)))
     assert np.allclose(batch.phases(times[::6])[:, :40], oracle_phases(batch, times[::6])[:, :40],
                        atol=1e-13)
     expect, want_se = direct_moment(batch, 3, times)
@@ -487,7 +494,7 @@ def test_mc_plain_is_direct_mean_over_same_draws():
                                                  (20.0, 200.0, 400, 1000, (3,))):
         params = RtnParams(gamma, t_max)
         times = np.linspace(0, t_max, points)
-        batch = sample_batch(params, n_real, SeedSpec(8))
+        batch = sample_batch(draw_ensemble(params, n_real, SeedSpec(8)))
         if gamma == 20.0:  # ~4000 jumps a row: the direct pass, over several
             # chunks and a partial last one
             chunk = max(1, rtn._CHUNK_PHASES // (batch.jump_times.shape[1] + 1 + points))
@@ -501,7 +508,7 @@ def test_mc_plain_is_direct_mean_over_same_draws():
             assert np.max(np.abs(series.stderr - want_se)) < 1e-12
     # At gamma = 0, phi = s * t: every row reads cos(m t), and sin(m t) with its sign.
     params, times = RtnParams(0.0, 200.0), np.linspace(0.0, 200.0, 400)
-    s_mean = sample_batch(params, 1000, SeedSpec(8)).signs.mean()
+    s_mean = draw_ensemble(params, 1000, SeedSpec(8)).signs.mean()
     zero = mc_exponential_moment(params, 3, times, 1000, SeedSpec(8), antithetic=False)
     assert np.max(np.abs(zero.values.real - np.cos(3 * times))) < 1e-15
     assert np.max(np.abs(zero.values.imag - s_mean * np.sin(3 * times))) < 1e-15
@@ -515,7 +522,8 @@ def test_mc_stderr_matches_two_pass_oracle():
     params, n_real = RtnParams(1.0, 2.0 * np.pi), 3000
     times = np.linspace(0.0, 2.0 * np.pi, 400)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic=False)
-    v = np.cos(2 * sample_batch(params, n_real, SeedSpec(5)).phases(times)).astype(np.longdouble)
+    batch = sample_batch(draw_ensemble(params, n_real, SeedSpec(5)))
+    v = np.cos(2 * batch.phases(times)).astype(np.longdouble)
     dev = v - v.mean(axis=1, keepdims=True)
     want = np.sqrt((dev * dev).sum(axis=1) / n_real / (n_real - 1))
     np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
@@ -532,7 +540,7 @@ def test_mc_stderr_precision_at_low_rate():
     for antithetic in (False, True):
         series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
         n = n_real // 2 if antithetic else n_real
-        batch = sample_batch(params, n, SeedSpec(5))
+        batch = sample_batch(draw_ensemble(params, n, SeedSpec(5)))
         want = np.empty(times.size)
         for block in np.array_split(np.arange(times.size), 8):
             v = np.cos(2 * batch.phases(times[block])).astype(np.longdouble)
@@ -556,7 +564,7 @@ def test_mc_stderr_keeps_relative_precision_at_tiny_times():
     for antithetic in (False, True):
         series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
         n = n_real // 2 if antithetic else n_real
-        phi = sample_batch(params, n, SeedSpec(5)).phases(times).astype(np.longdouble)
+        phi = sample_batch(draw_ensemble(params, n, SeedSpec(5))).phases(times).astype(np.longdouble)
         t = times[:, None].astype(np.longdouble)
         d = -2 * np.sin(phi + t) * np.sin(phi - t)
         dev = d - d.mean(axis=1, keepdims=True)
@@ -580,7 +588,7 @@ def test_mc_stderr_at_high_rate(gamma, points, antithetic, monkeypatch):
     times = np.linspace(0.0, 0.5 * np.pi, points)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
     n = n_real // 2 if antithetic else n_real
-    batch = sample_batch(params, n, SeedSpec(5))
+    batch = sample_batch(draw_ensemble(params, n, SeedSpec(5)))
     want = np.empty(points)
     for block in np.array_split(np.arange(points), -(-points // 500)):
         phi = batch.phases(times[block]).astype(np.longdouble)
@@ -600,17 +608,96 @@ def test_mc_stderr_at_high_rate(gamma, points, antithetic, monkeypatch):
 def test_sweep_builds_each_chunk_once(monkeypatch):
     # The sweep judges motional narrowing on the sums of its own first
     # chunk, so a sparse batch over several chunks forms each chunk's
-    # segments once (a separate pilot sweep formed the first chunk's twice).
+    # segments once (a separate pilot sweep formed the first chunk's twice),
+    # from the drawn ensemble as from its materialised table.
     params, times = RtnParams(1.0, 2.0 * np.pi), np.linspace(0.0, 2.0 * np.pi, 400)
-    batch = sample_batch(params, 3000, SeedSpec(2))
+    ensemble = draw_ensemble(params, 3000, SeedSpec(2))
+    batch = sample_batch(ensemble)
     rows = rtn._sweep_rows(batch)
     assert 1 < rows < len(batch) and len(batch) % rows
     calls, segments = [], rtn._segments
     monkeypatch.setattr(rtn, "_segments", lambda *a: calls.append(a) or segments(*a))
-    for imag in (True, False):
-        calls.clear()
-        assert rtn._reduce(2, batch, times, imag)[3] == 0  # swept, nothing redone
-        assert len(calls) == -(-len(batch) // rows)
+    for draws in (ensemble, batch):
+        for imag in (True, False):
+            calls.clear()
+            assert rtn._reduce(2, draws, times, imag)[3] == 0  # swept, nothing redone
+            assert len(calls) == -(-len(batch) // rows)
+
+
+# (gamma, t_max, points, n_real, one-row sweep chunks, the pass that runs)
+CHUNK_CASES = [
+    (1.0, 2.0 * np.pi, 400, 3000, False, "sweep"),
+    (0.0, 2.0 * np.pi, 400, 20000, False, "sweep"),  # no jump columns: 2^14 rows a chunk
+    (20.0, 200.0, 400, 1000, False, "direct"),  # ~4000 jumps a row: the direct pass alone
+    (1000.0, 0.5 * np.pi, 400, 1000, False, "direct"),
+    (500.0, 0.5 * np.pi, 4000, 1000, False, "gave up"),  # narrowing seen on the first chunk
+    (500.0, 0.5 * np.pi, 4000, 400, True, "redo"),  # one-row chunks judge nothing
+]
+
+
+@pytest.mark.parametrize("imag", [True, False])
+@pytest.mark.parametrize("gamma, t_max, points, n_real, one_row_chunks, runs", CHUNK_CASES)
+def test_chunked_reduction_matches_the_whole_draw(gamma, t_max, points, n_real, one_row_chunks,
+                                                   runs, imag, monkeypatch):
+    # sample_batch draws any rows [a, b) of an ensemble as those rows of its
+    # whole table, bit for bit, and the reduction, which draws its chunks one
+    # at a time (again for the redo pass and after the sweep gives up),
+    # returns the bits of the reduction over the whole table.  The chunks
+    # come through the module's sample_batch, where the benchmark's tracer
+    # counts them.  Without imag (the antithetic mode) only the real part
+    # is summed.
+    ensemble = draw_ensemble(RtnParams(gamma, t_max), n_real, SeedSpec(5))
+    whole = sample_batch(ensemble)
+    assert whole.jump_times.shape == (n_real, ensemble.width) and (ensemble.width > 0) == (gamma > 0)
+    for a, b in ((0, 1), (7, 300), (n_real - 5, n_real), (n_real - 3, n_real + 4), (n_real, n_real)):
+        part = sample_batch(ensemble, a, b)
+        assert np.array_equal(part.jump_times, whole.jump_times[a:b])
+        assert np.array_equal(part.signs, whole.signs[a:b])
+    times = np.linspace(0.0, t_max, points)
+    if one_row_chunks:
+        monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", 1)
+    drawn = []
+
+    def counted(*args):
+        chunk = sample_batch(*args)
+        drawn.append(len(chunk))
+        return chunk
+
+    monkeypatch.setattr(rtn, "sample_batch", counted)
+    values, se, events, direct = rtn._reduce(2, ensemble, times, imag)
+    want = rtn._reduce(2, whole, times, imag)
+    assert np.array_equal(values, want[0]) and np.array_equal(se, want[1])
+    assert events == want[2] == np.isfinite(whole.jump_times).sum()
+    assert direct == want[3]
+    sweep_rows = rtn._sweep_rows(ensemble)
+    if runs == "sweep":
+        assert direct == 0 and n_real % sweep_rows  # a partial last chunk
+        assert sum(drawn) == n_real  # each chunk drawn once
+    elif runs == "direct":
+        assert direct == points and sum(drawn) == n_real
+    elif runs == "gave up":  # the first chunk of the sweep, then every chunk again
+        assert direct == points and sum(drawn) == sweep_rows + n_real
+    else:  # the whole sweep, then every chunk again for the redo pass
+        assert 0 < direct < points and sum(drawn) == 2 * n_real
+    assert max(drawn) < n_real
+
+
+def test_mc_memory_does_not_grow_with_the_jump_table():
+    # The reduction holds one row chunk of the padded jump table at a time,
+    # so from 2e4 to 8e4 realizations (about 12 jumps each) the peak traced
+    # allocation grows by the counts and signs alone, not by the table
+    # (which grew it by 11.3 MB).
+    times = np.linspace(0.0, 2.0 * np.pi, 400)
+
+    def peak(n_real):
+        tracemalloc.start()
+        try:
+            mc_exponential_moment(RtnParams(1.0, 2.0 * np.pi), 2, times, n_real, SeedSpec(3))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(80_000) - peak(20_000) <= 2e6
 
 
 def test_mc_stderr_of_duplicated_rows_is_zero():
@@ -637,3 +724,51 @@ def test_direct_pass_bits_do_not_depend_on_trig_order():
         values, se = rtn._direct(3, batch, times, imag)
         values_padded, se_padded = rtn._direct(3, padded, times, imag)
         assert np.array_equal(values, values_padded) and np.array_equal(se, se_padded)
+
+
+# Odd values for the property test below, drawn as often as ordinary ones:
+# zeros, +-tiny, +-huge and non-finite floats, and for counts also
+# fractions, bools, negatives and integers past 64 bits and past the float
+# range.
+ODD_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7e308,
+                              np.inf, -np.inf, np.nan, 0.5, True, False]) | st.floats(0.0, 3.0)
+ODD_COUNTS = st.sampled_from([-1, 2**64, 10**30, 10**400, 0.0, 2.0, 2.5, np.nan, np.inf, True,
+                              False]) | st.integers(0, 40)
+
+
+@given(ODD_FLOATS, ODD_FLOATS, ODD_COUNTS, ODD_COUNTS, ODD_COUNTS, ODD_COUNTS, ODD_COUNTS,
+       ODD_COUNTS | st.none(), st.integers(0, 5), st.booleans())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_odd_inputs_give_a_finite_result_or_a_value_error(gamma, t_max, n_real, master_seed,
+                                                          stream_index, order, start, stop,
+                                                          points, antithetic):
+    # Each call gives a finite result or a one-line ValueError; any other
+    # exception or any warning fails.  Where a constructor refuses its
+    # values, the calls after it take ordinary ones instead.
+    def run(call):
+        try:
+            return call()
+        except ValueError as err:
+            assert "\n" not in str(err)
+            return None
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = run(lambda: RtnParams(gamma, t_max))
+        params = RtnParams(1.0, 2.0) if params is None else params
+        seed = run(lambda: SeedSpec(master_seed, stream_index))
+        seed = SeedSpec(0) if seed is None else seed
+        times = np.linspace(0.0, params.t_max, points)
+        series = run(lambda: mc_exponential_moment(params, order, times, n_real, seed, antithetic))
+        if series is not None:
+            assert np.all(np.isfinite(series.values)) and np.all(np.isfinite(series.stderr))
+        ensemble = run(lambda: draw_ensemble(params, n_real, seed))
+        if ensemble is None:
+            ensemble = draw_ensemble(params, 5, seed)
+        assert np.all(ensemble.counts <= ensemble.width) and np.all(np.abs(ensemble.signs) == 1.0)
+        batch = run(lambda: sample_batch(ensemble, start, stop))
+        if batch is not None:
+            jumps = batch.jump_times
+            finite = np.isfinite(jumps)
+            assert np.array_equal(finite.sum(axis=1), ensemble.counts[start:stop])
+            assert np.all(jumps[finite] <= params.t_max)
