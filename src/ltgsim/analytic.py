@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rtn import check_moment, check_rate
+from .rtn import check_horizon, check_moment, check_rate
 from .series import ANALYTIC, CoherenceSeries, check_times
 
 # Treat |gamma - order| below this as the degenerate branch; avoids
@@ -36,6 +36,9 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
     check_moment(order)
     t_arr = np.asarray(t, dtype=float)
     check_times(t_arr.ravel())
+    t_end = float(t_arr.max(initial=0.0))
+    if t_end > 0:
+        check_horizon(t_end, order)  # the phase order * t stays finite, as in the Monte Carlo
 
     if abs(gamma - order) < _DEGENERATE_TOL:
         out = np.exp(-gamma * t_arr) * (1.0 + gamma * t_arr)
@@ -53,7 +56,9 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         e = np.expm1(-2.0 * (d * np.minimum(t_arr, 20.0 / d)))
         out = np.exp(-order * x * t_arr / (1.0 + s)) * (1.0 + 0.5 * e - e / (2.0 * s))
     else:
-        w = np.sqrt(float(order) ** 2 - gamma * gamma)
+        # sqrt(m^2 - g^2) as m sqrt((1 - x)(1 + x)), x = g / m: m^2 overflows past ~1e154
+        x = gamma / order
+        w = float(order) * np.sqrt((1.0 - x) * (1.0 + x))
         out = np.exp(-gamma * t_arr) * (
             np.cos(w * t_arr) + (gamma / w) * np.sin(w * t_arr)
         )

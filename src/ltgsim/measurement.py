@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
-from .rtn import SeedSpec, check_entries, check_integer
+from .rtn import SeedSpec, check_entries, check_integer, check_real
 from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums
 
 # A measured pattern contrast below this many standard errors sits in the
@@ -56,7 +56,9 @@ MIN_SHIFTS = 4
 
 def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
     """(p++, p+-) = ((1 + p Re Gamma) / 4, (1 - p Re Gamma) / 4) at unit efficiency,
-    for a purity p in [0, 1] and |Re Gamma| <= 1 (NaN refused)."""
+    for a purity p in [0, 1] and |Re Gamma| <= 1 (NaN and bools refused)."""
+    check_real("p", p)
+    check_real("Re Gamma", re_gamma)
     if not (0.0 <= p <= 1.0 and abs(re_gamma) <= 1.0):
         raise ValueError(f"detection needs p in [0, 1] and |Re Gamma| <= 1, got p = {p!r}, "
                          f"Re Gamma = {re_gamma!r}")
@@ -67,6 +69,7 @@ def detection_probabilities(p: float, re_gamma: float) -> tuple[float, float]:
 def check_purity(p: float) -> None:
     """Refuse a purity outside (0, 1], or subnormal: p scales the calibration
     curve, which a subnormal p leaves without digits."""
+    check_real("p", p)
     if not np.finfo(float).tiny <= p <= 1.0:  # refuses NaN too
         raise ValueError(f"p must be a normal float in (0, 1], got {p!r}")
 
@@ -75,6 +78,8 @@ def check_counts(n0: float, acquisition_s: float) -> None:
     """Refuse a rate scale n0 <= 0, an acquisition window that is not finite
     and > 0, or one that may expect more than ``MAX_EXPECTED_COUNTS`` counts:
     2 * n0 * acquisition_s, the counts at p++ = 1/2."""
+    check_real("n0", n0)
+    check_real("acquisition_s", acquisition_s)
     if not n0 > 0:  # refuses NaN too
         raise ValueError("n0 must be positive")
     if not 0.0 < acquisition_s < np.inf:
@@ -116,6 +121,8 @@ def simulate_counts(probs: tuple[float, float], n0: float, acquisition_s: float 
     """
     check_counts(n0, acquisition_s)
     check_repeats(repeats)
+    for prob in probs:
+        check_real("detection probability", prob)
     lam = [4.0 * n0 * prob * acquisition_s for prob in probs]
     if not min(lam) >= 0:  # refuses NaN too
         raise ValueError(f"expected counts {lam} are not all >= 0; check probabilities")
@@ -219,8 +226,12 @@ def calibrate_wcp(
     point) or as p * |Re Gamma| without.  The estimation leg builds the
     noise-free contrast of each of 20 widths over [0.5, 10] px, with the
     same beam width and order (one contraction and one sine fit serve all
-    21 kernels), fits a cubic polynomial, and inverts it at the measured
-    contrast; a contrast the curve does not reach raises NumericalError.
+    21 kernels), fits a cubic polynomial in w mapped onto [-1, 1], and
+    inverts it at the measured contrast; a contrast the curve does not reach
+    raises NumericalError.  Both fits go through one modified Gram-Schmidt QR
+    (``_least_squares``) in single-threaded einsums and the cubic and its
+    slope are evaluated by Horner's rule, so no BLAS or LAPACK kernel chosen
+    for the CPU reaches the calibration's bits.
     Uncertainty combines the sine-fit scatter with the polynomial residual,
     both divided by the local curve slope.  A contrast within 5 sigma of
     zero is shot noise, not a measurement, and raises NumericalError too,
@@ -252,29 +263,31 @@ def calibrate_wcp(
         v = p * np.abs(re_gamma)
     # One least-squares sine of period 2 * n_r in h per row: V(h), then the curve's.
     phase = np.pi * h_values / n_r
-    basis = np.column_stack([np.ones(h_values.size), np.cos(phase), np.sin(phase)])
-    coef, _, _, _ = np.linalg.lstsq(basis, np.vstack([v, p * np.abs(curve_re)]).T, rcond=None)
-    amplitude, offset = float(np.hypot(coef[1, 0], coef[2, 0])), float(coef[0, 0])
+    basis = np.stack([np.ones(h_values.size), np.cos(phase), np.sin(phase)])
+    coef, resid = _least_squares(basis, np.vstack([v, p * np.abs(curve_re)]))
+    amplitude, offset = float(np.hypot(coef[0, 1], coef[0, 2])), float(coef[0, 0])
     if offset <= 0:
         raise NumericalError("sine fit returned a non-positive offset")
     vis = amplitude / offset
-    rms = np.sqrt(np.mean((v - basis @ coef[:, 0]) ** 2))
+    rms = np.sqrt(np.mean(resid[0] ** 2))
     sigma_amp = rms * np.sqrt(2.0 / h_values.size)
     sigma_off = rms / np.sqrt(h_values.size)
     vis_sigma = vis * np.sqrt(
         (sigma_amp / max(amplitude, 1e-12)) ** 2 + (sigma_off / offset) ** 2
     )
-    curve_vis = np.hypot(coef[1, 1:], coef[2, 1:]) / coef[0, 1:]
-    poly = np.polynomial.Polynomial.fit(curve_w, curve_vis, deg=3)
-    poly_rms = float(np.sqrt(np.mean((poly(curve_w) - curve_vis) ** 2)))
+    curve_vis = np.hypot(coef[1:, 1], coef[1:, 2]) / coef[1:, 0]
+    t = _to_window(curve_w)
+    (cubic,), (cubic_resid,) = _least_squares(np.stack([np.ones_like(t), t, t * t, t * t * t]),
+                                              curve_vis[None, :])
+    poly_rms = float(np.sqrt(np.mean(cubic_resid**2)))
 
-    w_est = _invert_monotone(poly, vis, _CURVE_RANGE)
+    w_est = _invert_monotone(cubic, vis, _CURVE_RANGE)
     if vis < _MIN_CONTRAST_SIGMAS * vis_sigma:
         raise NumericalError(
             f"measured contrast {vis:.4g} +- {vis_sigma:.2g} ({vis / vis_sigma:.1f} sigma) "
             f"is not resolved above the shot noise; {_MIN_CONTRAST_SIGMAS:g} sigma are needed"
         )
-    slope = abs(poly.deriv()(w_est))
+    slope = abs(_cubic(cubic, w_est)[1])
     if slope < 1e-9:
         raise NumericalError("calibration curve is flat at the inversion point")
     w_sigma = float(np.sqrt(vis_sigma**2 + poly_rms**2) / slope)
@@ -291,15 +304,63 @@ def calibrate_wcp(
     )
 
 
-def _invert_monotone(poly, target: float, w_range: tuple[float, float]) -> float:
-    """Root of poly(w) = target on the decreasing branch inside w_range.
+def _least_squares(basis: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients (r, k) and residuals (r, m) of each of the r rows
+    of ``rhs`` on the k basis rows of ``basis``, all sampled at the same m points.
+
+    Modified Gram-Schmidt QR of the basis, with each projection applied to the
+    data as it is made (the augmented-matrix form, which keeps the residual
+    orthogonal to the basis to rounding), then back substitution in R.  It never
+    forms the normal equations, which square the basis's condition number.  The
+    inner products are single-threaded einsums, so no BLAS kernel or thread
+    count reaches the bits.  A basis row that is a combination of the rows
+    before it leaves a zero pivot and raises NumericalError.
+    """
+    q, y = np.array(basis, float), np.array(rhs, float)
+    k = q.shape[0]
+    r = np.zeros((k, k))  # R, upper triangle
+    d = np.empty((y.shape[0], k))  # Q^T y, per data row
+    for j in range(k):
+        r[j, j] = np.sqrt(np.einsum("m,m->", q[j], q[j], optimize=False))
+        if not r[j, j] > 0:
+            raise NumericalError("least-squares basis is rank-deficient")
+        q[j] /= r[j, j]
+        r[j, j + 1:] = np.einsum("m,im->i", q[j], q[j + 1:], optimize=False)
+        q[j + 1:] -= r[j, j + 1:, None] * q[j]
+        d[:, j] = np.einsum("m,im->i", q[j], y, optimize=False)
+        y -= d[:, j, None] * q[j]
+    coef = np.empty_like(d)
+    for j in reversed(range(k)):
+        tail = np.einsum("ri,i->r", coef[:, j + 1:], r[j, j + 1:], optimize=False)
+        coef[:, j] = (d[:, j] - tail) / r[j, j]
+    return coef, y
+
+
+def _to_window(w):
+    """Widths mapped linearly from the curve's range onto [-1, 1], where its
+    cubic is fitted, as ``numpy.polynomial.Polynomial.fit`` maps its domain."""
+    lo, hi = _CURVE_RANGE
+    return -(hi + lo) / (hi - lo) + 2.0 / (hi - lo) * w
+
+
+def _cubic(coef, w):
+    """The calibration cubic sum_i coef[i] t^i at widths w (t = ``_to_window(w)``)
+    and its slope in w, both by Horner's rule."""
+    c0, c1, c2, c3 = coef
+    t = _to_window(w)
+    lo, hi = _CURVE_RANGE
+    return ((c3 * t + c2) * t + c1) * t + c0, 2.0 / (hi - lo) * ((3.0 * c3 * t + 2.0 * c2) * t + c1)
+
+
+def _invert_monotone(coef, target: float, w_range: tuple[float, float]) -> float:
+    """Root of cubic(w) = target on the decreasing branch inside w_range.
 
     A target the curve never reaches inside w_range raises NumericalError
     rather than returning an endpoint as if it were a measurement.
     """
     lo, hi = w_range
     grid = np.linspace(lo, hi, 400)
-    curve = poly(grid)
+    curve = _cubic(coef, grid)[0]
     vals = curve - target
     sign_change = np.nonzero(np.diff(np.sign(vals)) != 0)[0]
     if sign_change.size == 0:

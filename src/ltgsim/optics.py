@@ -41,18 +41,25 @@ the model's input rules: :class:`PdcSetup` refuses a spectral width outside
 [0, 120] nm or positive below 1e-6 nm, and :func:`profile_axis` a theta0
 that sizes the grid too small, too large or too coarse for the beam.
 
+The pixel average of the conditional slice takes a constant 9-point
+Gauss-Legendre rule and the width fits solve their 3 x 3 Newton steps in
+Python floats, so, like the rest of the package, this module runs on
+numpy's core alone: no result passes through numpy.linalg,
+numpy.polynomial or the BLAS/LAPACK kernels behind them.
+
 theta0 is not directly measurable here; it is fixed so that the marginal
 width reproduces a 20 px beam, the one observable that pins theta0 * L.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .rtn import check_real
 
 C_LIGHT = 299792458.0
 
@@ -100,8 +107,10 @@ class PdcSetup:
     def __post_init__(self):
         for name in ("lambda_pump", "lambda_0", "crystal_length", "pump_waist",
                      "focal", "theta_0", "pixel_width_d"):
+            check_real(name, getattr(self, name))
             if not getattr(self, name) > 0:  # refuses NaN too
                 raise ValueError(f"{name} must be positive")
+        check_real("spectral_width_nm", self.spectral_width_nm)
         if not 0 <= self.spectral_width_nm <= MAX_SPECTRAL_WIDTH_NM:
             raise ValueError(f"width {self.spectral_width_nm} nm outside model range "
                              f"[0, {MAX_SPECTRAL_WIDTH_NM}] nm")
@@ -245,16 +254,16 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _pixel_quadrature() -> tuple[np.ndarray, np.ndarray]:
-    """9-point Gauss-Legendre nodes and weights over one pixel, [-1/2, 1/2].
-
-    Formed on first use, not at import, and shared read-only after that.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(9)
-    nodes, weights = nodes * 0.5, weights * 0.5
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+# 9-point Gauss-Legendre nodes and weights over one pixel, [-1/2, 1/2]: the
+# bits of numpy's leggauss(9) halved (numpy 2.4.6), held as read-only
+# constants so that no run path calls leggauss's LAPACK eigen-solve.
+_PIXEL_NODES = np.array([-0.48408011975381304, -0.4180155536633179, -0.3066857163502952,
+                         -0.16212671170190446, 0.0, 0.16212671170190446, 0.3066857163502952,
+                         0.4180155536633179, 0.48408011975381304])
+_PIXEL_WEIGHTS = np.array([0.04063719418078708, 0.09032408034742868, 0.1303053482014678,
+                           0.15617353852000146, 0.16511967750062992, 0.15617353852000146,
+                           0.1303053482014678, 0.09032408034742868, 0.04063719418078708])
+_PIXEL_NODES.flags.writeable = _PIXEL_WEIGHTS.flags.writeable = False
 
 
 def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
@@ -282,7 +291,8 @@ def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
         return sinc2, _exp(-(u**2))
     bs = 2.0 * setup.theta_0 / C_LIGHT * s
     half = bs * window / 2.0
-    return sinc2, (np.sqrt(np.pi) / (2.0 * bs)) * (_erfc(u - half) - _erfc(u + half))
+    lower, upper = _erfc(np.stack([u - half, u + half]))  # one call: half the per-call overhead
+    return sinc2, (np.sqrt(np.pi) / (2.0 * bs)) * (lower - upper)
 
 
 def expected_wp_px(setup: PdcSetup) -> float:
@@ -491,7 +501,8 @@ def estimate_wcp_tilde(profile: JointSpatialProfile) -> tuple[float, int]:
 
     Fits both a Gaussian and an order-4 super-Gaussian to a finely
     resampled slice, its second coordinate averaged over one pixel as a
-    physical pixel collects photon 2, and returns the lower-residual fit.
+    physical pixel collects photon 2 (the 9-point Gauss-Legendre rule of
+    ``_PIXEL_NODES`` and ``_PIXEL_WEIGHTS``), and returns the lower-residual fit.
     """
     # Coarse width from the grid column nearest dx2 = 0.
     mid = int(np.argmin(np.abs(profile.axis_px)))
@@ -500,9 +511,8 @@ def estimate_wcp_tilde(profile: JointSpatialProfile) -> tuple[float, int]:
 
     extent = max(6.0 * guess, 4.0)
     x_fine = np.linspace(-extent, extent, 401)
-    nodes, wts = _pixel_quadrature()
-    slab = profile.evaluate(x_fine, nodes)
-    y = (slab * wts[None, :]).sum(axis=1)
+    slab = profile.evaluate(x_fine, _PIXEL_NODES)
+    y = (slab * _PIXEL_WEIGHTS[None, :]).sum(axis=1)
 
     w2, r2 = curve_fit(x_fine, y, 2, guess)
     w4, r4 = curve_fit(x_fine, y, 4, guess)

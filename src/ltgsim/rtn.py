@@ -77,7 +77,8 @@ MAX_EXPECTED_JUMPS = 1e8
 
 
 def check_rate(gamma: float) -> None:
-    """Refuse a switching rate that is not finite and >= 0."""
+    """Refuse a switching rate that is not a real number (``check_real``), finite and >= 0."""
+    check_real("switching rate gamma", gamma)
     if not 0.0 <= gamma < np.inf:  # refuses NaN too
         raise ValueError(f"switching rate gamma must be >= 0 and finite, got {gamma}")
 
@@ -85,6 +86,7 @@ def check_rate(gamma: float) -> None:
 def check_horizon(t_max: float, order: int = 1) -> None:
     """Refuse a horizon that is not finite and > 0, or one over which the phase
     order * phi overflows (|phi| <= t_max; ``_segments`` offsets reach 2 * t_max)."""
+    check_real("horizon t_max", t_max)
     if not 0.0 < t_max < np.inf:
         raise ValueError(f"horizon t_max must be finite and > 0, got {t_max}")
     if not 2.0 * order * t_max < np.inf:
@@ -115,6 +117,14 @@ def check_integer(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     if value > sys.float_info.max:
         raise ValueError(f"{name} must be <= {sys.float_info.max:.3g}, got {value}")
+
+
+def check_real(name: str, value: float) -> None:
+    """Refuse a value that is not a real number where one is meant, a bool
+    included: True and False compare as 1 and 0, so a range check alone would
+    take them as a rate, a width or a purity."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def check_moment(order: int, n_real: int = 2, antithetic: bool = False) -> None:

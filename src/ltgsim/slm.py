@@ -68,7 +68,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .optics import NumericalError
-from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, check_integer,
+from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, check_integer, check_real,
                   sample_trajectory, stack_batches)
 from .series import KERNEL_SUM, CoherenceSeries, check_times
 
@@ -96,6 +96,8 @@ class MaskGeometry:
         n = self.pixels_per_half
         check_integer("pixels_per_half", n, 2)
         check_entries(n * (2 * n - 1))  # the kernel sum's pair weights, at most n x (2n - 1)
+        check_real("j0", self.j0)
+        check_real("k0", self.k0)
         if not 0 <= self.j0 < n:
             raise ValueError(f"j0 must lie in [0, {n})")
         if not n <= self.k0 < 2 * n:
@@ -120,6 +122,8 @@ class KernelParams:
     geometry: MaskGeometry = field(default_factory=MaskGeometry)
 
     def __post_init__(self):
+        check_real("w_cp", self.w_cp)
+        check_real("w_p", self.w_p)
         if not self.w_cp > 0 or not self.w_p > 0:  # refuses NaN too
             raise ValueError("w_cp and w_p must be positive")
         check_integer("n", self.n, 2)

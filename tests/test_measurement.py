@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (TwoQubitState, build_state, concurrence, dense_pattern_coherence,
                      projections)
 
+from ltgsim import measurement
 from ltgsim.measurement import (
     _CURVE_RANGE,
     _CURVE_SAMPLES,
@@ -360,3 +361,38 @@ def test_calibration_deterministic_given_seed():
     b = calibrate_wcp(KernelParams(3.1, 20.0, 2, GEO), seed=SeedSpec(5))
     assert np.array_equal(a.v_of_h, b.v_of_h)
     assert a.w_cp_estimate == b.w_cp_estimate
+
+
+@pytest.mark.parametrize("n_r, h, rtol", [(160, np.arange(4), 1e-9), (5, np.arange(-10, 10), 1e-13)],
+                         ids=["clustered", "preset"])
+def test_least_squares_matches_lapack(n_r, h, rtol):
+    # Four shifts over 3/320 of the pattern period leave the sine basis with
+    # condition number ~1e4: the QR solve stays within rounding of LAPACK's
+    # SVD solve there (~3e-13), where the normal equations drift ~3e-9.
+    phase = np.pi * h / n_r
+    basis = np.stack([np.ones(h.size), np.cos(phase), np.sin(phase)])
+    rng = np.random.default_rng(7)
+    rhs = 0.4 + 0.2 * np.cos(phase) - 0.1 * np.sin(phase) + 0.01 * rng.standard_normal((21, h.size))
+    coef, resid = measurement._least_squares(basis, rhs)
+    want = np.linalg.lstsq(basis.T, rhs.T, rcond=None)[0].T
+    assert np.max(np.abs(coef - want)) <= rtol * np.max(np.abs(want))
+    np.testing.assert_allclose(resid, rhs - np.einsum("rk,km->rm", want, basis), rtol=0,
+                               atol=rtol * np.max(np.abs(rhs)))
+
+
+def test_calibration_cubic_matches_polynomial_fit():
+    # The cubic and its slope, by QR and Horner in the mapped width, against
+    # numpy's Polynomial.fit on the same contrast curve.
+    res = calibrate_wcp(KernelParams(3.1, 20.0, 2, GEO), shot_noise=False)
+    t = measurement._to_window(res.curve_w)
+    coef, _ = measurement._least_squares(np.stack([t**0, t, t * t, t * t * t]), res.curve_vis[None, :])
+    want = np.polynomial.Polynomial.fit(res.curve_w, res.curve_vis, deg=3)
+    grid = np.linspace(*_CURVE_RANGE, 400)
+    value, slope = measurement._cubic(coef[0], grid)
+    np.testing.assert_allclose(value, want(grid), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(slope, want.deriv()(grid), rtol=1e-12, atol=1e-15)
+
+
+def test_least_squares_refuses_a_dependent_basis():
+    with pytest.raises(NumericalError, match="rank-deficient"):
+        measurement._least_squares(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]), np.ones((1, 3)))

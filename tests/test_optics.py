@@ -247,6 +247,21 @@ def test_pixel_integration_width_stable_at_15nm():
     assert abs(w_on - w_off) / w_off < 0.02
 
 
+def test_pixel_rule_is_leggauss_halved_exact_and_read_only():
+    # The constant rule holds the bits numpy's leggauss(9) gives, halved, on
+    # this build; it is exact for polynomials of degree <= 17 over one pixel.
+    nodes, weights = np.polynomial.legendre.leggauss(9)
+    assert optics._PIXEL_NODES.tobytes() == (nodes * 0.5).tobytes()
+    assert optics._PIXEL_WEIGHTS.tobytes() == (weights * 0.5).tobytes()
+    x, w = optics._PIXEL_NODES.tolist(), optics._PIXEL_WEIGHTS.tolist()
+    for k in range(18):
+        exact = 0.0 if k % 2 else 0.5**k / (k + 1)  # integral of x^k over [-1/2, 1/2]
+        assert abs(math.fsum(wi * xi**k for wi, xi in zip(w, x)) - exact) <= 1e-16, k
+    for table in (optics._PIXEL_NODES, optics._PIXEL_WEIGHTS):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
 def test_pixel_integration_width_stable_wide_window():
     # Same claim, in the regime where the artifact's widths support it.
     s40 = dataclasses.replace(SETUP, spectral_width_nm=40.0)

@@ -21,9 +21,11 @@ from ltgsim.rtn import (
     sample_trajectory,
     stack_batches,
 )
-from ltgsim.measurement import calibrate_wcp, rect_phase_pattern, simulate_counts
+from ltgsim.measurement import (calibrate_wcp, check_counts, check_purity, detection_probabilities,
+                                rect_phase_pattern, simulate_counts)
+from ltgsim.optics import THETA0_CALIBRATED, NumericalError, PdcSetup, profile_axis, pump_floor_px
 from ltgsim.series import ANALYTIC, CoherenceSeries
-from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field
+from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field, kernel_factors
 
 
 def one_row(sign, jumps):
@@ -726,7 +728,33 @@ def test_direct_pass_bits_do_not_depend_on_trig_order():
         assert np.array_equal(values, values_padded) and np.array_equal(se, se_padded)
 
 
-# Odd values for the property test below, drawn as often as ordinary ones:
+@pytest.mark.parametrize("call", [
+    lambda: RtnParams(True, 2.0), lambda: RtnParams(1.0, True),
+    lambda: exponential_moment(True, 2, [0.5]),
+    lambda: KernelParams(True, 20.0, 2), lambda: MaskGeometry(320, True, 480.0),
+    lambda: PdcSetup(spectral_width_nm=True),
+    lambda: check_counts(True, 8.0), lambda: check_purity(True),
+    lambda: detection_probabilities(True, 0.5), lambda: simulate_counts((0.25, 0.25), n0=True),
+], ids=["rate", "horizon", "moment", "kernel", "geometry", "setup", "counts", "purity",
+        "detection", "simulate"])
+def test_a_bool_is_refused_where_a_real_number_is_meant(call):
+    # True compares as 1: a range check alone took it as a rate of 1 and
+    # recorded "gamma": true in a series.
+    with pytest.raises(ValueError, match="must be a real number, got True"):
+        call()
+
+
+def _result_or_refusal(call, refusals):
+    """call()'s result, or None where it raises one of ``refusals`` with a
+    one-line message; any other exception propagates."""
+    try:
+        return call()
+    except refusals as err:
+        assert "\n" not in str(err)
+        return None
+
+
+# Odd values for the property tests below, drawn as often as ordinary ones:
 # zeros, +-tiny, +-huge and non-finite floats, and for counts also
 # fractions, bools, negatives and integers past 64 bits and past the float
 # range.
@@ -746,11 +774,7 @@ def test_odd_inputs_give_a_finite_result_or_a_value_error(gamma, t_max, n_real, 
     # exception or any warning fails.  Where a constructor refuses its
     # values, the calls after it take ordinary ones instead.
     def run(call):
-        try:
-            return call()
-        except ValueError as err:
-            assert "\n" not in str(err)
-            return None
+        return _result_or_refusal(call, ValueError)
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -772,3 +796,35 @@ def test_odd_inputs_give_a_finite_result_or_a_value_error(gamma, t_max, n_real, 
             finite = np.isfinite(jumps)
             assert np.array_equal(finite.sum(axis=1), ensemble.counts[start:stop])
             assert np.all(jumps[finite] <= params.t_max)
+
+
+@given(ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_FLOATS, ODD_COUNTS, ODD_COUNTS,
+       ODD_FLOATS | st.sampled_from([THETA0_CALIBRATED, 0.2]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_odd_model_inputs_give_a_finite_result_or_a_refusal(x, y, z, u, count, repeats, theta_0):
+    # The same contract beyond rtn: the kernel and mask parameters, the PDC
+    # setup, the closed form, detection and counting each give a finite
+    # result or a one-line ValueError or NumericalError, without a warning.
+    def run(call):
+        return _result_or_refusal(call, (ValueError, NumericalError))
+
+    def finite(*values):
+        return all(np.all(np.isfinite(np.asarray(v, float))) for v in values)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = run(lambda: KernelParams(x, y, count))
+        assert params is None or finite(*kernel_factors(params))
+        geometry = run(lambda: MaskGeometry(count, x, y))
+        assert geometry is None or finite(geometry.offsets1(), geometry.offsets2())
+        setup = run(lambda: PdcSetup(theta_0=theta_0, spectral_width_nm=z))
+        if setup is not None:
+            assert finite(setup.window_angular_freq, pump_floor_px(setup))
+            axis = run(lambda: profile_axis(setup))
+            assert axis is None or finite(axis)
+        moment = run(lambda: exponential_moment(x, count, y))
+        assert moment is None or finite(moment)
+        probs = run(lambda: detection_probabilities(z, u))
+        assert probs is None or finite(probs)
+        rates = run(lambda: simulate_counts((z, u), x, y, repeats))
+        assert rates is None or finite(rates)
