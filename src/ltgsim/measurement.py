@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
-from .rtn import SeedSpec, check_entries, check_integer, check_real
+from .rtn import SeedSpec, check_entries, check_flag, check_integer, check_real
 from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums
 
 # A measured pattern contrast below this many standard errors sits in the
@@ -239,6 +239,7 @@ def calibrate_wcp(
     """
     h_values = np.asarray(np.arange(-10, 10) if h_values is None else h_values)
     check_purity(p)
+    check_flag("shot_noise", shot_noise)
 
     # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)

@@ -544,6 +544,8 @@ class WcpTable:
 
 def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:
     """Run the width pipeline for each spectral width; one row per width, in order."""
+    for width in widths_nm:
+        check_real("spectral_width_nm", width)
     floor = pump_floor_px(setup)
     w_cp, order, w_p, w_tilde = [], [], [], []
     for width in widths_nm:

@@ -355,9 +355,10 @@ _BAND_ROWS = 6
 
 
 def check_shift(n_pix: int, delta: int) -> None:
-    """Refuse a shift of half 2 that is not a whole number of pixels, or that
-    moves every pixel off the mask."""
-    if not (isinstance(delta, numbers.Integral) or float(delta).is_integer()):  # NaN too
+    """Refuse a shift of half 2 that is not a whole number of pixels (a bool
+    included, which would run as 0 or 1), or that moves every pixel off the mask."""
+    if isinstance(delta, (bool, np.bool_)) or not (isinstance(delta, numbers.Integral)
+                                                   or float(delta).is_integer()):  # NaN too
         raise ValueError(f"shift delta={delta!r} is not a whole number of pixels")
     if abs(delta) >= n_pix:
         raise ValueError(f"shift delta={delta} moves every pixel off the mask")

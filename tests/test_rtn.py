@@ -23,7 +23,8 @@ from ltgsim.rtn import (
 )
 from ltgsim.measurement import (calibrate_wcp, check_counts, check_purity, detection_probabilities,
                                 rect_phase_pattern, simulate_counts)
-from ltgsim.optics import THETA0_CALIBRATED, NumericalError, PdcSetup, profile_axis, pump_floor_px
+from ltgsim.optics import (THETA0_CALIBRATED, NumericalError, PdcSetup, profile_axis, pump_floor_px,
+                           wcp_curve)
 from ltgsim.series import ANALYTIC, CoherenceSeries
 from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field, kernel_factors
 
@@ -559,8 +560,9 @@ def test_mc_stderr_keeps_relative_precision_at_tiny_times():
     # At t ~ 1e-7 a row that has jumped deviates from cos(m t) by ~1e-13, far
     # below the rounding of cos(m phi) itself, so the oracle takes
     # d = cos(2 phi) - cos(2 t) = -2 sin(phi + t) sin(phi - t) in long
-    # double.  The sweep forms K = cos B - 1 as -2 sin(B / 2)^2 and must
-    # match it to the two-pass bound of 1e-10 (K = cos B - 1 misses by 2e-3).
+    # double.  The sweep forms K = cos B - 1 as -2 u^2 / (1 + u^2) with
+    # u = tan(B / 2) and must match it to the two-pass bound of 1e-10
+    # (K = cos B - 1 misses by 2e-3).
     times = np.concatenate([[0.0], np.geomspace(1e-7, 1e-3, 60)])
     params, n_real = RtnParams(1000.0, 1e-3), 4000
     for antithetic in (False, True):
@@ -735,13 +737,67 @@ def test_direct_pass_bits_do_not_depend_on_trig_order():
     lambda: PdcSetup(spectral_width_nm=True),
     lambda: check_counts(True, 8.0), lambda: check_purity(True),
     lambda: detection_probabilities(True, 0.5), lambda: simulate_counts((0.25, 0.25), n0=True),
+    lambda: wcp_curve(PdcSetup(), [15.0, True]),
 ], ids=["rate", "horizon", "moment", "kernel", "geometry", "setup", "counts", "purity",
-        "detection", "simulate"])
+        "detection", "simulate", "widths"])
 def test_a_bool_is_refused_where_a_real_number_is_meant(call):
     # True compares as 1: a range check alone took it as a rate of 1 and
     # recorded "gamma": true in a series.
     with pytest.raises(ValueError, match="must be a real number, got True"):
         call()
+
+
+def test_a_width_that_is_not_a_number_is_refused_before_any_width_runs():
+    with pytest.raises(ValueError, match="spectral_width_nm must be a real number, got '15'"):
+        wcp_curve(PdcSetup(), [15.0, "15"])
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: mc_exponential_moment(RtnParams(1.0, 2.0), 2, [0.0, 1.0], 4, SeedSpec(0),
+                                   antithetic=float("nan")), "antithetic must be True or False, got nan"),
+    (lambda: mc_exponential_moment(RtnParams(1.0, 2.0), 2, [0.0, 1.0], 4, SeedSpec(0),
+                                   antithetic="no"), "antithetic must be True or False, got 'no'"),
+    (lambda: calibrate_wcp(KernelParams(3.1, 20.0), shot_noise=float("nan")),
+     "shot_noise must be True or False, got nan"),
+], ids=["antithetic-nan", "antithetic-no", "shot-noise-nan"])
+def test_a_flag_must_be_a_bool(call, value):
+    # A flag read by its truth value ran NaN and "no" as True, and recorded
+    # "antithetic": NaN in the series params.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == value
+
+
+def test_segment_terms_match_the_sines():
+    # K = cos B - 1 and sin B from one tangent, against -2 * sin(B / 2)^2 and
+    # sin B.  The bound comes from the arithmetic: a tangent within a few ulps
+    # moves K by at most twice and sin B by at most once its relative error,
+    # the quotients add four roundings and each reference up to three of its
+    # own.  16 ulps of the reference holds all of that; at small B it is a
+    # relative bound on K, where cos B - 1 taken directly would lose every digit.
+    # Within 1000 ulps of odd multiples of pi |tan(B / 2)| is large, K is
+    # near -2 and sin B near 0; -u * sin B rounds below -2 at ~5 % of them.
+    odd = np.pi * np.array([1, 3, 5, 101, 1001, 10**6 + 1, 10**12 + 1, 10**15 + 1], float)
+    near = np.concatenate([(odd[:, None] + np.arange(-1000, 1001) * np.spacing(odd)[:, None]).ravel(),
+                           2.0 * odd])
+    # B / 2 is the double nearest an odd multiple of pi / 2 (4.7e-19 off), so
+    # tan(B / 2) is the largest any double B gives (2.1e18).
+    worst = 2.0 * 6381956970095103 * 2.0**797
+    b = np.concatenate([10.0 ** np.linspace(-300.0, 300.0, 6001), near, [worst, 1e300]])
+    b = np.concatenate([b, -b, [0.0]])
+    sigma = np.where(np.arange(b.size) % 2, 1.0, -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, sigma_sin, sigma_cos, sin_b = rtn._segment_terms(b.copy(), sigma, True)
+        assert np.array_equal(rtn._segment_terms(b.copy(), sigma, False), [k, sigma_sin])
+    with np.errstate(under="ignore"):
+        k_ref, sin_ref = -2.0 * np.sin(b / 2.0) ** 2, np.sin(b)
+    assert np.all(np.isfinite(k)) and np.all(np.isfinite(sin_b))
+    assert np.all((-2.0 <= k) & (k <= 0.0)) and np.all(np.abs(sin_b) <= 1.0)
+    assert np.all(np.abs(k - k_ref) <= 16 * np.spacing(np.abs(k_ref)))
+    assert np.all(np.abs(sin_b - sin_ref) <= 16 * np.spacing(np.abs(sin_ref)))
+    assert np.array_equal(sigma_sin, sigma * sin_b) and np.array_equal(sigma_cos, sigma * (k + 1.0))
+    assert k[-1] == 0.0 and sin_b[-1] == 0.0  # B = 0 before a row's first jump: d = 0 exactly
 
 
 def _result_or_refusal(call, refusals):
