@@ -68,6 +68,7 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
 def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_LE: squared second moment, for independent per-qubit noises."""
     times = np.asarray(times, dtype=float)
+    check_times(times)
     vals = exponential_moment(gamma, 2, times) ** 2
     return CoherenceSeries(
         times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "LE"}
@@ -77,6 +78,7 @@ def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
 def global_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_GE: fourth moment, for one noise shared by both qubits."""
     times = np.asarray(times, dtype=float)
+    check_times(times)
     vals = exponential_moment(gamma, 4, times)
     return CoherenceSeries(
         times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "GE"}

@@ -185,13 +185,9 @@ class SeedSpec:
     def __post_init__(self):
         check_seed(self.master_seed, self.stream_index)
 
-    def sequence(self, *branch: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(
-            entropy=self.master_seed, spawn_key=(self.stream_index, *branch)
-        )
-
-    def generator(self, *branch: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.sequence(*branch)))
+    def generator(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))))
 
 
 @dataclass

@@ -23,7 +23,9 @@ _MAG_TOL = 1e-9
 
 
 def check_times(times: np.ndarray, t_max: float = math.inf) -> None:
-    """Refuse a 1-D time grid that is not ascending, or not finite within [0, t_max]."""
+    """Refuse a time grid that is not 1-D, not ascending, or not finite within [0, t_max]."""
+    if times.ndim != 1:
+        raise ValueError(f"time grid must be one-dimensional, got {times.ndim} dimensions")
     if times.size and not (0.0 <= times[0] and times[-1] <= t_max and times[-1] < math.inf
                            and np.all(np.diff(times) >= 0)):
         bound = ("t must be >= 0 and finite" if t_max == math.inf

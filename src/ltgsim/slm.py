@@ -308,10 +308,10 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     n_pix = geometry.pixels_per_half
     n_indep = field_blocks(n_pix, n_rep)
     check_mirror(n_pix)
+    check_times(times, float(np.max(times, initial=0.0)))
     if times.size == 0:
         raise ValueError("phase fields need at least one time point")
     params = RtnParams(gamma=gamma, t_max=float(times.max()))
-    check_times(times, params.t_max)
     check_ensemble(gamma, params.t_max, n_indep)
     check_field_grid(n_indep, times.size)
 
@@ -355,10 +355,10 @@ _BAND_ROWS = 6
 
 
 def check_shift(n_pix: int, delta: int) -> None:
-    """Refuse a shift of half 2 that is not a whole number of pixels (a bool
-    included, which would run as 0 or 1), or that moves every pixel off the mask."""
-    if isinstance(delta, (bool, np.bool_)) or not (isinstance(delta, numbers.Integral)
-                                                   or float(delta).is_integer()):  # NaN too
+    """Refuse a shift of half 2 that is not a real whole number of pixels, a bool (which
+    would run as 0 or 1) and a string included, or that moves every pixel off the mask."""
+    if isinstance(delta, (bool, np.bool_)) or not (isinstance(delta, numbers.Integral) or (
+            isinstance(delta, numbers.Real) and float(delta).is_integer())):  # NaN too
         raise ValueError(f"shift delta={delta!r} is not a whole number of pixels")
     if abs(delta) >= n_pix:
         raise ValueError(f"shift delta={delta} moves every pixel off the mask")

@@ -8,22 +8,21 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltgsim import cli, optics
-from ltgsim.cli import (
-    ConfigError,
-    data_section,
-    main,
-    resolve_config,
-    run_config,
-)
-from ltgsim.rtn import RtnParams, SeedSpec, draw_ensemble, sample_batch
+from ltgsim import cli
+from ltgsim.analytic import exponential_moment
+from ltgsim.cli import data_section, main, resolve_config, run_config
+from ltgsim.measurement import calibrate_wcp, simulate_counts
+from ltgsim.optics import THETA0_CALIBRATED, NumericalError, PdcSetup, joint_profile
+from ltgsim.rtn import RtnParams, SeedSpec, draw_ensemble, mc_exponential_moment, sample_batch
 from ltgsim.series import MONTE_CARLO, CoherenceSeries
+from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field, transition_sweep
 
 FAST_GRID = {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 40}
 
@@ -36,135 +35,335 @@ def embedded_config(text: str) -> dict:
     raise ValueError("no embedded config found")
 
 
-def _problems(user_config: dict) -> list[str]:
-    """The problems ``resolve_config`` refuses a config for; [] if it resolves."""
-    try:
-        resolve_config(user_config)
-    except ConfigError as exc:
-        return exc.problems
-    return []
+def _main_in_process(argv):
+    """(exit code, stdout lines, stderr lines) of ``cli.main`` with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue().splitlines(), err.getvalue().splitlines()
 
 
-def test_unknown_keys_rejected():
-    with pytest.raises(ConfigError, match="unknown config key: kernal"):
-        resolve_config({"command": "analytic", "kernal": {}})
-    with pytest.raises(ConfigError, match="kernel.width"):
-        resolve_config({"command": "analytic", "kernel": {"width": 3}})
+def _finite_csvs(out: Path) -> bool:
+    """Whether every data cell of every CSV in ``out`` is a finite number."""
+    return all(np.all(np.isfinite(np.array(
+        [r.split(",") for r in data_section(path.read_text()).splitlines()[1:]], dtype=float)))
+        for path in out.glob("*.csv"))
 
 
-def test_validate_odd_kernel_order():
-    diags = _problems({"command": "transition-delta", "kernel": {"n": 3}})
-    assert any("even" in d for d in diags)
+class Case(NamedTuple):
+    """One config file through ``--validate`` and through a plain run.
+
+    ``config`` is a table, raw file bytes, or None for a file that does not
+    exist ("{cfg}" in ``lines`` stands for its path).  Exit ``code`` 1:
+    ``--validate`` prints ``lines`` on stdout and the run joins them into one
+    ``input error:`` line, or a file that is no JSON object gives ``lines``
+    on stderr both times; 2: ``--validate`` passes and the run ends in the
+    ``numerical error:`` line; 0: both pass and the run writes the files
+    ``lines`` names.  ``runs``: whether a runner may start.  Where it may
+    not, every runner is a stub that writes nothing, and only an accepted
+    config reaches one.  ``twin``: the library call that refuses alike, with
+    the text after the line's key (the whole line for code 2).
+    """
+
+    config: dict | bytes | None
+    lines: tuple = ()
+    code: int = 1
+    runs: bool = False
+    flags: tuple = ()
+    twin: Callable | None = None
 
 
-def test_validate_spectral_bounds(tmp_path):
-    # Spectral widths are checked against the optics model's range, not
-    # against the optics-table widths: 110 nm runs, 130 nm does not.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "transition-spectral", "grid": FAST_GRID,
-                               "spectral": {"widths_nm": [110.0]}}))
-    assert main(["--config", str(cfg), "--validate"]) == 0
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert (tmp_path / "out" / "transition_spectral_110nm.csv").exists()
-    diags = _problems(
-        {"command": "transition-spectral", "spectral": {"widths_nm": [130.0]}}
-    )
-    assert diags == ["spectral: width 130.0 nm outside model range [0, 120.0] nm"]
-    assert _problems(
-        {"command": "transition-spectral", "spectral": {"widths_nm": [15.0]},
-         "optics": {"widths_nm": [1.0, 2.0]}}
-    ) == []
-    # a boolean is not a width of 1 nm
-    for section in ("spectral", "optics"):
-        diags = _problems(
-            {"command": "transition-spectral", section: {"widths_nm": [True]}}
-        )
-        assert any(d.startswith(f"{section}: width True") for d in diags)
+def _judge(case: Case) -> None:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        if isinstance(case.config, bytes):
+            cfg.write_bytes(case.config)
+        elif case.config is not None:
+            cfg.write_text(json.dumps(case.config))
+        started = []
+        if not case.runs:
+            patch.setattr(cli, "_RUNNERS", {name: lambda config, name=name: started.append(name) or {}
+                                            for name in cli._RUNNERS})
+        lines = [line.replace("{cfg}", str(cfg)) for line in case.lines]
+        if not isinstance(case.config, dict):
+            expected = [(1, [], lines)] * 2
+        elif case.code == 1:
+            expected = [(1, lines, []), (1, [], ["input error: " + "; ".join(lines)])]
+        elif case.code == 2:
+            expected = [(0, [], []), (2, [], ["numerical error: " + line for line in lines])]
+        else:
+            expected = [(0, [], []), (0, [str(out / name) for name in lines], [])]
+        argv = ["--config", str(cfg), *case.flags]
+        assert [_main_in_process([*argv, "--validate"]),
+                _main_in_process([*argv, "--out", str(out)])] == expected
+        assert out.exists() == (case.code == 0) and _finite_csvs(out)
+        assert len(started) == (case.code == 0 and not case.runs)
+    if case.twin is not None:
+        with pytest.raises(ValueError if case.code == 1 else NumericalError) as err:
+            case.twin()
+        assert str(err.value) == (case.lines[0] if case.code == 2 else case.lines[0].partition(": ")[2])
 
 
-def test_validate_clean_preset():
-    assert _problems({"preset": "fig3-right"}) == []
+def _config(command: str, **sections) -> dict:
+    """A user config running ``command`` with the given sections."""
+    return {"command": command, **sections}
 
 
-def test_master_seed_rule_is_the_seed_spec_rule():
-    # One check serves the config and the library: what resolve_config
-    # reports for master_seed is what SeedSpec raises.
-    with pytest.raises(ValueError) as err:
-        SeedSpec(-1)
-    assert _problems({"command": "analytic", "master_seed": -1}) == [f"master_seed: {err.value}"]
+_KP = KernelParams(3.0, 20.0)  # the config's default kernel
+_OFF_MASK = "moves every pixel off the mask"
+_CEILING = "exceed the 100,000,000 (~0.8 GB per array) a run may hold"
+_JUMPS = "jumps, more than the 100,000,000 (~0.8 GB of jump times) a run may hold"
+_PRESETS = "available: fig3-left, fig3-right, fig4-left, fig4-right, figS-calibration"
+_PHASES = "measurement.h_min/h_max: the sine fit of V(h) needs shifts of 4 distinct phases h mod 2 * n_r, got "
+_ODD_PIXELS = ("geometry: pixels_per_half 321 is odd; a phase field mirrors each block half a mask away and "
+               "needs an even number of pixels per half")
+_TWO_FILES = ["analytic_ge.csv", "analytic_le.csv"]
+
+# The refusal table: each config the CLI judges, under the test that judges
+# it, one test id per case where the cases are named.  A ceiling is held on
+# both sides; its accepted side is validated only, the runners stubbed.
+REFUSALS = {
+    "test_unknown_keys_rejected": [
+        Case(_config("analytic", kernal={}), ["unknown config key: kernal"]),
+        Case(_config("analytic", kernel={"width": 3}), ["unknown config key: kernel.width"])],
+    "test_validate_odd_kernel_order": [
+        Case(_config("transition-delta", kernel={"n": 3}),
+             ["kernel: super-Gaussian order n must be a positive even integer, got 3; odd orders make the "
+              "correlation factor sign-ambiguous"], twin=lambda: KernelParams(3.0, 20.0, 3))],
+    # Widths face the optics model's range, not the optics-table widths: 110
+    # nm runs, 130 nm does not; a boolean is not a width of 1 nm.
+    "test_validate_spectral_bounds": [
+        Case(_config("transition-spectral", grid=FAST_GRID, spectral={"widths_nm": [110.0]}),
+             ["transition_spectral_110nm.csv"], code=0, runs=True),
+        Case(_config("transition-spectral", spectral={"widths_nm": [130.0]}),
+             ["spectral: width 130.0 nm outside model range [0, 120.0] nm"],
+             twin=lambda: PdcSetup(spectral_width_nm=130.0)),
+        Case(_config("transition-spectral", spectral={"widths_nm": [15.0]}, optics={"widths_nm": [1.0, 2.0]}),
+             code=0),
+        *[Case(_config("transition-spectral", **{key: {"widths_nm": [True]}}),
+               [f"{key}: width True is not a number"]) for key in ("spectral", "optics")]],
+    "test_validate_clean_preset": [Case({"preset": "fig3-right"}, code=0)],
+    # What resolve_config reports for master_seed is what SeedSpec raises.
+    "test_master_seed_rule_is_the_seed_spec_rule": [
+        Case(_config("analytic", master_seed=-1),
+             ["master_seed: master_seed must be a non-negative integer, got -1"], twin=lambda: SeedSpec(-1))],
+    # A boolean is not a shift of 1 pixel; the calibration's shifts face the mask too.
+    "test_validate_delta_off_mask": [
+        Case(_config("transition-delta", deltas=[400]), [f"deltas: shift delta=400 {_OFF_MASK}"],
+             twin=lambda: transition_sweep(0.0, [_KP], [400], [0.0, 1.0])),
+        Case(_config("transition-delta", deltas=[True]), ["deltas: shift True is not an integer"]),
+        Case(_config("calibrate-wcp", measurement={"h_min": -400, "h_max": -330}),
+             [f"measurement: h_min shift delta=-400 {_OFF_MASK}",
+              f"measurement: h_max shift delta=-330 {_OFF_MASK}"]),
+        Case(_config("calibrate-wcp", measurement={"h_min": -319, "h_max": 319}), code=0)],
+    # The phase field mirrors each block half a mask away: --validate must say
+    # so for both transition commands, not the run.
+    "test_validate_odd_pixels_per_half": [
+        *[Case(_config(name, geometry={"pixels_per_half": 321}), [_ODD_PIXELS],
+               twin=lambda: build_phase_field(0.0, [0.0, 1.0], 3, MaskGeometry(321, 160.0, 480.0)))
+          for name in ("transition-delta", "transition-spectral")],
+        Case(_config("calibrate-wcp", geometry={"pixels_per_half": 321}), code=0)],
+    # Entries of one file name would overwrite each other's series after
+    # running twice; the optics table writes each width as a row of one file.
+    "test_validate_repeated_sweep_entries": [
+        Case(_config("transition-delta", deltas=[1, 1, 0]),
+             ["deltas: entries share an output file: transition_delta_1.csv"]),
+        Case(_config("transition-spectral", spectral={"widths_nm": [15, 15.0000001, 30]}),
+             ["spectral.widths_nm: entries share an output file: transition_spectral_15nm.csv"]),
+        Case(_config("optics-table", optics={"widths_nm": [15.0, 15.0]}), code=0)],
+    # Leaf refusals reached stderr under --validate, and only the first of two was named.
+    "test_validate_answers_on_stdout_alone": [
+        Case(_config("analytic", grid={"points": -1}), ["grid.points: value -1 out of range"]),
+        Case({"grid": {"points": "x"}, "rtn": {"gamma": float("nan")}}, [
+            "config must name a command (or a preset)", "grid.points: bad type str",
+            "rtn.gamma: nan is not a finite number"])],
+    "test_unknown_preset": [
+        Case({"preset": "fig9"}, [f"unknown preset 'fig9'; {_PRESETS}"]),
+        Case({"preset": {}}, [f"unknown preset {{}}; {_PRESETS}", "preset: bad type dict"])],
+    # Another command beside a preset, or a leaf the preset sets otherwise,
+    # used to drop one side silently.
+    "test_preset_refuses_what_it_would_drop": [
+        Case(_config("analytic"), ["command is 'analytic', but preset fig4-left runs 'transition-delta'"],
+             flags=("--preset", "fig4-left")),
+        Case({"preset": "fig3-left", "rtn": {"gamma": 0.5}},
+             ["preset fig3-left: rtn.gamma is 0.5, but the preset sets 0.0"])],
+    # Each runs to finite data or ends in one line and its exit code, with no warning.
+    "test_cli_main_extreme_inputs_end_cleanly": {
+        # A sine fit through 1-3 shifts has no scatter left: it gave vis_of_v
+        # 1.0 +- 1.3e-15 (h 0..1), or "calibration curve is flat" (h 0..0).
+        **{f"h-0-{h}": Case(_config("calibrate-wcp", measurement={"h_min": 0, "h_max": h}),
+                            [f"{_PHASES}{h + 1}"], twin=lambda h=h: calibrate_wcp(_KP, h_values=range(h + 1)))
+           for h in (1, 2, 0)},
+        # n_r = 1 leaves two phases h mod 2: w_cp 2.93 for a true 3.1, or
+        # with shot noise exit 2 at "0.7 sigma".
+        **{"n_r-1" + suffix: Case(_config("calibrate-wcp", kernel={"w_cp": 3.1},
+                                          measurement={"n_r": 1, "shot_noise": shot_noise}),
+                                  [f"{_PHASES}2"], twin=lambda: calibrate_wcp(KernelParams(3.1, 20.0), n_r=1))
+           for suffix, shot_noise in (("", False), ("-shot-noise", True))},
+        # A period longer than a mask half left a curve range ~1e-9; p = 0
+        # divided 0 by 0 in the sine fits; numpy's Poisson draw refused 1e300.
+        "n_r-1e5": Case(_config("calibrate-wcp", measurement={"n_r": 100000}),
+                        ["measurement.n_r: pattern period 2 * n_r = 200000 exceeds a mask half"],
+                        twin=lambda: calibrate_wcp(_KP, n_r=100000)),
+        "p-0": Case(_config("calibrate-wcp", measurement={"p": 0}),
+                    ["measurement.p: p must be a normal float in (0, 1], got 0"],
+                    twin=lambda: calibrate_wcp(_KP, p=0)),
+        "n0-1e300": Case(_config("calibrate-wcp", measurement={"n0": 1e300}),
+                         ["measurement.n0/acquisition_s: n0 1e+300 and acquisition_s 8.0 expect up to "
+                          "1.6e+301 counts per acquisition, over 1e+18"],
+                         twin=lambda: calibrate_wcp(_KP, n0=1e300)),
+        # The window factor of a 1e-300 nm window vanishes on the whole grid.
+        "width-1e-300nm": Case(_config("transition-spectral", spectral={"widths_nm": [1e-300]}),
+                               ["spectral: width 1e-300 nm is below the 1e-06 nm the window factor resolves "
+                                "(0 nm gives the zero-width limit)"],
+                               twin=lambda: PdcSetup(spectral_width_nm=1e-300)),
+        # gamma^2, 2 * d * t (5e307), gamma + d and 2 * d overflowed, with
+        # inf * 0 at t = 0, and the closed form turned NaN.
+        **{f"gamma-{name}": Case(_config("analytic", rtn={"gamma": gamma}, grid=FAST_GRID), _TWO_FILES,
+                                 code=0, runs=True)
+           for name, gamma in (("1e300", 1e300), ("5e307", 5e307), ("1e308", 1e308),
+                               ("max", sys.float_info.max))},
+        # The one-point grid [0] passed --validate, and its horizon 0 was refused naming no key.
+        **{f"one-point-{name}": Case(_config(command, grid={"points": 1}),
+                                     ["grid.points: horizon t_max must be finite and > 0, got 0.0"],
+                                     twin=lambda: RtnParams(0.0, 0.0))
+           for name, command in (("mc", "mc-moment"), ("delta", "transition-delta"),
+                                 ("spectral", "transition-spectral"))},
+        # order * t overflowed with 2-6 RuntimeWarnings before the data was refused.
+        **{f"t_max-max-{name}": Case(_config(command, grid={"t_max": 1.7e308}),
+                                     [f"grid.t_max: 2 * order * t_max = 2 * {order} * 1.7e+308 overflows "
+                                      "the phases"], twin=twin)
+           for name, command, order, twin in (
+               ("analytic", "analytic", 4, lambda: exponential_moment(0.0, 4, [0.0, 1.7e308])),
+               ("mc", "mc-moment", 4, None),
+               ("delta", "transition-delta", 1, lambda: build_phase_field(0.0, [0.0, 1.7e308], 3)))},
+        # A shift without a coincidence is a measurement outcome, not an input error.
+        "n0-0.1": Case(_config("calibrate-wcp", measurement={"n0": 0.1}),
+                       ["shift h = -9 recorded no coincidences in 4 x 8 s at n0 = 0.1; raise n0 or "
+                        "acquisition_s"], code=2, runs=True,
+                       twin=lambda: calibrate_wcp(_KP, n0=0.1, seed=SeedSpec(12345))),
+        # A beam narrower than the pixel pitch off the pixel centres: every pair
+        # weight underflows, which --validate cannot see without the kernel.
+        "no-support": Case(_config("calibrate-wcp", kernel={"w_p": 1e-150}, geometry={"j0": 0.5}),
+                           ["kernel has no support on the mask"], code=2, runs=True,
+                           twin=lambda: calibrate_wcp(KernelParams(3.0, 1e-150, 2, MaskGeometry(320, 0.5))))},
+    # An empty sweep list would exit 0 and write nothing (or an empty table).
+    "test_empty_sweep_is_rejected": [
+        Case(_config("transition-delta", deltas=[]), ["deltas: empty list, nothing to run"]),
+        *[Case(_config("transition-spectral", **{key: {"widths_nm": []}}),
+               [f"{key}.widths_nm: empty list, nothing to run"]) for key in ("spectral", "optics")]],
+    "test_cli_main_validate_exit_codes": [Case(_config("analytic"), _TWO_FILES, code=0, runs=True)],
+    "test_cli_main_runs_and_writes": [
+        Case(_config("analytic", grid=FAST_GRID), _TWO_FILES, code=0, runs=True)],
+    # A huge or infinite rate keeps the jump sampler drawing until memory runs
+    # out; each non-finite leaf is named by its path, a list entry by its index.
+    "test_cli_main_validate_rejects_unbounded_sampling": [
+        Case(_config("transition-delta", rtn={"gamma": 1e308}),
+             [f"rtn: gamma * t_max over 54 trajectories expects inf {_JUMPS}"]),
+        Case(_config("mc-moment", rtn={"gamma": 200.0}),
+             [f"rtn: gamma * t_max over 100000 trajectories expects 1.26e+08 {_JUMPS}"],
+             twin=lambda: mc_exponential_moment(RtnParams(200.0, 2 * np.pi), 4, [0.0], 100000, SeedSpec(0),
+                                                True)),
+        Case(_config("mc-moment", rtn={"gamma": float("inf")}), ["rtn.gamma: inf is not a finite number"]),
+        Case(_config("analytic", grid={"t_max": float("inf")}), ["grid.t_max: inf is not a finite number"]),
+        Case(_config("transition-delta", geometry={"j0": -float("inf")}),
+             ["geometry.j0: -inf is not a finite number"]),
+        Case(_config("transition-spectral", spectral={"widths_nm": [15.0, float("nan")]}),
+             ["spectral.widths_nm[1]: nan is not a finite number"])],
+    # theta_0 sizes the profile grid (beam width ~ 1 / theta_0): one point at
+    # 100, where the fits crashed, and 14 929 per axis (~1.8 GB) at 1e-3.
+    "test_cli_main_validate_bounds_profile_grid": [
+        *[Case(_config("optics-table", optics={"theta_0": theta_0}),
+               [f"optics: theta_0 {theta_0!r} sizes the profile grid at {points} points per axis, outside "
+                "the 3 to 4097 a profile may sample"],
+               twin=lambda theta_0=theta_0: joint_profile(PdcSetup(theta_0=theta_0)))
+          for theta_0, points in ((100, 1), (1e-3, 14929), (1e-320, "inf"))],
+        Case(_config("optics-table"), code=0)],
+    # Expected beam widths of 0.3 and 1.2 grid spacings (7.4, 2): the fits
+    # returned 0.43 and 1.33 px for 0.079 and 0.29 px with no flag.
+    "test_cli_main_validate_rejects_beam_finer_than_grid": [
+        *[Case(_config("optics-table", optics={"theta_0": theta_0}),
+               [f"optics: theta_0 {theta_0!r} gives an expected beam width of {spacings} grid spacings, "
+                "fewer than the 4 a width fit resolves"],
+               twin=lambda theta_0=theta_0: joint_profile(PdcSetup(theta_0=theta_0)))
+          for theta_0, spacings in ((7.4, "0.315"), (2, "1.17"))],
+        Case(_config("optics-table", optics={"theta_0": THETA0_CALIBRATED}), code=0)],
+    # At gamma = 0 no jump is expected, but 1e10 rows need 80 GB for their signs.
+    "test_cli_main_validate_bounds_mc_rows": [
+        Case(_config("mc-moment", rtn={"gamma": 0.0}, mc={"n_real": 10**10}),
+             [f"mc: 1e+10 array entries {_CEILING}"],
+             twin=lambda: draw_ensemble(RtnParams(0.0, 1.0), 10**10, SeedSpec(0))),
+        Case(_config("mc-moment", rtn={"gamma": 0.0}, mc={"n_real": 10**8}), code=0)],
+    # 1e10 grid points are an 80 GB grid (a phase field holds 108 blocks'
+    # phasors per point), 1e12 repeats a (1e12, 2) Poisson array per shift.
+    "test_cli_main_validate_bounds_grid_and_repeats": [
+        Case(_config("analytic", grid={"points": 10**10}), [f"grid.points: 1e+10 array entries {_CEILING}"]),
+        Case(_config("transition-delta", grid={"points": 10**10}),
+             [f"grid.points: 1.08e+12 array entries {_CEILING}"]),
+        Case(_config("calibrate-wcp", measurement={"repeats": 10**12}),
+             [f"measurement.repeats: 2e+12 array entries {_CEILING}"],
+             twin=lambda: simulate_counts((0.25, 0.25), 250.0, 8.0, 10**12)),
+        Case(_config("transition-delta", grid={"points": 925_925}), code=0),
+        Case(_config("transition-delta", grid={"points": 925_926}),
+             [f"grid.points: 1e+08 array entries {_CEILING}"])],
+    # Unusable files: missing, no object, no JSON, no UTF-8, and an output
+    # section that is no table (``--out`` writes into it).
+    "test_cli_main_missing_file": [
+        Case(None, ["cannot read config: [Errno 2] No such file or directory: '{cfg}'"]),
+        Case(b"[1, 2]", ["config must be a JSON object"]),
+        Case(b"{not json", ["cannot read config: Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)"]),
+        Case(b"\xff", ["cannot read config: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte"]),
+        Case(_config("transition-delta", output=5), ["output must be a table"])],
+    # A zero block size divided by zero in validation, a string grid size
+    # reached linspace, a boolean seed ran as seed 1, and integers past 64 bits
+    # ended in OverflowError tracebacks.
+    "test_cli_main_schema_errors_name_the_path": [
+        Case(_config("transition-delta", field={"n_rep": 0}), ["field.n_rep: n_rep must be >= 1, got 0"],
+             twin=lambda: build_phase_field(0.0, [0.0, 1.0], 0)),
+        Case(_config("analytic", grid={"points": "400"}), ["grid.points: bad type str"]),
+        Case(_config("analytic", master_seed=True), ["master_seed: unexpected boolean"]),
+        Case(_config("transition-delta", field={"n_rep": 2**64}), [f"field.n_rep: value {2**64} out of range"]),
+        Case(_config("transition-spectral", spectral={"widths_nm": [10**400]}),
+             [f"spectral.widths_nm: value [{10**400}] out of range"])],
+    # The kernel rules live in KernelParams alone.  Widths whose w_cp**n or
+    # w_p**2 is no normal float ended in an OverflowError (1e200) or in
+    # RuntimeWarnings (1e-300).
+    "test_cli_main_kernel_rules_end_in_one_line": [
+        Case(_config("transition-delta", kernel=kernel), [f"kernel: {message}"],
+             twin=lambda kernel=kernel: KernelParams(**{"w_cp": 3.0, "w_p": 20.0, **kernel}))
+        for kernel, message in (
+            ({"w_cp": 0}, "w_cp and w_p must be positive"), ({"w_p": -1}, "w_cp and w_p must be positive"),
+            ({"n": 0}, "n must be >= 2, got 0"),
+            *[({name: width}, f"{name}**2 = {width!r}**2 is not a finite normal float")
+              for width in (1e200, 1e-300) for name in ("w_cp", "w_p")])],
+    # A true w_cp of 14 px blurs the pattern below every contrast the [0.5, 10] px curve reaches.
+    "test_cli_main_calibration_beyond_curve_exits_2": [
+        Case(_config("calibrate-wcp", kernel={"w_cp": 14.0}, measurement={"shot_noise": False}),
+             ["measured contrast 0.0003541 lies outside the calibration curve's range [0.009772, 0.8661] "
+              "over w_cp in [0.5, 10] px"], code=2, runs=True,
+             twin=lambda: calibrate_wcp(KernelParams(14.0, 20.0), shot_noise=False))],
+}
 
 
-def test_validate_delta_off_mask():
-    diags = _problems({"command": "transition-delta", "deltas": [400]})
-    assert any("mask" in d for d in diags)
-    # a boolean is not a shift of 1 pixel
-    diags = _problems({"command": "transition-delta", "deltas": [True]})
-    assert any(d.startswith("deltas: shift True") for d in diags)
-    # the calibration's pattern shifts face the same mask
-    diags = _problems(
-        {"command": "calibrate-wcp", "measurement": {"h_min": -400, "h_max": -330}}
-    )
-    assert any(d.startswith("measurement: h_min shift delta=-400 moves every pixel off")
-               for d in diags)
-    assert any(d.startswith("measurement: h_max shift delta=-330 moves every pixel off")
-               for d in diags)
-    diags = _problems(
-        {"command": "calibrate-wcp", "measurement": {"h_min": -319, "h_max": 319}}
-    )
-    assert diags == []
+def _refusal_test(cases):
+    """The test judging ``cases`` (``_judge``): one id per case of a dict."""
+    if isinstance(cases, dict):
+        @pytest.mark.parametrize("case", cases.values(), ids=cases.keys())
+        def test(case):
+            _judge(case)
+        return test
+
+    def test():
+        for case in cases:
+            _judge(case)
+    return test
 
 
-def test_validate_odd_pixels_per_half(tmp_path, capsys):
-    # The phase field mirrors each block half a mask away, so both transition
-    # commands need an even pixel count; --validate must say so, not the run.
-    cfg = tmp_path / "cfg.json"
-    for command in ("transition-delta", "transition-spectral"):
-        cfg.write_text(json.dumps({"command": command, "geometry": {"pixels_per_half": 321}}))
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 1 and out[0].startswith("geometry: pixels_per_half 321 is odd")
-    # no phase field, no constraint
-    assert _problems(
-        {"command": "calibrate-wcp", "geometry": {"pixels_per_half": 321}}) == []
-
-
-def test_validate_repeated_sweep_entries(tmp_path, capsys):
-    # Entries that format to one file name would overwrite each other's
-    # series after running twice: --validate names the file, in one line.
-    cfg = tmp_path / "cfg.json"
-    cases = [({"command": "transition-delta", "deltas": [1, 1, 0]},
-              "deltas: entries share an output file: transition_delta_1.csv"),
-             ({"command": "transition-spectral", "spectral": {"widths_nm": [15, 15.0000001, 30]}},
-              "spectral.widths_nm: entries share an output file: transition_spectral_15nm.csv")]
-    for config, message in cases:
-        cfg.write_text(json.dumps(config))
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        assert capsys.readouterr().out.strip().splitlines() == [message]
-    # the optics table writes each width as a row of one file: repeats are fine
-    assert _problems(
-        {"command": "optics-table", "optics": {"widths_nm": [15.0, 15.0]}}) == []
-
-
-def test_validate_answers_on_stdout_alone(tmp_path, capsys):
-    # Shape, preset and leaf refusals used to reach stderr under --validate,
-    # and only the first of two leaf problems was named.  Every refusal goes to
-    # stdout, one per line, and a run ends in one stderr line joining them all.
-    cfg = tmp_path / "cfg.json"
-    cases = [('{"command": "analytic", "kernal": {}}', ["unknown config key: kernal"]),
-             ('{"preset": "fig3-left", "rtn": {"gamma": 0.5}}',
-              ["preset fig3-left: rtn.gamma is 0.5, but the preset sets 0.0"]),
-             ('{"command": "analytic", "grid": {"points": -1}}',
-              ["grid.points: value -1 out of range"]),
-             ('{"grid": {"points": "x"}, "rtn": {"gamma": NaN}}',
-              ["config must name a command (or a preset)", "grid.points: bad type str",
-               "rtn.gamma: nan is not a finite number"])]
-    for text, lines in cases:
-        cfg.write_text(text)
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr() == ("", "input error: " + "; ".join(lines) + "\n")
-    assert not (tmp_path / "out").exists()
+for _name, _cases in REFUSALS.items():
+    globals()[_name] = _refusal_test(_cases)
 
 
 class _ReadRecorder(dict):
@@ -197,28 +396,6 @@ def test_preset_sets_only_keys_its_command_reads(preset):
     unread = [leaf for leaf in _leaves(cli.PRESETS[preset]) if leaf != "command" and leaf not in seen]
     assert unread == []
 
-
-def test_unknown_preset():
-    with pytest.raises(ConfigError, match="unknown preset"):
-        resolve_config({"preset": "fig9"})
-    with pytest.raises(ConfigError, match=r"unknown preset \{\}"):  # not a TypeError
-        resolve_config({"preset": {}})
-
-
-def test_preset_refuses_what_it_would_drop(tmp_path, capsys):
-    # Another command beside a preset, or a leaf the preset sets to another
-    # value, used to drop one side silently (the preset, or the leaf); both
-    # now stop with one line naming the path, and nothing is written.
-    cfg = tmp_path / "cfg.json"
-    cases = [({"command": "analytic"}, ["--preset", "fig4-left"],
-              "input error: command is 'analytic', but preset fig4-left runs 'transition-delta'"),
-             ({"preset": "fig3-left", "rtn": {"gamma": 0.5}}, [],
-              "input error: preset fig3-left: rtn.gamma is 0.5, but the preset sets 0.0")]
-    for config, flags, message in cases:
-        cfg.write_text(json.dumps(config))
-        assert main(["--config", str(cfg), *flags, "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.strip().splitlines() == [message]
-    assert not (tmp_path / "out").exists()
 
 
 def test_preset_takes_what_agrees_with_it(tmp_path):
@@ -255,88 +432,6 @@ def test_cli_main_analytic_at_fast_noise(tmp_path, capsys):
     re_gamma = np.array([float(r.split(",")[1]) for r in body])
     assert re_gamma[0] == 1.0 and np.all((re_gamma > 0.0) & (re_gamma <= 1.0))
 
-
-@pytest.mark.parametrize("config, code, line", [
-    # A sine fit of V(h) through 1-3 shifts has no scatter left: exit 0
-    # with vis_of_v 1.0 +- 1.3e-15 (h 0..1), or exit 2 "calibration curve is
-    # flat" (h 0..0).
-    ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 1}}, 1,
-     "input error: measurement.h_min/h_max: "),
-    ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 2}}, 1,
-     "input error: measurement.h_min/h_max: "),
-    ({"command": "calibrate-wcp", "measurement": {"h_min": 0, "h_max": 0}}, 1,
-     "input error: measurement.h_min/h_max: "),
-    # n_r = 1 leaves two shift phases h mod 2: exit 0 with w_cp 2.93 for a
-    # true 3.1 (vis_of_v 1.6e-5 +- 1.2e-16), or with shot noise exit 2 "0.7 sigma".
-    *[({"command": "calibrate-wcp", "kernel": {"w_cp": 3.1},
-        "measurement": {"n_r": 1, "shot_noise": shot_noise}}, 1,
-       "input error: measurement.h_min/h_max: ") for shot_noise in (False, True)],
-    # A pattern period longer than a mask half leaves a curve range ~1e-9.
-    ({"command": "calibrate-wcp", "measurement": {"n_r": 100000}}, 1,
-     "input error: measurement.n_r: "),
-    # p = 0 divided 0 by 0 in the curve's sine fits.
-    ({"command": "calibrate-wcp", "measurement": {"p": 0}}, 1, "input error: measurement.p: "),
-    # numpy's Poisson draw refused with "lam value too large".
-    ({"command": "calibrate-wcp", "measurement": {"n0": 1e300}}, 1,
-     "input error: measurement.n0/acquisition_s: "),
-    # The window factor of a 1e-300 nm window vanishes on the whole grid, and
-    # the marginal's second moment divided 0 by 0.
-    ({"command": "transition-spectral", "spectral": {"widths_nm": [1e-300]}}, 1,
-     "input error: spectral: width 1e-300 nm is below the"),
-    # gamma^2 overflowed to inf and the closed form turned NaN.
-    ({"command": "analytic", "rtn": {"gamma": 1e300}, "grid": FAST_GRID}, 0, None),
-    # 2 * d * t overflowed (5e307), and gamma + d and 2 * d too, with inf * 0
-    # at t = 0 (1e308 and the largest float).
-    ({"command": "analytic", "rtn": {"gamma": 5e307}, "grid": FAST_GRID}, 0, None),
-    ({"command": "analytic", "rtn": {"gamma": 1e308}, "grid": FAST_GRID}, 0, None),
-    ({"command": "analytic", "rtn": {"gamma": sys.float_info.max}, "grid": FAST_GRID}, 0, None),
-    # The one-point grid [0] passed --validate, then the noise horizon 0 was
-    # refused naming no key.
-    *[({"command": command, "grid": {"points": 1}}, 1, "input error: grid.points: ")
-      for command in ("mc-moment", "transition-delta", "transition-spectral")],
-    # order * t overflowed with 2-6 RuntimeWarnings before the non-finite data
-    # was refused.
-    *[({"command": command, "grid": {"t_max": 1.7e308}}, 1, "input error: grid.t_max: ")
-      for command in ("analytic", "mc-moment", "transition-delta")],
-    # A shift without a coincidence is a measurement outcome, not an input
-    # error: "visibility undefined: zero total counts" exited 1.
-    ({"command": "calibrate-wcp", "measurement": {"n0": 0.1}}, 2,
-     "numerical error: shift h = -9 recorded no coincidences in 4 x 8 s at n0 = 0.1"),
-    # A beam narrower than the pixel pitch off the pixel centres: every pair
-    # weight underflows, which --validate cannot see without the kernel.
-    ({"command": "calibrate-wcp", "kernel": {"w_p": 1e-150}, "geometry": {"j0": 0.5}}, 2,
-     "numerical error: kernel has no support on the mask"),
-], ids=["h-0-1", "h-0-2", "h-0-0", "n_r-1", "n_r-1-shot-noise", "n_r-1e5", "p-0", "n0-1e300",
-        "width-1e-300nm", "gamma-1e300", "gamma-5e307", "gamma-1e308", "gamma-max", "one-point-mc", "one-point-delta",
-        "one-point-spectral", "t_max-max-analytic", "t_max-max-mc", "t_max-max-delta",
-        "n0-0.1", "no-support"])
-def test_cli_main_extreme_inputs_end_cleanly(tmp_path, capsys, config, code, line):
-    # Each input either runs to finite data or ends in one stderr line and
-    # its exit code, with no warning (warnings are errors under pytest).
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out)]) == code
-    err = capsys.readouterr().err.strip().splitlines()
-    if line is None:
-        assert err == [] and list(out.glob("*.csv"))
-        for path in out.glob("*.csv"):
-            body = [r.split(",") for r in data_section(path.read_text()).splitlines()[1:]]
-            assert np.all(np.isfinite(np.array(body, dtype=float)))
-    else:
-        assert len(err) == 1 and err[0].startswith(line), err
-        assert not out.exists()
-
-
-def test_empty_sweep_is_rejected():
-    # an empty sweep list would exit 0 and write nothing (or an empty table)
-    with pytest.raises(ConfigError, match="deltas: empty list"):
-        run_config({"command": "transition-delta", "deltas": [], "grid": FAST_GRID})
-    for key in ("spectral", "optics"):
-        diags = _problems(
-            {"command": "transition-spectral", key: {"widths_nm": []}}
-        )
-        assert f"{key}.widths_nm: empty list, nothing to run" in diags
 
 
 def test_mc_moment_has_stderr_column():
@@ -438,197 +533,6 @@ def test_seed_changes_data():
     assert a != b
 
 
-def test_cli_main_validate_exit_codes(tmp_path):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"command": "analytic"}))
-    assert main(["--config", str(good), "--validate"]) == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"command": "transition-delta", "kernel": {"n": 3}}))
-    assert main(["--config", str(bad), "--validate"]) == 1
-    bad.write_text(json.dumps(
-        {"command": "calibrate-wcp", "measurement": {"h_min": -400, "h_max": -330}}
-    ))
-    assert main(["--config", str(bad), "--validate"]) == 1
-
-
-def test_cli_main_validate_rejects_unbounded_sampling(tmp_path, capsys, monkeypatch):
-    # A huge or infinite rate keeps the jump sampler drawing until memory runs
-    # out, so validation must stop it before any draw (the samplers are
-    # replaced by a failing stub); every non-finite leaf is named by its path.
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("sampler ran on a config that fails validation")
-
-    monkeypatch.setattr(cli.slm, "sample_trajectory", no_sampling)
-    monkeypatch.setattr(cli, "mc_exponential_moment", no_sampling)
-    cfg = tmp_path / "cfg.json"
-    cases = [
-        ('{"command": "transition-delta", "rtn": {"gamma": 1e308}}',
-         "rtn: gamma * t_max over 54"),
-        ('{"command": "mc-moment", "rtn": {"gamma": 200.0}}',
-         "rtn: gamma * t_max over 100000"),
-        ('{"command": "mc-moment", "rtn": {"gamma": Infinity}}',
-         "rtn.gamma: inf is not a finite"),
-        ('{"command": "analytic", "grid": {"t_max": Infinity}}',
-         "grid.t_max: inf is not a finite"),
-        ('{"command": "transition-delta", "geometry": {"j0": -Infinity}}',
-         "geometry.j0: -inf is not a finite"),
-    ]
-    for text, message in cases:
-        cfg.write_text(text)
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        assert capsys.readouterr().out.startswith(message)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("input error: " + message)
-    assert not (tmp_path / "out").exists()
-    # a non-finite list entry is named by its index
-    diags = _problems(
-        {"command": "transition-spectral", "spectral": {"widths_nm": [15.0, float("nan")]}}
-    )
-    assert "spectral.widths_nm[1]: nan is not a finite number" in diags
-
-
-def test_cli_main_validate_bounds_profile_grid(tmp_path, capsys, monkeypatch):
-    # The profile grid is sized from theta_0 (beam width ~ 1 / theta_0): at
-    # theta_0 = 100 it has one point and the width fits crashed; at 1e-3 it
-    # has 14 929 points per axis (~1.8 GB per array).  Both must stop at
-    # validation, before any profile is built (joint_profile is stubbed).
-    def no_profile(*args, **kwargs):
-        raise AssertionError("profile built for a config that fails validation")
-
-    monkeypatch.setattr(cli.optics, "joint_profile", no_profile)
-    cfg = tmp_path / "cfg.json"
-    for theta_0, points in ((100, "1"), (1e-3, "14929"), (1e-320, "inf")):
-        cfg.write_text(json.dumps({"command": "optics-table", "optics": {"theta_0": theta_0}}))
-        message = f"optics: theta_0 {theta_0!r} sizes the profile grid at {points} points"
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 1 and out[0].startswith(message)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("input error: " + message)
-    assert not (tmp_path / "out").exists()
-    # the calibrated angle sizes the grid at 511 points
-    assert _problems({"command": "optics-table"}) == []
-
-
-def test_cli_main_validate_rejects_beam_finer_than_grid(tmp_path, capsys, monkeypatch):
-    # At theta_0 = 7.4 (3 grid points) and 2 (7 points) the expected beam
-    # width is 0.079 and 0.29 px, 0.3 and 1.2 grid spacings; the width fits
-    # returned 0.43 and 1.33 px for them with no flag.  Both must stop at
-    # validation; the calibrated angle (80 spacings) passes.
-    def no_profile(*args, **kwargs):
-        raise AssertionError("profile built for a config that fails validation")
-
-    monkeypatch.setattr(cli.optics, "joint_profile", no_profile)
-    cfg = tmp_path / "cfg.json"
-    for theta_0 in (7.4, 2):
-        cfg.write_text(json.dumps({"command": "optics-table", "optics": {"theta_0": theta_0}}))
-        message = f"optics: theta_0 {theta_0!r} gives an expected beam width of"
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 1 and out[0].startswith(message)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("input error: " + message)
-    assert not (tmp_path / "out").exists()
-    cfg.write_text(json.dumps({"command": "optics-table",
-                               "optics": {"theta_0": optics.THETA0_CALIBRATED}}))
-    assert main(["--config", str(cfg), "--validate"]) == 0
-
-
-def test_cli_main_validate_bounds_mc_rows(tmp_path, capsys):
-    # At gamma = 0 no jump is expected, but 1e10 rows would need 80 GB for
-    # their signs alone.  Validated only: this config is never run.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "mc-moment", "rtn": {"gamma": 0.0},
-                               "mc": {"n_real": 10_000_000_000}}))
-    assert main(["--config", str(cfg), "--validate"]) == 1
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["mc: 1e+10 array entries exceed the 100,000,000 "
-                   "(~0.8 GB per array) a run may hold"]
-    # the ceiling itself is allowed
-    assert _problems(
-        {"command": "mc-moment", "rtn": {"gamma": 0.0}, "mc": {"n_real": 100_000_000}}
-    ) == []
-
-
-def test_cli_main_validate_bounds_grid_and_repeats(tmp_path, capsys, monkeypatch):
-    # 1e10 grid points are an 80 GB time grid (and the phase field holds 108
-    # blocks' phasors per point); 1e12 repeats a (1e12, 2) Poisson array per
-    # shift.  Validated only: the work is stubbed and these configs never run.
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started on a config that fails validation")
-
-    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._RUNNERS, no_work))
-    cfg = tmp_path / "cfg.json"
-    big_grid = {"points": 10_000_000_000}
-    cases = [({"command": "analytic", "grid": big_grid}, "grid.points: 1e+10 array entries"),
-             ({"command": "transition-delta", "grid": big_grid}, "grid.points: 1.08e+12 array entries"),
-             ({"command": "calibrate-wcp", "measurement": {"repeats": 1_000_000_000_000}},
-              "measurement.repeats: 2e+12 array entries")]
-    for config, message in cases:
-        cfg.write_text(json.dumps(config))
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        out = capsys.readouterr().out.strip().splitlines()
-        assert out == [message + " exceed the 100,000,000 (~0.8 GB per array) a run may hold"]
-    # the ceiling itself is allowed: the phase field's 108 blocks by 925 925 points
-    assert _problems(
-        {"command": "transition-delta", "grid": {"points": 925_925}}) == []
-    assert _problems(
-        {"command": "transition-delta", "grid": {"points": 925_926}}) != []
-
-
-def test_cli_main_missing_file(tmp_path, capsys):
-    assert main(["--config", "/nonexistent/cfg.json"]) == 1
-    # Unusable contents: not an object, not JSON, not UTF-8, an output
-    # section that is not a table (``--out`` writes into it).
-    cfg = tmp_path / "cfg.json"
-    for raw in (b"[1, 2]", b"{not json", b"\xff",
-                b'{"command": "transition-delta", "output": 5}'):
-        cfg.write_bytes(raw)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 5 and err[-1] == "input error: output must be a table"
-
-
-def test_cli_main_schema_errors_name_the_path(tmp_path, capsys):
-    # A zero block size would divide by zero in validation, a string grid
-    # size would reach linspace, and a boolean seed would run as seed 1:
-    # each must stop before any work with one line naming the dotted path.
-    cfg = tmp_path / "cfg.json"
-    cases = [({"command": "transition-delta", "field": {"n_rep": 0}}, "field.n_rep"),
-             ({"command": "analytic", "grid": {"points": "400"}}, "grid.points"),
-             ({"command": "analytic", "master_seed": True}, "master_seed"),
-             # integers past 64 bits ended in OverflowError tracebacks
-             ({"command": "transition-delta", "field": {"n_rep": 2**64}}, "field.n_rep"),
-             ({"command": "transition-spectral", "spectral": {"widths_nm": [10**400]}},
-              "spectral.widths_nm")]
-    for config, where in cases:
-        cfg.write_text(json.dumps(config))
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith(f"input error: {where}: "), err
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_main_kernel_rules_end_in_one_line(tmp_path, capsys):
-    # The kernel rules live in slm.KernelParams alone; validation reports its
-    # message under "kernel", and a run stops there with exit 1, no file.
-    # Widths whose w_cp**n or w_p**2 is not a normal float ended in an
-    # OverflowError traceback (1e200) or in RuntimeWarnings (1e-300).
-    cfg = tmp_path / "cfg.json"
-    for kernel in ({"w_cp": 0}, {"w_p": -1}, {"n": 0}, {"w_cp": 1e200}, {"w_p": 1e200},
-                   {"w_cp": 1e-300}, {"w_p": 1e-300}):
-        cfg.write_text(json.dumps({"command": "transition-delta", "kernel": kernel}))
-        assert main(["--config", str(cfg), "--validate"]) == 1
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 1 and out[0].startswith("kernel: "), out
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("input error: kernel: "), err
-    assert not (tmp_path / "out").exists()
-
 
 def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
     calls = []
@@ -636,29 +540,6 @@ def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
     assert main(["--preset", "fig3-left", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
 
-
-def test_cli_main_calibration_beyond_curve_exits_2(tmp_path, capsys):
-    # A true w_cp of 14 px blurs the pattern below every contrast the
-    # [0.5, 10] px calibration curve reaches: one line and exit 2, no file.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "command": "calibrate-wcp",
-        "kernel": {"w_cp": 14.0},
-        "measurement": {"shot_noise": False},
-    }))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("numerical error: measured contrast")
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_main_runs_and_writes(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "analytic", "grid": FAST_GRID}))
-    out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "analytic_le.csv").exists()
-    assert (out / "analytic_ge.csv").exists()
 
 
 def test_cli_seed_override_lands_in_metadata(tmp_path):
@@ -815,14 +696,6 @@ def _edge_configs(draw):
     return config
 
 
-def _main_in_process(argv):
-    """(exit code, stdout lines, stderr lines) of ``cli.main`` with every warning an error."""
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = main(argv)
-    return code, out.getvalue().splitlines(), err.getvalue().splitlines()
-
 
 @given(_edge_configs())
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -845,7 +718,4 @@ def test_validate_agrees_with_the_run(config):
         elif run_code == 2:
             assert len(err) == 1 and err[0].startswith("numerical error: ") and not out.exists()
         else:
-            assert run_code == 0 and list(out.glob("*.csv")), err
-            for path in out.glob("*.csv"):
-                body = [r.split(",") for r in data_section(path.read_text()).splitlines()[1:]]
-                assert np.all(np.isfinite(np.array(body, dtype=float)))
+            assert run_code == 0 and list(out.glob("*.csv")) and _finite_csvs(out), err

@@ -239,9 +239,11 @@ def test_pattern_contraction_matches_pixel_sum(n_r, w_cp, geo, w_p):
 
 
 def test_calibration_refuses_fractional_shifts():
-    # h + 0.5 ran as the truncated whole shifts, 0 twice, and returned a width.
+    # h + 0.5 ran as the truncated whole shifts, 0 twice, and returned a width;
+    # strings and None raised a TypeError.
     kp = KernelParams(3.1, 20.0, 2, GEO)
-    for h in (np.arange(-10, 10) + 0.5, [0, 1, 2, np.nan], [0, 1, 2, np.inf]):
+    for h in (np.arange(-10, 10) + 0.5, [0, 1, 2, np.nan], [0, 1, 2, np.inf], ["1", "2", "3", "4"],
+              [0, 1, 2, None]):
         with pytest.raises(ValueError, match="is not a whole number of pixels"):
             calibrate_wcp(kp, shot_noise=False, h_values=h)
     res = calibrate_wcp(kp, shot_noise=False, h_values=np.arange(-10.0, 10.0))

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from ltgsim import optics
-from ltgsim.cli import ConfigError, main, resolve_config
+from ltgsim.cli import main, resolve_config
 from ltgsim.optics import (
     JointSpatialProfile,
     NumericalError,
@@ -515,31 +515,6 @@ def test_setup_rejects_nan_lengths(name):
     # unrelated cast or fit error.
     with pytest.raises(ValueError, match=f"{name} must be positive"):
         PdcSetup(**{name: float("nan")})
-
-
-def test_library_refuses_what_validate_refuses():
-    # The grid and width rules hold for library callers too, with the text
-    # --validate prints after its section prefix.
-    cases = [
-        (lambda: joint_profile(PdcSetup(theta_0=100)),
-         {"optics": {"theta_0": 100}},
-         "optics: theta_0 100 sizes the profile grid at 1 points per axis, "
-         "outside the 3 to 4097 a profile may sample"),
-        (lambda: joint_profile(PdcSetup(theta_0=7.4)),
-         {"optics": {"theta_0": 7.4}},
-         "optics: theta_0 7.4 gives an expected beam width of 0.315 grid spacings, "
-         "fewer than the 4 a width fit resolves"),
-        (lambda: PdcSetup(spectral_width_nm=130.0),
-         {"spectral": {"widths_nm": [130.0]}},
-         "spectral: width 130.0 nm outside model range [0, 120.0] nm"),
-    ]
-    for call, config, line in cases:
-        with pytest.raises(ValueError) as exc:
-            call()
-        assert str(exc.value) == line.partition(": ")[2]
-        with pytest.raises(ConfigError) as refusal:
-            resolve_config({"command": "transition-spectral", **config})
-        assert refusal.value.problems == [line]
 
 
 def test_setup_validation():

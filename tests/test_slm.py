@@ -314,15 +314,18 @@ def test_fractional_shift_refused():
     kp = KernelParams(3.0, 20.0, 2, GEO)
     fld = build_phase_field(0.5, TIMES, 3, GEO, SeedSpec(30))
     zeros = np.zeros((320, 1))
-    # True and False are integers to Python and ran as delta = 1 and 0.
-    for delta in (1.5, -0.5, np.float64(2.25), float("nan"), float("inf"), True, np.True_):
+    # True and False are integers to Python and ran as delta = 1 and 0; a
+    # string, None, a list or a complex number raised a TypeError.
+    for delta in (1.5, -0.5, np.float64(2.25), float("nan"), float("inf"), True, np.True_,
+                  "2", "1", None, [1], 1 + 0j):
         with pytest.raises(ValueError, match="is not a whole number of pixels") as err:
             kernel_coherence(kp, fld, fld, delta)
         assert "\n" not in str(err.value)
         with pytest.raises(ValueError, match="is not a whole number of pixels"):
             phasor_sum(build_kernel(kp), zeros, zeros, delta)
-    with pytest.raises(ValueError, match="shift delta=False is not a whole number of pixels"):
-        transition_sweep(0.5, [kp], [False], TIMES, seed=SeedSpec(30))
+    for delta in (False, "1"):
+        with pytest.raises(ValueError, match=f"shift delta={delta!r} is not a whole number of pixels"):
+            transition_sweep(0.5, [kp], [delta], TIMES, seed=SeedSpec(30))
     # a whole number of any type is the shift it names
     want = kernel_coherence(kp, fld, fld, 2)
     for delta in (2.0, np.int64(2), np.float64(2.0)):
