@@ -44,12 +44,13 @@ ODD_SHIFTS = st.sampled_from([None, [0, 1, 2, 3], [0, 1, 0, 1], np.zeros((4, 2),
 
 # The values of one example, each read by the entry points that take such a
 # value (x and y, say, as a rate and a horizon, two widths, or a rate scale
-# and a window).
+# and a window), and the ordinary grid size and flag of the Monte Carlo call.
 DRAWS = {
     "x": ODD_FLOATS, "y": ODD_FLOATS, "z": ODD_FLOATS, "u": ODD_FLOATS,
     "theta_0": ODD_FLOATS | st.sampled_from([THETA0_CALIBRATED, 0.2]), "times": ODD_TIMES,
     "n_real": ODD_COUNTS, "order": ODD_COUNTS, "start": ODD_COUNTS, "stop": ODD_COUNTS | st.none(),
     "count": ODD_COUNTS, "repeats": ODD_COUNTS, "flag": ODD_FLAGS, "h_values": ODD_SHIFTS,
+    "points": st.integers(0, 5), "antithetic": st.booleans(),
 }
 
 # The ordinary field of the kernel-sum calls where the drawn one is refused.
@@ -76,9 +77,13 @@ def _contract(run, v) -> None:
     a constructor refuses its values, the calls after it take ordinary ones."""
     params = run(RtnParams, v.x, v.y) or RtnParams(1.0, 2.0)
     seed = run(SeedSpec, v.repeats, v.count) or SeedSpec(0)
+    # The Monte Carlo reduction on an ordinary grid and a bool flag in every
+    # example, then once more on the drawn time argument and flag.
+    grid = np.linspace(0.0, params.t_max, v.points)
     times = np.linspace(0.0, params.t_max, v.times) if isinstance(v.times, Points) else v.times
-    moment = run(mc_exponential_moment, params, v.order, times, v.n_real, seed, v.flag)
-    assert moment is None or _finite(moment.values, moment.stderr)
+    for when, flag in ((grid, v.antithetic), (times, v.flag)):
+        moment = run(mc_exponential_moment, params, v.order, when, v.n_real, seed, flag)
+        assert moment is None or _finite(moment.values, moment.stderr)
     ensemble = run(draw_ensemble, params, v.n_real, seed) or draw_ensemble(params, 5, seed)
     assert np.all(ensemble.counts <= ensemble.width) and np.all(np.abs(ensemble.signs) == 1.0)
     batch = run(sample_batch, ensemble, v.start, v.stop)
@@ -134,7 +139,7 @@ def _contract(run, v) -> None:
 
 
 @given(st.tuples(*DRAWS.values()))
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=420, deadline=None, derandomize=True, database=None)
 def test_odd_inputs_give_a_finite_result_or_a_refusal(values):
     # Any other exception, and any warning, fails.
     with warnings.catch_warnings():
@@ -173,7 +178,7 @@ EXEMPT = {
 
 ORDINARY = SimpleNamespace(x=1.0, y=12.0, z=15.0, u=0.9, theta_0=THETA0_CALIBRATED, times=Points(3),
                            n_real=8, order=2, start=0, stop=None, count=8,
-                           repeats=2, flag=False, h_values=[0, 1, 2, 3])
+                           repeats=2, flag=False, h_values=[0, 1, 2, 3], points=3, antithetic=True)
 
 
 def test_every_public_entry_point_is_in_the_contract():
