@@ -29,13 +29,13 @@ _DEGENERATE_TOL = 1e-9
 
 def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
     """< exp(i * order * phi(t)) > for stationary telegraph noise, real, at the
-    time(s) t of a grid as ``series.check_times`` (scalar in, scalar out), for a
-    switching rate gamma as ``rtn.check_rate`` and an order m as
-    ``rtn.check_moment`` (2 and 4 are the two-qubit cases)."""
+    times of a grid as ``series.check_times``, or at one such time (scalar in,
+    scalar out), for a switching rate gamma as ``rtn.check_rate`` and an order m
+    as ``rtn.check_moment`` (2 and 4 are the two-qubit cases)."""
     check_rate(gamma)
     check_moment(order)
-    t_arr = np.asarray(t, dtype=float)
-    check_times(t_arr.ravel())
+    scalar = np.ndim(t) == 0
+    t_arr = check_times([t] if scalar else t)
     t_end = float(t_arr.max(initial=0.0))
     if t_end > 0:
         check_horizon(t_end, order)  # the phase order * t stays finite, as in the Monte Carlo
@@ -62,13 +62,12 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         out = np.exp(-gamma * t_arr) * (
             np.cos(w * t_arr) + (gamma / w) * np.sin(w * t_arr)
         )
-    return out if np.ndim(t) else float(out)
+    return float(out[0]) if scalar else out
 
 
 def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_LE: squared second moment, for independent per-qubit noises."""
-    times = np.asarray(times, dtype=float)
-    check_times(times)
+    times = check_times(times)
     vals = exponential_moment(gamma, 2, times) ** 2
     return CoherenceSeries(
         times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "LE"}
@@ -77,8 +76,7 @@ def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
 
 def global_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_GE: fourth moment, for one noise shared by both qubits."""
-    times = np.asarray(times, dtype=float)
-    check_times(times)
+    times = check_times(times)
     vals = exponential_moment(gamma, 4, times)
     return CoherenceSeries(
         times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "GE"}

@@ -198,7 +198,7 @@ def resolve_config(user_config: dict) -> dict:
     command, g, geo, mc, m = (config[k] for k in ("command", "grid", "geometry", "mc", "measurement"))
     npix, gamma, n_rep = geo["pixels_per_half"], config["rtn"]["gamma"], config["field"]["n_rep"]
     phase_field = command in ("transition-delta", "transition-spectral")
-    check("master_seed", rtn.check_seed, config["master_seed"])
+    check("master_seed", SeedSpec, config["master_seed"])
     check("rtn.gamma", rtn.check_rate, gamma)
     if g["t_max"] <= g["t_min"]:
         problems.append("grid: t_max must exceed t_min")
@@ -232,25 +232,17 @@ def resolve_config(user_config: dict) -> dict:
                         ("optics.widths_nm", config["optics"]["widths_nm"])):
         if not values:
             problems.append(f"{key}: empty list, nothing to run")
-    # bool is an int subclass, so list entries are checked for it explicitly
-    for d in config["deltas"]:
-        if isinstance(d, bool) or not isinstance(d, int):
-            problems.append(f"deltas: shift {d!r} is not an integer")
-        else:
-            check("deltas", slm.check_shift, npix, d)
-    for key, values, file_name in (("deltas", config["deltas"], _delta_file),
-                                   ("spectral.widths_nm", config["spectral"]["widths_nm"],
-                                    _spectral_file)):
-        names = [file_name(v) for v in values if isinstance(v, (int, float))]
+    # Entries that pass their rule, then the output files they would write.
+    shifts = [d for d in config["deltas"] if check("deltas", slm.check_shift, npix, d)]
+    widths = {key: [w for w in config[key]["widths_nm"]
+                    if check(key, lambda w: optics.PdcSetup(spectral_width_nm=w), w)]
+              for key in ("spectral", "optics")}
+    for key, values, file_name in (("deltas", shifts, _delta_file),
+                                   ("spectral.widths_nm", widths["spectral"], _spectral_file)):
+        names = [file_name(v) for v in values]
         repeated = sorted({name for name in names if names.count(name) > 1})
         if repeated:
             problems.append(f"{key}: entries share an output file: {', '.join(repeated)}")
-    for key in ("spectral", "optics"):
-        for width in config[key]["widths_nm"]:
-            if isinstance(width, bool) or not isinstance(width, (int, float)):
-                problems.append(f"{key}: width {width!r} is not a number")
-            else:
-                check(key, lambda w: optics.PdcSetup(spectral_width_nm=w), width)
     check("measurement.p", measurement.check_purity, m["p"])
     check("measurement.n0/acquisition_s", measurement.check_counts, m["n0"], m["acquisition_s"])
     check("measurement.repeats", measurement.check_repeats, m["repeats"])
@@ -380,7 +372,7 @@ def _sweep(config, kernels, shifts) -> tuple[np.ndarray, list[CoherenceSeries]]:
 
 
 def _run_transition_delta(config):
-    shifts = [int(d) for d in config["deltas"]]
+    shifts = config["deltas"]
     times, sweep = _sweep(config, [_kernel_params(config)], shifts)
     return _series_files(config, times, {_delta_file(d): s for d, s in zip(shifts, sweep)})
 
@@ -456,11 +448,11 @@ def main(argv=None) -> int:
     if args.config:
         try:
             user = json.loads(Path(args.config).read_text())
+            problem = None if isinstance(user, dict) else "config must be a JSON object"
         except (OSError, ValueError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(user, dict):
-            print("config must be a JSON object", file=sys.stderr)
+            problem = f"cannot read config: {exc}"
+        if problem:  # on stdout under --validate, as every refusal it gives
+            print(problem, file=None if args.validate else sys.stderr)
             return 1
     if args.preset:
         user["preset"] = args.preset

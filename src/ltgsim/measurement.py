@@ -166,8 +166,18 @@ class CalibrationResult:
             raise ValueError("visibility contrast must lie in [0, 1]")
 
 
-def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.ndarray) -> np.ndarray:
-    """Re Gamma(h) of the rectangular pattern on both halves, per kernel (rows) and shift h.
+def _shifts(n_pix: int, h_values) -> np.ndarray:
+    """The calibration shifts as one int array, each entry as given by ``slm.check_shift``."""
+    shape = np.shape(h_values)
+    if len(shape) != 1:
+        raise ValueError(f"h_values must be one list of shifts, got shape {shape}")
+    entries = h_values.tolist() if isinstance(h_values, np.ndarray) else h_values
+    return np.array([check_shift(n_pix, h) for h in entries], dtype=int)
+
+
+def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values) -> np.ndarray:
+    """Re Gamma(h) of the rectangular pattern on both halves, per kernel (rows) and
+    shift h of ``_shifts``.
 
     Gamma(h) = sum_k a_k z_{k+h} over the k whose shifted index stays on the
     mask, the rest dropped as by ``slm.phasor_sum``, with a = z^T W, i.e.
@@ -184,10 +194,7 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     if any((k.geometry, k.w_p, k.n) != (geometry, w_p, n) for k in kernels):
         raise ValueError("the kernels of one pattern contraction may differ in w_cp alone")
     n_pix = geometry.pixels_per_half
-    if h_values.ndim != 1:
-        raise ValueError(f"h_values must be one list of shifts, got shape {h_values.shape}")
-    for h in set(h_values.tolist()):
-        check_shift(n_pix, h)
+    h_values = _shifts(n_pix, h_values)
     pattern = rect_phase_pattern(n_pix, n_r)
     g1, g2, c = kernel_factors(kernels[0], [k.w_cp for k in kernels])
     total, lo, hi, _ = kernel_band(c, pair_sums(g1, g2))
@@ -202,7 +209,7 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values: np.n
     a = (np.cos(_PATTERN_AMPLITUDE) * corr[:, 0] + 1j * corr[:, 1]) * (g2 / total[:, None])
     # [h, k] = z_{k+h}, read from z padded with zeros off the mask
     windows = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)
-    shifted = windows[n_pix + h_values.astype(int)]
+    shifted = windows[n_pix + h_values]
     return np.clip(np.einsum("wk,hk->wh", a, shifted, optimize=False).real, -1.0, 1.0)
 
 
@@ -237,24 +244,21 @@ def calibrate_wcp(
     zero is shot noise, not a measurement, and raises NumericalError too,
     as does a shift that records no coincidence.
     """
-    h_values = np.asarray(np.arange(-10, 10) if h_values is None else h_values)
     check_purity(p)
     check_flag("shot_noise", shot_noise)
+    h_values = _shifts(kernel_params.geometry.pixels_per_half,
+                       np.arange(-10, 10) if h_values is None else h_values)
 
     # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
     kernels = [kernel_params, *(replace(kernel_params, w_cp=float(w)) for w in curve_w)]
     re_gamma, *curve_re = _pattern_coherence(kernels, n_r, h_values)
-    h_values = h_values.astype(int)  # whole numbers: _pattern_coherence checked each shift
     check_shifts(len(set((h_values % (2 * n_r)).tolist())))
     if shot_noise:
-        # shift i draws its counts from stream s + 1 + i of the seed
         v = np.empty(h_values.size)
         for i, re in enumerate(re_gamma):
-            rates = simulate_counts(
-                detection_probabilities(p, re), n0, acquisition_s, repeats,
-                seed=SeedSpec(seed.master_seed, seed.stream_index + 1 + i),
-            )
+            rates = simulate_counts(detection_probabilities(p, re), n0, acquisition_s, repeats,
+                                    seed=seed.item(i))
             if not sum(rates) > 0:
                 raise NumericalError(
                     f"shift h = {h_values[i]} recorded no coincidences in {repeats} x "

@@ -295,27 +295,20 @@ def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
     return sinc2, (np.sqrt(np.pi) / (2.0 * bs)) * (lower - upper)
 
 
-def expected_wp_px(setup: PdcSetup) -> float:
-    """Phase-matching estimate of the beam width, for grid sizing.
-
-    The coefficient matches the Gaussian-fit convention used by
-    :func:`estimate_wp` (a fit to the sinc-squared marginal), so the grid
-    sized from this estimate covers +-3.2 of the fitted width.
-    """
-    return 0.36 * setup.focal * setup.lambda_0 / (
-        setup.theta_0 * setup.crystal_length * setup.pixel_width_d
-    )
-
-
 def profile_axis(setup: PdcSetup) -> np.ndarray:
     """The axis of both coordinates of F, in pixels: +-3.2 expected beam
     widths (which scale as 1 / theta_0) at 0.25 px.  A grid outside 3 to
     MAX_GRID_POINTS points, or a beam narrower than MIN_WP_SPACINGS
     spacings, is refused with a ValueError.
+
+    The expected width is the phase-matching estimate, whose coefficient
+    matches the Gaussian-fit convention of :func:`estimate_wp` (a fit to the
+    sinc-squared marginal), so the grid covers +-3.2 of the fitted width.
     """
     spacing = 0.25
     try:
-        wp = expected_wp_px(setup)
+        wp = 0.36 * setup.focal * setup.lambda_0 / (
+            setup.theta_0 * setup.crystal_length * setup.pixel_width_d)
         n = int(np.floor(3.2 * wp / spacing))
     except ArithmeticError:  # a theta_0 so small that the beam width overflows
         n = math.inf

@@ -109,7 +109,7 @@ def check_ensemble(gamma: float, t_max: float, rows: int) -> None:
 
 
 def check_integer(name: str, value: int, minimum: int) -> None:
-    """Refuse a count that is not an integer (a float, whole or not, or a bool) >= minimum,
+    """Refuse a count or seed that is not an integer (a float, whole or not, or a bool) >= minimum,
     or one past the float range, which overflows any arithmetic with floats."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -144,13 +144,6 @@ def check_moment(order: int, n_real: int = 2, antithetic: bool = False) -> None:
         raise ValueError(f"n_real must be even for antithetic pairs, got {n_real}")
 
 
-def check_seed(master_seed: int, stream_index: int = 0) -> None:
-    """Refuse a master seed or stream index that is not a non-negative integer."""
-    for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-
-
 def check_grid(points: int) -> None:
     """Refuse a time grid on which the 7 per-time sums of ``_sweep`` exceed
     ``check_entries``."""
@@ -177,17 +170,24 @@ class RtnParams:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus a stream index selecting one independent substream."""
+    """Master seed plus a stream index selecting one independent substream, both
+    integers >= 0 (``check_integer``)."""
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        check_seed(self.master_seed, self.stream_index)
+        check_integer("master_seed", self.master_seed, 0)
+        check_integer("stream_index", self.stream_index, 0)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))))
+
+    def item(self, i: int) -> SeedSpec:
+        """The seed of item i (a phase block, a calibration shift) drawn under this
+        seed: stream s + 1 + i, so n items take streams [s + 1, s + 1 + n)."""
+        return SeedSpec(self.master_seed, self.stream_index + 1 + i)
 
 
 @dataclass
@@ -235,8 +235,7 @@ class TrajectoryBatch:
         :func:`_segment_index`.  Realizations lie along the contiguous axis,
         so a per-time sum over them is numpy's pairwise sum.
         """
-        times = np.asarray(times, dtype=float)
-        check_times(times)
+        times = check_times(times)
         if self.jump_times.shape[1] == 0:
             return times[:, None] * self.signs
         at_c = _segment_index(self.jump_times, times)
@@ -456,13 +455,12 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     where the event sweep's variance fell below its rounding bound,
     usually none).
     """
-    times = np.asarray(times, dtype=float)
     check_moment(order, n_real, antithetic)
     check_entries(n_real)  # the counts and signs of the rows are the memory
     check_horizon(params.t_max, order)
     check_ensemble(params.gamma, params.t_max, n_real)
+    times = check_times(times, params.t_max)
     check_grid(times.size)
-    check_times(times, params.t_max)
 
     ensemble = draw_ensemble(params, n_real // 2 if antithetic else n_real, seed)
     values, se, events, direct = _reduce(order, ensemble, times, imag=not antithetic)

@@ -2,7 +2,8 @@
 
 Analytic formulas, Monte Carlo ensembles and kernel sums all produce the
 same object so that one comparison harness serves every route, and every
-route refuses a time grid by the same rule, :func:`check_times`.
+route reads its time grid through the same rule, :func:`check_times`: the
+one place a time argument is converted to floats.
 """
 from __future__ import annotations
 
@@ -22,15 +23,22 @@ _PROVENANCES = (ANALYTIC, MONTE_CARLO, KERNEL_SUM)
 _MAG_TOL = 1e-9
 
 
-def check_times(times: np.ndarray, t_max: float = math.inf) -> None:
-    """Refuse a time grid that is not 1-D, not ascending, or not finite within [0, t_max]."""
+def check_times(times, t_max: float = math.inf) -> np.ndarray:
+    """The float grid of an array-like ``times``; refuses one that is not 1-D, holds
+    no real numbers (complex, bool, strings or objects), is not ascending, or is not
+    finite within [0, t_max]."""
+    times = np.asarray(times)
     if times.ndim != 1:
         raise ValueError(f"time grid must be one-dimensional, got {times.ndim} dimensions")
+    if times.dtype.kind not in "iuf":
+        raise ValueError(f"time grid must hold real numbers, got {times.dtype.name} values")
+    times = times.astype(float, copy=False)
     if times.size and not (0.0 <= times[0] and times[-1] <= t_max and times[-1] < math.inf
                            and np.all(np.diff(times) >= 0)):
         bound = ("t must be >= 0 and finite" if t_max == math.inf
                  else f"must be finite and lie within [0, {t_max!r}]")
         raise ValueError(f"time grid must be ascending and {bound}")
+    return times
 
 
 @dataclass
@@ -50,11 +58,10 @@ class CoherenceSeries:
     stderr: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_times(self.times)
         self.values = np.asarray(self.values, dtype=complex)
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have matching shapes")
-        check_times(self.times.ravel())
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         mag = np.abs(self.values)

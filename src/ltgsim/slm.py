@@ -304,11 +304,10 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     ``times`` must be non-empty, ascending and >= 0.  One :meth:`TrajectoryBatch.phases`
     call over the whole grid gives the phases of every independent block.
     """
-    times = np.asarray(times, dtype=float)
     n_pix = geometry.pixels_per_half
     n_indep = field_blocks(n_pix, n_rep)
     check_mirror(n_pix)
-    check_times(times, float(np.max(times, initial=0.0)))
+    times = check_times(times)
     if times.size == 0:
         raise ValueError("phase fields need at least one time point")
     params = RtnParams(gamma=gamma, t_max=float(times.max()))
@@ -316,14 +315,11 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     check_field_grid(n_indep, times.size)
 
     span = n_pix // 2
-    base = stack_batches(
-        [sample_trajectory(params, SeedSpec(seed.master_seed, seed.stream_index + 1 + b))
-         for b in range(n_indep)]
-    )
-    # Stream derivation: block b of field stream s uses stream s+1+b, so a
-    # field consumes streams [s+1, s+1+n_indep).  Callers building several
-    # independent fields must space their stream indices by at least that
-    # count (a stride of 1000 is ample for any n_rep >= 1).
+    # Block b draws from ``seed.item(b)``, so a field takes streams
+    # [s+1, s+1+n_indep).  Callers building several independent fields must
+    # space their stream indices by at least that count (a stride of 1000 is
+    # ample for any n_rep >= 1).
+    base = stack_batches([sample_trajectory(params, seed.item(b)) for b in range(n_indep)])
 
     # One whole-grid integration of the independent rows, written as
     # exp(2i * phi) straight into the table; a mirrored twin reads exactly
@@ -354,20 +350,19 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
 _BAND_ROWS = 6
 
 
-def check_shift(n_pix: int, delta: int) -> None:
-    """Refuse a shift of half 2 that is not a real whole number of pixels, a bool (which
-    would run as 0 or 1) and a string included, or that moves every pixel off the mask."""
-    if isinstance(delta, (bool, np.bool_)) or not (isinstance(delta, numbers.Integral) or (
-            isinstance(delta, numbers.Real) and float(delta).is_integer())):  # NaN too
-        raise ValueError(f"shift delta={delta!r} is not a whole number of pixels")
+def check_shift(n_pix: int, delta: int) -> int:
+    """The shift of half 2 in pixels as an int.  Refuses one that is not an integer
+    (a float, whole or not, a bool, which would run as 0 or 1, or a string), or
+    that moves every pixel off the mask."""
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Integral):
+        raise ValueError(f"shift delta={delta!r} is not an integer")
     if abs(delta) >= n_pix:
         raise ValueError(f"shift delta={delta} moves every pixel off the mask")
+    return int(delta)
 
 
 def _on_mask(n_pix: int, delta: int) -> slice:
     """Kernel columns i whose half-2 index i + delta stays on the mask."""
-    check_shift(n_pix, delta)
-    delta = int(delta)
     return slice(max(0, -delta), min(n_pix, n_pix - delta))
 
 
@@ -385,8 +380,8 @@ def phasor_sum(kernel: CorrelationKernel, slm_phases1: np.ndarray, slm_phases2: 
         raise ValueError("phase arrays do not match the kernel pixel count")
     if slm_phases1.shape[1] != slm_phases2.shape[1]:
         raise ValueError("phase arrays must share one time grid")
+    delta = check_shift(n_pix, delta)
     on = _on_mask(n_pix, delta)
-    delta = int(delta)
     z1 = np.exp(1j * slm_phases1)                                   # (n_pix, T)
     z2 = np.exp(1j * slm_phases2[on.start + delta:on.stop + delta])  # (n_on, T)
     m = np.einsum("jk,kt->jt", kernel.weights[:, on], z2, optimize=False)
@@ -496,8 +491,8 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
         raise ValueError("kernel and phase fields must share one mask geometry")
     if not np.array_equal(field1.times, field2.times):
         raise ValueError("phase fields must share one time grid")
+    delta = check_shift(params.geometry.pixels_per_half, delta)
     on = _on_mask(params.geometry.pixels_per_half, delta)
-    delta = int(delta)
     # Column c of B is block first + c of field 2: B spans only the blocks
     # the shifted kernel reads.
     index2 = field2.block_index[on.start + delta:on.stop + delta]

@@ -96,15 +96,12 @@ def projections(state: TwoQubitState) -> tuple[float, float]:
 def field_trajectories(fld: PhaseField) -> TrajectoryBatch:
     """The independent blocks of ``fld``, re-drawn from their streams.
 
-    Block b of a field built at (master_seed, s) is
-    ``sample_trajectory(RtnParams(gamma, max(times)), SeedSpec(master_seed, s + 1 + b))``.
+    Block b of a field built at ``seed`` is
+    ``sample_trajectory(RtnParams(gamma, max(times)), seed.item(b))``.
     """
     p = fld.params
-    params = RtnParams(p["gamma"], float(fld.times.max()))
-    return stack_batches([
-        sample_trajectory(params, SeedSpec(p["master_seed"], p["stream_index"] + 1 + b))
-        for b in range(fld.n_blocks() // 2)
-    ])
+    params, seed = RtnParams(p["gamma"], float(fld.times.max())), SeedSpec(p["master_seed"], p["stream_index"])
+    return stack_batches([sample_trajectory(params, seed.item(b)) for b in range(fld.n_blocks() // 2)])
 
 
 def field_phases(fld: PhaseField) -> np.ndarray:

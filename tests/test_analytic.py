@@ -1,17 +1,18 @@
 """Closed-form moment branches and the coherence-factor oracles."""
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import build_state, concurrence
+from test_contract import refusal_tests
 
 from ltgsim.analytic import (
     exponential_moment,
     global_coherence,
     local_coherence,
 )
+
+globals().update(refusal_tests(__name__))  # the refusal cases: test_contract's table
 
 # 3 * exp(-2): degenerate-branch value at gamma = m = 2, t = 1, frozen from
 # the gamma -> m limit of the hyperbolic form.
@@ -83,6 +84,8 @@ def test_coherences_bounded():
     for gamma in (0.0, 0.12, 1.0, 3.0, 10.0):
         assert np.all(local_coherence(gamma, t).magnitude <= 1 + 1e-12)
         assert np.all(global_coherence(gamma, t).magnitude <= 1 + 1e-12)
+    for coherence in (local_coherence, global_coherence):
+        assert coherence(0.5, [0, 0.5]).times.dtype == float  # a list grid is read as floats
 
 
 def test_entanglement_magnitude():
@@ -119,44 +122,3 @@ def test_fast_noise_form_matches_hyperbolic_form():
             d = np.sqrt(gamma * gamma - m * m)
             want = np.exp(-gamma * ts) * (np.cosh(d * ts) + (gamma / d) * np.sinh(d * ts))
             assert np.all(np.abs(got[:ts.size] - want) <= 1e-12 * np.abs(want)), (gamma, m)
-
-
-def test_precondition_errors():
-    with pytest.raises(ValueError):
-        exponential_moment(-1.0, 2, 0.5)
-    with pytest.raises(ValueError):
-        exponential_moment(1.0, 0, 0.5)
-    with pytest.raises(ValueError):
-        exponential_moment(1.0, 2, -0.5)
-
-
-def test_moment_rejects_nan():
-    # NaN fails every ordering test, so only checks written as "not >= 0"
-    # catch it; before, both calls returned NaN moments.
-    with pytest.raises(ValueError, match="gamma must be >= 0"):
-        exponential_moment(float("nan"), 2, [0.5, 1.0])
-    with pytest.raises(ValueError, match="t must be >= 0"):
-        exponential_moment(1.0, 2, np.array([0.5, np.nan]))
-
-
-def test_moment_rejects_infinite_times():
-    # An infinite time raised a RuntimeWarning from cos and returned NaN.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for gamma in (1.0, 2.0, 3.0):  # each branch
-            for t in (np.inf, [0.0, np.inf], np.array([np.inf, 1.0])):
-                with pytest.raises(ValueError, match="t must be >= 0 and finite") as err:
-                    exponential_moment(gamma, 2, t)
-                assert "\n" not in str(err.value)
-
-
-def test_coherence_rejects_bad_grids():
-    # A negative time is refused by the moment at every grid point, not only
-    # the first, and a descending grid by the series container.
-    for coherence in (local_coherence, global_coherence):
-        for times in (np.array([-0.5, 0.0, 1.0]), np.array([0.0, 1.0, -0.5])):
-            with pytest.raises(ValueError, match="t must be >= 0"):
-                coherence(0.5, times)
-        with pytest.raises(ValueError, match="time grid must be ascending"):
-            coherence(0.5, np.array([1.0, 0.5, 0.0]))
-        assert coherence(0.5, [0.0, 0.5]).times.dtype == float

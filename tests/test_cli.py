@@ -58,7 +58,7 @@ class Case(NamedTuple):
     exist ("{cfg}" in ``lines`` stands for its path).  Exit ``code`` 1:
     ``--validate`` prints ``lines`` on stdout and the run joins them into one
     ``input error:`` line, or a file that is no JSON object gives ``lines``
-    on stderr both times; 2: ``--validate`` passes and the run ends in the
+    on stdout under ``--validate`` and on stderr in the run; 2: ``--validate`` passes and the run ends in the
     ``numerical error:`` line; 0: both pass and the run writes the files
     ``lines`` names.  ``runs``: whether a runner may start.  Where it may
     not, every runner is a stub that writes nothing, and only an accepted
@@ -87,7 +87,7 @@ def _judge(case: Case) -> None:
                                             for name in cli._RUNNERS})
         lines = [line.replace("{cfg}", str(cfg)) for line in case.lines]
         if not isinstance(case.config, dict):
-            expected = [(1, [], lines)] * 2
+            expected = [(1, lines, []), (1, [], lines)]
         elif case.code == 1:
             expected = [(1, lines, []), (1, [], ["input error: " + "; ".join(lines)])]
         elif case.code == 2:
@@ -142,17 +142,19 @@ REFUSALS = {
         Case(_config("transition-spectral", spectral={"widths_nm": [15.0]}, optics={"widths_nm": [1.0, 2.0]}),
              code=0),
         *[Case(_config("transition-spectral", **{key: {"widths_nm": [True]}}),
-               [f"{key}: width True is not a number"]) for key in ("spectral", "optics")]],
+               [f"{key}: spectral_width_nm must be a real number, got True"],
+               twin=lambda: PdcSetup(spectral_width_nm=True)) for key in ("spectral", "optics")]],
     "test_validate_clean_preset": [Case({"preset": "fig3-right"}, code=0)],
     # What resolve_config reports for master_seed is what SeedSpec raises.
     "test_master_seed_rule_is_the_seed_spec_rule": [
         Case(_config("analytic", master_seed=-1),
-             ["master_seed: master_seed must be a non-negative integer, got -1"], twin=lambda: SeedSpec(-1))],
+             ["master_seed: master_seed must be >= 0, got -1"], twin=lambda: SeedSpec(-1))],
     # A boolean is not a shift of 1 pixel; the calibration's shifts face the mask too.
     "test_validate_delta_off_mask": [
         Case(_config("transition-delta", deltas=[400]), [f"deltas: shift delta=400 {_OFF_MASK}"],
              twin=lambda: transition_sweep(0.0, [_KP], [400], [0.0, 1.0])),
-        Case(_config("transition-delta", deltas=[True]), ["deltas: shift True is not an integer"]),
+        Case(_config("transition-delta", deltas=[True]), ["deltas: shift delta=True is not an integer"],
+             twin=lambda: transition_sweep(0.0, [_KP], [True], [0.0, 1.0])),
         Case(_config("calibrate-wcp", measurement={"h_min": -400, "h_max": -330}),
              [f"measurement: h_min shift delta=-400 {_OFF_MASK}",
               f"measurement: h_max shift delta=-330 {_OFF_MASK}"]),

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import field_phases, field_trajectories
+from test_contract import refusal_tests
 
 from ltgsim import rtn
-from ltgsim.analytic import exponential_moment, local_coherence
+from ltgsim.analytic import exponential_moment
 from ltgsim.rtn import (
     MAX_EXPECTED_JUMPS,
     RtnParams,
@@ -21,11 +22,9 @@ from ltgsim.rtn import (
     sample_trajectory,
     stack_batches,
 )
-from ltgsim.measurement import (calibrate_wcp, check_counts, check_purity, detection_probabilities,
-                                rect_phase_pattern, simulate_counts)
-from ltgsim.optics import PdcSetup, wcp_curve
-from ltgsim.series import ANALYTIC, CoherenceSeries
-from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field
+from ltgsim.slm import MaskGeometry, build_phase_field
+
+globals().update(refusal_tests(__name__))  # the refusal cases: test_contract's table
 
 
 def one_row(sign, jumps):
@@ -62,86 +61,6 @@ def test_invalid_params_rejected():
     RtnParams(MAX_EXPECTED_JUMPS, 1.0)  # the ceiling itself is allowed
 
 
-def test_seed_spec_refuses_what_is_not_a_stream():
-    # SeedSpec(-1) constructed and failed later in SeedSequence, and
-    # SeedSpec(1.5).generator() raised a TypeError.
-    for master_seed, stream_index in ((-1, 0), (1.5, 0), (0, -1), (0, 2.0), (True, 0), ("1", 0)):
-        with pytest.raises(ValueError, match="must be a non-negative integer") as err:
-            SeedSpec(master_seed, stream_index)
-        assert "\n" not in str(err.value)
-    assert SeedSpec(np.int64(3), np.uint8(1)).generator().integers(9) == SeedSpec(3, 1).generator().integers(9)
-
-
-def test_mc_refuses_non_finite_times():
-    # [0, nan] passed the range check (nan < 0 is false) and returned NaN.
-    params = RtnParams(1.0, 2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for times in ([0.0, np.nan], [np.nan], [0.0, np.inf], [-np.inf, 0.0]):
-            with pytest.raises(ValueError, match="must be finite and lie within") as err:
-                mc_exponential_moment(params, 2, np.array(times), 8, SeedSpec(0))
-            assert "\n" not in str(err.value)
-
-
-def test_field_and_mc_share_one_time_grid_rule():
-    # build_phase_field built a field at t = -1, a time mc_exponential_moment refused.
-    times = np.array([-1.0, 0.5])
-    for run in (lambda: build_phase_field(0.1, times, 3),
-                lambda: mc_exponential_moment(RtnParams(0.1, 0.5), 2, times, 8, SeedSpec(0))):
-        with pytest.raises(ValueError, match=r"must be finite and lie within \[0, 0\.5\]$"):
-            run()
-    # A grid that is no 1-D array raised an IndexError (None, "2"), numpy's
-    # "truth value ... is ambiguous" (2-D), or the horizon rule's "got nan".
-    for times, ndim in ((None, 0), ("2", 0), ([[0.0, 0.5]], 2)):
-        for run in (lambda: build_phase_field(0.1, times, 3), lambda: local_coherence(0.1, times),
-                    lambda: mc_exponential_moment(RtnParams(0.1, 0.5), 2, times, 8, SeedSpec(0)),
-                    lambda: sample_trajectory(RtnParams(0.1, 0.5), SeedSpec(0)).phases(times)):
-            with pytest.raises(ValueError, match=f"^time grid must be one-dimensional, got {ndim} "
-                                                 "dimensions$"):
-                run()
-
-
-def test_phases_series_and_moment_share_one_time_grid_rule():
-    # phases([-1.0, 0.5]) returned phi(-1) = +1.0; phases and the series kept
-    # "ascending" alone, and the moment "t >= 0 and finite" alone.
-    batch = sample_trajectory(RtnParams(1.0, 2.0), SeedSpec(0))
-    for times in ([-1.0, 0.5], [0.0, np.nan], [0.0, np.inf], [1.0, 0.5]):
-        for run in (batch.phases,
-                    lambda t: CoherenceSeries(t, np.ones(2), ANALYTIC),
-                    lambda t: exponential_moment(1.0, 2, t)):
-            with pytest.raises(ValueError, match=r"^time grid must be ascending and "
-                                                 r"t must be >= 0 and finite$"):
-                run(times)
-
-
-@pytest.mark.parametrize("name, run", [
-    ("n_rep", lambda: build_phase_field(0.5, np.linspace(0.0, 1.0, 3), 2.5)),
-    ("repeats", lambda: simulate_counts((0.25, 0.25), 250.0, 8.0, 2.5)),
-    ("n_real", lambda: mc_exponential_moment(RtnParams(1.0, 1.0), 2, np.linspace(0.0, 1.0, 3),
-                                             10.5, SeedSpec(0))),
-    ("n_r", lambda: calibrate_wcp(KernelParams(3.1, 20.0), n_r=5.5, shot_noise=False)),
-    ("n_r", lambda: rect_phase_pattern(320, 2.5)),
-    ("pixels_per_half", lambda: MaskGeometry(320.5)),
-    ("h_values", lambda: calibrate_wcp(KernelParams(3.1, 20.0), h_values=np.zeros((4, 2), int))),
-    ("n", lambda: KernelParams(3.0, 20.0, 4.0)),
-    ("n", lambda: KernelParams(3.0, 20.0, True)),
-    ("n_real", lambda: mc_exponential_moment(RtnParams(1.0, 1.0), 2, np.linspace(0.0, 1.0, 3),
-                                             10**400, SeedSpec(0))),
-    ("moment order", lambda: mc_exponential_moment(RtnParams(1.0, 1.0), 10**400,
-                                                   np.linspace(0.0, 1.0, 3), 8, SeedSpec(0))),
-], ids=["n_rep", "repeats", "n_real", "calibration-n_r", "pattern-n_r", "pixels_per_half",
-        "h_values-2d", "kernel-n", "kernel-n-bool", "n_real-past-floats", "order-past-floats"])
-def test_integer_parameters_refuse_fractions(name, run):
-    # n_rep, repeats and n_real raised a TypeError naming no argument,
-    # n_r = 5.5 returned a width and 2.5 built a pattern, 320.5 pixels built
-    # a geometry, 2-D shifts raised "unhashable type", and a kernel of order
-    # 4.0 (or True) was built and recorded "n": 4.0.  Counts past the float
-    # range raised an OverflowError where they met a float.
-    with pytest.raises(ValueError, match=f"^{name} must be ") as err:
-        run()
-    assert "\n" not in str(err.value)
-
-
 def test_zero_rate_trajectory_is_constant():
     for seed in range(20):
         tr = sample_trajectory(RtnParams(0.0, 10.0), SeedSpec(seed))
@@ -168,6 +87,8 @@ def test_trajectory_determinism():
     assert np.array_equal(a.signs, b.signs)
     assert np.array_equal(a.jump_times, b.jump_times)
     assert not np.array_equal(a.jump_times, c.jump_times)
+    # a seed of numpy integers is the seed of the integers they hold
+    assert SeedSpec(np.int64(3), np.uint8(1)).generator().integers(9) == SeedSpec(3, 1).generator().integers(9)
 
 
 def test_jump_count_poisson_oracle():
@@ -305,18 +226,6 @@ def test_balanced_field_mirrors_are_exact_negations():
     assert np.allclose(phi[:20], segments[fld.block_index[:20]], atol=1e-13)
 
 
-def test_descending_grid_rejected():
-    # The integrator bins jumps into an ascending grid; any other order
-    # would give wrong phases, so both callers refuse it.
-    times = np.linspace(0, 2, 9)[::-1]
-    with pytest.raises(ValueError, match="ascending"):
-        mc_exponential_moment(RtnParams(1.0, 2.0), 2, times, 10, SeedSpec(0))
-    with pytest.raises(ValueError, match="ascending"):
-        build_phase_field(1.0, times, 3)
-    with pytest.raises(ValueError, match="ascending"):
-        one_row(1, [0.5]).phases([0.0, 1.0, 0.5])
-
-
 @st.composite
 def grids_and_keys(draw):
     # Uniform grids of 1 to 4000 points (t_min = 0 or above), non-uniform
@@ -391,15 +300,6 @@ def test_mc_matches_analytic_oracle():
     )
     exact = exponential_moment(1.0, 2, 0.5)
     assert abs(series.values[0].real - exact) < 3 * series.stderr[0]
-
-
-def test_mc_parameter_errors():
-    with pytest.raises(ValueError):
-        mc_exponential_moment(RtnParams(1, 1), 2, np.array([0.5]), 1, SeedSpec(0))
-    with pytest.raises(ValueError):
-        mc_exponential_moment(
-            RtnParams(1, 1), 2, np.array([0.5]), 101, SeedSpec(0), antithetic=True
-        )
 
 
 def test_mc_moment_invariants():
@@ -736,44 +636,6 @@ def test_direct_pass_bits_do_not_depend_on_trig_order():
         values, se = rtn._direct(3, batch, times, imag)
         values_padded, se_padded = rtn._direct(3, padded, times, imag)
         assert np.array_equal(values, values_padded) and np.array_equal(se, se_padded)
-
-
-@pytest.mark.parametrize("call", [
-    lambda: RtnParams(True, 2.0), lambda: RtnParams(1.0, True),
-    lambda: exponential_moment(True, 2, [0.5]),
-    lambda: KernelParams(True, 20.0, 2), lambda: MaskGeometry(320, True, 480.0),
-    lambda: PdcSetup(spectral_width_nm=True),
-    lambda: check_counts(True, 8.0), lambda: check_purity(True),
-    lambda: detection_probabilities(True, 0.5), lambda: simulate_counts((0.25, 0.25), n0=True),
-    lambda: wcp_curve(PdcSetup(), [15.0, True]),
-], ids=["rate", "horizon", "moment", "kernel", "geometry", "setup", "counts", "purity",
-        "detection", "simulate", "widths"])
-def test_a_bool_is_refused_where_a_real_number_is_meant(call):
-    # True compares as 1: a range check alone took it as a rate of 1 and
-    # recorded "gamma": true in a series.
-    with pytest.raises(ValueError, match="must be a real number, got True"):
-        call()
-
-
-def test_a_width_that_is_not_a_number_is_refused_before_any_width_runs():
-    with pytest.raises(ValueError, match="spectral_width_nm must be a real number, got '15'"):
-        wcp_curve(PdcSetup(), [15.0, "15"])
-
-
-@pytest.mark.parametrize("call, value", [
-    (lambda: mc_exponential_moment(RtnParams(1.0, 2.0), 2, [0.0, 1.0], 4, SeedSpec(0),
-                                   antithetic=float("nan")), "antithetic must be True or False, got nan"),
-    (lambda: mc_exponential_moment(RtnParams(1.0, 2.0), 2, [0.0, 1.0], 4, SeedSpec(0),
-                                   antithetic="no"), "antithetic must be True or False, got 'no'"),
-    (lambda: calibrate_wcp(KernelParams(3.1, 20.0), shot_noise=float("nan")),
-     "shot_noise must be True or False, got nan"),
-], ids=["antithetic-nan", "antithetic-no", "shot-noise-nan"])
-def test_a_flag_must_be_a_bool(call, value):
-    # A flag read by its truth value ran NaN and "no" as True, and recorded
-    # "antithetic": NaN in the series params.
-    with pytest.raises(ValueError) as err:
-        call()
-    assert str(err.value) == value
 
 
 def test_segment_terms_match_the_sines():
