@@ -241,8 +241,8 @@ def calibrate_wcp(
     for the CPU reaches the calibration's bits.
     Uncertainty combines the sine-fit scatter with the polynomial residual,
     both divided by the local curve slope.  A contrast within 5 sigma of
-    zero is shot noise, not a measurement, and raises NumericalError too,
-    as does a shift that records no coincidence.
+    zero is shot noise, not a measurement: it raises NumericalError before
+    the inversion, as does a shift that records no coincidence.
     """
     check_purity(p)
     check_flag("shot_noise", shot_noise)
@@ -286,12 +286,12 @@ def calibrate_wcp(
                                               curve_vis[None, :])
     poly_rms = float(np.sqrt(np.mean(cubic_resid**2)))
 
-    w_est = _invert_monotone(cubic, vis, _CURVE_RANGE)
     if vis < _MIN_CONTRAST_SIGMAS * vis_sigma:
         raise NumericalError(
             f"measured contrast {vis:.4g} +- {vis_sigma:.2g} ({vis / vis_sigma:.1f} sigma) "
             f"is not resolved above the shot noise; {_MIN_CONTRAST_SIGMAS:g} sigma are needed"
         )
+    w_est = _invert_monotone(cubic, vis, _CURVE_RANGE)
     slope = abs(_cubic(cubic, w_est)[1])
     if slope < 1e-9:
         raise NumericalError("calibration curve is flat at the inversion point")

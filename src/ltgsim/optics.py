@@ -350,12 +350,12 @@ def curve_fit(x, y, order, width_guess):
     with the analytic Jacobian J and the exact second derivatives d2f of the
     model (:func:`_newton_terms`), so the step stays quadratically convergent
     on these large-residual misfits, where Gauss-Newton (d2f dropped) converges
-    only linearly.  A step is kept only if it lowers the residual; lam then
+    only linearly.  A step is kept if it does not raise the residual; lam then
     falls tenfold, else it rises tenfold and the step is re-solved.  The 3 x 3
     terms, their solve (:func:`_damped_solve`) and the stopping norms are
     Python floats: on a few hundred points numpy's per-call cost, not the
     arithmetic, bounds a step.  From the starts of the width pipeline the
-    w_p fits take 4 residual evaluations, the w~ fits 4-10.  Normalizing y
+    w_p fits take 4 residual evaluations, the w~ fits 4-8.  Normalizing y
     keeps the width free of the profile's scale; single-threaded einsum keeps
     it free of the thread count.
     """
@@ -383,7 +383,7 @@ def curve_fit(x, y, order, width_guess):
         trial_cost = float(np.einsum("k,k->", r, r, optimize=False))
         if not math.isfinite(trial_cost):
             raise NumericalError(f"order-{order} profile fit reached a non-finite value")
-        if trial_cost < cost:  # accept the step (the first, empty one always)
+        if trial_cost <= cost:  # accept a step that does not raise the cost (the first always)
             p, cost, lam = trial, trial_cost, lam / 10.0
             damping, grad, hess = _newton_terms(u, rows, a, w, order)
         else:

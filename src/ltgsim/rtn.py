@@ -61,12 +61,19 @@ from .series import MONTE_CARLO, CoherenceSeries, check_times
 _CHUNK_SEGMENTS = 1 << 14
 _CHUNK_PHASES = 1 << 16
 
-# The event sweep's variance carries a rounding error of up to about
-# eps * scale / 4 (scale as in ``_sweep``; measured at 6 to 6300 jumps per
-# row on x86-64, where its long-double sums are wider than double).  Where
-# var < _SWEEP_VAR_FLOOR * scale that error could exceed 4e-12 of var, and
-# the direct pass recomputes the standard error at those times.
-_SWEEP_VAR_FLOOR = 2.0**-16
+# The event sweep's variance, summed in double, carries a rounding error of
+# about eps * scale (scale as in ``_sweep``) from the cancellation of its
+# moments, plus that of the cumulative sum along the grid, which grows with
+# the grid and which scale does not bound.  Where var < _SWEEP_VAR_FLOOR *
+# scale the direct pass recomputes the standard error.  Largest relative error
+# of kept variances against a long-double two-pass value (orders 2 and 4, two
+# seeds, 1000-2000 rows, default and one-row chunks), by floor:
+#   jumps a row, times:     2^-16  2^-15  2^-14  2^-13  2^-12
+#   6 to 630, 400 to 2000   6e-12 at every floor
+#   785 and 1570, 4000      3e-10  1e-10  7e-11  4e-11  3e-11   (order 2: 5e-12 at 2^-14)
+#   6300, 16000             3e-10  2e-10  2e-10  2e-10  2e-10
+# Higher floors trim the grid sum's error little and give up the sweep more often.
+_SWEEP_VAR_FLOOR = 2.0**-14
 
 # Ceiling on the expected jumps of an ensemble (``check_ensemble``), which
 # also bounds the entries of any one array a run allocates (``check_entries``):
@@ -588,18 +595,15 @@ def _sweep(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, ima
     var = sum d^2 / n - mean(d)^2, with sum d^2 expanded as
     a^2 sum K^2 + b^2 sum (sigma sin B)^2 - 2ab sum K sigma sin B.  A row
     that has not jumped has d = 0 exactly, so gamma = 0 gives var = 0 and
-    early times keep their relative precision.  The sums are accumulated
-    across chunks, along the grid and through these formulas in long
-    double, since each is only as precise as
+    early times keep their relative precision.  Each term is only as precise as
     scale = (a^2 sum K^2 + b^2 sum (sigma sin B)^2 + 2|ab sum K sigma sin B|) / n,
     and var can be far below scale: when the spread of cos(m phi) is
     small but its mean is far from cos(m t) (motional narrowing,
     gamma * t >> 1, where scale / var reached 5e5), or when all rows that
-    have jumped agree.  At gamma = 1000, order 2, double sums missed a
-    two-pass variance by up to 2e-10 relative, long-double ones by 3e-11.
+    have jumped agree (see _SWEEP_VAR_FLOOR).
     """
     n, n_t = len(draws), times.size
-    sums = np.zeros((7 if imag else 5, n_t + 1), dtype=np.longdouble)  # bin n_t: past the grid
+    sums = np.zeros((7 if imag else 5, n_t + 1))  # bin n_t: past the grid
     if imag:
         sums[5, 0] = draws.signs.sum()  # sigma * cos B = s before the first jump
     a, b = np.cos(order * times), np.sin(order * times)
@@ -625,10 +629,8 @@ def _sweep(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, ima
                 return None
     sums = np.cumsum(sums[:, :n_t], axis=1)
     mean_d, var, scale = _sweep_moments(sums, a, b, n)
-    mean = a + mean_d.astype(float)
-    if imag:
-        mean = mean + 1j * ((b * sums[5] + a * sums[6]) / n).astype(float)
-    return mean.astype(complex), var, scale
+    mean = a + mean_d
+    return (mean + 1j * ((b * sums[5] + a * sums[6]) / n) if imag else mean.astype(complex)), var, scale
 
 
 def _chunk_jumps(times, jt, signs, parity, offset, order: int):
@@ -651,9 +653,7 @@ def _sweep_moments(sums, a, b, n: int):
     """mean(d), var and scale of :func:`_sweep` from its sums over ``n`` rows."""
     mean_d = (a * sums[0] - b * sums[1]) / n
     a2, b2, ab = a * a * sums[2], b * b * sums[3], 2.0 * a * b * sums[4]
-    var = np.clip((a2 + b2 - ab) / n - mean_d * mean_d, 0.0, None).astype(float)
-    scale = ((a2 + b2 + np.abs(ab)) / n).astype(float)
-    return mean_d, var, scale
+    return mean_d, np.clip((a2 + b2 - ab) / n - mean_d * mean_d, 0.0, None), (a2 + b2 + np.abs(ab)) / n
 
 
 def _direct(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool,

@@ -566,40 +566,9 @@ _MC_THREAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize(
-    "preset", ["fig3-left", "fig4-left", "fig4-right", "figS-calibration", *_MC_THREAD_CONFIGS]
-)
-def test_preset_run_thread_count_invariance(tmp_path, child_env, preset):
-    # Byte-identical data sections regardless of the thread budget (the
-    # metadata block embeds the per-run output directory, so only the data
-    # part is comparable).  fig4-left runs the block contraction at
-    # gamma = 0.12 for four shifts; fig4-right adds the optics profile and
-    # width fits for four kernels; figS-calibration runs the pattern
-    # contraction for 21 kernels and 20 shifts each; the mc-moment runs
-    # take the chunked event sweep, antithetic and plain, and at gamma = 100
-    # (~600 jumps a row) the chunked direct pass.
-    if preset in _MC_THREAD_CONFIGS:
-        config = tmp_path / "mc.json"
-        config.write_text(json.dumps(_MC_THREAD_CONFIGS[preset]))
-        source = ["--config", str(config)]
-    else:
-        source = ["--preset", preset]
-    outs = []
-    for threads in ("1", "8"):
-        out = tmp_path / f"t{threads}"
-        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ltgsim", *source, "--out", str(out)],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, f"ltgsim exited {proc.returncode}:\n{proc.stderr}"
-        outs.append({p.name: data_section(p.read_text()) for p in sorted(out.glob("*.csv"))})
-    assert outs[0] and outs[0] == outs[1]
-
-
-# Runs ``cli.main`` on each argv list in a fresh interpreter and prints, as
+# Runs ``cli.main`` on each argv list in one fresh interpreter and prints, as
 # its last line, whether scipy was loaded after the import and after each run.
-_SCIPY_PROBE = """
+_MAIN_PROBE = """
 import json, sys
 import ltgsim.cli as cli
 loaded = ["scipy" in sys.modules]
@@ -611,13 +580,40 @@ print(json.dumps(loaded))
 """
 
 
-def _scipy_loaded(argvs, child_env):
+def _run_in_one_child(argvs, env):
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)],
-        env=child_env(), capture_output=True, text=True,
+        [sys.executable, "-c", _MAIN_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, f"probe exited {proc.returncode}:\n{proc.stderr}"
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_preset_run_thread_count_invariance(tmp_path, child_env):
+    # Byte-identical data sections of every config regardless of the thread
+    # budget (the metadata block embeds the per-run output directory, so
+    # only the data part is comparable).  fig4-left runs the block
+    # contraction at gamma = 0.12 for four shifts; fig4-right adds the
+    # optics profile and width fits for four kernels; figS-calibration runs
+    # the pattern contraction for 21 kernels and 20 shifts each; the
+    # mc-moment runs take the chunked event sweep, antithetic and plain, and
+    # at gamma = 100 (~600 jumps a row) the chunked direct pass.  One child
+    # per thread count runs every config.
+    sources = {name: ["--preset", name] for name in ("fig3-left", "fig4-left", "fig4-right",
+                                                     "figS-calibration")}
+    for name, config in _MC_THREAD_CONFIGS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        sources[name] = ["--config", str(path)]
+    outs = []
+    for threads in ("1", "8"):
+        root = tmp_path / f"t{threads}"
+        _run_in_one_child([[*source, "--out", str(root / name)] for name, source in sources.items()],
+                          child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads))
+        outs.append({name: {p.name: data_section(p.read_text()) for p in sorted((root / name).glob("*.csv"))}
+                     for name in sources})
+    for name in sources:
+        assert outs[0][name] and outs[0][name] == outs[1][name], name
 
 
 def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
@@ -633,12 +629,12 @@ def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
     argvs = [["--preset", "fig4-left", "--out", str(tmp_path / "a")],
              ["--preset", "figS-calibration", "--out", str(tmp_path / "b")],
              ["--config", str(cfg), "--out", str(tmp_path / "c")]]
-    assert _scipy_loaded(argvs, child_env) == [False] * 4
+    assert _run_in_one_child(argvs, child_env()) == [False] * 4
     # the optics model runs in a fresh probe, so nothing before it can have
     # loaded scipy on its behalf
     argvs = [["--preset", "fig4-right", "--out", str(tmp_path / "d")],
              ["--config", str(table), "--out", str(tmp_path / "e")]]
-    assert _scipy_loaded(argvs, child_env) == [False] * 3
+    assert _run_in_one_child(argvs, child_env()) == [False] * 3
 
 
 # Boundary values of every numeric config leaf: 0, tiny, huge, and values on

@@ -1,13 +1,17 @@
-"""Each ltgsim module keeps its underscore names to itself, and no run path
-leaves numpy's core for numpy.linalg, numpy.polynomial or BLAS.
+"""Each ltgsim module keeps its underscore names to itself, no run path
+leaves numpy's core for numpy.linalg, numpy.polynomial or BLAS, and no
+module computes in an extended-precision type.
 
 A private name is free to change with its module; another module that
 imports it would silently depend on that detail.  A matrix product or a
 linalg or polynomial call goes through OpenBLAS or LAPACK, whose kernels
 are chosen for the CPU and whose threads follow the environment, so the
-bits of a result would depend on both.  The static tests read every module
-under ``src/ltgsim`` with ``ast``; the runtime guard runs every command in a
-child process with the numpy.linalg functions made to raise.
+bits of a result would depend on both.  ``long double`` is 80-bit x87 on
+x86-64 Linux, binary128 in software on aarch64 and plain double on Windows
+and macOS arm64, so a result summed in it would depend on the platform.
+The static tests read every module under ``src/ltgsim`` with ``ast``; the
+runtime guard runs every command in a child process with the numpy.linalg
+functions made to raise.
 """
 import ast
 import json
@@ -19,6 +23,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ltgsim"
 
 # numpy attributes that reach BLAS or LAPACK, as read after ``np.`` or ``numpy.``
 BLAS_ATTRIBUTES = {"dot", "matmul", "linalg", "polynomial"}
+
+# numpy's extended-precision types, as attributes, imported names or dtype strings
+LONG_DOUBLE_NAMES = {"longdouble", "clongdouble", "float128", "complex256", "float96", "longfloat"}
 
 
 def private_imports(path: Path) -> list[str]:
@@ -53,6 +60,22 @@ def blas_uses(path: Path) -> list[str]:
     return found
 
 
+def long_double_uses(path: Path) -> list[str]:
+    """``module:line name`` for each extended-precision type ``path`` names."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        found += [f"{path.stem}:{node.lineno} {name}" for name in names if name in LONG_DOUBLE_NAMES]
+    return found
+
+
 def test_no_module_imports_another_modules_private_names():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 8
@@ -72,6 +95,23 @@ def test_no_module_calls_blas_or_lapack():
     # arithmetic, every small solve is in Python floats.
     modules = sorted(SRC.glob("*.py"))
     assert [hit for path in modules for hit in blas_uses(path)] == []
+
+
+def test_long_double_scan_finds_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import numpy as np\nfrom numpy import float128\nnp.zeros(3, dtype=np.longdouble)\n"
+                     "x.astype('clongdouble')\nnumpy.complex256\nnp.float96, np.longfloat\n"
+                     "np.float64('longdouble_like')\n")
+    assert sorted(long_double_uses(probe)) == [
+        "probe:2 float128", "probe:3 longdouble", "probe:4 clongdouble", "probe:5 complex256",
+        "probe:6 float96", "probe:6 longfloat"]
+
+
+def test_no_module_computes_in_long_double():
+    # The Monte Carlo sums are IEEE double in a fixed order, so their bits do
+    # not depend on the width of the platform's long double.
+    modules = sorted(SRC.glob("*.py"))
+    assert [hit for path in modules for hit in long_double_uses(path)] == []
 
 
 # Runs every preset, the optics table, the closed form and a small Monte Carlo

@@ -458,6 +458,15 @@ def test_singular_fit_is_a_numerical_error():
                              (0.0, 0.0, 0.0), 0.0, (1.0, 1.0, 1.0))
 
 
+def test_fit_keeps_a_step_that_ties_the_cost(monkeypatch):
+    # Far in the tail the model underflows to 0, so every trial's cost is
+    # the same bits; a step that does not raise the cost is kept, so a
+    # last-bit tie cannot decide how many evaluations a fit takes.
+    steps = iter([(0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+    monkeypatch.setattr(optics, "_damped_solve", lambda *args: next(steps))
+    assert optics.curve_fit(np.linspace(1e3, 1e3 + 10.0, 11), np.ones(11), 2, 1.0) == (1.5, 11.0)
+
+
 def test_damped_solve_matches_lapack():
     rng = np.random.default_rng(7)
     for _ in range(200):
