@@ -11,7 +11,7 @@ import ltgsim
 PACKAGE_ROOT = str(Path(ltgsim.__file__).resolve().parents[1])
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def child_env():
     """Return a builder of minimal environments for ``python -m ltgsim`` runs.
 

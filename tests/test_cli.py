@@ -589,31 +589,44 @@ def _run_in_one_child(argvs, env):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_preset_run_thread_count_invariance(tmp_path, child_env):
-    # Byte-identical data sections of every config regardless of the thread
-    # budget (the metadata block embeds the per-run output directory, so
-    # only the data part is comparable).  fig4-left runs the block
-    # contraction at gamma = 0.12 for four shifts; fig4-right adds the
-    # optics profile and width fits for four kernels; figS-calibration runs
-    # the pattern contraction for 21 kernels and 20 shifts each; the
-    # mc-moment runs take the chunked event sweep, antithetic and plain, and
-    # at gamma = 100 (~600 jumps a row) the chunked direct pass.  One child
-    # per thread count runs every config.
-    sources = {name: ["--preset", name] for name in ("fig3-left", "fig4-left", "fig4-right",
-                                                     "figS-calibration")}
-    for name, config in _MC_THREAD_CONFIGS.items():
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(config))
-        sources[name] = ["--config", str(path)]
+_THREAD_SOURCES = ("fig3-left", "fig4-left", "fig4-right", "figS-calibration", *_MC_THREAD_CONFIGS)
+
+
+@pytest.fixture(scope="module")
+def thread_count_outputs(tmp_path_factory, child_env):
+    # One child per thread count runs every config; returns, per thread
+    # count, each config's CSV data sections by file name.
+    tmp = tmp_path_factory.mktemp("threads")
+    sources = {}
+    for name in _THREAD_SOURCES:
+        if name in _MC_THREAD_CONFIGS:
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps(_MC_THREAD_CONFIGS[name]))
+            sources[name] = ["--config", str(path)]
+        else:
+            sources[name] = ["--preset", name]
     outs = []
     for threads in ("1", "8"):
-        root = tmp_path / f"t{threads}"
+        root = tmp / f"t{threads}"
         _run_in_one_child([[*source, "--out", str(root / name)] for name, source in sources.items()],
                           child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads))
         outs.append({name: {p.name: data_section(p.read_text()) for p in sorted((root / name).glob("*.csv"))}
                      for name in sources})
-    for name in sources:
-        assert outs[0][name] and outs[0][name] == outs[1][name], name
+    return outs
+
+
+@pytest.mark.parametrize("preset", _THREAD_SOURCES)
+def test_preset_run_thread_count_invariance(thread_count_outputs, preset):
+    # Byte-identical data sections regardless of the thread budget (the
+    # metadata block embeds the per-run output directory, so only the data
+    # part is comparable).  fig4-left runs the block contraction at
+    # gamma = 0.12 for four shifts; fig4-right adds the optics profile and
+    # width fits for four kernels; figS-calibration runs the pattern
+    # contraction for 21 kernels and 20 shifts each; the mc-moment runs
+    # take the chunked event sweep, antithetic and plain, and at gamma = 100
+    # (~600 jumps a row) the chunked direct pass.
+    one, eight = (outs[preset] for outs in thread_count_outputs)
+    assert one and one == eight
 
 
 def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
