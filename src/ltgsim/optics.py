@@ -42,7 +42,7 @@ the model's input rules: :class:`PdcSetup` refuses a spectral width outside
 that sizes the grid too small, too large or too coarse for the beam.
 
 The pixel average of the conditional slice takes a constant 9-point
-Gauss-Legendre rule and the width fits solve their 3 x 3 Newton steps in
+Gauss-Legendre rule and the width fits solve their 2 x 2 Newton steps in
 Python floats, so, like the rest of the package, this module runs on
 numpy's core alone: no result passes through numpy.linalg,
 numpy.polynomial or the BLAS/LAPACK kernels behind them.
@@ -184,11 +184,19 @@ class JointSpatialProfile:
         return np.multiply(*_f_samples(self.setup, x1 + x2, x1 - x2))
 
 
-def _exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Real exp of this module.  np.exp's last bits depend on the SIMD level
-    numpy dispatches; every real exp here goes through this one function, so
-    a dispatch-independent exp can replace it in one place."""
-    return np.exp(x, out=out)
+def real_exp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.exp(x), bit for bit: the package's one real exp.  np.exp's last bits
+    depend on the SIMD level numpy dispatches, so a dispatch-independent exp
+    can replace it here.  Below x = -746 np.exp is exactly 0.0 but takes a slow
+    path (the calibration's 21 rows of c, ~79 % of them below -746, took three
+    times as long), so there 0.0 is written without it, into ``out`` too
+    (which may be ``x``)."""
+    if out is None:
+        return np.exp(x, out=np.zeros_like(x), where=x >= -746.0)
+    keep = x >= -746.0
+    np.exp(x, out=out, where=keep)
+    np.copyto(out, 0.0, where=~keep)
+    return out
 
 
 # W. J. Cody's rational approximations (CALERF): erf(x) = x P(x^2) / Q(x^2)
@@ -249,7 +257,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     z = 1.0 / (yl * yl)
     r[~mid] = (_INV_SQRT_PI - z * _rational(_ERFC_LARGE, z)) / yl
     r16 = np.floor(yt * 16.0) / 16.0
-    r = _exp(-r16 * r16) * _exp(-(yt - r16) * (yt + r16)) * r
+    r = real_exp(-r16 * r16) * real_exp(-(yt - r16) * (yt + r16)) * r
     out[tail] = np.where(x[tail] < 0.0, 2.0 - r, r)
     return out
 
@@ -288,7 +296,7 @@ def _f_samples(setup: PdcSetup, sum_px: np.ndarray, diff_px: np.ndarray):
     window = setup.window_angular_freq
     if window == 0.0:
         # Vanishing window: report the spectral density at degeneracy.
-        return sinc2, _exp(-(u**2))
+        return sinc2, real_exp(-(u**2))
     bs = 2.0 * setup.theta_0 / C_LIGHT * s
     half = bs * window / 2.0
     lower, upper = _erfc(np.stack([u - half, u + half]))  # one call: half the per-call overhead
@@ -335,27 +343,33 @@ def joint_profile(setup: PdcSetup) -> JointSpatialProfile:
     return JointSpatialProfile(*_f_samples(setup, sums, diffs), axis, setup)
 
 
-# Stopping rule of curve_fit's damped Newton iteration: converged once a step
-# would move the parameters by at most _FIT_XTOL of their norm; failed after
-# _FIT_MAX_STEPS residual evaluations.
+# Stopping rules of curve_fit's damped Newton iteration: converged once a step
+# would move the parameters by at most _FIT_XTOL of their norm, or once its
+# predicted decrease |grad . step| is at most _FIT_FTOL of the cost, where the
+# cost no longer resolves it; failed after _FIT_MAX_STEPS residual evaluations.
 _FIT_XTOL = 1e-9
+_FIT_FTOL = 2.0**-52
 _FIT_MAX_STEPS = 200
 
 
 def curve_fit(x, y, order, width_guess):
-    """Width and residual of a * exp(-2 |x - c|^n / w^n), n in {2, 4}, fitted to y / max(y).
+    """Width and residual of a * exp(-2 |x|^n / w^n), n in {2, 4}, fitted to y / max(y).
 
-    Damped Newton from (a, c, w) = (1, 0, width_guess) on the residual sum
-    of squares: each step solves (J^T J - sum r * d2f + lam * diag(J^T J)) d = J^T r
-    with the analytic Jacobian J and the exact second derivatives d2f of the
-    model (:func:`_newton_terms`), so the step stays quadratically convergent
-    on these large-residual misfits, where Gauss-Newton (d2f dropped) converges
+    The profiles fitted here are even in x (their asymmetry stays below 1e-13
+    of their maximum), so the model has no centre to move.  Damped Newton
+    from (a, w) = (1, width_guess) on the residual sum of squares: each step
+    solves (J^T J - sum r * d2f + lam * diag(J^T J)) d = J^T r with the
+    analytic Jacobian J and the exact second derivatives d2f of the model
+    (:func:`_newton_terms`), so the step stays quadratically convergent on
+    these large-residual misfits, where Gauss-Newton (d2f dropped) converges
     only linearly.  A step is kept if it does not raise the residual; lam then
-    falls tenfold, else it rises tenfold and the step is re-solved.  The 3 x 3
+    falls tenfold, else it rises tenfold and the step is re-solved.  The
+    ``_FIT_FTOL`` stop ends a fit before a step below the cost's last bit,
+    whose acceptance would hang on the CPU's rounding of exp.  The 2 x 2
     terms, their solve (:func:`_damped_solve`) and the stopping norms are
     Python floats: on a few hundred points numpy's per-call cost, not the
     arithmetic, bounds a step.  From the starts of the width pipeline the
-    w_p fits take 4 residual evaluations, the w~ fits 4-8.  Normalizing y
+    w_p fits take 4 residual evaluations, the w~ fits 4-5.  Normalizing y
     keeps the width free of the profile's scale; single-threaded einsum keeps
     it free of the thread count.
     """
@@ -366,18 +380,17 @@ def curve_fit(x, y, order, width_guess):
         raise NumericalError("profile has no positive samples to fit")
     y = y / scale
     u = np.empty(x.size)
-    rows = np.empty((2 * order + 2, x.size))  # r, then e u^p for p = 0 .. 2n
-    r, e = rows[0], rows[1]
-    p, step, cost, lam = (1.0, 0.0, float(width_guess)), (0.0, 0.0, 0.0), math.inf, 1e-2
+    rows = np.empty((4, x.size))  # r, e, then |u|^n and scratch for _newton_terms
+    r, e, v = rows[0], rows[1], rows[2]
+    p, step, cost, lam = (1.0, float(width_guess)), (0.0, 0.0), math.inf, 1e-2
     for _ in range(_FIT_MAX_STEPS):
-        a, c, w = trial = (p[0] + step[0], p[1] + step[1], p[2] + step[2])
-        np.subtract(x, c, out=u)
-        u /= w
-        np.multiply(u, u, out=e)  # powers by products: u**4 costs twice as much
+        a, w = trial = (p[0] + step[0], p[1] + step[1])
+        np.divide(x, w, out=u)
+        np.multiply(u, u, out=v)  # powers by products: u**4 costs twice as much
         if order == 4:
-            e *= e
-        e *= -2.0
-        _exp(e, out=e)
+            v *= v
+        np.multiply(v, -2.0, out=e)
+        real_exp(e, out=e)
         np.multiply(e, a, out=r)
         np.subtract(y, r, out=r)
         trial_cost = float(np.einsum("k,k->", r, r, optimize=False))
@@ -385,76 +398,59 @@ def curve_fit(x, y, order, width_guess):
             raise NumericalError(f"order-{order} profile fit reached a non-finite value")
         if trial_cost <= cost:  # accept a step that does not raise the cost (the first always)
             p, cost, lam = trial, trial_cost, lam / 10.0
-            damping, grad, hess = _newton_terms(u, rows, a, w, order)
+            damping, grad, hess = _newton_terms(rows, a, w, order)
         else:
             lam *= 10.0
         try:
             step = _damped_solve(hess, damping, lam, grad)
-        except ZeroDivisionError:  # a zero pivot
-            step = (math.nan,) * 3
+        except ZeroDivisionError:  # a singular system
+            step = (math.nan,) * 2
         size = math.hypot(*step)
-        if not math.isfinite(size):  # a zero pivot or non-finite terms
+        if not math.isfinite(size):  # a singular system or non-finite terms
             raise NumericalError(f"order-{order} profile fit is singular")
-        if size <= _FIT_XTOL * math.hypot(*p):
-            return abs(p[2]), cost
+        if (size <= _FIT_XTOL * math.hypot(*p)
+                or abs(grad[0] * step[0] + grad[1] * step[1]) <= _FIT_FTOL * cost):
+            return abs(p[1]), cost
     raise NumericalError(f"order-{order} profile fit did not converge in {_FIT_MAX_STEPS} steps")
 
 
-def _newton_terms(u, rows, a, w, order):
+def _newton_terms(rows, a, w, order):
     """diag(J^T J), J^T r and the Hessian J^T J - sum r * d2f of half the residual
     sum, as Python floats.
 
-    ``rows`` holds r and e = exp(-2 u^n) in its first two rows; the others are
-    overwritten with e u^p, p = 1 .. 2n.  For f = a * e, u = (x - c) / w and
-    q = k u^(n-1), k = 2n / w, over the parameters (a, c, w):
+    ``rows`` holds r, e = exp(-2 u^n) and u^n in its first three rows; the last
+    two are overwritten with e u^n and e u^2n.  For f = a * e, u = x / w and
+    k = 2n / w, over the parameters (a, w):
 
-        f_a = e,  f_c = a e q,  f_w = a e q u,
-        f_aa = 0,  f_ac = e q,  f_aw = e q u,
-        f_cc = a e (q^2 - 2n(n-1) u^(n-2) / w^2),
-        f_cw = a e q (q u - n / w),  f_ww = a e q u (q u - (n+1) / w),
+        f_a = e,  f_w = a k e u^n,
+        f_aa = 0,  f_aw = k e u^n,  f_ww = a k e u^n (k u^n - (n+1) / w),
 
-    so each entry is a scalar times a sum of e * e u^p (J^T J) or r * e u^p (the
-    rest), all from one contraction.  Powers of u are products, never
-    divisions by u, which vanishes on the grid.
+    so each entry is a scalar times a sum of e * e u^(jn) (J^T J) or r * e u^(jn)
+    (the rest), all from one contraction.
     """
-    n = order
-    for i in range(2, 2 * n + 2):
-        np.multiply(rows[i - 1], u, out=rows[i])
+    _, e, en, e2n = rows
+    np.multiply(en, en, out=e2n)
+    en *= e
+    e2n *= e
     sr, se = np.einsum("ik,jk->ij", rows[:2], rows[1:], optimize=False).tolist()
-    k = 2.0 * n / w
-    ak, kk = a * k, k * k
-    jj = ak * ak
-    r_ac, r_aw = k * sr[n - 1], k * sr[n]
-    r_cc = a * (kk * sr[2 * n - 2] - (2.0 * n * (n - 1) / w**2) * sr[n - 2])
-    r_cw = a * (kk * sr[2 * n - 1] - (n / w) * k * sr[n - 1])
-    r_ww = a * (kk * sr[2 * n] - ((n + 1) / w) * k * sr[n])
-    h_ac, h_aw, h_cw = ak * se[n - 1] - r_ac, ak * se[n] - r_aw, jj * se[2 * n - 1] - r_cw
-    damping = (se[0], jj * se[2 * n - 2], jj * se[2 * n])
-    grad = (sr[0], ak * sr[n - 1], ak * sr[n])
-    hess = ((damping[0], h_ac, h_aw),
-            (h_ac, damping[1] - r_cc, h_cw),
-            (h_aw, h_cw, damping[2] - r_ww))
+    k = 2.0 * order / w
+    ak = a * k
+    r_aw = k * sr[1]
+    r_ww = a * (k * k * sr[2] - ((order + 1) / w) * k * sr[1])
+    h_aw = ak * se[1] - r_aw
+    damping = (se[0], ak * ak * se[2])
+    grad = (sr[0], ak * sr[1])
+    hess = ((damping[0], h_aw), (h_aw, damping[1] - r_ww))
     return damping, grad, hess
 
 
 def _damped_solve(hess, damping, lam, rhs):
-    """d with (hess + lam * diag(damping)) d = rhs for 3 x 3 hess, in Python
-    floats: Gaussian elimination with partial pivoting (the first largest
-    pivot of a column).  A zero pivot raises ZeroDivisionError."""
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = hess
-    top, mid, low = sorted(([h00 + lam * damping[0], h01, h02, rhs[0]],
-                            [h10, h11 + lam * damping[1], h12, rhs[1]],
-                            [h20, h21, h22 + lam * damping[2], rhs[2]]),
-                           key=lambda row: abs(row[0]), reverse=True)  # stable
-    f_mid, f_low = mid[0] / top[0], low[0] / top[0]
-    m11, m12, m1 = mid[1] - f_mid * top[1], mid[2] - f_mid * top[2], mid[3] - f_mid * top[3]
-    l11, l12, l1 = low[1] - f_low * top[1], low[2] - f_low * top[2], low[3] - f_low * top[3]
-    if abs(l11) > abs(m11):
-        (m11, m12, m1), (l11, l12, l1) = (l11, l12, l1), (m11, m12, m1)
-    f = l11 / m11
-    d2 = (l1 - f * m1) / (l12 - f * m12)
-    d1 = (m1 - m12 * d2) / m11
-    return (top[3] - top[1] * d1 - top[2] * d2) / top[0], d1, d2
+    """d with (hess + lam * diag(damping)) d = rhs for 2 x 2 hess, in Python
+    floats, by Cramer's rule.  A zero determinant raises ZeroDivisionError."""
+    (h00, h01), (h10, h11) = hess
+    h00, h11 = h00 + lam * damping[0], h11 + lam * damping[1]
+    det = h00 * h11 - h01 * h10
+    return (rhs[0] * h11 - h01 * rhs[1]) / det, (h00 * rhs[1] - h10 * rhs[0]) / det
 
 
 def estimate_wp(profile: JointSpatialProfile) -> float:

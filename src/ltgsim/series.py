@@ -76,6 +76,3 @@ class CoherenceSeries:
     @property
     def magnitude(self) -> np.ndarray:
         return np.abs(self.values)
-
-    def __len__(self) -> int:
-        return self.times.size

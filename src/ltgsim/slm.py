@@ -67,7 +67,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .optics import NumericalError
+from .optics import NumericalError, real_exp
 from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, check_integer, check_real,
                   sample_trajectory, stack_batches)
 from .series import KERNEL_SUM, CoherenceSeries, check_times
@@ -173,15 +173,8 @@ def kernel_factors(params: KernelParams, w_cp: Sequence[float] | None = None
     # A quotient past the float range (a tiny normal width) is -inf: a factor
     # of exactly 0, as exp gives already far below the overflow.
     with np.errstate(over="ignore"):
-        return (_exp(-2.0 * dj**2 / params.w_p**2), _exp(-2.0 * dk**2 / params.w_p**2),
-                _exp(-2.0 * np.abs(diff) ** params.n / scale))
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x), bit for bit, without calling it below x = -746, where it is
-    exactly 0.0: numpy's exp takes a slow path there (the calibration's 21 rows
-    of c, ~79 % of them below -746, took three times as long)."""
-    return np.exp(x, out=np.zeros_like(x), where=x >= -746.0)
+        return (real_exp(-2.0 * dj**2 / params.w_p**2), real_exp(-2.0 * dk**2 / params.w_p**2),
+                real_exp(-2.0 * np.abs(diff) ** params.n / scale))
 
 
 def _windows(a: np.ndarray, width: int) -> np.ndarray:

@@ -174,6 +174,7 @@ EXEMPT = {
     "optics.JointSpatialProfile": "the result of joint_profile",
     "optics.joint_profile": "a step of wcp_curve on a setup profile_axis has passed",
     "optics.curve_fit": "a step of wcp_curve's width estimators on the profile's samples",
+    "optics.real_exp": "the package's one real exp, on arrays its callers have formed",
     "optics.estimate_wp": "a step of wcp_curve on joint_profile's result",
     "optics.estimate_wcp_tilde": "a step of wcp_curve on joint_profile's result",
     "optics.combined_wcp": "a step of wcp_curve on estimate_wcp_tilde's result",

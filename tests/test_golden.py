@@ -5,23 +5,43 @@ re-run and their data sections compared, column by column, with the
 committed files, and so are the calibration results of the
 ``# calibration`` line.  Regenerate out/ with
 scripts/regenerate_out.py when a change is meant to move these numbers.
+The outputs that hold bit for bit across numpy's dispatch levels are also
+re-run at the AVX2 and SSE4.2 levels and compared with this process's run.
 """
+import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib._utils_impl import _opt_info
 
 from ltgsim.cli import PRESETS, data_section, run_config
 
-OUT = Path(__file__).resolve().parents[1] / "out"
+ROOT = Path(__file__).resolve().parents[1]
+OUT = ROOT / "out"
+
+
+def load_regenerate_out():
+    """scripts/regenerate_out.py as a module, loaded by path."""
+    spec = importlib.util.spec_from_file_location("regenerate_out", ROOT / "scripts" / "regenerate_out.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The mc-moment runs the script writes to out/mc/.
+MC_RUNS = load_regenerate_out().MC_RUNS
 
 # Gamma series and calibration data.  Kernel sums run in a fixed order, so
 # on one numpy build they repeat bit for bit; across builds they move by
 # ~1e-15.  The fig4-right series also go through the width fits, which stop
-# once a step moves the parameters by less than 1e-9 of their norm: a
-# ~1e-14 relative change in the joint profile moves the widths by up to
-# ~2e-8 (the earlier scipy curve_fit, stopping sooner, by up to ~6e-6).
+# once a step moves the parameters by less than 1e-9 of their norm or
+# would lower the cost by less than its last bit: a ~1e-14 relative change
+# in the joint profile moves the widths by up to ~2e-8 (the earlier scipy
+# curve_fit, stopping sooner, by up to ~6e-6).
 # 1e-5 leaves room for that, while a 1 % change of w_cp moves Gamma by
 # >= 1.7e-3.  The Monte Carlo pair repeats bit for bit for one seed on one
 # build; a change to the draw or its stream moves the means by about one
@@ -85,15 +105,6 @@ def test_preset_matches_committed_out(preset):
                                            err_msg=f"{name}: # calibration {key}")
 
 
-# The runs of scripts/regenerate_out.py's MC_RUNS.
-MC_RUNS = {
-    "order2": {"command": "mc-moment", "rtn": {"gamma": 1.0},
-               "mc": {"order": 2, "n_real": 2000, "antithetic": False}},
-    "order4": {"command": "mc-moment", "rtn": {"gamma": 1.0},
-               "mc": {"order": 4, "n_real": 2000, "antithetic": True}},
-}
-
-
 @pytest.mark.parametrize("label", sorted(MC_RUNS))
 def test_mc_moment_matches_committed_out(label):
     committed = OUT / "mc" / label / "mc_moment.csv"
@@ -103,3 +114,53 @@ def test_mc_moment_matches_committed_out(label):
 def test_optics_table_matches_committed_out():
     files = run_config({"command": "optics-table"})
     _assert_matches(files["wcp_table.csv"], OUT / "wcp_table.csv", TABLE_ATOL)
+
+
+# The outputs whose data sections hold bit for bit across numpy's x86-64
+# dispatch levels on one build, and the configs that write them.  Every other
+# output's data section moves in its last bits at the SSE4.2 level, most at
+# the AVX2 level too.
+LEVEL_FREE = {"wcp_table.csv": {"command": "optics-table"},
+              "calibration_vh.csv": {"preset": "figS-calibration"},
+              "mc_moment.csv": MC_RUNS["order4"]}
+
+# numpy's dispatch levels below AVX-512, by the features a child disables.
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+LEVELS = {"V3": _AVX512, "V2": (*_AVX512, "X86_V3")}
+
+# Prints, as one JSON line, numpy's dispatch line (``*`` marks a dispatched
+# feature, ``?`` a disabled one) and the data sections of the given configs'
+# outputs by file name.
+_LEVEL_PROBE = """
+import json, sys
+from numpy.lib._utils_impl import _opt_info
+from ltgsim.cli import data_section, run_config
+files = {}
+for config in json.loads(sys.argv[1]):
+    files.update(run_config(config))
+print(json.dumps([_opt_info(), {name: data_section(text) for name, text in files.items()}]))
+"""
+
+
+def test_level_free_outputs_hold_across_dispatch_levels(child_env):
+    # The fits stop before a step the cost cannot resolve, so no accept
+    # decision hangs on a last-bit tie that AVX-512 and AVX2 exp round apart.
+    native = _opt_info().split()
+    if "X86_V3*" not in native and "X86_V4*" not in native:
+        pytest.skip(f"numpy dispatches neither AVX2 nor AVX-512 here ({' '.join(native)})")
+    configs = list(LEVEL_FREE.values())
+    want = {}
+    for config in configs:
+        want.update(run_config(config))
+    for level, disabled in LEVELS.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEVEL_PROBE, json.dumps(configs)],
+            env=child_env(NPY_DISABLE_CPU_FEATURES=" ".join(disabled)),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, f"{level} probe exited {proc.returncode}:\n{proc.stderr}"
+        info, got = json.loads(proc.stdout)
+        dispatched = {f for f in info.split() if f.endswith("*")}
+        assert dispatched == {f for f in native if f.endswith("*")} - {f"{f}*" for f in disabled}, info
+        for name in LEVEL_FREE:
+            assert got[name] == data_section(want[name]), f"{name} differs at {level} ({info})"

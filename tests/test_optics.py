@@ -200,6 +200,18 @@ ERFC_GRID = np.unique(np.concatenate([
 ]))
 
 
+def test_real_exp_is_np_exp_with_zero_below_the_cut():
+    # Bit for bit np.exp, with the entries below -746 set to 0.0 rather than
+    # passed to np.exp: into a new array, and in place, where the skipped
+    # entries would otherwise keep their arguments.
+    x = np.concatenate([np.linspace(-800.0, 5.0, 1001), [-746.0, -745.5, -1e300, -np.inf]])
+    want = np.exp(x)
+    assert np.array_equal(optics.real_exp(x), want)
+    inplace = x.copy()
+    assert optics.real_exp(inplace, out=inplace) is inplace
+    assert np.array_equal(inplace, want) and not np.signbit(inplace).any()
+
+
 def test_vectorised_erfc_matches_math_erfc():
     # Bounds fixed before measuring: 8 ulp where math.erfc is a normal
     # number, 1e-322 absolute (about 20 steps of 4.9e-324) in the subnormal tail.
@@ -330,13 +342,9 @@ def test_kernel_conditional_consistent_with_profile():
     assert abs(popt[2]) == pytest.approx(w_cp, rel=0.10)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
-def test_fits_reach_scipy_residual(monkeypatch):
-    # Every fit of the width pipeline (w_p, then the n = 2 and n = 4
-    # conditional fits) ends at a residual no larger than scipy's
-    # curve_fit reaches from the same start on the same data.
-    from scipy.optimize import curve_fit as scipy_fit
-
+def recorded_fits(monkeypatch, widths_nm):
+    """(x, y / max(y), order, guess, residual) of every fit of wcp_curve over
+    the given widths, in call order: w_p, then the n = 2 and n = 4 w~ fits."""
     calls, own_fit = [], optics.curve_fit
 
     def recorded(x, y, order, width_guess):
@@ -345,9 +353,29 @@ def test_fits_reach_scipy_residual(monkeypatch):
         return width, resid
 
     monkeypatch.setattr(optics, "curve_fit", recorded)
-    wcp_curve(SETUP, [15.0, 30.0, 60.0, 100.0])
-    assert [c[2] for c in calls] == [2, 2, 4] * 4
-    for x, y, order, guess, resid in calls:
+    wcp_curve(SETUP, widths_nm)
+    assert [c[2] for c in calls] == [2, 2, 4] * len(widths_nm)
+    return calls
+
+
+def test_fitted_profiles_are_even(monkeypatch):
+    # The fits' model has no centre: the marginal and the pixel-averaged
+    # slice they read must be even in x, on grids even in x, on every table
+    # width.
+    for x, y, order, _, _ in recorded_fits(monkeypatch, table_widths()):
+        assert np.max(np.abs(x + x[::-1])) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(y - y[::-1])) <= 1e-13 * np.max(y)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+def test_fits_reach_scipy_residual(monkeypatch):
+    # Every fit of the width pipeline (w_p, then the n = 2 and n = 4
+    # conditional fits) on every table width ends at a residual no larger
+    # than scipy's curve_fit reaches from the same start on the same data,
+    # with the centre c free.
+    from scipy.optimize import curve_fit as scipy_fit
+
+    for x, y, order, guess, resid in recorded_fits(monkeypatch, table_widths()):
         def model(xx, a, c, w):
             return a * np.exp(-2.0 * np.abs(xx - c) ** order / w**order)
 
@@ -359,22 +387,22 @@ def test_fits_reach_scipy_residual(monkeypatch):
 def test_newton_terms_match_finite_differences(order):
     # Gradient and Hessian of half the residual sum against central
     # differences of the residual sum alone, at a point with large,
-    # asymmetric residuals and with u = (x - c) / w = 0 on the grid.
+    # asymmetric residuals and with u = x / w = 0 on the grid.
     x = np.arange(-60, 61) * 0.25
     y = np.exp(-np.abs(x - 0.3)) + 0.2 * (x > 2.0)
-    p0 = np.array([0.8, 1.25, 3.0])
+    p0 = np.array([0.8, 3.0])
 
     def half_cost(p):
-        a, c, w = p
-        return 0.5 * np.sum((y - a * np.exp(-2.0 * ((x - c) / w) ** order)) ** 2)
+        a, w = p
+        return 0.5 * np.sum((y - a * np.exp(-2.0 * (x / w) ** order)) ** 2)
 
-    a, c, w = p0
-    u = (x - c) / w
-    rows = np.empty((2 * order + 2, x.size))  # r, e, then scratch
-    rows[1] = np.exp(-2.0 * u**order)
+    a, w = p0
+    rows = np.empty((4, x.size))  # r, e, u^n, then scratch
+    rows[2] = (x / w) ** order
+    rows[1] = np.exp(-2.0 * rows[2])
     rows[0] = y - a * rows[1]
-    _, grad, hess = optics._newton_terms(u, rows, a, w, order)
-    h, eye = 1e-4, np.eye(3)
+    _, grad, hess = optics._newton_terms(rows, a, w, order)
+    h, eye = 1e-4, np.eye(2)
     fd_grad = [(half_cost(p0 + h * d) - half_cost(p0 - h * d)) / (2 * h) for d in eye]
     fd_hess = [[(half_cost(p0 + h * (di + dj)) - half_cost(p0 + h * (di - dj))
                  - half_cost(p0 - h * (di - dj)) + half_cost(p0 - h * (di + dj))) / (4 * h * h)
@@ -385,12 +413,11 @@ def test_newton_terms_match_finite_differences(order):
 
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("guess", [2.0, 8.0, 12.0])
-def test_fit_recovers_off_centre_profile(order, guess):
-    # Noise-free data off the origin, so the fit has to move c: the centre
-    # rows of the exact Hessian are exercised, which symmetric profiles
-    # never reach.  A zero residual pins a and c along with the width.
+def test_fit_recovers_centred_profile(order, guess):
+    # Noise-free data from starts at half to three times the width: a zero
+    # residual pins a along with the width.
     x = np.linspace(-20.0, 20.0, 401)
-    y = 0.7 * np.exp(-2.0 * np.abs(x - 1.3) ** order / 4.0**order)
+    y = 0.7 * np.exp(-2.0 * np.abs(x) ** order / 4.0**order)
     width, resid = optics.curve_fit(x, y, order, guess)
     assert width == pytest.approx(4.0, abs=1e-8)
     assert resid < 1e-12
@@ -411,20 +438,13 @@ def table_widths():
 
 
 def test_width_fits_converge_in_few_steps(monkeypatch):
-    # Newton steps on the exact Hessian: every fit of the presets' width
-    # tables and of the angle calibration converges well inside 20
-    # residual evaluations (Gauss-Newton needed up to 50).
-    monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 20)
+    # Newton steps on the exact Hessian, stopped once the cost no longer
+    # resolves a step: every fit of the presets' width tables and of the
+    # angle calibration converges within 5 residual evaluations (Gauss-Newton
+    # needed up to 50, the w_p fit from the second-moment start 8-9).
+    monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 5)
     wcp_curve(SETUP, table_widths())
     calibrate_theta0()
-
-
-def test_beam_fits_converge_in_five_evaluations(monkeypatch):
-    # From the half-maximum start the w_p fit of every table width converges
-    # within 5 residual evaluations (the second-moment start took 8-9).
-    monkeypatch.setattr(optics, "_FIT_MAX_STEPS", 5)
-    for width_nm in table_widths():
-        estimate_wp(joint_profile(dataclasses.replace(SETUP, spectral_width_nm=width_nm)))
 
 
 def second_moment_fit(prof: JointSpatialProfile) -> float:
@@ -449,20 +469,23 @@ def test_half_maximum_start_keeps_the_beam_width():
 
 
 def test_singular_fit_is_a_numerical_error():
-    # Every sample at the centre: the centre and width columns of the
-    # Hessian vanish, and the solve meets a zero pivot.
+    # Every sample at the centre: the width column of the Hessian vanishes,
+    # and the solve meets a zero determinant.
     with pytest.raises(NumericalError, match="order-2 profile fit is singular"):
         optics.curve_fit(np.zeros(5), np.ones(5), 2, 3.0)
     with pytest.raises(ZeroDivisionError):
-        optics._damped_solve(((1.0, 2.0, 0.0), (2.0, 4.0, 0.0), (0.0, 0.0, 1.0)),
-                             (0.0, 0.0, 0.0), 0.0, (1.0, 1.0, 1.0))
+        optics._damped_solve(((1.0, 2.0), (2.0, 4.0)), (0.0, 0.0), 0.0, (1.0, 1.0))
 
 
 def test_fit_keeps_a_step_that_ties_the_cost(monkeypatch):
     # Far in the tail the model underflows to 0, so every trial's cost is
     # the same bits; a step that does not raise the cost is kept, so a
-    # last-bit tie cannot decide how many evaluations a fit takes.
-    steps = iter([(0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+    # last-bit tie cannot decide how many evaluations a fit takes.  There
+    # the gradient is 0 too, which would end the fit at once: the stubbed
+    # terms give the stubbed step a predicted decrease the cost resolves.
+    steps = iter([(0.0, 0.5), (0.0, 0.0)])
+    monkeypatch.setattr(optics, "_newton_terms",
+                        lambda *args: ((1.0, 1.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0))))
     monkeypatch.setattr(optics, "_damped_solve", lambda *args: next(steps))
     assert optics.curve_fit(np.linspace(1e3, 1e3 + 10.0, 11), np.ones(11), 2, 1.0) == (1.5, 11.0)
 
@@ -470,8 +493,8 @@ def test_fit_keeps_a_step_that_ties_the_cost(monkeypatch):
 def test_damped_solve_matches_lapack():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        hess = rng.standard_normal((3, 3))
-        damping, rhs, lam = rng.random(3), rng.standard_normal(3), 10.0 ** rng.integers(-4, 2)
+        hess = rng.standard_normal((2, 2))
+        damping, rhs, lam = rng.random(2), rng.standard_normal(2), 10.0 ** rng.integers(-4, 2)
         want = np.linalg.solve(hess + lam * np.diag(damping), rhs)
         got = optics._damped_solve(hess.tolist(), damping.tolist(), lam, rhs.tolist())
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
