@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optics import real_exp
 from .rtn import check_horizon, check_moment, check_rate
 from .series import ANALYTIC, CoherenceSeries, check_times
 
@@ -41,7 +42,7 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         check_horizon(t_end, order)  # the phase order * t stays finite, as in the Monte Carlo
 
     if abs(gamma - order) < _DEGENERATE_TOL:
-        out = np.exp(-gamma * t_arr) * (1.0 + gamma * t_arr)
+        out = real_exp(-gamma * t_arr) * (1.0 + gamma * t_arr)
     elif gamma > order:
         # exp(-g t) (cosh + (g/d) sinh) rewritten with e = exp(-2 d t) - 1 and
         # g - d = m^2 / (g + d), then in x = m / g and s = d / g = sqrt(1 - x^2)
@@ -54,12 +55,12 @@ def exponential_moment(gamma: float, order: int, t) -> np.ndarray | float:
         # Past d t = 20, expm1(-2 d t) is -1.0 exactly; capping t there keeps
         # d t finite at any g, and 0 at t = 0.
         e = np.expm1(-2.0 * (d * np.minimum(t_arr, 20.0 / d)))
-        out = np.exp(-order * x * t_arr / (1.0 + s)) * (1.0 + 0.5 * e - e / (2.0 * s))
+        out = real_exp(-order * x * t_arr / (1.0 + s)) * (1.0 + 0.5 * e - e / (2.0 * s))
     else:
         # sqrt(m^2 - g^2) as m sqrt((1 - x)(1 + x)), x = g / m: m^2 overflows past ~1e154
         x = gamma / order
         w = float(order) * np.sqrt((1.0 - x) * (1.0 + x))
-        out = np.exp(-gamma * t_arr) * (
+        out = real_exp(-gamma * t_arr) * (
             np.cos(w * t_arr) + (gamma / w) * np.sin(w * t_arr)
         )
     return float(out[0]) if scalar else out

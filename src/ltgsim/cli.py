@@ -26,15 +26,6 @@ from . import __version__, analytic, measurement, optics, rtn, slm
 from .rtn import RtnParams, SeedSpec, mc_exponential_moment
 from .series import CoherenceSeries
 
-COMMANDS = (
-    "analytic",
-    "mc-moment",
-    "transition-delta",
-    "transition-spectral",
-    "optics-table",
-    "calibrate-wcp",
-)
-
 DEFAULT_CONFIG = {
     "command": None,
     "master_seed": 12345,
@@ -422,6 +413,7 @@ _RUNNERS = {
     "optics-table": _run_optics_table,
     "calibrate-wcp": _run_calibrate_wcp,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_config(user_config: dict) -> dict[str, str]:

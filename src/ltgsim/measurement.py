@@ -19,12 +19,13 @@ half by h, and reads the visibility V(h).  The contrast of V(h) falls as
 the kernel width w_cp blurs the pattern, which makes it an estimator of
 w_cp once compared against a simulated contrast-versus-width curve
 (20 widths over [0.5, 10] px).  The pattern does not change with h, so
-Gamma(h) follows for every shift from one contraction of the kernel's
-factors (``_pattern_coherence``).
+Gamma(h) follows for every shift, for the measured width and every curve
+width at once, from one contraction of the one kernel's factors with a
+row of c per width (``_pattern_coherence``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -175,9 +176,11 @@ def _shifts(n_pix: int, h_values) -> np.ndarray:
     return np.array([check_shift(n_pix, h) for h in entries], dtype=int)
 
 
-def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values) -> np.ndarray:
-    """Re Gamma(h) of the rectangular pattern on both halves, per kernel (rows) and
-    shift h of ``_shifts``.
+def _pattern_coherence(kernel: KernelParams, w_cp: Sequence[float], n_r: int,
+                       h_values: np.ndarray) -> np.ndarray:
+    """Re Gamma(h) of the rectangular pattern on both halves, per width of ``w_cp``
+    (rows) with the beam width, order and geometry of ``kernel``, and per shift
+    of the int array ``h_values`` (columns, as ``_shifts`` gives them).
 
     Gamma(h) = sum_k a_k z_{k+h} over the k whose shifted index stays on the
     mask, the rest dropped as by ``slm.phasor_sum``, with a = z^T W, i.e.
@@ -186,17 +189,13 @@ def _pattern_coherence(kernels: Sequence[KernelParams], n_r: int, h_values) -> n
     both in one einsum (with the 2^500 lift of ``slm.pair_sums``) over the
     band of diagonals of ``slm.kernel_band``, which also gives the total and
     refuses a kernel without support.  The diagonals left out weigh less than
-    2^-70 in every kernel, so with |z| = 1 each Gamma(h) moves by less than
-    that.  The kernels differ in w_cp alone: they share g1 and g2, and c
-    takes one row each from one exp.
+    2^-70 at every width, so with |z| = 1 each Gamma(h) moves by less than
+    that.  Every width shares the one envelope pair g1, g2, and c takes one
+    row per width from one exp.
     """
-    geometry, w_p, n = kernels[0].geometry, kernels[0].w_p, kernels[0].n
-    if any((k.geometry, k.w_p, k.n) != (geometry, w_p, n) for k in kernels):
-        raise ValueError("the kernels of one pattern contraction may differ in w_cp alone")
-    n_pix = geometry.pixels_per_half
-    h_values = _shifts(n_pix, h_values)
+    n_pix = kernel.geometry.pixels_per_half
     pattern = rect_phase_pattern(n_pix, n_r)
-    g1, g2, c = kernel_factors(kernels[0], [k.w_cp for k in kernels])
+    g1, g2, c = kernel_factors(kernel, w_cp)
     total, lo, hi, _ = kernel_band(c, pair_sums(g1, g2))
     lift = 2.0**500
     # [p, i] = envelope p (g1, then sin(pattern) * g1) at pixel i - N + 1, zero off the mask
@@ -233,7 +232,7 @@ def calibrate_wcp(
     point) or as p * |Re Gamma| without.  The estimation leg builds the
     noise-free contrast of each of 20 widths over [0.5, 10] px, with the
     same beam width and order (one contraction and one sine fit serve all
-    21 kernels), fits a cubic polynomial in w mapped onto [-1, 1], and
+    21 widths), fits a cubic polynomial in w mapped onto [-1, 1], and
     inverts it at the measured contrast; a contrast the curve does not reach
     raises NumericalError.  Both fits go through one modified Gram-Schmidt QR
     (``_least_squares``) in single-threaded einsums and the cubic and its
@@ -249,10 +248,10 @@ def calibrate_wcp(
     h_values = _shifts(kernel_params.geometry.pixels_per_half,
                        np.arange(-10, 10) if h_values is None else h_values)
 
-    # Row 0: the measured kernel; rows 1..: the noise-free curve's widths.
+    # Row 0: the measured width; rows 1..: the noise-free curve's widths.
     curve_w = np.linspace(_CURVE_RANGE[0], _CURVE_RANGE[1], _CURVE_SAMPLES)
-    kernels = [kernel_params, *(replace(kernel_params, w_cp=float(w)) for w in curve_w)]
-    re_gamma, *curve_re = _pattern_coherence(kernels, n_r, h_values)
+    re_gamma, *curve_re = _pattern_coherence(kernel_params, [kernel_params.w_cp, *curve_w.tolist()],
+                                             n_r, h_values)
     check_shifts(len(set((h_values % (2 * n_r)).tolist())))
     if shot_noise:
         v = np.empty(h_values.size)

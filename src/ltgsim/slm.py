@@ -7,18 +7,21 @@ equal offsets from the reference pixels (j0, k0) face each other
 spatially.  A pair distribution over the pixel offsets dj = j - j0 and
 dk = k - k0 encodes the beam envelope w_p and the photon-pair correlation
 width w_cp, both in pixels (super-Gaussian order n even).  Its one
-representation is its factors (``kernel_factors``):
+representation is its factors (``KernelParams.factors``):
 
     weights[j, k] = g1[j] * g2[k] * c[j - k + N - 1] / total,
     g1 = exp(-2*dj^2 / w_p^2),  g2 = exp(-2*dk^2 / w_p^2),
     c = exp(-2*|dj - dk|^n / w_cp^n),
 
 with total = c . s, s[d] the sum of g1 g2 along diagonal d (``pair_sums``).
-``kernel_band`` forms every total, for the kernel sum, the calibration in
-``measurement`` and the dense kernel alike.
+A ``KernelParams`` forms (g1, g2, c, s) once, on first use, so no caller can
+pair a kernel with another kernel's factors.  ``kernel_band`` forms every
+total, for the kernel sum, the calibration in ``measurement`` and the dense
+kernel alike.
 
 Noise enters as a phase field phi(offset, t) built from telegraph-noise
-trajectories, constant over blocks of ``n_rep`` consecutive offsets.  Every
+trajectories, constant over blocks of ``n_rep`` consecutive offsets, which
+with the mask geometry fix the block of every offset.  Every
 field is balanced: the blocks of the first half-mask of offsets are
 independent, and offset i + n/2 carries -phi of offset i, so the phases sum
 to zero at every time (``pixels_per_half`` must be even).  The
@@ -62,6 +65,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -141,6 +145,16 @@ class KernelParams:
             if not ok:
                 raise ValueError(f"{name}**{power} = {width!r}**{power} is not a finite normal float")
 
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """(g1, g2, c, s): ``kernel_factors`` and their ``pair_sums``, formed on
+        first use and read-only, for every shift the kernel is read at."""
+        g1, g2, c = kernel_factors(self)
+        out = (g1, g2, c, pair_sums(g1, g2))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
 
 @dataclass
 class CorrelationKernel:
@@ -213,16 +227,10 @@ def kernel_band(c: np.ndarray, s: np.ndarray, mass: float = _FLUSH_MASS
     return total, lo, hi, share[..., :lo].sum(axis=-1) + share[..., hi:].sum(axis=-1)
 
 
-def _factored_kernel(params: KernelParams) -> tuple[np.ndarray, ...]:
-    """(g1, g2, c, s): ``kernel_factors`` and their ``pair_sums``, read at any shift."""
-    g1, g2, c = kernel_factors(params)
-    return g1, g2, c, pair_sums(g1, g2)
-
-
 def build_kernel(params: KernelParams) -> CorrelationKernel:
     """The normalized pair distribution as one (N, N) array: a test oracle only."""
-    g1, g2, c = kernel_factors(params)
-    total = kernel_band(c, pair_sums(g1, g2))[0]
+    g1, g2, c, s = params.factors
+    total = kernel_band(c, s)[0]
     w = g1[:, None] * g2[None, :]
     w *= _windows(c, g2.size)[:, ::-1]
     w /= total
@@ -248,33 +256,35 @@ def check_field_grid(n_indep: int, points: int) -> None:
     check_entries(2 * n_indep * points)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseField:
     """Noise phasors exp(2i * phi(offset, t)) on one mask half, stored per block.
 
-    The field is constant within blocks of ``params["n_rep"]`` consecutive
-    offsets.  ``phasors[b, g]`` is exp(2i * phi_b(times[g])) for block b,
-    and ``block_index[i]`` is the block that offset index i (offset i - n/2
-    relative to the reference pixel) carries.  Blocks are numbered along
-    the mask: block_index runs 0, 0, .., 1, 1, .. and steps by one, so each
-    block is one run of consecutive offsets.  The kernel sum reads only the
-    phasors; the phases are not kept (see :func:`build_phase_field` for the
-    stream each block's trajectory is drawn from).
+    The field is constant within blocks of ``n_rep`` consecutive offsets.
+    ``phasors[b, g]`` is exp(2i * phi_b(times[g])) for block b.  The kernel
+    sum reads only the phasors; the phases are not kept (see
+    :func:`build_phase_field` for the stream each block's trajectory is
+    drawn from).
     """
 
     phasors: np.ndarray
     times: np.ndarray
-    block_index: np.ndarray
+    n_rep: int
     geometry: MaskGeometry
     params: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        steps = np.diff(self.block_index)
-        if self.block_index[0] != 0 or np.any((steps != 0) & (steps != 1)):
-            raise ValueError("block_index must number the blocks along the mask, one run each")
-
     def n_blocks(self) -> int:
         return self.phasors.shape[0]
+
+    @cached_property
+    def block_index(self) -> np.ndarray:
+        """The block that offset index i (offset i - n/2 relative to the
+        reference pixel) carries, from ``n_rep`` and the geometry.  Blocks are
+        numbered along the mask: it runs 0, 0, .., 1, 1, .. and steps by one,
+        each mirror twin n_blocks / 2 after its block, half a mask away."""
+        span = self.geometry.pixels_per_half // 2
+        half = np.arange(span) // min(self.n_rep, span)
+        return np.concatenate([half, half + half[-1] + 1])
 
 
 def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
@@ -307,7 +317,6 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     check_ensemble(gamma, params.t_max, n_indep)
     check_field_grid(n_indep, times.size)
 
-    span = n_pix // 2
     # Block b draws from ``seed.item(b)``, so a field takes streams
     # [s+1, s+1+n_indep).  Callers building several independent fields must
     # space their stream indices by at least that count (a stride of 1000 is
@@ -322,15 +331,13 @@ def build_phase_field(gamma: float, times: np.ndarray, n_rep: int,
     np.multiply(base.phases(times).T, 2j, out=z)
     np.exp(z, out=z)
     np.conjugate(z, out=phasors[n_indep:])
-    block_half = np.arange(span) // min(n_rep, span)
     return PhaseField(
         phasors=phasors,
         times=times,
-        block_index=np.concatenate([block_half, block_half + n_indep]),
+        n_rep=n_rep,
         geometry=geometry,
         params={
             "gamma": gamma,
-            "n_rep": n_rep,
             "master_seed": seed.master_seed,
             "stream_index": seed.stream_index,
         },
@@ -391,7 +398,7 @@ def _flush(table: np.ndarray, mass: float) -> float:
 
 def _block_weights(factors: tuple[np.ndarray, ...], index1: np.ndarray, index2: np.ndarray,
                    on: slice) -> tuple[np.ndarray, float, float]:
-    """(B, flushed_mass, lost_mass) of the on-mask kernel, from ``_factored_kernel``.
+    """(B, flushed_mass, lost_mass) of the on-mask kernel, from ``KernelParams.factors``.
 
     The diagonals of ``kernel_band`` at a budget of one flush threshold,
     ``_FLUSH_MASS / B.size``, enter B, pair weights formed as in
@@ -457,8 +464,7 @@ def _class_masses(table: np.ndarray, first: int, n_blocks: int) -> dict:
 
 
 def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseField,
-                     delta: int = 0, factors: tuple[np.ndarray, ...] | None = None
-                     ) -> CoherenceSeries:
+                     delta: int = 0) -> CoherenceSeries:
     """Coherence factor Gamma(delta, t) of the pixel-encoded channel.
 
     Each pixel pair contributes exp(2i*(phi1 + phi2)), twice the noise phase
@@ -477,8 +483,8 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
     blocks).  The ensemble mean of Gamma is m_same * M4(t) + m_mirror +
     m_indep * M2(t)^2, with M_m the moments of ``analytic.exponential_moment``.
 
-    ``factors`` is ``_factored_kernel(params)`` from a caller that reads one
-    kernel at several shifts; by default it is formed here.
+    B comes from ``params.factors``, which the kernel forms on its first
+    call and every later call, at any shift, reads again.
     """
     if field1.geometry != params.geometry or field2.geometry != params.geometry:
         raise ValueError("kernel and phase fields must share one mask geometry")
@@ -489,9 +495,7 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
     # Column c of B is block first + c of field 2: B spans only the blocks
     # the shifted kernel reads.
     index2 = field2.block_index[on.start + delta:on.stop + delta]
-    if factors is None:
-        factors = _factored_kernel(params)
-    table, flushed_mass, lost = _block_weights(factors, field1.block_index, index2, on)
+    table, flushed_mass, lost = _block_weights(params.factors, field1.block_index, index2, on)
     first = int(index2[0])
     # B is real, so it contracts the interleaved (re, im) floats of z2: the
     # same products as a complex einsum at a fraction of the cost.
@@ -512,7 +516,7 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
             "w_cp": params.w_cp,
             "w_p": params.w_p,
             "n": params.n,
-            "n_rep": field1.params["n_rep"],
+            "n_rep": field1.n_rep,
             "shared_field": shared,
             **{k: field1.params.get(k) for k in ("gamma", "master_seed", "stream_index")},
         },
@@ -530,13 +534,10 @@ def transition_sweep(gamma: float, kernels: Sequence[KernelParams], deltas: Sequ
     narrowing w_cp (a narrower source spectrum) below the block size n_rep,
     lets the two qubits see the same phase blocks, walking the channel from
     independent-looking environments to one common environment.  Each
-    kernel's factors and diagonal pair sums are formed once, for all its shifts.
+    kernel forms its factors and diagonal pair sums once
+    (``KernelParams.factors``), for all its shifts.
     """
     if not kernels:
         return []
     fld = build_phase_field(gamma, times, n_rep, kernels[0].geometry, seed)
-    sweep = []
-    for params in kernels:
-        factors = _factored_kernel(params)
-        sweep += [kernel_coherence(params, fld, fld, d, factors) for d in deltas]
-    return sweep
+    return [kernel_coherence(params, fld, fld, d) for params in kernels for d in deltas]

@@ -14,7 +14,7 @@ calibration pattern built on it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -161,16 +161,18 @@ def normalization(g1: np.ndarray, g2: np.ndarray, c: np.ndarray) -> tuple[np.nda
     return corr, np.einsum("...k,...k->...", g2, corr, optimize=False)
 
 
-def dense_pattern_coherence(kernels: list[KernelParams], n_r: int,
+def dense_pattern_coherence(kernel: KernelParams, w_cp: list[float], n_r: int,
                             h_values: np.ndarray) -> np.ndarray:
     """Re Gamma(h) of ``measurement._pattern_coherence`` over every j - k diagonal.
 
-    a = z^T W from the dense Toeplitz products of each kernel's factors: Re a
-    from the correlation of c with g1 that ``normalization`` also takes for
-    the total, Im a from the one with sin(pattern) * g1.
+    a = z^T W from the dense Toeplitz products of the factors of ``kernel``
+    at each width of ``w_cp``, each formed on its own: Re a from the
+    correlation of c with g1 that ``normalization`` also takes for the total,
+    Im a from the one with sin(pattern) * g1.
     """
-    n_pix = kernels[0].geometry.pixels_per_half
+    n_pix = kernel.geometry.pixels_per_half
     pattern = rect_phase_pattern(n_pix, n_r)
+    kernels = [replace(kernel, w_cp=w) for w in w_cp]
     g1, g2, c = (np.array(f) for f in zip(*map(kernel_factors, kernels)))
     corr_re, total = normalization(g1, g2, c)
     corr_im = toeplitz_product(c, g1 * np.sin(pattern))

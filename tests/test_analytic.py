@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import build_state, concurrence
 from test_contract import refusal_tests
 
+from ltgsim import analytic
 from ltgsim.analytic import (
     exponential_moment,
     global_coherence,
@@ -28,6 +29,24 @@ def test_free_evolution_is_cosine():
 
 def test_degenerate_branch_value():
     assert exponential_moment(2.0, 2, 1.0) == pytest.approx(DEGENERATE_VALUE, abs=1e-12)
+
+
+def test_closed_form_real_exp_is_np_exp_bit_for_bit(monkeypatch):
+    # Every branch's exp goes through optics.real_exp; the moments and both
+    # coherences must still be np.exp's, bit for bit: at rates on and 1e-10
+    # beside the crossover, slow, fast and far past it, on 400 times.
+    times = np.linspace(0.0, 2.0 * np.pi, 400)
+    cases = [(order, g) for order in (1, 2, 4)
+             for g in (0.0, order - 1e-10, order + 1e-10, 0.12, 1.0, 5.0, 1e3)]
+
+    def run():
+        return ([exponential_moment(g, order, times) for order, g in cases]
+                + [f(g, times).values for f in (local_coherence, global_coherence) for _, g in cases])
+
+    got = run()
+    monkeypatch.setattr(analytic, "real_exp", np.exp)
+    for have, want in zip(got, run()):
+        assert have.tobytes() == want.tobytes()
 
 
 def test_zero_time_is_unity():

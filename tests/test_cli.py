@@ -1,5 +1,6 @@
 """Config validation, presets, output format and reproducibility."""
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -730,3 +731,83 @@ def test_validate_agrees_with_the_run(config):
             assert len(err) == 1 and err[0].startswith("numerical error: ") and not out.exists()
         else:
             assert run_code == 0 and list(out.glob("*.csv")) and _finite_csvs(out), err
+
+
+# ---------------------------------------------------------------------------
+# Reach: the CLI runs enter every function of src/ltgsim
+# ---------------------------------------------------------------------------
+
+# One small run of each command through cli.main.
+_REACH_RUNS = [
+    {"command": "analytic", "rtn": {"gamma": 1.0}, "grid": FAST_GRID},
+    {"command": "mc-moment", "rtn": {"gamma": 1.0}, "grid": FAST_GRID,
+     "mc": {"order": 2, "n_real": 200, "antithetic": False}},
+    {"command": "mc-moment", "rtn": {"gamma": 1.0}, "grid": FAST_GRID,
+     "mc": {"order": 4, "n_real": 200, "antithetic": True}},
+    # ~630 jumps a row on 40 times: the direct pass runs alone
+    {"command": "mc-moment", "rtn": {"gamma": 100.0}, "grid": FAST_GRID,
+     "mc": {"order": 2, "n_real": 200}},
+    # a wide order-4 kernel, at a negative shift too
+    {"command": "transition-delta", "rtn": {"gamma": 0.12}, "grid": FAST_GRID,
+     "kernel": {"w_cp": 8.0, "w_p": 200.0, "n": 4}, "deltas": [-5, 0, 3]},
+    {"command": "transition-spectral", "rtn": {"gamma": 0.12}, "grid": FAST_GRID,
+     "spectral": {"widths_nm": [15.0]}},
+    {"command": "optics-table", "optics": {"widths_nm": [15.0, 100.0]}},
+    {"preset": "figS-calibration"},
+]
+
+# The functions of src no run enters, each with why it stays there.
+_PINNED = "a test oracle that perfbench/spans.py wraps by name"
+_FAKE = "lets a test reduce a TrajectoryBatch where a run passes an Ensemble"
+_UNREACHED = {
+    "slm.build_kernel": _PINNED,
+    "slm.phasor_sum": _PINNED,
+    "slm.CorrelationKernel.__post_init__": "the check of build_kernel's result",
+    "optics.JointSpatialProfile.F": "the dense profile, read only by perfbench's optics.grid_points",
+    "rtn.TrajectoryBatch.width": _FAKE,
+    "rtn.TrajectoryBatch.jump_events": _FAKE,
+    "rtn.TrajectoryBatch.chunks": _FAKE,
+    "cli.data_section": "a reader of output files, for scripts/regenerate_out.py and the tests",
+    "cli.run_config": "the in-process entry of scripts/regenerate_out.py and the tests",
+    "cli.ConfigError.__init__": "entered only when resolve_config refuses a config",
+}
+
+
+def _src_functions() -> dict[tuple[str, int], str]:
+    """{(file, first line): "module.qualname"} of every named function and method of src/ltgsim."""
+    found = {}
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        codes = [compile(path.read_text(), str(path), "exec")]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if inspect.iscode(c)]
+            # class bodies are not optimized; lambdas and comprehensions are not named
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
+                found[str(path), code.co_firstlineno] = f"{path.stem}.{code.co_qualname}"
+    return found
+
+
+def test_every_src_function_is_entered_by_a_cli_run(tmp_path):
+    # Code that only tests reach does not stay in src unnoticed: a function
+    # that no run enters fails here unless _UNREACHED names it, and an entry
+    # a run does enter, or that is gone, fails too.
+    calls, previous = set(), sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    configs = []
+    for i, config in enumerate(_REACH_RUNS):
+        configs.append(tmp_path / f"{i}.json")
+        configs[-1].write_text(json.dumps(config))
+    sys.setprofile(profile)
+    try:
+        codes = [main(["--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) for cfg in configs]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(configs)
+    entered = {(str(Path(name).resolve()), line) for name, line in calls}
+    never = {name for key, name in _src_functions().items() if key not in entered}
+    assert sorted(never - _UNREACHED.keys()) == []
+    assert sorted(_UNREACHED.keys() - never) == []

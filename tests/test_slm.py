@@ -1,4 +1,6 @@
 """Mask geometry, correlation kernel, phase fields and the kernel sum."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,21 @@ def test_field_block_structure():
     assert fld.block_index[-1] == fld.n_blocks() - 1
 
 
+@pytest.mark.parametrize("n_rep, geo", [(1, GEO), (7, GEO), (160, GEO), (320, GEO),
+                                         (3, MaskGeometry(pixels_per_half=10, j0=4.0, k0=15.0))])
+def test_field_blocks_follow_from_n_rep(n_rep, geo):
+    # The field stores n_rep, not the block of each offset: block_index follows
+    # from n_rep and the geometry, runs along the mask in steps of one (one run
+    # per block) and puts each mirror twin n_blocks / 2 after its block.
+    fld = build_phase_field(0.5, TIMES[:3], n_rep, geo, SeedSpec(6))
+    index, span = fld.block_index, geo.pixels_per_half // 2
+    assert fld.n_rep == n_rep and index.size == geo.pixels_per_half
+    assert index[0] == 0 and set(np.diff(index[:span]).tolist()) <= {0, 1}
+    runs = np.bincount(index[:span])  # full blocks of n_rep offsets, the last one possibly short
+    assert np.all(runs[:-1] == min(n_rep, span)) and 1 <= runs[-1] <= min(n_rep, span)
+    assert np.array_equal(index[span:], index[:span] + fld.n_blocks() // 2)
+
+
 def test_field_single_block():
     # one independent block covers the first half-mask, its mirror the second
     fld = build_phase_field(0.7, TIMES, 320, GEO, SeedSpec(7))
@@ -197,36 +214,6 @@ def test_coherence_is_one_at_time_zero():
         series = kernel_coherence(k, fld, fld, delta)
         assert series.values[0] == pytest.approx(1.0 + 0.0j, abs=1e-14)
         assert np.all(series.magnitude <= 1.0 + 1e-12)
-
-
-def test_global_endpoint_equivalence():
-    # Narrow kernel, shared field, delta = 0: the kernel sum must equal the
-    # fourth-moment ensemble average on the very same trajectories, with
-    # weights given by the kernel diagonal.
-    kp = KernelParams(0.3, 20.0, 4, GEO)
-    k = build_kernel(kp)
-    fld = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(12))
-    lhs = kernel_coherence(kp, fld, fld, 0).values
-    phi = field_phases(fld)
-    w = np.diag(k.weights)
-    rhs = (w[:, None] * np.exp(4j * phi)).sum(axis=0) / w.sum()
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_local_endpoint_equivalence():
-    # Narrow kernel, independent fields, delta = n_rep: the kernel sum must
-    # equal the per-pair product of half phasors under the kernel marginal.
-    kp = KernelParams(0.3, 20.0, 4, GEO)
-    k = build_kernel(kp)
-    f1 = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(13, 0))
-    f2 = build_phase_field(0.12, TIMES, 3, GEO, SeedSpec(13, 1000))
-    lhs = kernel_coherence(kp, f1, f2, 3).values
-    marg = k.weights.sum(axis=1)
-    shifted = np.arange(320) + 3
-    ok = shifted < 320
-    prod = np.exp(2j * field_phases(f1)[ok]) * np.exp(2j * field_phases(f2)[shifted[ok]])
-    rhs = (marg[ok, None] * prod).sum(axis=0) / marg[ok].sum()
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_translation_covariance():
@@ -501,6 +488,23 @@ def test_sweep_forms_each_kernels_factors_once(monkeypatch):
     assert calls == {"kernel_factors": 2, "pair_sums": 2 + 6, "kernel_coherence": 6}
 
 
+def test_kernel_forms_its_factors_once(monkeypatch):
+    # A KernelParams forms (g1, g2, c, s) on first use and hands the same
+    # read-only arrays to every later read; a replace() copy forms its own.
+    calls = []
+    factors = slm.kernel_factors
+    monkeypatch.setattr(slm, "kernel_factors", lambda kp: calls.append(kp) or factors(kp))
+    kp = KernelParams(3.0, 20.0, 4, GEO)
+    first = kp.factors
+    assert kp.factors is first and calls == [kp]
+    g1, g2, c = factors(kp)
+    for have, want in zip(first, (g1, g2, c, slm.pair_sums(g1, g2))):
+        assert np.array_equal(have, want) and not have.flags.writeable
+    wider = replace(kp, w_cp=5.0)
+    assert wider.factors is not first and calls == [kp, wider]
+    assert np.array_equal(wider.factors[0], first[0]) and not np.array_equal(wider.factors[2], first[2])
+
+
 @pytest.mark.parametrize("kp", [KernelParams(3.1, 20.0, 2, GEO), KernelParams(8.0, 200.0, 4, GEO),
                                 KernelParams(3.0, 40.0, 2, MaskGeometry(j0=40.5, k0=600.0))])
 def test_kernel_sum_and_calibration_share_one_total(kp, monkeypatch):
@@ -518,7 +522,7 @@ def test_kernel_sum_and_calibration_share_one_total(kp, monkeypatch):
     fld = build_phase_field(0.5, TIMES, 3, kp.geometry, SeedSpec(37))
     kernel_coherence(kp, fld, fld, 3)
     build_kernel(kp)
-    _pattern_coherence([kp], 5, np.arange(-10, 10))
+    _pattern_coherence(kp, [kp.w_cp], 5, np.arange(-10, 10))
     assert len(totals) == 3 and totals[0] > 0.0
     assert totals[1:] == [totals[0]] * 2, totals
 
