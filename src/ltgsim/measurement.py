@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import NumericalError
 from .rtn import SeedSpec, check_entries, check_flag, check_integer, check_real
-from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums
+from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums, windows
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the
@@ -203,12 +202,13 @@ def _pattern_coherence(kernel: KernelParams, w_cp: Sequence[float], n_r: int,
     envelopes[:, n_pix - 1:2 * n_pix - 1] = g1 * lift
     envelopes[1, n_pix - 1:2 * n_pix - 1] *= np.sin(pattern)
     # [p, k, d - lo] = envelopes[p, k + d]: the band of diagonals row k reads
-    band = sliding_window_view(envelopes, hi - lo, axis=1)[:, lo:lo + n_pix]
+    band = windows(envelopes, hi - lo)[:, lo:lo + n_pix]
     corr = np.einsum("wd,pkd->wpk", c[:, lo:hi] * lift, band, optimize=False) / lift**2
     a = (np.cos(_PATTERN_AMPLITUDE) * corr[:, 0] + 1j * corr[:, 1]) * (g2 / total[:, None])
     # [h, k] = z_{k+h}, read from z padded with zeros off the mask
-    windows = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)
-    shifted = windows[n_pix + h_values]
+    padded = np.zeros(3 * n_pix, complex)
+    padded[n_pix:2 * n_pix] = np.exp(1j * pattern)
+    shifted = windows(padded, n_pix)[n_pix + h_values]
     return np.clip(np.einsum("wk,hk->wh", a, shifted, optimize=False).real, -1.0, 1.0)
 
 
@@ -255,7 +255,9 @@ def calibrate_wcp(
     check_shifts(len(set((h_values % (2 * n_r)).tolist())))
     if shot_noise:
         v = np.empty(h_values.size)
-        for i, re in enumerate(re_gamma):
+        # Python floats, which carry the bits of the array's float64 entries
+        # through the per-shift arithmetic without numpy's scalar overhead.
+        for i, re in enumerate(re_gamma.tolist()):
             rates = simulate_counts(detection_probabilities(p, re), n0, acquisition_s, repeats,
                                     seed=seed.item(i))
             if not sum(rates) > 0:

@@ -86,6 +86,18 @@ MIN_WP_SPACINGS = 4
 MIN_SPECTRAL_WIDTH_NM = 1e-6
 
 
+def check_spectral_width(width_nm: float) -> None:
+    """Refuse a spectral width (nm) that is not a real number, lies outside the
+    model range [0, MAX_SPECTRAL_WIDTH_NM], or is positive but below
+    MIN_SPECTRAL_WIDTH_NM."""
+    check_real("spectral_width_nm", width_nm)
+    if not 0 <= width_nm <= MAX_SPECTRAL_WIDTH_NM:
+        raise ValueError(f"width {width_nm} nm outside model range [0, {MAX_SPECTRAL_WIDTH_NM}] nm")
+    if 0 < width_nm < MIN_SPECTRAL_WIDTH_NM:
+        raise ValueError(f"width {width_nm} nm is below the {MIN_SPECTRAL_WIDTH_NM:g} nm the window "
+                         "factor resolves (0 nm gives the zero-width limit)")
+
+
 class NumericalError(RuntimeError):
     """A profile fit failed, a calibration left the range it can invert, or a
     kernel's weight underflowed to nothing on the mask."""
@@ -110,14 +122,7 @@ class PdcSetup:
             check_real(name, getattr(self, name))
             if not getattr(self, name) > 0:  # refuses NaN too
                 raise ValueError(f"{name} must be positive")
-        check_real("spectral_width_nm", self.spectral_width_nm)
-        if not 0 <= self.spectral_width_nm <= MAX_SPECTRAL_WIDTH_NM:
-            raise ValueError(f"width {self.spectral_width_nm} nm outside model range "
-                             f"[0, {MAX_SPECTRAL_WIDTH_NM}] nm")
-        if 0 < self.spectral_width_nm < MIN_SPECTRAL_WIDTH_NM:
-            raise ValueError(f"width {self.spectral_width_nm} nm is below the "
-                             f"{MIN_SPECTRAL_WIDTH_NM:g} nm the window factor resolves "
-                             "(0 nm gives the zero-width limit)")
+        check_spectral_width(self.spectral_width_nm)
 
     @property
     def pump_angular_freq(self) -> float:
@@ -534,7 +539,7 @@ class WcpTable:
 def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:
     """Run the width pipeline for each spectral width; one row per width, in order."""
     for width in widths_nm:
-        check_real("spectral_width_nm", width)
+        check_spectral_width(width)
     floor = pump_floor_px(setup)
     w_cp, order, w_p, w_tilde = [], [], [], []
     for width in widths_nm:

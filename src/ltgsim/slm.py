@@ -191,12 +191,13 @@ def kernel_factors(params: KernelParams, w_cp: Sequence[float] | None = None
                 real_exp(-2.0 * np.abs(diff) ** params.n / scale))
 
 
-def _windows(a: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view (a.size - width + 1, width) of every run of ``width``
-    consecutive entries of a 1-D array: ``sliding_window_view`` without its
-    argument handling, which cost ~12 us a call on the per-shift path."""
-    step = a.strides[0]
-    return as_strided(a, (a.size - width + 1, width), (step, step), writeable=False)
+def windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view (..., n - width + 1, width) of every run of ``width``
+    consecutive entries along the last axis (n entries) of ``a``:
+    ``sliding_window_view`` without its argument handling, which cost ~12 us
+    a call on the per-shift path."""
+    return as_strided(a, (*a.shape[:-1], a.shape[-1] - width + 1, width), (*a.strides, a.strides[-1]),
+                      writeable=False)
 
 
 def pair_sums(g1: np.ndarray, g2: np.ndarray, cols: slice | np.ndarray = slice(None)) -> np.ndarray:
@@ -208,7 +209,7 @@ def pair_sums(g1: np.ndarray, g2: np.ndarray, cols: slice | np.ndarray = slice(N
     padded = np.zeros(3 * n_pix - 2)
     padded[n_pix - 1:2 * n_pix - 1] = g1 * lift
     # [k, d] = g1[k + d - N + 1], the pair (j, k) of diagonal d, zero off the mask
-    g1_diag = _windows(padded, 2 * n_pix - 1)[cols]
+    g1_diag = windows(padded, 2 * n_pix - 1)[cols]
     return np.einsum("kd,k->d", g1_diag, g2[cols] * lift, optimize=False) / lift**2
 
 
@@ -232,7 +233,7 @@ def build_kernel(params: KernelParams) -> CorrelationKernel:
     g1, g2, c, s = params.factors
     total = kernel_band(c, s)[0]
     w = g1[:, None] * g2[None, :]
-    w *= _windows(c, g2.size)[:, ::-1]
+    w *= windows(c, g2.size)[:, ::-1]
     w /= total
     return CorrelationKernel(w, params)
 
@@ -353,8 +354,8 @@ _BAND_ROWS = 6
 def check_shift(n_pix: int, delta: int) -> int:
     """The shift of half 2 in pixels as an int.  Refuses one that is not an integer
     (a float, whole or not, a bool, which would run as 0 or 1, or a string), or
-    that moves every pixel off the mask."""
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Integral):
+    that moves every pixel off the mask.  An exact int skips the ABC test."""
+    if type(delta) is not int and (isinstance(delta, bool) or not isinstance(delta, numbers.Integral)):
         raise ValueError(f"shift delta={delta!r} is not an integer")
     if abs(delta) >= n_pix:
         raise ValueError(f"shift delta={delta} moves every pixel off the mask")
@@ -416,7 +417,7 @@ def _block_weights(factors: tuple[np.ndarray, ...], index1: np.ndarray, index2: 
     at = slice(n_pix - 1 + on.start, n_pix - 1 + on.stop)
     g2_pad[at], cols_pad[at] = g2[on], index2 - first
     rows = slice(2 * n_pix - 1 - hi, 3 * n_pix - 1 - hi)
-    g2_win, cols_win = (_windows(a, hi - lo)[rows] for a in (g2_pad, cols_pad))
+    g2_win, cols_win = (windows(a, hi - lo)[rows] for a in (g2_pad, cols_pad))
     w = g1[:, None] * g2_win
     w *= c[lo:hi][::-1]
     w /= total

@@ -1,4 +1,5 @@
 """Config validation, presets, output format and reproducibility."""
+import argparse
 import contextlib
 import inspect
 import io
@@ -790,7 +791,11 @@ def _src_functions() -> dict[tuple[str, int], str]:
 def test_every_src_function_is_entered_by_a_cli_run(tmp_path):
     # Code that only tests reach does not stay in src unnoticed: a function
     # that no run enters fails here unless _UNREACHED names it, and an entry
-    # a run does enter, or that is gone, fails too.
+    # a run does enter, or that is gone, fails too.  The verdict must not
+    # depend on test order: a process-wide cached function (functools.cache,
+    # say) is entered only by the first main call of a process, so it passes
+    # when this test runs alone and fails after any test that ran main.  Work
+    # done once per process belongs at module level, as cli._PARSER is.
     calls, previous = set(), sys.getprofile()
 
     def profile(frame, event, arg):
@@ -811,3 +816,20 @@ def test_every_src_function_is_entered_by_a_cli_run(tmp_path):
     never = {name for key, name in _src_functions().items() if key not in entered}
     assert sorted(never - _UNREACHED.keys()) == []
     assert sorted(_UNREACHED.keys() - never) == []
+
+
+def test_runs_build_no_parser_and_one_setup_each(tmp_path, monkeypatch):
+    # The process's one parser is built when cli is imported, so main builds
+    # none; resolve_config checks each of the 16 default spectral and optics
+    # widths by optics.check_spectral_width and builds one PdcSetup, the one
+    # whose profile grid checks theta_0.  Neither run builds another.
+    built = []
+    for owner, name in ((argparse.ArgumentParser, "__init__"), (PdcSetup, "__post_init__")):
+        def counted(*args, _f=getattr(owner, name), _owner=owner.__name__, **kwargs):
+            built[-1][_owner] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    for preset in ("figS-calibration", "fig4-left"):
+        built.append({"ArgumentParser": 0, "PdcSetup": 0})
+        assert main(["--preset", preset, "--out", str(tmp_path / preset)]) == 0
+    assert built == [{"ArgumentParser": 0, "PdcSetup": 1}] * 2

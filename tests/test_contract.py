@@ -1,10 +1,13 @@
 """The library contract: every entry point the runners call gives a finite
 result or a one-line refusal, whatever it is given; and the library's
 refusal table, the exact text of each refusal its rules give."""
+import enum
 import inspect
 import traceback
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -162,13 +165,15 @@ EXEMPT = {
                      "rtn.check_grid", "slm.field_blocks", "slm.check_mirror",
                      "slm.check_field_grid", "slm.check_shift", "measurement.check_purity",
                      "measurement.check_counts", "measurement.check_repeats", "measurement.check_pattern",
-                     "measurement.check_shifts", "series.check_times"], _RULE),
+                     "measurement.check_shifts", "series.check_times", "optics.check_spectral_width"],
+                    _RULE),
     "rtn.Ensemble": "the result of draw_ensemble, which sample_batch reads",
     "slm.CorrelationKernel": "the dense kernel of build_kernel, a test oracle",
     "slm.build_kernel": "a test oracle: no run path forms the dense kernel",
     "slm.phasor_sum": "a test oracle of the kernel sum over literal mask phases",
     "slm.pair_sums": "a step of kernel_coherence and calibrate_wcp on kernel_factors' arrays",
     "slm.kernel_band": "a step of kernel_coherence and calibrate_wcp on kernel_factors' arrays",
+    "slm.windows": "a strided view of arrays kernel_coherence and calibrate_wcp have formed",
     "slm.PhaseField": "the result of build_phase_field",
     "optics.NumericalError": "the refusal of a numerical failure",
     "optics.JointSpatialProfile": "the result of joint_profile",
@@ -516,3 +521,48 @@ def test_every_rule_has_a_row_in_the_refusal_table():
                 reached |= {f"{frame.f_globals['__name__'].rpartition('.')[2]}.{frame.f_code.co_name}"
                             for frame, _ in traceback.walk_tb(err.__traceback__)}
     assert sorted(name for name, why in EXEMPT.items() if why == _RULE and name not in reached) == []
+
+
+class _Float(float):
+    """A float subclass: a real number, but not the exact float type."""
+
+
+class _Count(enum.IntEnum):
+    TWO = 2
+
+
+# What the three type rules decide per kind of value 2, with the value's text
+# in each refusal: (value, text, a real number, an integer); a shift is taken
+# exactly when an integer is.
+_TYPE_DECISIONS = {
+    "float": (2.0, "2.0", True, False),
+    "int": (2, "2", True, True),
+    "float-subclass": (_Float(2.0), "2.0", True, False),
+    "IntEnum": (_Count.TWO, "", True, True),
+    "np.float64": (np.float64(2.0), "np.float64(2.0)", True, False),
+    "np.float32": (np.float32(2.0), "np.float32(2.0)", True, False),
+    "np.int64": (np.int64(2), "", True, True),
+    "Fraction": (Fraction(2), "Fraction(2, 1)", True, False),
+    "Decimal": (Decimal(2), "Decimal('2')", False, False),
+    "bool": (True, "True", False, False),
+    "np.bool_": (np.bool_(True), "np.True_", False, False),
+    "complex": (2j, "2j", False, False),
+    "str": ("2", "'2'", False, False),
+    "None": (None, "None", False, False),
+}
+
+
+@pytest.mark.parametrize("value, text, real, integer", _TYPE_DECISIONS.values(), ids=_TYPE_DECISIONS.keys())
+def test_type_rules_decide_each_kind_of_value(value, text, real, integer):
+    # The exact float and int take a fast path in these rules; every other
+    # kind of value is accepted or refused as before it, with the same text.
+    for rule, accepts, refusal in (
+            (lambda: rtn.check_real("x", value), real, f"x must be a real number, got {text}"),
+            (lambda: rtn.check_integer("x", value, 0), integer, f"x must be an integer, got {text}"),
+            (lambda: slm.check_shift(320, value), integer, f"shift delta={text} is not an integer")):
+        if accepts:
+            rule()
+        else:
+            _judge(Refusal(rule, refusal))
+    if integer:
+        assert type(slm.check_shift(320, value)) is int and slm.check_shift(320, value) == 2
