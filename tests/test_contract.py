@@ -554,8 +554,8 @@ _TYPE_DECISIONS = {
 
 @pytest.mark.parametrize("value, text, real, integer", _TYPE_DECISIONS.values(), ids=_TYPE_DECISIONS.keys())
 def test_type_rules_decide_each_kind_of_value(value, text, real, integer):
-    # The exact float and int take a fast path in these rules; every other
-    # kind of value is accepted or refused as before it, with the same text.
+    # The exact float and int take a fast path in these rules, which must not
+    # change what any other kind of value gets, refusal text included.
     for rule, accepts, refusal in (
             (lambda: rtn.check_real("x", value), real, f"x must be a real number, got {text}"),
             (lambda: rtn.check_integer("x", value, 0), integer, f"x must be an integer, got {text}"),
