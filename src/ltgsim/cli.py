@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 input error, 2 numerical error.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
 import sys
@@ -26,7 +25,31 @@ from . import __version__, analytic, measurement, optics, rtn, slm
 from .rtn import RtnParams, SeedSpec, mc_exponential_moment
 from .series import CoherenceSeries
 
-DEFAULT_CONFIG = {
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a resolved config is read-only")
+
+
+# Config tables and lists whose mutators raise; json, == and isinstance see a dict and a list.
+class _Table(dict):
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
+class _List(list):
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = clear = extend = insert = pop = \
+        remove = reverse = sort = _read_only
+
+
+def _frozen(value):
+    """``value`` read-only all the way down, sharing every part that already is."""
+    if isinstance(value, (_Table, _List)):
+        return value
+    if isinstance(value, dict):
+        return _Table({key: _frozen(val) for key, val in value.items()})
+    return _List(map(_frozen, value)) if isinstance(value, list) else value
+
+
+DEFAULT_CONFIG = _frozen({
     "command": None,
     "master_seed": 12345,
     "grid": {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 400},
@@ -37,23 +60,13 @@ DEFAULT_CONFIG = {
     "deltas": [3, 2, 1, 0],
     "spectral": {"widths_nm": [15.0, 30.0, 60.0, 100.0]},
     "mc": {"order": 4, "n_real": 100000, "antithetic": True},
-    "measurement": {
-        "p": 0.927,
-        "n0": 250.0,
-        "acquisition_s": 8.0,
-        "repeats": 4,
-        "shot_noise": True,
-        "n_r": 5,
-        "h_min": -10,
-        "h_max": 9,
-    },
-    "optics": {
-        "widths_nm": [1.0, 2.5, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 60.0, 80.0, 100.0],
-        "theta_0": optics.THETA0_CALIBRATED,
-    },
+    "measurement": {"p": 0.927, "n0": 250.0, "acquisition_s": 8.0, "repeats": 4, "shot_noise": True,
+                    "n_r": 5, "h_min": -10, "h_max": 9},
+    "optics": {"widths_nm": [1.0, 2.5, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 60.0, 80.0, 100.0],
+               "theta_0": optics.THETA0_CALIBRATED},
     "output": {"dir": "out"},
     "preset": None,
-}
+})
 
 # Range checks of the leaves the CLI owns, by dotted path; every integer,
 # list entries included, also lies within 64 bits, and every float is finite.
@@ -66,7 +79,7 @@ _RANGES = {
     "grid.points": lambda v: v >= 1,
 }
 
-PRESETS = {
+PRESETS = _frozen({
     # Shift strategy at gamma = 0 with the measured 15-nm kernel.
     "fig3-left": {"command": "transition-delta", "rtn": {"gamma": 0.0}, "deltas": [3]},
     "fig3-right": {"command": "transition-delta", "rtn": {"gamma": 0.0}, "deltas": [0]},
@@ -77,7 +90,7 @@ PRESETS = {
     # Correlated-pixel calibration at the measured conditions.
     "figS-calibration": {"command": "calibrate-wcp", "kernel": {"w_cp": 3.1, "w_p": 20.0, "n": 2},
                          "measurement": {"shot_noise": True}},
-}
+})
 
 
 class ConfigError(ValueError):
@@ -90,7 +103,7 @@ class ConfigError(ValueError):
 
 def _merge(base: dict, override: dict, problems: list[str], path: str = "") -> dict:
     """``override`` over ``base``; unknown keys and non-table sections go to ``problems``."""
-    out = copy.deepcopy(base)
+    out = dict(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -110,7 +123,7 @@ def _accepted_types(default) -> tuple:
         return (str, type(None))
     if isinstance(default, float):
         return (int, float)
-    return (type(default),)
+    return (list if isinstance(default, list) else type(default),)
 
 
 def _check_schema(config: dict, defaults: dict = DEFAULT_CONFIG, path: str = "") -> list[str]:
@@ -151,12 +164,13 @@ def _preset_conflicts(preset: dict, user: dict, path: str = ""):
 
 
 def resolve_config(user_config: dict) -> dict:
-    """The config merged over the defaults and its preset, else one
-    ``ConfigError`` listing every problem.
+    """The config merged over the defaults and its preset, read-only all the
+    way down, else one ``ConfigError`` listing every problem.
 
     A preset applies over the defaults; a command other than its own, or a
     leaf it sets to another value, is refused.  Only a config whose keys,
-    types, ranges and numbers pass faces each module's rules.
+    types, ranges and numbers pass faces each module's rules.  What
+    ``user_config`` sets is copied once judged; every other table is shared.
     """
     problems: list[str] = []
     config = _merge(DEFAULT_CONFIG, user_config, problems)
@@ -244,7 +258,7 @@ def resolve_config(user_config: dict) -> dict:
     check("measurement.h_min/h_max", measurement.check_shifts, phases)
     if problems:
         raise ConfigError(problems)
-    return config
+    return _frozen(config)
 
 
 # ---------------------------------------------------------------------------
@@ -263,37 +277,41 @@ def _cells(name: str, col) -> list[str]:
     return [repr(x) for x in values.tolist()]
 
 
-def _table_csv(config: dict, meta: dict, columns: dict) -> str:
+def _json(value) -> str:  # canonical: sorted keys, no spaces
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _table_csv(config_json: str, meta: dict, columns: dict) -> str:
     """The one output file layout, shared by every command.
 
-    ``#`` metadata lines (package and RNG versions, the resolved config,
-    then each ``meta`` entry by key, all compact JSON), a ``# columns``
-    line, the header row, then one row per index of the equal-length
-    ``columns``, each formatted by ``_cells`` or given as a list of its
-    ``_cells`` strings.
+    ``#`` metadata lines (package and RNG versions, the resolved config's
+    ``_json`` text, formed once per run, then each ``meta`` entry by key in
+    ``_json``), a ``# columns`` line, the header row, then one row per index
+    of the equal-length ``columns``, each formatted by ``_cells`` or given
+    as a list of its ``_cells`` strings.
     """
     cells = [col if isinstance(col, list) else _cells(name, col) for name, col in columns.items()]
     lines = [
         f"# ltgsim = {__version__}",
         f"# rng = PCG64 (numpy {np.__version__}); streams via "
         "SeedSequence(master_seed, spawn_key)",
+        f"# config = {config_json}",
     ]
-    for key, val in [("config", config), *sorted(meta.items())]:
-        lines.append(f"# {key} = {json.dumps(val, sort_keys=True, separators=(',', ':'))}")
+    lines.extend(f"# {key} = {_json(val)}" for key, val in sorted(meta.items()))
     names = ",".join(columns)
     lines += [f"# columns = {names}", names]
     lines.extend(",".join(row) for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
-def series_csv(series: CoherenceSeries, config: dict, t_cells: list[str] | None = None) -> str:
-    """One series file.  ``t_cells``: the ``_cells`` of ``series.times``, formatted
-    once by a run whose series all share that grid."""
+def series_csv(series: CoherenceSeries, config_json: str, t_cells: list[str] | None = None) -> str:
+    """One series file.  ``config_json``: the run's ``_json(config)``; ``t_cells``: the
+    ``_cells`` of ``series.times``, formatted once by a run whose series share that grid."""
     columns = {"t": series.times if t_cells is None else t_cells, "re_gamma": series.values.real,
                "im_gamma": series.values.imag, "abs_gamma": series.magnitude}
     if series.stderr is not None:
         columns["stderr"] = series.stderr
-    return _table_csv(config, {"series": series.params, "provenance": series.provenance}, columns)
+    return _table_csv(config_json, {"series": series.params, "provenance": series.provenance}, columns)
 
 
 def data_section(text: str) -> str:
@@ -324,8 +342,8 @@ def _kernel_params(config) -> slm.KernelParams:
 def _series_files(config, times, files: dict) -> dict[str, str]:
     """``series_csv`` of each series in ``{file name: series}``, all on the grid
     ``times``, whose time column is formatted once."""
-    t_cells = _cells("t", times)
-    return {name: series_csv(series, config, t_cells) for name, series in files.items()}
+    t_cells, config_json = _cells("t", times), _json(config)
+    return {name: series_csv(series, config_json, t_cells) for name, series in files.items()}
 
 
 def _run_analytic(config):
@@ -385,7 +403,7 @@ def _run_optics_table(config):
     meta = {"wcp_table": {"theta_0": table.theta_0, "w0_floor_px": table.w0_floor}}
     columns = {"spectral_width_nm": table.widths_nm, "w_cp": table.w_cp, "order": table.order,
                "w_p": table.w_p, "w_tilde": table.w_tilde}
-    return {"wcp_table.csv": _table_csv(config, meta, columns)}
+    return {"wcp_table.csv": _table_csv(_json(config), meta, columns)}
 
 
 def _run_calibrate_wcp(config):
@@ -395,12 +413,12 @@ def _run_calibrate_wcp(config):
         h_values=np.arange(m["h_min"], m["h_max"] + 1), n0=m["n0"],
         acquisition_s=m["acquisition_s"], repeats=m["repeats"], shot_noise=m["shot_noise"],
         seed=SeedSpec(config["master_seed"], 0))
-    meta = {"calibration": {key: getattr(result, key) for key in (
+    config_json, meta = _json(config), {"calibration": {key: getattr(result, key) for key in (
         "vis_of_v", "vis_uncertainty", "w_cp_estimate", "w_cp_uncertainty")}}
     return {
-        "calibration_vh.csv": _table_csv(config, meta, {"h": result.h_values, "v": result.v_of_h}),
+        "calibration_vh.csv": _table_csv(config_json, meta, {"h": result.h_values, "v": result.v_of_h}),
         "calibration_curve.csv": _table_csv(
-            config, meta, {"w_cp": result.curve_w, "vis": result.curve_vis}),
+            config_json, meta, {"w_cp": result.curve_w, "vis": result.curve_vis}),
     }
 
 

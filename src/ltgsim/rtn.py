@@ -205,30 +205,13 @@ class TrajectoryBatch:
 
     Row r is X(t) = signs[r] * (-1)**(number of jumps at or before t).
     :meth:`phases` integrates it over a whole time grid at once, laid out
-    (times, rows).  A batch can also be reduced by the Monte Carlo passes
-    in place of an :class:`Ensemble`: ``width``, ``jump_events`` and
-    ``chunks`` are the three things they read.
-    """
+    (times, rows)."""
 
     signs: np.ndarray       # (R,) +-1
     jump_times: np.ndarray  # (R, max_jumps), row-sorted, padded with +inf
 
     def __len__(self) -> int:
         return self.signs.size
-
-    @property
-    def width(self) -> int:
-        return self.jump_times.shape[1]
-
-    def jump_events(self) -> int:
-        """The number of finite jump times."""
-        return int(np.isfinite(self.jump_times).sum())
-
-    def chunks(self, rows: int) -> Iterator[TrajectoryBatch]:
-        """Views of ``rows`` rows each (the last one may hold fewer), in row order."""
-        for start in range(0, len(self), rows):
-            yield TrajectoryBatch(self.signs[start : start + rows],
-                                  self.jump_times[start : start + rows])
 
     def phases(self, times: np.ndarray) -> np.ndarray:
         """phi at every time of a grid as ``series.check_times``, shape (T, R) (exact).
@@ -494,7 +477,7 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     )
 
 
-def _reduce(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool):
+def _reduce(order: int, draws: Ensemble, times: np.ndarray, imag: bool):
     """Mean of exp(i * order * phi) and the standard error of its real part
     per grid time, the number of finite jump times and the number of grid
     times the direct pass evaluated.
@@ -514,10 +497,9 @@ def _reduce(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, im
     When the sweep's first chunk alone is within a factor 4 of that bound
     at a quarter of the times or more (motional narrowing), the sweep
     gives up and the direct pass runs alone, as it would redo many of them.
-    Each pass reads ``draws`` through its ``chunks``: from an
-    :class:`Ensemble` the redo pass and the direct pass after a sweep that
-    gave up draw their chunks again from the saved stream state, the same
-    bits as the first time.
+    Each pass reads ``draws`` through its ``chunks``: the redo pass and the
+    direct pass after a sweep that gave up draw them again from the saved
+    stream state, the same bits as the first time.
     """
     n, n_t = len(draws), times.size
     events = draws.jump_events()
@@ -534,7 +516,7 @@ def _reduce(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, im
     return values, se, events, redo.size
 
 
-def _sweep_rows(draws: Ensemble | TrajectoryBatch) -> int:
+def _sweep_rows(draws: Ensemble) -> int:
     """Rows per chunk of the event sweep: about _CHUNK_SEGMENTS segments."""
     return max(1, _CHUNK_SEGMENTS // (draws.width + 1))
 
@@ -565,7 +547,7 @@ def _segment_terms(seg_b: np.ndarray, sigma: np.ndarray, imag: bool) -> list:
     return [k, sigma_sin, sigma_cos, sin_b]
 
 
-def _sweep(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool):
+def _sweep(order: int, draws: Ensemble, times: np.ndarray, imag: bool):
     """Event sweep: mean of exp(i * order * phi), the variance of its real
     part and that variance's rounding scale, per grid time; None in motional
     narrowing, judged on the first chunk (see :func:`_reduce`).
@@ -658,7 +640,7 @@ def _sweep_moments(sums, a, b, n: int):
     return mean_d, np.clip((a2 + b2 - ab) / n - mean_d * mean_d, 0.0, None), (a2 + b2 + np.abs(ab)) / n
 
 
-def _direct(order: int, draws: Ensemble | TrajectoryBatch, times: np.ndarray, imag: bool,
+def _direct(order: int, draws: Ensemble, times: np.ndarray, imag: bool,
             center: np.ndarray | None = None):
     """Direct pass: mean of exp(i * order * phi) and the standard error of
     its real part per grid time, from the segment of every (time, row).

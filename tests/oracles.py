@@ -10,7 +10,8 @@ the slower, more literal routes to the same numbers.  So does the dense
 Toeplitz pair (``toeplitz_product``, ``normalization``): the kernel's total
 summed column by column, where the package sums c against the diagonal
 pair sums of ``slm.pair_sums``, and the dense contraction of the
-calibration pattern built on it.
+calibration pattern built on it.  ``reducible`` lets the Monte Carlo
+passes, which take an ``rtn.Ensemble``, reduce a batch the test builds.
 """
 from __future__ import annotations
 
@@ -179,3 +180,23 @@ def dense_pattern_coherence(kernel: KernelParams, w_cp: list[float], n_r: int,
     a = (np.cos(np.pi / 4) * corr_re + 1j * corr_im) * (g2 / total[:, None])
     shifted = sliding_window_view(np.pad(np.exp(1j * pattern), n_pix), n_pix)[n_pix + h_values]
     return np.einsum("wk,hk->wh", a, shifted).real
+
+
+class ReducibleBatch(TrajectoryBatch):
+    """A batch read as ``rtn._reduce``, ``_sweep`` and ``_direct`` read an
+    ``Ensemble``: its jump columns, finite jump times and row chunks."""
+
+    @property
+    def width(self) -> int:
+        return self.jump_times.shape[1]
+
+    def jump_events(self) -> int:
+        return int(np.isfinite(self.jump_times).sum())
+
+    def chunks(self, rows: int):
+        for start in range(0, len(self), rows):
+            yield TrajectoryBatch(self.signs[start : start + rows], self.jump_times[start : start + rows])
+
+
+def reducible(batch: TrajectoryBatch) -> ReducibleBatch:
+    return ReducibleBatch(batch.signs, batch.jump_times)

@@ -496,13 +496,13 @@ def test_non_finite_cell_refused():
     series = CoherenceSeries(np.linspace(0.0, 1.0, 3), np.ones(3), MONTE_CARLO,
                              stderr=np.array([0.0, np.nan, 0.1]))
     with pytest.raises(ValueError, match="non-finite stderr"):
-        cli.series_csv(series, resolve_config({"command": "mc-moment"}))
+        cli.series_csv(series, cli._json(resolve_config({"command": "mc-moment"})))
 
 
 def test_shared_column_written_like_a_copy():
     # A run formats its shared time column once for all its series files;
     # each file must get the bytes of its own formatted time column.
-    cfg = resolve_config({"command": "mc-moment"})
+    cfg = cli._json(resolve_config({"command": "mc-moment"}))
     series = CoherenceSeries(np.array([0.0, 1.0 / 3.0, 2.5]), np.array([1.0, 0.5j, -0.25]),
                              MONTE_CARLO)
     assert cli.series_csv(series, cfg, cli._cells("t", series.times)) == cli.series_csv(series, cfg)
@@ -543,6 +543,89 @@ def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "resolve_config", lambda user: calls.append(user) or resolve_config(user))
     assert main(["--preset", "fig3-left", "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def _canonical(config) -> str:
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
+
+
+def test_resolved_config_owns_what_the_caller_set():
+    # The caller's own lists and tables are not kept: changing them after
+    # resolve_config leaves the resolved config as it was.
+    user = {"command": "transition-delta", "deltas": [3, 0], "rtn": {"gamma": 0.5}}
+    config = resolve_config(user)
+    text = _canonical(config)
+    user["deltas"].append(99)
+    user["rtn"]["gamma"] = 2.0
+    assert _canonical(config) == text
+
+
+# Changes a runner might make to its config, on keys that the defaults, the
+# fig4-left preset and its resolved config all hold.
+_CHANGES = {
+    "set a key": lambda c: c.__setitem__("command", "analytic"),
+    "delete a key": lambda c: c.__delitem__("command"),
+    "pop a key": lambda c: c.pop("command"),
+    "update": lambda c: c.update(command="analytic"),
+    "merge in place": lambda c: c.__ior__({"command": "analytic"}),
+    "set a nested key": lambda c: c["rtn"].__setitem__("gamma", 1.0),
+    "setdefault": lambda c: c["rtn"].setdefault("order", 2),
+    "popitem": lambda c: c["rtn"].popitem(),
+    "clear a table": lambda c: c["rtn"].clear(),
+    "append": lambda c: c["deltas"].append(99),
+    "extend": lambda c: c["deltas"].extend([99]),
+    "add in place": lambda c: c["deltas"].__iadd__([99]),
+    "repeat in place": lambda c: c["deltas"].__imul__(2),
+    "insert": lambda c: c["deltas"].insert(0, 99),
+    "set an entry": lambda c: c["deltas"].__setitem__(0, 99),
+    "delete an entry": lambda c: c["deltas"].__delitem__(0),
+    "remove": lambda c: c["deltas"].remove(3),
+    "pop an entry": lambda c: c["deltas"].pop(),
+    "sort": lambda c: c["deltas"].sort(),
+    "reverse": lambda c: c["deltas"].reverse(),
+    "clear a list": lambda c: c["deltas"].clear(),
+}
+
+
+@pytest.mark.parametrize("change", sorted(_CHANGES))
+def test_runner_cannot_change_its_config(change, monkeypatch):
+    # A runner gets its config read-only all the way down, so what the files
+    # embed is what resolve_config judged; the defaults and presets, whose
+    # tables a resolved config shares, refuse the same change.
+    given = []
+
+    def runner(config):
+        given.append((config, _canonical(config)))
+        _CHANGES[change](config)
+
+    monkeypatch.setitem(cli._RUNNERS, "transition-delta", runner)
+    with pytest.raises(TypeError):
+        run_config({"preset": "fig4-left"})
+    [(config, text)] = given
+    assert _canonical(config) == text
+    for table in (cli.DEFAULT_CONFIG, cli.PRESETS["fig4-left"]):
+        with pytest.raises(TypeError):
+            _CHANGES[change](table)
+
+
+@pytest.mark.parametrize("user", [{"preset": "fig4-left"}, {"command": "mc-moment", "grid": FAST_GRID}])
+def test_resolving_a_resolved_config_changes_nothing(user):
+    config = resolve_config(user)
+    assert _canonical(resolve_config(config)) == _canonical(config)
+
+
+def test_run_forms_its_config_text_once(tmp_path, monkeypatch):
+    # Every file of a run embeds its config's canonical JSON, formed once per
+    # run: fig4-left writes four files from one text.
+    configs, dumps = [], json.dumps
+
+    def counted(value, **kwargs):
+        configs.append(isinstance(value, dict) and "command" in value)
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    assert main(["--preset", "fig4-left", "--out", str(tmp_path)]) == 0
+    assert (len(list(tmp_path.glob("*.csv"))), sum(configs)) == (4, 1)
 
 
 
@@ -652,6 +735,22 @@ def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
     assert _run_in_one_child(argvs, child_env()) == [False] * 3
 
 
+def test_child_runs_leave_the_package_bytecode_alone(child_env):
+    # A child interpreter writes its bytecode under PYTHONPYCACHEPREFIX, so a
+    # run leaves the package's __pycache__ as it found it: bytecode written
+    # there changes the start-up time of the next run from this checkout.
+    cache = Path(cli.__file__).parent / "__pycache__"
+
+    def state():
+        return sorted((p.name, p.stat().st_mtime_ns) for p in cache.iterdir()) if cache.exists() else None
+
+    before, env = state(), child_env()
+    subprocess.run([sys.executable, "-m", "ltgsim", "--preset", "fig3-left", "--validate"],
+                   env=env, capture_output=True, check=True)
+    assert state() == before
+    assert list(Path(env["PYTHONPYCACHEPREFIX"]).rglob("cli.*.pyc"))
+
+
 # Boundary values of every numeric config leaf: 0, tiny, huge, and values on
 # both sides of each edge of its range (one unit apart for integers).
 # Resource ceilings (expected jumps, array entries, counts, profile grid
@@ -759,18 +858,15 @@ _REACH_RUNS = [
 
 # The functions of src no run enters, each with why it stays there.
 _PINNED = "a test oracle that perfbench/spans.py wraps by name"
-_FAKE = "lets a test reduce a TrajectoryBatch where a run passes an Ensemble"
 _UNREACHED = {
     "slm.build_kernel": _PINNED,
     "slm.phasor_sum": _PINNED,
     "slm.CorrelationKernel.__post_init__": "the check of build_kernel's result",
     "optics.JointSpatialProfile.F": "the dense profile, read only by perfbench's optics.grid_points",
-    "rtn.TrajectoryBatch.width": _FAKE,
-    "rtn.TrajectoryBatch.jump_events": _FAKE,
-    "rtn.TrajectoryBatch.chunks": _FAKE,
     "cli.data_section": "a reader of output files, for scripts/regenerate_out.py and the tests",
     "cli.run_config": "the in-process entry of scripts/regenerate_out.py and the tests",
     "cli.ConfigError.__init__": "entered only when resolve_config refuses a config",
+    "cli._read_only": "entered only when code tries to change a resolved config",
 }
 
 

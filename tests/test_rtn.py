@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import field_phases, field_trajectories
+from oracles import field_phases, field_trajectories, reducible
 from test_contract import refusal_tests
 
 from ltgsim import rtn
@@ -361,7 +361,7 @@ def test_mc_sweep_on_edge_grids(times, rows, imag, row_chunks, monkeypatch):
     if row_chunks:
         monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", 1)
         monkeypatch.setattr(rtn, "_CHUNK_PHASES", 1)
-    batch = stack_batches([one_row(sign, jumps) for sign, jumps in rows])
+    batch = reducible(stack_batches([one_row(sign, jumps) for sign, jumps in rows]))
     expect, want_se = direct_moment(batch, 3, times)
     if not imag:
         expect = expect.real
@@ -381,7 +381,7 @@ def test_mc_sweep_on_non_uniform_grid():
     # and the phases must still match the direct oracle and the segments.
     params = RtnParams(1.3, 2.0)
     times = 2.0 * np.linspace(0.0, 1.0, 60) ** 2
-    batch = sample_batch(draw_ensemble(params, 3000, SeedSpec(6)))
+    batch = reducible(sample_batch(draw_ensemble(params, 3000, SeedSpec(6))))
     assert np.allclose(batch.phases(times[::6])[:, :40], oracle_phases(batch, times[::6])[:, :40],
                        atol=1e-13)
     expect, want_se = direct_moment(batch, 3, times)
@@ -500,7 +500,7 @@ def test_mc_stderr_at_high_rate(gamma, points, antithetic, monkeypatch):
     times = np.linspace(0.0, 0.5 * np.pi, points)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
     n = n_real // 2 if antithetic else n_real
-    batch = sample_batch(draw_ensemble(params, n, SeedSpec(5)))
+    batch = reducible(sample_batch(draw_ensemble(params, n, SeedSpec(5))))
     want = np.empty(points)
     for block in np.array_split(np.arange(points), -(-points // 500)):
         phi = batch.phases(times[block]).astype(np.longdouble)
@@ -524,7 +524,7 @@ def test_sweep_builds_each_chunk_once(monkeypatch):
     # from the drawn ensemble as from its materialised table.
     params, times = RtnParams(1.0, 2.0 * np.pi), np.linspace(0.0, 2.0 * np.pi, 400)
     ensemble = draw_ensemble(params, 3000, SeedSpec(2))
-    batch = sample_batch(ensemble)
+    batch = reducible(sample_batch(ensemble))
     rows = rtn._sweep_rows(batch)
     assert 1 < rows < len(batch) and len(batch) % rows
     calls, segments = [], rtn._segments
@@ -559,7 +559,7 @@ def test_chunked_reduction_matches_the_whole_draw(gamma, t_max, points, n_real, 
     # counts them.  Without imag (the antithetic mode) only the real part
     # is summed.
     ensemble = draw_ensemble(RtnParams(gamma, t_max), n_real, SeedSpec(5))
-    whole = sample_batch(ensemble)
+    whole = reducible(sample_batch(ensemble))
     assert whole.jump_times.shape == (n_real, ensemble.width) and (ensemble.width > 0) == (gamma > 0)
     for a, b in ((0, 1), (7, 300), (n_real - 5, n_real), (n_real - 3, n_real + 4), (n_real, n_real)):
         part = sample_batch(ensemble, a, b)
@@ -616,7 +616,7 @@ def test_mc_stderr_of_duplicated_rows_is_zero():
     # Where every row that has jumped reads the same cos(m phi) the variance
     # is 0, far below the sweep's rounding bound; the direct pass must
     # return it (the expanded sums alone left ~2e-8).
-    batch = TrajectoryBatch(np.array([1.0, 1.0]), np.array([[0.37, 1.21], [0.37, 1.21]]))
+    batch = reducible(TrajectoryBatch(np.array([1.0, 1.0]), np.array([[0.37, 1.21], [0.37, 1.21]])))
     values, se, events, direct = rtn._reduce(3, batch, np.linspace(0.0, 2.0, 9), imag=True)
     assert np.all(se < 1e-15)
     assert 0 < direct < 9
@@ -633,8 +633,8 @@ def test_direct_pass_bits_do_not_depend_on_trig_order():
     padded = stack_batches([batch, TrajectoryBatch(np.zeros(0), np.full((0, 20), np.inf))])
     assert batch.jump_times.shape[1] + 1 < times.size < padded.jump_times.shape[1] + 1
     for imag in (True, False):
-        values, se = rtn._direct(3, batch, times, imag)
-        values_padded, se_padded = rtn._direct(3, padded, times, imag)
+        values, se = rtn._direct(3, reducible(batch), times, imag)
+        values_padded, se_padded = rtn._direct(3, reducible(padded), times, imag)
         assert np.array_equal(values, values_padded) and np.array_equal(se, se_padded)
 
 
