@@ -30,9 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .optics import NumericalError
+from .optics import NumericalError, windows
 from .rtn import SeedSpec, check_entries, check_flag, check_integer, check_real
-from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums, windows
+from .slm import KernelParams, check_shift, kernel_band, kernel_factors, pair_sums
 
 # A measured pattern contrast below this many standard errors sits in the
 # shot-noise floor (~0.005-0.018 at the default counts), which overlaps the

@@ -69,9 +69,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .optics import NumericalError, real_exp
+from .optics import NumericalError, real_exp, windows
 from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, check_integer, check_real,
                   sample_trajectory, stack_batches)
 from .series import KERNEL_SUM, CoherenceSeries, check_times
@@ -189,15 +188,6 @@ def kernel_factors(params: KernelParams, w_cp: Sequence[float] | None = None
     with np.errstate(over="ignore"):
         return (real_exp(-2.0 * dj**2 / params.w_p**2), real_exp(-2.0 * dk**2 / params.w_p**2),
                 real_exp(-2.0 * np.abs(diff) ** params.n / scale))
-
-
-def windows(a: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view (..., n - width + 1, width) of every run of ``width``
-    consecutive entries along the last axis (n entries) of ``a``:
-    ``sliding_window_view`` without its argument handling, which cost ~12 us
-    a call on the per-shift path."""
-    return as_strided(a, (*a.shape[:-1], a.shape[-1] - width + 1, width), (*a.strides, a.strides[-1]),
-                      writeable=False)
 
 
 def pair_sums(g1: np.ndarray, g2: np.ndarray, cols: slice | np.ndarray = slice(None)) -> np.ndarray:

@@ -13,8 +13,6 @@ at gamma = 0, a 0.395 deviation from |cos 4t| where cos 4t = -1; and
 calibrating theta_0 to the 20-pixel beam width fixes the product of beam
 width and spectral-walk width, pinning w_cp(15 nm) near 1.9 px.
 """
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -22,7 +20,6 @@ import pytest
 from oracles import build_state, concurrence, field_phases, projections
 
 from ltgsim.analytic import exponential_moment, global_coherence, local_coherence
-from ltgsim.cli import data_section
 from ltgsim.measurement import calibrate_wcp, detection_probabilities
 from ltgsim.optics import (
     PdcSetup,
@@ -217,21 +214,11 @@ def test_criterion_8_state_physics_properties():
     )
 
 
-def test_criterion_9_determinism(tmp_path, child_env):
-    sections = []
-    for run, threads in (("a", "1"), ("b", "4")):
-        out = tmp_path / run
-        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                        MKL_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "ltgsim", "--preset", "fig3-left",
-             "--out", str(out), "--seed", "12345"],
-            env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, f"ltgsim exited {proc.returncode}:\n{proc.stderr}"
-        sections.append(data_section((out / "transition_delta_3.csv").read_text()))
-    ok = sections[0] == sections[1] and len(sections[0].splitlines()) == 401
+def test_criterion_9_determinism(thread_count_outputs):
+    # The fig3-left run of the thread-count children (tests/conftest.py).
+    sections = [by_source["fig3-left"]["transition_delta_3.csv"] for by_source, _ in thread_count_outputs]
+    ok = len(set(sections)) == 1 and len(sections[0].splitlines()) == 401
     assert _report(
         9, ok,
-        "same preset, same seed, 1 vs 4 threads: data sections byte-identical",
+        "same preset, same seed, 1, 4 and 8 threads: data sections byte-identical",
     )

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import THREAD_SOURCES
+from test_contract import refusal_test
 
 from ltgsim import cli
 from ltgsim.analytic import exponential_moment
@@ -147,10 +149,12 @@ REFUSALS = {
                [f"{key}: spectral_width_nm must be a real number, got True"],
                twin=lambda: PdcSetup(spectral_width_nm=True)) for key in ("spectral", "optics")]],
     "test_validate_clean_preset": [Case({"preset": "fig3-right"}, code=0)],
-    # What resolve_config reports for master_seed is what SeedSpec raises.
+    # What resolve_config reports for master_seed is what SeedSpec raises;
+    # the largest seed 64 bits hold passes.
     "test_master_seed_rule_is_the_seed_spec_rule": [
         Case(_config("analytic", master_seed=-1),
-             ["master_seed: master_seed must be >= 0, got -1"], twin=lambda: SeedSpec(-1))],
+             ["master_seed: master_seed must be >= 0, got -1"], twin=lambda: SeedSpec(-1)),
+        Case(_config("analytic", master_seed=2**64 - 1), code=0)],
     # A boolean is not a shift of 1 pixel; the calibration's shifts face the mask too.
     "test_validate_delta_off_mask": [
         Case(_config("transition-delta", deltas=[400]), [f"deltas: shift delta=400 {_OFF_MASK}"],
@@ -175,6 +179,8 @@ REFUSALS = {
              ["deltas: entries share an output file: transition_delta_1.csv"]),
         Case(_config("transition-spectral", spectral={"widths_nm": [15, 15.0000001, 30]}),
              ["spectral.widths_nm: entries share an output file: transition_spectral_15nm.csv"]),
+        Case(_config("transition-spectral", spectral={"widths_nm": [2.5, 2.50000001]}),
+             ["spectral.widths_nm: entries share an output file: transition_spectral_2p5nm.csv"]),
         Case(_config("optics-table", optics={"widths_nm": [15.0, 15.0]}), code=0)],
     # Leaf refusals reached stderr under --validate, and only the first of two was named.
     "test_validate_answers_on_stdout_alone": [
@@ -352,22 +358,8 @@ REFUSALS = {
 }
 
 
-def _refusal_test(cases):
-    """The test judging ``cases`` (``_judge``): one id per case of a dict."""
-    if isinstance(cases, dict):
-        @pytest.mark.parametrize("case", cases.values(), ids=cases.keys())
-        def test(case):
-            _judge(case)
-        return test
-
-    def test():
-        for case in cases:
-            _judge(case)
-    return test
-
-
 for _name, _cases in REFUSALS.items():
-    globals()[_name] = _refusal_test(_cases)
+    globals()[_name] = refusal_test(_cases, _judge)
 
 
 class _ReadRecorder(dict):
@@ -538,26 +530,15 @@ def test_seed_changes_data():
 
 
 
-def test_cli_main_resolves_config_once(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cli, "resolve_config", lambda user: calls.append(user) or resolve_config(user))
-    assert main(["--preset", "fig3-left", "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
-
-
-def _canonical(config) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
 def test_resolved_config_owns_what_the_caller_set():
     # The caller's own lists and tables are not kept: changing them after
     # resolve_config leaves the resolved config as it was.
     user = {"command": "transition-delta", "deltas": [3, 0], "rtn": {"gamma": 0.5}}
     config = resolve_config(user)
-    text = _canonical(config)
+    text = cli._json(config)
     user["deltas"].append(99)
     user["rtn"]["gamma"] = 2.0
-    assert _canonical(config) == text
+    assert cli._json(config) == text
 
 
 # Changes a runner might make to its config, on keys that the defaults, the
@@ -595,14 +576,14 @@ def test_runner_cannot_change_its_config(change, monkeypatch):
     given = []
 
     def runner(config):
-        given.append((config, _canonical(config)))
+        given.append((config, cli._json(config)))
         _CHANGES[change](config)
 
     monkeypatch.setitem(cli._RUNNERS, "transition-delta", runner)
     with pytest.raises(TypeError):
         run_config({"preset": "fig4-left"})
     [(config, text)] = given
-    assert _canonical(config) == text
+    assert cli._json(config) == text
     for table in (cli.DEFAULT_CONFIG, cli.PRESETS["fig4-left"]):
         with pytest.raises(TypeError):
             _CHANGES[change](table)
@@ -611,22 +592,7 @@ def test_runner_cannot_change_its_config(change, monkeypatch):
 @pytest.mark.parametrize("user", [{"preset": "fig4-left"}, {"command": "mc-moment", "grid": FAST_GRID}])
 def test_resolving_a_resolved_config_changes_nothing(user):
     config = resolve_config(user)
-    assert _canonical(resolve_config(config)) == _canonical(config)
-
-
-def test_run_forms_its_config_text_once(tmp_path, monkeypatch):
-    # Every file of a run embeds its config's canonical JSON, formed once per
-    # run: fig4-left writes four files from one text.
-    configs, dumps = [], json.dumps
-
-    def counted(value, **kwargs):
-        configs.append(isinstance(value, dict) and "command" in value)
-        return dumps(value, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", counted)
-    assert main(["--preset", "fig4-left", "--out", str(tmp_path)]) == 0
-    assert (len(list(tmp_path.glob("*.csv"))), sum(configs)) == (4, 1)
-
+    assert cli._json(resolve_config(config)) == cli._json(config)
 
 
 def test_cli_seed_override_lands_in_metadata(tmp_path):
@@ -638,69 +604,7 @@ def test_cli_seed_override_lands_in_metadata(tmp_path):
     assert embedded_config(text)["master_seed"] == 4242
 
 
-# mc-moment configs for the thread-count test: gamma = 1 on the default
-# 400-point grid, so the reduction sweeps several row chunks and a partial one;
-# at gamma = 100 a row holds ~630 jumps, so the direct pass runs instead, over
-# chunks of about 60 rows.
-_MC_THREAD_CONFIGS = {
-    f"mc-moment-{mode}": {"command": "mc-moment", "rtn": {"gamma": gamma},
-                          "mc": {"order": order, "n_real": n_real,
-                                 "antithetic": mode == "antithetic"}}
-    for mode, gamma, order, n_real in (("antithetic", 1.0, 4, 3000), ("plain", 1.0, 2, 3000),
-                                       ("dense", 100.0, 2, 1000))
-}
-
-
-# Runs ``cli.main`` on each argv list in one fresh interpreter and prints, as
-# its last line, whether scipy was loaded after the import and after each run.
-_MAIN_PROBE = """
-import json, sys
-import ltgsim.cli as cli
-loaded = ["scipy" in sys.modules]
-for argv in json.loads(sys.argv[1]):
-    if cli.main(argv) != 0:
-        sys.exit(3)
-    loaded.append("scipy" in sys.modules)
-print(json.dumps(loaded))
-"""
-
-
-def _run_in_one_child(argvs, env):
-    proc = subprocess.run(
-        [sys.executable, "-c", _MAIN_PROBE, json.dumps(argvs)],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, f"probe exited {proc.returncode}:\n{proc.stderr}"
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-_THREAD_SOURCES = ("fig3-left", "fig4-left", "fig4-right", "figS-calibration", *_MC_THREAD_CONFIGS)
-
-
-@pytest.fixture(scope="module")
-def thread_count_outputs(tmp_path_factory, child_env):
-    # One child per thread count runs every config; returns, per thread
-    # count, each config's CSV data sections by file name.
-    tmp = tmp_path_factory.mktemp("threads")
-    sources = {}
-    for name in _THREAD_SOURCES:
-        if name in _MC_THREAD_CONFIGS:
-            path = tmp / f"{name}.json"
-            path.write_text(json.dumps(_MC_THREAD_CONFIGS[name]))
-            sources[name] = ["--config", str(path)]
-        else:
-            sources[name] = ["--preset", name]
-    outs = []
-    for threads in ("1", "8"):
-        root = tmp / f"t{threads}"
-        _run_in_one_child([[*source, "--out", str(root / name)] for name, source in sources.items()],
-                          child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads))
-        outs.append({name: {p.name: data_section(p.read_text()) for p in sorted((root / name).glob("*.csv"))}
-                     for name in sources})
-    return outs
-
-
-@pytest.mark.parametrize("preset", _THREAD_SOURCES)
+@pytest.mark.parametrize("preset", THREAD_SOURCES)
 def test_preset_run_thread_count_invariance(thread_count_outputs, preset):
     # Byte-identical data sections regardless of the thread budget (the
     # metadata block embeds the per-run output directory, so only the data
@@ -709,30 +613,18 @@ def test_preset_run_thread_count_invariance(thread_count_outputs, preset):
     # width fits for four kernels; figS-calibration runs the pattern
     # contraction for 21 kernels and 20 shifts each; the mc-moment runs
     # take the chunked event sweep, antithetic and plain, and at gamma = 100
-    # (~600 jumps a row) the chunked direct pass.
-    one, eight = (outs[preset] for outs in thread_count_outputs)
-    assert one and one == eight
+    # (~600 jumps a row) the chunked direct pass; the optics table runs the
+    # width fits alone.
+    one, *others = (sections[preset] for sections, _ in thread_count_outputs)
+    assert one and all(other == one for other in others)
 
 
-def test_scipy_stays_off_the_startup_path(tmp_path, child_env):
-    # The package depends on numpy alone: every command, the optics model
-    # included, must start and run without loading scipy.
-    cfg = tmp_path / "mc.json"
-    cfg.write_text(json.dumps(
-        {"command": "mc-moment", "grid": FAST_GRID, "rtn": {"gamma": 1.0},
-         "mc": {"n_real": 200}}
-    ))
-    table = tmp_path / "table.json"
-    table.write_text(json.dumps({"command": "optics-table", "optics": {"widths_nm": [1.0, 40.0]}}))
-    argvs = [["--preset", "fig4-left", "--out", str(tmp_path / "a")],
-             ["--preset", "figS-calibration", "--out", str(tmp_path / "b")],
-             ["--config", str(cfg), "--out", str(tmp_path / "c")]]
-    assert _run_in_one_child(argvs, child_env()) == [False] * 4
-    # the optics model runs in a fresh probe, so nothing before it can have
-    # loaded scipy on its behalf
-    argvs = [["--preset", "fig4-right", "--out", str(tmp_path / "d")],
-             ["--config", str(table), "--out", str(tmp_path / "e")]]
-    assert _run_in_one_child(argvs, child_env()) == [False] * 3
+def test_scipy_stays_off_the_startup_path(thread_count_outputs):
+    # The package depends on numpy alone: every command the thread-count
+    # children run, the optics model included, must start and run without
+    # loading scipy.
+    for _, loaded in thread_count_outputs:
+        assert loaded == [False] * (1 + len(THREAD_SOURCES))
 
 
 def test_child_runs_leave_the_package_bytecode_alone(child_env):
@@ -915,17 +807,29 @@ def test_every_src_function_is_entered_by_a_cli_run(tmp_path):
 
 
 def test_runs_build_no_parser_and_one_setup_each(tmp_path, monkeypatch):
-    # The process's one parser is built when cli is imported, so main builds
-    # none; resolve_config checks each of the 16 default spectral and optics
+    # One recorded run per preset.  The process's one parser is built when
+    # cli is imported, so main builds none; main resolves its config once,
+    # and resolve_config checks each of the 16 default spectral and optics
     # widths by optics.check_spectral_width and builds one PdcSetup, the one
-    # whose profile grid checks theta_0.  Neither run builds another.
-    built = []
-    for owner, name in ((argparse.ArgumentParser, "__init__"), (PdcSetup, "__post_init__")):
-        def counted(*args, _f=getattr(owner, name), _owner=owner.__name__, **kwargs):
-            built[-1][_owner] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-    for preset in ("figS-calibration", "fig4-left"):
-        built.append({"ArgumentParser": 0, "PdcSetup": 0})
+    # whose profile grid checks theta_0.  Every file of a run embeds its
+    # config's canonical JSON, formed once per run: fig4-left writes four
+    # files from one text.
+    counts = {}
+
+    def counted(name, f, counts_call=lambda *args: True):
+        def call(*args, **kwargs):
+            counts[name] += counts_call(*args)
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        counted("parsers", argparse.ArgumentParser.__init__))
+    monkeypatch.setattr(PdcSetup, "__post_init__", counted("setups", PdcSetup.__post_init__))
+    monkeypatch.setattr(cli, "resolve_config", counted("resolved", resolve_config))
+    monkeypatch.setattr(json, "dumps", counted("config texts", json.dumps,
+                                               lambda value: isinstance(value, dict) and "command" in value))
+    for preset, files in (("fig3-left", 1), ("fig4-left", 4), ("figS-calibration", 2)):
+        counts.update({"parsers": 0, "setups": 0, "resolved": 0, "config texts": 0})
         assert main(["--preset", preset, "--out", str(tmp_path / preset)]) == 0
-    assert built == [{"ArgumentParser": 0, "PdcSetup": 1}] * 2
+        assert len(list((tmp_path / preset).glob("*.csv"))) == files
+        assert counts == {"parsers": 0, "setups": 1, "resolved": 1, "config texts": 1}, preset

@@ -173,13 +173,13 @@ EXEMPT = {
     "slm.phasor_sum": "a test oracle of the kernel sum over literal mask phases",
     "slm.pair_sums": "a step of kernel_coherence and calibrate_wcp on kernel_factors' arrays",
     "slm.kernel_band": "a step of kernel_coherence and calibrate_wcp on kernel_factors' arrays",
-    "slm.windows": "a strided view of arrays kernel_coherence and calibrate_wcp have formed",
     "slm.PhaseField": "the result of build_phase_field",
     "optics.NumericalError": "the refusal of a numerical failure",
     "optics.JointSpatialProfile": "the result of joint_profile",
     "optics.joint_profile": "a step of wcp_curve on a setup profile_axis has passed",
     "optics.curve_fit": "a step of wcp_curve's width estimators on the profile's samples",
     "optics.real_exp": "the package's one real exp, on arrays its callers have formed",
+    "optics.windows": "a strided view of arrays kernel_coherence and calibrate_wcp have formed",
     "optics.estimate_wp": "a step of wcp_curve on joint_profile's result",
     "optics.estimate_wcp_tilde": "a step of wcp_curve on joint_profile's result",
     "optics.combined_wcp": "a step of wcp_curve on estimate_wcp_tilde's result",
@@ -465,6 +465,10 @@ _CONTRACT = {
             ("kernel-sum", lambda d=d: kernel_coherence(_KP, _FIELD, _FIELD, d)),
             ("sweep", lambda d=d: transition_sweep(0.5, [_KP], [0, d], _TIMES)),
             ("calibration", lambda d=d: calibrate_wcp(_CAL, shot_noise=False, h_values=[0, 1, d, 3])))},
+    # A value outside the unit disk is no average of unit phasors.
+    "test_series_refuses_magnitude_above_one": [
+        Refusal(lambda: CoherenceSeries([0.0], [1.00001], ANALYTIC),
+                "coherence magnitude 1.00001 exceeds 1; values must be averages of unit phasors")],
     # The ceilings on jumps and entries, each where a run meets it first.
     "test_ceilings_refuse_in_one_line": {
         "ensemble": Refusal(lambda: RtnParams(1e5, 1e4), "gamma * t_max over 1 trajectories expects 1e+09 "
@@ -486,23 +490,23 @@ def _judge(case: Refusal) -> None:
     assert str(err.value) == case.text
 
 
-def _refusal_test(cases):
-    """The test judging ``cases`` (``_judge``): one id per case of a dict."""
+def refusal_test(cases, judge=_judge):
+    """The test judging each of ``cases`` by ``judge``: one id per case of a dict."""
     if isinstance(cases, dict):
         @pytest.mark.parametrize("case", cases.values(), ids=cases.keys())
         def test(case):
-            _judge(case)
+            judge(case)
         return test
 
     def test():
         for case in cases:
-            _judge(case)
+            judge(case)
     return test
 
 
 def refusal_tests(module: str) -> dict:
     """The tests of ``module``'s part of the table, by name."""
-    return {name: _refusal_test(cases) for name, cases in LIBRARY_REFUSALS[module.rpartition(".")[2]].items()}
+    return {name: refusal_test(cases) for name, cases in LIBRARY_REFUSALS[module.rpartition(".")[2]].items()}
 
 
 globals().update(refusal_tests(__name__))

@@ -234,17 +234,6 @@ def test_longer_crystal_narrows_beam():
     assert w2 < w1
 
 
-def test_conditional_order_preference():
-    # Narrow window: Gaussian profile preferred; wide window: the
-    # quasi-rectangular spectrum makes the order-4 fit win.
-    prof15 = joint_profile(SETUP)
-    _, n15 = estimate_wcp_tilde(prof15)
-    assert n15 == 2
-    s40 = dataclasses.replace(SETUP, spectral_width_nm=40.0)
-    _, n40 = estimate_wcp_tilde(joint_profile(s40))
-    assert n40 == 4
-
-
 @pytest.mark.xfail(
     strict=True,
     reason="first-order model: at 15 nm the conditional width (~1.7 px) is "
@@ -317,29 +306,6 @@ def test_wcp_single_row_matches_combined():
     wt, order = estimate_wcp_tilde(prof)
     assert table.w_cp[0] == pytest.approx(combined_wcp(SETUP, wt), rel=1e-6)
     assert table.order[0] == order
-
-
-@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
-def test_kernel_conditional_consistent_with_profile():
-    # End to end: the mask kernel built from (w_cp, n) at 15 nm has a
-    # conditional width within 10% of the profile-derived estimate.
-    from scipy.optimize import curve_fit
-
-    from ltgsim.slm import KernelParams, MaskGeometry, build_kernel
-
-    table = wcp_curve(SETUP, [15.0])
-    w_cp, order = float(table.w_cp[0]), int(table.order[0])
-    geo = MaskGeometry()
-    k = build_kernel(KernelParams(w_cp, 20.0, order, geo))
-    col = np.argmin(np.abs(geo.offsets2()))
-    cond = k.weights[:, col]
-    x = geo.offsets1()
-
-    def model(xx, a, c, w):
-        return a * np.exp(-2.0 * np.abs(xx - c) ** order / w**order)
-
-    popt, _ = curve_fit(model, x, cond, p0=[cond.max(), 0.0, w_cp])
-    assert abs(popt[2]) == pytest.approx(w_cp, rel=0.10)
 
 
 def recorded_fits(monkeypatch, widths_nm):
