@@ -86,9 +86,12 @@ def test_local_coherence_zero_rate():
 
 
 def test_global_coherence_zero_rate():
-    series = global_coherence(0.0, np.array([0.0, np.pi / 4]))
+    # Gamma = cos 4t, so E = |Gamma| is 0 at pi / 8 and 1 at pi / 4
+    series = global_coherence(0.0, np.array([0.0, np.pi / 8, np.pi / 4]))
     assert series.values[0] == 1.0 + 0.0j
-    assert series.values[1].real == pytest.approx(-1.0, abs=1e-12)
+    assert series.values[2].real == pytest.approx(-1.0, abs=1e-12)
+    e = series.magnitude
+    assert e[1] == pytest.approx(0.0, abs=1e-12) and e[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_local_is_squared_moment():
@@ -105,13 +108,6 @@ def test_coherences_bounded():
         assert np.all(global_coherence(gamma, t).magnitude <= 1 + 1e-12)
     for coherence in (local_coherence, global_coherence):
         assert coherence(0.5, [0, 0.5]).times.dtype == float  # a list grid is read as floats
-
-
-def test_entanglement_magnitude():
-    series = global_coherence(0.0, np.array([np.pi / 8, np.pi / 4]))
-    e = series.magnitude
-    assert e[0] == pytest.approx(0.0, abs=1e-12)  # |cos(pi/2)| = 0
-    assert e[1] == pytest.approx(1.0, abs=1e-12)  # |cos(pi)| = 1
 
 
 def test_entanglement_matches_concurrence_oracle():

@@ -368,9 +368,6 @@ _ANALYTIC = {
 _SLM = {
     "test_geometry_validation": [Refusal(lambda: MaskGeometry(j0=-1.0), "j0 must lie in [0, 320)"),
                                  Refusal(lambda: MaskGeometry(k0=100.0), "k0 must lie in [320, 640)")],
-    "test_odd_order_rejected": [Refusal(lambda: KernelParams(w_cp=3.0, w_p=20.0, n=3),
-                                        "super-Gaussian order n must be a positive even integer, got 3; odd "
-                                        "orders make the correlation factor sign-ambiguous")],
     "test_kernel_rejects_unnormalized": [
         Refusal(lambda: CorrelationKernel(np.full((4, 4), 1.0), _KP), _UNIT_SUM)],
     # A NaN width fails "> 0"; before, w_cp = NaN built an all-NaN kernel.

@@ -241,13 +241,6 @@ def test_grid_bins_on_degenerate_grids():
 # ---------------------------------------------------------------------------
 
 
-def test_mc_zero_rate_fourth_moment_node():
-    series = mc_exponential_moment(
-        RtnParams(0.0, 1.0), 4, np.array([np.pi / 8]), 2, SeedSpec(1), antithetic=True
-    )
-    assert abs(series.values[0]) < 1e-12  # cos(pi/2)
-
-
 def test_mc_zero_rate_second_moment_exact():
     times = np.linspace(0, 2 * np.pi, 25)
     series = mc_exponential_moment(
@@ -255,6 +248,9 @@ def test_mc_zero_rate_second_moment_exact():
     )
     assert np.allclose(series.values.real, np.cos(2 * times), atol=1e-14)
     assert np.all(series.values.imag == 0.0)
+    # the fourth moment at its node: cos(pi / 2)
+    node = mc_exponential_moment(RtnParams(0.0, 1.0), 4, np.array([np.pi / 8]), 2, SeedSpec(1), antithetic=True)
+    assert abs(node.values[0]) < 1e-12
 
 
 def test_mc_matches_analytic_oracle():
@@ -276,14 +272,6 @@ def test_mc_moment_invariants():
         assert series.values[0] == 1.0 + 0.0j  # exact at t = 0
         if antithetic:
             assert np.all(np.abs(series.values.imag) <= 1e-12)
-
-
-def test_mc_bit_reproducible():
-    times = np.linspace(0, 2, 9)
-    a = mc_exponential_moment(RtnParams(1.2, 2.0), 4, times, 5000, SeedSpec(77), True)
-    b = mc_exponential_moment(RtnParams(1.2, 2.0), 4, times, 5000, SeedSpec(77), True)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.stderr, b.stderr)
 
 
 def test_mc_standard_error_scaling():
@@ -374,12 +362,10 @@ def test_mc_plain_is_direct_mean_over_same_draws():
             # chunks and a partial last one
             chunk = max(1, rtn._CHUNK_PHASES // (batch.jump_times.shape[1] + 1 + points))
             assert n_real > chunk and n_real % chunk
-        phi = batch.phases(times)
         for order in orders:
             series = mc_exponential_moment(params, order, times, n_real, SeedSpec(8), antithetic=False)
-            expect = np.exp(1j * order * phi).mean(axis=1)
+            expect, want_se = direct_moment(batch, order, times)
             assert np.max(np.abs(series.values - expect)) < 1e-12
-            want_se = np.cos(order * phi).std(axis=1, ddof=1) / np.sqrt(n_real)
             assert np.max(np.abs(series.stderr - want_se)) < 1e-12
     # At gamma = 0, phi = s * t: every row reads cos(m t), and sin(m t) with its sign.
     params, times = RtnParams(0.0, 200.0), np.linspace(0.0, 200.0, 400)
@@ -387,6 +373,22 @@ def test_mc_plain_is_direct_mean_over_same_draws():
     zero = mc_exponential_moment(params, 3, times, 1000, SeedSpec(8), antithetic=False)
     assert np.max(np.abs(zero.values.real - np.cos(3 * times))) < 1e-15
     assert np.max(np.abs(zero.values.imag - s_mean * np.sin(3 * times))) < 1e-15
+
+
+def two_pass_stderr(batch, times, blocks=1):
+    # Oracle: the stderr of cos(2 phi) over the rows, two-pass in long double
+    # on its deviation from the no-jump value, d = cos(2 phi) - cos(2 t) =
+    # -2 sin(phi + t) sin(phi - t), taken in blocks of times.  phi +- t is
+    # exact in long double and rounds once to double, so d keeps its relative
+    # precision where it is ~1e-13 (tiny times).
+    n, want = len(batch), np.empty(times.size)
+    for block in np.array_split(np.arange(times.size), blocks):
+        phi = batch.phases(times[block]).astype(np.longdouble)
+        t = times[block, None].astype(np.longdouble)
+        d = (-2 * np.sin((phi + t).astype(float)) * np.sin((phi - t).astype(float))).astype(np.longdouble)
+        dev = d - d.mean(axis=1, keepdims=True)
+        want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
+    return want
 
 
 def test_mc_stderr_matches_two_pass_oracle():
@@ -398,10 +400,7 @@ def test_mc_stderr_matches_two_pass_oracle():
     times = np.linspace(0.0, 2.0 * np.pi, 400)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic=False)
     batch = sample_batch(draw_ensemble(params, n_real, SeedSpec(5)))
-    v = np.cos(2 * batch.phases(times)).astype(np.longdouble)
-    dev = v - v.mean(axis=1, keepdims=True)
-    want = np.sqrt((dev * dev).sum(axis=1) / n_real / (n_real - 1))
-    np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(series.stderr, two_pass_stderr(batch, times), rtol=1e-10, atol=0.0)
 
 
 def test_mc_stderr_precision_at_low_rate():
@@ -416,12 +415,7 @@ def test_mc_stderr_precision_at_low_rate():
         series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
         n = n_real // 2 if antithetic else n_real
         batch = sample_batch(draw_ensemble(params, n, SeedSpec(5)))
-        want = np.empty(times.size)
-        for block in np.array_split(np.arange(times.size), 8):
-            v = np.cos(2 * batch.phases(times[block])).astype(np.longdouble)
-            dev = v - v.mean(axis=1, keepdims=True)
-            want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
-        np.testing.assert_allclose(series.stderr, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(series.stderr, two_pass_stderr(batch, times, 8), rtol=1e-12, atol=0.0)
     for antithetic in (False, True):
         zero = mc_exponential_moment(RtnParams(0.0, 2.0 * np.pi), 3, times, 1000, SeedSpec(5),
                                      antithetic)
@@ -431,21 +425,16 @@ def test_mc_stderr_precision_at_low_rate():
 def test_mc_stderr_keeps_relative_precision_at_tiny_times():
     # At t ~ 1e-7 a row that has jumped deviates from cos(m t) by ~1e-13, far
     # below the rounding of cos(m phi) itself, so the oracle takes
-    # d = cos(2 phi) - cos(2 t) = -2 sin(phi + t) sin(phi - t) in long
-    # double.  The sweep forms K = cos B - 1 as -2 u^2 / (1 + u^2) with
-    # u = tan(B / 2) and must match it to the two-pass bound of 1e-10
-    # (K = cos B - 1 misses by 2e-3).
+    # d = cos(2 phi) - cos(2 t) = -2 sin(phi + t) sin(phi - t).  The sweep
+    # forms K = cos B - 1 as -2 u^2 / (1 + u^2) with u = tan(B / 2) and must
+    # match it to the two-pass bound of 1e-10 (K = cos B - 1 misses by 2e-3).
     times = np.concatenate([[0.0], np.geomspace(1e-7, 1e-3, 60)])
     params, n_real = RtnParams(1000.0, 1e-3), 4000
     for antithetic in (False, True):
         series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
         n = n_real // 2 if antithetic else n_real
-        phi = sample_batch(draw_ensemble(params, n, SeedSpec(5))).phases(times).astype(np.longdouble)
-        t = times[:, None].astype(np.longdouble)
-        d = -2 * np.sin(phi + t) * np.sin(phi - t)
-        dev = d - d.mean(axis=1, keepdims=True)
-        want = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
-        np.testing.assert_allclose(series.stderr, want.astype(float), rtol=1e-10, atol=0.0)
+        batch = sample_batch(draw_ensemble(params, n, SeedSpec(5)))
+        np.testing.assert_allclose(series.stderr, two_pass_stderr(batch, times), rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("gamma, points, antithetic",
@@ -465,13 +454,7 @@ def test_mc_stderr_at_high_rate(gamma, points, antithetic, monkeypatch):
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
     n = n_real // 2 if antithetic else n_real
     batch = reducible(sample_batch(draw_ensemble(params, n, SeedSpec(5))))
-    want = np.empty(points)
-    for block in np.array_split(np.arange(points), -(-points // 500)):
-        phi = batch.phases(times[block]).astype(np.longdouble)
-        t = times[block, None].astype(np.longdouble)
-        d = -2 * np.sin(phi + t) * np.sin(phi - t)  # cos(2 phi) - cos(2 t)
-        dev = d - d.mean(axis=1, keepdims=True)
-        want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
+    want = two_pass_stderr(batch, times, -(-points // 500))
     np.testing.assert_allclose(series.stderr, want, rtol=1e-10, atol=0.0)
     assert series.params["direct_times"] == points
     monkeypatch.setattr(rtn, "_CHUNK_SEGMENTS", 1)
