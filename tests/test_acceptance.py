@@ -16,7 +16,6 @@ width and spectral-walk width, pinning w_cp(15 nm) near 1.9 px.
 import time
 
 import numpy as np
-import pytest
 from oracles import build_state, concurrence, field_phases, projections
 
 from ltgsim.analytic import exponential_moment, global_coherence, local_coherence
