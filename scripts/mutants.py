@@ -6,10 +6,9 @@ runs the suite there unmutated, then once per mutant on a fresh export with
 that edit applied; the checkout itself is never edited.  A mutant is killed
 when its set of failing, erroring or xpassing test ids differs from the
 unmutated run's, so tests that fail on the clean code (acceptance criteria
-5 and 6) count for nothing.  A run past the timeout is reported as such,
-not as a kill.  Usage: ``python scripts/mutants.py [commit] [--timeout S]``.
+5 and 6) count for nothing.  A run past ``TIMEOUT_S`` is reported as a
+timeout, not as a kill.  Usage: ``python scripts/mutants.py [commit]``.
 """
-import argparse
 import os
 import signal
 import subprocess
@@ -52,11 +51,13 @@ MUTANTS = [
     ("cli.py", "abs(v) >= 2**64", "abs(v) >= 2**63"),
 ]
 
+TIMEOUT_S = 300.0  # seconds per suite run; Tier-1 takes ~30-40 s on 2 cores
+
 PYTEST = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
           "-p", "no:cacheprovider", "--hypothesis-seed=0", "--tb=no", "-rfEX"]
 
 
-def run_suite(repo: Path, commit: str, mutant, timeout: float):
+def run_suite(repo: Path, commit: str, mutant):
     """The failing, erroring and xpassing test ids of one export, or None on timeout."""
     with tempfile.TemporaryDirectory(prefix="ltgsim-mutant-") as tmp:
         archive = subprocess.run(["git", "-C", str(repo), "archive", commit], check=True,
@@ -72,7 +73,7 @@ def run_suite(repo: Path, commit: str, mutant, timeout: float):
         proc = subprocess.Popen(PYTEST, cwd=tmp, env=env, stdout=subprocess.PIPE, text=True,
                                 start_new_session=True)
         try:
-            out = proc.communicate(timeout=timeout)[0]
+            out = proc.communicate(timeout=TIMEOUT_S)[0]
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
@@ -82,25 +83,21 @@ def run_suite(repo: Path, commit: str, mutant, timeout: float):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("commit", nargs="?", default="HEAD")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per suite run")
-    args = parser.parse_args()
+    commit = sys.argv[1] if len(sys.argv) > 1 else "HEAD"
     repo = Path(__file__).resolve().parents[1]
-    clean = run_suite(repo, args.commit, None, args.timeout)
+    clean = run_suite(repo, commit, None)
     if clean is None:
         raise SystemExit("the unmutated suite timed out")
     print(f"unmutated: {len(clean)} failing ids: {', '.join(sorted(clean))}", flush=True)
-    survivors = 0
+    counts = dict.fromkeys(("killed", "timed out", "survived"), 0)
     for number, mutant in enumerate(MUTANTS, 1):
-        ids = run_suite(repo, args.commit, mutant, args.timeout)
-        if ids is None:
-            verdict = "TIMEOUT"
-        else:
-            verdict = f"killed by {', '.join(sorted(ids ^ clean))}" if ids != clean else "SURVIVED"
-            survivors += ids == clean
+        ids = run_suite(repo, commit, mutant)
+        verdict = "timed out" if ids is None else "survived" if ids == clean else "killed"
+        counts[verdict] += 1
+        if verdict == "killed":
+            verdict += " by " + ", ".join(sorted(ids ^ clean))
         print(f"M{number:02d} {mutant[0]}: {mutant[1]!r} -> {mutant[2]!r}: {verdict}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed or timed out")
+    print(f"{len(MUTANTS)} mutants: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
     return 0
 
 

@@ -61,6 +61,12 @@ print(json.dumps(loaded))
 """
 
 
+@pytest.fixture(params=THREAD_SOURCES)
+def thread_source(request):
+    """Each name of THREAD_SOURCES in turn."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def thread_count_outputs(tmp_path_factory, child_env):
     """One child interpreter per thread budget (1, 4 and 8) runs every source

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import THREAD_SOURCES
 from test_contract import refusal_test
 
 from ltgsim import cli
@@ -575,8 +574,7 @@ def test_resolving_a_resolved_config_changes_nothing(user):
     assert cli._json(resolve_config(config)) == cli._json(config)
 
 
-@pytest.mark.parametrize("preset", THREAD_SOURCES)
-def test_preset_run_thread_count_invariance(thread_count_outputs, preset):
+def test_preset_run_thread_count_invariance(thread_count_outputs, thread_source):
     # Byte-identical data sections regardless of the thread budget (the
     # metadata block embeds the per-run output directory, so only the data
     # part is comparable).  fig4-left runs the block contraction at
@@ -586,7 +584,7 @@ def test_preset_run_thread_count_invariance(thread_count_outputs, preset):
     # take the chunked event sweep, antithetic and plain, and at gamma = 100
     # (~600 jumps a row) the chunked direct pass; the optics table runs the
     # width fits alone.
-    one, *others = (sections[preset] for sections, _ in thread_count_outputs)
+    one, *others = (sections[thread_source] for sections, _ in thread_count_outputs)
     assert one and all(other == one for other in others)
 
 
@@ -594,8 +592,8 @@ def test_scipy_stays_off_the_startup_path(thread_count_outputs):
     # The package depends on numpy alone: every command the thread-count
     # children run, the optics model included, must start and run without
     # loading scipy.
-    for _, loaded in thread_count_outputs:
-        assert loaded == [False] * (1 + len(THREAD_SOURCES))
+    for sections, loaded in thread_count_outputs:
+        assert loaded == [False] * (1 + len(sections))
 
 
 def test_child_runs_leave_the_package_bytecode_alone(child_env):

@@ -382,18 +382,21 @@ def test_mc_plain_is_direct_mean_over_same_draws():
     assert np.max(np.abs(zero.values.imag - s_mean * np.sin(3 * times))) < 1e-15
 
 
-def two_pass_stderr(batch, times, blocks=1):
-    # Oracle: the stderr of cos(2 phi) over the rows, two-pass in long double
-    # on its deviation from the no-jump value, d = cos(2 phi) - cos(2 t) =
-    # -2 sin(phi + t) sin(phi - t), taken in blocks of times.  phi +- t is
-    # exact in long double and rounds once to double, so d keeps its relative
-    # precision where it is ~1e-13 (tiny times).
+def two_pass_stderr(batch, times, blocks=1, centred=True):
+    # Oracle: the stderr of cos(2 phi) over the rows, two-pass in long double,
+    # taken in blocks of times.  Centred, it sums the deviation from the
+    # no-jump value, d = cos(2 phi) - cos(2 t) = -2 sin(phi + t) sin(phi - t),
+    # in long double, which keeps its relative precision where it is ~1e-13
+    # (tiny times); uncentred, cos(2 phi) itself, apart from the code's centring.
     n, want = len(batch), np.empty(times.size)
     for block in np.array_split(np.arange(times.size), blocks):
-        phi = batch.phases(times[block]).astype(np.longdouble)
-        t = times[block, None].astype(np.longdouble)
-        d = (-2 * np.sin((phi + t).astype(float)) * np.sin((phi - t).astype(float))).astype(np.longdouble)
-        dev = d - d.mean(axis=1, keepdims=True)
+        phi = batch.phases(times[block])
+        if centred:
+            phi, t = phi.astype(np.longdouble), times[block, None].astype(np.longdouble)
+            v = -2 * np.sin(phi + t) * np.sin(phi - t)
+        else:
+            v = np.cos(2 * phi).astype(np.longdouble)
+        dev = v - v.mean(axis=1, keepdims=True)
         want[block] = np.sqrt((dev * dev).sum(axis=1) / n / (n - 1))
     return want
 
@@ -407,7 +410,8 @@ def test_mc_stderr_matches_two_pass_oracle():
     times = np.linspace(0.0, 2.0 * np.pi, 400)
     series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic=False)
     batch = sample_batch(draw_ensemble(params, n_real, SeedSpec(5)))
-    np.testing.assert_allclose(series.stderr, two_pass_stderr(batch, times), rtol=1e-10, atol=0.0)
+    want = two_pass_stderr(batch, times, centred=False)
+    np.testing.assert_allclose(series.stderr, want, rtol=1e-10, atol=0.0)
 
 
 def test_mc_stderr_precision_at_low_rate():
@@ -422,7 +426,8 @@ def test_mc_stderr_precision_at_low_rate():
         series = mc_exponential_moment(params, 2, times, n_real, SeedSpec(5), antithetic)
         n = n_real // 2 if antithetic else n_real
         batch = sample_batch(draw_ensemble(params, n, SeedSpec(5)))
-        np.testing.assert_allclose(series.stderr, two_pass_stderr(batch, times, 8), rtol=1e-12, atol=0.0)
+        want = two_pass_stderr(batch, times, 8, centred=False)
+        np.testing.assert_allclose(series.stderr, want, rtol=1e-12, atol=0.0)
     for antithetic in (False, True):
         zero = mc_exponential_moment(RtnParams(0.0, 2.0 * np.pi), 3, times, 1000, SeedSpec(5),
                                      antithetic)
