@@ -49,6 +49,14 @@ MUTANTS = [
     ("cli.py", 'SeedSpec(config["master_seed"], 0), antithetic', 'SeedSpec(config["master_seed"], 1), antithetic'),
     ("cli.py", 'np.arange(m["h_min"], m["h_max"] + 1)', 'np.arange(m["h_min"], m["h_max"])'),
     ("cli.py", "abs(v) >= 2**64", "abs(v) >= 2**63"),
+    # Rules that lost a library row to the twin of a CLI row; a memory ceiling
+    # changes its text, since switching it off would allocate what it refuses.
+    ("rtn.py", 'check_integer("master_seed", self.master_seed, 0)', 'check_integer("master_seed", self.master_seed, -1)'),
+    ("rtn.py", "(~0.8 GB per array) a run may hold", "(~0.8 GB per array) a run holds"),
+    ("slm.py", "if n_pix % 2:", "if n_pix % 4 == 3:"),
+    ("optics.py", 'check_real("spectral_width_nm", width_nm)', 'check_real("spectral_width_nm", float(width_nm))'),
+    ("measurement.py", "check_shifts(len(set((h_values % (2 * n_r))", "check_shifts(len(set((h_values % (2 * n_r + 2))"),
+    ("measurement.py", "acquisition_s {acquisition_s!r} expect up to", "acquisition_s {acquisition_s!r} may expect up to"),
 ]
 
 TIMEOUT_S = 300.0  # seconds per suite run; Tier-1 takes ~30-40 s on 2 cores

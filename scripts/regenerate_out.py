@@ -10,8 +10,9 @@ fit order, w_p and w_tilde per spectral width) and out/mc/<run>/ for the
 these files.  For each file it rewrites, the script prints the columns it
 dropped or added, whether the data section is byte-identical to the file it
 replaces over the columns both share (else their largest |difference|),
-and every value of the ``# series`` and ``# calibration`` lines that
-changed, with the |difference| of numbers.
+each ``#`` line added, removed or changed, and every value of the
+``# series``, ``# calibration`` and ``# wcp_table`` lines that changed, with
+the |difference| of numbers.
 Run from the repository root with src on the import path, e.g.
 ``PYTHONPATH=src python scripts/regenerate_out.py``.
 """
@@ -27,7 +28,7 @@ import numpy as np
 from ltgsim.cli import PRESETS, data_section, main, run_config
 
 OUT = Path("out")
-META_KEYS = ("series", "calibration")
+META_KEYS = ("series", "calibration", "wcp_table")
 
 # The mc-moment pair: gamma = 1 on the default grid (400 times up to 2 pi),
 # 2000 realizations, order 2 plain and order 4 antithetic.  Their means move
@@ -68,15 +69,23 @@ def data_drift(old: str, new: str) -> str:
     return "; ".join(notes)
 
 
+def header(text: str) -> dict[str, str]:
+    """The ``# key = value`` lines of an output file, as {key: value text}."""
+    return dict(line[2:].partition(" = ")[::2] for line in text.splitlines() if line.startswith("# "))
+
+
+def header_drift(old: str, new: str) -> list[str]:
+    """Each ``#`` line removed or added, and each changed one whose values
+    ``meta_drift`` does not list."""
+    a, b = header(old), header(new)
+    out = [f"# {key} removed" for key in a if key not in b]
+    out += [f"# {key} added" for key in b if key not in a]
+    return out + [f"# {key} changed" for key in sorted(a.keys() & b.keys() - set(META_KEYS)) if a[key] != b[key]]
+
+
 def metadata(text: str) -> dict:
-    """The ``# series`` and ``# calibration`` lines of an output file, parsed."""
-    out = {}
-    for line in text.splitlines():
-        if line.startswith("# "):
-            key, _, val = line[2:].partition(" = ")
-            if key in META_KEYS:
-                out[key] = json.loads(val)
-    return out
+    """The ``META_KEYS`` lines of an output file, parsed."""
+    return {key: json.loads(val) for key, val in header(text).items() if key in META_KEYS}
 
 
 def meta_drift(old: str, new: str) -> list[str]:
@@ -106,7 +115,7 @@ def drift(old: str | None, new: str) -> str:
     """One report line for a rewritten output file."""
     if old is None:
         return "new file"
-    return "; ".join([data_drift(old, new), *meta_drift(old, new)])
+    return "; ".join([data_drift(old, new), *header_drift(old, new), *meta_drift(old, new)])
 
 
 def write(path: Path, text: str) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .optics import real_exp
 from .rtn import check_horizon, check_moment, check_rate
-from .series import ANALYTIC, CoherenceSeries, check_times
+from .series import CoherenceSeries, check_times
 
 # Treat |gamma - order| below this as the degenerate branch; avoids
 # catastrophic cancellation in gamma/delta near the crossover.
@@ -70,16 +70,12 @@ def local_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_LE: squared second moment, for independent per-qubit noises."""
     times = check_times(times)
     vals = exponential_moment(gamma, 2, times) ** 2
-    return CoherenceSeries(
-        times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "LE"}
-    )
+    return CoherenceSeries(times, vals.astype(complex), params={"gamma": gamma, "kind": "LE"})
 
 
 def global_coherence(gamma: float, times: np.ndarray) -> CoherenceSeries:
     """Gamma_GE: fourth moment, for one noise shared by both qubits."""
     times = check_times(times)
     vals = exponential_moment(gamma, 4, times)
-    return CoherenceSeries(
-        times, vals.astype(complex), ANALYTIC, params={"gamma": gamma, "kind": "GE"}
-    )
+    return CoherenceSeries(times, vals.astype(complex), params={"gamma": gamma, "kind": "GE"})
 

@@ -52,7 +52,7 @@ def _frozen(value):
 DEFAULT_CONFIG = _frozen({
     "command": None,
     "master_seed": 12345,
-    "grid": {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 400},
+    "grid": {"t_max": 2.0 * np.pi, "points": 400},
     "rtn": {"gamma": 0.0},
     "kernel": {"w_cp": 3.0, "w_p": 20.0, "n": 2},
     "geometry": {"pixels_per_half": 320, "j0": 160.0, "k0": 480.0},
@@ -75,7 +75,6 @@ DEFAULT_CONFIG = _frozen({
 # missing command (None) is named by resolve_config itself.
 _RANGES = {
     "command": lambda v: v is None or v in COMMANDS,
-    "grid.t_min": lambda v: v >= 0,
     "grid.points": lambda v: v >= 1,
 }
 
@@ -205,16 +204,14 @@ def resolve_config(user_config: dict) -> dict:
     phase_field = command in ("transition-delta", "transition-spectral")
     check("master_seed", SeedSpec, config["master_seed"])
     check("rtn.gamma", rtn.check_rate, gamma)
-    if g["t_max"] <= g["t_min"]:
-        problems.append("grid: t_max must exceed t_min")
-    # Noise is sampled up to the grid's last time, t_min on one point, and the
+    # Noise is sampled up to the grid's last time, 0 on one point, and the
     # phase order * phi formed on the grid has the order of the analytic GE
     # moment, of the MC moment, of a phase field's noise, or 0 off the grid.
     one_point = (phase_field or command == "mc-moment") and g["points"] == 1
     order = {"analytic": 4, "mc-moment": mc["order"], "transition-delta": 1,
              "transition-spectral": 1}.get(command, 0)
     check("grid.points" if one_point else "grid.t_max", rtn.check_horizon,
-          g["t_min"] if one_point else g["t_max"], order)
+          0.0 if one_point else g["t_max"], order)
     check("mc", rtn.check_moment, mc["order"], mc["n_real"], mc["antithetic"])
     if command == "mc-moment":
         check("mc", rtn.check_entries, mc["n_real"])
@@ -286,7 +283,7 @@ def _table_csv(config_json: str, meta: dict, columns: dict) -> str:
 
     ``#`` metadata lines (package and RNG versions, the resolved config's
     ``_json`` text, formed once per run, then each ``meta`` entry by key in
-    ``_json``), a ``# columns`` line, the header row, then one row per index
+    ``_json``), the header row, then one row per index
     of the equal-length ``columns``, each formatted by ``_cells`` or given
     as a list of its ``_cells`` strings.
     """
@@ -298,8 +295,7 @@ def _table_csv(config_json: str, meta: dict, columns: dict) -> str:
         f"# config = {config_json}",
     ]
     lines.extend(f"# {key} = {_json(val)}" for key, val in sorted(meta.items()))
-    names = ",".join(columns)
-    lines += [f"# columns = {names}", names]
+    lines.append(",".join(columns))
     lines.extend(",".join(row) for row in zip(*cells))
     return "\n".join(lines) + "\n"
 
@@ -311,7 +307,7 @@ def series_csv(series: CoherenceSeries, config_json: str, t_cells: list[str] | N
                "im_gamma": series.values.imag, "abs_gamma": series.magnitude}
     if series.stderr is not None:
         columns["stderr"] = series.stderr
-    return _table_csv(config_json, {"series": series.params, "provenance": series.provenance}, columns)
+    return _table_csv(config_json, {"series": series.params}, columns)
 
 
 def data_section(text: str) -> str:
@@ -326,7 +322,7 @@ def data_section(text: str) -> str:
 
 def _grid(config) -> np.ndarray:
     g = config["grid"]
-    return np.linspace(g["t_min"], g["t_max"], g["points"])
+    return np.linspace(0.0, g["t_max"], g["points"])
 
 
 def _geometry(config) -> slm.MaskGeometry:
@@ -400,7 +396,7 @@ def _run_transition_spectral(config):
 def _run_optics_table(config):
     setup = optics.PdcSetup(theta_0=config["optics"]["theta_0"])
     table = optics.wcp_curve(setup, [float(w) for w in config["optics"]["widths_nm"]])
-    meta = {"wcp_table": {"theta_0": table.theta_0, "w0_floor_px": table.w0_floor}}
+    meta = {"wcp_table": {"w0_floor_px": table.w0_floor}}
     columns = {"spectral_width_nm": table.widths_nm, "w_cp": table.w_cp, "order": table.order,
                "w_p": table.w_p, "w_tilde": table.w_tilde}
     return {"wcp_table.csv": _table_csv(_json(config), meta, columns)}

@@ -541,7 +541,6 @@ class WcpTable:
     order: np.ndarray
     w_p: np.ndarray
     w_tilde: np.ndarray
-    theta_0: float
     w0_floor: float
 
 
@@ -565,6 +564,5 @@ def wcp_curve(setup: PdcSetup, widths_nm: Sequence[float]) -> WcpTable:
         order=np.asarray(order, int),
         w_p=np.asarray(w_p),
         w_tilde=np.asarray(w_tilde),
-        theta_0=setup.theta_0,
         w0_floor=floor,
     )

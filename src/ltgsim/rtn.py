@@ -46,7 +46,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .series import MONTE_CARLO, CoherenceSeries, check_times
+from .series import CoherenceSeries, check_times
 
 # The Monte Carlo reduction takes rows in fixed chunks, in ascending
 # realization order: the event sweep max(1, _CHUNK_SEGMENTS // (columns + 1))
@@ -460,7 +460,6 @@ def mc_exponential_moment(params: RtnParams, order: int, times: np.ndarray, n_re
     return CoherenceSeries(
         times,
         values,
-        MONTE_CARLO,
         params={
             "gamma": params.gamma,
             "order": order,

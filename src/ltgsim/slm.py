@@ -73,7 +73,7 @@ import numpy as np
 from .optics import NumericalError, real_exp, windows
 from .rtn import (RtnParams, SeedSpec, check_ensemble, check_entries, check_integer, check_real,
                   sample_trajectory, stack_batches)
-from .series import KERNEL_SUM, CoherenceSeries, check_times
+from .series import CoherenceSeries, check_times
 
 _NO_SUPPORT = "kernel has no support on the mask"
 
@@ -497,7 +497,6 @@ def kernel_coherence(params: KernelParams, field1: PhaseField, field2: PhaseFiel
     return CoherenceSeries(
         field1.times,
         values,
-        KERNEL_SUM,
         params={
             "delta": delta,
             "lost_mass": lost,

@@ -24,10 +24,10 @@ from ltgsim.cli import data_section, main, resolve_config, run_config
 from ltgsim.measurement import calibrate_wcp, simulate_counts
 from ltgsim.optics import THETA0_CALIBRATED, NumericalError, PdcSetup, joint_profile
 from ltgsim.rtn import RtnParams, SeedSpec, draw_ensemble, mc_exponential_moment, sample_batch
-from ltgsim.series import MONTE_CARLO, CoherenceSeries
+from ltgsim.series import CoherenceSeries
 from ltgsim.slm import KernelParams, MaskGeometry, build_phase_field, transition_sweep
 
-FAST_GRID = {"t_min": 0.0, "t_max": 2.0 * np.pi, "points": 40}
+FAST_GRID = {"t_max": 2.0 * np.pi, "points": 40}
 
 
 def embedded_config(text: str) -> dict:
@@ -129,7 +129,9 @@ _TWO_FILES = ["analytic_ge.csv", "analytic_le.csv"]
 REFUSALS = {
     "test_unknown_keys_rejected": [
         Case(_config("analytic", kernal={}), ["unknown config key: kernal"]),
-        Case(_config("analytic", kernel={"width": 3}), ["unknown config key: kernel.width"])],
+        Case(_config("analytic", kernel={"width": 3}), ["unknown config key: kernel.width"]),
+        # Grids start at 0: an output file written with a grid.t_min key no longer replays.
+        Case(_config("analytic", grid={"t_min": 0.0}), ["unknown config key: grid.t_min"])],
     "test_validate_odd_kernel_order": [
         Case(_config("transition-delta", kernel={"n": 3}),
              ["kernel: super-Gaussian order n must be a positive even integer, got 3; odd orders make the "
@@ -433,7 +435,7 @@ def test_mc_moment_has_stderr_column():
     files = run_config(
         {
             "command": "mc-moment",
-            "grid": {"t_min": 0.0, "t_max": 2.0, "points": 5},
+            "grid": {"t_max": 2.0, "points": 5},
             "mc": {"order": 2, "n_real": 2000, "antithetic": True},
             "rtn": {"gamma": 1.0},
         }
@@ -471,21 +473,23 @@ _LAYOUT_CONFIGS = {
 
 @pytest.mark.parametrize("command", sorted(_LAYOUT_CONFIGS))
 def test_every_file_has_one_layout(command):
-    # Every file: metadata lines, "# columns = X", the header row X, then
-    # rows with one cell per column.
+    # Every file: the "# key = value" lines that each state one fact (the
+    # versions, the config, then what the run adds to it), the header row,
+    # then rows with one cell per column.
     files = run_config(_LAYOUT_CONFIGS[command])
+    added = {"optics-table": "wcp_table", "calibrate-wcp": "calibration"}.get(command, "series")
     assert files
     for name, text in files.items():
         lines = text.splitlines()
         first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        assert lines[first - 1] == "# columns = " + lines[first], name
+        keys = [line.partition(" = ")[0] for line in lines[:first]]
+        assert keys == ["# ltgsim", "# rng", "# config", f"# {added}"], name
         assert all(line.count(",") == lines[first].count(",") for line in lines[first:]), name
 
 
 def test_non_finite_cell_refused():
     # Any column is checked, not only times and values.
-    series = CoherenceSeries(np.linspace(0.0, 1.0, 3), np.ones(3), MONTE_CARLO,
-                             stderr=np.array([0.0, np.nan, 0.1]))
+    series = CoherenceSeries(np.linspace(0.0, 1.0, 3), np.ones(3), stderr=np.array([0.0, np.nan, 0.1]))
     with pytest.raises(ValueError, match="non-finite stderr"):
         cli.series_csv(series, cli._json(resolve_config({"command": "mc-moment"})))
 
@@ -494,8 +498,7 @@ def test_shared_column_written_like_a_copy():
     # A run formats its shared time column once for all its series files;
     # each file must get the bytes of its own formatted time column.
     cfg = cli._json(resolve_config({"command": "mc-moment"}))
-    series = CoherenceSeries(np.array([0.0, 1.0 / 3.0, 2.5]), np.array([1.0, 0.5j, -0.25]),
-                             MONTE_CARLO)
+    series = CoherenceSeries(np.array([0.0, 1.0 / 3.0, 2.5]), np.array([1.0, 0.5j, -0.25]))
     assert cli.series_csv(series, cfg, cli._cells("t", series.times)) == cli.series_csv(series, cfg)
 
 
@@ -620,7 +623,6 @@ def test_child_runs_leave_the_package_bytecode_alone(child_env):
 _TINY, _HUGE = 5e-324, sys.float_info.max
 _EDGE_VALUES = {
     "master_seed": [-1, 0, 2**64 - 1, 2**64],
-    "grid.t_min": [-1.0, 0.0, _TINY, 1.0, 2.0, 1e300],
     # 2 * order * t_max overflows past 2.2e307 (order 4), 4.5e307 (2) and 9e307 (1)
     "grid.t_max": [-1.0, 0.0, _TINY, 1.0, 1e300, 2.2e307, 2.3e307, 4.4e307, 4.5e307, 8.9e307,
                    9e307, _HUGE],
@@ -651,7 +653,7 @@ _EDGE_VALUES = {
 }
 
 # Small runs of every command, which the drawn leaves then override.
-_SMALL_RUN = {"grid": {"t_min": 0.0, "t_max": 2.0, "points": 8}, "deltas": [1],
+_SMALL_RUN = {"grid": {"t_max": 2.0, "points": 8}, "deltas": [1],
               "mc": {"order": 2, "n_real": 8}, "spectral": {"widths_nm": [15.0]},
               "optics": {"widths_nm": [15.0]}}
 
