@@ -283,9 +283,9 @@ def _table_csv(config_json: str, meta: dict, columns: dict) -> str:
 
     ``#`` metadata lines (package and RNG versions, the resolved config's
     ``_json`` text, formed once per run, then each ``meta`` entry by key in
-    ``_json``), the header row, then one row per index
-    of the equal-length ``columns``, each formatted by ``_cells`` or given
-    as a list of its ``_cells`` strings.
+    ``_json``), the header row, then one row per index of the equal-length
+    ``columns``, each formatted by ``_cells`` or given as a list of its
+    ``_cells`` strings.
     """
     cells = [col if isinstance(col, list) else _cells(name, col) for name, col in columns.items()]
     lines = [
